@@ -43,6 +43,9 @@ EXPECTED_FAMILIES = {
     "sim_events": [],
 }
 
+#: the ``kind`` label values of ``fastpath_events`` (repro.net.fastpath).
+EXPECTED_FASTPATH_KINDS = ("coalesced_runs", "resplits")
+
 
 def _artifact_path() -> pathlib.Path:
     return pathlib.Path(os.environ.get("FLEET_METRICS_OUT", DEFAULT_ARTIFACT))
@@ -197,6 +200,12 @@ def test_fleet_prometheus_export_is_golden(run_once):
         for family in registry.sorted_families()
     }
     assert families == EXPECTED_FAMILIES
+    # One fast path, two event kinds (the convoy kinds were retired with it).
+    kinds = {
+        child.label_values[0]
+        for child in registry.families["fastpath_events"].sorted_children()
+    }
+    assert kinds == set(EXPECTED_FASTPATH_KINDS)
     # Exposition-format sanity on the rendered text itself.
     assert "# TYPE link_bytes_total counter" in first
     assert "# TYPE fleet_op_latency_seconds summary" in first

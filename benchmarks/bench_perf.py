@@ -68,7 +68,7 @@ def _fingerprint() -> dict:
 
 
 def test_perf_basket_throughput(run_once, quick):
-    from repro.bench.perf import convoy_totals, group_walls, run_basket
+    from repro.bench.perf import fastpath_totals, group_walls, run_basket
 
     # best-of-2 even in quick mode: single-shot wall clocks on shared CI
     # runners are noisy enough to trip the 30% floor spuriously.
@@ -83,20 +83,17 @@ def test_perf_basket_throughput(run_once, quick):
             f"{row['scenario']:46s} {row['wall_s']:8.3f} {row['events']:9d} "
             f"{row['events_per_s']:10,d} {recorded.get('events_per_s', 0):10,d}"
         )
-        convoy = row.get("convoy", {})
-        if convoy.get("domains_formed"):
+        counters = row.get("fastpath", {})
+        if counters.get("coalesced_runs"):
             print(
-                f"{'':46s}   convoys: {convoy['domains_formed']} domains, "
-                f"{convoy['members_enrolled']} members, "
-                f"{convoy['blocks_planned']} blocks planned, "
-                f"{convoy['materializations']} materializations, "
-                f"{convoy['refusals']} refusals"
+                f"{'':46s}   fast path: {counters['coalesced_runs']} coalesced runs, "
+                f"{counters.get('resplits', 0)} resplits"
             )
     for group, wall in sorted(group_walls(rows).items()):
         print(f"  group {group:20s} wall {wall:8.3f}s")
-    totals = convoy_totals(rows)
+    totals = fastpath_totals(rows)
     if totals:
-        print(f"  convoy totals: {totals}")
+        print(f"  fast-path totals: {totals}")
 
     for row in rows:
         recorded = committed.get(row["scenario"])
@@ -164,7 +161,7 @@ def _write() -> None:
     current["comment"] = (
         "Simulator-throughput trajectory (benchmarks/bench_perf.py). "
         "baseline_pre_pr_wall_s is re-measured by every --write on the "
-        "recording host (identified by `host`) with both fast paths off "
+        "recording host (identified by `host`) with the fast path off "
         "(fastpath(False) restores the pre-fast-path kernel; simulated "
         "results are byte-identical, tests/test_golden_determinism.py), so "
         "speedup_vs_pre_pr always compares like with like. The >=5x "

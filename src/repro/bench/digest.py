@@ -156,8 +156,8 @@ def golden_matching_cell(num_nodes: int) -> str:
 
     alltoall, allgather and the reduce+broadcast-overlapped allreduce, all on
     the flat fabric with 32 MB objects: every link serves many concurrent
-    lockstep flows, so these cells pin exactly the admission behaviour the
-    convoy fast path must reproduce — per-block grant order under
+    lockstep flows, so these cells pin exactly the admission behaviour any
+    contended-path optimization must reproduce — per-block grant order under
     saturation, relay cascades through partial sources, and the
     REDUCE_PARTIAL/BULK priority interleaving of the overlapped allreduce.
 

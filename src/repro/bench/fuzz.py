@@ -1,6 +1,6 @@
 """Differential fuzzing of the coalescing fast paths.
 
-The coalescing machinery (`repro.net.coalesce`, `repro.net.convoy`) promises
+The coalescing machinery (`repro.net.coalesce`) promises
 *bit-for-bit* equivalence: a run with the fast paths enabled must produce
 exactly the completion times, per-link byte counters, control-message counts
 and ObjectID allocation order of a run with every fast path disabled.  The
@@ -113,7 +113,7 @@ def generate_spec(seed: int) -> ScenarioSpec:
 
     num_nodes = rng.choice([4, 6, 8, 8, 12])
     # 2-5 pipelining blocks: small enough to fuzz densely, large enough that
-    # every multi-block fast path (coalesced runs, convoys) can engage.
+    # every multi-block fast path (coalesced runs, relay cascades) can engage.
     nbytes = rng.choice([6, 8, 9, 12, 17, 20]) * MB
 
     spec = ScenarioSpec(
@@ -133,7 +133,7 @@ def generate_spec(seed: int) -> ScenarioSpec:
 
     # Hierarchical fabric with oversubscribed tier links.  Three racks give
     # cross-rack flows to *distinct* destination racks, whose only shared
-    # contended link is the source rack's uplink — the tier-link convoy shape.
+    # contended link is the source rack's uplink.
     if rng.random() < 0.35:
         fits = [r for r in (2, 3) if num_nodes % r == 0]
         spec.racks = rng.choice(fits)

@@ -361,7 +361,7 @@ def run_basket(
             # Per-cluster fast-path counters (repro.net.fastpath), read
             # off the scenario's own cluster: deterministic per run, so
             # the last repeat's counters stand for all of them.
-            "convoy": fastpath,
+            "fastpath": fastpath,
             # Critical-path category fractions over the traced window,
             # from a separate observed run (deterministic; see
             # _observed_critpath).
@@ -374,7 +374,7 @@ def run_basket(
 
 
 def measure_baselines(quick: bool = False, repeats: int = 2) -> dict[str, float]:
-    """Per-scenario wall seconds with both fast paths off, on *this* host.
+    """Per-scenario wall seconds with the fast path off, on *this* host.
 
     ``fastpath(False)`` restores the pre-fast-path per-block kernel with
     byte-identical simulated results (tests/test_golden_determinism.py), so
@@ -401,11 +401,11 @@ def measure_baselines(quick: bool = False, repeats: int = 2) -> dict[str, float]
     return walls
 
 
-def convoy_totals(rows: list[dict]) -> dict[str, int]:
-    """Basket-wide sums of the convoy observability counters."""
+def fastpath_totals(rows: list[dict]) -> dict[str, int]:
+    """Basket-wide sums of the fast-path observability counters."""
     totals: dict[str, int] = {}
     for row in rows:
-        for key, value in row.get("convoy", {}).items():
+        for key, value in row.get("fastpath", {}).items():
             totals[key] = totals.get(key, 0) + value
     return totals
 

@@ -25,10 +25,8 @@ from repro.core.gather import (
     ReduceScatterResult,
 )
 from repro.core.reduce import ReduceResult, adopt_or_create_reduction
-from repro.net import convoy
 from repro.net.coalesce import register_stream, unregister_stream
-from repro.net.convoy import StreamHandle
-from repro.net.flowsched import ADOPTED, Flow
+from repro.net.flowsched import Flow
 from repro.net.node import Node
 from repro.net.transport import NodeFailedError, local_copy, local_copy_block
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
@@ -81,51 +79,25 @@ class HopliteClient:
             yield from directory.publish_partial(
                 self.node, object_id, value.size, upstream=None
             )
-            # On an exclusive memcpy channel the copy-in stays per-block: a
-            # pipelined Put is published before it starts, so in synchronized
-            # scenarios many puts mark their first blocks in the same
-            # timestep and dozens of remote fetches key their admission order
-            # off those marks; an *exclusive* coalesced run would shift that
-            # intra-timestep order while saving only ~2 events per memcpy
-            # block.  When several Puts saturate one channel, though, the
-            # queue discipline is deterministic and the convoy fast path
-            # (net/convoy) advances the whole lockstep group arithmetically,
-            # re-splitting to per-block on any disturbance.
+            # The copy-in stays per-block deliberately.  A pipelined Put is
+            # published before it starts, so in synchronized scenarios many
+            # puts mark their first blocks in the same timestep and dozens
+            # of remote fetches key their admission order off those marks;
+            # coalescing the copy-in shifts that intra-timestep order (the
+            # digests catch it) while saving only ~2 events per memcpy
+            # block.  The stream registration still keeps unrelated
+            # coalesced local copies off this channel while the Put streams.
             config = self.config
             links = [(self.node.memcpy_channel, None)]
-            handle = StreamHandle(
-                "copy", config, self.node, self.node, None, links, entry
-            )
-            register_stream(links, handle)
+            register_stream(links)
             try:
                 while entry.blocks_ready < entry.num_blocks:
-                    handle.phase = convoy.TOP
-                    run = handle.adopted_run
-                    if run is not None:
-                        # Conscripted by a convoy formed around this channel
-                        # while the Put was queued; drive our planned share.
-                        handle.adopted_run = None
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
                     block_index = entry.blocks_ready
-                    run = convoy.maybe_form(handle, block_index)
-                    if run is not None:
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
                     nbytes = config.block_bytes(value.size, block_index)
-                    result = yield from local_copy_block(
-                        config, self.node, nbytes, handle
-                    )
-                    if result is ADOPTED:
-                        continue
+                    yield from local_copy_block(config, self.node, nbytes)
                     entry.mark_block_ready(block_index)
             finally:
-                if handle.preplaced is not None:
-                    handle.preplaced.cancel()
-                    handle.preplaced = None
-                unregister_stream(links, handle)
+                unregister_stream(links)
             entry.seal(value.payload)
             yield from directory.publish_complete(self.node, object_id, value.size)
         else:

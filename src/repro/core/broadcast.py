@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.net import convoy
 from repro.net.coalesce import (
     build_pull_run,
     coalesce_eligible,
@@ -26,8 +25,8 @@ from repro.net.coalesce import (
     register_stream,
     unregister_stream,
 )
-from repro.net.convoy import StreamHandle
-from repro.net.flowsched import ADOPTED, Flow, FlowClass
+from repro.net.errors import race_failure
+from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
 from repro.net.transport import TransferError, transfer_block, transfer_bytes
 from repro.store.object_store import StoredObject
@@ -199,34 +198,13 @@ def _pull_blocks(
     links = nic_path_links(source_node, dest_node)
     account_out = lambda nb: source_store.account_flow_out(flow, nb)  # noqa: E731
     account_in = lambda nb: dest_store.account_flow_in(flow, nb)  # noqa: E731
-    handle = StreamHandle(
-        "nic",
-        config,
-        source_node,
-        dest_node,
-        flow,
-        links,
-        entry,
-        source_entry=source_entry,
-        account_out=account_out,
-        account_in=account_in,
-    )
-    register_stream(links, handle)
+    register_stream(links)
     try:
         if not runtime.options.enable_pipelining:
-            yield _race_failure(runtime, source_entry.wait_sealed(), source_node)
+            yield from race_failure(source_entry.wait_sealed(), (source_node,))
             _ensure_alive(source_node)
 
         while entry.blocks_ready < entry.num_blocks:
-            handle.phase = convoy.TOP
-            run = handle.adopted_run
-            if run is not None:
-                # A convoy formed around this stream while it was parked;
-                # drive our planned share of it.
-                handle.adopted_run = None
-                handle.phase = convoy.RUN
-                yield from run.run()
-                continue
             block_index = entry.blocks_ready
             # Coalesced fast path: every block the source already holds, in
             # one timeline event — exact per-block semantics guaranteed by
@@ -236,31 +214,26 @@ def _pull_blocks(
                 # cascade — blocks its own coalesced run will deliver at
                 # known instants.
                 horizon = input_coverage(source_entry, entry.num_blocks)
-                if horizon - block_index >= 2 and not entry._no_coalesce:
-                    if coalesce_eligible(links, source_node, dest_node):
-                        run = build_pull_run(
-                            config,
-                            source_node,
-                            dest_node,
-                            flow,
-                            links,
-                            source_entry,
-                            entry,
-                            block_index,
-                            horizon,
-                            account_out=account_out,
-                            account_in=account_in,
-                        )
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
-                    # Exclusive coalescing declined (contended link): try the
-                    # convoy fast path over the lockstep group instead.
-                    run = convoy.maybe_form(handle, block_index)
-                    if run is not None:
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
+                if (
+                    horizon - block_index >= 2
+                    and not entry._no_coalesce
+                    and coalesce_eligible(links, source_node, dest_node)
+                ):
+                    run = build_pull_run(
+                        config,
+                        source_node,
+                        dest_node,
+                        flow,
+                        links,
+                        source_entry,
+                        entry,
+                        block_index,
+                        horizon,
+                        account_out=account_out,
+                        account_in=account_in,
+                    )
+                    yield from run.run()
+                    continue
             if (
                 source_entry._inflight is not None
                 and source_entry.blocks_ready <= block_index
@@ -272,38 +245,21 @@ def _pull_blocks(
                 # can become contended while parked — so the source's marks
                 # must be delivered per-block from here on.
                 source_entry.decoalesce()
-            gate = source_entry.wait_for_blocks(block_index + 1)
-            handle.phase = convoy.GATE
-            handle.gate_event = gate
-            yield _race_failure(runtime, gate, source_node)
-            handle.gate_event = None
-            if handle.poked:
-                handle.poked = False
-                continue
+            yield from race_failure(
+                source_entry.wait_for_blocks(block_index + 1), (source_node,)
+            )
             _ensure_alive(source_node)
             nbytes = config.block_bytes(entry.size, block_index)
-            result = yield from transfer_block(
-                config, source_node, dest_node, nbytes, flow, handle
-            )
-            if result is ADOPTED:
-                continue
+            yield from transfer_block(config, source_node, dest_node, nbytes, flow)
             source_store.account_flow_out(flow, nbytes)
             dest_store.account_flow_in(flow, nbytes)
             entry.mark_block_ready(block_index)
     finally:
-        if handle.preplaced is not None:
-            handle.preplaced.cancel()
-            handle.preplaced = None
-        unregister_stream(links, handle)
+        unregister_stream(links)
         source_entry.ref_count -= 1
     # Touch the sim clock so zero-block objects still take a well-defined path.
     if entry.num_blocks == 0:  # pragma: no cover - num_blocks is always >= 1
         yield sim.timeout(0)
-
-
-def _race_failure(runtime: "HopliteRuntime", event, peer: Node):
-    """Wait for ``event`` but wake up early if ``peer`` fails."""
-    return runtime.sim.any_of([event, peer.failure_event()])
 
 
 def _ensure_alive(peer: Node) -> None:

@@ -37,9 +37,8 @@ from repro.net.coalesce import (
     register_stream,
     unregister_stream,
 )
-from repro.net import convoy
-from repro.net.convoy import StreamHandle
-from repro.net.flowsched import ADOPTED, Flow, FlowClass
+from repro.net.errors import race_failure
+from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
 from repro.net.transport import TransferError, local_copy_block, transfer_block
 from repro.sim import Event, Interrupt, Process
@@ -718,8 +717,8 @@ class ReduceExecution:
                                 # Parking outside a ComputeRun: per-block
                                 # mark ordering required (see _pull_blocks).
                                 entry.decoalesce()
-                            yield self._race_own_failure(
-                                entry.wait_for_blocks(block_index + 1), node
+                            yield from race_failure(
+                                entry.wait_for_blocks(block_index + 1), (node,)
                             )
                             if not node.alive:
                                 return
@@ -863,64 +862,38 @@ class ReduceExecution:
                 parent_store = runtime.store(parent_node)
                 account_out = lambda nb: child_store.account_flow_out(flow, nb)  # noqa: E731
                 account_in = lambda nb: parent_store.account_flow_in(flow, nb)  # noqa: E731
-            handle = StreamHandle(
-                "copy" if same_node else "nic",
-                config,
-                parent_node if same_node else child_node,
-                parent_node,
-                flow,
-                links,
-                staging,
-                source_entry=child_entry,
-                account_out=account_out,
-                account_in=account_in,
-            )
-            register_stream(links, handle)
+            register_stream(links)
             config_ = self.runtime.config
             try:
                 while staging.blocks_ready < staging.num_blocks:
-                    handle.phase = convoy.TOP
-                    run = handle.adopted_run
-                    if run is not None:
-                        # A convoy (typically the parent's fan-in) formed
-                        # around this stream; drive our planned share of it.
-                        handle.adopted_run = None
-                        handle.phase = convoy.RUN
-                        yield from run.run()
-                        continue
                     block_index = staging.blocks_ready
                     # Coalesced fast path (see _pull_blocks): stream every
                     # block the child holds — or will produce on a known
                     # schedule (cascade) — as one timeline event.
                     if config_.flow_scheduling or same_node:
                         horizon = input_coverage(child_entry, staging.num_blocks)
-                        if horizon - block_index >= 2 and not staging._no_coalesce:
-                            run_src = parent_node if same_node else child_node
-                            if coalesce_eligible(links, run_src, parent_node):
-                                run = build_pull_run(
-                                    config_,
-                                    run_src,
-                                    parent_node,
-                                    flow,
-                                    links,
-                                    child_entry,
-                                    staging,
-                                    block_index,
-                                    horizon,
-                                    local_copy=same_node,
-                                    account_out=account_out,
-                                    account_in=account_in,
-                                )
-                                handle.phase = convoy.RUN
-                                yield from run.run()
-                                continue
-                            # Contended link (e.g. sibling partials on the
-                            # parent downlink): try the convoy fast path.
-                            run = convoy.maybe_form(handle, block_index)
-                            if run is not None:
-                                handle.phase = convoy.RUN
-                                yield from run.run()
-                                continue
+                        run_src = parent_node if same_node else child_node
+                        if (
+                            horizon - block_index >= 2
+                            and not staging._no_coalesce
+                            and coalesce_eligible(links, run_src, parent_node)
+                        ):
+                            run = build_pull_run(
+                                config_,
+                                run_src,
+                                parent_node,
+                                flow,
+                                links,
+                                child_entry,
+                                staging,
+                                block_index,
+                                horizon,
+                                local_copy=same_node,
+                                account_out=account_out,
+                                account_in=account_in,
+                            )
+                            yield from run.run()
+                            continue
                     if (
                         child_entry._inflight is not None
                         and child_entry.blocks_ready <= block_index
@@ -928,55 +901,35 @@ class ReduceExecution:
                         # About to park outside a coalesced run: per-block
                         # mark ordering required (see _pull_blocks).
                         child_entry.decoalesce()
-                    gate = child_entry.wait_for_blocks(block_index + 1)
-                    handle.phase = convoy.GATE
-                    handle.gate_event = gate
-                    yield self._race_peer_failure(gate, child_node, parent_node)
-                    handle.gate_event = None
-                    if handle.poked:
-                        handle.poked = False
-                        continue
+                    yield from race_failure(
+                        child_entry.wait_for_blocks(block_index + 1),
+                        (child_node, parent_node),
+                    )
                     if not child_node.alive or not parent_node.alive:
                         raise TransferError("peer failed during reduce stream", node=child_node)
                     nbytes = config.block_bytes(staging.size, block_index)
                     if same_node:
-                        result = yield from local_copy_block(
-                            config, parent_node, nbytes, handle
-                        )
+                        yield from local_copy_block(config, parent_node, nbytes)
                     else:
-                        result = yield from transfer_block(
-                            config, child_node, parent_node, nbytes, flow, handle
+                        yield from transfer_block(
+                            config, child_node, parent_node, nbytes, flow
                         )
-                    if result is ADOPTED:
-                        continue
                     if not same_node:
                         child_store.account_flow_out(flow, nbytes)
                         runtime.store(parent_node).account_flow_in(flow, nbytes)
                     staging.mark_block_ready(block_index)
-                # Parked on the seal from here on: a completed, passive
-                # stream as far as any later convoy formation is concerned.
-                handle.phase = convoy.TOP
-                yield self._race_peer_failure(
-                    child_entry.wait_sealed(), child_node, parent_node
+                yield from race_failure(
+                    child_entry.wait_sealed(), (child_node, parent_node)
                 )
                 if child_entry.sealed:
                     staging.seal(child_entry.payload)
             finally:
-                if handle.preplaced is not None:
-                    handle.preplaced.cancel()
-                    handle.preplaced = None
-                unregister_stream(links, handle)
+                unregister_stream(links)
                 child_entry.ref_count -= 1
         except Interrupt:
             return
         except TransferError:
             return
-
-    def _race_own_failure(self, event: Event, node: Node) -> Event:
-        return self.sim.any_of([event, node.failure_event()])
-
-    def _race_peer_failure(self, event: Event, peer: Node, own: Node) -> Event:
-        return self.sim.any_of([event, peer.failure_event(), own.failure_event()])
 
     # -- failure repair -------------------------------------------------------------
     def _hook_failures(self) -> None:

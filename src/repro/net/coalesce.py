@@ -175,16 +175,11 @@ class CoalescedRun:
         "_accounted",
         "_synthetic",
         "_listening",
-        "preattached",
         "_obs_span",
         "_flight",
         "_flight_key",
         "_flight_flow",
     )
-
-    #: host-profiler category for planning/accounting work done by this run
-    #: class (``ConvoyRun`` overrides it — same code paths, separate blame).
-    _prof_cat = "coalesce"
 
     def __init__(
         self,
@@ -202,11 +197,10 @@ class CoalescedRun:
         account_in: Optional[Callable[[int], None]] = None,
         ready_times: Optional[Sequence[float]] = None,
         src_schedule: Optional[InflightSchedule] = None,
-        boundaries: Optional[tuple[Sequence[float], Sequence[float], Sequence[float]]] = None,
     ):
         prof = sim.host_prof
         if prof is not None:
-            prof.enter(self._prof_cat)
+            prof.enter("coalesce")
         self.sim = sim
         self.src = src
         self.dst = dst
@@ -220,31 +214,24 @@ class CoalescedRun:
         self.account_out = account_out
         self.account_in = account_in
         self.n = len(self.sizes)
-        if boundaries is not None:
-            # Injected boundaries (convoy members): the planner already
-            # replayed the admission algorithm and produced the exact
-            # grant/end/arrival instants of every block.
-            s, e, arr = boundaries
-            s, e, arr = list(s), list(e), list(arr)
-        else:
-            # Boundary arrays built with the exact float recurrence of the
-            # per-block chain: s_{j+1} = max((s_j + tx_j) + L, source arrival),
-            # left-associated.  ``ready_times`` (absolute) gate blocks the
-            # source has not produced yet — the relay cascade.
-            s = []
-            e = []
-            arr = []
-            t = sim._now
-            for j, tx_j in enumerate(self.tx):
-                if ready_times is not None:
-                    ready = ready_times[j]
-                    if ready > t:
-                        t = ready
-                s.append(t)
-                t = t + tx_j
-                e.append(t)
-                t = t + latency
-                arr.append(t)
+        # Boundary arrays built with the exact float recurrence of the
+        # per-block chain: s_{j+1} = max((s_j + tx_j) + L, source arrival),
+        # left-associated.  ``ready_times`` (absolute) gate blocks the
+        # source has not produced yet — the relay cascade.
+        s = []
+        e = []
+        arr = []
+        t = sim._now
+        for j, tx_j in enumerate(self.tx):
+            if ready_times is not None:
+                ready = ready_times[j]
+                if ready > t:
+                    t = ready
+            s.append(t)
+            t = t + tx_j
+            e.append(t)
+            t = t + latency
+            arr.append(t)
         self.s = s
         self.e = e
         self.arr = arr
@@ -262,9 +249,6 @@ class CoalescedRun:
         self._flight = None
         self._flight_key = ""
         self._flight_flow = ""
-        #: True when an owning domain attached holds/schedule synchronously
-        #: at formation time (so ``run`` must not attach again).
-        self.preattached = False
         if prof is not None:
             prof.exit()
 
@@ -293,21 +277,7 @@ class CoalescedRun:
         converts the arithmetic occupancy into real holds (when inside a
         transmission window) and wakes the driver, which then walks the
         remaining boundary exactly as the per-block chain would have.
-
-        Convoy members override this to materialize their whole domain (one
-        member's plan is only valid while every member's is), then fall back
-        here per member via :meth:`_materialize_self`.
         """
-        self._materialize_self()
-
-    def _on_unwind(self) -> None:
-        """Hook: the owning process unwound mid-run.
-
-        Convoy members override it to materialize their whole domain before
-        the teardown accounting below runs (their plan dies with them).
-        """
-
-    def _materialize_self(self) -> None:
         if self.state != _VIRTUAL:
             return
         stats_for(self.src).bump("resplits")
@@ -341,11 +311,8 @@ class CoalescedRun:
         if self.schedule is not None:
             # Arrivals after ``now`` (beyond the current block's, which the
             # driver delivers) are no longer scheduled; dependent cascaded
-            # runs re-split with us.  (A convoy lead member's schedule starts
-            # one block before the run, hence the base offset.)
-            self.schedule.truncate(
-                bisect_right(self.arr, now) + (self.base - self.schedule.base)
-            )
+            # runs re-split with us.
+            self.schedule.truncate(bisect_right(self.arr, now))
         wake = self._wake
         if wake is not None and wake._ok is None:
             wake.succeed()
@@ -440,7 +407,7 @@ class CoalescedRun:
         """Link-account blocks ``[_accounted, count)`` at their full hold."""
         prof = self.sim.host_prof
         if prof is not None:
-            prof.enter(self._prof_cat)
+            prof.enter("coalesce")
         flow = self.flow
         flight = self._flight
         for j in range(self._accounted, count):
@@ -476,7 +443,7 @@ class CoalescedRun:
         """
         prof = self.sim.host_prof
         if prof is not None:
-            prof.enter(self._prof_cat)
+            prof.enter("coalesce")
         loc = self.sim.locality
         if loc is not None:
             loc.arrival(self.src.node_id, self.dst.node_id, count)
@@ -514,8 +481,7 @@ class CoalescedRun:
         loop takes over from there.
         """
         sim = self.sim
-        if not self.preattached:
-            self._attach()
+        self._attach()
         try:
             end = self.arr[-1]
             while self.state == _VIRTUAL and sim._now < end:
@@ -572,7 +538,6 @@ class CoalescedRun:
                 # completed blocks in full, a current transmission window
                 # released early at a partial hold, marks only for blocks
                 # that actually arrived.
-                self._on_unwind()
                 now = sim._now
                 cap = self.cur if self.state == _MATERIALIZED else self.n - 1
                 i = bisect_right(self.s, now) - 1
@@ -592,9 +557,7 @@ class CoalescedRun:
                     arrived = 0
                 self.state = _DONE
                 if self.schedule is not None:
-                    self.schedule.truncate(
-                        arrived + (self.base - self.schedule.base)
-                    )
+                    self.schedule.truncate(arrived)
                 self._deliver(arrived)
             self._detach()
 
@@ -604,9 +567,7 @@ class CoalescedRun:
 ENABLED = True
 
 
-def register_stream(
-    links: Sequence[tuple["Resource", object]], handle: object = None
-) -> None:
+def register_stream(links: Sequence[tuple["Resource", object]]) -> None:
     """Announce a multi-block transfer stream on its claim set.
 
     Every multi-block loop (pulls, whole-object sends, reduce partial
@@ -620,37 +581,19 @@ def register_stream(
     * a *new* stream materializes any standing coalesced run on its links
       before taking its first action, so the run re-splits to per-block
       granularity before the interleaving begins.
-
-    A *convoy-capable* stream (see :mod:`repro.net.convoy`) passes its
-    :class:`~repro.net.convoy.StreamHandle`, which lets convoy formation
-    enumerate and conscript the streams sharing a contended link.  Opaque
-    streams (no handle) bar convoy formation on their links but behave
-    identically otherwise.  Registration also stamps the link's quiet
-    clock: a link whose stream set changed recently is churning, and a
-    convoy over it would re-split immediately.
     """
     for resource, _sched in links:
         resource._streams += 1
-        resource._joined_at = resource.sim._now
-        if handle is not None:
-            resource._handles.append(handle)
         if resource._virtual:
             resource._materialize_virtual()
 
 
-def unregister_stream(
-    links: Sequence[tuple["Resource", object]], handle: object = None
-) -> None:
+def unregister_stream(links: Sequence[tuple["Resource", object]]) -> None:
     # Departure is never a disturbance: a leaving stream has no pending
     # requests (its last release already triggered the grant scans), so no
     # standing run's plan can be invalidated by it.
     for resource, _sched in links:
         resource._streams -= 1
-        if handle is not None:
-            try:
-                resource._handles.remove(handle)
-            except ValueError:  # pragma: no cover - defensive
-                pass
 
 
 class ComputeRun:

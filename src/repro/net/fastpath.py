@@ -1,17 +1,15 @@
-"""Unified fast-path control and per-cluster fast-path statistics.
+"""The fast-path switch and per-cluster fast-path statistics.
 
-The coalesce (PR 5) and convoy (PR 6) fast paths each grew a module-global
-``ENABLED`` kill switch and, in convoy's case, a module-global ``STATS``
-dict.  Both were footguns: an A/B ablation could flip one switch and not
-the other (half-toggled, the convoy planner still consults coalesce state),
-and the counters leaked across scenarios sharing a process, so the second
-run of an identical scenario reported inflated numbers.
+The coalescing fast path (:mod:`repro.net.coalesce`) once had a module-global
+``STATS`` dict next to its ``ENABLED`` kill switch.  The counters leaked
+across scenarios sharing a process, so the second run of an identical
+scenario reported inflated numbers.
 
 This module is the single front door:
 
-* :func:`fastpath` — a context manager that toggles *both* switches
-  atomically and restores the previous state on exit, so ablations and the
-  differential fuzz harness cannot half-toggle;
+* :func:`fastpath` — a context manager that toggles coalescing and restores
+  the previous state on exit; :func:`set_enabled` / :func:`is_enabled` are
+  the non-scoped forms for command-line entry points;
 * :class:`FastpathStats` — the counters, scoped per
   :class:`~repro.net.cluster.Cluster` (``cluster.fastpath_stats``), so
   back-to-back runs of the same scenario in one process report identical
@@ -27,15 +25,9 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
 
-#: every counter key, in reporting order.  The first five are the convoy
-#: planner's (formerly ``repro.net.convoy.STATS``); the last two count the
-#: exclusive coalesced path.
+#: every counter key, in reporting order: coalesced runs started, and runs
+#: re-split to per-block transfers by a disturbance.
 COUNTER_KEYS = (
-    "domains_formed",
-    "members_enrolled",
-    "blocks_planned",
-    "materializations",
-    "refusals",
     "coalesced_runs",
     "resplits",
 )
@@ -90,45 +82,39 @@ def stats_for(node: "Node") -> FastpathStats:
 
 
 def is_enabled() -> bool:
-    """True when both fast paths are on (the only supported combinations
-    are both-on and both-off; see :func:`set_enabled`)."""
-    from repro.net import coalesce, convoy  # deferred: they import stats_for
+    """True when coalescing is on."""
+    from repro.net import coalesce  # deferred: coalesce imports stats_for
 
-    return coalesce.ENABLED and convoy.ENABLED
+    return coalesce.ENABLED
 
 
 def set_enabled(enabled: bool) -> None:
-    """Set both kill switches at once.
+    """Turn coalescing on or off for the whole process.
 
     Prefer the :func:`fastpath` context manager, which restores state; this
     exists for command-line entry points that toggle for a whole process.
     """
-    from repro.net import coalesce, convoy  # deferred: they import stats_for
+    from repro.net import coalesce  # deferred: coalesce imports stats_for
 
     coalesce.ENABLED = enabled
-    convoy.ENABLED = enabled
 
 
 @contextmanager
 def fastpath(enabled: bool = True):
-    """Run a block with both fast paths forced on or off, then restore.
+    """Run a block with coalescing forced on or off, then restore.
 
-    The convoy planner assumes the exclusive coalesced path exists (a
-    convoy of one is refused because coalescing covers it), so the two
-    switches only make sense toggled together — this is the supported way
-    to A/B the fast paths::
+    The supported way to A/B the fast path at identical simulated results::
 
         with fastpath(False):
             baseline = run_scenario(...)
         with fastpath(True):
             fast = run_scenario(...)
     """
-    from repro.net import coalesce, convoy  # deferred: they import stats_for
+    from repro.net import coalesce  # deferred: coalesce imports stats_for
 
-    saved = (coalesce.ENABLED, convoy.ENABLED)
+    saved = coalesce.ENABLED
     coalesce.ENABLED = enabled
-    convoy.ENABLED = enabled
     try:
         yield
     finally:
-        coalesce.ENABLED, convoy.ENABLED = saved
+        coalesce.ENABLED = saved

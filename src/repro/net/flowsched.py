@@ -45,8 +45,8 @@ from enum import IntEnum
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.net.config import NetworkConfig
-from repro.net.errors import TransferError, _check_alive
-from repro.sim import Event, MultiRequest, Resource, Simulator
+from repro.net.errors import TransferError, _check_alive, race_failure
+from repro.sim import MultiRequest, Resource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.node import Node
@@ -70,24 +70,6 @@ class Flow:
 
 #: flow used when a call site does not tag its transfer.
 DEFAULT_FLOW = Flow("untagged", FlowClass.BULK)
-
-
-#: Returned (via StopIteration) by handle-threaded transfers when a convoy
-#: formation adopted the stream while it was parked on admission: no block
-#: moved, no bytes were accounted; the caller's loop re-enters its top and
-#: drives the run the formation left on its handle.
-ADOPTED = object()
-
-#: Convoy stream phases, stamped on a :class:`repro.net.convoy.StreamHandle`
-#: at every parking point.  Defined here — below :mod:`repro.net.convoy` in
-#: the import graph — so the transfer paths can stamp them without importing
-#: the convoy machinery; convoy re-exports them under its own names.
-PHASE_TOP = 0  #: at the top of its block loop
-PHASE_GATE = 1  #: parked on the source entry's ``wait_for_blocks``
-PHASE_ADMIT = 2  #: reservation/request queued, not granted
-PHASE_TX = 3  #: holding its links until ``tx_end``
-PHASE_LAT = 4  #: links released, block arrives at ``arr_at``
-PHASE_RUN = 5  #: driving a coalesced/convoy run
 
 
 def path_transmission_time(config: NetworkConfig, src: "Node", dst: "Node", nbytes: float) -> float:
@@ -170,27 +152,6 @@ class LinkScheduler:
         if self._obs_control is not None:
             self._obs_control.inc()
 
-    def lockstep_candidates(self) -> Optional[list]:
-        """Stream handles of a potential lockstep convoy on this link.
-
-        A contended, capacity-1 link whose every registered stream published
-        a convoy :class:`~repro.net.convoy.StreamHandle` is a candidate
-        bottleneck for arithmetic convoy simulation; this is the
-        saturation-detection half of formation (the plan validation lives in
-        :func:`repro.net.convoy.maybe_form`).  Returns the handles, or
-        ``None`` when the link is idle, exclusive, oversized, or carries an
-        opaque (handle-less) stream.
-        """
-        link = self.link
-        handles = link._handles
-        if (
-            link.capacity == 1
-            and link._streams > 1
-            and len(handles) == link._streams
-        ):
-            return list(handles)
-        return None
-
 
 class Reservation:
     """A cancellable claim on every link a ``src -> dst`` block crosses.
@@ -217,11 +178,12 @@ class Reservation:
         self.created_at = self.sim._now
         fabric = src.cluster.fabric if src.cluster is not None else None
         #: shared tier links on the path (empty for flat/intra-rack traffic).
-        self.path = (
+        path = self.path = (
             fabric.path_links(src.node_id, dst.node_id) if fabric is not None else ()
         )
         claims = [(src.uplink, 1), (dst.downlink, 1)]
-        claims.extend((link.resource, 1) for link in self.path)
+        if path:
+            claims.extend((link.resource, 1) for link in path)
         prof = self.sim.host_prof
         if prof is not None:
             prof.enter("flowsched")
@@ -319,50 +281,19 @@ class FlowTransport:
         dst: "Node",
         nbytes: int,
         flow: Optional[Flow] = None,
-        handle=None,
     ) -> Generator:
         """Move one block from ``src`` to ``dst`` under flow scheduling.
 
         Returns (via StopIteration) the simulated time at which the block is
-        fully available at the destination.  ``handle`` is the caller's
-        convoy :class:`~repro.net.convoy.StreamHandle` when the caller is a
-        multi-block loop: the transfer keeps its phase/timestamps current at
-        every parking point so a convoy can form around the stream while it
-        waits, consumes a materialization's preplaced reservation, and backs
-        out with :data:`ADOPTED` (no block moved, nothing accounted) when a
-        formation withdrew its queued admission.
+        fully available at the destination.
         """
         sim = src.sim
         _check_alive(src, dst)
-        if handle is not None and handle.preplaced is not None:
-            reservation = handle.preplaced
-            handle.preplaced = None
-        else:
-            reservation = self.reserve(src, dst, nbytes, flow)
-        if handle is not None:
-            handle.phase = PHASE_ADMIT
-            handle.reservation = reservation
+        reservation = self.reserve(src, dst, nbytes, flow)
         try:
             if not reservation.event.triggered:
-                # Race the queued admission against either peer dying.  The
-                # listeners are removed as soon as the race resolves — they
-                # must not accumulate one pair per transferred block.
-                peer_failed = Event(sim)
-
-                def _notify(node: "Node") -> None:
-                    if not peer_failed.triggered:
-                        peer_failed.succeed(node)
-
-                src.on_failure(_notify)
-                dst.on_failure(_notify)
-                try:
-                    yield sim.any_of([reservation.event, peer_failed])
-                finally:
-                    src.remove_failure_listener(_notify)
-                    dst.remove_failure_listener(_notify)
-                if handle is not None and handle.poked:
-                    handle.poked = False
-                    return ADOPTED
+                # Race the queued admission against either peer dying.
+                yield from race_failure(reservation.event, (src, dst))
                 if not reservation.event.triggered:
                     # A peer died while the reservation was still queued:
                     # withdraw the claim so no ghost request survives, then
@@ -373,11 +304,7 @@ class FlowTransport:
                         node=dead,
                     )
             _check_alive(src, dst)
-            tx_t = path_transmission_time(self.config, src, dst, nbytes)
-            if handle is not None:
-                handle.phase = PHASE_TX
-                handle.tx_end = sim._now + tx_t
-            tx_timeout = sim.timeout(tx_t)
+            tx_timeout = sim.timeout(path_transmission_time(self.config, src, dst, nbytes))
             loc = sim.locality
             if loc is not None:
                 # Serialization happens at the source NIC: the event belongs
@@ -387,13 +314,7 @@ class FlowTransport:
             _check_alive(src, dst)
         finally:
             reservation.release()
-            if handle is not None:
-                handle.reservation = None
-        lat = path_latency(self.config, src, dst)
-        if handle is not None:
-            handle.phase = PHASE_LAT
-            handle.arr_at = sim._now + lat
-        lat_timeout = sim.timeout(lat)
+        lat_timeout = sim.timeout(path_latency(self.config, src, dst))
         loc = sim.locality
         if loc is not None:
             # Delivery lands in the destination's partition; the causal

@@ -102,9 +102,10 @@ class Node:
     def failure_event(self) -> Event:
         """An event that fires when (or if) this node fails.
 
-        Useful for racing a blocking wait against the peer's failure, for
-        example a broadcast receiver waiting for its sender to produce the
-        next block.
+        Its listener stays registered until the node fails.  To race a
+        blocking wait against a peer's failure, use
+        :class:`~repro.net.errors.FailureRace`, which drops its listeners
+        as soon as the race is decided.
         """
         event = Event(self.sim)
         if not self.alive:

@@ -291,11 +291,10 @@ class Fabric:
     def tier_links(self) -> list[FabricLink]:
         """Every shared tier link, in a stable order (racks, then zones).
 
-        Convoy formation (:mod:`repro.net.convoy`) treats a single-slot tier
-        link exactly like a NIC direction — it carries the same admission
-        ``Resource`` and :class:`~repro.net.flowsched.LinkScheduler` — so
-        observability surfaces iterate this list to attribute convoy domains
-        and utilization to the fabric tiers.
+        A tier link carries the same admission ``Resource`` and
+        :class:`~repro.net.flowsched.LinkScheduler` as a NIC direction, so
+        observability surfaces iterate this list to attribute bytes and
+        utilization to the fabric tiers.
         """
         links = [link for link in self.rack_up if link is not None]
         links += [link for link in self.rack_down if link is not None]

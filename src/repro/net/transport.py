@@ -60,10 +60,7 @@ from repro.net.coalesce import (
 from repro.net.config import NetworkConfig
 from repro.net.errors import NodeFailedError, TransferError, _check_alive
 from repro.net.flowsched import (
-    ADOPTED,
     DEFAULT_FLOW,
-    PHASE_ADMIT,
-    PHASE_TX,
     Flow,
     FlowTransport,
     path_latency,
@@ -94,19 +91,14 @@ def transfer_block(
     dst: Node,
     nbytes: int,
     flow: Optional[Flow] = None,
-    handle=None,
 ) -> Generator:
     """Move a single block from ``src`` to ``dst``.
 
     Returns (via StopIteration) the simulated time at which the block is
-    fully available at the destination — or :data:`~repro.net.flowsched.ADOPTED`
-    when ``handle`` (a convoy stream handle, flow-scheduling only) was
-    conscripted by a convoy formation while the block waited for admission.
+    fully available at the destination.
     """
     if config.flow_scheduling:
-        result = yield from _flow_transport(config).transfer_block(
-            src, dst, nbytes, flow, handle
-        )
+        result = yield from _flow_transport(config).transfer_block(src, dst, nbytes, flow)
         return result
     result = yield from _transfer_block_sequential(config, src, dst, nbytes)
     return result
@@ -215,42 +207,18 @@ def transfer_bytes(
     return sim.now
 
 
-def local_copy_block(
-    config: NetworkConfig, node: Node, nbytes: int, handle=None
-) -> Generator:
-    """Copy one block between a worker and the local object store.
-
-    ``handle`` follows the same convoy contract as :func:`transfer_block`:
-    phases kept current, a preplaced request consumed, and
-    :data:`~repro.net.flowsched.ADOPTED` returned when a formation withdrew
-    the queued request.
-    """
+def local_copy_block(config: NetworkConfig, node: Node, nbytes: int) -> Generator:
+    """Copy one block between a worker and the local object store."""
     sim = node.sim
     _check_alive(node)
-    if handle is not None and handle.preplaced is not None:
-        req = handle.preplaced
-        handle.preplaced = None
-    else:
-        req = node.memcpy_channel.request()
-    if handle is not None:
-        handle.phase = PHASE_ADMIT
-        handle.request = req
+    req = node.memcpy_channel.request()
     try:
         yield req
-        if handle is not None and handle.poked:
-            handle.poked = False
-            return ADOPTED
         _check_alive(node)
-        copy_t = config.memcpy_time(nbytes)
-        if handle is not None:
-            handle.phase = PHASE_TX
-            handle.tx_end = sim._now + copy_t
-        yield sim.timeout(copy_t)
+        yield sim.timeout(config.memcpy_time(nbytes))
         _check_alive(node)
     finally:
         node.memcpy_channel.release(req)
-        if handle is not None:
-            handle.request = None
     return sim.now
 
 

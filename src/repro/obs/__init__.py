@@ -91,7 +91,7 @@ class Observability:
         sim = cluster.sim
         self.registry = MetricsRegistry(sim, window=window)
         self.tracer = Tracer(sim)
-        #: when True, every reservation and coalesced/convoy run records a
+        #: when True, every reservation and coalesced run records a
         #: child span (linked to its collective through the moved object).
         self.trace_transfers = trace_transfers
         #: ``(time, node_id, "down"|"up")`` membership transitions, in
@@ -264,7 +264,7 @@ class Observability:
         )
 
     def record_run_start(self, run) -> None:
-        """Called when a coalesced/convoy run attaches to its links."""
+        """Called when a coalesced run attaches to its links."""
         if not self.trace_transfers:
             return
         flow_id = run.flow.flow_id if run.flow is not None else "untagged"

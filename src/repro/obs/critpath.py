@@ -3,8 +3,8 @@
 The SLO table (``bench/fleet.py``) says *which* (tenant, op) cell missed
 its target; this module says *why*.  It rebuilds the causal dependency
 chain of an operation from the spans the tracing plane already records —
-block reservations (submit → grant → release → arrival), coalesced/convoy
-runs (boundary arrays), streaming reduce-slot compute runs (busy
+block reservations (submit → grant → release → arrival), coalesced runs
+(boundary arrays), streaming reduce-slot compute runs (busy
 intervals), task attempts (failure/retry windows) — walks the chain
 backward from the op's completion, and attributes every second of the
 op's wall time to exactly one of :data:`CATEGORIES`:

@@ -106,7 +106,7 @@ def to_json(registry: MetricsRegistry, fastpath_stats=None) -> dict:
     ``fastpath_stats`` (a :class:`repro.net.fastpath.FastpathStats`, usually
     ``cluster.fastpath_stats``) rides along under a ``"fastpath"`` key so a
     single artifact carries the whole picture — metric series *and* the
-    coalesce/convoy counters that explain them.  The key set is pinned to
+    coalescing counters that explain them.  The key set is pinned to
     ``repro.net.fastpath.COUNTER_KEYS`` by a regression test.
     """
     families = []

@@ -17,8 +17,8 @@ detail)`` tuples stamped with the **simulated** clock:
     are **semantically identical** — the property the differential fuzz
     harness checks, and the property divergence bisection exploits;
 ``phase``
-    fast-path state transitions (coalesce start, re-split, convoy
-    formation/materialization) and orchestrator lifecycle marks.  Pure
+    fast-path state transitions (coalesce start, re-split) and
+    orchestrator lifecycle marks.  Pure
     diagnostics: excluded from semantic comparison, since the fast paths
     legitimately restructure the event timeline they summarize.
 

@@ -19,8 +19,8 @@ Design:
   between the first ``enter`` and the last ``exit``.
 * **"dispatch" is the outermost region.**  ``Simulator.step`` enters it
   before popping the queue and exits after callbacks run, so every
-  instrumented sub-region (admission, directory, flowsched, coalesce,
-  convoy) nests inside it and all *un*-instrumented callback time lands in
+  instrumented sub-region (admission, directory, flowsched, coalesce)
+  nests inside it and all *un*-instrumented callback time lands in
   dispatch self-time.  Category totals therefore cover essentially 100% of
   step time; ``coverage`` in :meth:`HostProfiler.report` measures them
   against the ``Simulator.run`` loop wall (the only uncovered nanoseconds
@@ -56,7 +56,6 @@ CATEGORIES = (
     "flowsched",
     "directory",
     "coalesce",
-    "convoy",
 )
 
 

@@ -101,8 +101,9 @@ class Event:
         self._exception: Optional[BaseException] = None
         self._ok: Optional[bool] = None
         #: Set once a failure has been delivered to at least one waiter (or
-        #: explicitly acknowledged).  Unhandled failures are surfaced when the
-        #: simulation ends so errors never pass silently.
+        #: explicitly acknowledged).  A failed event that leaves the queue
+        #: still undefused is appended to ``Simulator.unhandled_failures``;
+        #: nothing raises, so read that list to catch lost errors.
         self.defused = False
 
     # -- state ------------------------------------------------------------

@@ -55,6 +55,19 @@ def _queue_key(request: "Event") -> tuple[int, int]:
     return request.sort_key
 
 
+def _drop_self_value(request: "Event") -> None:
+    """Break a released request's ``value is self`` reference cycle.
+
+    A granted request carries itself as its value, which makes every
+    request a cycle only the cyclic collector can free — one per block
+    transferred.  Once the request is released and no waiter is left to
+    receive the value, the value is dead, so clearing it lets reference
+    counting free the request at once.
+    """
+    if not request.callbacks and request._value is request:
+        request._value = None
+
+
 class _Request(Event):
     """A pending claim on a resource; usable as a context manager."""
 
@@ -170,7 +183,12 @@ class MultiRequest(Event):
         self.release()
 
     def _try_grant(self, initial: bool = False) -> bool:
-        """Grant the whole claim set if every resource has capacity now."""
+        """Grant the whole claim set if every resource has capacity now.
+
+        :meth:`Resource._grant` runs the same capacity check inline and calls
+        this only once every claim fits; the check here covers the initial
+        grant attempt and keeps the method safe to call on its own.
+        """
         if self._ok is not None or self._released:
             return False
         for resource, amount in self.claims:
@@ -210,6 +228,7 @@ class MultiRequest(Event):
         else:
             for resource, _amount in self.claims:
                 resource._cancel(self)
+        _drop_self_value(self)
 
     def cancel(self) -> None:
         """Withdraw the claim (alias of :meth:`release` for pending requests)."""
@@ -234,9 +253,6 @@ class Resource:
         "_granted",
         "_virtual",
         "_streams",
-        "_handles",
-        "_joined_at",
-        "_cooldown",
     )
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -254,15 +270,6 @@ class Resource:
         #: per-block streams sharing a link interleave in an order set by
         #: event-queue history, which arithmetic cannot reproduce.
         self._streams = 0
-        #: convoy-capable stream handles registered here (see net/convoy).
-        #: ``len(_handles) < _streams`` means an opaque per-block stream is
-        #: also using the link, which bars convoy formation on it.
-        self._handles: list = []
-        #: simulated time of the last stream registration — the convoy
-        #: quiet-gate: a link whose membership changed recently is churning.
-        self._joined_at = -1.0
-        #: no convoy formation attempt on this link before this time.
-        self._cooldown = 0.0
 
     @property
     def in_use(self) -> int:
@@ -279,22 +286,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Requests waiting right now — real queue entries plus virtual ones.
-
-        A convoy member whose planned admission for the current block has not
-        been granted yet occupies a *virtual* queue slot (``hold.queued``),
-        exactly as its per-block reservation would sit in ``_waiting``.
-        """
-        virtual = self._virtual
-        if not virtual:
-            return len(self._waiting)
-        now = self.sim._now
-        total = len(self._waiting)
-        for hold in virtual:
-            queued = getattr(hold, "queued", None)
-            if queued is not None:
-                total += queued(now)
-        return total
+        """Requests waiting right now."""
+        return len(self._waiting)
 
     # -- virtual holds ------------------------------------------------------
     def add_virtual_hold(self, hold: Any) -> None:
@@ -351,6 +344,7 @@ class Resource:
             self._grant()
         else:
             self._cancel(request)
+        _drop_self_value(request)
 
     def _cancel(self, request: Event) -> None:
         try:
@@ -381,15 +375,24 @@ class Resource:
                 # the queue — the matching-based admission discipline.  A
                 # request whose recorded blocker still cannot fit its claim
                 # is skipped with one comparison (the blocker's state is the
-                # only thing that could have unblocked it).
+                # only thing that could have unblocked it).  Most scans end
+                # in a skip, so the claim-fit check runs inline and
+                # ``_try_grant`` is only called to commit a grant.
                 blocked_on = req._blocked_on
                 if (
                     blocked_on is not None
                     and blocked_on._in_use + req._blocked_amount > blocked_on.capacity
                 ):
                     index += 1
-                elif not req._try_grant():
-                    index += 1
+                    continue
+                for resource, amount in req.claims:
+                    if resource._in_use + amount > resource.capacity:
+                        req._blocked_on = resource
+                        req._blocked_amount = amount
+                        index += 1
+                        break
+                else:
+                    req._try_grant()
                 continue
             if self._in_use + req.amount > capacity:
                 # Strict FIFO for single requests: nothing behind a blocked

@@ -205,9 +205,7 @@ class StoredObject:
                 if schedule.base < threshold <= top:
                     schedule.schedule_waiter(threshold, event)
                 else:
-                    # Below the window (a convoy lead member's schedule
-                    # starts one already-satisfied block early) or beyond
-                    # it: ordinary marks fire these.
+                    # Outside the window: ordinary marks fire these.
                     remaining.append((threshold, event))
             self._progress_waiters = remaining
 

@@ -2,7 +2,7 @@
 
 Each seed derives one random scenario (collective x size x topology x jitter
 x faults — see :mod:`repro.bench.fuzz`) and runs it twice, with the
-coalescing/convoy fast paths enabled and disabled.  The two runs must agree
+coalescing fast path enabled and disabled.  The two runs must agree
 on the full behaviour digest: completion times at repr precision, per-link
 byte counters by flow class, control-message counts, and the ObjectID
 allocation order.

@@ -66,7 +66,7 @@ def test_schema_is_frozen():
     assert set(usage["bytes_by_class"]) == {"control", "reduce_partial", "bulk"}
     assert set(usage["tier_bytes"]) == {"nic", "rack_uplink", "inter_zone"}
     assert set(usage["tier_busy_time"]) == {"nic", "rack_uplink", "inter_zone"}
-    assert set(usage["fastpath"]) == set(COUNTER_KEYS)
+    assert set(usage["fastpath"]) == set(COUNTER_KEYS) == {"coalesced_runs", "resplits"}
 
 
 def test_cross_zone_transfer_hand_computed():

@@ -18,7 +18,6 @@ INSTRUMENTED = (
     "directory/service.py",
     "net/flowsched.py",
     "net/coalesce.py",
-    "net/convoy.py",
 )
 
 _BINDING = re.compile(r"^\s*(\w+)(?::[^=]+)? = .*\.(host_prof|locality)\s*$")
@@ -127,7 +126,7 @@ def test_blame_covers_kernel_wall_on_a_real_scenario():
         sum(report["categories"].values()), abs=len(CATEGORIES) * 1e-6
     )
     # The fleet exercises every instrumented subsystem except coalescing
-    # (its collectives take the convoy/plain paths at these sizes).
+    # (its collectives take the per-block path at these sizes).
     for cat in ("dispatch", "admission", "flowsched", "directory"):
         assert report["counts"][cat] > 0, cat
 

@@ -10,13 +10,13 @@ Covers the plane's contracts in isolation and wired into the simulator:
   trace;
 * the per-cluster fast-path counter scoping (the old module-global STATS
   footgun: two back-to-back runs must report identical counters) and the
-  ``repro.net.fastpath`` context manager that gates both fast paths.
+  ``repro.net.fastpath`` switch that gates coalescing.
 """
 
 import numpy as np
 import pytest
 
-from repro.net import coalesce, convoy
+from repro.net import coalesce
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.net.fastpath import COUNTER_KEYS, fastpath, is_enabled, set_enabled
@@ -473,17 +473,17 @@ def test_adopted_reexecution_span_is_marked():
 
 
 def test_fastpath_context_manager_gates_both_fast_paths():
-    assert is_enabled() and coalesce.ENABLED and convoy.ENABLED
+    assert is_enabled() and coalesce.ENABLED
     with fastpath(False):
         assert not is_enabled()
-        assert not coalesce.ENABLED and not convoy.ENABLED
+        assert not coalesce.ENABLED
         with fastpath(True):
             assert is_enabled()
         assert not is_enabled()
-    assert is_enabled() and coalesce.ENABLED and convoy.ENABLED
+    assert is_enabled() and coalesce.ENABLED
     # set_enabled is the non-context form; restore either way.
     set_enabled(False)
-    assert not coalesce.ENABLED and not convoy.ENABLED
+    assert not coalesce.ENABLED
     set_enabled(True)
     assert is_enabled()
 
@@ -519,6 +519,6 @@ def test_back_to_back_runs_report_identical_counters():
     """
     first = _broadcast_fastpath_counts()
     second = _broadcast_fastpath_counts()
-    assert set(first) == set(COUNTER_KEYS)
+    assert set(first) == set(COUNTER_KEYS) == {"coalesced_runs", "resplits"}
     assert first["coalesced_runs"] > 0, "broadcast should coalesce"
     assert first == second

@@ -1,5 +1,7 @@
 """Unit and property tests for simulation resources (Resource, Container, Store)."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +213,38 @@ def test_multi_requests_never_exceed_capacity_or_leak(holds):
     sim.run()
     assert all(link.in_use == 0 for link in links)
     assert all(link.queue_length == 0 for link in links)
+
+
+def test_released_requests_need_no_cycle_collection():
+    """A granted request's value is the request itself; once released, the
+    request must be freed by reference counting, not left as cyclic garbage
+    (one cycle per block transferred otherwise)."""
+    sim = Simulator()
+    first, second = Resource(sim, capacity=1), Resource(sim, capacity=1)
+
+    def user(sim):
+        for _ in range(5):
+            joint = MultiRequest(sim, [(first, 1), (second, 1)])
+            yield joint
+            yield sim.timeout(1.0)
+            joint.release()
+            single = first.request()
+            yield single
+            first.release(single)
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim.process(user(sim))
+        sim.run()
+        leftover = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, MultiRequest) or type(obj).__name__ == "_Request"
+        ]
+    finally:
+        gc.enable()
+    assert leftover == []
 
 
 def test_container_blocks_until_level_available():
