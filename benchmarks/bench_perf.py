@@ -6,22 +6,25 @@ basket and its groups are defined in :mod:`repro.bench.perf`; the committed
 ``BENCH_perf.json`` carries the trajectory — current numbers, the
 pre-fast-path baseline (re-measured with ``fastpath(False)`` on the
 recording host, stamped with its fingerprint), and the ``--write``-time
-host-profiler / locality blocks.
+host-profiler blocks.
 
-CI runs ``--quick`` and fails when a quick scenario's events/sec drops more
-than 30% below the committed value, or when a golden digest changes.
+CI runs ``--quick`` and fails when a golden digest or a pinned ``sim_s``
+changes, or — when the measuring host's fingerprint matches the one the
+committed file was recorded on — when a quick scenario's events/sec drops
+more than 30% below the committed value.  Across fingerprints the
+events/sec gate is skipped (wall clocks of two machines do not compare);
+both fingerprints and the measured events/sec are printed instead.
 
 Modes::
 
     PYTHONPATH=src python benchmarks/bench_perf.py --write
         regenerate BENCH_perf.json (re-measures the fastpath-off baseline
-        and the hostprof/locality blocks on this host)
+        and the hostprof blocks on this host)
     PYTHONPATH=src python benchmarks/bench_perf.py --profile [--quick]
-        untimed host-profiler + locality pass per scenario: prints the
-        wall-clock blame table and the PDES-speedup report, writes the
-        profile JSON (PERF_PROFILE_OUT, default perf_profile.json) and a
-        Chrome-trace export of the quick fleet (PERF_CHROMETRACE_OUT,
-        default fleet_trace.json) for CI to upload
+        untimed host-profiler pass per scenario: prints the wall-clock
+        blame table, writes the profile JSON (PERF_PROFILE_OUT, default
+        perf_profile.json) and a Chrome-trace export of the quick fleet
+        (PERF_CHROMETRACE_OUT, default fleet_trace.json) for CI to upload
 """
 
 import json
@@ -31,15 +34,15 @@ import pathlib
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_perf.json"
 
-#: where ``--profile`` writes the host-profile + locality artifact.
+#: where ``--profile`` writes the host-profile artifact.
 DEFAULT_PROFILE_ARTIFACT = REPO_ROOT / "perf_profile.json"
 
 #: where ``--profile`` writes the Chrome-trace export of the quick fleet.
 DEFAULT_CHROMETRACE_ARTIFACT = REPO_ROOT / "fleet_trace.json"
 
 #: CI fails when a quick scenario's events/sec falls below this fraction of
-#: the committed number.  Coarse on purpose: CI machines differ from the
-#: recording host, and the fast path's margins are far larger than 30%.
+#: the committed number (same host fingerprint only).  Coarse on purpose:
+#: wall clocks on a shared host swing about 15% run to run.
 REGRESSION_FLOOR = 0.7
 
 
@@ -73,7 +76,10 @@ def test_perf_basket_throughput(run_once, quick):
     # best-of-2 even in quick mode: single-shot wall clocks on shared CI
     # runners are noisy enough to trip the 30% floor spuriously.
     rows = run_once(run_basket, quick=quick, repeats=2)
-    committed = {row["scenario"]: row for row in _committed()["scenarios"]}
+    recorded_file = _committed()
+    committed = {row["scenario"]: row for row in recorded_file["scenarios"]}
+    host = _fingerprint()
+    same_host = recorded_file.get("host") == host
 
     print()
     print(f"{'scenario':46s} {'wall_s':>8s} {'events':>9s} {'ev/s':>10s} {'committed':>10s}")
@@ -94,6 +100,12 @@ def test_perf_basket_throughput(run_once, quick):
     totals = fastpath_totals(rows)
     if totals:
         print(f"  fast-path totals: {totals}")
+    if not same_host:
+        print(
+            "  events/sec gate skipped: host fingerprints differ\n"
+            f"    committed: {recorded_file.get('host')}\n"
+            f"    this host: {host}"
+        )
 
     for row in rows:
         recorded = committed.get(row["scenario"])
@@ -105,6 +117,8 @@ def test_perf_basket_throughput(run_once, quick):
             row["sim_s"],
             recorded["sim_s"],
         )
+        if not same_host:
+            continue
         floor = recorded["events_per_s"] * REGRESSION_FLOOR
         assert row["events_per_s"] >= floor, (
             f"{row['scenario']}: events/sec regressed >30% "
@@ -168,10 +182,10 @@ def _write() -> None:
         "acceptance target of the fast-path PR is measured on the "
         "fig7_64_pipeline group; the fig7_64_matching group is "
         "contention-bound and only gains the incremental-admission constant "
-        "factors by design. hostprof (clock=host, non-deterministic) and "
-        "locality (deterministic PDES oracle) blocks come from an untimed "
-        "profiled pass; timed numbers always run bare. CI gates on "
-        "events_per_s of the quick scenarios regressing >30%."
+        "factors by design. hostprof (clock=host, non-deterministic) blocks "
+        "come from an untimed profiled pass; timed numbers always run bare. "
+        "CI gates on events_per_s of the quick scenarios regressing >30%, "
+        "on a host whose fingerprint matches `host` only."
     )
     current["host"] = _fingerprint()
     current["groups"] = groups
@@ -191,15 +205,11 @@ def _chrometrace_artifact_path() -> pathlib.Path:
 
 
 def _profile(quick: bool) -> dict:
-    """The ``--profile`` mode: blame tables, locality reports, artifacts."""
+    """The ``--profile`` mode: blame tables and artifacts."""
     import repro.net.cluster as cluster_mod
     from repro.bench.fleet import run_fleet
     from repro.bench.perf import run_basket
-    from repro.obs import (
-        dump_chrome_trace,
-        format_hostprof_table,
-        format_locality_report,
-    )
+    from repro.obs import dump_chrome_trace, format_hostprof_table
     from repro.store.objects import reset_id_counter
 
     rows = run_basket(quick=quick, repeats=1, profile=True)
@@ -208,17 +218,11 @@ def _profile(quick: bool) -> dict:
         print(f"=== {row['scenario']} "
               f"(wall {row['wall_s']:.3f}s, {row['events']} events) ===")
         print(format_hostprof_table(row["hostprof"]))
-        print()
-        print(format_locality_report(row["locality"]))
     artifact = {
         "quick": quick,
         "host": _fingerprint(),
         "scenarios": [
-            {
-                "scenario": row["scenario"],
-                "hostprof": row["hostprof"],
-                "locality": row["locality"],
-            }
+            {"scenario": row["scenario"], "hostprof": row["hostprof"]}
             for row in rows
         ],
     }

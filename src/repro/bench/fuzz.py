@@ -20,10 +20,9 @@ diverging semantic event** (time, kind, resource, detail) instead of
 leaving a bare pair of hashes.  ``--flight`` runs the whole band with
 recording on, checking both that digests still match (recording is
 observational) and that the on/off semantic records are identical.
-``--hostprof`` additionally enables the host-clock self-profiler and the
-event-locality analyzer on every cluster and compares each profiled digest
-against a bare (unprofiled) run of the same spec: profiling must change no
-simulated result, byte for byte.
+``--hostprof`` additionally enables the host-clock self-profiler on every
+cluster and compares each profiled digest against a bare (unprofiled) run
+of the same spec: profiling must change no simulated result, byte for byte.
 """
 
 from __future__ import annotations
@@ -237,12 +236,10 @@ def _flight_recorders():
 
 @contextmanager
 def _profilers():
-    """Enable hostprof + locality on every cluster a scenario builds.
+    """Enable the host profiler on every cluster a scenario builds.
 
-    Same ON_CREATE mechanism as :func:`_flight_recorders`; composing both
-    (``--flight --hostprof``) exercises the chained ``on_pop`` path — the
-    locality analyzer takes the hook first and the flight recorder chains
-    after it.
+    Same ON_CREATE mechanism as :func:`_flight_recorders`; the two compose
+    (``--flight --hostprof``).
     """
     import repro.net.cluster as cluster_mod
 
@@ -252,7 +249,6 @@ def _profilers():
         if previous is not None:
             previous(cluster)
         cluster.enable_host_profiler()
-        cluster.enable_locality_analyzer()
 
     cluster_mod.ON_CREATE = _hook
     try:
@@ -363,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--hostprof",
         action="store_true",
-        help="profile every run (hostprof + locality); also compare each "
+        help="profile every run (host profiler); also compare each "
         "profiled digest against a bare run of the same spec",
     )
     parser.add_argument(

@@ -36,7 +36,7 @@ Basket groups, chosen to separate the two kernel regimes:
 ``benchmarks/bench_perf.py`` wraps this module as a pytest benchmark, and
 ``python benchmarks/bench_perf.py --write`` regenerates the committed
 ``BENCH_perf.json`` trajectory file; ``--profile`` adds an untimed
-host-profiler + locality pass per scenario (see :func:`_profiled`).
+host-profiler pass per scenario (see :func:`_profiled`).
 """
 
 from __future__ import annotations
@@ -283,13 +283,12 @@ def _observed_critpath(scenario: PerfScenario) -> dict:
 
 
 def _profiled(scenario: PerfScenario) -> dict:
-    """One extra (untimed) run with hostprof + locality on; both reports.
+    """One extra (untimed) run with the host profiler on; its report.
 
     Mirrors :func:`_observed_critpath`: runs *after* the timed repeats, via
     the ``ON_CREATE`` hook, so the profiling overhead never touches
     ``wall_s`` / ``events_per_s``.  Host-profiler totals merge across every
-    cluster the scenario builds; the locality report comes from the
-    dominant cluster (most pops) — the one a PDES kernel would shard.
+    cluster the scenario builds.
     """
     import repro.net.cluster as cluster_mod
 
@@ -300,7 +299,6 @@ def _profiled(scenario: PerfScenario) -> dict:
         if previous is not None:
             previous(cluster)
         cluster.enable_host_profiler()
-        cluster.enable_locality_analyzer()
         clusters.append(cluster)
 
     cluster_mod.ON_CREATE = _hook
@@ -310,22 +308,12 @@ def _profiled(scenario: PerfScenario) -> dict:
     finally:
         cluster_mod.ON_CREATE = previous
     merged = None
-    dominant = None
     for cluster in clusters:
         if merged is None:
             merged = cluster.hostprof
         else:
             merged.merge(cluster.hostprof)
-        if dominant is None or (
-            cluster.locality.total_pops > dominant.locality.total_pops
-        ):
-            dominant = cluster
-    return {
-        "hostprof": merged.report() if merged is not None else None,
-        "locality": (
-            dominant.locality.report() if dominant is not None else None
-        ),
-    }
+    return {"hostprof": merged.report() if merged is not None else None}
 
 
 def run_basket(
@@ -334,9 +322,8 @@ def run_basket(
     """Run the (quick subset of the) basket; one result row per scenario.
 
     ``profile=True`` adds one untimed pass per scenario with the host-clock
-    self-profiler and the event-locality analyzer attached, and folds their
-    reports into the row (``hostprof``/``locality`` keys).  The timed
-    repeats always run bare either way.
+    self-profiler attached, and folds its report into the row (the
+    ``hostprof`` key).  The timed repeats always run bare either way.
     """
     rows = []
     for scenario in _basket():

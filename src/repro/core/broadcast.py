@@ -25,7 +25,7 @@ from repro.net.coalesce import (
     register_stream,
     unregister_stream,
 )
-from repro.net.errors import race_failure
+from repro.net.errors import FailureRace, race_failure
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
 from repro.net.transport import TransferError, transfer_block, transfer_bytes
@@ -245,9 +245,13 @@ def _pull_blocks(
                 # can become contended while parked — so the source's marks
                 # must be delivered per-block from here on.
                 source_entry.decoalesce()
-            yield from race_failure(
+            race = FailureRace(
                 source_entry.wait_for_blocks(block_index + 1), (source_node,)
             )
+            try:
+                yield race
+            finally:
+                race.cancel()
             _ensure_alive(source_node)
             nbytes = config.block_bytes(entry.size, block_index)
             yield from transfer_block(config, source_node, dest_node, nbytes, flow)

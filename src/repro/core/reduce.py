@@ -37,7 +37,7 @@ from repro.net.coalesce import (
     register_stream,
     unregister_stream,
 )
-from repro.net.errors import race_failure
+from repro.net.errors import FailureRace, race_failure
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
 from repro.net.transport import TransferError, local_copy_block, transfer_block
@@ -901,10 +901,14 @@ class ReduceExecution:
                         # About to park outside a coalesced run: per-block
                         # mark ordering required (see _pull_blocks).
                         child_entry.decoalesce()
-                    yield from race_failure(
+                    race = FailureRace(
                         child_entry.wait_for_blocks(block_index + 1),
                         (child_node, parent_node),
                     )
+                    try:
+                        yield race
+                    finally:
+                        race.cancel()
                     if not child_node.alive or not parent_node.alive:
                         raise TransferError("peer failed during reduce stream", node=child_node)
                     nbytes = config.block_bytes(staging.size, block_index)

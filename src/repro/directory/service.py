@@ -197,11 +197,7 @@ class ObjectDirectory:
         shard = self._shard_of(object_id)
         shard_node = shard.node
         if requester.node_id == shard_node.node_id:
-            timeout = self.sim.timeout(self.config.rpc_latency / 4.0)
-            loc = self.sim.locality
-            if loc is not None:
-                loc.tag(timeout, requester.node_id)
-            yield timeout
+            yield self.sim.timeout(self.config.rpc_latency / 4.0)
         else:
             # Control-plane traffic rides the latency path (it never occupies
             # a bulk link slot) but is visible to the flow accounting.
@@ -209,20 +205,7 @@ class ObjectDirectory:
             obs = self.cluster.obs
             if obs is not None:
                 obs.control_plane["shard_rpcs"].inc()
-            timeout = self.sim.timeout(self.config.rpc_latency)
-            loc = self.sim.locality
-            if loc is not None:
-                # A cross-rack control RPC is a zero-lookahead partition
-                # interaction: the shard answers at RPC latency, below the
-                # cross-rack propagation lookahead a conservative PDES
-                # window relies on.
-                if self.cluster.topology.same_rack(
-                    requester.node_id, shard_node.node_id
-                ):
-                    loc.tag(timeout, requester.node_id)
-                else:
-                    loc.tag_sync_rpc(timeout)
-            yield timeout
+            yield self.sim.timeout(self.config.rpc_latency)
         while not shard.alive:
             # Take a position in the dead shard's backlog: the replayed shard
             # answers parked requests *serially*, one service quantum apart,
@@ -478,9 +461,6 @@ class ObjectDirectory:
         record = self._record(object_id)
         while not record.locations and record.inline_value is None:
             event = Event(self.sim)
-            loc = self.sim.locality
-            if loc is not None:
-                loc.tag(event, requester.node_id)
             record.waiters.append(event)
             yield event
         return record
@@ -724,9 +704,6 @@ class ObjectDirectory:
                 self._notify_waiters(record)
                 return chosen
             event = Event(self.sim)
-            loc = self.sim.locality
-            if loc is not None:
-                loc.tag(event, requester.node_id)
             record.availability_waiters.append(event)
             record.waiters.append(event)
             if hold_for_rack:

@@ -71,9 +71,6 @@ class Cluster:
         #: host-clock self-profiler, or None when disabled (the default:
         #: kernel sites guard on ``sim.host_prof is not None``).
         self.hostprof = None
-        #: event-locality analyzer, or None when disabled (the default:
-        #: tagging sites guard on ``sim.locality is not None``).
-        self.locality = None
         self.nodes: list[Node] = [
             Node(self.sim, node_id, cluster=self) for node_id in range(num_nodes)
         ]
@@ -107,28 +104,12 @@ class Cluster:
             recorder = FlightRecorder(
                 self.sim, capacity=capacity if capacity is not None else DEFAULT_CAPACITY
             )
-            previous = self.sim.on_pop
-            if previous is None:
-                self.sim.on_pop = recorder.record_pop
-            else:
-                # A locality analyzer already holds the hook: chain after it
-                # (both observers see every pop, in install order).
-                record = recorder.record_pop
-
-                def _chained(when, seq, event, _prev=previous, _next=record):
-                    _prev(when, seq, event)
-                    _next(when, seq, event)
-
-                self.sim.on_pop = _chained
+            self.sim.on_pop = recorder.record_pop
             self.flight = recorder
         return self.flight
 
     def disable_flight_recorder(self) -> None:
-        """Uninstall the recorder (its recorded ring stays readable).
-
-        Resets ``sim.on_pop`` outright: a locality analyzer chained *after*
-        the recorder is dropped too (re-enable it if you still need it).
-        """
+        """Uninstall the recorder (its recorded ring stays readable)."""
         if self.flight is not None:
             self.sim.on_pop = None
             self.flight = None
@@ -149,32 +130,6 @@ class Cluster:
             self.hostprof = HostProfiler()
             self.sim.host_prof = self.hostprof
         return self.hostprof
-
-    def enable_locality_analyzer(self):
-        """Install (and return) the event-locality analyzer.
-
-        Chains onto ``sim.on_pop`` if a flight recorder already holds it
-        (both hooks see every pop).  Tagging writes one inert slot per
-        event; simulated results are unchanged (same fuzz band as above).
-        """
-        from repro.obs.locality import LocalityAnalyzer
-
-        if self.locality is None:
-            analyzer = LocalityAnalyzer(self)
-            previous = self.sim.on_pop
-            if previous is None:
-                self.sim.on_pop = analyzer.on_pop
-            else:
-                on_pop = analyzer.on_pop
-
-                def _chained(when, seq, event, _prev=previous, _next=on_pop):
-                    _prev(when, seq, event)
-                    _next(when, seq, event)
-
-                self.sim.on_pop = _chained
-            self.locality = analyzer
-            self.sim.locality = analyzer
-        return self.locality
 
     # -- convenience --------------------------------------------------------
     def __len__(self) -> int:

@@ -323,12 +323,6 @@ class CoalescedRun:
         self._wake = wake
         trigger = self.sim.wake_at(target)
         trigger.callbacks = [lambda _ev, wake=wake: self._fire(wake)]
-        loc = self.sim.locality
-        if loc is not None:
-            # Boundary wake-ups belong to the destination's partition: the
-            # run's remaining state lives with the receiving entry.
-            loc.tag(trigger, self.dst.node_id)
-            loc.tag(wake, self.dst.node_id)
         return wake
 
     def _fire(self, wake: Event) -> None:
@@ -444,9 +438,6 @@ class CoalescedRun:
         prof = self.sim.host_prof
         if prof is not None:
             prof.enter("coalesce")
-        loc = self.sim.locality
-        if loc is not None:
-            loc.arrival(self.src.node_id, self.dst.node_id, count)
         if self.schedule is not None:
             self.schedule.close()
             self.schedule = None
@@ -744,11 +735,6 @@ class ComputeRun:
         self._wake = wake
         trigger = self.sim.wake_at(target)
         trigger.callbacks = [lambda _ev, wake=wake: self._fire(wake)]
-        loc = self.sim.locality
-        if loc is not None:
-            # Compute-slot wake-ups never leave the owning node.
-            loc.tag(trigger, self.node.node_id)
-            loc.tag(wake, self.node.node_id)
         return wake
 
     def _fire(self, wake: Event) -> None:

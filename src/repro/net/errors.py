@@ -65,9 +65,13 @@ class FailureRace(Event):
                 self._relay(node)
                 break
         else:
+            # Written straight into each node's listener dict (this is the
+            # per-block hot path): a node listed twice, as a same-node
+            # stream lists it, holds the listener once, and the first call
+            # decides the race either way.
             listener = self._listener = self._on_failure
             for node in nodes:
-                node.on_failure(listener)
+                node.failure_listeners[listener] = None
         event.add_callback(self._on_event)
 
     def cancel(self) -> None:
@@ -81,7 +85,7 @@ class FailureRace(Event):
         if listener is not None:
             self._listener = None
             for node in self._nodes:
-                node.remove_failure_listener(listener)
+                node.failure_listeners.pop(listener, None)
 
     def _relay(self, node: "Node") -> None:
         relay = Event(self.sim)
@@ -114,7 +118,9 @@ def race_failure(event: Event, nodes: Sequence["Node"]) -> Generator:
     """``yield from`` form of :class:`FailureRace`: wait, then let go.
 
     The race is cancelled however the waiter leaves, so an interrupted
-    waiter leaves no listener behind either.
+    waiter leaves no listener behind either.  Per-block waits inline the
+    same ``try: yield race / finally: race.cancel()`` instead, which saves
+    a generator frame per block.
     """
     race = FailureRace(event, nodes)
     try:

@@ -45,8 +45,9 @@ from enum import IntEnum
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.net.config import NetworkConfig
-from repro.net.errors import TransferError, _check_alive, race_failure
-from repro.sim import MultiRequest, Resource, Simulator
+from repro.net.errors import FailureRace, TransferError, _check_alive
+from repro.sim import Event, MultiRequest, Resource, Simulator
+from repro.sim.resources import validate_claims
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.node import Node
@@ -153,7 +154,25 @@ class LinkScheduler:
             self._obs_control.inc()
 
 
-class Reservation:
+def _build_route(src: "Node", dst: "Node") -> tuple:
+    """Build, validate and cache on ``src`` the route of ``src -> dst`` blocks.
+
+    A route is ``(claims, path)``: the reservation claim set (one slot on
+    the source uplink, the destination downlink, then every shared tier
+    link of the fabric path) and the tier links themselves.  Paths never
+    change after a cluster is built, so the claim checks of
+    ``MultiRequest`` run once per node pair instead of once per block.  A
+    route holds two new tuples; the one-slot claims are the links' own,
+    shared by every route through them.
+    """
+    fabric = src.cluster.fabric if src.cluster is not None else None
+    path = fabric.path_links(src.node_id, dst.node_id) if fabric is not None else ()
+    claims = (src.uplink_claim, dst.downlink_claim) + tuple(link.claim for link in path)
+    route = src.routes[dst.node_id] = (validate_claims(claims), path)
+    return route
+
+
+class Reservation(MultiRequest):
     """A cancellable claim on every link a ``src -> dst`` block crosses.
 
     On the flat fabric that is the (source uplink, destination downlink)
@@ -162,98 +181,71 @@ class Reservation:
     aggregation links, destination rack downlink), so admission is a
     matching on the fabric graph rather than the bipartite NIC graph.  The
     whole set is granted atomically when every slot is simultaneously free;
-    until then the reservation holds nothing.  ``release`` frees a granted
-    claim (crediting every link scheduler's accounting) or withdraws a
-    pending one; both are idempotent, so the transfer generators can release
-    unconditionally in a ``finally``.
+    until then the reservation holds nothing.  The reservation *is* the
+    grant event (a :class:`~repro.sim.resources.MultiRequest`).
+    ``release`` frees a granted claim (crediting every link scheduler's
+    accounting) or withdraws a pending one; both are idempotent, so the
+    transfer generators can release unconditionally in a ``finally``.
     """
 
+    __slots__ = ("src", "dst", "nbytes", "flow", "created_at", "path")
+
     def __init__(self, src: "Node", dst: "Node", nbytes: int, flow: Flow):
+        sim = src.sim
+        Event.__init__(self, sim)
         self.src = src
         self.dst = dst
         self.nbytes = int(nbytes)
         self.flow = flow
-        self.sim: Simulator = src.sim
         #: submission time, for grant-wait (admission latency) observability.
-        self.created_at = self.sim._now
-        fabric = src.cluster.fabric if src.cluster is not None else None
+        self.created_at = sim._now
+        route = src.routes.get(dst.node_id)
+        if route is None:
+            route = _build_route(src, dst)
         #: shared tier links on the path (empty for flat/intra-rack traffic).
-        path = self.path = (
-            fabric.path_links(src.node_id, dst.node_id) if fabric is not None else ()
-        )
-        claims = [(src.uplink, 1), (dst.downlink, 1)]
-        if path:
-            claims.extend((link.resource, 1) for link in path)
-        prof = self.sim.host_prof
+        claims, self.path = route
+        prof = sim.host_prof
         if prof is not None:
             prof.enter("flowsched")
-        self.request = MultiRequest(
-            self.sim,
-            claims,
-            priority=int(flow.flow_class),
-        )
+        self._submit(claims, int(flow.flow_class))
         if prof is not None:
             prof.exit()
-        loc = self.sim.locality
-        if loc is not None:
-            # A reservation whose claim set spans shared tier links couples
-            # two partitions' admission state at the same instant — the
-            # zero-lookahead interaction a conservative PDES window cannot
-            # hide.  Intra-rack claims stay inside the source's partition.
-            if self.path:
-                loc.tag_sync_reservation(self.request)
-            else:
-                loc.tag(self.request, src.node_id)
-        self._closed = False
-
-    @property
-    def event(self) -> MultiRequest:
-        """The event that fires when the claim is granted."""
-        return self.request
-
-    @property
-    def granted(self) -> bool:
-        return self.request.granted
 
     def release(self) -> None:
         """Free (or withdraw) the claim; granted holds are accounted."""
-        if self._closed:
+        if self._released:
             return
-        self._closed = True
         prof = self.sim.host_prof
         if prof is not None:
             prof.enter("flowsched")
         try:
-            self._release_inner()
+            if self.granted_at is not None:
+                self._account()
+            MultiRequest.release(self)
         finally:
             if prof is not None:
                 prof.exit()
 
-    def _release_inner(self) -> None:
-        if self.request.granted:
-            hold = self.sim.now - self.request.granted_at
-            self.src.uplink_sched.account(self.flow, self.nbytes, hold)
-            self.dst.downlink_sched.account(self.flow, self.nbytes, hold)
-            for link in self.path:
-                link.sched.account(self.flow, self.nbytes, hold)
-            cluster = self.src.cluster
-            if cluster is not None:
-                if cluster.obs is not None:
-                    cluster.obs.record_reservation(self)
-                flight = cluster.flight
-                if flight is not None:
-                    # The semantic transfer timeline: the coalescing fast
-                    # paths retrofit the same records from their boundary
-                    # arrays, so on/off recordings compare equal.
-                    key = f"n{self.src.node_id}>n{self.dst.node_id}"
-                    detail = f"{self.flow.flow_id}/{self.nbytes}"
-                    flight.record(self.request.granted_at, "grant", key, detail)
-                    flight.record(self.sim.now, "release", key, detail)
-        self.request.release()
-
-    def cancel(self) -> None:
-        """Alias of :meth:`release`; reads better at failure call sites."""
-        self.release()
+    def _account(self) -> None:
+        flow, nbytes = self.flow, self.nbytes
+        hold = self.sim._now - self.granted_at
+        self.src.uplink_sched.account(flow, nbytes, hold)
+        self.dst.downlink_sched.account(flow, nbytes, hold)
+        for link in self.path:
+            link.sched.account(flow, nbytes, hold)
+        cluster = self.src.cluster
+        if cluster is not None:
+            if cluster.obs is not None:
+                cluster.obs.record_reservation(self)
+            flight = cluster.flight
+            if flight is not None:
+                # The semantic transfer timeline: the coalescing fast paths
+                # retrofit the same records from their boundary arrays, so
+                # on/off recordings compare equal.
+                key = f"n{self.src.node_id}>n{self.dst.node_id}"
+                detail = f"{flow.flow_id}/{nbytes}"
+                flight.record(self.granted_at, "grant", key, detail)
+                flight.record(self.sim._now, "release", key, detail)
 
 
 class FlowTransport:
@@ -289,12 +281,16 @@ class FlowTransport:
         """
         sim = src.sim
         _check_alive(src, dst)
-        reservation = self.reserve(src, dst, nbytes, flow)
+        reservation = Reservation(src, dst, nbytes, flow or DEFAULT_FLOW)
         try:
-            if not reservation.event.triggered:
+            if reservation._ok is None:
                 # Race the queued admission against either peer dying.
-                yield from race_failure(reservation.event, (src, dst))
-                if not reservation.event.triggered:
+                race = FailureRace(reservation, (src, dst))
+                try:
+                    yield race
+                finally:
+                    race.cancel()
+                if reservation._ok is None:
                     # A peer died while the reservation was still queued:
                     # withdraw the claim so no ghost request survives, then
                     # fail like a broken connection.
@@ -304,25 +300,11 @@ class FlowTransport:
                         node=dead,
                     )
             _check_alive(src, dst)
-            tx_timeout = sim.timeout(path_transmission_time(self.config, src, dst, nbytes))
-            loc = sim.locality
-            if loc is not None:
-                # Serialization happens at the source NIC: the event belongs
-                # to the source's partition.
-                loc.tag(tx_timeout, src.node_id)
-            yield tx_timeout
+            yield sim.timeout(path_transmission_time(self.config, src, dst, nbytes))
             _check_alive(src, dst)
         finally:
             reservation.release()
-        lat_timeout = sim.timeout(path_latency(self.config, src, dst))
-        loc = sim.locality
-        if loc is not None:
-            # Delivery lands in the destination's partition; the causal
-            # predecessor (tx end at the source) is one propagation latency
-            # in the past — at least the lookahead for cross-rack paths.
-            loc.tag(lat_timeout, dst.node_id)
-            loc.arrival(src.node_id, dst.node_id)
-        yield lat_timeout
+        yield sim.timeout(path_latency(self.config, src, dst))
         _check_alive(dst)
         cluster = src.cluster
         if cluster is not None and cluster.flight is not None:
@@ -332,7 +314,7 @@ class FlowTransport:
                 f"n{src.node_id}>n{dst.node_id}",
                 f"{reservation.flow.flow_id}/{nbytes}",
             )
-        return sim.now
+        return sim._now
 
     def transfer_bytes(
         self, src: "Node", dst: "Node", nbytes: int, flow: Optional[Flow] = None

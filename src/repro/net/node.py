@@ -36,18 +36,27 @@ class Node:
         self.downlink = Resource(sim, capacity=1)
         self.uplink_sched = LinkScheduler(sim, self.uplink, "up")
         self.downlink_sched = LinkScheduler(sim, self.downlink, "down")
+        #: the one-slot claims a flow-scheduled block makes on each NIC
+        #: direction (shared by every route through this node).
+        self.uplink_claim = (self.uplink, 1)
+        self.downlink_claim = (self.downlink, 1)
         self.memcpy_channel = Resource(sim, capacity=1)
         self.alive = True
         #: Incremented every time the node recovers from a failure.  Stale
         #: transfers and stale store contents compare incarnations to detect
         #: that they belong to a previous life of the node.
         self.incarnation = 0
-        #: Callbacks invoked with this node when it fails.
-        self.failure_listeners: list[Callable[["Node"], None]] = []
+        #: Callbacks invoked with this node when it fails, in registration
+        #: order.  A dict (values unused) so removing one is O(1): transfer
+        #: waits register and drop a listener per block.
+        self.failure_listeners: dict[Callable[["Node"], None], None] = {}
         #: Callbacks invoked with this node when it recovers.
         self.recovery_listeners: list[Callable[["Node"], None]] = []
         #: Arbitrary per-node services (object store, directory shard, ...).
         self.services: dict[str, Any] = {}
+        #: Flow-scheduler routes from this node, by destination node id
+        #: (built on first use by :mod:`repro.net.flowsched`).
+        self.routes: dict[int, tuple] = {}
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
@@ -82,19 +91,19 @@ class Node:
             listener(self)
 
     def on_failure(self, callback: Callable[["Node"], None]) -> None:
-        self.failure_listeners.append(callback)
+        """Register a failure listener; registering one twice raises."""
+        if callback in self.failure_listeners:
+            raise ValueError(f"{callback!r} is already a failure listener of {self!r}")
+        self.failure_listeners[callback] = None
 
     def remove_failure_listener(self, callback: Callable[["Node"], None]) -> None:
         """Deregister a failure listener (no-op if it is not registered).
 
         Short-lived waiters (e.g. a transfer racing its admission against a
         peer failure) must remove their listeners when the race resolves, or
-        the listener list grows with every block transferred.
+        the listener set grows with every block transferred.
         """
-        try:
-            self.failure_listeners.remove(callback)
-        except ValueError:
-            pass
+        self.failure_listeners.pop(callback, None)
 
     def on_recovery(self, callback: Callable[["Node"], None]) -> None:
         self.recovery_listeners.append(callback)

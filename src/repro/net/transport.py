@@ -94,14 +94,14 @@ def transfer_block(
 ) -> Generator:
     """Move a single block from ``src`` to ``dst``.
 
-    Returns (via StopIteration) the simulated time at which the block is
-    fully available at the destination.
+    Returns the generator to drive (``yield from``); it returns (via
+    StopIteration) the simulated time at which the block is fully available
+    at the destination.  The flow-scheduled generator is handed back as is
+    rather than delegated to, which saves a generator frame per block.
     """
     if config.flow_scheduling:
-        result = yield from _flow_transport(config).transfer_block(src, dst, nbytes, flow)
-        return result
-    result = yield from _transfer_block_sequential(config, src, dst, nbytes)
-    return result
+        return _flow_transport(config).transfer_block(src, dst, nbytes, flow)
+    return _transfer_block_sequential(config, src, dst, nbytes)
 
 
 def _transfer_block_sequential(

@@ -48,7 +48,6 @@ from repro.obs.export import (
 from repro.obs.chrometrace import dump_chrome_trace, to_chrome_trace
 from repro.obs.hostprof import HostProfiler
 from repro.obs.hostprof import format_table as format_hostprof_table
-from repro.obs.locality import LocalityAnalyzer, format_locality_report
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.trace import Span, Tracer
 
@@ -69,8 +68,6 @@ __all__ = [
     "nearest_rank",
     "HostProfiler",
     "format_hostprof_table",
-    "LocalityAnalyzer",
-    "format_locality_report",
     "to_chrome_trace",
     "dump_chrome_trace",
 ]
@@ -220,10 +217,8 @@ class Observability:
 
     def record_reservation(self, reservation) -> None:
         """Called by ``Reservation.release`` for every granted claim."""
-        request = reservation.request
-        self._grant_wait[reservation.flow.flow_class].observe(
-            request.granted_at - reservation.created_at
-        )
+        grant_wait = reservation.granted_at - reservation.created_at
+        self._grant_wait[reservation.flow.flow_class].observe(grant_wait)
         for sched in (
             reservation.src.uplink_sched,
             reservation.dst.downlink_sched,
@@ -242,7 +237,7 @@ class Observability:
                 src=src.node_id,
                 dst=dst.node_id,
                 bytes=reservation.nbytes,
-                grant_wait=request.granted_at - reservation.created_at,
+                grant_wait=grant_wait,
                 lat=path_latency(self.cluster.config, src, dst),
                 links=self._span_links(src, dst),
             )

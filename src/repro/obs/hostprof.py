@@ -17,8 +17,9 @@ Design:
   ``perf_counter_ns`` call and a dict update — no per-region subtraction
   bookkeeping, and self-times across categories sum to exactly the span
   between the first ``enter`` and the last ``exit``.
-* **"dispatch" is the outermost region.**  ``Simulator.step`` enters it
-  before popping the queue and exits after callbacks run, so every
+* **"dispatch" is the outermost region.**  The kernel's dispatch
+  (``Simulator.run``, or ``step``) enters it before popping the queue and
+  exits after callbacks run, so every
   instrumented sub-region (admission, directory, flowsched, coalesce)
   nests inside it and all *un*-instrumented callback time lands in
   dispatch self-time.  Category totals therefore cover essentially 100% of

@@ -30,12 +30,29 @@ Performance notes (the kernel is the hot loop of every benchmark):
 * :meth:`Simulator.schedule_at` places an event at an *absolute* timestamp,
   which the coalesced-transfer fast path uses to land wake-ups on exactly
   the accumulated float boundary a per-block chain of timeouts would have
-  produced (``now + (t - now)`` does not round-trip in floating point).
+  produced (``now + (t - now)`` does not round-trip in floating point);
+* the queue has two tiers.  Every ``URGENT`` event (a ``succeed``/``fail``
+  trigger, an interrupt, a silent multi-request grant's wake) is scheduled
+  at the current instant, so in the single ``(time, priority, sequence)``
+  heap it would sort before everything else: no timed event is earlier,
+  and a timed event at the same instant has the larger priority.  Urgent
+  events therefore pop in FIFO order of their sequence numbers, ahead of
+  the heap — exactly what a ``deque`` gives without a heap push and pop.
+  Only timed (``NORMAL``) events go on the heap.  Both tiers draw from one
+  sequence counter, so ``on_pop`` sees the same ``(when, seq)`` pairs a
+  single heap would produce, and scheduling an urgent event at any other
+  instant raises :class:`SimulationError` instead of breaking the order;
+* :meth:`Simulator.run` pops and dispatches inline, with its hooks in
+  locals, and ``succeed``/``fail``/:class:`Timeout` schedule inline: the
+  kernel's own cost is a few method calls per event, so each call saved
+  is measurable over the hundreds of thousands of events of a contended
+  run.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -79,18 +96,7 @@ class Event:
     time.  Once triggered its value is immutable.
     """
 
-    __slots__ = (
-        "sim",
-        "callbacks",
-        "_value",
-        "_exception",
-        "_ok",
-        "defused",
-        # Owning-node tag written by locality-analyzer sites and read only
-        # by the analyzer's pop hook; left unset when analysis is off (the
-        # slot descriptor costs one pointer per event, no init-time work).
-        "_loc_owner",
-    )
+    __slots__ = ("sim", "callbacks", "_value", "_exception", "_ok", "defused")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -137,7 +143,11 @@ class Event:
             raise SimulationError("event has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, URGENT)
+        # Inline Simulator._schedule(self, URGENT): the urgent tier.
+        sim = self.sim
+        seq = sim._sequence
+        sim._sequence = seq + 1
+        sim._urgent.append((seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -148,7 +158,10 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._ok = False
         self._exception = exception
-        self.sim._schedule(self, URGENT)
+        sim = self.sim
+        seq = sim._sequence
+        sim._sequence = seq + 1
+        sim._urgent.append((seq, self))
         return self
 
     def trigger(self, other: "Event") -> None:
@@ -190,11 +203,17 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        Event.__init__(self, sim)
-        self.delay = delay
-        self._ok = True
+        self.sim = sim
+        self.callbacks = None
         self._value = value
-        sim._schedule(self, NORMAL, delay)
+        self._exception = None
+        self._ok = True
+        self.defused = False
+        self.delay = delay
+        # Inline Simulator._schedule(self, NORMAL, delay): the timed tier.
+        seq = sim._sequence
+        sim._sequence = seq + 1
+        heappush(sim._queue, (sim._now + delay, NORMAL, seq, self))
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         raise SimulationError("a Timeout is triggered automatically")
@@ -358,50 +377,49 @@ class Simulator:
     __slots__ = (
         "_now",
         "_queue",
+        "_urgent",
         "_sequence",
         "events_processed",
         "unhandled_failures",
         "on_step",
         "on_pop",
         "host_prof",
-        "locality",
     )
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
+        #: the timed tier: a heap of ``(time, NORMAL, seq, event)``.
         self._queue: list[tuple[float, int, int, Event]] = []
+        #: the urgent tier: ``(seq, event)`` pairs due now, in FIFO order.
+        self._urgent: deque[tuple[int, Event]] = deque()
         self._sequence = 0
-        #: Events processed by :meth:`step` so far (the denominator of the
-        #: events/sec throughput metric in ``benchmarks/bench_perf.py``).
+        #: Events dispatched so far (the denominator of the events/sec
+        #: throughput metric in ``benchmarks/bench_perf.py``).
         self.events_processed = 0
         #: Failed events whose exception was never consumed by a waiter.
         self.unhandled_failures: list[Event] = []
+        # The three hooks below are read once when :meth:`run` starts (and
+        # on every :meth:`step`): install or remove them between runs, not
+        # from inside a callback.  ``None`` costs one branch per event.
         #: Optional per-event observability hook, called as ``on_step(when)``
-        #: after the clock advances and before callbacks run.  ``None`` (the
-        #: default) costs one branch per event; installed by
+        #: after the clock advances and before callbacks run; installed by
         #: :class:`repro.obs.Observability` for event-loop counters.  The
         #: hook must be purely observational — it runs inside the kernel's
         #: dispatch frame.
         self.on_step: Optional[Callable[[float], None]] = None
         #: Optional per-pop flight-recorder hook, called as
         #: ``on_pop(when, seq, event)`` with the popped entry's queue
-        #: sequence number.  Same discipline as ``on_step`` (one branch per
-        #: event when unset, purely observational); installed by
+        #: sequence number.  Same discipline as ``on_step``; installed by
         #: :class:`repro.obs.flight.FlightRecorder` via
         #: ``Cluster.enable_flight_recorder``.
         self.on_pop: Optional[Callable[[float, int, Event], None]] = None
         #: Optional :class:`repro.obs.hostprof.HostProfiler` attributing
         #: *host* wall-clock self-time to kernel subsystems.  Same
-        #: discipline as the hooks above: ``None`` costs one branch per
-        #: instrumented region, and the profiler only ever reads the host
-        #: clock — simulated results are identical on or off.  Installed by
-        #: ``Cluster.enable_host_profiler``.
+        #: discipline as the hooks above (instrumented regions outside the
+        #: kernel read it at each region), and the profiler only ever reads
+        #: the host clock — simulated results are identical on or off.
+        #: Installed by ``Cluster.enable_host_profiler``.
         self.host_prof: Optional[Any] = None
-        #: Optional :class:`repro.obs.locality.LocalityAnalyzer` whose
-        #: tagging sites stamp events with their owning node (one branch
-        #: per site when unset).  Its pop hook rides ``on_pop``.  Installed
-        #: by ``Cluster.enable_locality_analyzer``.
-        self.locality: Optional[Any] = None
 
     # -- time -------------------------------------------------------------
     @property
@@ -427,9 +445,7 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
-        seq = self._sequence
-        self._sequence = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
+        self.schedule_at(event, self._now + delay, priority)
 
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         """Place ``event`` in the queue at the *absolute* time ``at``.
@@ -437,13 +453,21 @@ class Simulator:
         Used by fast paths that must land a wake-up on exactly the float
         timestamp an equivalent chain of relative timeouts would have
         reached (relative scheduling would re-round through ``now + delay``).
-        ``at`` must not lie in the past.
+        ``at`` must not lie in the past, and an ``URGENT`` event can only be
+        scheduled now (the urgent tier's order relies on it).
         """
         if at < self._now:
             raise SimulationError(f"schedule_at({at}) is in the past (now={self._now})")
         seq = self._sequence
         self._sequence = seq + 1
-        heapq.heappush(self._queue, (at, priority, seq, event))
+        if priority == URGENT:
+            if at != self._now:
+                raise SimulationError(
+                    f"an urgent event can only be scheduled now (at={at}, now={self._now})"
+                )
+            self._urgent.append((seq, event))
+        else:
+            heappush(self._queue, (at, priority, seq, event))
 
     def wake_at(self, at: float, value: Any = None) -> Event:
         """An already-succeeded event that pops at the absolute time ``at``.
@@ -460,23 +484,25 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
+        if self._urgent:
+            return self._now
         if not self._queue:
             return float("inf")
         return self._queue[0][0]
 
     def step(self) -> None:
-        """Process a single event."""
-        if not self._queue:
+        """Process a single event (:meth:`run` dispatches the same way)."""
+        if not self._urgent and not self._queue:
             raise SimulationError("step() called on an empty event queue")
         prof = self.host_prof
         if prof is not None:
-            # "dispatch" is the outermost profiled region: every nested
-            # region (admission, directory, ...) subtracts from its
-            # self-time, so un-instrumented callback work stays charged
-            # here and category totals cover the whole step.
             prof.enter("dispatch")
-        when, _priority, seq, event = heapq.heappop(self._queue)
-        self._now = when
+        if self._urgent:
+            seq, event = self._urgent.popleft()
+            when = self._now
+        else:
+            when, _priority, seq, event = heappop(self._queue)
+            self._now = when
         self.events_processed += 1
         if self.on_step is not None:
             self.on_step(when)
@@ -510,19 +536,52 @@ class Simulator:
                     f"run(until={stop_time}) is in the past (now={self._now})"
                 )
 
-        queue = self._queue
-        step = self.step
+        heap = self._queue
+        urgent = self._urgent
+        popleft = urgent.popleft
+        unhandled = self.unhandled_failures
+        on_step = self.on_step
+        on_pop = self.on_pop
         prof = self.host_prof
         if prof is not None:
             prof.begin_run()
         try:
-            while queue:
+            while True:
                 if stop_event is not None and stop_event.callbacks is _PROCESSED:
                     break
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
+                if urgent:
+                    if prof is not None:
+                        # "dispatch" is the outermost profiled region: every
+                        # nested region (admission, directory, ...) subtracts
+                        # from its self-time, so un-instrumented callback
+                        # work stays charged here.
+                        prof.enter("dispatch")
+                    seq, event = popleft()
+                    when = self._now
+                elif heap:
+                    if heap[0][0] > stop_time:
+                        self._now = stop_time
+                        break
+                    if prof is not None:
+                        prof.enter("dispatch")
+                    when, _priority, seq, event = heappop(heap)
+                    self._now = when
+                else:
                     break
-                step()
+                self.events_processed += 1
+                if on_step is not None:
+                    on_step(when)
+                if on_pop is not None:
+                    on_pop(when, seq, event)
+                callbacks = event.callbacks
+                event.callbacks = _PROCESSED
+                if callbacks is not None:
+                    for callback in callbacks:
+                        callback(event)
+                if not event._ok and not event.defused:
+                    unhandled.append(event)
+                if prof is not None:
+                    prof.exit()
         finally:
             if prof is not None:
                 prof.end_run()

@@ -41,9 +41,10 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence
 
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import URGENT, Event, SimulationError, Simulator
 
 #: process-global arrival stamper for queue ordering.  Only *differences*
 #: matter (FIFO within a priority class), so sharing it across simulators
@@ -51,8 +52,28 @@ from repro.sim.core import Event, SimulationError, Simulator
 _arrival_stamp = itertools.count()
 
 
-def _queue_key(request: "Event") -> tuple[int, int]:
-    return request.sort_key
+#: the admission queue order: priority, then arrival (FIFO).
+_queue_key = attrgetter("sort_key")
+
+
+def validate_claims(claims: Sequence[tuple["Resource", int]]) -> tuple:
+    """Check a multi-request claim set; return it as a tuple.
+
+    A claim set is non-empty, claims each resource at most once, and
+    claims between one unit and the resource's capacity on each.
+    """
+    if not claims:
+        raise SimulationError("a multi-request needs at least one claim")
+    seen: set[int] = set()
+    for resource, amount in claims:
+        if amount <= 0 or amount > resource.capacity:
+            raise SimulationError(
+                f"cannot claim {amount} units of a capacity-{resource.capacity} resource"
+            )
+        if id(resource) in seen:
+            raise SimulationError("a multi-request cannot claim a resource twice")
+        seen.add(id(resource))
+    return tuple(claims)
 
 
 def _drop_self_value(request: "Event") -> None:
@@ -114,7 +135,7 @@ class MultiRequest(Event):
         "granted_at",
         "_released",
         "_blocked_on",
-        "_blocked_amount",
+        "_blocked_limit",
         "_silent",
     )
 
@@ -127,40 +148,37 @@ class MultiRequest(Event):
         priority: int = 0,
     ):
         Event.__init__(self, sim)
-        if not claims:
-            raise SimulationError("a multi-request needs at least one claim")
-        seen: set[int] = set()
-        for resource, amount in claims:
-            if amount <= 0 or amount > resource.capacity:
-                raise SimulationError(
-                    f"cannot claim {amount} units of a capacity-{resource.capacity} resource"
-                )
-            if id(resource) in seen:
-                raise SimulationError("a multi-request cannot claim a resource twice")
-            seen.add(id(resource))
-        self.claims = list(claims)
+        self._submit(validate_claims(claims), priority)
+
+    def _submit(self, claims: tuple, priority: int) -> None:
+        """Enqueue an already validated claim set and try the first grant.
+
+        Subclasses that claim a cached, pre-validated set (a flow
+        reservation's route) call this instead of :meth:`__init__`.
+        """
+        self.claims = claims
         self.priority = priority
         self.sort_key = (priority, next(_arrival_stamp))
         #: simulated time of the grant (``None`` while pending).
         self.granted_at: Optional[float] = None
         self._released = False
         #: the first resource whose capacity check failed on the last grant
-        #: attempt, plus the units claimed on it.  While that resource still
-        #: cannot fit the claim, re-checking the other claims is pointless —
-        #: the whole set cannot be granted — so grant scans skip this
-        #: request with one comparison instead of an O(claims) rescan: the
-        #: incremental matching that replaces the O(waiters) rescan per
-        #: release.
+        #: attempt, and the ``in_use`` level above which it still cannot fit
+        #: this claim (capacity minus the units claimed).  While that
+        #: resource stays above the limit the whole set cannot be granted,
+        #: so grant scans skip this request with one comparison instead of
+        #: an O(claims) rescan: the incremental matching that replaces the
+        #: O(waiters) rescan per release.
         self._blocked_on: Optional["Resource"] = None
-        self._blocked_amount = 0
+        self._blocked_limit = 0
         #: granted at construction with no possible waiter: the trigger is
         #: recorded but not queued (the queue pop would be dead weight); the
         #: first add_callback schedules it (see below).
         self._silent = False
-        prof = sim.host_prof
+        prof = self.sim.host_prof
         if prof is not None:
             prof.enter("admission")
-        for resource, _amount in self.claims:
+        for resource, _amount in claims:
             resource._enqueue(self)
         self._try_grant(initial=True)
         if prof is not None:
@@ -169,7 +187,7 @@ class MultiRequest(Event):
     def add_callback(self, callback) -> None:
         if self._silent:
             self._silent = False
-            self.sim._schedule(self, 0)  # URGENT, as succeed() would have
+            self.sim._schedule(self, URGENT)  # as succeed() would have
         Event.add_callback(self, callback)
 
     @property
@@ -196,7 +214,7 @@ class MultiRequest(Event):
             # request's _enqueue materialized them, so _in_use is exact.
             if resource._in_use + amount > resource.capacity:
                 self._blocked_on = resource
-                self._blocked_amount = amount
+                self._blocked_limit = resource.capacity - amount
                 return False
         self._blocked_on = None
         for resource, amount in self.claims:
@@ -358,9 +376,11 @@ class Resource:
             prof.enter("admission")
         waiting = self._waiting
         capacity = self.capacity
+        # Only a grant below changes this resource's occupancy.
+        in_use = self._in_use
         index = 0
         while index < len(waiting):
-            if self._in_use >= capacity:
+            if in_use >= capacity:
                 # Saturated: nothing below can be granted (a multi-request's
                 # _try_grant would fail on this resource too).  Triggered
                 # leftovers, if any, are purged by later scans.
@@ -379,29 +399,29 @@ class Resource:
                 # in a skip, so the claim-fit check runs inline and
                 # ``_try_grant`` is only called to commit a grant.
                 blocked_on = req._blocked_on
-                if (
-                    blocked_on is not None
-                    and blocked_on._in_use + req._blocked_amount > blocked_on.capacity
-                ):
+                if blocked_on is not None and blocked_on._in_use > req._blocked_limit:
                     index += 1
                     continue
                 for resource, amount in req.claims:
-                    if resource._in_use + amount > resource.capacity:
+                    limit = resource.capacity - amount
+                    if resource._in_use > limit:
                         req._blocked_on = resource
-                        req._blocked_amount = amount
+                        req._blocked_limit = limit
                         index += 1
                         break
                 else:
                     req._try_grant()
+                    in_use = self._in_use
                 continue
-            if self._in_use + req.amount > capacity:
+            if in_use + req.amount > capacity:
                 # Strict FIFO for single requests: nothing behind a blocked
                 # single request is granted (MultiRequests included — they
                 # will be retried by their other resources' grant scans, and
                 # by this one once the blocked head is granted).
                 break
             del waiting[index]
-            self._in_use += req.amount
+            in_use += req.amount
+            self._in_use = in_use
             self._granted.add(id(req))
             req.succeed(req)
         if prof is not None:

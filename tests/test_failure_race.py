@@ -40,7 +40,7 @@ def test_race_fires_with_event_value_and_drops_listeners():
     gate.succeed("block")
     cluster.run()
     assert race.ok and race.value == "block"
-    assert a.failure_listeners == [] and b.failure_listeners == []
+    assert not a.failure_listeners and not b.failure_listeners
     # A later failure is no longer this race's business.
     a.fail()
     cluster.run()
@@ -54,7 +54,7 @@ def test_race_fires_on_failure_and_drops_every_listener():
     gate = Event(sim)
     race = FailureRace(gate, (a, b))
     b.fail()
-    assert a.failure_listeners == [] and b.failure_listeners == []
+    assert not a.failure_listeners and not b.failure_listeners
     cluster.run()
     assert race.ok and race.value is b
     # The awaited event may still fire later; the race stays decided.
@@ -68,7 +68,7 @@ def test_race_against_a_dead_node_fires_without_registering():
     a, b = cluster.nodes
     b.fail()
     race = FailureRace(Event(cluster.sim), (a, b))
-    assert a.failure_listeners == [] and b.failure_listeners == []
+    assert not a.failure_listeners and not b.failure_listeners
     cluster.run()
     assert race.ok and race.value is b
 
@@ -79,7 +79,7 @@ def test_cancel_detaches_an_undecided_race():
     race = FailureRace(Event(cluster.sim), (a, b))
     race.cancel()
     race.cancel()  # idempotent
-    assert a.failure_listeners == [] and b.failure_listeners == []
+    assert not a.failure_listeners and not b.failure_listeners
     a.fail()
     cluster.run()
     assert not race.triggered
@@ -105,7 +105,7 @@ def test_interrupted_waiter_leaves_no_listener():
     proc.interrupt()
     cluster.run()
     assert proc.value == "interrupted"
-    assert a.failure_listeners == [] and b.failure_listeners == []
+    assert not a.failure_listeners and not b.failure_listeners
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def _any_of_transfer_block(config, src, dst, nbytes):
     _check_alive(src, dst)
     reservation = FlowTransport(config).reserve(src, dst, nbytes)
     try:
-        if not reservation.event.triggered:
+        if not reservation.triggered:
             peer_failed = Event(sim)
 
             def _notify(node):
@@ -156,11 +156,11 @@ def _any_of_transfer_block(config, src, dst, nbytes):
             src.on_failure(_notify)
             dst.on_failure(_notify)
             try:
-                yield sim.any_of([reservation.event, peer_failed])
+                yield sim.any_of([reservation, peer_failed])
             finally:
                 src.remove_failure_listener(_notify)
                 dst.remove_failure_listener(_notify)
-            if not reservation.event.triggered:
+            if not reservation.triggered:
                 dead = src if not src.alive else dst
                 raise TransferError(f"node {dead.node_id} failed", node=dead)
         _check_alive(src, dst)
@@ -228,4 +228,4 @@ def test_peer_death_during_queued_admission(fail_node):
     assert src.uplink.queue_length == 0 and src.uplink.in_use == 0
     assert dst.downlink.queue_length == 0 and dst.downlink.in_use == 0
     # And neither endpoint keeps a listener.
-    assert src.failure_listeners == [] and dst.failure_listeners == []
+    assert not src.failure_listeners and not dst.failure_listeners

@@ -1,4 +1,4 @@
-"""Tests for the host-clock self-profiler and the event-locality oracle."""
+"""Tests for the host-clock self-profiler."""
 
 import pathlib
 import re
@@ -7,11 +7,10 @@ import pytest
 
 from repro.net import Cluster, NetworkConfig
 from repro.obs.hostprof import CATEGORIES, HostProfiler, format_table
-from repro.obs.locality import format_locality_report
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: every file with profiler/locality instrumentation sites.
+#: every file with profiler instrumentation sites.
 INSTRUMENTED = (
     "sim/core.py",
     "sim/resources.py",
@@ -20,19 +19,19 @@ INSTRUMENTED = (
     "net/coalesce.py",
 )
 
-_BINDING = re.compile(r"^\s*(\w+)(?::[^=]+)? = .*\.(host_prof|locality)\s*$")
-_DEFINITION = re.compile(r"^\s*self\.(host_prof|locality)\s*:")
+_BINDING = re.compile(r"^\s*(\w+)(?::[^=]+)? = .*\.host_prof\s*$")
+_DEFINITION = re.compile(r"^\s*self\.host_prof\s*:")
 
 
 def test_disabled_sites_are_single_is_not_none_branch():
-    """Every profiler/locality site loads the hook into a local and guards
+    """Every profiler site loads the hook into a local and guards
     it with one ``is (not) None`` branch — the cost when disabled is one
     attribute read and one branch, nothing else (the discipline every
     other observability hook in the kernel follows)."""
     for rel in INSTRUMENTED:
         lines = (SRC / rel).read_text().splitlines()
         for index, line in enumerate(lines):
-            if ".host_prof" not in line and ".locality" not in line:
+            if ".host_prof" not in line:
                 continue
             stripped = line.strip()
             if stripped.startswith("#") or stripped.startswith('"'):
@@ -102,7 +101,6 @@ def _profiled_fleet():
         if previous is not None:
             previous(cluster)
         cluster.enable_host_profiler()
-        cluster.enable_locality_analyzer()
         captured.append(cluster)
 
     cluster_mod.ON_CREATE = _hook
@@ -129,40 +127,6 @@ def test_blame_covers_kernel_wall_on_a_real_scenario():
     # (its collectives take the per-block path at these sizes).
     for cat in ("dispatch", "admission", "flowsched", "directory"):
         assert report["counts"][cat] > 0, cat
-
-
-def test_locality_report_sanity_on_hierarchical_fleet():
-    _result, cluster = _profiled_fleet()
-    analyzer = cluster.locality
-    report = analyzer.report()
-    assert report["clock"] == "sim"
-    assert report["events"] == cluster.sim.events_processed
-    assert 0.0 < report["tagged_fraction"] <= 1.0
-    # A two-rack fleet synchronizes: shared-tier reservations + cross-rack
-    # directory RPCs both occur.
-    assert report["cross_tier_reservations"] > 0
-    assert report["cross_rack_rpcs"] > 0
-    assert 0.0 < report["sync_fraction"] < 1.0
-    arrivals = report["arrivals"]
-    assert arrivals["rack_local"] > 0 and arrivals["cross_rack"] > 0
-    racks = report["racks"]
-    assert racks["count"] == 2
-    assert sum(racks["events_per_rack"]) == len(analyzer.nodes)
-    assert racks["load_balance_max_over_mean"] >= 1.0
-    # The PDES bound covers the actual rack count and is a true bound:
-    # >= 1 (never worse than serial) and monotone inputs keep it finite.
-    assert "2" in report["pdes"]
-    for row in report["pdes"].values():
-        assert row["lookahead_s"] > 0.0
-        assert row["projected_speedup_bound"] >= 1.0
-    rendered = format_locality_report(report)
-    assert "lookahead-safe" in rendered and "partitions" in rendered
-
-
-def test_locality_report_is_deterministic():
-    first = _profiled_fleet()[1].locality.report()
-    second = _profiled_fleet()[1].locality.report()
-    assert first == second
 
 
 def test_profiling_changes_no_simulated_result():
@@ -205,13 +169,9 @@ def test_enable_is_idempotent_and_chains_after_flight():
     first = cluster.enable_host_profiler()
     assert cluster.enable_host_profiler() is first
     assert cluster.sim.host_prof is first
-    # Locality chains onto an existing flight recorder's pop hook: both
-    # observers see every pop.
+    # The profiler and a flight recorder observe the same run side by side.
     flight = cluster.enable_flight_recorder()
-    analyzer = cluster.enable_locality_analyzer()
-    assert cluster.enable_locality_analyzer() is analyzer
-    assert cluster.sim.locality is analyzer
     cluster.process(iter(cluster.sim.timeout(0.001) for _ in range(1)))
     cluster.run()
-    assert analyzer.total_pops > 0
+    assert first.counts["dispatch"] > 0
     assert len(flight.records) > 0

@@ -35,6 +35,45 @@ def test_node_failure_and_recovery_listeners():
     assert events == [("fail", 1), ("recover", 1)]
 
 
+def test_failure_listeners_run_in_registration_order_after_removals():
+    node = Cluster(num_nodes=1).node(0)
+    calls = []
+
+    class Listener:
+        def __init__(self, name):
+            self.name = name
+
+        def on_fail(self, _node):
+            calls.append(self.name)
+
+    a, b, c, d = (Listener(name) for name in "abcd")
+    node.on_failure(a.on_fail)
+    node.on_failure(b.on_fail)
+    node.on_failure(c.on_fail)
+    # A fresh bound method equals the registered one, as with a list.
+    node.remove_failure_listener(b.on_fail)
+    node.on_failure(d.on_fail)
+    node.remove_failure_listener(a.on_fail)
+    node.remove_failure_listener(a.on_fail)  # no-op once removed
+    node.on_failure(b.on_fail)  # re-registered: now the newest
+    node.on_failure(a.on_fail)
+    assert len(node.failure_listeners) == 4
+    node.fail()
+    assert calls == ["c", "d", "b", "a"]
+
+
+def test_registering_a_failure_listener_twice_raises():
+    node = Cluster(num_nodes=1).node(0)
+
+    def listener(_node):
+        pass
+
+    node.on_failure(listener)
+    with pytest.raises(ValueError):
+        node.on_failure(listener)
+    assert len(node.failure_listeners) == 1
+
+
 def test_failure_and_recovery_events():
     cluster = Cluster(num_nodes=2)
     node = cluster.node(0)
