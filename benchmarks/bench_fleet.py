@@ -40,7 +40,6 @@ EXPECTED_FAMILIES = {
     "link_bytes": ["link", "tier", "cls"],
     "link_grant_wait_seconds": ["cls"],
     "link_queue_depth": ["link", "tier"],
-    "sim_events": [],
 }
 
 #: the ``kind`` label values of ``fastpath_events`` (repro.net.fastpath).

@@ -10,32 +10,25 @@ oversubscribed fabric — with the observability plane enabled, then shows
 what the plane recorded: the SLO verdict table, the congestion-vs-latency
 correlation computed from the windowed series, the hottest links, per-class
 admission waits, an excerpt of the Prometheus exposition any scraper would
-ingest — and, from the host-side layer, where the *wall clock* went
-(per-subsystem kernel blame) and a Chrome-trace export loadable in
-Perfetto / ``chrome://tracing``.
+ingest, and a Chrome-trace export (``fleet_trace.json``) loadable in
+Perfetto / ``chrome://tracing``.  Everything here reads the *simulated*
+clock; where the host time goes is measured by ``perf/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
 import repro.net.cluster as cluster_mod
 from repro.bench.fleet import run_fleet
-from repro.obs import (
-    dump_chrome_trace,
-    format_hostprof_table,
-    format_slo_table,
-    to_prometheus,
-)
+from repro.obs import dump_chrome_trace, format_slo_table, to_prometheus
 from repro.obs.critpath import format_blame_table
 
 MB = 1024 * 1024
 
 
 def main() -> None:
-    # Everything below reads the *simulated* clock except the host profiler
-    # — enable it (plus the flight recorder the Chrome trace draws on) on
-    # the fleet's cluster as it is built.
+    # Enable the flight recorder the Chrome trace draws on, on the fleet's
+    # cluster as it is built.
     def _on_create(cluster) -> None:
-        cluster.enable_host_profiler()
         cluster.enable_flight_recorder()
 
     cluster_mod.ON_CREATE = _on_create
@@ -125,29 +118,13 @@ def main() -> None:
                 break
     print(f"  ... ({len(text.splitlines())} lines total)")
 
-    # -- where does the WALL clock go? ------------------------------------
-    # Everything above is simulated time: what the modeled cluster did.
-    # The host profiler answers a different question — which kernel
-    # subsystem burned the real CPU seconds this run cost.  These numbers
-    # use the host clock (stamped clock="host", exempt from the
-    # bit-identical discipline) and change nothing simulated: the
-    # --hostprof differential fuzz band proves the digests are identical
-    # with profiling on or off.
-    cluster = result.cluster
-    print("\n== wall-clock blame (host clock, per kernel subsystem) ==")
-    print(format_hostprof_table(cluster.hostprof.report()))
-    print(
-        "  'dispatch' is event pop + un-instrumented callback time;"
-        " admission/directory/flowsched are the contended control paths."
-    )
-
     # -- inspect the run in a real trace viewer ---------------------------
     # Spans (one track per rank), the flight recorder's grant/release/
     # arrive timeline (one track per link direction), and queue-depth
     # counter tracks, in Chrome Trace Event JSON.  Open the file at
     # https://ui.perfetto.dev or chrome://tracing.
     trace_doc = dump_chrome_trace(
-        "fleet_trace.json", obs=obs, flight=cluster.flight
+        "fleet_trace.json", obs=obs, flight=result.cluster.flight
     )
     print(
         f"\nChrome trace written to fleet_trace.json "

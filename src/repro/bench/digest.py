@@ -18,9 +18,9 @@ A digest hashes, for one scenario run:
   allocation *order* is schedule-sensitive, so this catches reordered
   control flow that happens to produce the same latencies).
 
-``tests/test_golden_determinism.py`` asserts these digests against values
-recorded before the fast-path refactor; ``benchmarks/bench_perf.py`` reruns
-them as a smoke check next to the throughput numbers.
+``tests/test_golden_determinism.py`` asserts these digests against the
+values in :data:`RECORDED_DIGESTS`, most of them recorded before the
+fast-path refactor.
 """
 
 from __future__ import annotations
@@ -194,19 +194,111 @@ def golden_matching_cell_64() -> str:
     return golden_matching_cell(64)
 
 
+def _measured(measure, *args, **kwargs) -> tuple[float, int]:
+    stats: dict = {}
+    latency = measure(*args, flow_stats=stats, **kwargs)
+    return latency, stats["events_processed"]
+
+
+def _rack_cell(measure, nodes_per_rack: int, nbytes: int, receivers_only: bool = False):
+    """Topology-aware Hoplite on 4 racks at 4:1, rack-interleaved arrivals."""
+    from repro.bench.scenarios import rack_interleaved_delays
+    from repro.core.options import HopliteOptions
+
+    network = NetworkConfig(topology=Topology.racks(4, nodes_per_rack, oversubscription=4.0))
+    delays = rack_interleaved_delays(4, nodes_per_rack)
+    return _measured(
+        measure,
+        "hoplite",
+        4 * nodes_per_rack,
+        nbytes,
+        network=network,
+        options=HopliteOptions(topology_aware=True),
+        arrival_delays=delays[1:] if receivers_only else delays,
+    )
+
+
+def _moe_cell(num_nodes: int, num_iterations: int) -> tuple[float, int]:
+    from repro.apps.moe import run_moe_routing
+
+    result = run_moe_routing(num_nodes, "hoplite", num_iterations=num_iterations)
+    return result.duration, result.metrics["events_processed"]
+
+
+def _fleet_cell(num_racks: int, nodes_per_rack: int, quick: bool) -> tuple[float, int]:
+    from repro.bench.fleet import run_fleet
+
+    result = run_fleet(
+        num_jobs=24,
+        num_racks=num_racks,
+        nodes_per_rack=nodes_per_rack,
+        quick=quick,
+        observe=False,
+    )
+    return result.duration, result.cluster.sim.events_processed
+
+
+def golden_perf_basket_cell() -> str:
+    """The cells of the old simulator-throughput basket no other cell pins.
+
+    Pipeline-bound 1 GB chains (broadcast and reduce at 64 nodes, their
+    16-node variants), the 64-node gather and static baselines, the
+    oversubscribed 4-rack sweep points, the MoE routing mix and the
+    24-job fleet.  Each cell starts from a fresh ObjectID counter and
+    contributes its latency (full ``repr`` precision) and its kernel event
+    count.  The 64-node 1 GB allreduce is left out for its cost; its 32 MB
+    sibling is in ``matching_64``.
+    """
+    from repro.bench.scenarios import (
+        measure_allgather,
+        measure_allreduce,
+        measure_alltoall,
+        measure_broadcast,
+        measure_gather,
+        measure_reduce,
+    )
+
+    gb = 1024 * MB
+    parts: list = []
+    for label, run in (
+        ("bcast-64-1GB", lambda: _measured(measure_broadcast, "hoplite", 64, gb)),
+        ("reduce-64-1GB", lambda: _measured(measure_reduce, "hoplite", 64, gb)),
+        ("gather-64-32MB", lambda: _measured(measure_gather, "hoplite", 64, 32 * MB)),
+        ("allred-gloo-64-256MB", lambda: _measured(measure_allreduce, "gloo", 64, 256 * MB)),
+        ("allgat-openmpi-64-32MB", lambda: _measured(measure_allgather, "openmpi", 64, 32 * MB)),
+        ("bcast-16-1GB", lambda: _measured(measure_broadcast, "hoplite", 16, gb)),
+        ("reduce-16-256MB", lambda: _measured(measure_reduce, "hoplite", 16, 256 * MB)),
+        ("rack-bcast-32MB", lambda: _rack_cell(measure_broadcast, 4, 32 * MB, True)),
+        ("rack-bcast-8MB", lambda: _rack_cell(measure_broadcast, 2, 8 * MB, True)),
+        ("rack-allred-32MB", lambda: _rack_cell(measure_allreduce, 4, 32 * MB)),
+        ("moe-16n-2it", lambda: _moe_cell(16, 2)),
+        ("moe-8n-1it", lambda: _moe_cell(8, 1)),
+        ("fleet-4rack", lambda: _fleet_cell(4, 8, quick=False)),
+        ("fleet-2rack-quick", lambda: _fleet_cell(2, 4, quick=True)),
+    ):
+        _reset_object_ids()
+        latency, events = run()
+        parts.append((label, repr(latency), events))
+    return _digest(parts)
+
+
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fig7_flat": golden_fig7_cell,
     "fault_matrix_2rack": golden_fault_matrix_cell,
     "matching_16": golden_matching_cell_16,
     "matching_64": golden_matching_cell_64,
+    "perf_basket": golden_perf_basket_cell,
 }
 
-#: digests recorded on the pre-fast-path kernel (the PR 5 seed state),
-#: asserted by tests/test_golden_determinism.py and benchmarks/bench_perf.py.
+#: digests asserted by tests/test_golden_determinism.py.  The first two
+#: were recorded on the pre-fast-path kernel.
 RECORDED_DIGESTS = {
     "fig7_flat": "385562b63a6a29f796821f4a2f741c1ed2288dd8c59393027d9cdf45235c6293",
     "fault_matrix_2rack": "bed96547f59609fc279e39b660430fc0dcec919fc40ac97b163bfcd55f02c982",
     # Matching-limited collectives (pre-convoy kernel, PR 6 seed state).
     "matching_16": "48432aa4b102815037eb310e2a719cf01d7363f7c6e62a9425052fbf4bc94b89",
     "matching_64": "848116e1113ddf7de78e6f9c1bc095fdfd07c7b7f5eff407bd8898ac500ab655",
+    # The old throughput basket's latency pins: recorded on the kernel it
+    # last ran on, every latency equal to its pinned value to 1 ns.
+    "perf_basket": "ce0b6486dd953fa0c1cddfaaf61c67c54cc130ea900fd096259336758871a542",
 }

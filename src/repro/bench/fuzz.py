@@ -20,9 +20,6 @@ diverging semantic event** (time, kind, resource, detail) instead of
 leaving a bare pair of hashes.  ``--flight`` runs the whole band with
 recording on, checking both that digests still match (recording is
 observational) and that the on/off semantic records are identical.
-``--hostprof`` additionally enables the host-clock self-profiler on every
-cluster and compares each profiled digest against a bare (unprofiled) run
-of the same spec: profiling must change no simulated result, byte for byte.
 """
 
 from __future__ import annotations
@@ -235,29 +232,6 @@ def _flight_recorders():
 
 
 @contextmanager
-def _profilers():
-    """Enable the host profiler on every cluster a scenario builds.
-
-    Same ON_CREATE mechanism as :func:`_flight_recorders`; the two compose
-    (``--flight --hostprof``).
-    """
-    import repro.net.cluster as cluster_mod
-
-    previous = cluster_mod.ON_CREATE
-
-    def _hook(cluster) -> None:
-        if previous is not None:
-            previous(cluster)
-        cluster.enable_host_profiler()
-
-    cluster_mod.ON_CREATE = _hook
-    try:
-        yield
-    finally:
-        cluster_mod.ON_CREATE = previous
-
-
-@contextmanager
 def _control_plane_kills(events):
     """Install a control-plane kill schedule on every runtime a scenario builds.
 
@@ -357,12 +331,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="record every run; also compare the semantic transfer timelines",
     )
     parser.add_argument(
-        "--hostprof",
-        action="store_true",
-        help="profile every run (host profiler); also compare each "
-        "profiled digest against a bare run of the same spec",
-    )
-    parser.add_argument(
         "--control-plane",
         action="store_true",
         help="inject seeded directory-shard kills mid-collective and compare "
@@ -370,8 +338,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-
-    from contextlib import nullcontext
 
     from repro.obs.flight import first_divergence
 
@@ -399,22 +365,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     for seed in range(args.start, args.start + args.seeds):
         spec = generate_spec(seed)
         divergence = None
-        bare = run_spec(spec, fast_paths=True) if args.hostprof else None
-        with _profilers() if args.hostprof else nullcontext():
-            if args.flight:
-                on, on_records = run_spec_recorded(spec, fast_paths=True)
-                off, off_records = run_spec_recorded(spec, fast_paths=False)
-                divergence = first_divergence(on_records, off_records)
-                ok = on == off and divergence is None
-            else:
-                on = run_spec(spec, fast_paths=True)
-                off = run_spec(spec, fast_paths=False)
-                ok = on == off
-                if not ok:
-                    divergence = bisect_divergence(spec)
-        if bare is not None and on != bare:
-            ok = False
-            print(f"FAIL {spec.describe()}: profiling changed the digest")
+        if args.flight:
+            on, on_records = run_spec_recorded(spec, fast_paths=True)
+            off, off_records = run_spec_recorded(spec, fast_paths=False)
+            divergence = first_divergence(on_records, off_records)
+            ok = on == off and divergence is None
+        else:
+            on = run_spec(spec, fast_paths=True)
+            off = run_spec(spec, fast_paths=False)
+            ok = on == off
+            if not ok:
+                divergence = bisect_divergence(spec)
         if not ok:
             failures += 1
         if args.verbose or not ok:

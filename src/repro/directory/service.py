@@ -340,9 +340,6 @@ class ObjectDirectory:
         return None
 
     def _notify_waiters(self, record: DirectoryRecord) -> None:
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("directory")
         self.notify_calls += 1
         wakes = 0
         if record.locations or record.inline_value is not None:
@@ -357,8 +354,6 @@ class ObjectDirectory:
                 wakes += 1
         record.availability_waiters = []
         self.waiter_wakes += wakes
-        if prof is not None:
-            prof.exit()
 
     # -- synchronous (zero-cost) inspection helpers, used by tests -------------
     def peek_record(self, object_id: ObjectID) -> Optional[DirectoryRecord]:
@@ -516,9 +511,6 @@ class ObjectDirectory:
     def _eligible_sources(
         self, record: DirectoryRecord, requester_id: int, exclude
     ) -> list[LocationInfo]:
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("directory")
         self.eligibility_scans += 1
         self.eligibility_candidates += len(record.locations)
         sources = []
@@ -584,8 +576,6 @@ class ObjectDirectory:
                 info.node_id,
             )
         )
-        if prof is not None:
-            prof.exit()
         return sources
 
     def _rack_local_copy_pending(

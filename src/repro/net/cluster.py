@@ -68,9 +68,6 @@ class Cluster:
         #: flight recorder, or None when disabled (the default: every
         #: instrumentation site guards on ``cluster.flight is not None``).
         self.flight = None
-        #: host-clock self-profiler, or None when disabled (the default:
-        #: kernel sites guard on ``sim.host_prof is not None``).
-        self.hostprof = None
         self.nodes: list[Node] = [
             Node(self.sim, node_id, cluster=self) for node_id in range(num_nodes)
         ]
@@ -113,23 +110,6 @@ class Cluster:
         if self.flight is not None:
             self.sim.on_pop = None
             self.flight = None
-
-    def enable_host_profiler(self):
-        """Install (and return) the host-clock self-profiler.
-
-        Wall-clock only: the profiler reads ``perf_counter_ns`` at region
-        boundaries and touches no simulated state, so simulated results are
-        byte-identical with it on or off (the ``--hostprof`` differential
-        fuzz band locks this down).  Its output is host-dependent by
-        design — the one observability surface exempt from the
-        bit-identical discipline, stamped ``clock="host"`` on export.
-        """
-        from repro.obs.hostprof import HostProfiler
-
-        if self.hostprof is None:
-            self.hostprof = HostProfiler()
-            self.sim.host_prof = self.hostprof
-        return self.hostprof
 
     # -- convenience --------------------------------------------------------
     def __len__(self) -> int:

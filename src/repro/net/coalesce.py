@@ -198,9 +198,6 @@ class CoalescedRun:
         ready_times: Optional[Sequence[float]] = None,
         src_schedule: Optional[InflightSchedule] = None,
     ):
-        prof = sim.host_prof
-        if prof is not None:
-            prof.enter("coalesce")
         self.sim = sim
         self.src = src
         self.dst = dst
@@ -249,8 +246,6 @@ class CoalescedRun:
         self._flight = None
         self._flight_key = ""
         self._flight_flow = ""
-        if prof is not None:
-            prof.exit()
 
     # -- virtual-hold protocol (shared by every claimed resource) ----------
     def occupied(self, at: float) -> int:
@@ -399,9 +394,6 @@ class CoalescedRun:
 
     def _account_full(self, count: int) -> None:
         """Link-account blocks ``[_accounted, count)`` at their full hold."""
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("coalesce")
         flow = self.flow
         flight = self._flight
         for j in range(self._accounted, count):
@@ -414,8 +406,6 @@ class CoalescedRun:
                 flight.record(self.s[j], "grant", self._flight_key, detail)
                 flight.record(self.e[j], "release", self._flight_key, detail)
         self._accounted = max(self._accounted, count)
-        if prof is not None:
-            prof.exit()
 
     def _account_partial(self, j: int, hold: float) -> None:
         """One block released mid-transmission (interrupt semantics)."""
@@ -435,9 +425,6 @@ class CoalescedRun:
         Must run after the inflight schedule is closed so the marks write
         through to the stored counter (and fire any re-registered waiters).
         """
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("coalesce")
         if self.schedule is not None:
             self.schedule.close()
             self.schedule = None
@@ -459,8 +446,6 @@ class CoalescedRun:
                     self._flight_key,
                     f"{self._flight_flow}/{nbytes}",
                 )
-        if prof is not None:
-            prof.exit()
 
     # -- the driver --------------------------------------------------------
     def run(self) -> Generator:
@@ -862,9 +847,6 @@ def build_pull_run(
     """
     from repro.net.flowsched import path_latency, path_transmission_time
 
-    prof = dst.sim.host_prof
-    if prof is not None:
-        prof.enter("coalesce")
     avail = min(source_entry.blocks_ready, horizon)
     src_schedule = source_entry._inflight if horizon > avail else None
     ready_times = None
@@ -882,7 +864,7 @@ def build_pull_run(
     else:
         tx = [path_transmission_time(config, src, dst, nb) for nb in sizes]
         latency = path_latency(config, src, dst)
-    run = CoalescedRun(
+    return CoalescedRun(
         dst.sim,
         src,
         dst,
@@ -898,9 +880,6 @@ def build_pull_run(
         ready_times=ready_times,
         src_schedule=src_schedule,
     )
-    if prof is not None:
-        prof.exit()
-    return run
 
 
 def nic_path_links(

@@ -204,27 +204,15 @@ class Reservation(MultiRequest):
             route = _build_route(src, dst)
         #: shared tier links on the path (empty for flat/intra-rack traffic).
         claims, self.path = route
-        prof = sim.host_prof
-        if prof is not None:
-            prof.enter("flowsched")
         self._submit(claims, int(flow.flow_class))
-        if prof is not None:
-            prof.exit()
 
     def release(self) -> None:
         """Free (or withdraw) the claim; granted holds are accounted."""
         if self._released:
             return
-        prof = self.sim.host_prof
-        if prof is not None:
-            prof.enter("flowsched")
-        try:
-            if self.granted_at is not None:
-                self._account()
-            MultiRequest.release(self)
-        finally:
-            if prof is not None:
-                prof.exit()
+        if self.granted_at is not None:
+            self._account()
+        MultiRequest.release(self)
 
     def _account(self) -> None:
         flow, nbytes = self.flow, self.nbytes

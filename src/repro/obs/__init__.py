@@ -8,14 +8,17 @@ One :class:`Observability` instance per :class:`~repro.net.cluster.Cluster`
 * a :class:`~repro.obs.trace.Tracer` recording span trees for collectives
   (driver-task spans linked through orchestrator lineage, optional
   transfer/reservation child spans);
-* the instrumentation glue: it installs the kernel's per-event hook, the
-  per-link-scheduler byte/queue/control children, the fast-path counter
-  mirror, and the grant-wait recorder the transport calls.
+* the instrumentation glue: it installs the per-link-scheduler
+  byte/queue/control children, the fast-path counter mirror, the node
+  membership listeners, and the grant-wait recorder the transport calls.
+
+It installs no kernel hook: the event count is ``sim.events_processed``,
+which ``collect_flow_usage()`` reports as ``events_processed``.
 
 Everything is opt-in and zero-overhead when off: with no plane installed,
 every call site pays exactly one ``is not None`` branch (``cluster.obs``,
-``sched._obs_bytes``, ``sim.on_step``), and the differential digests prove
-that enabling the plane changes no simulated result.
+``sched._obs_bytes``), and the differential digests prove that enabling
+the plane changes no simulated result.
 
 Label taxonomy (documented in ROADMAP perf notes):
 
@@ -46,8 +49,6 @@ from repro.obs.export import (
     to_prometheus,
 )
 from repro.obs.chrometrace import dump_chrome_trace, to_chrome_trace
-from repro.obs.hostprof import HostProfiler
-from repro.obs.hostprof import format_table as format_hostprof_table
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.trace import Span, Tracer
 
@@ -66,8 +67,6 @@ __all__ = [
     "to_prometheus",
     "to_json",
     "nearest_rank",
-    "HostProfiler",
-    "format_hostprof_table",
     "to_chrome_trace",
     "dump_chrome_trace",
 ]
@@ -97,9 +96,6 @@ class Observability:
         self.node_events: list[tuple[float, int, str]] = []
 
         # -- pre-built children for the hot instrumentation sites ----------
-        self._events = self.registry.counter(
-            "sim_events", "kernel events processed"
-        ).labels()
         self._grant_wait = {
             cls: self.registry.histogram(
                 "link_grant_wait_seconds",
@@ -168,7 +164,6 @@ class Observability:
             node.on_failure(self._on_node_down)
             node.on_recovery(self._on_node_up)
         cluster.fastpath_stats.on_event = self._on_fastpath
-        sim.on_step = self._on_step
         cluster.obs = self
 
     @staticmethod
@@ -183,7 +178,6 @@ class Observability:
     def detach(self) -> None:
         """Uninstall every hook (the recorded data stays readable)."""
         cluster = self.cluster
-        cluster.sim.on_step = None
         cluster.fastpath_stats.on_event = None
         for node in cluster.nodes:
             for sched in (node.uplink_sched, node.downlink_sched):
@@ -203,9 +197,6 @@ class Observability:
         cluster.obs = None
 
     # -- hook bodies (called from the instrumented subsystems) -------------
-    def _on_step(self, _when: float) -> None:
-        self._events.inc()
-
     def _on_fastpath(self, key: str, n: int) -> None:
         self._fastpath[key].inc(n)
 

@@ -42,11 +42,11 @@ Performance notes (the kernel is the hot loop of every benchmark):
   sequence counter, so ``on_pop`` sees the same ``(when, seq)`` pairs a
   single heap would produce, and scheduling an urgent event at any other
   instant raises :class:`SimulationError` instead of breaking the order;
-* :meth:`Simulator.run` pops and dispatches inline, with its hooks in
-  locals, and ``succeed``/``fail``/:class:`Timeout` schedule inline: the
-  kernel's own cost is a few method calls per event, so each call saved
-  is measurable over the hundreds of thousands of events of a contended
-  run.
+* :meth:`Simulator.run` pops and dispatches inline, with its one hook
+  (``on_pop``) in a local, and ``succeed``/``fail``/:class:`Timeout`
+  schedule inline: the kernel's own cost is a few method calls per
+  event, so each call saved is measurable over the hundreds of
+  thousands of events of a contended run.
 """
 
 from __future__ import annotations
@@ -315,17 +315,30 @@ class Process(Event):
         """
         if self.triggered:
             return
-        if self._target is not None and type(self._target.callbacks) is list:
-            try:
-                self._target.callbacks.remove(self._resume_bound)
-            except ValueError:
-                pass
+        self._detach()
         interrupt_event = Event(self.sim)
         interrupt_event._ok = False
         interrupt_event._exception = Interrupt(cause)
         interrupt_event.defused = True
         self.sim._schedule(interrupt_event, URGENT)
-        interrupt_event.add_callback(self._resume_bound)
+        interrupt_event.add_callback(self._deliver_interrupt)
+
+    def _detach(self) -> None:
+        """Stop the event the process waits on from resuming it."""
+        target = self._target
+        if target is not None and type(target.callbacks) is list:
+            try:
+                target.callbacks.remove(self._resume_bound)
+            except ValueError:
+                pass
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        # Detach again: between the interrupt and its delivery the process
+        # may have taken a step (its first one, or the delivery of an
+        # earlier interrupt) and started waiting on a new target, which
+        # would otherwise resume it later, while it waits on something else.
+        self._detach()
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         if self._ok is not None:
@@ -381,9 +394,7 @@ class Simulator:
         "_sequence",
         "events_processed",
         "unhandled_failures",
-        "on_step",
         "on_pop",
-        "host_prof",
     )
 
     def __init__(self, start_time: float = 0.0):
@@ -393,33 +404,21 @@ class Simulator:
         #: the urgent tier: ``(seq, event)`` pairs due now, in FIFO order.
         self._urgent: deque[tuple[int, Event]] = deque()
         self._sequence = 0
-        #: Events dispatched so far (the denominator of the events/sec
-        #: throughput metric in ``benchmarks/bench_perf.py``).
+        #: Events dispatched so far (``collect_flow_usage()`` reports it as
+        #: ``events_processed``; ``perf/`` reports it as ``sim.events``).
         self.events_processed = 0
         #: Failed events whose exception was never consumed by a waiter.
         self.unhandled_failures: list[Event] = []
-        # The three hooks below are read once when :meth:`run` starts (and
-        # on every :meth:`step`): install or remove them between runs, not
-        # from inside a callback.  ``None`` costs one branch per event.
-        #: Optional per-event observability hook, called as ``on_step(when)``
-        #: after the clock advances and before callbacks run; installed by
-        #: :class:`repro.obs.Observability` for event-loop counters.  The
-        #: hook must be purely observational — it runs inside the kernel's
-        #: dispatch frame.
-        self.on_step: Optional[Callable[[float], None]] = None
         #: Optional per-pop flight-recorder hook, called as
         #: ``on_pop(when, seq, event)`` with the popped entry's queue
-        #: sequence number.  Same discipline as ``on_step``; installed by
-        #: :class:`repro.obs.flight.FlightRecorder` via
+        #: sequence number after the clock advances and before callbacks
+        #: run.  It is read once when :meth:`run` starts (and on every
+        #: :meth:`step`): install or remove it between runs, not from inside
+        #: a callback.  ``None`` costs one branch per event.  The hook must
+        #: be purely observational — it runs inside the kernel's dispatch
+        #: frame.  Installed by :class:`repro.obs.flight.FlightRecorder` via
         #: ``Cluster.enable_flight_recorder``.
         self.on_pop: Optional[Callable[[float, int, Event], None]] = None
-        #: Optional :class:`repro.obs.hostprof.HostProfiler` attributing
-        #: *host* wall-clock self-time to kernel subsystems.  Same
-        #: discipline as the hooks above (instrumented regions outside the
-        #: kernel read it at each region), and the profiler only ever reads
-        #: the host clock — simulated results are identical on or off.
-        #: Installed by ``Cluster.enable_host_profiler``.
-        self.host_prof: Optional[Any] = None
 
     # -- time -------------------------------------------------------------
     @property
@@ -494,9 +493,6 @@ class Simulator:
         """Process a single event (:meth:`run` dispatches the same way)."""
         if not self._urgent and not self._queue:
             raise SimulationError("step() called on an empty event queue")
-        prof = self.host_prof
-        if prof is not None:
-            prof.enter("dispatch")
         if self._urgent:
             seq, event = self._urgent.popleft()
             when = self._now
@@ -504,8 +500,6 @@ class Simulator:
             when, _priority, seq, event = heappop(self._queue)
             self._now = when
         self.events_processed += 1
-        if self.on_step is not None:
-            self.on_step(when)
         if self.on_pop is not None:
             self.on_pop(when, seq, event)
         callbacks = event.callbacks
@@ -515,8 +509,6 @@ class Simulator:
                 callback(event)
         if not event._ok and not event.defused:
             self.unhandled_failures.append(event)
-        if prof is not None:
-            prof.exit()
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -540,51 +532,31 @@ class Simulator:
         urgent = self._urgent
         popleft = urgent.popleft
         unhandled = self.unhandled_failures
-        on_step = self.on_step
         on_pop = self.on_pop
-        prof = self.host_prof
-        if prof is not None:
-            prof.begin_run()
-        try:
-            while True:
-                if stop_event is not None and stop_event.callbacks is _PROCESSED:
+        while True:
+            if stop_event is not None and stop_event.callbacks is _PROCESSED:
+                break
+            if urgent:
+                seq, event = popleft()
+                when = self._now
+            elif heap:
+                if heap[0][0] > stop_time:
+                    self._now = stop_time
                     break
-                if urgent:
-                    if prof is not None:
-                        # "dispatch" is the outermost profiled region: every
-                        # nested region (admission, directory, ...) subtracts
-                        # from its self-time, so un-instrumented callback
-                        # work stays charged here.
-                        prof.enter("dispatch")
-                    seq, event = popleft()
-                    when = self._now
-                elif heap:
-                    if heap[0][0] > stop_time:
-                        self._now = stop_time
-                        break
-                    if prof is not None:
-                        prof.enter("dispatch")
-                    when, _priority, seq, event = heappop(heap)
-                    self._now = when
-                else:
-                    break
-                self.events_processed += 1
-                if on_step is not None:
-                    on_step(when)
-                if on_pop is not None:
-                    on_pop(when, seq, event)
-                callbacks = event.callbacks
-                event.callbacks = _PROCESSED
-                if callbacks is not None:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event.defused:
-                    unhandled.append(event)
-                if prof is not None:
-                    prof.exit()
-        finally:
-            if prof is not None:
-                prof.end_run()
+                when, _priority, seq, event = heappop(heap)
+                self._now = when
+            else:
+                break
+            self.events_processed += 1
+            if on_pop is not None:
+                on_pop(when, seq, event)
+            callbacks = event.callbacks
+            event.callbacks = _PROCESSED
+            if callbacks is not None:
+                for callback in callbacks:
+                    callback(event)
+            if not event._ok and not event.defused:
+                unhandled.append(event)
 
         if stop_event is not None:
             if not stop_event.triggered:

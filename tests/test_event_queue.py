@@ -11,7 +11,7 @@ outcome, and the same ``peek()`` wherever a run stops early.
 import heapq
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, MultiRequest, Resource, SimulationError, Simulator
@@ -189,6 +189,12 @@ def _execute(sim, programs, stops):
 
 @settings(max_examples=150, deadline=None)
 @given(programs=_PROGRAMS, stops=_STOPS)
+# An interrupt scheduled before its target's first step: the claim the
+# process then waits on must not resume it later from ``wait``.
+@example(
+    programs=[[], [], [("interrupt", 3)], [("claim", 0, 0.0), ("wait", 0)]],
+    stops=[],
+)
 def test_two_tier_queue_pops_like_a_single_heap(programs, stops):
     two_tier = _execute(Simulator(), programs, stops)
     reference = _execute(SingleHeapSimulator(), programs, stops)

@@ -20,6 +20,7 @@ from repro.bench.digest import (
     golden_fault_matrix_cell,
     golden_fig7_cell,
     golden_matching_cell,
+    golden_perf_basket_cell,
 )
 
 
@@ -39,6 +40,11 @@ def test_golden_matching_cell_16_matches_pre_convoy_kernel():
 def test_golden_matching_cell_64_matches_pre_convoy_kernel():
     """The fig7_64_matching population itself (pre-convoy recording)."""
     assert golden_matching_cell(64) == RECORDED["matching_64"]
+
+
+def test_golden_perf_basket_cell_matches_recorded_latencies():
+    """Pipeline chains, static baselines, rack sweep, MoE and the fleet."""
+    assert golden_perf_basket_cell() == RECORDED["perf_basket"]
 
 
 @pytest.mark.parametrize("cell", ["fig7_flat", "fault_matrix_2rack"])

@@ -262,17 +262,19 @@ def test_enable_observability_counts_events_and_detaches():
 
     cluster.sim.process(driver())
     cluster.run()
-    counted = obs.registry.families["sim_events"].labels().value
-    assert counted == cluster.sim.events_processed
-    assert counted > 0
+    # The plane installs no kernel hook: the event count is the kernel's own.
+    assert cluster.sim.events_processed > 0
+    assert cluster.sim.on_pop is None
     bytes_family = obs.registry.families["link_bytes"]
-    assert sum(child.value for child in bytes_family.children.values()) >= 4 * MB
+    moved = sum(child.value for child in bytes_family.children.values())
+    assert moved >= 4 * MB
 
     obs.detach()
-    assert cluster.obs is None and cluster.sim.on_step is None
+    assert cluster.obs is None
     assert cluster.nodes[0].uplink_sched._obs_bytes is None
+    assert cluster.fastpath_stats.on_event is None
     # The recorded data stays readable after detach.
-    assert obs.registry.families["sim_events"].labels().value == counted
+    assert sum(child.value for child in bytes_family.children.values()) == moved
 
 
 def test_fault_and_recover_is_one_trace():

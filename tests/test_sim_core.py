@@ -252,6 +252,51 @@ def test_interrupt_is_delivered_and_process_continues():
     assert log == [("interrupted", 2.0, "failure injected")]
 
 
+def _waiter(sim, waits, log):
+    """Wait on each event ``waits`` makes, in turn, logging how each wait ended."""
+    for make in waits:
+        try:
+            value = yield make()
+            log.append(("resumed", sim.now, value))
+        except Interrupt as interrupt:
+            log.append(("interrupted", sim.now, interrupt.cause))
+
+
+def test_interrupt_before_first_step_leaves_no_stale_wake():
+    # The interrupt is scheduled before the process has a target; the first
+    # step then waits on a timeout, which must not resume the process later.
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+    process = sim.process(_waiter(sim, [lambda: sim.timeout(1.0), lambda: gate], log))
+    process.interrupt("early")
+    sim.run(until=2.0)
+    assert log == [("interrupted", 0.0, "early")]
+    assert process.is_alive
+    gate.succeed("open")
+    sim.run()
+    assert log == [("interrupted", 0.0, "early"), ("resumed", 2.0, "open")]
+
+
+def test_double_interrupt_leaves_no_stale_wake():
+    # The first delivery lets the process wait on a new timeout; the second
+    # delivery must detach it, or the timeout resumes the process at 1.5
+    # while it waits on the gate.
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+    waits = [lambda: sim.timeout(5.0), lambda: sim.timeout(1.0), lambda: gate]
+    process = sim.process(_waiter(sim, waits, log))
+    sim.run(until=0.5)
+    process.interrupt("first")
+    process.interrupt("second")
+    sim.run(until=3.0)
+    assert log == [("interrupted", 0.5, "first"), ("interrupted", 0.5, "second")]
+    gate.succeed("open")
+    sim.run()
+    assert log[2:] == [("resumed", 3.0, "open")]
+
+
 def test_interrupting_finished_process_is_noop():
     sim = Simulator()
 
