@@ -277,6 +277,44 @@ def test_enable_observability_counts_events_and_detaches():
     assert sum(child.value for child in bytes_family.children.values()) == moved
 
 
+def _put_get(observed: bool):
+    """One 4 MB put/get; returns the get's completion time, the event count
+    and the cluster."""
+    reset_id_counter()
+    from repro.core.runtime import HopliteRuntime
+
+    cluster = Cluster(num_nodes=2, network=NetworkConfig())
+    if observed:
+        cluster.enable_observability()
+        cluster.enable_flight_recorder()
+    runtime = HopliteRuntime(cluster)
+    done = {}
+
+    def driver():
+        oid = ObjectID.unique("obs-flight")
+        yield from runtime.client(0).put(oid, ObjectValue.of_size(4 * MB))
+        yield from runtime.client(1).get(oid)
+        done["at"] = cluster.sim.now
+
+    cluster.sim.process(driver())
+    cluster.run()
+    return done["at"], cluster.sim.events_processed, cluster
+
+
+def test_observability_and_flight_recorder_observe_one_run():
+    """The plane and the recorder record one run side by side, change no
+    simulated result, and detaching the plane leaves the recorder's hook."""
+    at, events, cluster = _put_get(observed=True)
+    assert (at, events) == _put_get(observed=False)[:2]
+    recorder = cluster.flight
+    pops = [record for record in recorder.records if record[1] == "pop"]
+    assert len(pops) == events and recorder.dropped == 0
+    bytes_family = cluster.obs.registry.families["link_bytes"]
+    assert sum(child.value for child in bytes_family.children.values()) >= 4 * MB
+    cluster.obs.detach()
+    assert cluster.sim.on_pop == recorder.record_pop
+
+
 def test_fault_and_recover_is_one_trace():
     """A collective with a mid-flight failure traces as one span tree."""
     cluster = Cluster(num_nodes=5, network=NetworkConfig(bandwidth=1.25e8))

@@ -297,6 +297,40 @@ def test_double_interrupt_leaves_no_stale_wake():
     assert log[2:] == [("resumed", 3.0, "open")]
 
 
+def test_interrupt_detaches_only_the_interrupted_waiter():
+    # Two processes wait on one gate; interrupting one must leave the
+    # other's wake on the gate.
+    sim = Simulator()
+    gate = sim.event()
+    log_a, log_b = [], []
+    a = sim.process(_waiter(sim, [lambda: gate], log_a))
+    b = sim.process(_waiter(sim, [lambda: gate], log_b))
+    sim.run(until=1.0)
+    a.interrupt("stop")
+    sim.run(until=2.0)
+    gate.succeed("open")
+    sim.run()
+    assert log_a == [("interrupted", 1.0, "stop")]
+    assert log_b == [("resumed", 2.0, "open")]
+    assert a.ok and b.ok
+
+
+def test_interrupt_of_process_that_finishes_first_is_dropped():
+    # The interrupt is queued behind the process's first step, which
+    # returns: delivery finds a finished process and leaves its value.
+    sim = Simulator()
+
+    def instant(sim):
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    process = sim.process(instant(sim))
+    process.interrupt("late")
+    sim.run()
+    assert process.ok and process.value == "done"
+    assert sim.unhandled_failures == []
+
+
 def test_interrupting_finished_process_is_noop():
     sim = Simulator()
 
@@ -328,6 +362,56 @@ def test_step_on_empty_queue_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.step()
+
+
+def test_run_reads_on_pop_once_when_it_starts():
+    # on_pop is the kernel's only hook.  One installed from inside a running
+    # callback takes effect at the next run(), which reports every pop.
+    assert [name for name in Simulator.__slots__ if name.startswith("on_")] == ["on_pop"]
+    sim = Simulator()
+    pops = []
+
+    def install(sim):
+        yield sim.timeout(1.0)
+        sim.on_pop = lambda when, seq, _event: pops.append((when, seq))
+        yield sim.timeout(1.0)
+        yield sim.timeout(1.0)
+
+    sim.process(install(sim))
+    sim.run(until=1.5)
+    assert pops == []
+    before = sim.events_processed
+    sim.run()
+    assert len(pops) == sim.events_processed - before == 3
+    assert pops == sorted(pops)
+
+
+def test_step_dispatches_like_run():
+    # perf/ times the kernel by wrapping step(): stepping until the queue
+    # drains must pop the same (when, seq) order to the same end state.
+    def trace(drive):
+        sim = Simulator()
+        pops = []
+        sim.on_pop = lambda when, seq, _event: pops.append((when, seq))
+        gate = sim.event()
+        log = []
+        sim.process(_waiter(sim, [lambda: sim.timeout(1.0), lambda: gate], log))
+
+        def opener(sim):
+            yield sim.timeout(2.0)
+            gate.succeed("open")
+
+        sim.process(opener(sim))
+        drive(sim)
+        return pops, log, sim.now, sim.events_processed
+
+    def step_all(sim):
+        while sim.peek() != float("inf"):
+            sim.step()
+
+    stepped = trace(step_all)
+    assert stepped == trace(lambda sim: sim.run())
+    assert stepped[1] == [("resumed", 1.0, None), ("resumed", 2.0, "open")]
 
 
 def test_peek_reports_next_event_time():
