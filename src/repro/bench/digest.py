@@ -282,12 +282,28 @@ def golden_perf_basket_cell() -> str:
     return _digest(parts)
 
 
+def golden_fuzz_band_cell() -> str:
+    """The differential fuzzer's digests themselves, not just their equality.
+
+    The fast-paths-on digest of every scenario in seeds 0-79 and the
+    killed (fast-paths-on) digest of the control-plane band's seeds 0-9.
+    The fuzz tests only compare fast paths on against off, so a change
+    that moves both sides alike passes them; this cell does not.
+    """
+    from repro.bench.fuzz import control_plane_differential, generate_spec, run_spec
+
+    parts: list = [run_spec(generate_spec(seed), fast_paths=True) for seed in range(80)]
+    parts.extend(control_plane_differential(seed)[2] for seed in range(10))
+    return _digest(parts)
+
+
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fig7_flat": golden_fig7_cell,
     "fault_matrix_2rack": golden_fault_matrix_cell,
     "matching_16": golden_matching_cell_16,
     "matching_64": golden_matching_cell_64,
     "perf_basket": golden_perf_basket_cell,
+    "fuzz_band": golden_fuzz_band_cell,
 }
 
 #: digests asserted by tests/test_golden_determinism.py.  The first two
@@ -301,4 +317,7 @@ RECORDED_DIGESTS = {
     # The old throughput basket's latency pins: recorded on the kernel it
     # last ran on, every latency equal to its pinned value to 1 ns.
     "perf_basket": "ce0b6486dd953fa0c1cddfaaf61c67c54cc130ea900fd096259336758871a542",
+    # The fuzz band's own digests, recorded before the scenario drivers
+    # moved onto one Scenario/run() model.
+    "fuzz_band": "4a0d15e8e652e0c7dcb4e99b7c27944ed9f818d5aa552bcd4ba47ed205453200",
 }

@@ -19,6 +19,7 @@ from repro.bench.digest import (
     RECORDED_DIGESTS as RECORDED,
     golden_fault_matrix_cell,
     golden_fig7_cell,
+    golden_fuzz_band_cell,
     golden_matching_cell,
     golden_perf_basket_cell,
 )
@@ -45,6 +46,11 @@ def test_golden_matching_cell_64_matches_pre_convoy_kernel():
 def test_golden_perf_basket_cell_matches_recorded_latencies():
     """Pipeline chains, static baselines, rack sweep, MoE and the fleet."""
     assert golden_perf_basket_cell() == RECORDED["perf_basket"]
+
+
+def test_golden_fuzz_band_matches_recorded_digests():
+    """The fuzz seeds' own digests, fast paths on, plain and shard-killed."""
+    assert golden_fuzz_band_cell() == RECORDED["fuzz_band"]
 
 
 @pytest.mark.parametrize("cell", ["fig7_flat", "fault_matrix_2rack"])

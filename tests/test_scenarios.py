@@ -1,5 +1,7 @@
 """Tests for the benchmark scenario drivers and the reporting helpers."""
 
+import math
+
 import pytest
 
 from repro.bench import (
@@ -138,3 +140,44 @@ def test_format_value_and_table_and_series():
     assert "sys" in series and "x" in series
     nan_series = format_series("S", "x", [1], {"sys": []})
     assert "nan" in nan_series
+
+
+#: pairs each driver refuses at 4 nodes / 1 MB; every other pair must finish.
+_UNSUPPORTED = {
+    "p2p": (),
+    "broadcast": ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"),
+    "gather": ("gloo", "gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"),
+    "reduce": ("gloo", "gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"),
+    "allreduce": (),
+    "allgather": ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"),
+    "alltoall": ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"),
+    "driver_failure": ("optimal",),
+}
+#: pairs that may go either way: the static allreduce variants under a
+#: driver kill.
+_EITHER = {"driver_failure": ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling")}
+
+
+@pytest.mark.parametrize("collective", sorted(_UNSUPPORTED))
+def test_support_matrix(collective):
+    """Every (system, collective) pair finishes or refuses; none crashes."""
+    from repro.bench import scenarios as sc
+
+    run = {
+        "p2p": lambda system: sc.measure_point_to_point_rtt(system, MB),
+        "broadcast": lambda system: sc.measure_broadcast(system, 4, MB),
+        "gather": lambda system: sc.measure_gather(system, 4, MB),
+        "reduce": lambda system: sc.measure_reduce(system, 4, MB),
+        "allreduce": lambda system: sc.measure_allreduce(system, 4, MB),
+        "allgather": lambda system: sc.measure_allgather(system, 4, MB),
+        "alltoall": lambda system: sc.measure_alltoall(system, 4, MB),
+        "driver_failure": lambda system: sc.measure_driver_failure(system, 4, MB),
+    }[collective]
+    for system in SUPPORTED_SYSTEMS:
+        try:
+            latency = run(system)
+        except UnsupportedScenarioError:
+            assert system in _UNSUPPORTED[collective] + _EITHER.get(collective, ()), system
+            continue
+        assert system not in _UNSUPPORTED[collective], system
+        assert math.isfinite(latency) and latency > 0, (system, latency)
