@@ -18,7 +18,7 @@ Two effects make WAL replay win:
 """
 
 from repro.bench.reporting import format_table
-from repro.bench.scenarios import measure_control_plane_failure
+from repro.bench.scenarios import Kill, Scenario, run
 from repro.net.config import NetworkConfig
 
 MB = 1024 * 1024
@@ -29,22 +29,19 @@ NETWORK = dict(bandwidth=1.25e8)
 
 
 def _row(target, num_nodes, nbytes, collective, fail_fraction, network):
-    stats: dict = {}
-    failed = measure_control_plane_failure(
-        num_nodes,
-        nbytes,
-        collective=collective,
-        target=target,
-        fail_fraction=fail_fraction,
-        network=network,
-        stats=stats,
+    result = run(
+        Scenario(
+            collective, "hoplite", num_nodes, nbytes, network=network,
+            kill=Kill(target, fraction=fail_fraction),
+        )
     )
+    stats = result["recovery"]
     return {
         "target": target,
         "collective": collective,
         "fail_at": f"{int(fail_fraction * 100)}%",
         "baseline": stats["baseline"],
-        "replay": failed,
+        "replay": result["latency"],
         "static_restart": stats["static_restart"],
         "wal_applied": sum(stats["replay_applied"]),
         "self_check": stats["replay_self_check"][0],

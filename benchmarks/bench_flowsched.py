@@ -12,7 +12,7 @@ receiver no longer parks its senders' uplinks idle-but-held.  Expectations:
 """
 
 from repro.bench.reporting import format_table
-from repro.bench.scenarios import measure_alltoall
+from repro.bench.scenarios import Scenario, measure_alltoall, run
 from repro.net.config import NetworkConfig
 
 MB = 1024 * 1024
@@ -23,10 +23,8 @@ def alltoall_flowsched_rows(node_counts, nbytes):
     rows = []
     for num_nodes in node_counts:
         bound = (num_nodes - 1) * nbytes / NetworkConfig().bandwidth
-        stats_flow: dict = {}
-        flow = measure_alltoall(
-            "hoplite", num_nodes, nbytes, flow_stats=stats_flow
-        )
+        flow_run = run(Scenario("alltoall", "hoplite", num_nodes, nbytes))
+        flow, stats_flow = flow_run["latency"], flow_run["usage"]
         # The sequential ablation bypasses reservations entirely, so only its
         # latency is comparable (its links have no utilization accounting).
         sequential = measure_alltoall(

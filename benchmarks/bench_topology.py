@@ -22,10 +22,12 @@ Expectations:
 
 from repro.bench.reporting import format_table
 from repro.bench.scenarios import (
+    Scenario,
     measure_allgather,
     measure_allreduce,
     measure_broadcast,
     rack_interleaved_delays,
+    run,
 )
 from repro.core.options import HopliteOptions
 from repro.net.config import NetworkConfig
@@ -67,17 +69,14 @@ def topology_rows(
         network = NetworkConfig(
             topology=Topology.racks(num_racks, nodes_per_rack, oversubscription=ratio)
         )
-        stats: dict = {}
         row: dict = {"ratio": f"{ratio:g}:1", "racks": f"{num_racks}x{nodes_per_rack}"}
-        row["bcast_aware"] = measure_broadcast(
-            "hoplite",
-            num_nodes,
-            nbytes,
-            arrival_delays=receiver_delays,
-            network=network,
-            options=aware,
-            flow_stats=stats,
+        aware_run = run(
+            Scenario(
+                "broadcast", "hoplite", num_nodes, nbytes,
+                arrivals=receiver_delays, network=network, options=aware,
+            )
         )
+        row["bcast_aware"], stats = aware_run["latency"], aware_run["usage"]
         row["bcast_obliv"] = measure_broadcast(
             "hoplite",
             num_nodes,

@@ -17,7 +17,6 @@ clock; where the host time goes is measured by ``perf/run.py --trace 1``.
 
 from __future__ import annotations
 
-import repro.net.cluster as cluster_mod
 from repro.bench.fleet import run_fleet
 from repro.obs import dump_chrome_trace, format_slo_table, to_prometheus
 from repro.obs.critpath import format_blame_table
@@ -26,16 +25,9 @@ MB = 1024 * 1024
 
 
 def main() -> None:
-    # Enable the flight recorder the Chrome trace draws on, on the fleet's
-    # cluster as it is built.
-    def _on_create(cluster) -> None:
-        cluster.enable_flight_recorder()
-
-    cluster_mod.ON_CREATE = _on_create
-    try:
-        result = run_fleet(trace_transfers=True)
-    finally:
-        cluster_mod.ON_CREATE = None
+    # trace_transfers also installs the flight recorder the Chrome trace
+    # draws on.
+    result = run_fleet(trace_transfers=True)
     obs = result.obs
     registry = obs.registry
 

@@ -14,12 +14,10 @@ links.  The per-tier flow report shows where the bytes went.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import HopliteOptions, NetworkConfig, Topology
-from repro.bench.scenarios import (
-    measure_allreduce,
-    measure_broadcast,
-    rack_interleaved_delays,
-)
+from repro.bench.scenarios import Scenario, rack_interleaved_delays, run
 
 MB = 1024 * 1024
 NUM_RACKS = 4
@@ -43,28 +41,14 @@ def main() -> None:
         f"4:1 ToR oversubscription, {topology.num_zones} zones"
     )
 
-    for primitive, measure, arrival in (
-        ("broadcast", measure_broadcast, delays[1:]),
-        ("allreduce", measure_allreduce, delays),
-    ):
-        stats: dict = {}
-        aware = measure(
-            "hoplite",
-            NUM_NODES,
-            32 * MB,
-            arrival_delays=arrival,
-            network=network,
-            options=HopliteOptions(topology_aware=True),
-            flow_stats=stats,
+    for primitive, arrivals in (("broadcast", delays[1:]), ("allreduce", delays)):
+        scenario = Scenario(
+            primitive, "hoplite", NUM_NODES, 32 * MB, arrivals=arrivals, network=network
         )
-        oblivious = measure(
-            "hoplite",
-            NUM_NODES,
-            32 * MB,
-            arrival_delays=arrival,
-            network=network,
-            options=HopliteOptions(topology_aware=False),
-        )
+        aware_run = run(replace(scenario, options=HopliteOptions(topology_aware=True)))
+        oblivious_run = run(replace(scenario, options=HopliteOptions(topology_aware=False)))
+        aware, oblivious = aware_run["latency"], oblivious_run["latency"]
+        stats = aware_run["usage"]
         tiers = stats["tier_bytes"]
         print(f"\n{primitive}, 32 MB, interleaved arrivals:")
         print(f"  topology-aware : {aware * 1e3:8.2f} ms")

@@ -5,32 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence
 
-from repro.collectives.naive import DASK_PROFILE, RAY_PROFILE, TaskSystemPlane
-from repro.collectives.plane import CommPlane, HoplitePlane
-from repro.core.options import HopliteOptions
-from repro.core.runtime import HopliteRuntime
+from repro.collectives.plane import CommPlane
 from repro.net.cluster import Cluster
-from repro.net.config import NetworkConfig
+from repro.net.failure import FailureEvent
 from repro.net.transport import TransferError
 from repro.store.objects import ObjectID, ObjectValue
 
-
-PLANE_SYSTEMS = ("hoplite", "ray", "dask")
-
-
-@dataclass(frozen=True)
-class FailureSchedule:
-    """One induced failure used by the fault-tolerance experiments (Figure 12)."""
-
-    node_id: int
-    fail_at: float
-    recover_at: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.fail_at < 0:
-            raise ValueError("fail_at must be non-negative")
-        if self.recover_at is not None and self.recover_at < self.fail_at:
-            raise ValueError("recover_at must not precede fail_at")
+#: one induced failure used by the fault-tolerance experiments (Figure 12).
+FailureSchedule = FailureEvent
 
 
 @dataclass
@@ -56,31 +38,6 @@ class AppResult:
             "iterations": len(self.iteration_latencies),
             **self.metrics,
         }
-
-
-def make_cluster(num_nodes: int, network: Optional[NetworkConfig] = None) -> Cluster:
-    return Cluster(num_nodes=num_nodes, network=network or NetworkConfig())
-
-
-def make_plane(system: str, cluster: Cluster, options: Optional[HopliteOptions] = None) -> CommPlane:
-    """Build the communication plane for an application run."""
-    if system == "hoplite":
-        return HoplitePlane(HopliteRuntime(cluster, options=options))
-    if system == "ray":
-        return TaskSystemPlane(cluster, RAY_PROFILE)
-    if system == "dask":
-        return TaskSystemPlane(cluster, DASK_PROFILE)
-    raise ValueError(f"unknown plane system {system!r}; expected one of {PLANE_SYSTEMS}")
-
-
-def apply_failures(cluster: Cluster, failures) -> None:
-    """Install the failure schedule(s) on the cluster, if any."""
-    if failures is None:
-        return
-    if isinstance(failures, FailureSchedule):
-        failures = [failures]
-    for failure in failures:
-        cluster.schedule_failure(failure.node_id, failure.fail_at, failure.recover_at)
 
 
 def reconstruct_on_recovery(

@@ -38,15 +38,11 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.apps.common import (
-    AppResult,
-    FailureSchedule,
-    apply_failures,
-    make_cluster,
-    make_plane,
-    retry_across_failures,
-)
+from repro.apps.common import AppResult, FailureSchedule, retry_across_failures
+from repro.collectives.systems import make_plane
+from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.failure import schedule
 from repro.sim import Event
 from repro.store.objects import ObjectID, ObjectValue
 
@@ -145,9 +141,9 @@ def run_moe_routing(
         raise ValueError("MoE routing needs at least two nodes")
     if expert_skew < 0:
         raise ValueError("expert_skew must be non-negative")
-    cluster = make_cluster(num_nodes, network)
+    cluster = Cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    apply_failures(cluster, failure)
+    schedule(cluster, [failure] if failure else ())
     sim = cluster.sim
 
     # Per-iteration routing plans: worker -> expert byte matrix, with the

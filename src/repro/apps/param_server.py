@@ -18,8 +18,11 @@ from __future__ import annotations
 import math
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule, apply_failures, make_cluster, make_plane
+from repro.apps.common import AppResult, FailureSchedule
+from repro.collectives.systems import make_plane
+from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.failure import schedule
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys.system import TaskSystem
 from repro.workloads.models import ModelProfile, model_profile
@@ -45,9 +48,9 @@ def run_async_sgd(
         model = model_profile(model)
     if num_nodes < 2:
         raise ValueError("async SGD needs a server node and at least one worker")
-    cluster = make_cluster(num_nodes, network)
+    cluster = Cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    apply_failures(cluster, failure)
+    schedule(cluster, [failure] if failure else ())
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence
 
-from repro.apps.common import AppResult, FailureSchedule, apply_failures, make_cluster, make_plane
+from repro.apps.common import AppResult, FailureSchedule
+from repro.collectives.systems import make_plane
+from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.failure import schedule
 from repro.store.objects import ObjectID, ObjectValue
 from repro.tasksys.system import TaskError, TaskSystem
 from repro.workloads.models import SERVING_ENSEMBLE, SERVING_QUERY_BYTES, model_profile
@@ -50,9 +53,9 @@ def run_model_serving(
         raise ValueError(
             f"need at least {len(ensemble)} nodes to serve {len(ensemble)} models"
         )
-    cluster = make_cluster(num_nodes, network)
+    cluster = Cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    apply_failures(cluster, failure)
+    schedule(cluster, [failure] if failure else ())
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 

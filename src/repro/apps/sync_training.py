@@ -11,15 +11,12 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, make_cluster, make_plane
-from repro.collectives.gloo import GlooCollectives
-from repro.collectives.mpi import MPICollectives
+from repro.apps.common import AppResult
+from repro.collectives.systems import PLANES, STATIC_OPS, make_plane
+from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.workloads.models import ModelProfile, model_profile
-
-STATIC_SYSTEMS = ("openmpi", "gloo")
-PLANE_SYSTEMS = ("hoplite", "ray", "dask")
 
 
 def run_sync_training(
@@ -34,10 +31,10 @@ def run_sync_training(
         model = model_profile(model)
     if num_nodes < 2:
         raise ValueError("synchronous training needs at least two nodes")
-    if system in STATIC_SYSTEMS:
-        duration, round_latencies = _run_static(num_nodes, model, system, num_rounds, network)
-    elif system in PLANE_SYSTEMS:
+    if system in PLANES:
         duration, round_latencies = _run_plane(num_nodes, model, system, num_rounds, network)
+    elif (system, "allreduce") in STATIC_OPS:
+        duration, round_latencies = _run_static(num_nodes, model, system, num_rounds, network)
     else:
         raise ValueError(f"unknown system {system!r}")
 
@@ -62,13 +59,10 @@ def _run_static(
     network: Optional[NetworkConfig],
 ) -> tuple[float, list[float]]:
     """OpenMPI / Gloo: compute, then a static allreduce, once per round."""
-    cluster = make_cluster(num_nodes, network)
+    cluster = Cluster(num_nodes, network)
     sim = cluster.sim
-    if system == "openmpi":
-        ops = [MPICollectives(cluster).allreduce(model.param_bytes) for _ in range(num_rounds)]
-    else:
-        gloo = GlooCollectives(cluster)
-        ops = [gloo.allreduce_ring_chunked(model.param_bytes) for _ in range(num_rounds)]
+    make_op = STATIC_OPS[(system, "allreduce")]
+    ops = [make_op(cluster, model.param_bytes) for _ in range(num_rounds)]
 
     round_ends: list[list[float]] = [[] for _ in range(num_rounds)]
 
@@ -99,7 +93,7 @@ def _run_plane(
     network: Optional[NetworkConfig],
 ) -> tuple[float, list[float]]:
     """Hoplite / Ray plane: put gradients, reduce at node 0, everyone gets."""
-    cluster = make_cluster(num_nodes, network)
+    cluster = Cluster(num_nodes, network)
     plane = make_plane(system, cluster)
     sim = cluster.sim
     round_latencies: list[float] = []

@@ -1,7 +1,8 @@
 """Benchmark harness: scenario drivers, experiment registry, and table printing.
 
-``repro.bench.scenarios`` contains the measurement drivers (one simulated
-cluster per measurement, one number out), ``repro.bench.experiments``
+``repro.bench.scenarios`` contains the scenario model (a ``Scenario`` and
+``run``: one simulated cluster per measurement) and the ``measure_*``
+drivers built on it, ``repro.bench.experiments``
 assembles them into the paper's tables and figures, and
 ``repro.bench.reporting`` prints the same rows/series the paper reports.
 """

@@ -26,6 +26,8 @@ fast-path refactor.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
+from functools import partial
 from typing import Callable
 
 from repro.net.config import NetworkConfig
@@ -71,6 +73,20 @@ def _digest(parts: list) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _hash_runs(cells: list) -> str:
+    """Digest each ``(label, scenario)`` run, then the ObjectID state."""
+    from repro.bench.scenarios import run
+
+    _reset_object_ids()
+    parts: list = []
+    for label, scenario in cells:
+        result = run(scenario)
+        parts.append((label, repr(result["latency"])))
+        parts.extend(_flow_fingerprint(result["usage"]))
+    parts.append(_object_id_state())
+    return _digest(parts)
+
+
 def golden_fig7_cell() -> str:
     """One flat fig7-style cell: four collectives, object plane + static.
 
@@ -78,29 +94,21 @@ def golden_fig7_cell() -> str:
     the flow-scheduled transport, the broadcast trees pipeline through
     partial sources, and the static baselines stream whole objects.
     """
-    from repro.bench.scenarios import (
-        measure_allgather,
-        measure_allreduce,
-        measure_alltoall,
-        measure_broadcast,
-    )
+    from repro.bench.scenarios import Scenario
 
-    _reset_object_ids()
-    parts: list = []
-    for label, run in (
-        ("bcast-hoplite", lambda s: measure_broadcast("hoplite", 8, 32 * MB, flow_stats=s)),
-        ("allred-hoplite", lambda s: measure_allreduce("hoplite", 8, 32 * MB, flow_stats=s)),
-        ("allgat-hoplite", lambda s: measure_allgather("hoplite", 8, 32 * MB, flow_stats=s)),
-        ("a2a-hoplite", lambda s: measure_alltoall("hoplite", 8, 32 * MB, flow_stats=s)),
-        ("allgat-openmpi", lambda s: measure_allgather("openmpi", 8, 32 * MB, flow_stats=s)),
-        ("allred-gloo", lambda s: measure_allreduce("gloo", 8, 32 * MB, flow_stats=s)),
-    ):
-        stats: dict = {}
-        latency = run(stats)
-        parts.append((label, repr(latency)))
-        parts.extend(_flow_fingerprint(stats))
-    parts.append(_object_id_state())
-    return _digest(parts)
+    return _hash_runs(
+        [
+            (label, Scenario(collective, system, 8, 32 * MB))
+            for label, collective, system in (
+                ("bcast-hoplite", "broadcast", "hoplite"),
+                ("allred-hoplite", "allreduce", "hoplite"),
+                ("allgat-hoplite", "allgather", "hoplite"),
+                ("a2a-hoplite", "alltoall", "hoplite"),
+                ("allgat-openmpi", "allgather", "openmpi"),
+                ("allred-gloo", "allreduce", "gloo"),
+            )
+        ]
+    )
 
 
 def golden_fault_matrix_cell(seed: int = 0) -> str:
@@ -113,42 +121,19 @@ def golden_fault_matrix_cell(seed: int = 0) -> str:
     reservation cancellation, partial-copy recovery, incarnation-lapsing
     exclusions — which the fast path must reproduce exactly.
     """
-    from repro.bench.scenarios import measure_allgather, measure_alltoall
+    from repro.bench.scenarios import Scenario
 
-    _reset_object_ids()
-    topology = Topology.racks(2, 4, oversubscription=2.0)
-    network = NetworkConfig(bandwidth=1.25e8, topology=topology)
-
-    def _failures():
-        return poisson_failures(
-            node_ids=list(range(1, 8)),
-            rate_per_second=4.0,
-            horizon=0.8,
-            downtime=0.2,
-            seed=seed,
-        )
-
-    parts: list = []
-    for label, run in (
-        (
-            "allgather-faults",
-            lambda s: measure_allgather(
-                "hoplite", 8, 16 * MB, network=network, failures=_failures(), flow_stats=s
-            ),
-        ),
-        (
-            "alltoall-faults",
-            lambda s: measure_alltoall(
-                "hoplite", 8, 16 * MB, network=network, failures=_failures(), flow_stats=s
-            ),
-        ),
-    ):
-        stats: dict = {}
-        latency = run(stats)
-        parts.append((label, repr(latency)))
-        parts.extend(_flow_fingerprint(stats))
-    parts.append(_object_id_state())
-    return _digest(parts)
+    network = NetworkConfig(bandwidth=1.25e8, topology=Topology.racks(2, 4, oversubscription=2.0))
+    failures = poisson_failures(
+        node_ids=list(range(1, 8)), rate_per_second=4.0, horizon=0.8, downtime=0.2, seed=seed
+    )
+    scenario = Scenario("allgather", "hoplite", 8, 16 * MB, network=network, failures=failures)
+    return _hash_runs(
+        [
+            ("allgather-faults", scenario),
+            ("alltoall-faults", replace(scenario, collective="alltoall")),
+        ]
+    )
 
 
 def golden_matching_cell(num_nodes: int) -> str:
@@ -162,59 +147,46 @@ def golden_matching_cell(num_nodes: int) -> str:
     REDUCE_PARTIAL/BULK priority interleaving of the overlapped allreduce.
 
     Recorded at both 16 and 64 nodes: the 16-node cell keeps a quick signal
-    in fast dev loops, the 64-node cell is the exact population the
-    ``fig7_64_matching`` perf group draws from.
+    in fast dev loops, and the 64-node cell is the scale at which the
+    matching-limited admission path does the most work.
     """
-    from repro.bench.scenarios import (
-        measure_allgather,
-        measure_allreduce,
-        measure_alltoall,
+    from repro.bench.scenarios import Scenario
+
+    return _hash_runs(
+        [
+            (label, Scenario(collective, "hoplite", num_nodes, 32 * MB))
+            for label, collective in (
+                ("a2a-hoplite", "alltoall"),
+                ("allgat-hoplite", "allgather"),
+                ("allred-hoplite", "allreduce"),
+            )
+        ]
     )
 
-    _reset_object_ids()
-    parts: list = []
-    for label, run in (
-        ("a2a-hoplite", lambda s: measure_alltoall("hoplite", num_nodes, 32 * MB, flow_stats=s)),
-        ("allgat-hoplite", lambda s: measure_allgather("hoplite", num_nodes, 32 * MB, flow_stats=s)),
-        ("allred-hoplite", lambda s: measure_allreduce("hoplite", num_nodes, 32 * MB, flow_stats=s)),
-    ):
-        stats: dict = {}
-        latency = run(stats)
-        parts.append((label, repr(latency)))
-        parts.extend(_flow_fingerprint(stats))
-    parts.append(_object_id_state())
-    return _digest(parts)
+
+def _measured(collective: str, system: str, num_nodes: int, nbytes: int, **fields):
+    from repro.bench.scenarios import Scenario, run
+
+    result = run(Scenario(collective, system, num_nodes, nbytes, **fields))
+    return result["latency"], result["events"]
 
 
-def golden_matching_cell_16() -> str:
-    return golden_matching_cell(16)
-
-
-def golden_matching_cell_64() -> str:
-    return golden_matching_cell(64)
-
-
-def _measured(measure, *args, **kwargs) -> tuple[float, int]:
-    stats: dict = {}
-    latency = measure(*args, flow_stats=stats, **kwargs)
-    return latency, stats["events_processed"]
-
-
-def _rack_cell(measure, nodes_per_rack: int, nbytes: int, receivers_only: bool = False):
-    """Topology-aware Hoplite on 4 racks at 4:1, rack-interleaved arrivals."""
+def _rack_cell(collective: str, nodes_per_rack: int, nbytes: int):
+    """Topology-aware Hoplite on 4 racks at 4:1, rack-interleaved arrivals
+    (the broadcast's receivers only)."""
     from repro.bench.scenarios import rack_interleaved_delays
     from repro.core.options import HopliteOptions
 
     network = NetworkConfig(topology=Topology.racks(4, nodes_per_rack, oversubscription=4.0))
     delays = rack_interleaved_delays(4, nodes_per_rack)
     return _measured(
-        measure,
+        collective,
         "hoplite",
         4 * nodes_per_rack,
         nbytes,
         network=network,
         options=HopliteOptions(topology_aware=True),
-        arrival_delays=delays[1:] if receivers_only else delays,
+        arrivals=delays[1:] if collective == "broadcast" else delays,
     )
 
 
@@ -249,28 +221,19 @@ def golden_perf_basket_cell() -> str:
     count.  The 64-node 1 GB allreduce is left out for its cost; its 32 MB
     sibling is in ``matching_64``.
     """
-    from repro.bench.scenarios import (
-        measure_allgather,
-        measure_allreduce,
-        measure_alltoall,
-        measure_broadcast,
-        measure_gather,
-        measure_reduce,
-    )
-
     gb = 1024 * MB
     parts: list = []
     for label, run in (
-        ("bcast-64-1GB", lambda: _measured(measure_broadcast, "hoplite", 64, gb)),
-        ("reduce-64-1GB", lambda: _measured(measure_reduce, "hoplite", 64, gb)),
-        ("gather-64-32MB", lambda: _measured(measure_gather, "hoplite", 64, 32 * MB)),
-        ("allred-gloo-64-256MB", lambda: _measured(measure_allreduce, "gloo", 64, 256 * MB)),
-        ("allgat-openmpi-64-32MB", lambda: _measured(measure_allgather, "openmpi", 64, 32 * MB)),
-        ("bcast-16-1GB", lambda: _measured(measure_broadcast, "hoplite", 16, gb)),
-        ("reduce-16-256MB", lambda: _measured(measure_reduce, "hoplite", 16, 256 * MB)),
-        ("rack-bcast-32MB", lambda: _rack_cell(measure_broadcast, 4, 32 * MB, True)),
-        ("rack-bcast-8MB", lambda: _rack_cell(measure_broadcast, 2, 8 * MB, True)),
-        ("rack-allred-32MB", lambda: _rack_cell(measure_allreduce, 4, 32 * MB)),
+        ("bcast-64-1GB", lambda: _measured("broadcast", "hoplite", 64, gb)),
+        ("reduce-64-1GB", lambda: _measured("reduce", "hoplite", 64, gb)),
+        ("gather-64-32MB", lambda: _measured("gather", "hoplite", 64, 32 * MB)),
+        ("allred-gloo-64-256MB", lambda: _measured("allreduce", "gloo", 64, 256 * MB)),
+        ("allgat-openmpi-64-32MB", lambda: _measured("allgather", "openmpi", 64, 32 * MB)),
+        ("bcast-16-1GB", lambda: _measured("broadcast", "hoplite", 16, gb)),
+        ("reduce-16-256MB", lambda: _measured("reduce", "hoplite", 16, 256 * MB)),
+        ("rack-bcast-32MB", lambda: _rack_cell("broadcast", 4, 32 * MB)),
+        ("rack-bcast-8MB", lambda: _rack_cell("broadcast", 2, 8 * MB)),
+        ("rack-allred-32MB", lambda: _rack_cell("allreduce", 4, 32 * MB)),
         ("moe-16n-2it", lambda: _moe_cell(16, 2)),
         ("moe-8n-1it", lambda: _moe_cell(8, 1)),
         ("fleet-4rack", lambda: _fleet_cell(4, 8, quick=False)),
@@ -300,8 +263,8 @@ def golden_fuzz_band_cell() -> str:
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fig7_flat": golden_fig7_cell,
     "fault_matrix_2rack": golden_fault_matrix_cell,
-    "matching_16": golden_matching_cell_16,
-    "matching_64": golden_matching_cell_64,
+    "matching_16": partial(golden_matching_cell, 16),
+    "matching_64": partial(golden_matching_cell, 64),
     "perf_basket": golden_perf_basket_cell,
     "fuzz_band": golden_fuzz_band_cell,
 }

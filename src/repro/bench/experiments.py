@@ -3,8 +3,7 @@
 Every public function regenerates the rows/series of one table or figure
 from the paper's evaluation, using the scenario drivers and the application
 workloads.  The benchmark files under ``benchmarks/`` call these functions
-and print the results; EXPERIMENTS.md records how the shapes compare with
-the published numbers.
+and print the results next to the shapes the paper reports.
 
 The default parameter grids are trimmed relative to the paper (fewer sweep
 points, fewer application iterations) so that the whole benchmark suite runs
@@ -25,13 +24,11 @@ from repro.apps.rl import run_rl_training
 from repro.apps.serving import run_model_serving
 from repro.apps.sync_training import run_sync_training
 from repro.bench.scenarios import (
-    measure_allgather,
-    measure_allreduce,
-    measure_alltoall,
-    measure_broadcast,
-    measure_gather,
+    Scenario,
     measure_point_to_point_rtt,
     measure_reduce,
+    run,
+    supported,
 )
 from repro.core.options import HopliteOptions
 from repro.net.cluster import Cluster
@@ -83,15 +80,6 @@ _FIG7_SYSTEMS = {
     "alltoall": ("hoplite", "openmpi", "gloo", "ray", "dask"),
 }
 
-_MEASURES = {
-    "broadcast": measure_broadcast,
-    "gather": measure_gather,
-    "reduce": measure_reduce,
-    "allreduce": measure_allreduce,
-    "allgather": measure_allgather,
-    "alltoall": measure_alltoall,
-}
-
 
 def collective_rows(
     sizes: Sequence[int],
@@ -113,7 +101,6 @@ def collective_rows(
     systems_by_primitive = systems_by_primitive or _FIG7_SYSTEMS
     rows = []
     for primitive in primitives:
-        measure = _MEASURES[primitive]
         for size in sizes:
             for num_nodes in node_counts:
                 row: dict = {
@@ -122,25 +109,17 @@ def collective_rows(
                     "nodes": num_nodes,
                 }
                 for system in systems_by_primitive.get(primitive, ("hoplite",)):
-                    try:
-                        kwargs: dict = {"network": network}
-                        if system == "hoplite":
-                            kwargs["flow_stats"] = flow_stats = {}
-                        row[system] = measure(system, num_nodes, size, **kwargs)
-                        if system == "hoplite":
-                            row["rack_frac"] = flow_stats.get("cross_rack_fraction", 0.0)
-                            row["zone_frac"] = flow_stats.get("cross_zone_fraction", 0.0)
-                    except Exception:  # noqa: BLE001 - unsupported combination
+                    if not supported(system, primitive):
                         row[system] = float("nan")
-                try:
-                    row["optimal"] = measure("optimal", num_nodes, size, network=network)
-                except Exception:  # noqa: BLE001 - no analytic optimum
-                    row["optimal"] = float("nan")
-                hoplite = row.get("hoplite", float("nan"))
-                optimal = row["optimal"]
-                row["x_optimal"] = (
-                    hoplite / optimal if optimal and optimal == optimal else float("nan")
-                )
+                        continue
+                    result = run(Scenario(primitive, system, num_nodes, size, network=network))
+                    row[system] = result["latency"]
+                    if system == "hoplite":
+                        row["rack_frac"] = result["usage"]["cross_rack_fraction"]
+                        row["zone_frac"] = result["usage"]["cross_zone_fraction"]
+                optimal = run(Scenario(primitive, "optimal", num_nodes, size, network=network))
+                row["optimal"] = optimal["latency"]
+                row["x_optimal"] = row.get("hoplite", float("nan")) / row["optimal"]
                 rows.append(row)
     return rows
 
@@ -189,27 +168,18 @@ def fig8_asynchrony(
     rows = []
     for interval in intervals:
         row: dict = {"interval": interval, "last_arrival": interval * (num_nodes - 1)}
-        row["broadcast_hoplite"] = measure_broadcast(
-            "hoplite", num_nodes, nbytes, arrival_interval=interval
-        )
-        row["broadcast_openmpi"] = measure_broadcast(
-            "openmpi", num_nodes, nbytes, arrival_interval=interval
-        )
-        row["reduce_hoplite"] = measure_reduce(
-            "hoplite", num_nodes, nbytes, arrival_interval=interval
-        )
-        row["reduce_openmpi"] = measure_reduce(
-            "openmpi", num_nodes, nbytes, arrival_interval=interval
-        )
-        row["allreduce_hoplite"] = measure_allreduce(
-            "hoplite", num_nodes, nbytes, arrival_interval=interval
-        )
-        row["allreduce_openmpi"] = measure_allreduce(
-            "openmpi", num_nodes, nbytes, arrival_interval=interval
-        )
-        row["allreduce_gloo"] = measure_allreduce(
-            "gloo_ring_chunked", num_nodes, nbytes, arrival_interval=interval
-        )
+        for collective, system in (
+            ("broadcast", "hoplite"),
+            ("broadcast", "openmpi"),
+            ("reduce", "hoplite"),
+            ("reduce", "openmpi"),
+            ("allreduce", "hoplite"),
+            ("allreduce", "openmpi"),
+            ("allreduce", "gloo_ring_chunked"),
+        ):
+            scenario = Scenario(collective, system, num_nodes, nbytes, arrivals=interval)
+            # Columns name the system family: gloo_ring_chunked reads "gloo".
+            row[f"{collective}_{system.partition('_')[0]}"] = run(scenario)["latency"]
         rows.append(row)
     return rows
 
@@ -225,21 +195,14 @@ def fig9_async_sgd(
     num_iterations: int = 5,
 ) -> list[dict]:
     """Figure 9: async parameter-server training throughput, Hoplite vs Ray."""
-    rows = []
-    for num_nodes in node_counts:
-        for model in models:
-            hoplite = run_async_sgd(num_nodes, model, "hoplite", num_iterations)
-            ray = run_async_sgd(num_nodes, model, "ray", num_iterations)
-            rows.append(
-                {
-                    "nodes": num_nodes,
-                    "model": model,
-                    "hoplite": hoplite.throughput,
-                    "ray": ray.throughput,
-                    "speedup": hoplite.throughput / ray.throughput if ray.throughput else float("nan"),
-                }
-            )
-    return rows
+    return [
+        _versus_ray(
+            {"nodes": num_nodes, "model": model},
+            lambda system: run_async_sgd(num_nodes, model, system, num_iterations),
+        )
+        for num_nodes in node_counts
+        for model in models
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +216,14 @@ def fig10_rl(
     num_iterations: int = 5,
 ) -> list[dict]:
     """Figure 10: RLlib-style training throughput, Hoplite vs Ray."""
-    rows = []
-    for algorithm in algorithms:
-        for num_nodes in node_counts:
-            hoplite = run_rl_training(num_nodes, algorithm, "hoplite", num_iterations)
-            ray = run_rl_training(num_nodes, algorithm, "ray", num_iterations)
-            rows.append(
-                {
-                    "algorithm": algorithm,
-                    "nodes": num_nodes,
-                    "hoplite": hoplite.throughput,
-                    "ray": ray.throughput,
-                    "speedup": hoplite.throughput / ray.throughput if ray.throughput else float("nan"),
-                }
-            )
-    return rows
+    return [
+        _versus_ray(
+            {"algorithm": algorithm, "nodes": num_nodes},
+            lambda system: run_rl_training(num_nodes, algorithm, system, num_iterations),
+        )
+        for algorithm in algorithms
+        for num_nodes in node_counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +236,13 @@ def fig11_serving(
     num_queries: int = 10,
 ) -> list[dict]:
     """Figure 11: ensemble-serving throughput, Hoplite vs Ray."""
-    rows = []
-    for num_nodes in node_counts:
-        hoplite = run_model_serving(num_nodes, "hoplite", num_queries)
-        ray = run_model_serving(num_nodes, "ray", num_queries)
-        rows.append(
-            {
-                "nodes": num_nodes,
-                "hoplite": hoplite.throughput,
-                "ray": ray.throughput,
-                "speedup": hoplite.throughput / ray.throughput if ray.throughput else float("nan"),
-            }
+    return [
+        _versus_ray(
+            {"nodes": num_nodes},
+            lambda system: run_model_serving(num_nodes, system, num_queries),
         )
-    return rows
+        for num_nodes in node_counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +333,13 @@ def moe_routing(
     num_iterations: int = 3,
 ) -> list[dict]:
     """MoE expert-routing throughput, Hoplite vs the Ray-style plane."""
-    rows = []
-    for num_nodes in node_counts:
-        hoplite = run_moe_routing(num_nodes, "hoplite", num_iterations)
-        ray = run_moe_routing(num_nodes, "ray", num_iterations)
-        rows.append(
-            {
-                "nodes": num_nodes,
-                "hoplite": hoplite.throughput,
-                "ray": ray.throughput,
-                "speedup": hoplite.throughput / ray.throughput if ray.throughput else float("nan"),
-            }
+    return [
+        _versus_ray(
+            {"nodes": num_nodes},
+            lambda system: run_moe_routing(num_nodes, system, num_iterations),
         )
-    return rows
+        for num_nodes in node_counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +376,14 @@ def directory_latency_microbenchmark(num_nodes: int = 16, repeats: int = 32) -> 
         "lookup_mean": float(np.mean(samples["lookup"])),
         "lookup_std": float(np.std(samples["lookup"])),
     }
+
+
+def _versus_ray(row: dict, run_app) -> dict:
+    """``row`` plus Hoplite's and Ray's throughput and Hoplite's speedup."""
+    hoplite = run_app("hoplite").throughput
+    ray = run_app("ray").throughput
+    speedup = hoplite / ray if ray else float("nan")
+    return {**row, "hoplite": hoplite, "ray": ray, "speedup": speedup}
 
 
 def _size_label(nbytes: int) -> str:

@@ -478,6 +478,8 @@ def run_fleet(
     tenants share nothing but the fabric).  With ``observe=False`` the run
     is identical except that no plane is installed; with it, the result
     carries SLO verdicts and the congestion/latency correlation.
+    ``trace_transfers`` also records per-transfer spans and installs the
+    cluster's flight recorder, the two inputs of the Chrome-trace export.
     """
     if window is None:
         # ~10-25 buckets over the run either way (quick fleets are shorter).
@@ -493,6 +495,8 @@ def run_fleet(
         zone_latency=1.0e-4,
     )
     cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig(topology=topology))
+    if trace_transfers:
+        cluster.enable_flight_recorder()
     obs = (
         cluster.enable_observability(window=window, trace_transfers=trace_transfers)
         if observe

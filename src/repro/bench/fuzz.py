@@ -13,7 +13,7 @@ topologies, arrival jitter and fault schedules, each executed twice
 
     PYTHONPATH=src python -m repro.bench.fuzz --seeds 200
 
-runs a deep sweep.  Any mismatch prints the spec needed to reproduce it —
+runs a deep sweep.  Any mismatch prints the scenario needed to reproduce it —
 and, since the flight recorder landed, the harness re-runs a mismatching
 seed with recording enabled on both settings and bisects to the **first
 diverging semantic event** (time, kind, resource, detail) instead of
@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import argparse
 import random
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import replace
+from typing import NamedTuple, Optional
 
 from repro.bench.digest import _digest, _flow_fingerprint, _object_id_state, _reset_object_ids
+from repro.bench.scenarios import Scenario, run
+from repro.core.options import HopliteOptions
 from repro.net.config import NetworkConfig
-from repro.net.failure import poisson_failures
+from repro.net.failure import poisson_control_plane_failures, poisson_failures
+from repro.net.fastpath import fastpath
 from repro.net.topology import Topology
 
 MB = 1024 * 1024
@@ -41,48 +43,38 @@ MB = 1024 * 1024
 TIER1_SEEDS = tuple(range(20))
 
 
-@dataclass
-class ScenarioSpec:
-    """One reproducible differential scenario."""
+class FuzzCase(NamedTuple):
+    """One seeded :class:`Scenario` and the text that describes it.
+
+    The description is hashed into every digest.  Its ``fabric`` and
+    ``faults`` parts record what was drawn rather than what runs: an
+    alltoall draws topology awareness but runs with default options, and
+    the failure events do not say which Poisson rate and seed made them.
+    """
 
     seed: int
-    collective: str
-    system: str
-    num_nodes: int
-    nbytes: int
-    arrival_delays: Optional[list[float]] = None
-    racks: int = 1
-    oversubscription: float = 1.0
-    topology_aware: bool = False
-    bandwidth: float = 1.25e9
-    failure_rate: float = 0.0
-    failure_horizon: float = 0.0
-    failure_seed: int = 0
-    extra: dict = field(default_factory=dict)
+    scenario: Scenario
+    fabric: str = ""
+    faults: str = ""
 
     def describe(self) -> str:
+        s = self.scenario
         bits = [
             f"seed={self.seed}",
-            f"{self.system}/{self.collective}",
-            f"n={self.num_nodes}",
-            f"size={self.nbytes // MB}MB",
+            f"{s.system}/{s.collective}",
+            f"n={s.nodes}",
+            f"size={s.nbytes // MB}MB",
         ]
-        if self.racks > 1:
-            bits.append(
-                f"racks={self.racks}x{self.num_nodes // self.racks}"
-                f"@{self.oversubscription}{'+aware' if self.topology_aware else ''}"
-            )
-        if self.arrival_delays:
-            bits.append(f"jitter<= {max(self.arrival_delays):.4f}s")
-        if self.failure_rate > 0:
-            bits.append(
-                f"faults(rate={self.failure_rate}, horizon={self.failure_horizon},"
-                f" fseed={self.failure_seed})"
-            )
+        if self.fabric:
+            bits.append(self.fabric)
+        if not isinstance(s.arrivals, float):
+            bits.append(f"jitter<= {max(s.arrivals):.4f}s")
+        if self.faults:
+            bits.append(self.faults)
         return " ".join(bits)
 
 
-def generate_spec(seed: int) -> ScenarioSpec:
+def generate_spec(seed: int) -> FuzzCase:
     """Deterministically derive one scenario from ``seed``."""
     rng = random.Random(0x5EED ^ seed)
     collective = rng.choice(
@@ -111,151 +103,72 @@ def generate_spec(seed: int) -> ScenarioSpec:
     # 2-5 pipelining blocks: small enough to fuzz densely, large enough that
     # every multi-block fast path (coalesced runs, relay cascades) can engage.
     nbytes = rng.choice([6, 8, 9, 12, 17, 20]) * MB
-
-    spec = ScenarioSpec(
-        seed=seed,
-        collective=collective,
-        system=system,
-        num_nodes=num_nodes,
-        nbytes=nbytes,
-    )
+    scenario = Scenario(collective, system, num_nodes, nbytes)
 
     # Arrival jitter for the collectives that take it (spread of a few block
     # serialization times: enough to shuffle admission order).
     if collective in ("broadcast", "reduce", "allreduce") and rng.random() < 0.6:
         count = num_nodes - 1 if (collective == "broadcast" and system == "hoplite") else num_nodes
         scale = rng.choice([0.002, 0.01, 0.05])
-        spec.arrival_delays = [rng.random() * scale for _ in range(count)]
+        scenario = replace(scenario, arrivals=[rng.random() * scale for _ in range(count)])
 
     # Hierarchical fabric with oversubscribed tier links.  Three racks give
     # cross-rack flows to *distinct* destination racks, whose only shared
     # contended link is the source rack's uplink.
+    fabric = ""
+    bandwidth = 1.25e9
+    topology = None
     if rng.random() < 0.35:
-        fits = [r for r in (2, 3) if num_nodes % r == 0]
-        spec.racks = rng.choice(fits)
-        spec.oversubscription = rng.choice([2.0, 4.0])
-        spec.topology_aware = rng.random() < 0.5
+        racks = rng.choice([r for r in (2, 3) if num_nodes % r == 0])
+        oversubscription = rng.choice([2.0, 4.0])
+        aware = rng.random() < 0.5
+        topology = Topology.racks(racks, num_nodes // racks, oversubscription=oversubscription)
+        if aware and collective != "alltoall":
+            scenario = replace(scenario, options=HopliteOptions(topology_aware=True))
+        fabric = (
+            f"racks={racks}x{num_nodes // racks}@{oversubscription}{'+aware' if aware else ''}"
+        )
 
     # Fault schedules ride the collectives that support injected failures.
+    faults = ""
     if collective in ("allgather", "alltoall") and system == "hoplite" and rng.random() < 0.35:
-        spec.bandwidth = 1.25e8  # slow the run down so failures land mid-flight
-        spec.failure_rate = rng.choice([2.0, 4.0])
-        spec.failure_horizon = 0.6
-        spec.failure_seed = rng.randrange(1 << 16)
-
-    return spec
-
-
-def run_spec(
-    spec: ScenarioSpec, fast_paths: bool, latency_out: Optional[dict] = None
-) -> str:
-    """Run one scenario with the fast paths forced on or off; return its digest.
-
-    ``latency_out`` (a dict) receives the measured completion latency under
-    the key ``"latency"`` — the control-plane band uses it to place kills
-    mid-collective without re-deriving scenario durations.
-    """
-    from repro.bench import scenarios as sc
-    from repro.core.options import HopliteOptions
-    from repro.net.fastpath import fastpath
-
-    network_kwargs: dict = {}
-    if spec.bandwidth != 1.25e9:
-        network_kwargs["bandwidth"] = spec.bandwidth
-    if spec.racks > 1:
-        network_kwargs["topology"] = Topology.racks(
-            spec.racks, spec.num_nodes // spec.racks, oversubscription=spec.oversubscription
-        )
-    network = NetworkConfig(**network_kwargs) if network_kwargs else None
-    options = HopliteOptions(topology_aware=True) if spec.topology_aware else None
-
-    kwargs: dict = {"network": network, "flow_stats": {}}
-    if options is not None and spec.collective != "alltoall":
-        kwargs["options"] = options
-    if spec.arrival_delays is not None:
-        kwargs["arrival_delays"] = list(spec.arrival_delays)
-    if spec.failure_rate > 0:
-        kwargs["failures"] = poisson_failures(
-            node_ids=list(range(1, spec.num_nodes)),
-            rate_per_second=spec.failure_rate,
-            horizon=spec.failure_horizon,
+        bandwidth = 1.25e8  # slow the run down so failures land mid-flight
+        rate = rng.choice([2.0, 4.0])
+        failure_seed = rng.randrange(1 << 16)
+        failures = poisson_failures(
+            node_ids=list(range(1, num_nodes)),
+            rate_per_second=rate,
+            horizon=0.6,
             downtime=0.2,
-            seed=spec.failure_seed,
+            seed=failure_seed,
         )
+        scenario = replace(scenario, failures=failures)
+        faults = f"faults(rate={rate}, horizon=0.6, fseed={failure_seed})"
 
-    measure = getattr(sc, f"measure_{spec.collective}")
+    scenario = replace(scenario, network=NetworkConfig(bandwidth=bandwidth, topology=topology))
+    return FuzzCase(seed, scenario, fabric, faults)
+
+
+def _run(case: FuzzCase, fast_paths: bool, observe=None) -> tuple[str, float]:
+    """Run one case with the fast paths forced on or off: (digest, latency)."""
     _reset_object_ids()
     with fastpath(fast_paths):
-        latency = measure(spec.system, spec.num_nodes, spec.nbytes, **kwargs)
-    if latency_out is not None:
-        latency_out["latency"] = latency
-    stats = kwargs["flow_stats"]
-    parts: list = [(spec.describe(), repr(latency))]
-    parts.extend(_flow_fingerprint(stats))
+        result = run(case.scenario, observe=observe)
+    parts: list = [(case.describe(), repr(result["latency"]))]
+    parts.extend(_flow_fingerprint(result["usage"]))
     parts.append(_object_id_state())
-    return _digest(parts)
+    return _digest(parts), result["latency"]
 
 
-def differential(seed: int) -> tuple[ScenarioSpec, str, str]:
+def run_spec(case: FuzzCase, fast_paths: bool) -> str:
+    """Run one scenario with the fast paths forced on or off; return its digest."""
+    return _run(case, fast_paths)[0]
+
+
+def differential(seed: int) -> tuple[FuzzCase, str, str]:
     """Digests of one seeded scenario with fast paths on vs. off."""
-    spec = generate_spec(seed)
-    on = run_spec(spec, fast_paths=True)
-    off = run_spec(spec, fast_paths=False)
-    return spec, on, off
-
-
-@contextmanager
-def _flight_recorders():
-    """Install flight recorders on every cluster a scenario builds.
-
-    Scenario code constructs its clusters deep inside ``measure_*``, so the
-    harness reaches them through the module-level
-    :data:`repro.net.cluster.ON_CREATE` hook; the collected recorders stay
-    readable after the run.
-    """
-    import repro.net.cluster as cluster_mod
-
-    recorders: list = []
-    previous = cluster_mod.ON_CREATE
-
-    def _hook(cluster) -> None:
-        if previous is not None:
-            previous(cluster)
-        cluster.enable_flight_recorder()
-        recorders.append(cluster.flight)
-
-    cluster_mod.ON_CREATE = _hook
-    try:
-        yield recorders
-    finally:
-        cluster_mod.ON_CREATE = previous
-
-
-@contextmanager
-def _control_plane_kills(events):
-    """Install a control-plane kill schedule on every runtime a scenario builds.
-
-    The directory lives inside the :class:`~repro.core.runtime.HopliteRuntime`
-    a ``measure_*`` constructs, so the harness reaches it through the
-    module-level :data:`repro.core.runtime.ON_CREATE` hook — the same idiom
-    :func:`_flight_recorders` uses for clusters.
-    """
-    import repro.core.runtime as runtime_mod
-
-    from repro.net.failure import schedule_control_plane
-
-    previous = runtime_mod.ON_CREATE
-
-    def _hook(runtime) -> None:
-        if previous is not None:
-            previous(runtime)
-        schedule_control_plane(runtime.sim, events, directory=runtime.directory)
-
-    runtime_mod.ON_CREATE = _hook
-    try:
-        yield
-    finally:
-        runtime_mod.ON_CREATE = previous
+    case = generate_spec(seed)
+    return case, run_spec(case, fast_paths=True), run_spec(case, fast_paths=False)
 
 
 def control_plane_differential(seed: int):
@@ -268,20 +181,20 @@ def control_plane_differential(seed: int):
     replay are all deterministic machinery, so they must not reopen the
     equivalence the plain band pins.
 
-    Returns ``(spec, events, on_digest, off_digest)``.
+    Returns ``(case, events, on_digest, off_digest)``.
     """
-    spec = generate_spec(seed)
-    if spec.system != "hoplite":
+    case = generate_spec(seed)
+    scenario = case.scenario
+    if scenario.system != "hoplite":
         # Only the object plane has a directory to kill; the static
         # baselines are exercised by the plain band.
-        spec.system = "hoplite"
-        if spec.collective == "broadcast" and spec.arrival_delays is not None:
-            spec.arrival_delays = spec.arrival_delays[: spec.num_nodes - 1]
-    from repro.net.failure import poisson_control_plane_failures
+        arrivals = scenario.arrivals
+        if scenario.collective == "broadcast" and not isinstance(arrivals, float):
+            arrivals = arrivals[: scenario.nodes - 1]
+        case = case._replace(scenario=replace(scenario, system="hoplite", arrivals=arrivals))
 
-    latency: dict = {}
-    run_spec(spec, fast_paths=True, latency_out=latency)
-    horizon = max(latency["latency"] * 0.8, 1e-3)
+    _, latency = _run(case, fast_paths=True)
+    horizon = max(latency * 0.8, 1e-3)
     events = poisson_control_plane_failures(
         num_shards=4,
         rate_per_second=2.0 / horizon,
@@ -289,25 +202,23 @@ def control_plane_differential(seed: int):
         seed=0xC7A1 ^ seed,
         include_lineage=False,
     )
-    with _control_plane_kills(events):
-        on = run_spec(spec, fast_paths=True)
-        off = run_spec(spec, fast_paths=False)
-    return spec, events, on, off
+    killed = case._replace(scenario=replace(case.scenario, shard_kills=events))
+    return case, events, run_spec(killed, fast_paths=True), run_spec(killed, fast_paths=False)
 
 
-def run_spec_recorded(spec: ScenarioSpec, fast_paths: bool) -> tuple[str, list]:
-    """Like :func:`run_spec`, with flight recording on every cluster.
+def run_spec_recorded(case: FuzzCase, fast_paths: bool) -> tuple[str, list]:
+    """Like :func:`run_spec`, with the cluster's flight recorder on.
 
-    Returns ``(digest, records)`` where ``records`` is the concatenation of
-    every recorder's ring (one scenario can build several clusters).
+    Returns ``(digest, records)``.
     """
-    with _flight_recorders() as recorders:
-        digest = run_spec(spec, fast_paths)
-    records = [record for recorder in recorders for record in recorder.records]
-    return digest, records
+    recorders: list = []
+    digest, _ = _run(
+        case, fast_paths, observe=lambda cluster: recorders.append(cluster.enable_flight_recorder())
+    )
+    return digest, list(recorders[0].records)
 
 
-def bisect_divergence(spec: ScenarioSpec):
+def bisect_divergence(case: FuzzCase):
     """Re-run one scenario recorded on both settings; first diverging event.
 
     Returns a :class:`repro.obs.flight.Divergence` (or ``None`` when the
@@ -316,8 +227,8 @@ def bisect_divergence(spec: ScenarioSpec):
     """
     from repro.obs.flight import first_divergence
 
-    _, on_records = run_spec_recorded(spec, fast_paths=True)
-    _, off_records = run_spec_recorded(spec, fast_paths=False)
+    _, on_records = run_spec_recorded(case, fast_paths=True)
+    _, off_records = run_spec_recorded(case, fast_paths=False)
     return first_divergence(on_records, off_records)
 
 
@@ -341,48 +252,33 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     from repro.obs.flight import first_divergence
 
-    if args.control_plane:
-        failures = 0
-        killed = 0
-        for seed in range(args.start, args.start + args.seeds):
-            spec, events, on, off = control_plane_differential(seed)
-            killed += len(events)
-            ok = on == off
-            if not ok:
-                failures += 1
-            if args.verbose or not ok:
-                print(
-                    f"{'OK  ' if ok else 'FAIL'} {spec.describe()} "
-                    f"kills={len(events)}"
-                )
-        print(
-            f"{args.seeds - failures}/{args.seeds} seeds identical "
-            f"({killed} control-plane kills injected)"
-        )
-        return 1 if failures else 0
-
-    failures = 0
+    failures = killed = 0
     for seed in range(args.start, args.start + args.seeds):
-        spec = generate_spec(seed)
-        divergence = None
-        if args.flight:
-            on, on_records = run_spec_recorded(spec, fast_paths=True)
-            off, off_records = run_spec_recorded(spec, fast_paths=False)
+        divergence, note = None, ""
+        if args.control_plane:
+            case, events, on, off = control_plane_differential(seed)
+            killed += len(events)
+            ok, note = on == off, f" kills={len(events)}"
+        elif args.flight:
+            case = generate_spec(seed)
+            on, on_records = run_spec_recorded(case, fast_paths=True)
+            off, off_records = run_spec_recorded(case, fast_paths=False)
             divergence = first_divergence(on_records, off_records)
             ok = on == off and divergence is None
         else:
-            on = run_spec(spec, fast_paths=True)
-            off = run_spec(spec, fast_paths=False)
+            case, on, off = differential(seed)
             ok = on == off
             if not ok:
-                divergence = bisect_divergence(spec)
-        if not ok:
-            failures += 1
+                divergence = bisect_divergence(case)
+        failures += not ok
         if args.verbose or not ok:
-            print(f"{'OK  ' if ok else 'FAIL'} {spec.describe()}")
-        if not ok and divergence is not None:
+            print(f"{'OK  ' if ok else 'FAIL'} {case.describe()}{note}")
+        if divergence is not None:
             print(divergence.describe())
-    print(f"{args.seeds - failures}/{args.seeds} seeds identical")
+    summary = f"{args.seeds - failures}/{args.seeds} seeds identical"
+    if args.control_plane:
+        summary += f" ({killed} control-plane kills injected)"
+    print(summary)
     return 1 if failures else 0
 
 

@@ -1,9 +1,10 @@
-"""Measurement drivers for the microbenchmark figures (6, 7, 8, 14, 15).
+"""Measurement drivers for the microbenchmark figures (6, 7, 8, 12, 14, 15).
 
-Each driver builds a fresh simulated cluster, runs one collective operation
-under one system ("hoplite", "openmpi", "gloo", "ray", "dask", ...), and
-returns the latency in simulated seconds, using the same measurement
-boundaries as the paper:
+A :class:`Scenario` names one measurement: the collective, the system that
+runs it ("hoplite", "openmpi", "gloo", "ray", "dask", ...), the cluster,
+participant arrivals and faults.  :func:`run` runs it on a fresh simulated
+cluster and returns the latency in simulated seconds, using the same
+measurement boundaries as the paper:
 
 * point-to-point — round-trip time of one object;
 * broadcast — from the moment every receiver calls ``Get`` (after the
@@ -19,34 +20,35 @@ boundaries as the paper:
 * the asynchrony variants stagger participant arrivals by a fixed interval
   and measure from the arrival of the first participant (Figure 8).
 
-``measure_allgather`` and ``measure_alltoall`` additionally accept a failure
-schedule (:class:`~repro.net.failure.FailureEvent` list).  The object planes
-ride through failures with Hoplite's per-transfer recovery plus framework
+Allgather and alltoall also take a node-failure schedule
+(:class:`~repro.net.failure.FailureEvent` list).  The object planes ride
+through failures with Hoplite's per-transfer recovery plus framework
 reconstruction (a recovered producer re-``Put``s its objects, Section 6);
 the static systems abort and restart the whole job once every node is back —
-the MPI failure model.
+the MPI failure model.  A :class:`Kill` instead runs the collective through
+the task system's orchestrator and kills its driver's node or its control
+plane mid-run.
+
+The ``measure_*`` functions are the figure-facing entry points; each is a
+thin wrapper that builds one :class:`Scenario`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Generator, Optional, Sequence, Union
 
 from repro.apps.common import reconstruct_on_recovery, retry_across_failures
-from repro.collectives.gloo import GlooCollectives
-from repro.collectives.mpi import MPICollectives
-from repro.collectives.naive import (
-    DASK_PROFILE,
-    RAY_PROFILE,
-    TaskSystemPlane,
-)
-from repro.collectives.plane import CommPlane, HoplitePlane
+from repro.collectives.systems import PLANES, STATIC_OPS
 from repro.core.options import HopliteOptions
-from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.failure import FailureEvent
-from repro.net.failure import schedule as _install_failures
+from repro.net.failure import (
+    ControlPlaneFailureEvent,
+    FailureEvent,
+    schedule,
+    schedule_control_plane,
+)
 from repro.net.flowsched import FlowClass
 from repro.net.transport import TransferError
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
@@ -63,9 +65,6 @@ SUPPORTED_SYSTEMS = (
     "dask",
     "optimal",
 )
-
-PLANE_SYSTEMS = ("hoplite", "ray", "dask")
-STATIC_SYSTEMS = ("openmpi", "gloo", "gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling")
 
 
 class UnsupportedScenarioError(ValueError):
@@ -99,8 +98,8 @@ class LinkUsage:
 class FlowUsage:
     """The frozen return schema of :func:`collect_flow_usage`.
 
-    Callers historically consume a plain dict (``flow_stats.update(...)``,
-    digest fingerprints over selected keys), so :func:`collect_flow_usage`
+    Callers consume a plain dict (``run(...)["usage"]``, digest
+    fingerprints over selected keys), so :func:`collect_flow_usage`
     returns :meth:`as_dict`; this dataclass is the schema contract the
     tests pin.  Remove or rename a field here and
     ``tests/test_flow_usage_schema.py`` fails before any consumer does.
@@ -131,20 +130,7 @@ class FlowUsage:
     fastpath: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "elapsed": self.elapsed,
-            "events_processed": self.events_processed,
-            "links": self.links,
-            "bytes_by_class": self.bytes_by_class,
-            "mean_uplink_utilization": self.mean_uplink_utilization,
-            "max_uplink_utilization": self.max_uplink_utilization,
-            "control_messages": self.control_messages,
-            "tier_bytes": self.tier_bytes,
-            "tier_busy_time": self.tier_busy_time,
-            "cross_rack_fraction": self.cross_rack_fraction,
-            "cross_zone_fraction": self.cross_zone_fraction,
-            "fastpath": self.fastpath,
-        }
+        return dict(vars(self))
 
 
 def collect_flow_usage(cluster: Cluster) -> dict:
@@ -166,24 +152,24 @@ def collect_flow_usage(cluster: Cluster) -> dict:
     :class:`FlowUsage`.
     """
     elapsed = cluster.now
+
+    def _link(node_id: int, direction: str, sched, tier: str = "nic") -> LinkUsage:
+        return LinkUsage(
+            node_id=node_id,
+            direction=direction,
+            utilization=sched.utilization(elapsed),
+            bytes_by_class={cls.name.lower(): count for cls, count in sched.bytes_by_class.items()},
+            reservations=sched.reservations_granted,
+            tier=tier,
+        )
+
     links: list[LinkUsage] = []
     bytes_by_class = {cls.name.lower(): 0 for cls in FlowClass}
     uplink_utils: list[float] = []
     control_messages = 0
     for node in cluster.nodes:
         for sched in (node.uplink_sched, node.downlink_sched):
-            links.append(
-                LinkUsage(
-                    node_id=node.node_id,
-                    direction=sched.direction,
-                    utilization=sched.utilization(elapsed),
-                    bytes_by_class={
-                        cls.name.lower(): count
-                        for cls, count in sched.bytes_by_class.items()
-                    },
-                    reservations=sched.reservations_granted,
-                )
-            )
+            links.append(_link(node.node_id, sched.direction, sched))
         for cls, count in node.uplink_sched.bytes_by_class.items():
             bytes_by_class[cls.name.lower()] += count
         uplink_utils.append(node.uplink_sched.utilization(elapsed))
@@ -198,19 +184,7 @@ def collect_flow_usage(cluster: Cluster) -> dict:
     }
     egress_tiers = {"rack_up": "rack_uplink", "zone_up": "inter_zone"}
     for link in cluster.fabric.iter_links():
-        links.append(
-            LinkUsage(
-                node_id=-1,
-                direction=link.name,
-                utilization=link.sched.utilization(elapsed),
-                bytes_by_class={
-                    cls.name.lower(): count
-                    for cls, count in link.sched.bytes_by_class.items()
-                },
-                reservations=link.sched.reservations_granted,
-                tier=link.tier,
-            )
-        )
+        links.append(_link(-1, link.name, link.sched, link.tier))
         tier = egress_tiers.get(link.tier)
         if tier is not None:
             tier_bytes[tier] += sum(link.sched.bytes_by_class.values())
@@ -262,163 +236,226 @@ def rack_interleaved_delays(
     return delays
 
 
-def _check_system(system: str) -> None:
-    if system not in SUPPORTED_SYSTEMS:
-        raise UnsupportedScenarioError(
-            f"unknown system {system!r}; expected one of {SUPPORTED_SYSTEMS}"
-        )
+# ---------------------------------------------------------------------------
+# The scenario model
+# ---------------------------------------------------------------------------
+
+#: each collective's pipelined analytical optimum: (nodes, nbytes, bandwidth).
+_OPTIMA: dict[str, Callable[[int, int, float], float]] = {
+    "p2p": lambda n, size, bandwidth: 2.0 * size / bandwidth,
+    "broadcast": lambda n, size, bandwidth: size / bandwidth,
+    "gather": lambda n, size, bandwidth: (n - 1) * size / bandwidth,
+    "reduce": lambda n, size, bandwidth: size / bandwidth,
+    "allreduce": lambda n, size, bandwidth: 2.0 * size / bandwidth * (n - 1) / n,
+    "allgather": lambda n, size, bandwidth: (n - 1) * size / bandwidth,
+    "alltoall": lambda n, size, bandwidth: (n - 1) * size / bandwidth,
+}
+
+#: the collectives the orchestrator runs (see :func:`_collective_spec`).
+_ORCHESTRATED = ("broadcast", "reduce", "allreduce", "allgather", "reduce_scatter", "alltoall")
 
 
-def _make_cluster(num_nodes: int, network: Optional[NetworkConfig]) -> Cluster:
-    return Cluster(num_nodes=num_nodes, network=network or NetworkConfig())
+@dataclass(frozen=True)
+class Kill:
+    """One mid-run kill of a collective that runs through the orchestrator.
 
+    ``target`` names the victim: ``"driver"`` is node 0 (the root of the
+    rooted collectives, rank 0 of the others), which rejoins ``downtime``
+    seconds later; ``"directory"`` is directory shard ``shard_id``, which
+    loses its record table and replays its WAL (checkpoint + tail);
+    ``"lineage"`` is the lineage/ownership services, which
+    :meth:`~repro.tasksys.orchestrator.CollectiveOrchestrator.replay_after_restart`
+    rebuilds; ``"both"`` is the last two at once.
 
-def _make_plane(system: str, cluster: Cluster, options: Optional[HopliteOptions]) -> CommPlane:
-    if system == "hoplite":
-        return HoplitePlane(HopliteRuntime(cluster, options=options))
-    if system == "ray":
-        return TaskSystemPlane(cluster, RAY_PROFILE)
-    if system == "dask":
-        return TaskSystemPlane(cluster, DASK_PROFILE)
-    raise UnsupportedScenarioError(f"{system!r} is not an object-plane system")
-
-
-def _resolve_delays(
-    count: int,
-    arrival_interval: float,
-    arrival_delays: Optional[Sequence[float]],
-) -> list[float]:
-    """Per-participant arrival delays for the asynchrony experiments.
-
-    Explicit ``arrival_delays`` win; otherwise participant ``k`` arrives at
-    ``k * arrival_interval`` (the paper's fixed-interval arrival process).
+    The kill lands at ``at``, or at ``fraction`` of the fault-free run,
+    which :func:`run` measures first (the simulation is deterministic, so
+    the calibration is exact).  With neither, nothing is killed: the
+    orchestrated run is the baseline.
     """
-    if arrival_delays is not None:
-        if len(arrival_delays) != count:
-            raise ValueError(
-                f"expected {count} arrival delays, got {len(arrival_delays)}"
-            )
-        return [float(delay) for delay in arrival_delays]
-    return [index * arrival_interval for index in range(count)]
+
+    target: str = "driver"
+    at: Optional[float] = None
+    fraction: Optional[float] = None
+    downtime: float = 0.5
+    shard_id: int = 0
+    #: simulated seconds the run may take: a wedged collective keeps
+    #: scheduling retry timeouts, so an unbounded run would never return.
+    budget: float = 600.0
+
+    def __post_init__(self) -> None:
+        if self.target not in ("driver", "directory", "lineage", "both"):
+            raise ValueError("target must be 'driver', 'directory', 'lineage', or 'both'")
+        if self.fraction is not None:
+            if self.at is not None:
+                raise ValueError("pass either fail_at or fail_fraction, not both")
+            if not 0.0 < self.fraction < 1.0:
+                raise ValueError("fail_fraction must be in (0, 1)")
 
 
-# ---------------------------------------------------------------------------
-# Point-to-point (Figure 6)
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Scenario:
+    """One measurement: a collective, the system running it, and its faults.
+
+    ``collective`` is ``"p2p"``, ``"broadcast"``, ``"gather"``,
+    ``"reduce"``, ``"allreduce"``, ``"allgather"`` or ``"alltoall"``; with
+    a :attr:`kill`, also ``"reduce_scatter"`` (but not gather or p2p).  A
+    control-plane kill needs the ``"hoplite"`` system.
+    """
+
+    collective: str
+    system: str = "hoplite"
+    nodes: int = 2
+    nbytes: int = 0
+    #: participant arrivals: a fixed interval (participant ``k`` arrives at
+    #: ``k * interval``) or one delay per participant.  The static systems
+    #: count every rank; the object-plane broadcast counts its receivers.
+    arrivals: Union[float, Sequence[float]] = 0.0
+    network: Optional[NetworkConfig] = None
+    options: Optional[HopliteOptions] = None
+    #: node failures, installed when the cluster is built.
+    failures: Sequence[FailureEvent] = ()
+    #: directory-shard kills, installed when the object plane is built.
+    shard_kills: Sequence[ControlPlaneFailureEvent] = ()
+    kill: Optional[Kill] = None
 
 
-def measure_point_to_point_rtt(
-    system: str,
-    nbytes: int,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-) -> float:
-    """Round-trip latency of one object between two nodes."""
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return 2.0 * nbytes / network.bandwidth
+def supported(system: str, collective: str, kill: Optional[Kill] = None) -> bool:
+    """Whether ``system`` implements ``collective`` (run under ``kill``)."""
+    if kill is not None:
+        if collective not in _ORCHESTRATED or (kill.target != "driver" and system != "hoplite"):
+            return False
+    elif collective not in _OPTIMA:
+        return False
+    elif system == "optimal":
+        return True
+    return system in PLANES or (system, collective) in STATIC_OPS
 
-    cluster = _make_cluster(2, network)
+
+def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None) -> dict:
+    """Run ``scenario`` on a fresh cluster and report what it measured.
+
+    ``observe`` is called with the cluster as soon as it is built, before
+    any fault or plane is installed: flight recorders and test probes go
+    there.  Returns a dict with ``latency`` (simulated seconds),
+    ``optimum`` (the collective's analytic optimum, ``None`` if it has
+    none), ``usage`` (:func:`collect_flow_usage`; ``None`` for the
+    ``"optimal"`` system, which simulates nothing), ``events`` (kernel
+    events processed) and ``recovery``.  ``recovery`` is ``None`` without a
+    :attr:`Scenario.kill`; with one it holds ``fail_at``, ``baseline`` (the
+    fault-free run, when calibrated), ``static_restart`` (what a control
+    plane without WAL replay would post: the launcher reruns the whole
+    collective after one failure-detection delay, ``fail_at + detection +
+    baseline``) and, on the object planes, each directory shard's
+    ``replay_applied`` and ``replay_self_check``.
+    """
+    s, kill = scenario, scenario.kill
+    if s.system not in SUPPORTED_SYSTEMS:
+        raise UnsupportedScenarioError(
+            f"unknown system {s.system!r}; expected one of {SUPPORTED_SYSTEMS}"
+        )
+    if not supported(s.system, s.collective, kill):
+        raise UnsupportedScenarioError(f"{s.system!r} does not implement {s.collective!r}")
+    network = s.network or NetworkConfig()
+    optimum = None
+    if s.collective in _OPTIMA:
+        optimum = _OPTIMA[s.collective](s.nodes, s.nbytes, network.bandwidth)
+    if s.system == "optimal":
+        return dict(latency=optimum, optimum=optimum, usage=None, events=0, recovery=None)
+    if s.nodes < 2:
+        raise ValueError(f"{s.collective} needs at least two nodes")
+    baseline = None
+    if kill is not None and kill.fraction is not None:
+        baseline = run(replace(s, kill=replace(kill, fraction=None)))["latency"]
+        kill = replace(kill, at=kill.fraction * baseline, fraction=None)
+
+    cluster = Cluster(num_nodes=s.nodes, network=network)
     sim = cluster.sim
-    finish: dict[str, float] = {}
+    if observe is not None:
+        observe(cluster)
+    schedule(cluster, s.failures)
+    if kill is not None and kill.target == "driver" and kill.at is not None:
+        cluster.schedule_failure(0, at=kill.at, recover_at=kill.at + kill.downtime)
+    done: dict = {}
+    plane = None
+    if s.system in PLANES:
+        plane = PLANES[s.system](cluster, s.options)
+        schedule_control_plane(sim, s.shard_kills, directory=plane.runtime.directory)
+        if kill is not None:
+            _orchestrated(cluster, plane, s, kill, done)
+        else:
+            _PLANE_RUNS[s.collective](cluster, plane, s, done)
+    else:
+        make_op = lambda: STATIC_OPS[(s.system, s.collective)](cluster, s.nbytes)  # noqa: E731
+        if kill is not None or s.collective in ("allgather", "alltoall"):
+            _static_restarts(cluster, make_op, s.nodes, done)
+        else:
+            _STATIC_RUNS[s.collective](cluster, make_op(), s, done)
+    sim.run(kill.budget if kill is not None else None)
+    if "latency" not in done:
+        bound = f"within {kill.budget} simulated seconds" if kill else "(unrecovered failure?)"
+        raise RuntimeError(f"{s.system} {s.collective} did not complete {bound}")
 
-    if system == "openmpi" or system in STATIC_SYSTEMS:
-        mpi = MPICollectives(cluster)
+    recovery = None
+    if kill is not None:
+        recovery = {"fail_at": kill.at, "baseline": baseline}
+        if baseline is not None:
+            recovery["static_restart"] = kill.at + network.failure_detection_delay + baseline
+        if plane is not None:
+            shards = plane.runtime.directory.shards
+            recovery["replay_applied"] = [shard.last_replay_applied for shard in shards]
+            recovery["replay_self_check"] = [shard.replay_self_check for shard in shards]
+    return {
+        "latency": done["latency"],
+        "optimum": optimum,
+        "usage": collect_flow_usage(cluster),
+        "events": sim.events_processed,
+        "recovery": recovery,
+    }
 
-        def _round_trip() -> Generator:
-            yield from mpi.send(0, 1, nbytes)
-            yield from mpi.send(1, 0, nbytes)
-            finish["t"] = sim.now
 
-        sim.process(_round_trip(), name="p2p-mpi")
-        sim.run()
-        return finish["t"]
+def _delays(arrivals: Union[float, Sequence[float]], count: int) -> list[float]:
+    """Per-participant arrival delays (a fixed interval, or given per participant)."""
+    if isinstance(arrivals, (int, float)):
+        return [index * arrivals for index in range(count)]
+    if len(arrivals) != count:
+        raise ValueError(f"expected {count} arrival delays, got {len(arrivals)}")
+    return [float(delay) for delay in arrivals]
 
-    plane = _make_plane(system, cluster, options)
+
+# ---------------------------------------------------------------------------
+# Object-plane runners: each installs its processes and, when the
+# measurement window closes, sets ``done["latency"]``.
+# ---------------------------------------------------------------------------
+
+
+def _plane_p2p(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
+    sim = cluster.sim
     ping_id = ObjectID.of("p2p-ping")
     pong_id = ObjectID.of("p2p-pong")
 
     def _sender() -> Generator:
-        yield from plane.put(cluster.node(0), ping_id, ObjectValue.of_size(nbytes))
+        yield from plane.put(cluster.node(0), ping_id, ObjectValue.of_size(s.nbytes))
         yield from plane.get(cluster.node(0), pong_id)
-        finish["t"] = sim.now
+        done["latency"] = sim.now
 
     def _responder() -> Generator:
         yield from plane.get(cluster.node(1), ping_id)
-        yield from plane.put(cluster.node(1), pong_id, ObjectValue.of_size(nbytes))
+        yield from plane.put(cluster.node(1), pong_id, ObjectValue.of_size(s.nbytes))
 
     sim.process(_sender(), name="p2p-sender")
     sim.process(_responder(), name="p2p-responder")
-    sim.run()
-    return finish["t"]
 
 
-# ---------------------------------------------------------------------------
-# Broadcast (Figures 7, 8a, 14)
-# ---------------------------------------------------------------------------
-
-
-def measure_broadcast(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    arrival_interval: float = 0.0,
-    arrival_delays: Optional[Sequence[float]] = None,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency of broadcasting one object from node 0 to all other nodes.
-
-    For the static systems the per-rank ``arrival_delays`` (or the uniform
-    ``arrival_interval``) cover all ``num_nodes`` ranks including the root;
-    for the object-plane systems they cover the ``num_nodes - 1`` receivers.
-    If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
-    link utilization report (see :func:`collect_flow_usage`).
-    """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("broadcast needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
+def _plane_broadcast(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
     sim = cluster.sim
-    finish_times: list[float] = []
-
-    if system in STATIC_SYSTEMS:
-        if system in ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"):
-            raise UnsupportedScenarioError("Gloo's allreduce variants do not broadcast")
-        if system == "openmpi":
-            op = MPICollectives(cluster).broadcast(nbytes, root=0)
-        else:
-            op = GlooCollectives(cluster).broadcast(nbytes, root=0)
-        delays = _resolve_delays(num_nodes, arrival_interval, arrival_delays)
-
-        def _rank(rank: int, delay: float) -> Generator:
-            if delay > 0:
-                yield sim.timeout(delay)
-            result = yield from op.participate(rank)
-            finish_times.append(result.finish_time)
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank, delays[rank]), name=f"bcast-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return max(finish_times)
-
-    plane = _make_plane(system, cluster, options)
     object_id = ObjectID.unique("bcast")
-    delays = _resolve_delays(num_nodes - 1, arrival_interval, arrival_delays)
+    delays = _delays(s.arrivals, s.nodes - 1)
 
     def _scenario() -> Generator:
         # The sender's Put completes before the measurement window opens.
-        yield from plane.put(cluster.node(0), object_id, ObjectValue.of_size(nbytes))
+        yield from plane.put(cluster.node(0), object_id, ObjectValue.of_size(s.nbytes))
         epoch = sim.now
-        receivers = []
+        finish_times: list[float] = []
 
         def _receiver(node_id: int, delay: float) -> Generator:
             if delay > 0:
@@ -426,403 +463,124 @@ def measure_broadcast(
             yield from plane.get(cluster.node(node_id), object_id)
             finish_times.append(sim.now - epoch)
 
-        for index, node_id in enumerate(range(1, num_nodes)):
-            receivers.append(
-                sim.process(
-                    _receiver(node_id, delays[index]),
-                    name=f"bcast-recv-{node_id}",
-                )
-            )
+        receivers = [
+            sim.process(_receiver(node_id, delays[node_id - 1]), name=f"bcast-recv-{node_id}")
+            for node_id in range(1, s.nodes)
+        ]
         yield sim.all_of(receivers)
+        done["latency"] = max(finish_times)
 
     sim.process(_scenario(), name="bcast-scenario")
-    sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return max(finish_times)
 
 
-# ---------------------------------------------------------------------------
-# Gather (Figures 7, 14)
-# ---------------------------------------------------------------------------
-
-
-def measure_gather(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency for node 0 to gather one object from every other node."""
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return (num_nodes - 1) * nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("gather needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
+def _plane_gather(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
     sim = cluster.sim
-    result: dict[str, float] = {}
-
-    if system in STATIC_SYSTEMS:
-        if system != "openmpi":
-            raise UnsupportedScenarioError(f"{system!r} does not implement gather")
-        op = MPICollectives(cluster).gather(nbytes, root=0)
-        finishes: list[float] = []
-
-        def _rank(rank: int) -> Generator:
-            rank_result = yield from op.participate(rank)
-            finishes.append(rank_result.finish_time)
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank), name=f"gather-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return max(finishes)
-
-    plane = _make_plane(system, cluster, options)
-    object_ids = [ObjectID.unique(f"gather-{i}") for i in range(1, num_nodes)]
+    object_ids = [ObjectID.unique(f"gather-{i}") for i in range(1, s.nodes)]
 
     def _scenario() -> Generator:
-        puts = []
-        for index, node_id in enumerate(range(1, num_nodes)):
-            puts.append(
-                sim.process(
-                    plane.put(
-                        cluster.node(node_id), object_ids[index], ObjectValue.of_size(nbytes)
-                    ),
-                    name=f"gather-put-{node_id}",
-                )
+        puts = [
+            sim.process(
+                plane.put(cluster.node(node_id), object_id, ObjectValue.of_size(s.nbytes)),
+                name=f"gather-put-{node_id}",
             )
+            for node_id, object_id in enumerate(object_ids, start=1)
+        ]
         yield sim.all_of(puts)
         epoch = sim.now
         gets = [
-            sim.process(
-                plane.get(cluster.node(0), object_id), name=f"gather-get-{object_id}"
-            )
+            sim.process(plane.get(cluster.node(0), object_id), name=f"gather-get-{object_id}")
             for object_id in object_ids
         ]
         yield sim.all_of(gets)
-        result["latency"] = sim.now - epoch
+        done["latency"] = sim.now - epoch
 
     sim.process(_scenario(), name="gather-scenario")
-    sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return result["latency"]
 
 
-# ---------------------------------------------------------------------------
-# Reduce (Figures 7, 8b, 14, 15)
-# ---------------------------------------------------------------------------
+def _plane_reduce(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
+    """Reduce at node 0; the caller (reduce) or every node (allreduce) ``Get``s.
 
-
-def measure_reduce(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    arrival_interval: float = 0.0,
-    arrival_delays: Optional[Sequence[float]] = None,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency of reducing one object per node into a single result at the caller.
-
-    In the synchronized case (no staggering) every ``Put`` completes before
-    the ``Reduce`` is issued, matching Figure 7.  With staggered arrivals the
-    ``Reduce`` is issued immediately and objects trickle in, matching
-    Figure 8b.  The caller's ``Get`` runs concurrently with the Reduce so the
-    result streams to the caller as it is produced (Section 3.3).
+    In the synchronized case every ``Put`` completes before the ``Reduce``
+    is issued (Figure 7); with staggered arrivals the ``Reduce`` is issued
+    at once and objects trickle in (Figure 8b).  The result ``Get``s run
+    concurrently with the Reduce, so the result streams out as it is
+    produced (Sections 3.3 and 3.4.3).
     """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("reduce needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    delays = _resolve_delays(num_nodes, arrival_interval, arrival_delays)
-    synchronized = max(delays) <= 0.0
-
-    if system in STATIC_SYSTEMS:
-        if system != "openmpi":
-            raise UnsupportedScenarioError(f"{system!r} does not implement reduce")
-        op = MPICollectives(cluster).reduce(nbytes, root=0)
-        finishes: dict[int, float] = {}
-
-        def _rank(rank: int, delay: float) -> Generator:
-            if delay > 0:
-                yield sim.timeout(delay)
-            rank_result = yield from op.participate(rank)
-            finishes[rank] = rank_result.finish_time
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank, delays[rank]), name=f"reduce-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return finishes[0]
-
-    plane = _make_plane(system, cluster, options)
-    source_ids = [ObjectID.unique(f"reduce-src-{i}") for i in range(num_nodes)]
-    target_id = ObjectID.unique("reduce-target")
-    result: dict[str, float] = {}
+    sim, n, name = cluster.sim, s.nodes, s.collective
+    delays = _delays(s.arrivals, n)
+    source_ids = [ObjectID.unique(f"{name}-src-{i}") for i in range(n)]
+    target_id = ObjectID.unique(f"{name}-target")
 
     def _producer(node_id: int, delay: float) -> Generator:
         if delay > 0:
             yield sim.timeout(delay)
         yield from plane.put(
-            cluster.node(node_id), source_ids[node_id], ObjectValue.of_size(nbytes)
+            cluster.node(node_id), source_ids[node_id], ObjectValue.of_size(s.nbytes)
         )
 
     def _scenario() -> Generator:
         producers = [
-            sim.process(
-                _producer(node_id, delays[node_id]),
-                name=f"reduce-put-{node_id}",
-            )
-            for node_id in range(num_nodes)
+            sim.process(_producer(node_id, delays[node_id]), name=f"{name}-put-{node_id}")
+            for node_id in range(n)
         ]
-        if synchronized:
-            # Figure 7 methodology: all Puts complete before Reduce is called.
+        if max(delays) <= 0.0:
             yield sim.all_of(producers)
         epoch = sim.now
         reduce_proc = sim.process(
             plane.reduce(cluster.node(0), target_id, source_ids, ReduceOp.SUM),
-            name="reduce-call",
+            name=f"{name}-call",
         )
-        yield from plane.get(cluster.node(0), target_id)
-        yield reduce_proc
-        result["latency"] = sim.now - epoch
-
-    sim.process(_scenario(), name="reduce-scenario")
-    sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return result["latency"]
-
-
-# ---------------------------------------------------------------------------
-# AllReduce (Figures 7, 8c, 14)
-# ---------------------------------------------------------------------------
-
-
-def measure_allreduce(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    arrival_interval: float = 0.0,
-    arrival_delays: Optional[Sequence[float]] = None,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency for every node to hold the reduction of one object per node.
-
-    Hoplite composes allreduce as reduce followed by broadcast; every
-    participant issues its ``Get`` on the reduce target immediately, so the
-    result streams out while it is still being produced (Section 3.4.3).
-    """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return 2.0 * nbytes / network.bandwidth * (num_nodes - 1) / num_nodes
-    if num_nodes < 2:
-        raise ValueError("allreduce needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    delays = _resolve_delays(num_nodes, arrival_interval, arrival_delays)
-    synchronized = max(delays) <= 0.0
-
-    if system in STATIC_SYSTEMS:
-        if system == "openmpi":
-            op = MPICollectives(cluster).allreduce(nbytes)
+        if name == "reduce":
+            yield from plane.get(cluster.node(0), target_id)
         else:
-            gloo = GlooCollectives(cluster)
-            if system in ("gloo", "gloo_ring_chunked"):
-                op = gloo.allreduce_ring_chunked(nbytes)
-            elif system == "gloo_ring":
-                op = gloo.allreduce_ring(nbytes)
-            else:
-                op = gloo.allreduce_halving_doubling(nbytes)
-        finishes: list[float] = []
-
-        def _rank(rank: int, delay: float) -> Generator:
-            if delay > 0:
-                yield sim.timeout(delay)
-            rank_result = yield from op.participate(rank)
-            finishes.append(rank_result.finish_time)
-
-        for rank in range(num_nodes):
-            sim.process(_rank(rank, delays[rank]), name=f"allreduce-rank-{rank}")
-        sim.run()
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return max(finishes)
-
-    plane = _make_plane(system, cluster, options)
-    source_ids = [ObjectID.unique(f"allreduce-src-{i}") for i in range(num_nodes)]
-    target_id = ObjectID.unique("allreduce-target")
-    result: dict[str, float] = {}
-
-    def _producer(node_id: int, delay: float) -> Generator:
-        if delay > 0:
-            yield sim.timeout(delay)
-        yield from plane.put(
-            cluster.node(node_id), source_ids[node_id], ObjectValue.of_size(nbytes)
-        )
-
-    def _scenario() -> Generator:
-        producers = [
-            sim.process(
-                _producer(node_id, delays[node_id]),
-                name=f"allreduce-put-{node_id}",
-            )
-            for node_id in range(num_nodes)
-        ]
-        if synchronized:
-            yield sim.all_of(producers)
-        epoch = sim.now
-        reduce_proc = sim.process(
-            plane.reduce(cluster.node(0), target_id, source_ids, ReduceOp.SUM),
-            name="allreduce-call",
-        )
-        fetchers = [
-            sim.process(
-                plane.get(cluster.node(node_id), target_id),
-                name=f"allreduce-get-{node_id}",
-            )
-            for node_id in range(num_nodes)
-        ]
-        yield sim.all_of(fetchers)
-        yield reduce_proc
-        result["latency"] = sim.now - epoch
-
-    sim.process(_scenario(), name="allreduce-scenario")
-    sim.run()
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return result["latency"]
-
-
-# ---------------------------------------------------------------------------
-# Allgather / Alltoall (collective-family extension; MoE + batch-norm shapes)
-# ---------------------------------------------------------------------------
-
-
-def _run_static_with_restarts(
-    cluster: Cluster,
-    make_op,
-    num_ranks: int,
-) -> float:
-    """Run a static collective, restarting the whole job after node failures.
-
-    Static (MPI/Gloo-style) collectives have no intra-operation fault
-    tolerance: a failed rank aborts the job and the launcher re-runs it once
-    the node rejoins.  Aborted attempts interrupt every rank process so no
-    partial state leaks into the retry.
-    """
-    sim = cluster.sim
-    finish: dict[str, float] = {}
-
-    def _rank(op, rank: int) -> Generator:
-        rank_result = yield from op.participate(rank)
-        return rank_result.finish_time
-
-    def _job() -> Generator:
-        while True:
-            op = make_op()
-            rank_procs = [
-                sim.process(_rank(op, rank), name=f"static-rank-{rank}")
-                for rank in range(num_ranks)
+            fetchers = [
+                sim.process(
+                    plane.get(cluster.node(node_id), target_id), name=f"{name}-get-{node_id}"
+                )
+                for node_id in range(n)
             ]
-            all_done = sim.all_of(rank_procs)
-            any_failure = sim.any_of(
-                [node.failure_event() for node in cluster.nodes]
-            )
-            aborted = False
-            try:
-                yield sim.any_of([all_done, any_failure])
-                aborted = not all_done.triggered
-            except TransferError:
-                aborted = True
-            if not aborted:
-                finish["t"] = max(all_done.value)
-                return
-            for proc in rank_procs:
-                if proc.is_alive:
-                    proc.interrupt("static collective restart")
-            while not all(node.alive for node in cluster.nodes):
-                dead = next(node for node in cluster.nodes if not node.alive)
-                yield dead.recovery_event()
-            # The launcher pays one failure-detection delay before it can
-            # observe the rejoin and respawn the job — the same delay the
-            # object planes' task resubmission pays.
-            yield sim.timeout(cluster.config.failure_detection_delay)
+            yield sim.all_of(fetchers)
+        yield reduce_proc
+        done["latency"] = sim.now - epoch
 
-    sim.process(_job(), name="static-job")
-    sim.run()
-    if "t" not in finish:
-        raise RuntimeError("static collective did not complete (unrecovered failure?)")
-    return finish["t"]
+    sim.process(_scenario(), name=f"{name}-scenario")
 
 
-def measure_allgather(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    failures: Optional[Sequence[FailureEvent]] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency for every node to hold one object from every other node.
+def _plane_exchange(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
+    """Allgather or alltoall; every participant rides through node failures.
 
-    ``nbytes`` is the per-node contribution.  For the object planes every
-    ``Put`` completes before the measurement window opens; each participant
-    then gathers all ``n`` objects and the slowest participant defines the
-    latency.  The pipelined analytical bound is ``S_total / B + L * log n``
-    with ``S_total = n * nbytes`` (each downlink must absorb almost the full
-    gathered payload; the broadcast trees add a logarithmic latency term).
-
-    If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
-    link utilization report (see :func:`collect_flow_usage`).
+    Allgather: every node gathers all ``n`` objects once every ``Put`` has
+    completed.  The pipelined bound is ``S_total / B + L * log n`` with
+    ``S_total = n * nbytes``: each downlink absorbs almost the whole
+    gathered payload, and the broadcast trees add a logarithmic latency
+    term.  Alltoall: a personalized exchange, ``nbytes`` per pair, timed
+    with its sends.  A participant retries after its own node's failure;
+    with failures scheduled, each node also re-``Put``s its objects after
+    every rejoin.
     """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return (num_nodes - 1) * nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("allgather needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    if failures:
-        _install_failures(cluster, failures)
-
-    if system in STATIC_SYSTEMS:
-        if system == "openmpi":
-            make_op = lambda: MPICollectives(cluster).allgather(nbytes)  # noqa: E731
-        elif system == "gloo":
-            make_op = lambda: GlooCollectives(cluster).allgather(nbytes)  # noqa: E731
-        else:
-            raise UnsupportedScenarioError(f"{system!r} does not implement allgather")
-        latency = _run_static_with_restarts(cluster, make_op, num_nodes)
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return latency
-
-    plane = _make_plane(system, cluster, options)
-    source_ids = [ObjectID.unique(f"allgather-{i}") for i in range(num_nodes)]
-    values = [ObjectValue.of_size(nbytes) for _ in range(num_nodes)]
+    sim, n, name = cluster.sim, s.nodes, s.collective
+    if name == "allgather":
+        source_ids = [ObjectID.unique(f"allgather-{i}") for i in range(n)]
+        values = [ObjectValue.of_size(s.nbytes) for _ in range(n)]
+        sends = lambda node_id: [(source_ids[node_id], values[node_id])]  # noqa: E731
+        share = lambda node_id: plane.allgather(cluster.node(node_id), source_ids)  # noqa: E731
+    else:
+        pair_ids = {
+            (src, dst): ObjectID.unique(f"alltoall-{src}-{dst}")
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+        }
+        sends = lambda node_id: [  # noqa: E731
+            (pair_ids[(node_id, dst)], ObjectValue.of_size(s.nbytes))
+            for dst in range(n)
+            if dst != node_id
+        ]
+        share = lambda node_id: plane.alltoall(  # noqa: E731
+            cluster.node(node_id),
+            sends(node_id),
+            [pair_ids[(src, node_id)] for src in range(n) if src != node_id],
+        )
     finish_times: list[float] = []
 
     def _producer(node_id: int) -> Generator:
@@ -832,53 +590,49 @@ def measure_allgather(
             lambda: plane.put(cluster.node(node_id), source_ids[node_id], values[node_id]),
         )
 
-    def _gatherer(node_id: int, epoch: float) -> Generator:
-        yield from retry_across_failures(
-            cluster,
-            node_id,
-            lambda: plane.allgather(cluster.node(node_id), source_ids),
-        )
+    def _participant(node_id: int, epoch: float) -> Generator:
+        yield from retry_across_failures(cluster, node_id, lambda: share(node_id))
         finish_times.append(sim.now - epoch)
 
     def _scenario() -> Generator:
         # Reconstructors go in before any Put so a producer that fails right
         # after its own Put (while others are still putting) is still re-Put.
-        if failures:
-            for node_id in range(num_nodes):
+        if s.failures:
+            for node_id in range(n):
                 sim.process(
-                    reconstruct_on_recovery(
-                        cluster,
-                        plane,
-                        node_id,
-                        [(source_ids[node_id], values[node_id])],
-                    ),
-                    name=f"allgather-reconstruct-{node_id}",
+                    reconstruct_on_recovery(cluster, plane, node_id, sends(node_id)),
+                    name=f"{name}-reconstruct-{node_id}",
                 )
-        producers = [
-            sim.process(_producer(node_id), name=f"allgather-put-{node_id}")
-            for node_id in range(num_nodes)
-        ]
-        yield sim.all_of(producers)
+        if name == "allgather":
+            producers = [
+                sim.process(_producer(node_id), name=f"allgather-put-{node_id}")
+                for node_id in range(n)
+            ]
+            yield sim.all_of(producers)
         epoch = sim.now
-        gatherers = [
-            sim.process(_gatherer(node_id, epoch), name=f"allgather-node-{node_id}")
-            for node_id in range(num_nodes)
+        participants = [
+            sim.process(_participant(node_id, epoch), name=f"{name}-node-{node_id}")
+            for node_id in range(n)
         ]
-        yield sim.all_of(gatherers)
+        yield sim.all_of(participants)
+        done["latency"] = max(finish_times)
 
-    sim.process(_scenario(), name="allgather-scenario")
-    sim.run()
-    if len(finish_times) != num_nodes:
-        raise RuntimeError("allgather did not complete (unrecovered failure?)")
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return max(finish_times)
+    sim.process(_scenario(), name=f"{name}-scenario")
 
 
-def _driver_failure_spec(
-    collective: str, num_nodes: int, nbytes: int, tag: str
-) -> CollectiveSpec:
-    """Build the durable spec for one driver-failure measurement."""
+_PLANE_RUNS = {
+    "p2p": _plane_p2p,
+    "broadcast": _plane_broadcast,
+    "gather": _plane_gather,
+    "reduce": _plane_reduce,
+    "allreduce": _plane_reduce,
+    "allgather": _plane_exchange,
+    "alltoall": _plane_exchange,
+}
+
+
+def _collective_spec(collective: str, num_nodes: int, nbytes: int, tag: str) -> CollectiveSpec:
+    """Build the durable spec for one orchestrated measurement."""
     participants = list(range(num_nodes))
     value = lambda: ObjectValue.of_size(nbytes)  # noqa: E731
     if collective == "broadcast":
@@ -904,29 +658,252 @@ def _driver_failure_spec(
         )
     if collective == "reduce_scatter":
         matrix = {
-            (i, j): ObjectID.unique(f"{tag}-{i}-{j}")
-            for i in participants
-            for j in participants
+            (i, j): ObjectID.unique(f"{tag}-{i}-{j}") for i in participants for j in participants
         }
         targets = {j: ObjectID.unique(f"{tag}-shard{j}") for j in participants}
         return CollectiveSpec.reduce_scatter(
-            tag,
-            participants,
-            matrix,
-            targets,
-            {object_id: value() for object_id in matrix.values()},
+            tag, participants, matrix, targets, {oid: value() for oid in matrix.values()}
         )
-    if collective == "alltoall":
-        matrix = {
-            (src, dst): ObjectID.unique(f"{tag}-{src}-{dst}")
-            for src in participants
-            for dst in participants
-            if src != dst
-        }
-        return CollectiveSpec.alltoall(
-            tag, participants, matrix, {object_id: value() for object_id in matrix.values()}
-        )
-    raise UnsupportedScenarioError(f"unknown collective {collective!r}")
+    matrix = {
+        (src, dst): ObjectID.unique(f"{tag}-{src}-{dst}")
+        for src in participants
+        for dst in participants
+        if src != dst
+    }
+    return CollectiveSpec.alltoall(
+        tag, participants, matrix, {object_id: value() for object_id in matrix.values()}
+    )
+
+
+def _orchestrated(cluster: Cluster, plane, s: Scenario, kill: Kill, done: dict) -> None:
+    """The collective as lineage-recorded driver tasks, with ``kill`` applied.
+
+    Every share is a driver task: the root share migrates to an alive node,
+    and re-executions adopt surviving partials through the directory, so a
+    driver kill costs roughly one failure-detection delay plus the lost
+    share's work.  A control-plane kill parks requests to the dead
+    component until it has replayed its write-ahead log.
+    """
+    sim = cluster.sim
+    orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
+    prefix = "drvfail" if kill.target == "driver" else "ctlfail"
+    spec = _collective_spec(s.collective, s.nodes, s.nbytes, f"{prefix}-{s.system}")
+
+    def _killer() -> Generator:
+        yield sim.timeout(kill.at)
+        if kill.target in ("directory", "both"):
+            directory = plane.runtime.directory
+            directory.fail_shard(kill.shard_id % len(directory.shards))
+        if kill.target in ("lineage", "both"):
+            orchestrator.kill_control_plane()
+
+    if kill.target != "driver" and kill.at is not None:
+        sim.process(_killer(), name="control-plane-killer")
+
+    def _driver() -> Generator:
+        outcome = yield from orchestrator.invoke(spec)
+        done["latency"] = outcome.completion_time
+
+    sim.process(_driver(), name="orchestrated-scenario")
+
+
+# ---------------------------------------------------------------------------
+# Static-system runners
+# ---------------------------------------------------------------------------
+
+
+def _static_p2p(cluster: Cluster, mpi, s: Scenario, done: dict) -> None:
+    sim = cluster.sim
+
+    def _round_trip() -> Generator:
+        yield from mpi.send(0, 1, s.nbytes)
+        yield from mpi.send(1, 0, s.nbytes)
+        done["latency"] = sim.now
+
+    sim.process(_round_trip(), name="p2p-mpi")
+
+
+def _static_ranks(cluster: Cluster, op, s: Scenario, done: dict) -> None:
+    """One process per rank; the latency is the last rank's finish (reduce:
+    the root's)."""
+    sim, n = cluster.sim, s.nodes
+    delays = _delays(s.arrivals, n)
+    finishes: dict[int, float] = {}
+
+    def _rank(rank: int, delay: float) -> Generator:
+        if delay > 0:
+            yield sim.timeout(delay)
+        result = yield from op.participate(rank)
+        finishes[rank] = result.finish_time
+        if len(finishes) == n:
+            done["latency"] = finishes[0] if s.collective == "reduce" else max(finishes.values())
+
+    for rank in range(n):
+        sim.process(_rank(rank, delays[rank]), name=f"{s.collective}-rank-{rank}")
+
+
+def _static_restarts(cluster: Cluster, make_op, num_ranks: int, done: dict) -> None:
+    """Run a static collective, restarting the whole job after node failures.
+
+    Static (MPI/Gloo-style) collectives have no intra-operation fault
+    tolerance: a failed rank aborts the job and the launcher re-runs it once
+    the node rejoins.  Aborted attempts interrupt every rank process so no
+    partial state leaks into the retry.
+    """
+    sim = cluster.sim
+
+    def _rank(op, rank: int) -> Generator:
+        rank_result = yield from op.participate(rank)
+        return rank_result.finish_time
+
+    def _job() -> Generator:
+        while True:
+            op = make_op()
+            rank_procs = [
+                sim.process(_rank(op, rank), name=f"static-rank-{rank}")
+                for rank in range(num_ranks)
+            ]
+            all_done = sim.all_of(rank_procs)
+            any_failure = sim.any_of([node.failure_event() for node in cluster.nodes])
+            aborted = False
+            try:
+                yield sim.any_of([all_done, any_failure])
+                aborted = not all_done.triggered
+            except TransferError:
+                aborted = True
+            if not aborted:
+                done["latency"] = max(all_done.value)
+                return
+            for proc in rank_procs:
+                if proc.is_alive:
+                    proc.interrupt("static collective restart")
+            while not all(node.alive for node in cluster.nodes):
+                dead = next(node for node in cluster.nodes if not node.alive)
+                yield dead.recovery_event()
+            # The launcher pays one failure-detection delay before it can
+            # observe the rejoin and respawn the job — the same delay the
+            # object planes' task resubmission pays.
+            yield sim.timeout(cluster.config.failure_detection_delay)
+
+    sim.process(_job(), name="static-job")
+
+
+_STATIC_RUNS = {
+    "p2p": _static_p2p,
+    "broadcast": _static_ranks,
+    "gather": _static_ranks,
+    "reduce": _static_ranks,
+    "allreduce": _static_ranks,
+}
+
+
+# ---------------------------------------------------------------------------
+# Figure-facing entry points
+# ---------------------------------------------------------------------------
+
+
+def _latency(collective: str, system: str, num_nodes: int, nbytes: int, **fields) -> float:
+    return run(Scenario(collective, system, num_nodes, nbytes, **fields))["latency"]
+
+
+def measure_point_to_point_rtt(
+    system: str,
+    nbytes: int,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+) -> float:
+    """Round-trip latency of one object between two nodes (Figure 6)."""
+    return _latency("p2p", system, 2, nbytes, network=network, options=options)
+
+
+def measure_broadcast(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    arrival_interval: float = 0.0,
+    arrival_delays: Optional[Sequence[float]] = None,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+) -> float:
+    """Latency of broadcasting one object from node 0 to all other nodes.
+
+    For the static systems the per-rank ``arrival_delays`` (or the uniform
+    ``arrival_interval``) cover all ``num_nodes`` ranks including the root;
+    for the object-plane systems they cover the ``num_nodes - 1`` receivers.
+    """
+    arrivals = arrival_interval if arrival_delays is None else arrival_delays
+    return _latency(
+        "broadcast", system, num_nodes, nbytes, arrivals=arrivals, network=network, options=options
+    )
+
+
+def measure_gather(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+) -> float:
+    """Latency for node 0 to gather one object from every other node."""
+    return _latency("gather", system, num_nodes, nbytes, network=network, options=options)
+
+
+def measure_reduce(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    arrival_interval: float = 0.0,
+    arrival_delays: Optional[Sequence[float]] = None,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+) -> float:
+    """Latency of reducing one object per node into a single result at node 0."""
+    arrivals = arrival_interval if arrival_delays is None else arrival_delays
+    return _latency(
+        "reduce", system, num_nodes, nbytes, arrivals=arrivals, network=network, options=options
+    )
+
+
+def measure_allreduce(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    arrival_interval: float = 0.0,
+    arrival_delays: Optional[Sequence[float]] = None,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+) -> float:
+    """Latency for every node to hold the reduction of one object per node."""
+    arrivals = arrival_interval if arrival_delays is None else arrival_delays
+    return _latency(
+        "allreduce", system, num_nodes, nbytes, arrivals=arrivals, network=network, options=options
+    )
+
+
+def measure_allgather(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    failures: Optional[Sequence[FailureEvent]] = None,
+) -> float:
+    """Latency for every node to hold one object (``nbytes``) from every node."""
+    fields = dict(network=network, options=options, failures=failures or ())
+    return _latency("allgather", system, num_nodes, nbytes, **fields)
+
+
+def measure_alltoall(
+    system: str,
+    num_nodes: int,
+    nbytes: int,
+    network: Optional[NetworkConfig] = None,
+    options: Optional[HopliteOptions] = None,
+    failures: Optional[Sequence[FailureEvent]] = None,
+) -> float:
+    """Latency of a personalized all-to-all exchange (``nbytes`` per pair)."""
+    fields = dict(network=network, options=options, failures=failures or ())
+    return _latency("alltoall", system, num_nodes, nbytes, **fields)
 
 
 def measure_driver_failure(
@@ -943,94 +920,18 @@ def measure_driver_failure(
 ) -> float:
     """Completion time of one collective whose **caller/root node dies**.
 
-    Node 0 — the root of the rooted collectives and rank 0 of the symmetric
-    ones — fails at ``fail_at`` and recovers ``downtime`` seconds later
-    (``fail_at=None`` runs failure-free, the baseline).  ``fail_fraction``
-    calibrates the failure to land mid-collective: the scenario first runs
-    failure-free to learn the system's own duration, then kills the root at
-    that fraction of it (the simulation is deterministic, so the calibration
-    run is exact).
-
-    The object planes run the collective through the
-    :class:`~repro.tasksys.orchestrator.CollectiveOrchestrator`: every share
-    is a lineage-recorded driver task, the root share migrates to an alive
-    node, and re-executions adopt surviving partials through the directory —
-    so recovery costs roughly one failure-detection delay plus the lost
-    share's work.  The static systems model the MPI failure semantics: the
-    job aborts and the launcher restarts the whole collective from scratch
-    once every node is back, so their recovery time is bounded below by the
-    downtime plus a full re-run.
+    Node 0 fails at ``fail_at`` (or at ``fail_fraction`` of the fault-free
+    run) and rejoins ``downtime`` seconds later; with neither, the run is
+    the failure-free baseline.  The object planes recover through the
+    orchestrator's lineage (see :class:`Kill`); the static systems model
+    the MPI failure semantics: the job aborts and the launcher restarts the
+    whole collective once every node is back, so their recovery time is
+    bounded below by the downtime plus a full re-run.
     """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        raise UnsupportedScenarioError("driver failure has no analytic optimum")
-    if num_nodes < 2:
-        raise ValueError("driver-failure scenarios need at least two nodes")
-    if fail_fraction is not None:
-        if fail_at is not None:
-            raise ValueError("pass either fail_at or fail_fraction, not both")
-        if not 0.0 < fail_fraction < 1.0:
-            raise ValueError("fail_fraction must be in (0, 1)")
-        baseline = measure_driver_failure(
-            system,
-            num_nodes,
-            nbytes,
-            collective=collective,
-            network=network,
-            options=options,
-        )
-        fail_at = fail_fraction * baseline
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    if fail_at is not None:
-        cluster.schedule_failure(0, at=fail_at, recover_at=fail_at + downtime)
-
-    if system in STATIC_SYSTEMS:
-        static_makers = {
-            ("openmpi", "broadcast"): lambda: MPICollectives(cluster).broadcast(
-                nbytes, root=0
-            ),
-            ("openmpi", "reduce"): lambda: MPICollectives(cluster).reduce(nbytes, root=0),
-            ("openmpi", "allreduce"): lambda: MPICollectives(cluster).allreduce(nbytes),
-            ("openmpi", "allgather"): lambda: MPICollectives(cluster).allgather(nbytes),
-            ("openmpi", "alltoall"): lambda: MPICollectives(cluster).alltoall(nbytes),
-            ("gloo", "broadcast"): lambda: GlooCollectives(cluster).broadcast(
-                nbytes, root=0
-            ),
-            ("gloo", "allreduce"): lambda: GlooCollectives(
-                cluster
-            ).allreduce_ring_chunked(nbytes),
-            ("gloo", "allgather"): lambda: GlooCollectives(cluster).allgather(nbytes),
-            ("gloo", "alltoall"): lambda: GlooCollectives(cluster).alltoall(nbytes),
-        }
-        make_op = static_makers.get((system, collective))
-        if make_op is None:
-            raise UnsupportedScenarioError(
-                f"{system!r} does not implement {collective!r}"
-            )
-        return _run_static_with_restarts(cluster, make_op, num_nodes)
-
-    plane = _make_plane(system, cluster, options)
-    task_system = TaskSystem(cluster, plane)
-    orchestrator = CollectiveOrchestrator(task_system)
-    spec = _driver_failure_spec(collective, num_nodes, nbytes, f"drvfail-{system}")
-    finish: dict[str, float] = {}
-
-    def _driver() -> Generator:
-        outcome = yield from orchestrator.invoke(spec)
-        finish["t"] = outcome.completion_time
-
-    sim.process(_driver(), name="driver-failure-scenario")
-    # Bounded: a wedged collective keeps scheduling retry timeouts, so an
-    # unbounded run would spin forever instead of reaching the error below.
-    sim.run(until=budget)
-    if "t" not in finish:
-        raise RuntimeError(
-            f"collective did not complete within {budget} simulated seconds"
-        )
-    return finish["t"]
+    kill = Kill("driver", fail_at, fail_fraction, downtime, budget=budget)
+    return _latency(
+        collective, system, num_nodes, nbytes, network=network, options=options, kill=kill
+    )
 
 
 def measure_control_plane_failure(
@@ -1044,195 +945,17 @@ def measure_control_plane_failure(
     budget: float = 600.0,
     network: Optional[NetworkConfig] = None,
     options: Optional[HopliteOptions] = None,
-    stats: Optional[dict] = None,
 ) -> float:
-    """Completion time of one collective whose **control plane dies** mid-run.
+    """Completion time of one Hoplite collective whose **control plane dies**.
 
-    The collective runs on the Hoplite object plane through the
-    :class:`~repro.tasksys.orchestrator.CollectiveOrchestrator`; at
-    ``fail_at`` the scenario kills the chosen control-plane component:
-
-    * ``target="directory"`` — one directory shard (``shard_id``) loses its
-      volatile record table; clients park on the shard's recovery event
-      while the shard replays its WAL (checkpoint + tail).
-    * ``target="lineage"`` — the lineage/ownership services are wiped and
-      rebuilt by :meth:`~repro.tasksys.orchestrator.CollectiveOrchestrator.
-      replay_after_restart`; in-flight specs resume at their last durable
-      incarnation.
-    * ``target="both"`` — both at once.
-
-    ``fail_fraction`` calibrates the kill to land mid-collective exactly as
-    in :func:`measure_driver_failure`.  ``fail_at=None`` runs failure-free
-    (the baseline).
-
-    If ``stats`` is given (a dict), it is filled with the run's recovery
-    accounting, including ``static_restart`` — the completion time a control
-    plane *without* WAL replay would post, where losing the directory or the
-    lineage log aborts the job and the launcher reruns the collective from
-    scratch after one failure-detection delay: ``fail_at + detection +
-    baseline``.  Replay-based recovery beating that number is the scenario's
-    headline claim.
+    ``target`` is ``"directory"``, ``"lineage"`` or ``"both"`` (see
+    :class:`Kill`); ``fail_at=None`` with no ``fail_fraction`` runs
+    failure-free (the baseline).  :func:`run` on the same scenario also
+    reports the recovery accounting, ``static_restart`` among it.
     """
-    network = network or NetworkConfig()
     if target not in ("directory", "lineage", "both"):
         raise ValueError("target must be 'directory', 'lineage', or 'both'")
-    if num_nodes < 2:
-        raise ValueError("control-plane scenarios need at least two nodes")
-    baseline: Optional[float] = None
-    if fail_fraction is not None:
-        if fail_at is not None:
-            raise ValueError("pass either fail_at or fail_fraction, not both")
-        if not 0.0 < fail_fraction < 1.0:
-            raise ValueError("fail_fraction must be in (0, 1)")
-        baseline = measure_control_plane_failure(
-            num_nodes,
-            nbytes,
-            collective=collective,
-            target=target,
-            shard_id=shard_id,
-            network=network,
-            options=options,
-        )
-        fail_at = fail_fraction * baseline
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    plane = _make_plane("hoplite", cluster, options)
-    runtime = plane.runtime
-    task_system = TaskSystem(cluster, plane)
-    orchestrator = CollectiveOrchestrator(task_system)
-    spec = _driver_failure_spec(collective, num_nodes, nbytes, "ctlfail-hoplite")
-    finish: dict[str, float] = {}
-
-    def _killer() -> Generator:
-        yield sim.timeout(fail_at)
-        if target in ("directory", "both"):
-            runtime.directory.fail_shard(shard_id % len(runtime.directory.shards))
-        if target in ("lineage", "both"):
-            orchestrator.kill_control_plane()
-
-    if fail_at is not None:
-        sim.process(_killer(), name="control-plane-killer")
-
-    def _driver() -> Generator:
-        outcome = yield from orchestrator.invoke(spec)
-        finish["t"] = outcome.completion_time
-
-    sim.process(_driver(), name="control-plane-failure-scenario")
-    sim.run(until=budget)
-    if "t" not in finish:
-        raise RuntimeError(
-            f"collective did not complete within {budget} simulated seconds"
-        )
-    if stats is not None:
-        directory = runtime.directory
-        stats["fail_at"] = fail_at
-        stats["baseline"] = baseline
-        stats["shard_kills"] = directory.shard_kills
-        stats["replay_applied"] = [
-            shard.last_replay_applied for shard in directory.shards
-        ]
-        stats["replay_self_check"] = [
-            shard.replay_self_check for shard in directory.shards
-        ]
-        stats["control_plane_kills"] = orchestrator.metrics["control_plane_kills"]
-        stats["control_plane_resubmissions"] = orchestrator.metrics[
-            "control_plane_resubmissions"
-        ]
-        if baseline is not None and fail_at is not None:
-            stats["static_restart"] = (
-                fail_at + cluster.config.failure_detection_delay + baseline
-            )
-    return finish["t"]
-
-
-def measure_alltoall(
-    system: str,
-    num_nodes: int,
-    nbytes: int,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-    failures: Optional[Sequence[FailureEvent]] = None,
-    flow_stats: Optional[dict] = None,
-) -> float:
-    """Latency of a personalized all-to-all exchange (``nbytes`` per pair).
-
-    Every node contributes one object per peer; the measurement covers the
-    whole exchange (sends included, matching ``MPI_Alltoall`` semantics) and
-    ends when the slowest participant holds its ``n - 1`` incoming blocks.
-
-    If ``flow_stats`` is given (a dict), it is filled with the run's per-flow
-    link utilization report (see :func:`collect_flow_usage`).
-    """
-    _check_system(system)
-    network = network or NetworkConfig()
-    if system == "optimal":
-        return (num_nodes - 1) * nbytes / network.bandwidth
-    if num_nodes < 2:
-        raise ValueError("alltoall needs at least two nodes")
-
-    cluster = _make_cluster(num_nodes, network)
-    sim = cluster.sim
-    if failures:
-        _install_failures(cluster, failures)
-
-    if system in STATIC_SYSTEMS:
-        if system == "openmpi":
-            make_op = lambda: MPICollectives(cluster).alltoall(nbytes)  # noqa: E731
-        elif system == "gloo":
-            make_op = lambda: GlooCollectives(cluster).alltoall(nbytes)  # noqa: E731
-        else:
-            raise UnsupportedScenarioError(f"{system!r} does not implement alltoall")
-        latency = _run_static_with_restarts(cluster, make_op, num_nodes)
-        if flow_stats is not None:
-            flow_stats.update(collect_flow_usage(cluster))
-        return latency
-
-    plane = _make_plane(system, cluster, options)
-    pair_ids = {
-        (src, dst): ObjectID.unique(f"alltoall-{src}-{dst}")
-        for src in range(num_nodes)
-        for dst in range(num_nodes)
-        if src != dst
-    }
-    finish_times: list[float] = []
-
-    def _sends(node_id: int) -> list[tuple[ObjectID, ObjectValue]]:
-        return [
-            (pair_ids[(node_id, dst)], ObjectValue.of_size(nbytes))
-            for dst in range(num_nodes)
-            if dst != node_id
-        ]
-
-    def _participant(node_id: int, epoch: float) -> Generator:
-        recv_ids = [
-            pair_ids[(src, node_id)] for src in range(num_nodes) if src != node_id
-        ]
-        yield from retry_across_failures(
-            cluster,
-            node_id,
-            lambda: plane.alltoall(cluster.node(node_id), _sends(node_id), recv_ids),
-        )
-        finish_times.append(sim.now - epoch)
-
-    def _scenario() -> Generator:
-        if failures:
-            for node_id in range(num_nodes):
-                sim.process(
-                    reconstruct_on_recovery(cluster, plane, node_id, _sends(node_id)),
-                    name=f"alltoall-reconstruct-{node_id}",
-                )
-        epoch = sim.now
-        participants = [
-            sim.process(_participant(node_id, epoch), name=f"alltoall-node-{node_id}")
-            for node_id in range(num_nodes)
-        ]
-        yield sim.all_of(participants)
-
-    sim.process(_scenario(), name="alltoall-scenario")
-    sim.run()
-    if len(finish_times) != num_nodes:
-        raise RuntimeError("alltoall did not complete (unrecovered failure?)")
-    if flow_stats is not None:
-        flow_stats.update(collect_flow_usage(cluster))
-    return max(finish_times)
+    kill = Kill(target, fail_at, fail_fraction, shard_id=shard_id, budget=budget)
+    return _latency(
+        collective, "hoplite", num_nodes, nbytes, network=network, options=options, kill=kill
+    )

@@ -12,12 +12,6 @@ from repro.sim import Process
 from repro.store.object_store import LocalObjectStore
 from repro.store.objects import ObjectID
 
-#: module-level hook called with every new :class:`HopliteRuntime` — the same
-#: idiom as ``repro.net.cluster.ON_CREATE``.  The fuzz harness uses it to
-#: reach the runtime (for control-plane fault injection) without threading a
-#: parameter through every scenario constructor.
-ON_CREATE = None
-
 
 class NodeObjectManager:
     """Per-node bookkeeping that is not part of the store itself.
@@ -119,8 +113,6 @@ class HopliteRuntime:
         #: per-runtime (not global) so repeated runs inside one process stay
         #: byte-for-byte reproducible.
         self.hierarchical_reduce_seq = 0
-        if ON_CREATE is not None:
-            ON_CREATE(self)
 
     # -- accessors -------------------------------------------------------------
     def store(self, node: Node | int) -> LocalObjectStore:

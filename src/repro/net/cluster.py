@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.net.config import ClusterSpec, NetworkConfig
 from repro.net.fastpath import FastpathStats
 from repro.net.node import Node
 from repro.net.topology import Fabric, Topology
 from repro.sim import Simulator
-
-#: Optional module-level hook called with every fully constructed Cluster.
-#: Harnesses that need to observe clusters built deep inside scenario code
-#: (the differential fuzzer's flight recordings, the perf basket's
-#: critical-path pass) install it around a run; ``None`` (the default)
-#: costs one branch per cluster construction.
-ON_CREATE: Optional[Callable[["Cluster"], None]] = None
 
 
 class Cluster:
@@ -71,8 +64,6 @@ class Cluster:
         self.nodes: list[Node] = [
             Node(self.sim, node_id, cluster=self) for node_id in range(num_nodes)
         ]
-        if ON_CREATE is not None:
-            ON_CREATE(self)
 
     def enable_observability(self, window: float = 0.1, trace_transfers: bool = False):
         """Install (and return) the observability plane for this cluster.

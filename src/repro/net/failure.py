@@ -18,6 +18,12 @@ class FailureEvent:
     fail_at: float
     recover_at: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.fail_at < 0:
+            raise ValueError("fail_at must be non-negative")
+        if self.recover_at is not None and self.recover_at < self.fail_at:
+            raise ValueError("recover_at must not precede fail_at")
+
 
 def schedule(cluster: Cluster, events: Sequence[FailureEvent]) -> None:
     """Install a list of failure events on the cluster."""

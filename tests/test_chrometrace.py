@@ -6,27 +6,13 @@ from repro.obs.chrometrace import to_chrome_trace
 
 
 def _traced_fleet():
-    import repro.net.cluster as cluster_mod
     from repro.bench.fleet import run_fleet
     from repro.store.objects import reset_id_counter
 
-    previous = cluster_mod.ON_CREATE
-
-    def _hook(cluster):
-        if previous is not None:
-            previous(cluster)
-        cluster.enable_flight_recorder()
-
-    cluster_mod.ON_CREATE = _hook
-    try:
-        reset_id_counter()
-        result = run_fleet(
-            num_jobs=8, num_racks=2, nodes_per_rack=4, quick=True,
-            trace_transfers=True,
-        )
-    finally:
-        cluster_mod.ON_CREATE = previous
-    return result
+    reset_id_counter()
+    return run_fleet(
+        num_jobs=8, num_racks=2, nodes_per_rack=4, quick=True, trace_transfers=True
+    )
 
 
 def _serialized() -> str:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.bench.scenarios import (
+    Scenario,
     UnsupportedScenarioError,
     measure_allgather,
     measure_alltoall,
+    run,
 )
 from repro.core import HopliteRuntime, ObjectID, ObjectValue, ReduceOp
 from repro.net import Cluster, NetworkConfig
@@ -208,8 +210,7 @@ def test_hoplite_alltoall_within_pipelined_bound():
 
 
 def test_alltoall_flow_stats_report_busy_links():
-    stats: dict = {}
-    measure_alltoall("hoplite", 4, 8 * MB, flow_stats=stats)
+    stats = run(Scenario("alltoall", "hoplite", 4, 8 * MB))["usage"]
     assert stats["mean_uplink_utilization"] > 0.5
     assert stats["bytes_by_class"]["bulk"] == 4 * 3 * 8 * MB
     assert stats["control_messages"] > 0

@@ -37,6 +37,30 @@ def test_collective_rows_tiny_grid():
         assert row["hoplite"] > 0
 
 
+def test_collective_rows_unsupported_pair_reads_nan():
+    rows = collective_rows(
+        sizes=(MB,), node_counts=(4,), primitives=("gather",),
+        systems_by_primitive={"gather": ("gloo",)},
+    )
+    assert rows[0]["gloo"] != rows[0]["gloo"]  # NaN
+    assert rows[0]["optimal"] > 0
+
+
+def test_collective_rows_lets_a_failing_cell_raise(monkeypatch):
+    """A supported cell that crashes fails the table instead of printing NaN."""
+    from repro.bench import experiments
+
+    def _crash(scenario, observe=None):
+        raise RuntimeError("broadcast did not complete")
+
+    monkeypatch.setattr(experiments, "run", _crash)
+    with pytest.raises(RuntimeError, match="did not complete"):
+        collective_rows(
+            sizes=(MB,), node_counts=(4,), primitives=("broadcast",),
+            systems_by_primitive={"broadcast": ("hoplite",)},
+        )
+
+
 def test_fig15_tiny_grid_has_degree_columns():
     rows = fig15_reduce_degree(sizes=(4 * KB,), node_counts=(8,), degrees=(1, 0))
     assert len(rows) == 1

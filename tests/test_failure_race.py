@@ -15,8 +15,7 @@ peers' failures.  These tests pin three things:
 
 import pytest
 
-import repro.net.cluster as cluster_mod
-from repro.bench.scenarios import measure_allgather, measure_allreduce, measure_alltoall
+from repro.bench.scenarios import Scenario, run
 from repro.net import Cluster, NetworkConfig, TransferError
 from repro.net.errors import FailureRace, _check_alive
 from repro.net.flowsched import FlowTransport, path_latency, path_transmission_time
@@ -113,20 +112,12 @@ def test_interrupted_waiter_leaves_no_listener():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "measure", [measure_alltoall, measure_allgather, measure_allreduce],
-    ids=["alltoall", "allgather", "allreduce"],
-)
-def test_no_failure_listener_leak_after_32_node_collective(measure):
+@pytest.mark.parametrize("collective", ["alltoall", "allgather", "allreduce"])
+def test_no_failure_listener_leak_after_32_node_collective(collective):
     """Only the long-lived per-node services stay registered (directory,
     store, object manager, and a reduce execution's repair hook)."""
     clusters = []
-    previous = cluster_mod.ON_CREATE
-    cluster_mod.ON_CREATE = clusters.append
-    try:
-        measure("hoplite", 32, 32 * MB)
-    finally:
-        cluster_mod.ON_CREATE = previous
+    run(Scenario(collective, "hoplite", 32, 32 * MB), observe=clusters.append)
     (cluster,) = clusters
     assert max(len(node.failure_listeners) for node in cluster.nodes) <= 4
 

@@ -39,7 +39,7 @@ def test_golden_matching_cell_16_matches_pre_convoy_kernel():
 
 
 def test_golden_matching_cell_64_matches_pre_convoy_kernel():
-    """The fig7_64_matching population itself (pre-convoy recording)."""
+    """The same collectives at 64 nodes (pre-convoy recording)."""
     assert golden_matching_cell(64) == RECORDED["matching_64"]
 
 

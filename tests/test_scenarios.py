@@ -151,17 +151,21 @@ _UNSUPPORTED = {
     "allreduce": (),
     "allgather": ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"),
     "alltoall": ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling"),
+    # The static allreduce variants restart the whole job, like "gloo".
     "driver_failure": ("optimal",),
 }
-#: pairs that may go either way: the static allreduce variants under a
-#: driver kill.
-_EITHER = {"driver_failure": ("gloo_ring", "gloo_ring_chunked", "gloo_halving_doubling")}
 
 
 @pytest.mark.parametrize("collective", sorted(_UNSUPPORTED))
 def test_support_matrix(collective):
-    """Every (system, collective) pair finishes or refuses; none crashes."""
+    """Every (system, collective) pair finishes or refuses; none crashes,
+    and :func:`supported` says which beforehand."""
     from repro.bench import scenarios as sc
+
+    if collective == "driver_failure":
+        asked = lambda system: sc.supported(system, "allreduce", sc.Kill())  # noqa: E731
+    else:
+        asked = lambda system: sc.supported(system, collective)  # noqa: E731
 
     run = {
         "p2p": lambda system: sc.measure_point_to_point_rtt(system, MB),
@@ -174,10 +178,11 @@ def test_support_matrix(collective):
         "driver_failure": lambda system: sc.measure_driver_failure(system, 4, MB),
     }[collective]
     for system in SUPPORTED_SYSTEMS:
+        assert asked(system) == (system not in _UNSUPPORTED[collective]), system
         try:
             latency = run(system)
         except UnsupportedScenarioError:
-            assert system in _UNSUPPORTED[collective] + _EITHER.get(collective, ()), system
+            assert system in _UNSUPPORTED[collective], system
             continue
         assert system not in _UNSUPPORTED[collective], system
         assert math.isfinite(latency) and latency > 0, (system, latency)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.scenarios import (
+    Scenario,
     collect_flow_usage,
     measure_allgather,
     measure_allreduce,
@@ -22,6 +23,7 @@ from repro.bench.scenarios import (
     measure_reduce,
     rack_interleaved_delays,
 )
+from repro.bench.scenarios import run as run_scenario
 from repro.core.hierarchical import HierarchicalReduceExecution
 from repro.core.options import HopliteOptions
 from repro.core.runtime import HopliteRuntime
@@ -306,16 +308,13 @@ def test_topology_aware_beats_oblivious_at_4_to_1():
     oblivious = HopliteOptions(topology_aware=False)
     delays = rack_interleaved_delays(num_racks, nodes_per_rack)
 
-    aware_stats: dict = {}
-    bcast_aware = measure_broadcast(
-        "hoplite",
-        num_nodes,
-        16 * MB,
-        arrival_delays=delays[1:],
-        network=network,
-        options=aware,
-        flow_stats=aware_stats,
+    aware_run = run_scenario(
+        Scenario(
+            "broadcast", "hoplite", num_nodes, 16 * MB,
+            arrivals=delays[1:], network=network, options=aware,
+        )
     )
+    bcast_aware, aware_stats = aware_run["latency"], aware_run["usage"]
     bcast_oblivious = measure_broadcast(
         "hoplite",
         num_nodes,
@@ -362,16 +361,12 @@ def test_rack_locality_survives_objects_larger_than_the_detection_delay():
         topology=Topology.racks(num_racks, nodes_per_rack, oversubscription=4.0)
     )
     delays = rack_interleaved_delays(num_racks, nodes_per_rack)
-    stats: dict = {}
-    measure_broadcast(
-        "hoplite",
-        num_racks * nodes_per_rack,
-        256 * MB,
-        arrival_delays=delays[1:],
-        network=network,
-        options=HopliteOptions(topology_aware=True),
-        flow_stats=stats,
-    )
+    stats = run_scenario(
+        Scenario(
+            "broadcast", "hoplite", num_racks * nodes_per_rack, 256 * MB,
+            arrivals=delays[1:], network=network, options=HopliteOptions(topology_aware=True),
+        )
+    )["usage"]
     # One cross-rack transfer per remote rack: 3 of 15 = 0.2 of NIC bytes.
     assert stats["cross_rack_fraction"] <= 0.25, stats["cross_rack_fraction"]
 
