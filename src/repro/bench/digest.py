@@ -260,6 +260,33 @@ def golden_fuzz_band_cell() -> str:
     return _digest(parts)
 
 
+def golden_grant_order_cell() -> str:
+    """Every kernel pop of a contended 16-node alltoall and allgather.
+
+    Hoplite, flat fabric, 8 MB objects.  Each pop contributes its
+    ``(when, seq, event type)``, collected through ``run(observe=...)``
+    with ``sim.on_pop``.  The result digests pin latencies and byte
+    counters; this cell pins the order in which the kernel dispatched
+    every grant, timeout and wake-up, so an admission change that keeps
+    the latencies but reorders a same-instant tie fails here.
+    """
+    from repro.bench.scenarios import Scenario, run
+
+    digest = hashlib.sha256()
+
+    def observe(cluster) -> None:
+        def on_pop(when, seq, event, update=digest.update) -> None:
+            update(repr((when, seq, type(event).__name__)).encode("utf-8"))
+
+        cluster.sim.on_pop = on_pop
+
+    for collective in ("alltoall", "allgather"):
+        _reset_object_ids()
+        digest.update(collective.encode("utf-8"))
+        run(Scenario(collective, "hoplite", 16, 8 * MB), observe=observe)
+    return digest.hexdigest()
+
+
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fig7_flat": golden_fig7_cell,
     "fault_matrix_2rack": golden_fault_matrix_cell,
@@ -267,6 +294,7 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "matching_64": partial(golden_matching_cell, 64),
     "perf_basket": golden_perf_basket_cell,
     "fuzz_band": golden_fuzz_band_cell,
+    "grant_order": golden_grant_order_cell,
 }
 
 #: digests asserted by tests/test_golden_determinism.py.  The first two
@@ -283,4 +311,7 @@ RECORDED_DIGESTS = {
     # The fuzz band's own digests, recorded before the scenario drivers
     # moved onto one Scenario/run() model.
     "fuzz_band": "4a0d15e8e652e0c7dcb4e99b7c27944ed9f818d5aa552bcd4ba47ed205453200",
+    # Kernel pop order, recorded before grants at submission stopped
+    # entering the admission queues.
+    "grant_order": "41b3ca5428ea2976397436a8cedc9302d2eb67b187697431402f44bb61b75334",
 }

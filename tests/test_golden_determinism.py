@@ -20,6 +20,7 @@ from repro.bench.digest import (
     golden_fault_matrix_cell,
     golden_fig7_cell,
     golden_fuzz_band_cell,
+    golden_grant_order_cell,
     golden_matching_cell,
     golden_perf_basket_cell,
 )
@@ -51,6 +52,12 @@ def test_golden_perf_basket_cell_matches_recorded_latencies():
 def test_golden_fuzz_band_matches_recorded_digests():
     """The fuzz seeds' own digests, fast paths on, plain and shard-killed."""
     assert golden_fuzz_band_cell() == RECORDED["fuzz_band"]
+
+
+def test_golden_grant_order_matches_recorded_pops():
+    """Every kernel pop ``(when, seq, event type)`` of a 16-node alltoall
+    and allgather, so admission changes keep the dispatch order."""
+    assert golden_grant_order_cell() == RECORDED["grant_order"]
 
 
 @pytest.mark.parametrize("cell", ["fig7_flat", "fault_matrix_2rack"])
