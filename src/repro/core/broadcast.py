@@ -156,8 +156,6 @@ def _fetch_from_origin(
             try:
                 yield source_entry.wait_sealed()
                 yield from transfer_bytes(config, source_node, node, entry.size, flow)
-                runtime.store(source_node).account_flow_out(flow, entry.size)
-                runtime.store(node).account_flow_in(flow, entry.size)
             finally:
                 source_entry.ref_count -= 1
             entry.metadata.update(source_entry.metadata)
@@ -194,10 +192,7 @@ def _pull_blocks(
     # Reference the serving copy: a capacity-limited source store must not
     # evict it mid-stream (the receiver would silently lose the payload).
     source_entry.ref_count += 1
-    dest_store = runtime.store(dest_node)
     links = nic_path_links(source_node, dest_node)
-    account_out = lambda nb: source_store.account_flow_out(flow, nb)  # noqa: E731
-    account_in = lambda nb: dest_store.account_flow_in(flow, nb)  # noqa: E731
     register_stream(links)
     try:
         if not runtime.options.enable_pipelining:
@@ -229,8 +224,6 @@ def _pull_blocks(
                         entry,
                         block_index,
                         horizon,
-                        account_out=account_out,
-                        account_in=account_in,
                     )
                     yield from run.run()
                     continue
@@ -255,8 +248,6 @@ def _pull_blocks(
             _ensure_alive(source_node)
             nbytes = config.block_bytes(entry.size, block_index)
             yield from transfer_block(config, source_node, dest_node, nbytes, flow)
-            source_store.account_flow_out(flow, nbytes)
-            dest_store.account_flow_in(flow, nbytes)
             entry.mark_block_ready(block_index)
     finally:
         unregister_stream(links)

@@ -790,8 +790,6 @@ class ReduceExecution:
             f"reduce-seed:{self.target_id}:n{best_node.node_id}->n{node.node_id}",
             FlowClass.REDUCE_PARTIAL,
         )
-        donor_store = runtime.store(best_node)
-        local_store = runtime.store(node)
         # Reference the donor's copy so a capacity-limited store cannot
         # evict the prefix while it is being pulled back.
         best_entry.ref_count += 1
@@ -811,8 +809,6 @@ class ReduceExecution:
                     )
                 except TransferError:
                     return
-                donor_store.account_flow_out(flow, nbytes)
-                local_store.account_flow_in(flow, nbytes)
                 output.mark_block_ready(block_index)
                 block_index += 1
             runtime.root_prefix_seeds += 1
@@ -856,12 +852,8 @@ class ReduceExecution:
             # links re-splits before the per-block interleaving starts.
             if same_node:
                 links = [(parent_node.memcpy_channel, None)]
-                account_out = account_in = None
             else:
                 links = nic_path_links(child_node, parent_node)
-                parent_store = runtime.store(parent_node)
-                account_out = lambda nb: child_store.account_flow_out(flow, nb)  # noqa: E731
-                account_in = lambda nb: parent_store.account_flow_in(flow, nb)  # noqa: E731
             register_stream(links)
             config_ = self.runtime.config
             try:
@@ -889,8 +881,6 @@ class ReduceExecution:
                                 block_index,
                                 horizon,
                                 local_copy=same_node,
-                                account_out=account_out,
-                                account_in=account_in,
                             )
                             yield from run.run()
                             continue
@@ -918,9 +908,6 @@ class ReduceExecution:
                         yield from transfer_block(
                             config, child_node, parent_node, nbytes, flow
                         )
-                    if not same_node:
-                        child_store.account_flow_out(flow, nbytes)
-                        runtime.store(parent_node).account_flow_in(flow, nbytes)
                     staging.mark_block_ready(block_index)
                 yield from race_failure(
                     child_entry.wait_sealed(), (child_node, parent_node)

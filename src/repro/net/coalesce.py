@@ -9,8 +9,7 @@ deterministic arithmetic: block ``j`` of the run transmits over
 A :class:`CoalescedRun` precomputes exactly those boundaries (with the same
 left-to-right float additions the per-block chain performs), sleeps once
 until the end, and retrofits every side effect — link-scheduler accounting,
-store byte accounting, destination block marks — that the per-block chain
-would have produced.
+destination block marks — that the per-block chain would have produced.
 
 Exactness is the design constraint; three mechanisms preserve it:
 
@@ -41,7 +40,7 @@ correct.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.errors import NodeFailedError
 from repro.net.fastpath import stats_for
@@ -159,8 +158,6 @@ class CoalescedRun:
         "links",
         "entry",
         "base",
-        "account_out",
-        "account_in",
         "n",
         "s",
         "e",
@@ -193,8 +190,6 @@ class CoalescedRun:
         links: Sequence[tuple["Resource", Optional["LinkScheduler"]]],
         entry: Optional["StoredObject"] = None,
         base: int = 0,
-        account_out: Optional[Callable[[int], None]] = None,
-        account_in: Optional[Callable[[int], None]] = None,
         ready_times: Optional[Sequence[float]] = None,
         src_schedule: Optional[InflightSchedule] = None,
     ):
@@ -208,8 +203,6 @@ class CoalescedRun:
         self.links = list(links)
         self.entry = entry
         self.base = base
-        self.account_out = account_out
-        self.account_in = account_in
         self.n = len(self.sizes)
         # Boundary arrays built with the exact float recurrence of the
         # per-block chain: s_{j+1} = max((s_j + tx_j) + L, source arrival),
@@ -420,7 +413,7 @@ class CoalescedRun:
         self._accounted = max(self._accounted, j + 1)
 
     def _deliver(self, count: int) -> None:
-        """Store accounting + destination marks for the first ``count`` blocks.
+        """Destination marks (and flight arrivals) for the first ``count`` blocks.
 
         Must run after the inflight schedule is closed so the marks write
         through to the stored counter (and fire any re-registered waiters).
@@ -428,15 +421,9 @@ class CoalescedRun:
         if self.schedule is not None:
             self.schedule.close()
             self.schedule = None
-        account_out, account_in = self.account_out, self.account_in
         entry, base = self.entry, self.base
         flight = self._flight
         for j in range(count):
-            nbytes = self.sizes[j]
-            if account_out is not None:
-                account_out(nbytes)
-            if account_in is not None:
-                account_in(nbytes)
             if entry is not None:
                 entry.mark_block_ready(base + j)
             if flight is not None:
@@ -444,7 +431,7 @@ class CoalescedRun:
                     self.arr[j],
                     "arrive",
                     self._flight_key,
-                    f"{self._flight_flow}/{nbytes}",
+                    f"{self._flight_flow}/{self.sizes[j]}",
                 )
 
     # -- the driver --------------------------------------------------------
@@ -833,8 +820,6 @@ def build_pull_run(
     block_index: int,
     horizon: int,
     local_copy: bool = False,
-    account_out: Optional[Callable[[int], None]] = None,
-    account_in: Optional[Callable[[int], None]] = None,
 ) -> CoalescedRun:
     """The coalesced run for blocks ``[block_index, horizon)`` of one pull.
 
@@ -875,8 +860,6 @@ def build_pull_run(
         links,
         entry=entry,
         base=block_index,
-        account_out=account_out,
-        account_in=account_in,
         ready_times=ready_times,
         src_schedule=src_schedule,
     )

@@ -24,10 +24,11 @@ this module reproduces that discipline for the simulated NICs:
   queue of its link and accumulates per-flow / per-class byte counts and
   busy time for the utilization reports in :mod:`repro.bench.scenarios`.
 
-:class:`FlowTransport` is the facade: ``transfer_block`` / ``transfer_bytes``
-generators compatible with the legacy :mod:`repro.net.transport` signatures
-(which now delegate here), plus explicit ``reserve`` for protocols that want
-to manage reservation lifetimes themselves.
+The first block of a ``src -> dst`` flow caches its *route* on the source
+node: ``(claims, path, rate, latency)`` — the validated claim set, the
+shared tier links on the path, the path bottleneck rate and the one-way
+latency.  :func:`transfer_block` times each block from it, bit for bit what
+:func:`path_transmission_time` and :func:`path_latency` return.
 
 Failure semantics match the legacy transport: a dead endpoint raises
 :class:`~repro.net.transport.TransferError`, and a reservation still waiting
@@ -157,18 +158,26 @@ class LinkScheduler:
 def _build_route(src: "Node", dst: "Node") -> tuple:
     """Build, validate and cache on ``src`` the route of ``src -> dst`` blocks.
 
-    A route is ``(claims, path)``: the reservation claim set (one slot on
-    the source uplink, the destination downlink, then every shared tier
-    link of the fabric path) and the tier links themselves.  Paths never
-    change after a cluster is built, so the claim checks of
-    ``MultiRequest`` run once per node pair instead of once per block.  A
-    route holds two new tuples; the one-slot claims are the links' own,
-    shared by every route through them.
+    A route is ``(claims, path, rate, latency)``: the reservation claim set
+    (one slot on the source uplink, the destination downlink, then every
+    shared tier link of the path), those tier links, the path bottleneck
+    rate (``Fabric.rate``) and the one-way latency (``Fabric.latency``).
+    Paths never change after a cluster is built, so the claim checks and
+    the fabric queries run once per node pair instead of once per block.
+    The one-slot claims are the links' own, shared by every route through
+    them.  A node without a cluster has no fabric: ``rate`` and ``latency``
+    are ``None`` and its blocks are timed by the path functions.
     """
     fabric = src.cluster.fabric if src.cluster is not None else None
-    path = fabric.path_links(src.node_id, dst.node_id) if fabric is not None else ()
+    if fabric is None:
+        path, rate, latency = (), None, None
+    else:
+        src_id, dst_id = src.node_id, dst.node_id
+        path = fabric.path_links(src_id, dst_id)
+        rate = fabric.rate(src_id, dst_id)
+        latency = fabric.latency(src_id, dst_id)
     claims = (src.uplink_claim, dst.downlink_claim) + tuple(link.claim for link in path)
-    route = src.routes[dst.node_id] = (validate_claims(claims), path)
+    route = src.routes[dst.node_id] = (validate_claims(claims), path, rate, latency)
     return route
 
 
@@ -203,7 +212,7 @@ class Reservation(MultiRequest):
         if route is None:
             route = _build_route(src, dst)
         #: shared tier links on the path (empty for flat/intra-rack traffic).
-        claims, self.path = route
+        claims, self.path, _rate, _latency = route
         self._submit(claims, int(flow.flow_class))
 
     def release(self) -> None:
@@ -236,12 +245,74 @@ class Reservation(MultiRequest):
                 flight.record(self.sim._now, "release", key, detail)
 
 
-class FlowTransport:
-    """Flow-scheduled block transport over a cluster's NICs.
+def transfer_block(
+    config: NetworkConfig,
+    src: "Node",
+    dst: "Node",
+    nbytes: int,
+    flow: Optional[Flow] = None,
+) -> Generator:
+    """Move one block from ``src`` to ``dst`` under flow scheduling.
 
-    Generator methods are signature-compatible with the legacy transport
-    (``transfer_block`` / ``transfer_bytes`` semantics and return values),
-    plus an optional :class:`Flow` for priority and accounting.
+    Returns (via StopIteration) the simulated time at which the block is
+    fully available at the destination.  The block is timed from its route
+    when ``config`` is the cluster's own; any other config, and a node built
+    without a cluster, is timed by :func:`path_transmission_time` and
+    :func:`path_latency`.
+    """
+    sim = src.sim
+    if not (src.alive and dst.alive):
+        _check_alive(src, dst)
+    reservation = Reservation(src, dst, nbytes, flow or DEFAULT_FLOW)
+    cluster = src.cluster
+    if cluster is not None and config is cluster.config:
+        _claims, _path, rate, latency = src.routes[dst.node_id]
+        tx = nbytes / rate
+    else:
+        tx = path_transmission_time(config, src, dst, nbytes)
+        latency = path_latency(config, src, dst)
+    try:
+        if reservation._ok is None:
+            # Race the queued admission against either peer dying.
+            race = FailureRace(reservation, (src, dst))
+            try:
+                yield race
+            finally:
+                race.cancel()
+            if reservation._ok is None:
+                # A peer died while the reservation was still queued:
+                # withdraw the claim so no ghost request survives, then
+                # fail like a broken connection.
+                dead = src if not src.alive else dst
+                raise TransferError(
+                    f"node {dead.node_id} failed before transfer admission",
+                    node=dead,
+                )
+        if not (src.alive and dst.alive):
+            _check_alive(src, dst)
+        yield sim.timeout(tx)
+        if not (src.alive and dst.alive):
+            _check_alive(src, dst)
+    finally:
+        reservation.release()
+    yield sim.timeout(latency)
+    if not dst.alive:
+        _check_alive(dst)
+    if cluster is not None and cluster.flight is not None:
+        cluster.flight.record(
+            sim._now,
+            "arrive",
+            f"n{src.node_id}>n{dst.node_id}",
+            f"{reservation.flow.flow_id}/{nbytes}",
+        )
+    return sim._now
+
+
+class FlowTransport:
+    """Flow-scheduled block transport bound to one :class:`NetworkConfig`.
+
+    A thin wrapper over :func:`transfer_block`, plus explicit ``reserve``
+    for protocols that manage reservation lifetimes themselves.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -256,66 +327,7 @@ class FlowTransport:
 
     # -- transfers ---------------------------------------------------------
     def transfer_block(
-        self,
-        src: "Node",
-        dst: "Node",
-        nbytes: int,
-        flow: Optional[Flow] = None,
-    ) -> Generator:
-        """Move one block from ``src`` to ``dst`` under flow scheduling.
-
-        Returns (via StopIteration) the simulated time at which the block is
-        fully available at the destination.
-        """
-        sim = src.sim
-        _check_alive(src, dst)
-        reservation = Reservation(src, dst, nbytes, flow or DEFAULT_FLOW)
-        try:
-            if reservation._ok is None:
-                # Race the queued admission against either peer dying.
-                race = FailureRace(reservation, (src, dst))
-                try:
-                    yield race
-                finally:
-                    race.cancel()
-                if reservation._ok is None:
-                    # A peer died while the reservation was still queued:
-                    # withdraw the claim so no ghost request survives, then
-                    # fail like a broken connection.
-                    dead = src if not src.alive else dst
-                    raise TransferError(
-                        f"node {dead.node_id} failed before transfer admission",
-                        node=dead,
-                    )
-            _check_alive(src, dst)
-            yield sim.timeout(path_transmission_time(self.config, src, dst, nbytes))
-            _check_alive(src, dst)
-        finally:
-            reservation.release()
-        yield sim.timeout(path_latency(self.config, src, dst))
-        _check_alive(dst)
-        cluster = src.cluster
-        if cluster is not None and cluster.flight is not None:
-            cluster.flight.record(
-                sim._now,
-                "arrive",
-                f"n{src.node_id}>n{dst.node_id}",
-                f"{reservation.flow.flow_id}/{nbytes}",
-            )
-        return sim._now
-
-    def transfer_bytes(
         self, src: "Node", dst: "Node", nbytes: int, flow: Optional[Flow] = None
     ) -> Generator:
-        """Move ``nbytes`` from ``src`` to ``dst`` as a sequence of blocks.
-
-        Thin delegate to the canonical :func:`repro.net.transport.transfer_bytes`
-        (one home for the zero-byte and block-splitting contract); with
-        ``config.flow_scheduling`` enabled — the reason to hold a
-        ``FlowTransport`` — every block routes back through
-        :meth:`transfer_block`.
-        """
-        from repro.net.transport import transfer_bytes as _transfer_bytes
-
-        result = yield from _transfer_bytes(self.config, src, dst, nbytes, flow)
-        return result
+        """Move one block; see the module function :func:`transfer_block`."""
+        return transfer_block(self.config, src, dst, nbytes, flow)

@@ -335,15 +335,14 @@ class Fabric:
         return path
 
     # -- timing --------------------------------------------------------------
-    def transmission_time(self, src_id: int, dst_id: int, nbytes: float) -> float:
-        """Serialization time at the path bottleneck rate.
+    def rate(self, src_id: int, dst_id: int) -> float:
+        """The ``src -> dst`` path bottleneck rate in bytes per second.
 
-        Flat fabric: exactly ``NetworkConfig.transmission_time`` (same
-        division by the same base rate).
+        Flat fabric: the base NIC rate ``NetworkConfig.bandwidth``.
         """
         topology = self.topology
         if topology.is_flat:
-            return self.config.transmission_time(nbytes)
+            return self.config.bandwidth
         rate = self._rate_cache.get((src_id, dst_id))
         if rate is None:
             base = self.config.bandwidth
@@ -354,7 +353,15 @@ class Fabric:
             for link in self.path_links(src_id, dst_id):
                 rate = min(rate, link.slot_bandwidth)
             self._rate_cache[(src_id, dst_id)] = rate
-        return nbytes / rate
+        return rate
+
+    def transmission_time(self, src_id: int, dst_id: int, nbytes: float) -> float:
+        """Serialization time at the path bottleneck rate.
+
+        Flat fabric: exactly ``NetworkConfig.transmission_time`` (same
+        division by the same base rate).
+        """
+        return nbytes / self.rate(src_id, dst_id)
 
     def latency(self, src_id: int, dst_id: int) -> float:
         """One-way propagation: the base latency plus per-tier extras."""

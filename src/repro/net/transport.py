@@ -47,7 +47,6 @@ source — exactly like a broken TCP connection being noticed by its peer.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Generator, Optional
 
 from repro.net.coalesce import (
@@ -62,10 +61,10 @@ from repro.net.errors import NodeFailedError, TransferError, _check_alive
 from repro.net.flowsched import (
     DEFAULT_FLOW,
     Flow,
-    FlowTransport,
     path_latency,
     path_transmission_time,
 )
+from repro.net.flowsched import transfer_block as flow_transfer_block
 from repro.net.node import Node
 
 __all__ = [
@@ -77,12 +76,6 @@ __all__ = [
     "local_copy_block",
     "control_rpc",
 ]
-
-
-@lru_cache(maxsize=64)
-def _flow_transport(config: NetworkConfig) -> FlowTransport:
-    """One stateless FlowTransport per config (it was allocated per block)."""
-    return FlowTransport(config)
 
 
 def transfer_block(
@@ -100,7 +93,7 @@ def transfer_block(
     rather than delegated to, which saves a generator frame per block.
     """
     if config.flow_scheduling:
-        return _flow_transport(config).transfer_block(src, dst, nbytes, flow)
+        return flow_transfer_block(config, src, dst, nbytes, flow)
     return _transfer_block_sequential(config, src, dst, nbytes)
 
 

@@ -6,8 +6,10 @@ Four primitives cover everything the higher layers need:
   transmit slot).  Requests queue FIFO and are granted as capacity frees up.
 * :class:`MultiRequest` — a cancellable claim on *several* resources at once,
   granted atomically only when every resource has capacity simultaneously.
-  Unlike single requests, a pending multi-request never blocks the requests
-  behind it: the grant scan skips it until its whole claim set is free.  This
+  A claim set that fits at submission is granted there and is never queued;
+  only one that does not fit enters the claimed resources' queues.  Unlike
+  single requests, a pending multi-request never blocks the requests behind
+  it: the grant scan skips it until its whole claim set is free.  This
   is the admission primitive behind the flow-scheduled transport
   (:mod:`repro.net.flowsched`) — it removes the hold-one-wait-for-the-other
   head-of-line blocking of sequential acquisition, and it cannot deadlock
@@ -31,9 +33,9 @@ an occupancy schedule evaluated arithmetically instead of via scheduled
 events.  The coalesced-transfer fast path uses them to keep a link's
 ``in_use`` exactly what an equivalent per-block chain of grants and releases
 would show at any instant, without paying one event pair per block.  The
-moment anyone *enqueues* on the resource, every virtual hold is told to
-materialize (``on_contest``) before the new request is queued, so admission
-decisions only ever see real holds.
+moment anyone requests the resource, every virtual hold is told to
+materialize (``on_contest``) before the new request is tested or queued, so
+admission decisions only ever see real holds.
 """
 
 from __future__ import annotations
@@ -117,12 +119,13 @@ class _Request(Event):
 class MultiRequest(Event):
     """A cancellable claim on several resources, granted atomically.
 
-    ``claims`` is a sequence of ``(resource, amount)`` pairs.  The request
-    enqueues on every claimed resource (ordered by ``priority``, FIFO within
-    equal priorities) and is granted only at an instant when *all* claims fit
-    — it never holds one resource while waiting for another, so a set of
-    multi-requests cannot deadlock, and a busy partner resource never parks
-    the claimed capacity idle.
+    ``claims`` is a sequence of ``(resource, amount)`` pairs.  The request is
+    granted only at an instant when *all* claims fit: at once if they fit at
+    submission, otherwise it enqueues on every claimed resource (ordered by
+    ``priority``, FIFO within equal priorities) until a grant scan finds
+    them all free.  It never holds one resource while waiting for another,
+    so a set of multi-requests cannot deadlock, and a busy partner resource
+    never parks the claimed capacity idle.
 
     Usable as a context manager like a single request; ``release`` frees a
     granted claim or withdraws a pending one.
@@ -151,33 +154,46 @@ class MultiRequest(Event):
         self._submit(validate_claims(claims), priority)
 
     def _submit(self, claims: tuple, priority: int) -> None:
-        """Enqueue an already validated claim set and try the first grant.
+        """Grant an already validated claim set now, or enqueue it.
 
         Subclasses that claim a cached, pre-validated set (a flow
-        reservation's route) call this instead of :meth:`__init__`.
+        reservation's route) call this instead of :meth:`__init__`.  A set
+        that fits at submission is granted without touching any queue; only
+        a set that does not fit is enqueued, with its blocker recorded.
         """
         self.claims = claims
         self.priority = priority
         self.sort_key = (priority, next(_arrival_stamp))
-        #: simulated time of the grant (``None`` while pending).
-        self.granted_at: Optional[float] = None
         self._released = False
-        #: the first resource whose capacity check failed on the last grant
-        #: attempt, and the ``in_use`` level above which it still cannot fit
-        #: this claim (capacity minus the units claimed).  While that
-        #: resource stays above the limit the whole set cannot be granted,
-        #: so grant scans skip this request with one comparison instead of
-        #: an O(claims) rescan: the incremental matching that replaces the
-        #: O(waiters) rescan per release.
-        self._blocked_on: Optional["Resource"] = None
-        self._blocked_limit = 0
         #: granted at construction with no possible waiter: the trigger is
         #: recorded but not queued (the queue pop would be dead weight); the
         #: first add_callback schedules it (see below).
         self._silent = False
+        # Contest every virtual hold first, so the fit test sees real holds
+        # only (materializing grants nothing, so the order is immaterial).
         for resource, _amount in claims:
-            resource._enqueue(self)
-        self._try_grant(initial=True)
+            if resource._virtual:
+                resource._materialize_virtual()
+        for resource, amount in claims:
+            if resource._in_use + amount > resource.capacity:
+                #: simulated time of the grant (``None`` while pending).
+                self.granted_at: Optional[float] = None
+                # The blocker: while it stays above ``_blocked_limit`` the
+                # set cannot fit, so grant scans skip this request with one
+                # comparison (only queued requests are ever scanned).
+                self._blocked_on = resource
+                self._blocked_limit = resource.capacity - amount
+                for queued_on, _amount in claims:
+                    insort(queued_on._waiting, self, key=_queue_key)
+                return
+        for resource, amount in claims:
+            resource._in_use += amount
+        self.granted_at = self.sim._now
+        # Nobody can hold a reference yet, so no callback can exist: trigger
+        # without queueing (add_callback schedules on demand).
+        self._ok = True
+        self._value = self
+        self._silent = True
 
     def add_callback(self, callback) -> None:
         if self._silent:
@@ -195,46 +211,13 @@ class MultiRequest(Event):
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
         self.release()
 
-    def _try_grant(self, initial: bool = False) -> bool:
-        """Grant the whole claim set if every resource has capacity now.
-
-        :meth:`Resource._grant` runs the same capacity check inline and calls
-        this only once every claim fits; the check here covers the initial
-        grant attempt and keeps the method safe to call on its own.
-        """
-        if self._ok is not None or self._released:
-            return False
-        for resource, amount in self.claims:
-            # Claimed resources can hold no virtual occupancy here: this
-            # request's _enqueue materialized them, so _in_use is exact.
-            if resource._in_use + amount > resource.capacity:
-                self._blocked_on = resource
-                self._blocked_limit = resource.capacity - amount
-                return False
-        self._blocked_on = None
-        for resource, amount in self.claims:
-            resource._in_use += amount
-            resource._granted.add(id(self))
-            resource._cancel(self)
-        self.granted_at = self.sim.now
-        if initial:
-            # Nobody can hold a reference yet, so no callback can exist:
-            # trigger without queueing (add_callback schedules on demand).
-            self._ok = True
-            self._value = self
-            self._silent = True
-        else:
-            self.succeed(self)
-        return True
-
     def release(self) -> None:
         """Free a granted claim, or withdraw it if still pending."""
         if self._released:
             return
         self._released = True
-        if self.granted:
+        if self.granted_at is not None:
             for resource, amount in self.claims:
-                resource._granted.discard(id(self))
                 resource._in_use -= amount
             for resource, _amount in self.claims:
                 resource._grant()
@@ -374,7 +357,7 @@ class Resource:
         while index < len(waiting):
             if in_use >= capacity:
                 # Saturated: nothing below can be granted (a multi-request's
-                # _try_grant would fail on this resource too).  Triggered
+                # claim check would fail on this resource too).  Triggered
                 # leftovers, if any, are purged by later scans.
                 break
             req = waiting[index]
@@ -382,19 +365,19 @@ class Resource:
                 del waiting[index]
                 continue
             if req.is_multi:
-                # A successful grant removes the request from this queue (do
-                # not advance); a failed match is skipped rather than blocking
-                # the queue — the matching-based admission discipline.  A
-                # request whose recorded blocker still cannot fit its claim
-                # is skipped with one comparison (the blocker's state is the
-                # only thing that could have unblocked it).  Most scans end
-                # in a skip, so the claim-fit check runs inline and
-                # ``_try_grant`` is only called to commit a grant.
+                # A fitting multi-request is committed here, leaving every
+                # queue it waits in (do not advance); a failed match is
+                # skipped rather than blocking the queue — the
+                # matching-based admission discipline.  A request whose
+                # recorded blocker still cannot fit its claim is skipped
+                # with one comparison (the blocker's state is the only
+                # thing that could have unblocked it).
                 blocked_on = req._blocked_on
                 if blocked_on is not None and blocked_on._in_use > req._blocked_limit:
                     index += 1
                     continue
-                for resource, amount in req.claims:
+                claims = req.claims
+                for resource, amount in claims:
                     limit = resource.capacity - amount
                     if resource._in_use > limit:
                         req._blocked_on = resource
@@ -402,8 +385,14 @@ class Resource:
                         index += 1
                         break
                 else:
-                    req._try_grant()
+                    del waiting[index]
+                    for resource, amount in claims:
+                        resource._in_use += amount
+                        if resource is not self:
+                            resource._waiting.remove(req)
                     in_use = self._in_use
+                    req.granted_at = self.sim._now
+                    req.succeed(req)
                 continue
             if in_use + req.amount > capacity:
                 # Strict FIFO for single requests: nothing behind a blocked

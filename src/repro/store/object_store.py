@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.config import NetworkConfig
-from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
 from repro.sim import Event, Simulator
 from repro.store.objects import ObjectID, ObjectValue, Payload
@@ -282,10 +281,6 @@ class LocalObjectStore:
         self.objects: dict[ObjectID, StoredObject] = {}
         self.bytes_stored = 0
         self.evictions = 0
-        #: bytes streamed into this store (fetch path) per flow class.
-        self.flow_bytes_in: dict[FlowClass, int] = {cls: 0 for cls in FlowClass}
-        #: bytes streamed out of this store (push/serve path) per flow class.
-        self.flow_bytes_out: dict[FlowClass, int] = {cls: 0 for cls in FlowClass}
         node.services["object_store"] = self
         node.on_failure(self._on_node_failure)
 
@@ -359,15 +354,6 @@ class LocalObjectStore:
 
     def unpin(self, object_id: ObjectID) -> None:
         self.get_entry(object_id).pinned = False
-
-    # -- flow accounting ---------------------------------------------------------
-    def account_flow_in(self, flow: Flow, nbytes: int) -> None:
-        """Record bytes a fetch streamed *into* this store for ``flow``."""
-        self.flow_bytes_in[flow.flow_class] += nbytes
-
-    def account_flow_out(self, flow: Flow, nbytes: int) -> None:
-        """Record bytes this store served *out* to a remote fetch for ``flow``."""
-        self.flow_bytes_out[flow.flow_class] += nbytes
 
     # -- eviction ---------------------------------------------------------------
     def _make_room(self, incoming_bytes: int) -> None:

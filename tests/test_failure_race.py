@@ -18,7 +18,12 @@ import pytest
 from repro.bench.scenarios import Scenario, run
 from repro.net import Cluster, NetworkConfig, TransferError
 from repro.net.errors import FailureRace, _check_alive
-from repro.net.flowsched import FlowTransport, path_latency, path_transmission_time
+from repro.net.flowsched import (
+    FlowTransport,
+    path_latency,
+    path_transmission_time,
+    transfer_block,
+)
 from repro.sim import Event
 
 MB = 1024 * 1024
@@ -193,13 +198,9 @@ def _two_flows(transfer, fail_node=None, fail_at=0.001):
     return pops, outcome, cluster
 
 
-def _race_transfer_block(config, src, dst, nbytes):
-    return FlowTransport(config).transfer_block(src, dst, nbytes)
-
-
 @pytest.mark.parametrize("fail_node", [None, 1, 2], ids=["no-fault", "src-dies", "dst-dies"])
 def test_queued_admission_pops_match_any_of_form(fail_node):
-    pops, outcome, _ = _two_flows(_race_transfer_block, fail_node)
+    pops, outcome, _ = _two_flows(transfer_block, fail_node)
     ref_pops, ref_outcome, _ = _two_flows(_any_of_transfer_block, fail_node)
     assert outcome == ref_outcome
     assert pops == ref_pops
@@ -211,7 +212,7 @@ def test_peer_death_during_queued_admission(fail_node):
     config = NetworkConfig()
     # The failure lands while node 1's block is still queued behind node 0's.
     assert fail_at < config.transmission_time(4 * MB)
-    _, outcome, cluster = _two_flows(_race_transfer_block, fail_node, fail_at)
+    _, outcome, cluster = _two_flows(transfer_block, fail_node, fail_at)
     # TransferError surfaces at the failure instant (two zero-delay hops).
     assert outcome[1] == ("failed", fail_at)
     src, dst = cluster.node(1), cluster.node(2)

@@ -7,9 +7,20 @@ reservation cancellation, priority classes, and per-flow accounting.
 
 import pytest
 
-from repro.net import Cluster, NetworkConfig, TransferError
-from repro.net.flowsched import Flow, FlowClass, FlowTransport, Reservation
+import repro.net.flowsched as flowsched
+from repro.net import Cluster, NetworkConfig, Topology, TransferError
+from repro.net.flowsched import (
+    Flow,
+    FlowClass,
+    FlowTransport,
+    Reservation,
+    _build_route,
+    path_latency,
+    path_transmission_time,
+)
+from repro.net.node import Node
 from repro.net.transport import transfer_bytes
+from repro.sim import Simulator
 
 MB = 1024 * 1024
 
@@ -211,3 +222,108 @@ def test_untagged_transfers_fall_back_to_default_flow():
     cluster.run()
     assert process.ok
     assert cluster.node(0).uplink_sched.bytes_by_flow == {"untagged": MB}
+
+
+# ---------------------------------------------------------------------------
+# Route-cached timing
+# ---------------------------------------------------------------------------
+
+
+def _two_zone_cluster():
+    """Four racks in two zones, oversubscribed, with tier latencies and one
+    slow and one fast NIC: every pair class has its own rate and latency."""
+    topology = Topology.racks(
+        4,
+        2,
+        oversubscription=4.0,
+        zones=(0, 0, 1, 1),
+        zone_oversubscription=2.0,
+        rack_latency=3e-6,
+        zone_latency=7e-6,
+        nic_bandwidths=(None, 6.25e8, None, None, None, None, 5e9, None),
+    )
+    config = NetworkConfig(topology=topology)
+    return Cluster(num_nodes=8, network=config), config
+
+
+@pytest.mark.parametrize("fabric", ["flat", "two-zone"])
+def test_route_timing_equals_the_path_functions_bit_for_bit(fabric):
+    if fabric == "flat":
+        cluster, config = make_cluster(num_nodes=5)
+    else:
+        cluster, config = _two_zone_cluster()
+    nbytes = 3 * config.block_size + 12345
+    last = config.num_blocks(nbytes) - 1
+    full, partial = config.block_bytes(nbytes, 0), config.block_bytes(nbytes, last)
+    assert full == config.block_size and 0 < partial < full
+    for src in cluster.nodes:
+        for dst in cluster.nodes:
+            if src is dst:
+                continue
+            _claims, _path, rate, latency = _build_route(src, dst)
+            for nb in (full, partial):
+                assert nb / rate == path_transmission_time(config, src, dst, nb)
+            assert latency == path_latency(config, src, dst)
+
+
+def _one_block(transfer, src, dst, nbytes):
+    """Run one block transfer on idle links; return its arrival time."""
+    done = {}
+
+    def body():
+        done["at"] = yield from transfer(src, dst, nbytes)
+
+    src.sim.process(body())
+    src.sim.run()
+    return done["at"]
+
+
+def test_two_zone_block_arrives_at_path_timing():
+    cluster, config = _two_zone_cluster()
+    src, dst = cluster.node(1), cluster.node(6)  # slow NIC, cross-zone
+    nb = config.block_size
+    arrival = _one_block(FlowTransport(config).transfer_block, src, dst, nb)
+    expected = path_transmission_time(config, src, dst, nb) + path_latency(config, src, dst)
+    assert arrival == expected
+    assert path_latency(config, src, dst) > config.latency  # tier extras counted
+
+
+def test_node_without_cluster_is_timed_by_the_path_functions():
+    sim = Simulator()
+    config = NetworkConfig(bandwidth=1e9, latency=2e-5)
+    src, dst = Node(sim, 0), Node(sim, 1)
+    nb = config.block_size // 3
+    arrival = _one_block(FlowTransport(config).transfer_block, src, dst, nb)
+    assert arrival == config.transmission_time(nb) + config.latency
+    _claims, path, rate, latency = src.routes[dst.node_id]
+    assert path == () and rate is None and latency is None
+
+
+def test_foreign_config_is_timed_through_the_path_functions(monkeypatch):
+    """A config other than the cluster's never takes the route's cached
+    rate: the block is timed by the path functions, with that config."""
+    cluster, _config = make_cluster()
+    foreign = NetworkConfig(bandwidth=1e9, latency=3e-5)
+    calls = []
+
+    def tx(config, src, dst, nbytes):
+        calls.append(("tx", config))
+        return path_transmission_time(config, src, dst, nbytes)
+
+    def lat(config, src, dst):
+        calls.append(("latency", config))
+        return path_latency(config, src, dst)
+
+    monkeypatch.setattr(flowsched, "path_transmission_time", tx)
+    monkeypatch.setattr(flowsched, "path_latency", lat)
+    src, dst = cluster.node(0), cluster.node(1)
+    nb = foreign.block_size
+    arrival = _one_block(FlowTransport(foreign).transfer_block, src, dst, nb)
+    assert calls == [("tx", foreign), ("latency", foreign)]
+    assert arrival == path_transmission_time(foreign, src, dst, nb) + path_latency(
+        foreign, src, dst
+    )
+    # The cluster's own config takes the route and never calls them.
+    calls.clear()
+    _one_block(FlowTransport(cluster.config).transfer_block, src, dst, nb)
+    assert calls == []
