@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.net.config import NetworkConfig
 from repro.net.errors import FailureRace, TransferError, _check_alive
-from repro.sim import Event, MultiRequest, Resource, Simulator
+from repro.sim import Event, MultiRequest, Resource, SimulationError, Simulator
 from repro.sim.resources import validate_claims
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -99,9 +99,11 @@ class LinkScheduler:
     """Admission and accounting for one link direction.
 
     The scheduler wraps the direction's capacity
-    :class:`~repro.sim.Resource`; reservations enqueue on it (ordered by
-    :class:`FlowClass`, FIFO within a class) and the work-conserving grant
-    scan admits the first reservation whose partner links are also free.
+    :class:`~repro.sim.Resource`.  A reservation whose claims fit when it is
+    submitted is granted at once and never queued; only one that does not
+    fit enqueues on it (ordered by :class:`FlowClass`, FIFO within a class),
+    and the work-conserving grant scan admits the first queued reservation
+    whose partner links are also free.
     One scheduler exists per NIC direction of every node and — on
     hierarchical fabrics — per shared tier link direction
     (:class:`~repro.net.topology.FabricLink`).
@@ -130,7 +132,11 @@ class LinkScheduler:
 
     @property
     def queue_length(self) -> int:
-        """Reservations (and legacy requests) waiting for this link."""
+        """Reservations (and legacy requests) waiting for this link.
+
+        Only reservations blocked at submission are counted: one that fits
+        when submitted is granted without entering the queue.
+        """
         return self.link.queue_length
 
     def utilization(self, elapsed: float) -> float:
@@ -166,7 +172,8 @@ def _build_route(src: "Node", dst: "Node") -> tuple:
     the fabric queries run once per node pair instead of once per block.
     The one-slot claims are the links' own, shared by every route through
     them.  A node without a cluster has no fabric: ``rate`` and ``latency``
-    are ``None`` and its blocks are timed by the path functions.
+    are ``None`` and its blocks are timed by the transfer's config, which is
+    what the path functions return without a fabric.
     """
     fabric = src.cluster.fabric if src.cluster is not None else None
     if fabric is None:
@@ -255,22 +262,25 @@ def transfer_block(
     """Move one block from ``src`` to ``dst`` under flow scheduling.
 
     Returns (via StopIteration) the simulated time at which the block is
-    fully available at the destination.  The block is timed from its route
-    when ``config`` is the cluster's own; any other config, and a node built
-    without a cluster, is timed by :func:`path_transmission_time` and
-    :func:`path_latency`.
+    fully available at the destination.  The block is timed from its route:
+    the cluster fabric's rate and latency, or ``config``'s for a node built
+    without a cluster.  A node's blocks are timed by its cluster's fabric,
+    so a ``config`` other than the cluster's is rejected with
+    :class:`~repro.sim.SimulationError` rather than silently ignored.
     """
     sim = src.sim
+    cluster = src.cluster
+    if cluster is not None and config is not cluster.config:
+        raise SimulationError("transfer_block needs the cluster's own NetworkConfig")
     if not (src.alive and dst.alive):
         _check_alive(src, dst)
     reservation = Reservation(src, dst, nbytes, flow or DEFAULT_FLOW)
-    cluster = src.cluster
-    if cluster is not None and config is cluster.config:
-        _claims, _path, rate, latency = src.routes[dst.node_id]
-        tx = nbytes / rate
+    _claims, _path, rate, latency = src.routes[dst.node_id]
+    if rate is None:
+        tx = config.transmission_time(nbytes)
+        latency = config.latency
     else:
-        tx = path_transmission_time(config, src, dst, nbytes)
-        latency = path_latency(config, src, dst)
+        tx = nbytes / rate
     try:
         if reservation._ok is None:
             # Race the queued admission against either peer dying.

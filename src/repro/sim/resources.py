@@ -368,12 +368,12 @@ class Resource:
                 # A fitting multi-request is committed here, leaving every
                 # queue it waits in (do not advance); a failed match is
                 # skipped rather than blocking the queue — the
-                # matching-based admission discipline.  A request whose
-                # recorded blocker still cannot fit its claim is skipped
-                # with one comparison (the blocker's state is the only
-                # thing that could have unblocked it).
-                blocked_on = req._blocked_on
-                if blocked_on is not None and blocked_on._in_use > req._blocked_limit:
+                # matching-based admission discipline.  Every queued
+                # multi-request has a recorded blocker; while the blocker
+                # still cannot fit its claim the request is skipped with one
+                # comparison (the blocker's state is the only thing that
+                # could have unblocked it).
+                if req._blocked_on._in_use > req._blocked_limit:
                     index += 1
                     continue
                 claims = req.claims

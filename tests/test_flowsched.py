@@ -5,9 +5,10 @@ sender with an idle second receiver stuck behind a busy first receiver),
 reservation cancellation, priority classes, and per-flow accounting.
 """
 
+import dataclasses
+
 import pytest
 
-import repro.net.flowsched as flowsched
 from repro.net import Cluster, NetworkConfig, Topology, TransferError
 from repro.net.flowsched import (
     Flow,
@@ -20,7 +21,7 @@ from repro.net.flowsched import (
 )
 from repro.net.node import Node
 from repro.net.transport import transfer_bytes
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 MB = 1024 * 1024
 
@@ -299,31 +300,18 @@ def test_node_without_cluster_is_timed_by_the_path_functions():
     assert path == () and rate is None and latency is None
 
 
-def test_foreign_config_is_timed_through_the_path_functions(monkeypatch):
-    """A config other than the cluster's never takes the route's cached
-    rate: the block is timed by the path functions, with that config."""
-    cluster, _config = make_cluster()
-    foreign = NetworkConfig(bandwidth=1e9, latency=3e-5)
-    calls = []
-
-    def tx(config, src, dst, nbytes):
-        calls.append(("tx", config))
-        return path_transmission_time(config, src, dst, nbytes)
-
-    def lat(config, src, dst):
-        calls.append(("latency", config))
-        return path_latency(config, src, dst)
-
-    monkeypatch.setattr(flowsched, "path_transmission_time", tx)
-    monkeypatch.setattr(flowsched, "path_latency", lat)
+def test_foreign_config_is_rejected_before_any_claim():
+    """Blocks are timed by the cluster's fabric, so a config other than the
+    cluster's is rejected instead of being silently ignored; an equal copy
+    counts as foreign too.  The rejection leaves no claim behind."""
+    cluster, config = make_cluster()
     src, dst = cluster.node(0), cluster.node(1)
-    nb = foreign.block_size
-    arrival = _one_block(FlowTransport(foreign).transfer_block, src, dst, nb)
-    assert calls == [("tx", foreign), ("latency", foreign)]
-    assert arrival == path_transmission_time(foreign, src, dst, nb) + path_latency(
-        foreign, src, dst
-    )
-    # The cluster's own config takes the route and never calls them.
-    calls.clear()
-    _one_block(FlowTransport(cluster.config).transfer_block, src, dst, nb)
-    assert calls == []
+    for foreign in (NetworkConfig(bandwidth=1e9, latency=3e-5), dataclasses.replace(config)):
+        assert foreign is not cluster.config
+        with pytest.raises(SimulationError):
+            next(FlowTransport(foreign).transfer_block(src, dst, foreign.block_size))
+    assert dst.node_id not in src.routes
+    assert src.uplink.in_use == 0 and dst.downlink.in_use == 0
+    nb = config.block_size
+    arrival = _one_block(FlowTransport(cluster.config).transfer_block, src, dst, nb)
+    assert arrival == path_transmission_time(config, src, dst, nb) + path_latency(config, src, dst)
