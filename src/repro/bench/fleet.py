@@ -480,6 +480,13 @@ def run_fleet(
     carries SLO verdicts and the congestion/latency correlation.
     ``trace_transfers`` also records per-transfer spans and installs the
     cluster's flight recorder, the two inputs of the Chrome-trace export.
+
+    Once the SLO rows and blame are computed, every runtime and then the
+    cluster are closed (:meth:`~repro.net.cluster.Cluster.close`), so
+    reference counting frees the fleet when the caller drops the result.
+    ``result.cluster`` is therefore read-only: its clock, event count,
+    ``fastpath_stats``, ``flight``, ``obs`` and link counters stay
+    readable, but running it or spawning on it raises.
     """
     if window is None:
         # ~10-25 buckets over the run either way (quick fleets are shorter).
@@ -537,4 +544,7 @@ def run_fleet(
         if trace_transfers:
             result.op_blames = op_blames(obs)
             result.blame_rows = aggregate_blames(result.op_blames)
+    for runtime in runtimes:
+        runtime.close()
+    cluster.close()
     return result

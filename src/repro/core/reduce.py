@@ -133,37 +133,41 @@ def build_inorder_tree(num_slots: int, degree: int) -> list[TreeSlot]:
     if degree <= 0:
         degree = num_slots
     slots = [TreeSlot(rank=rank) for rank in range(num_slots)]
-
-    def split(count: int, parts: int) -> list[int]:
-        base, extra = divmod(count, parts)
-        return [base + (1 if index < extra else 0) for index in range(parts)]
-
-    def build(lo: int, hi: int, parent: Optional[int]) -> Optional[int]:
-        count = hi - lo
-        if count <= 0:
-            return None
-        if count == 1:
-            root = lo
-        elif degree == 1:
-            root = hi - 1
-            build(lo, hi - 1, root)
-        else:
-            sizes = split(count - 1, degree)
-            first = sizes[0]
-            root = lo + first
-            build(lo, lo + first, root)
-            offset = root + 1
-            for size in sizes[1:]:
-                if size > 0:
-                    build(offset, offset + size, root)
-                    offset += size
-        slots[root].parent = parent
-        if parent is not None:
-            slots[parent].children.append(root)
-        return root
-
-    build(0, num_slots, None)
+    _build_subtree(slots, degree, 0, num_slots, None)
     return slots
+
+
+def _build_subtree(
+    slots: list[TreeSlot], degree: int, lo: int, hi: int, parent: Optional[int]
+) -> Optional[int]:
+    """Link ranks ``lo..hi-1`` as one subtree under ``parent``; return its root.
+
+    Module-level rather than a closure: a recursive closure refers to itself
+    through its own cell, a reference cycle per tree built.
+    """
+    count = hi - lo
+    if count <= 0:
+        return None
+    if count == 1:
+        root = lo
+    elif degree == 1:
+        root = hi - 1
+        _build_subtree(slots, degree, lo, hi - 1, root)
+    else:
+        base, extra = divmod(count - 1, degree)
+        sizes = [base + (1 if index < extra else 0) for index in range(degree)]
+        first = sizes[0]
+        root = lo + first
+        _build_subtree(slots, degree, lo, lo + first, root)
+        offset = root + 1
+        for size in sizes[1:]:
+            if size > 0:
+                _build_subtree(slots, degree, offset, offset + size, root)
+                offset += size
+    slots[root].parent = parent
+    if parent is not None:
+        slots[parent].children.append(root)
+    return root
 
 
 def inorder_traversal(slots: Sequence[TreeSlot]) -> list[int]:
@@ -411,6 +415,9 @@ class ReduceExecution:
         def _deregister(_event) -> None:
             if registry.get(self.target_id) is self:
                 del registry[self.target_id]
+            if self._failure_hooked:
+                for node in self.runtime.cluster.nodes:
+                    node.remove_failure_listener(self._on_node_failure)
 
         self._finished.add_callback(_deregister)
         self._driver = self.runtime.orchestration.spawn(

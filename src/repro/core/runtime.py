@@ -137,6 +137,17 @@ class HopliteRuntime:
             self._clients[node_id] = client
         return client
 
+    def close(self) -> None:
+        """Drop the back-references a finished run leaves to this runtime.
+
+        Cuts the client cache (each client points back at the runtime) and
+        the directory's WAL hooks; the cluster's node listeners go with
+        :meth:`Cluster.close`.  Stores, managers and the directory stay
+        readable.
+        """
+        self._clients.clear()
+        self.directory.close()
+
     # -- helpers used by the protocols ------------------------------------------
     def small_object(self, size: int) -> bool:
         return (

@@ -734,6 +734,17 @@ class ObjectDirectory:
         )
         self._notify_waiters(record)
 
+    def close(self) -> None:
+        """Drop the shard WALs' hooks of a finished run.
+
+        Each hook closes over this directory, which holds the WALs: a
+        reference cycle.  The logs and their counters stay readable, but a
+        closed directory can no longer checkpoint.
+        """
+        for shard in self.shards:
+            wal = shard.wal
+            wal.snapshot_fn = wal.on_append = wal.on_checkpoint = None
+
     # -- failure handling -----------------------------------------------------------
     def _on_node_failure(self, node: Node) -> None:
         """Purge every location hosted by a failed node.

@@ -8,7 +8,7 @@ from repro.net.config import ClusterSpec, NetworkConfig
 from repro.net.fastpath import FastpathStats
 from repro.net.node import Node
 from repro.net.topology import Fabric, Topology
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 class Cluster:
@@ -27,6 +27,16 @@ class Cluster:
         cluster = Cluster(num_nodes=16)
         cluster.run()           # drain all scheduled work
         print(cluster.now)      # simulated seconds elapsed
+        cluster.close()         # let reference counting free the run
+
+    The services built on a cluster register failure and recovery
+    listeners on its nodes, and each node points back at the cluster, so a
+    finished run is one big reference cycle that only the cyclic garbage
+    collector can free.  :meth:`close` cuts those back-references once the
+    queue has drained.  A closed cluster keeps ``sim.now``,
+    ``sim.events_processed``, ``fastpath_stats``, ``flight``, ``obs`` and
+    its nodes' and links' counters readable, but :meth:`run` and
+    :meth:`process` raise :class:`~repro.sim.SimulationError`.
     """
 
     def __init__(
@@ -64,6 +74,8 @@ class Cluster:
         self.nodes: list[Node] = [
             Node(self.sim, node_id, cluster=self) for node_id in range(num_nodes)
         ]
+        #: set by :meth:`close`; a closed cluster can no longer run.
+        self.closed = False
 
     def enable_observability(self, window: float = 0.1, trace_transfers: bool = False):
         """Install (and return) the observability plane for this cluster.
@@ -121,11 +133,34 @@ class Cluster:
 
     def run(self, until=None):
         """Advance the simulation (see :meth:`repro.sim.Simulator.run`)."""
+        self._check_open()
         return self.sim.run(until)
 
     def process(self, generator, name: str = ""):
         """Spawn a process on the cluster's simulator."""
+        self._check_open()
         return self.sim.process(generator, name=name)
+
+    def close(self) -> None:
+        """Drop the nodes' listeners and back-pointers of a finished run.
+
+        Raises :class:`~repro.sim.SimulationError` while events are still
+        queued: a listener cut mid-run would change what a failure does.
+        Closing twice is a no-op.
+        """
+        if self.closed:
+            return
+        if self.sim.peek() != float("inf"):
+            raise SimulationError("cannot close a cluster with events still queued")
+        for node in self.nodes:
+            node.failure_listeners.clear()
+            node.recovery_listeners.clear()
+            node.cluster = None
+        self.closed = True
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise SimulationError("the cluster is closed")
 
     # -- failure injection ----------------------------------------------------
     def fail_node(self, node_id: int) -> None:

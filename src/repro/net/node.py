@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.flowsched import LinkScheduler
 from repro.sim import Event, Resource, Simulator
@@ -52,8 +52,6 @@ class Node:
         self.failure_listeners: dict[Callable[["Node"], None], None] = {}
         #: Callbacks invoked with this node when it recovers.
         self.recovery_listeners: list[Callable[["Node"], None]] = []
-        #: Arbitrary per-node services (object store, directory shard, ...).
-        self.services: dict[str, Any] = {}
         #: Flow-scheduler routes from this node, by destination node id
         #: (built on first use by :mod:`repro.net.flowsched`).
         self.routes: dict[int, tuple] = {}

@@ -169,7 +169,8 @@ class StoredObject:
             self.payload = payload
         self._notify_progress()
         if not self._sealed_event.triggered:
-            self._sealed_event.succeed(self)
+            # No value: the event's value would point back at this copy.
+            self._sealed_event.succeed()
 
     def decoalesce(self) -> None:
         """Consumer-side opt-out of arithmetic streaming into this copy.
@@ -281,7 +282,6 @@ class LocalObjectStore:
         self.objects: dict[ObjectID, StoredObject] = {}
         self.bytes_stored = 0
         self.evictions = 0
-        node.services["object_store"] = self
         node.on_failure(self._on_node_failure)
 
     # -- basic queries --------------------------------------------------------
