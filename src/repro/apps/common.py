@@ -7,7 +7,7 @@ from typing import Callable, Generator, Optional, Sequence
 
 from repro.collectives.plane import CommPlane
 from repro.net.cluster import Cluster
-from repro.net.failure import FailureEvent
+from repro.net.faults import FailureEvent
 from repro.net.transport import TransferError
 from repro.store.objects import ObjectID, ObjectValue
 

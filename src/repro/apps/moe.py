@@ -42,7 +42,7 @@ from repro.apps.common import AppResult, FailureSchedule, retry_across_failures
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.failure import schedule
+from repro.net.faults import schedule
 from repro.sim import Event
 from repro.store.objects import ObjectID, ObjectValue
 

@@ -22,7 +22,7 @@ from repro.apps.common import AppResult, FailureSchedule
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.failure import schedule
+from repro.net.faults import schedule
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys.system import TaskSystem
 from repro.workloads.models import ModelProfile, model_profile

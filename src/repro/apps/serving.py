@@ -24,7 +24,7 @@ from repro.apps.common import AppResult, FailureSchedule
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.failure import schedule
+from repro.net.faults import schedule
 from repro.store.objects import ObjectID, ObjectValue
 from repro.tasksys.system import TaskError, TaskSystem
 from repro.workloads.models import SERVING_ENSEMBLE, SERVING_QUERY_BYTES, model_profile

@@ -21,7 +21,7 @@ measurement boundaries as the paper:
   and measure from the arrival of the first participant (Figure 8).
 
 Allgather and alltoall also take a node-failure schedule
-(:class:`~repro.net.failure.FailureEvent` list).  The object planes ride
+(:class:`~repro.net.faults.FailureEvent` list).  The object planes ride
 through failures with Hoplite's per-transfer recovery plus framework
 reconstruction (a recovered producer re-``Put``s its objects, Section 6);
 the static systems abort and restart the whole job once every node is back —
@@ -43,7 +43,7 @@ from repro.collectives.systems import PLANES, STATIC_OPS
 from repro.core.options import HopliteOptions
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.failure import (
+from repro.net.faults import (
     ControlPlaneFailureEvent,
     FailureEvent,
     schedule,

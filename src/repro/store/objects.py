@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _id_counter = itertools.count()
 
@@ -33,7 +34,18 @@ def reset_id_counter() -> None:
     _id_counter = itertools.count()
 
 
-Payload = Union[np.ndarray, bytes, None]
+#: numpy is imported where an array is handled, never at module level, so a
+#: run whose objects carry no payload never loads it.
+Payload = Union["np.ndarray", bytes, None]
+
+
+def _to_array(payload: Payload) -> "np.ndarray":
+    """A payload as an array; bytes read as a uint8 buffer."""
+    import numpy as np
+
+    if isinstance(payload, bytes):
+        return np.frombuffer(payload, dtype=np.uint8)
+    return np.asarray(payload)
 
 
 @dataclass(frozen=True, order=True)
@@ -77,8 +89,10 @@ class ReduceOp(Enum):
             return right
         if right is None:
             return left
-        left_arr = np.asarray(left)
-        right_arr = np.asarray(right)
+        import numpy as np
+
+        left_arr = _to_array(left)
+        right_arr = _to_array(right)
         if self is ReduceOp.SUM:
             return left_arr + right_arr
         if self is ReduceOp.MIN:
@@ -111,6 +125,8 @@ class ObjectValue:
     @staticmethod
     def from_array(array: np.ndarray, logical_size: Optional[int] = None) -> "ObjectValue":
         """Wrap a NumPy array.  ``logical_size`` overrides the simulated size."""
+        import numpy as np
+
         array = np.asarray(array)
         size = int(array.nbytes) if logical_size is None else int(logical_size)
         return ObjectValue(size=size, payload=array)
@@ -128,12 +144,12 @@ class ObjectValue:
     def as_array(self) -> np.ndarray:
         if self.payload is None:
             raise ValueError("this object has no payload")
-        if isinstance(self.payload, bytes):
-            return np.frombuffer(self.payload, dtype=np.uint8)
-        return np.asarray(self.payload)
+        return _to_array(self.payload)
 
     def copy(self) -> "ObjectValue":
         payload = self.payload
-        if isinstance(payload, np.ndarray):
+        # A payload is an array, immutable bytes or None: only an array needs
+        # its own buffer, and telling it apart needs no numpy.
+        if payload is not None and not isinstance(payload, bytes):
             payload = payload.copy()
         return ObjectValue(size=self.size, payload=payload, metadata=dict(self.metadata))

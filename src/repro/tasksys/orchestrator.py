@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional, Tuple
 
-import numpy as np
-
 from repro.core.runtime import LocalOrchestration
 from repro.net.transport import TransferError
 from repro.sim import Event
@@ -69,6 +67,8 @@ def _as_output(arrays) -> ObjectValue:
     arrays = [array for array in arrays if array is not None]
     if not arrays:
         return ObjectValue(size=0)
+    import numpy as np
+
     stacked = arrays[0] if len(arrays) == 1 else np.stack(arrays)
     return ObjectValue.from_array(stacked, logical_size=MARKER_BYTES)
 

@@ -28,10 +28,9 @@ records, same reconstructed state.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
-
-import numpy as np
 
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 
@@ -204,7 +203,10 @@ def to_wire(obj: Any) -> Any:
         return obj
     if isinstance(obj, bytes):
         return {"__bytes__": obj.hex()}
-    if isinstance(obj, np.ndarray):
+    # No array exists before numpy is loaded, so a run without one never
+    # imports it here.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return {
             "__ndarray__": {
                 "dtype": str(obj.dtype),
@@ -260,6 +262,8 @@ def from_wire(obj: Any) -> Any:
         if "__bytes__" in obj:
             return bytes.fromhex(obj["__bytes__"])
         if "__ndarray__" in obj:
+            import numpy as np
+
             spec = obj["__ndarray__"]
             flat = np.frombuffer(
                 bytes.fromhex(spec["data"]), dtype=np.dtype(spec["dtype"])

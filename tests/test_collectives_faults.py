@@ -33,7 +33,8 @@ from repro.collectives.plane import HoplitePlane
 from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.failure import FailureEvent, poisson_failures, schedule
+from repro.net.failure import poisson_failures
+from repro.net.faults import FailureEvent, schedule
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys import CollectiveOrchestrator, CollectiveSpec, TaskSystem
 

@@ -14,7 +14,7 @@ from repro.bench.scenarios import (
 )
 from repro.core import HopliteRuntime, ObjectID, ObjectValue, ReduceOp
 from repro.net import Cluster, NetworkConfig
-from repro.net.failure import FailureEvent
+from repro.net.faults import FailureEvent
 
 MB = 1024 * 1024
 

@@ -128,6 +128,43 @@ def test_get_read_only_avoids_extra_copy():
     assert copy_elapsed > read_only_elapsed
 
 
+def test_get_without_read_only_returns_an_independent_copy():
+    """A writable get hands back its own array: mutating it leaves the
+    store's copy alone.  Bytes and ``None`` payloads come back as they are.
+    The small values take the directory's inline path on a remote get, the
+    8 MB one a fetch into the remote store."""
+    cluster, runtime = make_runtime()
+    array = np.arange(8, dtype=np.float64)
+    values = {
+        "array": ObjectValue.from_array(array),
+        "big_array": ObjectValue.from_array(array, logical_size=8 * MB),
+        "bytes": ObjectValue.from_bytes(b"\x01\x02\x03"),
+        "none": ObjectValue.of_size(KB),
+    }
+
+    def scenario():
+        for key, value in values.items():
+            yield from runtime.client(0).put(ObjectID.of(key), value)
+        got = {}
+        for key in values:
+            for node in (0, 1):
+                client = runtime.client(node)
+                got[key, node] = yield from client.get(ObjectID.of(key), read_only=False)
+        for key in ("array", "big_array"):
+            for node in (0, 1):
+                got[key, node].payload[:] = -1.0
+                got[key, node] = yield from runtime.client(node).get(ObjectID.of(key))
+        return got
+
+    got = run(cluster, scenario())
+    for node in (0, 1):
+        assert np.array_equal(got["array", node].payload, np.arange(8.0))
+        assert np.array_equal(got["big_array", node].payload, np.arange(8.0))
+        assert got["bytes", node].payload == b"\x01\x02\x03"
+        assert got["none", node].payload is None
+        assert got["none", node].size == KB
+
+
 def test_concurrent_gets_share_one_fetch():
     cluster, runtime = make_runtime()
     object_id = ObjectID.of("shared")

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net import Cluster
-from repro.net.failure import FailureEvent, alternating_failures, poisson_failures, schedule
+from repro.net.failure import poisson_failures
+from repro.net.faults import FailureEvent, alternating_failures, schedule
 
 
 def test_cluster_construction_and_accessors():
@@ -146,6 +147,16 @@ def test_alternating_failures_round_robin():
     assert [event.fail_at for event in events] == [2.0, 7.0, 12.0, 17.0]
     with pytest.raises(ValueError):
         list(alternating_failures([1], period=0, downtime=1, count=1))
+
+
+def test_poisson_failures_rejects_empty_node_ids():
+    with pytest.raises(ValueError, match="node_ids"):
+        poisson_failures([], rate_per_second=1.0, horizon=10.0, downtime=1.0)
+
+
+def test_alternating_failures_rejects_empty_node_ids():
+    with pytest.raises(ValueError, match="node_ids"):
+        list(alternating_failures([], period=1.0, downtime=0.5, count=3))
 
 
 def test_schedule_helper_applies_events():

@@ -71,6 +71,19 @@ def test_reduce_op_combinations():
     assert np.allclose(ReduceOp.PROD.combine(a, b), [3.0, 10.0])
 
 
+def test_reduce_op_reads_bytes_as_uint8_like_as_array():
+    """Two bytes payloads combine like their uint8 views (``as_array``),
+    not as byte strings: SUM does not concatenate, MIN/MAX/PROD do not raise."""
+    left, right = b"\x01\x05\xff", b"\x03\x02\x02"
+    views = [ObjectValue.from_bytes(data).as_array() for data in (left, right)]
+    for op in ReduceOp:
+        result = op.combine(left, right)
+        expected = op.combine(*views)
+        assert result.dtype == np.uint8
+        assert np.array_equal(result, expected)
+    assert ReduceOp.SUM.combine(left, right).tolist() == [4, 7, 1]
+
+
 def test_reduce_op_none_is_identity():
     a = np.array([1.0, 2.0])
     assert np.allclose(ReduceOp.SUM.combine(None, a), a)
