@@ -25,8 +25,8 @@ MB = 1024 * 1024
 
 
 def main() -> None:
-    # trace_transfers also installs the flight recorder the Chrome trace
-    # draws on.
+    # trace_transfers has the plane record transfer spans and fill the
+    # cluster's flight recorder, both of which the Chrome trace draws on.
     result = run_fleet(trace_transfers=True)
     obs = result.obs
     registry = obs.registry

@@ -478,8 +478,10 @@ def run_fleet(
     tenants share nothing but the fabric).  With ``observe=False`` the run
     is identical except that no plane is installed; with it, the result
     carries SLO verdicts and the congestion/latency correlation.
-    ``trace_transfers`` also records per-transfer spans and installs the
-    cluster's flight recorder, the two inputs of the Chrome-trace export.
+    ``trace_transfers`` (with ``observe``) attaches the plane through
+    ``enable_observability(trace_transfers=True)``: it records per-transfer
+    spans and fills the cluster's flight recorder, the two inputs of the
+    Chrome-trace export.
 
     Once the SLO rows and blame are computed, every runtime and then the
     cluster are closed (:meth:`~repro.net.cluster.Cluster.close`), so
@@ -502,8 +504,6 @@ def run_fleet(
         zone_latency=1.0e-4,
     )
     cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig(topology=topology))
-    if trace_transfers:
-        cluster.enable_flight_recorder()
     obs = (
         cluster.enable_observability(window=window, trace_transfers=trace_transfers)
         if observe

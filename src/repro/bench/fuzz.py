@@ -17,9 +17,11 @@ runs a deep sweep.  Any mismatch prints the scenario needed to reproduce it —
 and, since the flight recorder landed, the harness re-runs a mismatching
 seed with recording enabled on both settings and bisects to the **first
 diverging semantic event** (time, kind, resource, detail) instead of
-leaving a bare pair of hashes.  ``--flight`` runs the whole band with
-recording on, checking both that digests still match (recording is
-observational) and that the on/off semantic records are identical.
+leaving a bare pair of hashes.  ``--flight`` runs the whole band with the
+observability plane on (``enable_observability(trace_transfers=True)``,
+which also installs the flight recorder), checking both that digests still
+match (observing changes nothing) and that the on/off semantic records are
+identical.
 """
 
 from __future__ import annotations
@@ -207,15 +209,19 @@ def control_plane_differential(seed: int):
 
 
 def run_spec_recorded(case: FuzzCase, fast_paths: bool) -> tuple[str, list]:
-    """Like :func:`run_spec`, with the cluster's flight recorder on.
+    """Like :func:`run_spec`, with the whole observability plane on.
 
-    Returns ``(digest, records)``.
+    ``enable_observability(trace_transfers=True)`` also installs the flight
+    recorder.  Returns ``(digest, flight records)``.
     """
-    recorders: list = []
-    digest, _ = _run(
-        case, fast_paths, observe=lambda cluster: recorders.append(cluster.enable_flight_recorder())
-    )
-    return digest, list(recorders[0].records)
+    clusters: list = []
+
+    def observe(cluster) -> None:
+        cluster.enable_observability(trace_transfers=True)
+        clusters.append(cluster)
+
+    digest, _ = _run(case, fast_paths, observe=observe)
+    return digest, list(clusters[0].flight.records)
 
 
 def bisect_divergence(case: FuzzCase):
@@ -239,7 +245,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--flight",
         action="store_true",
-        help="record every run; also compare the semantic transfer timelines",
+        help="observe every run with transfer tracing and the flight recorder; "
+        "also compare the semantic transfer timelines",
     )
     parser.add_argument(
         "--control-plane",

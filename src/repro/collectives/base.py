@@ -138,16 +138,10 @@ class StaticOperation:
         raise NotImplementedError
 
     # -- helpers for subclasses --------------------------------------------------
-    def wait_arrival(self, rank: int) -> Event:
-        return self._arrival_events[rank]
-
     def mark_data_ready(self, rank: int) -> None:
         event = self._data_ready[rank]
         if not event.triggered:
             event.succeed(self.sim.now)
-
-    def wait_data_ready(self, rank: int) -> Event:
-        return self._data_ready[rank]
 
     def flow(self, src_rank: int, dst_rank: int) -> Flow:
         """The bulk flow tag for this operation's ``src -> dst`` stream."""

@@ -15,7 +15,7 @@ the quantities the paper's analytical model (Section 3.4.2) reasons about.
 
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.flowsched import Flow, FlowClass, FlowTransport, LinkScheduler, Reservation
+from repro.net.flowsched import Flow, FlowClass, LinkScheduler, Reservation
 from repro.net.node import Node
 from repro.net.topology import Fabric, FabricLink, Topology
 from repro.net.transport import NodeFailedError, TransferError, transfer_bytes
@@ -26,7 +26,6 @@ __all__ = [
     "FabricLink",
     "Flow",
     "FlowClass",
-    "FlowTransport",
     "LinkScheduler",
     "NetworkConfig",
     "Node",

@@ -68,7 +68,7 @@ class Cluster:
         #: observability plane, or None when disabled (the default: every
         #: instrumentation site guards on ``cluster.obs is not None``).
         self.obs = None
-        #: flight recorder, or None when disabled (the default: every
+        #: flight recorder, or None unless the plane traces transfers (every
         #: instrumentation site guards on ``cluster.flight is not None``).
         self.flight = None
         self.nodes: list[Node] = [
@@ -78,41 +78,40 @@ class Cluster:
         self.closed = False
 
     def enable_observability(self, window: float = 0.1, trace_transfers: bool = False):
-        """Install (and return) the observability plane for this cluster.
+        """Install (and return) the observability plane: the one attach point.
 
-        Purely observational: metrics record against simulated time without
-        scheduling events, so enabling it never changes simulated results
-        (locked down by the differential test in ``tests/test_fleet.py``).
+        ``trace_transfers`` also records a span per block and coalesced run,
+        and installs the flight recorder as :attr:`flight`, with its pop hook
+        in ``sim.on_pop``.  That slot has one owner: if it is already set,
+        this raises :class:`~repro.sim.SimulationError` and installs nothing.
+        A second call returns the installed plane, and raises ``ValueError``
+        if its ``window`` or ``trace_transfers`` differs from that plane's.
+
+        Purely observational: metrics and records are stamped with simulated
+        time but never schedule events, so enabling the plane changes no
+        simulated result (locked down by the differential test in
+        ``tests/test_fleet.py`` and the ``--flight`` fuzz band).
         """
+        obs = self.obs
+        if obs is not None:
+            if (window, trace_transfers) != (obs.registry.window, obs.trace_transfers):
+                raise ValueError(
+                    f"cluster already observed with window={obs.registry.window!r}, "
+                    f"trace_transfers={obs.trace_transfers!r}"
+                )
+            return obs
         from repro.obs import Observability
 
-        if self.obs is None:
-            Observability(self, window=window, trace_transfers=trace_transfers)
-        return self.obs
+        if trace_transfers:
+            if self.sim.on_pop is not None:
+                raise SimulationError(
+                    "sim.on_pop already has an owner; the flight recorder needs it"
+                )
+            from repro.obs.flight import FlightRecorder
 
-    def enable_flight_recorder(self, capacity: Optional[int] = None):
-        """Install (and return) the flight recorder for this cluster.
-
-        Purely observational, like the metrics plane: records are stamped
-        with simulated time but never schedule events, so recording changes
-        no simulated result (locked down by the ``--flight`` differential
-        fuzz band).
-        """
-        from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
-
-        if self.flight is None:
-            recorder = FlightRecorder(
-                self.sim, capacity=capacity if capacity is not None else DEFAULT_CAPACITY
-            )
-            self.sim.on_pop = recorder.record_pop
-            self.flight = recorder
-        return self.flight
-
-    def disable_flight_recorder(self) -> None:
-        """Uninstall the recorder (its recorded ring stays readable)."""
-        if self.flight is not None:
-            self.sim.on_pop = None
-            self.flight = None
+            self.flight = FlightRecorder(self.sim)
+            self.sim.on_pop = self.flight.record_pop
+        return Observability(self, window=window, trace_transfers=trace_transfers)
 
     # -- convenience --------------------------------------------------------
     def __len__(self) -> int:

@@ -7,9 +7,8 @@ scenario reported inflated numbers.
 
 This module is the single front door:
 
-* :func:`fastpath` — a context manager that toggles coalescing and restores
-  the previous state on exit; :func:`set_enabled` / :func:`is_enabled` are
-  the non-scoped forms for command-line entry points;
+* :func:`fastpath` — the one switch: a context manager that toggles
+  coalescing and restores the previous state on exit;
 * :class:`FastpathStats` — the counters, scoped per
   :class:`~repro.net.cluster.Cluster` (``cluster.fastpath_stats``), so
   back-to-back runs of the same scenario in one process report identical
@@ -79,24 +78,6 @@ def stats_for(node: "Node") -> FastpathStats:
     if cluster is None:
         return _ORPHAN
     return cluster.fastpath_stats
-
-
-def is_enabled() -> bool:
-    """True when coalescing is on."""
-    from repro.net import coalesce  # deferred: coalesce imports stats_for
-
-    return coalesce.ENABLED
-
-
-def set_enabled(enabled: bool) -> None:
-    """Turn coalescing on or off for the whole process.
-
-    Prefer the :func:`fastpath` context manager, which restores state; this
-    exists for command-line entry points that toggle for a whole process.
-    """
-    from repro.net import coalesce  # deferred: coalesce imports stats_for
-
-    coalesce.ENABLED = enabled
 
 
 @contextmanager

@@ -316,28 +316,3 @@ def transfer_block(
             f"{reservation.flow.flow_id}/{nbytes}",
         )
     return sim._now
-
-
-class FlowTransport:
-    """Flow-scheduled block transport bound to one :class:`NetworkConfig`.
-
-    A thin wrapper over :func:`transfer_block`, plus explicit ``reserve``
-    for protocols that manage reservation lifetimes themselves.
-    """
-
-    def __init__(self, config: NetworkConfig):
-        self.config = config
-
-    # -- admission ---------------------------------------------------------
-    def reserve(
-        self, src: "Node", dst: "Node", nbytes: int, flow: Optional[Flow] = None
-    ) -> Reservation:
-        """Submit a reservation for one ``src -> dst`` block."""
-        return Reservation(src, dst, nbytes, flow or DEFAULT_FLOW)
-
-    # -- transfers ---------------------------------------------------------
-    def transfer_block(
-        self, src: "Node", dst: "Node", nbytes: int, flow: Optional[Flow] = None
-    ) -> Generator:
-        """Move one block; see the module function :func:`transfer_block`."""
-        return transfer_block(self.config, src, dst, nbytes, flow)

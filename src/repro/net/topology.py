@@ -290,20 +290,6 @@ class Fabric:
                         sim, f"zone{zone}-down", "zone_down", slots, rate
                     )
 
-    def tier_links(self) -> list[FabricLink]:
-        """Every shared tier link, in a stable order (racks, then zones).
-
-        A tier link carries the same admission ``Resource`` and
-        :class:`~repro.net.flowsched.LinkScheduler` as a NIC direction, so
-        observability surfaces iterate this list to attribute bytes and
-        utilization to the fabric tiers.
-        """
-        links = [link for link in self.rack_up if link is not None]
-        links += [link for link in self.rack_down if link is not None]
-        links += list(self.zone_up.values())
-        links += list(self.zone_down.values())
-        return links
-
     # -- paths ---------------------------------------------------------------
     def path_links(self, src_id: int, dst_id: int) -> tuple[FabricLink, ...]:
         """Every shared tier link a ``src -> dst`` block must claim a slot on.

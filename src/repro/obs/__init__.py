@@ -1,7 +1,8 @@
 """The simulated-time observability plane.
 
 One :class:`Observability` instance per :class:`~repro.net.cluster.Cluster`
-(installed via ``cluster.enable_observability()``) bundles:
+(installed via ``cluster.enable_observability()``, the one attach point for
+observers) bundles:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` recording counters, gauges,
   and exact histograms against the cluster's **simulated** clock;
@@ -12,8 +13,11 @@ One :class:`Observability` instance per :class:`~repro.net.cluster.Cluster`
   byte/queue/control children, the fast-path counter mirror, the node
   membership listeners, and the grant-wait recorder the transport calls.
 
-It installs no kernel hook: the event count is ``sim.events_processed``,
-which ``collect_flow_usage()`` reports as ``events_processed``.
+The plane itself installs no kernel hook: the event count is
+``sim.events_processed``, which ``collect_flow_usage()`` reports as
+``events_processed``.  ``enable_observability(trace_transfers=True)`` also
+installs the flight recorder (:mod:`repro.obs.flight`) as ``cluster.flight``,
+the sole owner of the kernel's ``sim.on_pop`` slot.
 
 Everything is opt-in and zero-overhead when off: with no plane installed,
 every call site pays exactly one ``is not None`` branch (``cluster.obs``,
@@ -174,27 +178,6 @@ class Observability:
         }
         sched._obs_queue = queue_family.labels(link=name, tier=tier)
         sched._obs_control = control_family.labels(link=name, tier=tier)
-
-    def detach(self) -> None:
-        """Uninstall every hook (the recorded data stays readable)."""
-        cluster = self.cluster
-        cluster.fastpath_stats.on_event = None
-        for node in cluster.nodes:
-            for sched in (node.uplink_sched, node.downlink_sched):
-                sched._obs_bytes = None
-                sched._obs_queue = None
-                sched._obs_control = None
-        for link in cluster.fabric.iter_links():
-            link.sched._obs_bytes = None
-            link.sched._obs_queue = None
-            link.sched._obs_control = None
-        for node in cluster.nodes:
-            node.remove_failure_listener(self._on_node_down)
-            try:
-                node.recovery_listeners.remove(self._on_node_up)
-            except ValueError:
-                pass
-        cluster.obs = None
 
     # -- hook bodies (called from the instrumented subsystems) -------------
     def _on_fastpath(self, key: str, n: int) -> None:

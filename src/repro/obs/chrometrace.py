@@ -19,9 +19,8 @@ Timestamps convert simulated seconds to trace microseconds.  The output is
 deterministic for a deterministic scenario: events are emitted in sorted
 order, pids/tids are assigned from sorted track names, and
 :func:`dump_chrome_trace` serializes with sorted keys — CI pins a golden
-digest of a fixed-seed export on exactly this property.  (Host-clock
-profiler output deliberately does NOT appear here; wall-clock figures are
-exempt from determinism and live in the ``host_*`` metric families.)
+digest of a fixed-seed export on exactly this property.  Host-clock
+figures never appear here: ``perf/run.py`` writes its own host-time traces.
 """
 
 from __future__ import annotations
@@ -44,18 +43,12 @@ def _span_track(span) -> tuple[str, str]:
     return ("ops", str(span.trace_id))
 
 
-def to_chrome_trace(
-    obs=None,
-    flight: Optional[FlightRecorder] = None,
-    include_pops: bool = False,
-) -> dict:
+def to_chrome_trace(obs=None, flight: Optional[FlightRecorder] = None) -> dict:
     """Build a Chrome Trace Event document from the recorded surfaces.
 
     ``obs`` is an :class:`repro.obs.Observability` (spans + queue-depth
     counters), ``flight`` a :class:`~repro.obs.flight.FlightRecorder`
-    (transfer timeline); either may be ``None``.  ``include_pops`` adds an
-    instant per raw kernel pop from the flight ring — complete but huge,
-    off by default.
+    (transfer timeline); either may be ``None``.
     """
     # (process_name, thread_name, event-dict-without-pid/tid); ids are
     # assigned over the sorted track-name set afterwards so the numbering
@@ -127,23 +120,6 @@ def to_chrome_trace(
                         },
                     )
                 )
-        if include_pops:
-            for time, kind, resource, detail in flight.records:
-                if kind == "pop":
-                    rows.append(
-                        (
-                            "kernel",
-                            "pops",
-                            {
-                                "ph": "i",
-                                "s": "t",
-                                "name": detail,
-                                "cat": "pop",
-                                "ts": time * _US,
-                                "args": {"seq": resource},
-                            },
-                        )
-                    )
 
     counter_rows: list[dict] = []
     if obs is not None:
@@ -207,17 +183,14 @@ def to_chrome_trace(
 
 
 def dump_chrome_trace(
-    path: str,
-    obs=None,
-    flight: Optional[FlightRecorder] = None,
-    include_pops: bool = False,
+    path: str, obs=None, flight: Optional[FlightRecorder] = None
 ) -> dict:
     """Write :func:`to_chrome_trace` output to ``path`` (returns the doc).
 
     Serialized with sorted keys and compact separators: two runs of the
     same seed produce byte-identical files.
     """
-    doc = to_chrome_trace(obs=obs, flight=flight, include_pops=include_pops)
+    doc = to_chrome_trace(obs=obs, flight=flight)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
     return doc

@@ -472,13 +472,3 @@ def format_blame_table(rows: Iterable[BlameRow]) -> str:
             f"{shares}  {top}"
         )
     return "\n".join(lines)
-
-
-def scenario_summary(blame: OpBlame) -> dict:
-    """The compact per-scenario row ``bench/perf.py`` embeds (fractions)."""
-    length = blame.length
-    fractions = {
-        c: (round(blame.categories.get(c, 0.0) / length, 4) if length > 0 else 0.0)
-        for c in CATEGORIES
-    }
-    return {"length": round(length, 6), "fractions": fractions}

@@ -55,9 +55,9 @@ DEFAULT_CAPACITY = 1_000_000
 class FlightRecorder:
     """A bounded in-memory ring of simulated-time kernel/transfer records.
 
-    Installed per cluster via ``cluster.enable_flight_recorder()``; the
-    instrumentation sites find it through ``cluster.flight`` (one branch
-    when absent).  Records are plain tuples, appended in call order; the
+    Installed per cluster by ``cluster.enable_observability(
+    trace_transfers=True)``; the instrumentation sites find it through
+    ``cluster.flight`` (one branch when absent).  Records are plain tuples, appended in call order; the
     *semantic* ordering (what :func:`semantic_records` compares) sorts by
     timestamp, because the fast paths retrofit past-timestamped records at
     their boundary walks.

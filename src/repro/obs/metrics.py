@@ -103,25 +103,6 @@ class Gauge:
     def series(self) -> list[tuple[float, float]]:
         return list(self.samples)
 
-    def windowed_mean(self) -> list[tuple[float, float]]:
-        """Per-window mean of the recorded samples."""
-        window = self.family.registry.window
-        out: list[tuple[float, float]] = []
-        bucket = None
-        total = 0.0
-        count = 0
-        for t, v in self.samples:
-            b = int(t / window)
-            if b != bucket:
-                if count:
-                    out.append((bucket * window, total / count))
-                bucket, total, count = b, 0.0, 0
-            total += v
-            count += 1
-        if count:
-            out.append((bucket * window, total / count))
-        return out
-
 
 class Histogram:
     """Every observation kept, stamped with simulated time; exact quantiles."""
@@ -168,23 +149,6 @@ class Histogram:
 
     def series(self) -> list[tuple[float, float]]:
         return list(self.samples)
-
-    def windowed_percentile(self, pct: float) -> list[tuple[float, float]]:
-        """Per-window exact percentile: ``(window_start, pct_value)``."""
-        window = self.family.registry.window
-        out: list[tuple[float, float]] = []
-        bucket = None
-        values: list[float] = []
-        for t, v in self.samples:
-            b = int(t / window)
-            if b != bucket:
-                if values:
-                    out.append((bucket * window, nearest_rank(sorted(values), pct)))
-                bucket, values = b, []
-            values.append(v)
-        if values:
-            out.append((bucket * window, nearest_rank(sorted(values), pct)))
-        return out
 
 
 _CHILD_TYPES = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}

@@ -201,26 +201,3 @@ class Tracer:
 
     def trace(self, trace_id: str) -> list[Span]:
         return [span for span in self.spans if span.trace_id == trace_id]
-
-    def format_trace(self, trace_id: str) -> str:
-        """An indented, human-readable rendering of one trace."""
-        spans = self.trace(trace_id)
-        by_parent: dict[Optional[int], list[Span]] = {}
-        known = {span.span_id for span in spans}
-        for span in spans:
-            parent = span.parent_id if span.parent_id in known else None
-            by_parent.setdefault(parent, []).append(span)
-        lines: list[str] = []
-
-        def _walk(parent: Optional[int], depth: int) -> None:
-            for span in by_parent.get(parent, ()):
-                end = "…" if span.end is None else f"{span.end:.6f}"
-                lines.append(
-                    f"{'  ' * depth}{span.name} [{span.start:.6f}..{end}]"
-                    f" {span.status}"
-                    + (f" {span.attrs}" if span.attrs else "")
-                )
-                _walk(span.span_id, depth + 1)
-
-        _walk(None, 0)
-        return "\n".join(lines)

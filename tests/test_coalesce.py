@@ -14,9 +14,9 @@ Three properties pin the fast path (see ``net/coalesce``):
 
 import pytest
 
-from repro.net import coalesce
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.fastpath import fastpath
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.transport import local_copy, transfer_bytes
 from repro.store.objects import reset_id_counter
@@ -27,8 +27,6 @@ MB = 1024 * 1024
 @pytest.fixture(autouse=True)
 def _fresh_ids():
     reset_id_counter()
-    yield
-    coalesce.ENABLED = True
 
 
 def _cluster(num_nodes=3):
@@ -62,17 +60,17 @@ def test_uncontended_transfer_is_o1_events():
 
 
 def test_uncontended_transfer_time_matches_per_block_reference():
-    coalesce.ENABLED = False
     ref_cluster = _cluster()
     ref = _drive_transfer(ref_cluster, ref_cluster.node(0), ref_cluster.node(1), 64 * MB)
-    ref_cluster.run()
+    with fastpath(False):
+        ref_cluster.run()
 
-    coalesce.ENABLED = True
     fast_cluster = _cluster()
     fast = _drive_transfer(
         fast_cluster, fast_cluster.node(0), fast_cluster.node(1), 64 * MB
     )
-    fast_cluster.run()
+    with fastpath(True):
+        fast_cluster.run()
 
     assert fast["t"] == ref["t"]
     # Link accounting is replicated block by block: bytes AND busy time.
@@ -86,7 +84,6 @@ def test_uncontended_transfer_time_matches_per_block_reference():
 
 def _two_flow_times(enabled, stagger=0.01):
     """Two flows sharing node 0's uplink; the second arrives mid-run."""
-    coalesce.ENABLED = enabled
     cluster = _cluster(3)
     flow_a = Flow("a", FlowClass.BULK)
     flow_b = Flow("b", FlowClass.BULK)
@@ -94,7 +91,8 @@ def _two_flow_times(enabled, stagger=0.01):
     done_b = _drive_transfer(
         cluster, cluster.node(0), cluster.node(2), 64 * MB, flow_b, start=stagger
     )
-    cluster.run()
+    with fastpath(enabled):
+        cluster.run()
     scheds = {
         node.node_id: dict(node.uplink_sched.bytes_by_class)
         for node in cluster.nodes
@@ -126,7 +124,6 @@ def test_contested_run_with_simultaneous_start_matches_reference():
 def test_local_copy_coalesces_and_matches_reference():
     results = {}
     for enabled in (False, True):
-        coalesce.ENABLED = enabled
         cluster = _cluster(1)
         sim = cluster.sim
         done = {}
@@ -136,7 +133,8 @@ def test_local_copy_coalesces_and_matches_reference():
             done["t"] = sim.now
 
         sim.process(_proc(), name="copy")
-        cluster.run()
+        with fastpath(enabled):
+            cluster.run()
         results[enabled] = (done["t"], sim.events_processed)
     assert results[True][0] == results[False][0]
     # 16 blocks: per-block pays ~2 events each, coalesced is O(1).
@@ -151,7 +149,6 @@ def test_pull_cascade_is_o1_events_per_hop():
     from repro.store.objects import ObjectID, ObjectValue
 
     def _run(enabled):
-        coalesce.ENABLED = enabled
         cluster = _cluster(4)
         runtime = HopliteRuntime(cluster)
         sim = cluster.sim
@@ -170,7 +167,8 @@ def test_pull_cascade_is_o1_events_per_hop():
         sim.process(_put(), name="put")
         for node_id in (1, 2, 3):
             sim.process(_get(node_id), name=f"get-{node_id}")
-        cluster.run()
+        with fastpath(enabled):
+            cluster.run()
         return dict(finish), sim.events_processed
 
     ref_finish, ref_events = _run(False)
@@ -188,7 +186,6 @@ def test_inflight_progress_is_readable_at_exact_times():
     from repro.store.objects import ObjectID, ObjectValue
 
     def _probe(enabled, at):
-        coalesce.ENABLED = enabled
         cluster = _cluster(2)
         runtime = HopliteRuntime(cluster)
         sim = cluster.sim
@@ -211,7 +208,8 @@ def test_inflight_progress_is_readable_at_exact_times():
         sim.process(_put(), name="put")
         sim.process(_get(), name="get")
         sim.process(_prober(), name="probe")
-        cluster.run()
+        with fastpath(enabled):
+            cluster.run()
         return seen["ready"]
 
     for at in (0.05, 0.2, 0.31, 0.44):

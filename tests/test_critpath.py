@@ -21,7 +21,6 @@ from repro.obs.critpath import (
     blame_window,
     cluster_blame,
     format_blame_table,
-    scenario_summary,
     unit_from_span,
 )
 from repro.obs.trace import Span, Tracer
@@ -237,10 +236,6 @@ def test_aggregate_and_format_blame_table():
     assert table == format_blame_table(rows)  # deterministic
     assert "rack0/up" in table and "grant_wait" in table
     assert "prod" in table and "batch" in table
-    # scenario_summary fractions sum to ~1 for a fully attributed blame.
-    summary = scenario_summary(_blame("prod", "allreduce", 1.0, 1.0))
-    assert summary["length"] == pytest.approx(2.0)
-    assert sum(summary["fractions"].values()) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_blame_row_as_dict_is_json_shaped():

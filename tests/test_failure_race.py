@@ -19,7 +19,8 @@ from repro.bench.scenarios import Scenario, run
 from repro.net import Cluster, NetworkConfig, TransferError
 from repro.net.errors import FailureRace, _check_alive
 from repro.net.flowsched import (
-    FlowTransport,
+    DEFAULT_FLOW,
+    Reservation,
     path_latency,
     path_transmission_time,
     transfer_block,
@@ -141,7 +142,7 @@ def _any_of_transfer_block(config, src, dst, nbytes):
     """
     sim = src.sim
     _check_alive(src, dst)
-    reservation = FlowTransport(config).reserve(src, dst, nbytes)
+    reservation = Reservation(src, dst, nbytes, DEFAULT_FLOW)
     try:
         if not reservation.triggered:
             peer_failed = Event(sim)

@@ -1,8 +1,9 @@
 """The deterministic flight recorder and divergence bisection.
 
-Pins the recorder's own contracts (bounded ring, deterministic dump, the
-per-cluster enable/disable lifecycle), the *observational* property — fuzz
-scenarios run with recording on still digest-match their unrecorded runs,
+Pins the recorder's own contracts (bounded ring, deterministic dump, its
+installation by ``enable_observability(trace_transfers=True)`` as the one
+owner of the kernel's pop hook), the *observational* property — fuzz
+scenarios run with the plane on still digest-match their unobserved runs,
 and the fast-on / fast-off semantic timelines are identical — and the
 property the subsystem exists for: a fast-path divergence injected into
 the coalescing machinery is bisected to its first diverging semantic
@@ -26,6 +27,7 @@ from repro.obs.flight import (
     first_divergence,
     semantic_records,
 )
+from repro.sim import SimulationError
 from repro.store.objects import reset_id_counter
 
 
@@ -98,16 +100,31 @@ def test_first_divergence_cases():
     assert first_divergence([(0.0, "pop", "seq=1", "Wake")], []) is None
 
 
-def test_cluster_lifecycle_installs_and_removes_hooks():
+def test_transfer_tracing_installs_the_recorder_as_sole_pop_hook_owner():
     cluster = Cluster(4, NetworkConfig())
     assert cluster.flight is None and cluster.sim.on_pop is None
-    recorder = cluster.enable_flight_recorder(capacity=128)
-    assert cluster.flight is recorder
+    cluster.enable_observability(trace_transfers=True)
+    recorder = cluster.flight
+    assert isinstance(recorder, FlightRecorder)
     assert cluster.sim.on_pop == recorder.record_pop
-    # Idempotent: re-enabling keeps the same recorder.
-    assert cluster.enable_flight_recorder() is recorder
-    cluster.disable_flight_recorder()
-    assert cluster.flight is None and cluster.sim.on_pop is None
+
+    # The slot has one owner: a hook already in place stays, and nothing
+    # is installed.
+    taken = Cluster(4, NetworkConfig())
+
+    def hook(when, seq, event):
+        pass
+
+    taken.sim.on_pop = hook
+    with pytest.raises(SimulationError, match="on_pop"):
+        taken.enable_observability(trace_transfers=True)
+    assert taken.sim.on_pop is hook
+    assert taken.flight is None and taken.obs is None
+
+    # Without transfer tracing the plane installs no pop hook.
+    plain = Cluster(4, NetworkConfig())
+    plain.enable_observability()
+    assert plain.flight is None and plain.sim.on_pop is None
 
 
 def test_recording_captures_pops_and_semantic_timeline():

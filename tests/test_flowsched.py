@@ -9,11 +9,10 @@ import dataclasses
 
 import pytest
 
-from repro.net import Cluster, NetworkConfig, Topology, TransferError
+from repro.net import Cluster, NetworkConfig, Topology, TransferError, flowsched
 from repro.net.flowsched import (
     Flow,
     FlowClass,
-    FlowTransport,
     Reservation,
     _build_route,
     path_latency,
@@ -177,10 +176,9 @@ def test_failure_before_admission_raises_and_withdraws_reservation():
     cluster, config = make_cluster()
     sim = cluster.sim
     src, dst, other = cluster.node(0), cluster.node(1), cluster.node(2)
-    transport = FlowTransport(config)
     # Keep dst's downlink busy so src's transfer waits for admission.
     blocker = sim.process(transfer_bytes(config, other, dst, 256 * MB))
-    process = sim.process(transport.transfer_block(src, dst, 4 * MB))
+    process = sim.process(flowsched.transfer_block(config, src, dst, 4 * MB))
     # Fail dst during the blocker's first block, while the reservation is
     # still queued for admission.
     cluster.schedule_failure(1, at=0.001)
@@ -267,12 +265,12 @@ def test_route_timing_equals_the_path_functions_bit_for_bit(fabric):
             assert latency == path_latency(config, src, dst)
 
 
-def _one_block(transfer, src, dst, nbytes):
+def _one_block(config, src, dst, nbytes):
     """Run one block transfer on idle links; return its arrival time."""
     done = {}
 
     def body():
-        done["at"] = yield from transfer(src, dst, nbytes)
+        done["at"] = yield from flowsched.transfer_block(config, src, dst, nbytes)
 
     src.sim.process(body())
     src.sim.run()
@@ -283,7 +281,7 @@ def test_two_zone_block_arrives_at_path_timing():
     cluster, config = _two_zone_cluster()
     src, dst = cluster.node(1), cluster.node(6)  # slow NIC, cross-zone
     nb = config.block_size
-    arrival = _one_block(FlowTransport(config).transfer_block, src, dst, nb)
+    arrival = _one_block(config, src, dst, nb)
     expected = path_transmission_time(config, src, dst, nb) + path_latency(config, src, dst)
     assert arrival == expected
     assert path_latency(config, src, dst) > config.latency  # tier extras counted
@@ -294,7 +292,7 @@ def test_node_without_cluster_is_timed_by_the_path_functions():
     config = NetworkConfig(bandwidth=1e9, latency=2e-5)
     src, dst = Node(sim, 0), Node(sim, 1)
     nb = config.block_size // 3
-    arrival = _one_block(FlowTransport(config).transfer_block, src, dst, nb)
+    arrival = _one_block(config, src, dst, nb)
     assert arrival == config.transmission_time(nb) + config.latency
     _claims, path, rate, latency = src.routes[dst.node_id]
     assert path == () and rate is None and latency is None
@@ -309,9 +307,9 @@ def test_foreign_config_is_rejected_before_any_claim():
     for foreign in (NetworkConfig(bandwidth=1e9, latency=3e-5), dataclasses.replace(config)):
         assert foreign is not cluster.config
         with pytest.raises(SimulationError):
-            next(FlowTransport(foreign).transfer_block(src, dst, foreign.block_size))
+            next(flowsched.transfer_block(foreign, src, dst, foreign.block_size))
     assert dst.node_id not in src.routes
     assert src.uplink.in_use == 0 and dst.downlink.in_use == 0
     nb = config.block_size
-    arrival = _one_block(FlowTransport(cluster.config).transfer_block, src, dst, nb)
+    arrival = _one_block(cluster.config, src, dst, nb)
     assert arrival == path_transmission_time(config, src, dst, nb) + path_latency(config, src, dst)

@@ -4,6 +4,8 @@ Covers the plane's contracts in isolation and wired into the simulator:
 
 * exact nearest-rank percentiles and the windowed time-series views;
 * label discipline (declared names enforced, re-declaration rejected);
+* ``enable_observability`` as the one attach point, whose repeat call must
+  repeat the installed plane's settings;
 * Prometheus / JSON export shapes and the SLO evaluator's verdict rules;
 * one-trace-per-collective linking through orchestrator lineage, including
   a fault-and-recover run whose failed and replacement attempts share the
@@ -19,7 +21,7 @@ import pytest
 from repro.net import coalesce
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.fastpath import COUNTER_KEYS, fastpath, is_enabled, set_enabled
+from repro.net.fastpath import COUNTER_KEYS, fastpath
 from repro.obs.export import (
     SLOTarget,
     evaluate_slos,
@@ -82,19 +84,6 @@ def test_histogram_percentiles_full_and_windowed():
     assert hist.percentile(99) == 10.0
     # Time-windowed: only samples in [2, 5) -> values 3, 4, 5.
     assert hist.percentile(50, since=2.0, until=4.0) == 4.0
-    windowed = hist.windowed_percentile(100)
-    assert windowed == [(float(i), float(i + 1)) for i in range(10)]
-
-
-def test_gauge_windowed_mean():
-    clock = _Clock()
-    registry = MetricsRegistry(clock, window=0.5)
-    gauge = registry.gauge("depth", "").labels()
-    for t, v in ((0.0, 2.0), (0.4, 4.0), (0.6, 10.0)):
-        clock._now = t
-        gauge.set(v)
-    assert gauge.value == 10.0
-    assert gauge.windowed_mean() == [(0.0, 3.0), (0.5, 10.0)]
 
 
 def test_label_discipline():
@@ -242,7 +231,7 @@ def test_slo_evaluator_verdicts():
 # ---------------------------------------------------------------------------
 
 
-def test_enable_observability_counts_events_and_detaches():
+def test_enable_observability_counts_events():
     cluster = Cluster(num_nodes=2, network=NetworkConfig())
     obs = cluster.enable_observability()
     assert cluster.enable_observability() is obs  # idempotent accessor
@@ -266,15 +255,21 @@ def test_enable_observability_counts_events_and_detaches():
     assert cluster.sim.events_processed > 0
     assert cluster.sim.on_pop is None
     bytes_family = obs.registry.families["link_bytes"]
-    moved = sum(child.value for child in bytes_family.children.values())
-    assert moved >= 4 * MB
+    assert sum(child.value for child in bytes_family.children.values()) >= 4 * MB
 
-    obs.detach()
-    assert cluster.obs is None
-    assert cluster.nodes[0].uplink_sched._obs_bytes is None
-    assert cluster.fastpath_stats.on_event is None
-    # The recorded data stays readable after detach.
-    assert sum(child.value for child in bytes_family.children.values()) == moved
+
+def test_second_enable_observability_must_repeat_the_settings():
+    """A second call returns the installed plane only for the same settings;
+    different ones raise instead of being silently ignored."""
+    cluster = Cluster(num_nodes=2, network=NetworkConfig())
+    obs = cluster.enable_observability(window=0.5)
+    assert cluster.enable_observability(window=0.5) is obs
+    with pytest.raises(ValueError, match="trace_transfers=False"):
+        cluster.enable_observability(window=0.5, trace_transfers=True)
+    with pytest.raises(ValueError, match="window=0.5"):
+        cluster.enable_observability()
+    assert cluster.obs is obs and cluster.flight is None
+    assert cluster.sim.on_pop is None
 
 
 def _put_get(observed: bool):
@@ -285,8 +280,7 @@ def _put_get(observed: bool):
 
     cluster = Cluster(num_nodes=2, network=NetworkConfig())
     if observed:
-        cluster.enable_observability()
-        cluster.enable_flight_recorder()
+        cluster.enable_observability(trace_transfers=True)
     runtime = HopliteRuntime(cluster)
     done = {}
 
@@ -302,8 +296,8 @@ def _put_get(observed: bool):
 
 
 def test_observability_and_flight_recorder_observe_one_run():
-    """The plane and the recorder record one run side by side, change no
-    simulated result, and detaching the plane leaves the recorder's hook."""
+    """The plane and its flight recorder record one run side by side and
+    change no simulated result."""
     at, events, cluster = _put_get(observed=True)
     assert (at, events) == _put_get(observed=False)[:2]
     recorder = cluster.flight
@@ -311,7 +305,6 @@ def test_observability_and_flight_recorder_observe_one_run():
     assert len(pops) == events and recorder.dropped == 0
     bytes_family = cluster.obs.registry.families["link_bytes"]
     assert sum(child.value for child in bytes_family.children.values()) >= 4 * MB
-    cluster.obs.detach()
     assert cluster.sim.on_pop == recorder.record_pop
 
 
@@ -372,8 +365,6 @@ def test_fault_and_recover_is_one_trace():
         assert len(attempts) >= 2, f"{name} has no replacement attempt"
         assert attempts[-1].status == "ok"
     assert system.metrics.failures >= 1
-    rendered = obs.tracer.format_trace(spec.spec_id)
-    assert "collective:allreduce" in rendered and "task:" in rendered
 
 
 def test_trace_transfers_records_coalesced_run_spans():
@@ -513,19 +504,13 @@ def test_adopted_reexecution_span_is_marked():
 
 
 def test_fastpath_context_manager_gates_both_fast_paths():
-    assert is_enabled() and coalesce.ENABLED
+    assert coalesce.ENABLED
     with fastpath(False):
-        assert not is_enabled()
         assert not coalesce.ENABLED
         with fastpath(True):
-            assert is_enabled()
-        assert not is_enabled()
-    assert is_enabled() and coalesce.ENABLED
-    # set_enabled is the non-context form; restore either way.
-    set_enabled(False)
-    assert not coalesce.ENABLED
-    set_enabled(True)
-    assert is_enabled()
+            assert coalesce.ENABLED
+        assert not coalesce.ENABLED
+    assert coalesce.ENABLED
 
 
 def _broadcast_fastpath_counts() -> dict:
