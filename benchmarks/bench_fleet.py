@@ -151,10 +151,8 @@ def test_fleet_blame_table_is_deterministic(run_once):
     """Same seed -> byte-identical blame table, exact per-op partitions."""
     from repro.bench.fleet import run_fleet
     from repro.obs.critpath import format_blame_table
-    from repro.store.objects import reset_id_counter
 
     def _table():
-        reset_id_counter()
         result = run_fleet(
             num_jobs=24, num_racks=2, nodes_per_rack=4, quick=True,
             trace_transfers=True,
@@ -178,10 +176,8 @@ def test_fleet_prometheus_export_is_golden(run_once):
     """Same seed, same fabric -> byte-identical export, frozen label sets."""
     from repro.bench.fleet import run_fleet
     from repro.obs.export import to_prometheus
-    from repro.store.objects import reset_id_counter
 
     def _export() -> str:
-        reset_id_counter()
         result = run_fleet(
             num_jobs=24, num_racks=2, nodes_per_rack=4, quick=True
         )

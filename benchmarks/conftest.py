@@ -10,22 +10,6 @@ from __future__ import annotations
 import pytest
 
 
-@pytest.fixture(autouse=True)
-def _pinned_object_ids():
-    """Reset the process-global ObjectID counter before every benchmark.
-
-    The directory's source-selection tie-break hashes object keys, and
-    ``ObjectID.unique`` draws from one process-global counter — so a
-    benchmark's schedule (and its borderline bound assertions) would
-    otherwise depend on which benchmarks happened to run earlier in the
-    same pytest process.  Pinning the counter makes every benchmark
-    reproduce its standalone run exactly, in any batch order.
-    """
-    from repro.store.objects import reset_id_counter
-
-    reset_id_counter()
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--quick",

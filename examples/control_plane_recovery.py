@@ -21,7 +21,6 @@ import numpy as np
 from repro import Cluster, NetworkConfig, ObjectID, ObjectValue
 from repro.collectives.plane import HoplitePlane
 from repro.core.runtime import HopliteRuntime
-from repro.store.objects import reset_id_counter
 from repro.tasksys import CollectiveOrchestrator, CollectiveSpec, TaskSystem
 
 MB = 1024 * 1024
@@ -32,9 +31,6 @@ SHARD_ID = 2
 
 
 def build():
-    # Pin the process-global ObjectID counter so both runs of the script see
-    # the same object-to-shard placement.
-    reset_id_counter()
     cluster = Cluster(
         num_nodes=NUM_NODES, network=NetworkConfig(bandwidth=1.25e8)
     )
@@ -42,7 +38,7 @@ def build():
     system = TaskSystem(cluster, HoplitePlane(runtime))
     orchestrator = CollectiveOrchestrator(system)
     ranks = list(range(NUM_NODES))
-    sources = {i: ObjectID.unique(f"shard-demo-src{i}") for i in ranks}
+    sources = {i: ObjectID.unique(cluster, f"shard-demo-src{i}") for i in ranks}
     spec = CollectiveSpec.allgather(
         "shard-demo",
         ranks,

@@ -62,7 +62,7 @@ def run_async_sgd(
     def driver() -> Generator:
         server = cluster.node(0)
         weights_ref = yield from task_system.put(
-            ObjectValue.of_size(model.param_bytes), ObjectID.unique("weights")
+            ObjectValue.of_size(model.param_bytes), ObjectID.unique(cluster, "weights")
         )
         # Kick off one gradient task per worker against the initial weights.
         outstanding: dict[ObjectID, int] = {}
@@ -78,7 +78,7 @@ def run_async_sgd(
         start = sim.now
         for iteration in range(num_iterations):
             iteration_start = sim.now
-            target_id = ObjectID.unique(f"update-{iteration}")
+            target_id = ObjectID.unique(cluster, f"update-{iteration}")
             result = yield from plane.reduce(
                 server,
                 target_id,
@@ -90,7 +90,7 @@ def run_async_sgd(
             yield sim.timeout(server_update_time)
             weights_ref = yield from task_system.put(
                 ObjectValue.of_size(model.param_bytes),
-                ObjectID.unique(f"weights-{iteration + 1}"),
+                ObjectID.unique(cluster, f"weights-{iteration + 1}"),
             )
             # Restart exactly the workers whose gradients were consumed.
             for object_id in result.reduced_ids:

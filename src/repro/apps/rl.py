@@ -97,7 +97,7 @@ def run_rl_training(
     def driver() -> Generator:
         trainer = cluster.node(0)
         policy_ref = yield from task_system.put(
-            ObjectValue.of_size(model.param_bytes), ObjectID.unique("policy")
+            ObjectValue.of_size(model.param_bytes), ObjectID.unique(cluster, "policy")
         )
         outstanding: dict[ObjectID, tuple] = {}
         ref_by_id = {}
@@ -111,7 +111,7 @@ def run_rl_training(
             iteration_start = sim.now
             consumed: list[ObjectID] = []
             if algorithm == "a3c":
-                target_id = ObjectID.unique(f"rl-update-{iteration}")
+                target_id = ObjectID.unique(cluster, f"rl-update-{iteration}")
                 result = yield from plane.reduce(
                     trainer,
                     target_id,
@@ -130,7 +130,7 @@ def run_rl_training(
             yield sim.timeout(TRAINER_UPDATE_TIME)
             policy_ref = yield from task_system.put(
                 ObjectValue.of_size(model.param_bytes),
-                ObjectID.unique(f"policy-{iteration + 1}"),
+                ObjectID.unique(cluster, f"policy-{iteration + 1}"),
             )
             for object_id in consumed:
                 worker = outstanding.pop(object_id, None)

@@ -77,7 +77,7 @@ def run_model_serving(
 
         def _load_weights(node_id: int, model_index: int) -> Generator:
             profile = profiles[model_index]
-            weights_id = ObjectID.unique(f"weights-{profile.name}-n{node_id}")
+            weights_id = ObjectID.unique(cluster, f"weights-{profile.name}-n{node_id}")
             yield from plane.put(
                 cluster.node(node_id), weights_id, ObjectValue.of_size(profile.param_bytes)
             )
@@ -90,7 +90,7 @@ def run_model_serving(
         start = sim.now
         for query_index in range(num_queries):
             query_start = sim.now
-            query_id = ObjectID.unique(f"query-{query_index}")
+            query_id = ObjectID.unique(cluster, f"query-{query_index}")
             yield from plane.put(frontend, query_id, ObjectValue.of_size(query_bytes))
 
             prediction_refs = []

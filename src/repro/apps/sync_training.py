@@ -113,7 +113,7 @@ def _run_plane(
         for round_index in range(num_rounds):
             round_start = sim.now
             gradient_ids = [
-                ObjectID.unique(f"sync-grad-r{round_index}-n{node_id}")
+                ObjectID.unique(cluster, f"sync-grad-r{round_index}-n{node_id}")
                 for node_id in range(num_nodes)
             ]
             producers = [
@@ -123,7 +123,7 @@ def _run_plane(
                 )
                 for node_id in range(num_nodes)
             ]
-            target_id = ObjectID.unique(f"sync-update-{round_index}")
+            target_id = ObjectID.unique(cluster, f"sync-update-{round_index}")
             reduce_proc = sim.process(
                 plane.reduce(cluster.node(0), target_id, gradient_ids, ReduceOp.SUM),
                 name=f"sync-reduce-{round_index}",

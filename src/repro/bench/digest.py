@@ -5,7 +5,7 @@ results run after run — and, critically, *refactor after refactor*.  The
 perf work on the kernel (coalesced block transfers, incremental admission
 matching, memoized fabric paths) is only admissible because these digests
 pin the simulated results: a fast path that changes a completion time, a
-per-tier byte count, or the global ObjectID allocation order is a behaviour
+per-tier byte count, or the run's ObjectID allocation order is a behaviour
 change, not an optimization.
 
 A digest hashes, for one scenario run:
@@ -14,9 +14,10 @@ A digest hashes, for one scenario run:
 * the per-link and per-tier byte counters from
   :func:`~repro.bench.scenarios.collect_flow_usage` (integers — exact);
 * the control-message count;
-* the state of the process-global ObjectID counter after the run (the
-  allocation *order* is schedule-sensitive, so this catches reordered
-  control flow that happens to produce the same latencies).
+* the state of the run's own ObjectID counter (``cluster.object_ids``)
+  after the run (the allocation *order* is schedule-sensitive, so this
+  catches reordered control flow that happens to produce the same
+  latencies).
 
 ``tests/test_golden_determinism.py`` asserts these digests against the
 values in :data:`RECORDED_DIGESTS`, most of them recorded before the
@@ -37,17 +38,9 @@ from repro.net.topology import Topology
 MB = 1024 * 1024
 
 
-def _reset_object_ids() -> None:
-    from repro.store.objects import reset_id_counter
-
-    reset_id_counter()
-
-
-def _object_id_state() -> str:
-    """The next ObjectID ordinal, without consuming it."""
-    from repro.store import objects as objects_module
-
-    return repr(objects_module._id_counter)
+def _object_id_state(cluster) -> str:
+    """The cluster's next ObjectID ordinal, without consuming it."""
+    return repr(cluster.object_ids)
 
 
 def _flow_fingerprint(stats: dict) -> list:
@@ -74,16 +67,16 @@ def _digest(parts: list) -> str:
 
 
 def _hash_runs(cells: list) -> str:
-    """Digest each ``(label, scenario)`` run, then the ObjectID state."""
+    """Digest each ``(label, scenario)`` run and its ObjectID state."""
     from repro.bench.scenarios import run
 
-    _reset_object_ids()
     parts: list = []
     for label, scenario in cells:
-        result = run(scenario)
+        clusters: list = []
+        result = run(scenario, observe=clusters.append)
         parts.append((label, repr(result["latency"])))
         parts.extend(_flow_fingerprint(result["usage"]))
-    parts.append(_object_id_state())
+        parts.append(_object_id_state(clusters[0]))
     return _digest(parts)
 
 
@@ -216,10 +209,9 @@ def golden_perf_basket_cell() -> str:
     Pipeline-bound 1 GB chains (broadcast and reduce at 64 nodes, their
     16-node variants), the 64-node gather and static baselines, the
     oversubscribed 4-rack sweep points, the MoE routing mix and the
-    24-job fleet.  Each cell starts from a fresh ObjectID counter and
-    contributes its latency (full ``repr`` precision) and its kernel event
-    count.  The 64-node 1 GB allreduce is left out for its cost; its 32 MB
-    sibling is in ``matching_64``.
+    24-job fleet.  Each cell contributes its latency (full ``repr``
+    precision) and its kernel event count.  The 64-node 1 GB allreduce is
+    left out for its cost; its 32 MB sibling is in ``matching_64``.
     """
     gb = 1024 * MB
     parts: list = []
@@ -239,7 +231,6 @@ def golden_perf_basket_cell() -> str:
         ("fleet-4rack", lambda: _fleet_cell(4, 8, quick=False)),
         ("fleet-2rack-quick", lambda: _fleet_cell(2, 4, quick=True)),
     ):
-        _reset_object_ids()
         latency, events = run()
         parts.append((label, repr(latency), events))
     return _digest(parts)
@@ -281,7 +272,6 @@ def golden_grant_order_cell() -> str:
         cluster.sim.on_pop = on_pop
 
     for collective in ("alltoall", "allgather"):
-        _reset_object_ids()
         digest.update(collective.encode("utf-8"))
         run(Scenario(collective, "hoplite", 16, 8 * MB), observe=observe)
     return digest.hexdigest()
@@ -297,14 +287,15 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "grant_order": golden_grant_order_cell,
 }
 
-#: digests asserted by tests/test_golden_determinism.py.  The first two
-#: were recorded on the pre-fast-path kernel.
+#: digests asserted by tests/test_golden_determinism.py.
 RECORDED_DIGESTS = {
-    "fig7_flat": "385562b63a6a29f796821f4a2f741c1ed2288dd8c59393027d9cdf45235c6293",
-    "fault_matrix_2rack": "bed96547f59609fc279e39b660430fc0dcec919fc40ac97b163bfcd55f02c982",
-    # Matching-limited collectives (pre-convoy kernel, PR 6 seed state).
-    "matching_16": "48432aa4b102815037eb310e2a719cf01d7363f7c6e62a9425052fbf4bc94b89",
-    "matching_64": "848116e1113ddf7de78e6f9c1bc095fdfd07c7b7f5eff407bd8898ac500ab655",
+    # The first four were re-recorded when ObjectIDs moved onto the cluster:
+    # each run now sees the IDs it mints alone, not the ones earlier runs in
+    # its cell advanced, and each run's ObjectID state is hashed.
+    "fig7_flat": "7bc60e10988961711e52c28c43f540d7ccf72f4fe2510d2189e15c16ea5517be",
+    "fault_matrix_2rack": "91957bdb323ca5244aac4ea51f1692a949fbeced9e77cdd094e7f57734bc8770",
+    "matching_16": "28b3b9f5840b87111f29484b0c1b15687536f16136d8fae6e431ff71492d6a8c",
+    "matching_64": "5bbd7752dcaab28b09c8e2dfae11f97164e9b3342f0e2c8bc9a7153066e9e287",
     # The old throughput basket's latency pins: recorded on the kernel it
     # last ran on, every latency equal to its pinned value to 1 ns.
     "perf_basket": "ce0b6486dd953fa0c1cddfaaf61c67c54cc130ea900fd096259336758871a542",

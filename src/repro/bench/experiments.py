@@ -356,7 +356,7 @@ def directory_latency_microbenchmark(num_nodes: int = 16, repeats: int = 32) -> 
 
     def _bench() -> object:
         for index in range(repeats):
-            object_id = ObjectID.unique(f"dir-bench-{index}")
+            object_id = ObjectID.unique(cluster, f"dir-bench-{index}")
             node = cluster.nodes[index % num_nodes]
             store = runtime.store(node)
             store.put_complete(object_id, ObjectValue.of_size(1024 * 1024))

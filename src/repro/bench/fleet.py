@@ -280,7 +280,7 @@ def _training_job(sim, runtime, spec, recorder) -> Generator:
         start = sim.now
         span = recorder.begin_op(spec, "allreduce")
         grad_ids = [
-            ObjectID.unique(f"fleet-{spec.name}-grad{r}-n{nid}") for nid in nodes
+            ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-grad{r}-n{nid}") for nid in nodes
         ]
         recorder.bind(span, *grad_ids)
         yield sim.all_of(
@@ -289,7 +289,7 @@ def _training_job(sim, runtime, spec, recorder) -> Generator:
                 for nid, gid in zip(nodes, grad_ids)
             ]
         )
-        target = ObjectID.unique(f"fleet-{spec.name}-update{r}")
+        target = ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-update{r}")
         recorder.bind(span, target)
         yield from runtime.client(nodes[0]).reduce(target, grad_ids, ReduceOp.SUM)
         yield sim.all_of(
@@ -308,7 +308,7 @@ def _serving_job(sim, runtime, spec, recorder) -> Generator:
     for r in range(spec.rounds):
         start = sim.now
         span = recorder.begin_op(spec, "broadcast")
-        model = ObjectID.unique(f"fleet-{spec.name}-model{r}")
+        model = ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-model{r}")
         recorder.bind(span, model)
         yield from _put(runtime, driver, model, spec.payload_bytes)
         yield sim.all_of(
@@ -319,7 +319,8 @@ def _serving_job(sim, runtime, spec, recorder) -> Generator:
         start = sim.now
         span = recorder.begin_op(spec, "gather")
         responses = [
-            ObjectID.unique(f"fleet-{spec.name}-resp{r}-n{nid}") for nid in replicas
+            ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-resp{r}-n{nid}")
+            for nid in replicas
         ]
         recorder.bind(span, *responses)
         yield sim.all_of(
@@ -341,7 +342,7 @@ def _moe_job(sim, runtime, spec, recorder) -> Generator:
         start = sim.now
         span = recorder.begin_op(spec, "alltoall")
         pair = {
-            (src, dst): ObjectID.unique(f"fleet-{spec.name}-a2a{r}-{src}-{dst}")
+            (src, dst): ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-a2a{r}-{src}-{dst}")
             for src in nodes
             for dst in nodes
             if src != dst
@@ -368,7 +369,7 @@ def _rl_job(sim, runtime, spec, recorder) -> Generator:
     for r in range(spec.rounds):
         start = sim.now
         span = recorder.begin_op(spec, "broadcast")
-        policy = ObjectID.unique(f"fleet-{spec.name}-policy{r}")
+        policy = ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-policy{r}")
         recorder.bind(span, policy)
         yield from _put(runtime, driver, policy, spec.payload_bytes)
         yield sim.all_of(
@@ -379,7 +380,7 @@ def _rl_job(sim, runtime, spec, recorder) -> Generator:
         start = sim.now
         span = recorder.begin_op(spec, "gather")
         rollouts = [
-            ObjectID.unique(f"fleet-{spec.name}-roll{r}-n{nid}") for nid in workers
+            ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-roll{r}-n{nid}") for nid in workers
         ]
         recorder.bind(span, *rollouts)
         yield sim.all_of(

@@ -31,7 +31,7 @@ import random
 from dataclasses import replace
 from typing import NamedTuple, Optional
 
-from repro.bench.digest import _digest, _flow_fingerprint, _object_id_state, _reset_object_ids
+from repro.bench.digest import _digest, _flow_fingerprint, _object_id_state
 from repro.bench.scenarios import Scenario, run
 from repro.core.options import HopliteOptions
 from repro.net.config import NetworkConfig
@@ -151,15 +151,25 @@ def generate_spec(seed: int) -> FuzzCase:
     return FuzzCase(seed, scenario, fabric, faults)
 
 
-def _run(case: FuzzCase, fast_paths: bool, observe=None) -> tuple[str, float]:
-    """Run one case with the fast paths forced on or off: (digest, latency)."""
-    _reset_object_ids()
+def _run(case: FuzzCase, fast_paths: bool, trace: bool = False):
+    """Run one case with the fast paths forced on or off.
+
+    ``trace`` turns the whole observability plane on, flight recorder
+    included.  Returns ``(digest, latency, cluster)``.
+    """
+    clusters: list = []
+
+    def observe(cluster) -> None:
+        clusters.append(cluster)
+        if trace:
+            cluster.enable_observability(trace_transfers=True)
+
     with fastpath(fast_paths):
         result = run(case.scenario, observe=observe)
     parts: list = [(case.describe(), repr(result["latency"]))]
     parts.extend(_flow_fingerprint(result["usage"]))
-    parts.append(_object_id_state())
-    return _digest(parts), result["latency"]
+    parts.append(_object_id_state(clusters[0]))
+    return _digest(parts), result["latency"], clusters[0]
 
 
 def run_spec(case: FuzzCase, fast_paths: bool) -> str:
@@ -195,7 +205,7 @@ def control_plane_differential(seed: int):
             arrivals = arrivals[: scenario.nodes - 1]
         case = case._replace(scenario=replace(scenario, system="hoplite", arrivals=arrivals))
 
-    _, latency = _run(case, fast_paths=True)
+    _, latency, _ = _run(case, fast_paths=True)
     horizon = max(latency * 0.8, 1e-3)
     events = poisson_control_plane_failures(
         num_shards=4,
@@ -214,14 +224,8 @@ def run_spec_recorded(case: FuzzCase, fast_paths: bool) -> tuple[str, list]:
     ``enable_observability(trace_transfers=True)`` also installs the flight
     recorder.  Returns ``(digest, flight records)``.
     """
-    clusters: list = []
-
-    def observe(cluster) -> None:
-        cluster.enable_observability(trace_transfers=True)
-        clusters.append(cluster)
-
-    digest, _ = _run(case, fast_paths, observe=observe)
-    return digest, list(clusters[0].flight.records)
+    digest, _, cluster = _run(case, fast_paths, trace=True)
+    return digest, list(cluster.flight.records)
 
 
 def bisect_divergence(case: FuzzCase):

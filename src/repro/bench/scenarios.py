@@ -448,7 +448,7 @@ def _plane_p2p(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
 
 def _plane_broadcast(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
     sim = cluster.sim
-    object_id = ObjectID.unique("bcast")
+    object_id = ObjectID.unique(cluster, "bcast")
     delays = _delays(s.arrivals, s.nodes - 1)
 
     def _scenario() -> Generator:
@@ -475,7 +475,7 @@ def _plane_broadcast(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
 
 def _plane_gather(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
     sim = cluster.sim
-    object_ids = [ObjectID.unique(f"gather-{i}") for i in range(1, s.nodes)]
+    object_ids = [ObjectID.unique(cluster, f"gather-{i}") for i in range(1, s.nodes)]
 
     def _scenario() -> Generator:
         puts = [
@@ -508,8 +508,8 @@ def _plane_reduce(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
     """
     sim, n, name = cluster.sim, s.nodes, s.collective
     delays = _delays(s.arrivals, n)
-    source_ids = [ObjectID.unique(f"{name}-src-{i}") for i in range(n)]
-    target_id = ObjectID.unique(f"{name}-target")
+    source_ids = [ObjectID.unique(cluster, f"{name}-src-{i}") for i in range(n)]
+    target_id = ObjectID.unique(cluster, f"{name}-target")
 
     def _producer(node_id: int, delay: float) -> Generator:
         if delay > 0:
@@ -560,13 +560,13 @@ def _plane_exchange(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
     """
     sim, n, name = cluster.sim, s.nodes, s.collective
     if name == "allgather":
-        source_ids = [ObjectID.unique(f"allgather-{i}") for i in range(n)]
+        source_ids = [ObjectID.unique(cluster, f"allgather-{i}") for i in range(n)]
         values = [ObjectValue.of_size(s.nbytes) for _ in range(n)]
         sends = lambda node_id: [(source_ids[node_id], values[node_id])]  # noqa: E731
         share = lambda node_id: plane.allgather(cluster.node(node_id), source_ids)  # noqa: E731
     else:
         pair_ids = {
-            (src, dst): ObjectID.unique(f"alltoall-{src}-{dst}")
+            (src, dst): ObjectID.unique(cluster, f"alltoall-{src}-{dst}")
             for src in range(n)
             for dst in range(n)
             if src != dst
@@ -631,41 +631,45 @@ _PLANE_RUNS = {
 }
 
 
-def _collective_spec(collective: str, num_nodes: int, nbytes: int, tag: str) -> CollectiveSpec:
+def _collective_spec(
+    cluster: Cluster, collective: str, num_nodes: int, nbytes: int, tag: str
+) -> CollectiveSpec:
     """Build the durable spec for one orchestrated measurement."""
     participants = list(range(num_nodes))
     value = lambda: ObjectValue.of_size(nbytes)  # noqa: E731
     if collective == "broadcast":
         return CollectiveSpec.broadcast(
-            tag, 0, participants, ObjectID.unique(f"{tag}-obj"), value()
+            tag, 0, participants, ObjectID.unique(cluster, f"{tag}-obj"), value()
         )
     if collective in ("reduce", "allreduce"):
-        sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in participants}
+        sources = {i: ObjectID.unique(cluster, f"{tag}-src{i}") for i in participants}
         return CollectiveSpec.reduce(
             tag,
             0,
             participants,
             sources,
-            ObjectID.unique(f"{tag}-target"),
+            ObjectID.unique(cluster, f"{tag}-target"),
             {sources[i]: value() for i in participants},
             ReduceOp.SUM,
             allreduce=collective == "allreduce",
         )
     if collective == "allgather":
-        sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in participants}
+        sources = {i: ObjectID.unique(cluster, f"{tag}-src{i}") for i in participants}
         return CollectiveSpec.allgather(
             tag, participants, sources, {sources[i]: value() for i in participants}
         )
     if collective == "reduce_scatter":
         matrix = {
-            (i, j): ObjectID.unique(f"{tag}-{i}-{j}") for i in participants for j in participants
+            (i, j): ObjectID.unique(cluster, f"{tag}-{i}-{j}")
+            for i in participants
+            for j in participants
         }
-        targets = {j: ObjectID.unique(f"{tag}-shard{j}") for j in participants}
+        targets = {j: ObjectID.unique(cluster, f"{tag}-shard{j}") for j in participants}
         return CollectiveSpec.reduce_scatter(
             tag, participants, matrix, targets, {oid: value() for oid in matrix.values()}
         )
     matrix = {
-        (src, dst): ObjectID.unique(f"{tag}-{src}-{dst}")
+        (src, dst): ObjectID.unique(cluster, f"{tag}-{src}-{dst}")
         for src in participants
         for dst in participants
         if src != dst
@@ -687,7 +691,7 @@ def _orchestrated(cluster: Cluster, plane, s: Scenario, kill: Kill, done: dict) 
     sim = cluster.sim
     orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
     prefix = "drvfail" if kill.target == "driver" else "ctlfail"
-    spec = _collective_spec(s.collective, s.nodes, s.nbytes, f"{prefix}-{s.system}")
+    spec = _collective_spec(cluster, s.collective, s.nodes, s.nbytes, f"{prefix}-{s.system}")
 
     def _killer() -> Generator:
         yield sim.timeout(kill.at)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional
 
 from repro.net.config import ClusterSpec, NetworkConfig
@@ -65,6 +66,8 @@ class Cluster:
         self.fabric = Fabric(self.sim, self.topology, self.config)
         #: fast-path counters, scoped to this cluster (see repro.net.fastpath).
         self.fastpath_stats = FastpathStats()
+        #: ordinals for ``ObjectID.unique``, so a run's IDs are its own.
+        self.object_ids = itertools.count()
         #: observability plane, or None when disabled (the default: every
         #: instrumentation site guards on ``cluster.obs is not None``).
         self.obs = None

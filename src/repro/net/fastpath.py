@@ -8,12 +8,15 @@ scenario reported inflated numbers.
 This module is the single front door:
 
 * :func:`fastpath` — the one switch: a context manager that toggles
-  coalescing and restores the previous state on exit;
+  coalescing and restores the previous state on exit.  The flag it flips,
+  ``coalesce.ENABLED``, is process-wide on purpose (an A/B over whole runs
+  that changes no simulated result); with ``sim.resources._arrival_stamp``
+  it is the only module-level mutable state in ``repro``;
 * :class:`FastpathStats` — the counters, scoped per
   :class:`~repro.net.cluster.Cluster` (``cluster.fastpath_stats``), so
   back-to-back runs of the same scenario in one process report identical
-  values.  Nodes built without a cluster (micro unit tests) fall back to a
-  module-level orphan sink that exists only so counting never crashes.
+  values.  A node built without a cluster (micro unit tests) counts into a
+  throwaway set, so counting never crashes.
 """
 
 from __future__ import annotations
@@ -67,17 +70,10 @@ class FastpathStats:
         return f"FastpathStats({inner})"
 
 
-#: Sink for nodes that have no cluster.  Never read by the benchmarks —
-#: they all run on clusters — it only keeps bare-Node unit setups counting.
-_ORPHAN = FastpathStats()
-
-
 def stats_for(node: "Node") -> FastpathStats:
     """The counters a fast-path event on ``node`` should land in."""
     cluster = node.cluster
-    if cluster is None:
-        return _ORPHAN
-    return cluster.fastpath_stats
+    return FastpathStats() if cluster is None else cluster.fastpath_stats
 
 
 @contextmanager

@@ -50,7 +50,7 @@ from repro.sim.core import URGENT, Event, SimulationError, Simulator
 
 #: process-global arrival stamper for queue ordering.  Only *differences*
 #: matter (FIFO within a priority class), so sharing it across simulators
-#: cannot leak state between runs.
+#: cannot leak state between runs (``tests/test_hermetic.py`` pins this).
 _arrival_stamp = itertools.count()
 
 

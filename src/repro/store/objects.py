@@ -11,7 +11,6 @@ Objects in the reproduction carry two things:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -19,19 +18,12 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 if TYPE_CHECKING:
     import numpy as np
 
-_id_counter = itertools.count()
-
-
 def reset_id_counter() -> None:
-    """Rewind the process-global ``ObjectID.unique`` counter to zero.
+    """Do nothing: ObjectIDs are minted per cluster, so there is no global to reset.
 
-    Benchmarks, digests, and determinism tests pin the counter so every
-    scenario reproduces its standalone schedule exactly, in any batch
-    order.  This is the one sanctioned way to do it — resetting the module
-    global by hand from N call sites is how copies drift.
+    Kept only because the frozen benchmark harness (``perf/perfcells.py``)
+    calls it before every simulation; it goes once that call does.
     """
-    global _id_counter
-    _id_counter = itertools.count()
 
 
 #: numpy is imported where an array is handled, never at module level, so a
@@ -63,9 +55,14 @@ class ObjectID:
         return ObjectID(key)
 
     @staticmethod
-    def unique(prefix: str = "obj") -> "ObjectID":
-        """Generate a fresh, deterministic ObjectID (monotonic counter)."""
-        return ObjectID(f"{prefix}-{next(_id_counter)}")
+    def unique(cluster, prefix: str = "obj") -> "ObjectID":
+        """A fresh ID from ``cluster``'s own counter (``cluster.object_ids``).
+
+        The IDs a run mints depend only on that run, never on what else ran
+        earlier in the process.  That matters because directory shard
+        placement hashes the ID.
+        """
+        return ObjectID(f"{prefix}-{next(cluster.object_ids)}")
 
     def derived(self, suffix: str) -> "ObjectID":
         """An ID derived from this one (used for internal partial results)."""

@@ -127,7 +127,8 @@ class TaskContext:
         return value
 
     def put(self, value: ObjectValue, object_id: Optional[ObjectID] = None) -> Generator:
-        object_id = object_id or ObjectID.unique(f"task{self.spec.task_id}-out")
+        cluster = self.system.cluster
+        object_id = object_id or ObjectID.unique(cluster, f"task{self.spec.task_id}-out")
         # Register the pin *before* the copy starts: an interrupted Put has
         # already created a pinned store entry that must not leak.
         self.system.note_held_object(self.spec.task_id, self.node.node_id, object_id)
@@ -227,7 +228,7 @@ class TaskSystem:
                 # so the two incarnations never run concurrently.
                 self._supersede(record)
         task_id = next(self._task_counter)
-        output = output_id or ObjectID.unique(f"task-{task_id}")
+        output = output_id or ObjectID.unique(self.cluster, f"task-{task_id}")
         spec = TaskSpec(
             task_id=task_id,
             func=func,
@@ -525,7 +526,7 @@ class TaskSystem:
 
     def put(self, value: ObjectValue, object_id: Optional[ObjectID] = None) -> Generator:
         """Driver-side put."""
-        object_id = object_id or ObjectID.unique("driver-put")
+        object_id = object_id or ObjectID.unique(self.cluster, "driver-put")
         yield from self.plane.put(self.driver_node, object_id, value)
         return ObjectRef(object_id=object_id, producer_task_id=None)
 

@@ -7,9 +7,7 @@ from repro.obs.chrometrace import to_chrome_trace
 
 def _traced_fleet():
     from repro.bench.fleet import run_fleet
-    from repro.store.objects import reset_id_counter
 
-    reset_id_counter()
     return run_fleet(
         num_jobs=8, num_racks=2, nodes_per_rack=4, quick=True, trace_transfers=True
     )

@@ -12,21 +12,13 @@ Three properties pin the fast path (see ``net/coalesce``):
   reference bit for bit (the golden digests extend this to full scenarios).
 """
 
-import pytest
-
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.net.fastpath import fastpath
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.transport import local_copy, transfer_bytes
-from repro.store.objects import reset_id_counter
 
 MB = 1024 * 1024
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_id_counter()
 
 
 def _cluster(num_nodes=3):

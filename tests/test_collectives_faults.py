@@ -129,7 +129,7 @@ def _install_reconstructors(cluster, plane, produced):
 
 def _run_broadcast(cluster, plane):
     sim = cluster.sim
-    root_id = ObjectID.unique("fm-bcast")
+    root_id = ObjectID.unique(cluster, "fm-bcast")
     received = {}
 
     def scenario():
@@ -156,8 +156,8 @@ def _run_broadcast(cluster, plane):
 
 def _run_reduce(cluster, plane, with_final_gets=False):
     sim = cluster.sim
-    source_ids = {i: ObjectID.unique(f"fm-red-src{i}") for i in range(NUM_NODES)}
-    target_id = ObjectID.unique("fm-red-target")
+    source_ids = {i: ObjectID.unique(cluster, f"fm-red-src{i}") for i in range(NUM_NODES)}
+    target_id = ObjectID.unique(cluster, "fm-red-target")
     produced = {i: [(source_ids[i], _value(i + 1))] for i in range(NUM_NODES)}
     _install_reconstructors(cluster, plane, produced)
     expected = sum(range(1, NUM_NODES + 1))
@@ -212,7 +212,7 @@ def _run_reduce(cluster, plane, with_final_gets=False):
 
 def _run_allgather(cluster, plane):
     sim = cluster.sim
-    source_ids = [ObjectID.unique(f"fm-ag-{i}") for i in range(NUM_NODES)]
+    source_ids = [ObjectID.unique(cluster, f"fm-ag-{i}") for i in range(NUM_NODES)]
     produced = {i: [(source_ids[i], _value(i + 1))] for i in range(NUM_NODES)}
     _install_reconstructors(cluster, plane, produced)
     gathered = {}
@@ -259,7 +259,7 @@ def _run_allgather(cluster, plane):
 def _run_reduce_scatter(cluster, plane):
     sim = cluster.sim
     matrix = {
-        (i, j): ObjectID.unique(f"fm-rs-{i}-{j}")
+        (i, j): ObjectID.unique(cluster, f"fm-rs-{i}-{j}")
         for i in range(NUM_NODES)
         for j in range(NUM_NODES)
     }
@@ -268,7 +268,7 @@ def _run_reduce_scatter(cluster, plane):
         for i in range(NUM_NODES)
     }
     _install_reconstructors(cluster, plane, produced)
-    target_ids = {j: ObjectID.unique(f"fm-rs-shard-{j}") for j in range(NUM_NODES)}
+    target_ids = {j: ObjectID.unique(cluster, f"fm-rs-shard-{j}") for j in range(NUM_NODES)}
     shards = {}
 
     def scenario():
@@ -316,7 +316,7 @@ def _run_reduce_scatter(cluster, plane):
 def _run_alltoall(cluster, plane):
     sim = cluster.sim
     pair = {
-        (src, dst): ObjectID.unique(f"fm-a2a-{src}-{dst}")
+        (src, dst): ObjectID.unique(cluster, f"fm-a2a-{src}-{dst}")
         for src in range(NUM_NODES)
         for dst in range(NUM_NODES)
         if src != dst
@@ -383,22 +383,22 @@ _DRIVERS = {
 # ---------------------------------------------------------------------------
 
 
-def _spec_and_expected(primitive, tag):
+def _spec_and_expected(cluster, primitive, tag):
     """The durable spec for one cell plus the per-rank expected payloads."""
     ranks = list(range(NUM_NODES))
     if primitive == "broadcast":
         spec = CollectiveSpec.broadcast(
-            tag, 0, ranks, ObjectID.unique(f"{tag}-obj"), _value(7.0)
+            tag, 0, ranks, ObjectID.unique(cluster, f"{tag}-obj"), _value(7.0)
         )
         return spec, {rank: 7.0 for rank in ranks[1:]}
     if primitive in ("reduce", "allreduce"):
-        sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in ranks}
+        sources = {i: ObjectID.unique(cluster, f"{tag}-src{i}") for i in ranks}
         spec = CollectiveSpec.reduce(
             tag,
             0,
             ranks,
             sources,
-            ObjectID.unique(f"{tag}-target"),
+            ObjectID.unique(cluster, f"{tag}-target"),
             {sources[i]: _value(i + 1) for i in ranks},
             ReduceOp.SUM,
             allreduce=primitive == "allreduce",
@@ -407,7 +407,7 @@ def _spec_and_expected(primitive, tag):
         holders = ranks if primitive == "allreduce" else [0]
         return spec, {rank: expected_sum for rank in holders}
     if primitive == "allgather":
-        sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in ranks}
+        sources = {i: ObjectID.unique(cluster, f"{tag}-src{i}") for i in ranks}
         spec = CollectiveSpec.allgather(
             tag, ranks, sources, {sources[i]: _value(i + 1) for i in ranks}
         )
@@ -415,9 +415,9 @@ def _spec_and_expected(primitive, tag):
         return spec, {rank: stacked for rank in ranks}
     if primitive == "reduce_scatter":
         matrix = {
-            (i, j): ObjectID.unique(f"{tag}-{i}-{j}") for i in ranks for j in ranks
+            (i, j): ObjectID.unique(cluster, f"{tag}-{i}-{j}") for i in ranks for j in ranks
         }
-        targets = {j: ObjectID.unique(f"{tag}-shard{j}") for j in ranks}
+        targets = {j: ObjectID.unique(cluster, f"{tag}-shard{j}") for j in ranks}
         spec = CollectiveSpec.reduce_scatter(
             tag,
             ranks,
@@ -430,7 +430,7 @@ def _spec_and_expected(primitive, tag):
         }
     if primitive == "alltoall":
         matrix = {
-            (src, dst): ObjectID.unique(f"{tag}-{src}-{dst}")
+            (src, dst): ObjectID.unique(cluster, f"{tag}-{src}-{dst}")
             for src in ranks
             for dst in ranks
             if src != dst
@@ -454,7 +454,7 @@ def _run_orchestrated(cluster, plane, primitive, tag):
     """Drive one root-class cell through the collective orchestrator."""
     system = TaskSystem(cluster, plane)
     orchestrator = CollectiveOrchestrator(system)
-    spec, expected = _spec_and_expected(primitive, tag)
+    spec, expected = _spec_and_expected(cluster, primitive, tag)
     done = {}
 
     def driver():

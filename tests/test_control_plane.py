@@ -27,7 +27,7 @@ from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.obs.export import to_json
-from repro.store.objects import ObjectID, ObjectValue, ReduceOp, reset_id_counter
+from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys import (
     CollectiveOrchestrator,
     CollectiveSpec,
@@ -59,7 +59,6 @@ class _Clock:
 def test_wal_record_wire_round_trip_all_payload_types():
     import json
 
-    reset_id_counter()
     payload = (
         None,
         True,
@@ -70,7 +69,7 @@ def test_wal_record_wire_round_trip_all_payload_types():
         np.arange(6, dtype=np.float64).reshape(2, 3),
         (1, ("nested", 2)),
         [1, 2, [3]],
-        {("a", 1): ObjectID.unique("k"), 2: "v"},
+        {("a", 1): ObjectID.of("k"), 2: "v"},
         ReduceOp.MAX,
         ObjectValue.from_array(np.full(3, 4.0), logical_size=8 * MB),
     )
@@ -93,15 +92,14 @@ def test_wal_record_wire_round_trip_all_payload_types():
 
 
 def test_collective_spec_wire_round_trip():
-    reset_id_counter()
     ranks = list(range(3))
-    sources = {i: ObjectID.unique(f"w-src{i}") for i in ranks}
+    sources = {i: ObjectID.of(f"w-src{i}") for i in ranks}
     spec = CollectiveSpec.reduce(
         "wire-spec",
         0,
         ranks,
         sources,
-        ObjectID.unique("w-target"),
+        ObjectID.of("w-target"),
         {sources[i]: ObjectValue.from_array(np.full(2, float(i)), logical_size=MB)
          for i in ranks},
         ReduceOp.SUM,
@@ -199,7 +197,6 @@ def test_wal_frozen_suspends_checkpoints_and_replay_is_bounded():
 
 
 def _build(num_nodes=5):
-    reset_id_counter()
     cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig(**NET))
     runtime = HopliteRuntime(cluster)
     system = TaskSystem(cluster, HoplitePlane(runtime))
@@ -207,9 +204,9 @@ def _build(num_nodes=5):
     return cluster, runtime, system, orchestrator
 
 
-def _allgather_spec(tag, num_nodes, nbytes):
+def _allgather_spec(cluster, tag, num_nodes, nbytes):
     ranks = list(range(num_nodes))
-    sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in ranks}
+    sources = {i: ObjectID.unique(cluster, f"{tag}-src{i}") for i in ranks}
     return CollectiveSpec.allgather(
         tag,
         ranks,
@@ -219,15 +216,15 @@ def _allgather_spec(tag, num_nodes, nbytes):
     )
 
 
-def _allreduce_spec(tag, num_nodes, nbytes):
+def _allreduce_spec(cluster, tag, num_nodes, nbytes):
     ranks = list(range(num_nodes))
-    sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in ranks}
+    sources = {i: ObjectID.unique(cluster, f"{tag}-src{i}") for i in ranks}
     return CollectiveSpec.reduce(
         tag,
         0,
         ranks,
         sources,
-        ObjectID.unique(f"{tag}-target"),
+        ObjectID.unique(cluster, f"{tag}-target"),
         {sources[i]: ObjectValue.from_array(np.full(4, float(i + 1)), logical_size=nbytes)
          for i in ranks},
         ReduceOp.SUM,
@@ -265,7 +262,7 @@ def _invoke(cluster, orchestrator, spec, budget=240.0, kills=()):
 
 def test_shard_kill_mid_collective_recovers_by_replay():
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
-    spec = _allgather_spec("sk", 5, 16 * MB)
+    spec = _allgather_spec(cluster, "sk", 5, 16 * MB)
     directory = runtime.directory
     baseline_appends = None
 
@@ -292,7 +289,7 @@ def test_shard_kill_mid_collective_recovers_by_replay():
 
 def test_shard_kill_replays_checkpoint_plus_tail():
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
-    spec = _allgather_spec("ck", 5, 16 * MB)
+    spec = _allgather_spec(cluster, "ck", 5, 16 * MB)
     directory = runtime.directory
     shard = directory.shards[0]
 
@@ -319,7 +316,7 @@ def test_crash_at_every_boundary_sweep():
     """
     num_nodes, nbytes = 4, 4 * MB
     cluster, runtime, _, orchestrator = _build(num_nodes=num_nodes)
-    spec = _allgather_spec("cb", num_nodes, nbytes)
+    spec = _allgather_spec(cluster, "cb", num_nodes, nbytes)
     baseline = _invoke(cluster, orchestrator, spec)
     append_times = sorted(
         {r.time for r in runtime.directory.shards[0].wal.tail if r.time > 0.0}
@@ -331,7 +328,7 @@ def test_crash_at_every_boundary_sweep():
     epsilon = 1e-6
     for boundary in boundaries:
         cluster, runtime, _, orchestrator = _build(num_nodes=num_nodes)
-        spec = _allgather_spec("cb", num_nodes, nbytes)
+        spec = _allgather_spec(cluster, "cb", num_nodes, nbytes)
         directory = runtime.directory
         outcome = _invoke(
             cluster,
@@ -351,7 +348,7 @@ def test_crash_at_every_boundary_sweep():
 
 def test_double_kill_same_shard_recovers_twice():
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
-    spec = _allgather_spec("dk", 5, 16 * MB)
+    spec = _allgather_spec(cluster, "dk", 5, 16 * MB)
     directory = runtime.directory
     _invoke(
         cluster,
@@ -375,7 +372,7 @@ def test_double_kill_same_shard_recovers_twice():
 
 def test_control_plane_kill_mid_collective_resumes_spec():
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
-    spec = _allreduce_spec("cp", 5, 16 * MB)
+    spec = _allreduce_spec(cluster, "cp", 5, 16 * MB)
     _invoke(
         cluster,
         orchestrator,
@@ -396,9 +393,9 @@ def test_control_plane_kill_mid_collective_resumes_spec():
 
 def test_replay_after_restart_skips_completed_and_unsubmitted_specs():
     cluster, runtime, _, orchestrator = _build(num_nodes=3)
-    done_spec = _allgather_spec("done", 3, MB)
+    done_spec = _allgather_spec(cluster, "done", 3, MB)
     _invoke(cluster, orchestrator, done_spec)
-    registered = _allgather_spec("registered-only", 3, MB)
+    registered = _allgather_spec(cluster, "registered-only", 3, MB)
     orchestrator.register(registered)
     applied, resubmitted = orchestrator.replay_after_restart()
     assert applied == orchestrator.wal.appends
@@ -416,7 +413,7 @@ def test_replay_after_restart_skips_completed_and_unsubmitted_specs():
 
 def test_contributor_loss_preserves_root_progress():
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
-    spec = _allreduce_spec("arp", 5, 64 * MB)
+    spec = _allreduce_spec(cluster, "arp", 5, 64 * MB)
     cluster.schedule_failure(1, at=0.5, recover_at=0.8)
     _invoke(cluster, orchestrator, spec)
     # The failed contributor was reconstructed from lineage with identical
@@ -427,7 +424,7 @@ def test_contributor_loss_preserves_root_progress():
 
 def test_root_loss_seeds_prefix_from_receiver():
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
-    spec = _allreduce_spec("ars", 5, 64 * MB)
+    spec = _allreduce_spec(cluster, "ars", 5, 64 * MB)
     # Node 4 hosts the reduce tree's root slot in this configuration; its
     # death forces the re-created root to pull the longest surviving prefix
     # back from a receiver instead of recomputing from scratch.
@@ -442,13 +439,12 @@ def test_root_loss_seeds_prefix_from_receiver():
 
 
 def test_control_plane_ops_metrics_exported():
-    reset_id_counter()
     cluster = Cluster(num_nodes=5, network=NetworkConfig(**NET))
     obs = cluster.enable_observability()
     runtime = HopliteRuntime(cluster)
     system = TaskSystem(cluster, HoplitePlane(runtime))
     orchestrator = CollectiveOrchestrator(system)
-    spec = _allgather_spec("mx", 5, 16 * MB)
+    spec = _allgather_spec(cluster, "mx", 5, 16 * MB)
     directory = runtime.directory
     _invoke(
         cluster,

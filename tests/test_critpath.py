@@ -272,13 +272,13 @@ def test_cluster_blame_on_fault_and_recover_run():
     cluster.schedule_failure(2, at=0.2, recover_at=0.5)
 
     ranks = list(range(5))
-    sources = {i: ObjectID.unique(f"blame-src{i}") for i in ranks}
+    sources = {i: ObjectID.unique(cluster, f"blame-src{i}") for i in ranks}
     spec = CollectiveSpec.reduce(
         "blamed",
         0,
         ranks,
         sources,
-        ObjectID.unique("blame-target"),
+        ObjectID.unique(cluster, "blame-target"),
         {
             sources[i]: ObjectValue.from_array(
                 np.full(4, float(i + 1)), logical_size=16 * MB

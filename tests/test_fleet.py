@@ -15,14 +15,12 @@ from repro.bench.fleet import (
     size_label,
 )
 from repro.net.flowsched import FlowClass
-from repro.store.objects import reset_id_counter
 
 #: a small fleet that still exercises every job kind and both tenants.
 SMALL = dict(num_jobs=8, num_racks=2, nodes_per_rack=4, quick=True)
 
 
 def _small_fleet(**overrides):
-    reset_id_counter()
     return run_fleet(**{**SMALL, **overrides})
 
 

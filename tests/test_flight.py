@@ -28,7 +28,6 @@ from repro.obs.flight import (
     semantic_records,
 )
 from repro.sim import SimulationError
-from repro.store.objects import reset_id_counter
 
 
 class _Clock:
@@ -128,7 +127,6 @@ def test_transfer_tracing_installs_the_recorder_as_sole_pop_hook_owner():
 
 
 def test_recording_captures_pops_and_semantic_timeline():
-    reset_id_counter()
     spec = generate_spec(6)  # broadcast over a 2-rack fabric, coalesces
     _, records = run_spec_recorded(spec, fast_paths=False)
     kinds = {r[1] for r in records}

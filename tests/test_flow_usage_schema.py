@@ -16,7 +16,7 @@ from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.net.fastpath import COUNTER_KEYS
 from repro.net.topology import Topology
-from repro.store.objects import ObjectID, ObjectValue, reset_id_counter
+from repro.store.objects import ObjectID, ObjectValue
 
 MB = 1024 * 1024
 
@@ -41,11 +41,10 @@ SCHEMA_KEYS = (
 
 def _one_transfer(src: int, dst: int, nbytes: int = 4 * MB):
     """2 racks x 2 nodes over 2 zones; move one object ``src`` -> ``dst``."""
-    reset_id_counter()
     topology = Topology.racks(2, 2, oversubscription=2.0, zones=(0, 1))
     cluster = Cluster(num_nodes=4, network=NetworkConfig(topology=topology))
     runtime = HopliteRuntime(cluster)
-    oid = ObjectID.unique("hand")
+    oid = ObjectID.unique(cluster, "hand")
 
     def sender():
         yield from runtime.client(src).put(oid, ObjectValue.of_size(nbytes))

@@ -4,13 +4,15 @@ The digests below were recorded on the pre-fast-path simulator (before
 coalesced block transfers, incremental admission matching, and the memoized
 fabric paths landed).  Every optimization since must keep them byte-identical:
 a digest covers completion times at full float precision, per-link and
-per-tier byte counters, control-message counts, and the global ObjectID
+per-tier byte counters, control-message counts, and each run's ObjectID
 allocation state — see :mod:`repro.bench.digest` for exactly what is hashed.
 
 If one of these fails after an intentional *behaviour* change (a new
 scheduling policy, a model change), re-record the digest in the same commit
 and say so in the commit message; if it fails after a *performance* change,
-the performance change is wrong.
+the performance change is wrong.  The fig7, fault-matrix and matching
+digests were re-recorded once, when ObjectIDs moved onto the cluster: each
+run there now reproduces its standalone schedule.
 """
 
 import pytest

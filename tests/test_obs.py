@@ -30,7 +30,7 @@ from repro.obs.export import (
     to_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry, nearest_rank
-from repro.store.objects import ObjectID, ObjectValue, ReduceOp, reset_id_counter
+from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 
 MB = 1024 * 1024
 
@@ -245,7 +245,7 @@ def test_enable_observability_counts_events():
     runtime = HopliteRuntime(cluster)
 
     def driver():
-        oid = ObjectID.unique("obs-ev")
+        oid = ObjectID.unique(cluster, "obs-ev")
         yield from runtime.client(0).put(oid, ObjectValue.of_size(4 * MB))
         yield from runtime.client(1).get(oid)
 
@@ -275,7 +275,6 @@ def test_second_enable_observability_must_repeat_the_settings():
 def _put_get(observed: bool):
     """One 4 MB put/get; returns the get's completion time, the event count
     and the cluster."""
-    reset_id_counter()
     from repro.core.runtime import HopliteRuntime
 
     cluster = Cluster(num_nodes=2, network=NetworkConfig())
@@ -285,7 +284,7 @@ def _put_get(observed: bool):
     done = {}
 
     def driver():
-        oid = ObjectID.unique("obs-flight")
+        oid = ObjectID.unique(cluster, "obs-flight")
         yield from runtime.client(0).put(oid, ObjectValue.of_size(4 * MB))
         yield from runtime.client(1).get(oid)
         done["at"] = cluster.sim.now
@@ -323,13 +322,13 @@ def test_fault_and_recover_is_one_trace():
     cluster.schedule_failure(2, at=0.2, recover_at=0.5)
 
     ranks = list(range(5))
-    sources = {i: ObjectID.unique(f"trace-src{i}") for i in ranks}
+    sources = {i: ObjectID.unique(cluster, f"trace-src{i}") for i in ranks}
     spec = CollectiveSpec.reduce(
         "traced",
         0,
         ranks,
         sources,
-        ObjectID.unique("trace-target"),
+        ObjectID.unique(cluster, "trace-target"),
         {
             sources[i]: ObjectValue.from_array(
                 np.full(4, float(i + 1)), logical_size=16 * MB
@@ -374,7 +373,7 @@ def test_trace_transfers_records_coalesced_run_spans():
     cluster = Cluster(num_nodes=6, network=NetworkConfig())
     obs = cluster.enable_observability(trace_transfers=True)
     runtime = HopliteRuntime(cluster)
-    oid = ObjectID.unique("traced-bcast")
+    oid = ObjectID.unique(cluster, "traced-bcast")
 
     def sender():
         yield from runtime.client(0).put(oid, ObjectValue.of_size(32 * MB))
@@ -457,7 +456,7 @@ def test_adopted_reexecution_span_is_marked():
     adopting attempt's span says so, in the same trace as the dead one."""
     cluster, obs, system = _traced_system()
     root = obs.tracer.root_for_spec("adopt-spec", "test")
-    output_id = ObjectID.unique("adopt-out")
+    output_id = ObjectID.unique(cluster, "adopt-out")
 
     def slow_task(ctx):
         yield ctx.compute(1.0)
@@ -515,12 +514,11 @@ def test_fastpath_context_manager_gates_both_fast_paths():
 
 def _broadcast_fastpath_counts() -> dict:
     """One fixed broadcast on a fresh cluster; returns its fast-path counters."""
-    reset_id_counter()
     from repro.core.runtime import HopliteRuntime
 
     cluster = Cluster(num_nodes=6, network=NetworkConfig())
     runtime = HopliteRuntime(cluster)
-    oid = ObjectID.unique("scoped")
+    oid = ObjectID.unique(cluster, "scoped")
 
     def sender():
         yield from runtime.client(0).put(oid, ObjectValue.of_size(32 * MB))

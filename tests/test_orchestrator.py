@@ -46,16 +46,16 @@ def _value(tag, nbytes=16 * MB):
     return ObjectValue.from_array(np.full(4, float(tag)), logical_size=nbytes)
 
 
-def _reduce_spec(tag, num_nodes, with_root_source=True, allreduce=False):
+def _reduce_spec(cluster, tag, num_nodes, with_root_source=True, allreduce=False):
     ranks = list(range(num_nodes))
     contributors = ranks if with_root_source else ranks[1:]
-    sources = {i: ObjectID.unique(f"{tag}-src{i}") for i in contributors}
+    sources = {i: ObjectID.unique(cluster, f"{tag}-src{i}") for i in contributors}
     spec = CollectiveSpec.reduce(
         tag,
         0,
         ranks,
         sources,
-        ObjectID.unique(f"{tag}-target"),
+        ObjectID.unique(cluster, f"{tag}-target"),
         {sources[i]: _value(i + 1) for i in contributors},
         ReduceOp.SUM,
         allreduce=allreduce,
@@ -85,7 +85,7 @@ def _invoke(cluster, orchestrator, spec, budget=240.0):
 
 def test_ownership_registers_spec_objects_and_resolves_partials():
     table = OwnershipTable()
-    spec, _ = _reduce_spec("own", 4)
+    spec, _ = _reduce_spec(Cluster(num_nodes=4), "own", 4)
     table.register_spec(spec)
     target = spec.targets[0]
     source = spec.sources[1][0]
@@ -118,7 +118,7 @@ def test_ownership_conflicting_spec_rejected_and_drop_node_reports_losses():
 
 def test_orchestrator_records_partials_and_relays_during_a_reduce():
     cluster, _runtime, _system, orchestrator = _build(4)
-    spec, expected = _reduce_spec("rec", 4, allreduce=True)
+    spec, expected = _reduce_spec(cluster, "rec", 4, allreduce=True)
     outcome = _invoke(cluster, orchestrator, spec)
     assert np.allclose(outcome.results[2].as_array(), expected)
     partials = orchestrator.ownership.objects_of(spec.spec_id, role=ROLE_PARTIAL)
@@ -153,7 +153,7 @@ def test_submission_is_idempotent_per_key_and_incarnation():
 
 def test_resubmitting_a_spec_adopts_the_running_task_set():
     cluster, _runtime, system, orchestrator = _build(4)
-    spec, expected = _reduce_spec("dup", 4)
+    spec, expected = _reduce_spec(cluster, "dup", 4)
     refs_first = orchestrator.submit(spec)
     refs_second = orchestrator.submit(spec)  # a recovery-style re-submission
     assert {
@@ -175,7 +175,7 @@ def test_simultaneous_root_and_producer_failure():
     # Root (caller) and a producer die at the same instant mid-collective.
     cluster.schedule_failure(0, at=0.2, recover_at=0.5)
     cluster.schedule_failure(2, at=0.2, recover_at=0.5)
-    spec, expected = _reduce_spec("dual", 5, allreduce=True)
+    spec, expected = _reduce_spec(cluster, "dual", 5, allreduce=True)
     outcome = _invoke(cluster, orchestrator, spec)
     for rank in range(5):
         assert np.allclose(outcome.results[rank].as_array(), expected), rank
@@ -189,7 +189,7 @@ def test_root_reexecution_adopts_an_in_flight_reduce():
     # rescheduled.  Killed early: the re-execution lands while the reduce is
     # still in flight, exercising the active-registry adoption path.
     cluster.schedule_failure(0, at=0.05, recover_at=0.6)
-    spec, expected = _reduce_spec("adopt-flight", 5, with_root_source=False)
+    spec, expected = _reduce_spec(cluster, "adopt-flight", 5, with_root_source=False)
     outcome = _invoke(cluster, orchestrator, spec)
     assert np.allclose(outcome.results[0].as_array(), expected)
     assert runtime.reduce_adoptions >= 1, (
@@ -201,7 +201,7 @@ def test_root_reexecution_adopts_an_in_flight_reduce():
 def test_root_reexecution_adopts_a_partial_that_finishes_during_the_delay():
     # Learn the failure-free completion time of the target, deterministically.
     cluster, runtime, _system, orchestrator = _build(5)
-    spec, expected = _reduce_spec("adopt-cal", 5, with_root_source=False)
+    spec, expected = _reduce_spec(cluster, "adopt-cal", 5, with_root_source=False)
     target = spec.targets[0]
     seen = {}
 
@@ -222,7 +222,7 @@ def test_root_reexecution_adopts_a_partial_that_finishes_during_the_delay():
     # re-executed root share finds the complete target in the directory.
     cluster, runtime, _system, orchestrator = _build(5)
     cluster.schedule_failure(0, at=max(0.01, completion - 0.02), recover_at=None)
-    spec, expected = _reduce_spec("adopt-done", 5, with_root_source=False)
+    spec, expected = _reduce_spec(cluster, "adopt-done", 5, with_root_source=False)
     outcome = _invoke(cluster, orchestrator, spec)
     assert np.allclose(outcome.results[0].as_array(), expected)
     assert (
@@ -240,8 +240,8 @@ def test_permanently_failed_reduce_task_releases_partials_and_refs():
     sim = cluster.sim
     plane = system.plane
     # Three of four sources exist; the reduce can never finish.
-    source_ids = [ObjectID.unique(f"leak-src{i}") for i in range(4)]
-    target_id = ObjectID.unique("leak-target")
+    source_ids = [ObjectID.unique(cluster, f"leak-src{i}") for i in range(4)]
+    target_id = ObjectID.unique(cluster, "leak-target")
 
     def setup():
         for i in range(3):
@@ -272,7 +272,7 @@ def test_permanently_failed_reduce_task_releases_partials_and_refs():
 
 def test_permanently_failed_put_is_unpinned_so_the_store_can_evict():
     cluster, runtime, system, _orch = _build(3)
-    big = ObjectID.unique("leak-put")
+    big = ObjectID.unique(cluster, "leak-put")
 
     def bad(ctx):
         yield from ctx.put(_value(5.0), object_id=big)

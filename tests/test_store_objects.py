@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.net.cluster import Cluster
 from repro.store import ObjectID, ObjectValue, ReduceOp
 
 
@@ -20,9 +21,19 @@ def test_object_id_identity_and_ordering():
     assert str(a) == "alpha"
 
 
-def test_object_id_unique_is_monotonic_and_distinct():
-    ids = {ObjectID.unique("x") for _ in range(100)}
-    assert len(ids) == 100
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_object_id_unique_is_monotonic_and_distinct(interleaved):
+    cluster, other = Cluster(num_nodes=1), Cluster(num_nodes=1)
+    ids, other_ids = [], []
+    for _ in range(100):
+        ids.append(ObjectID.unique(cluster, "x"))
+        if interleaved:
+            other_ids.append(ObjectID.unique(other, "x"))
+    assert len(set(ids)) == 100
+    # Each cluster mints from its own counter, so a second cluster minting
+    # in between neither shifts this sequence nor is shifted by it.
+    assert ids == [ObjectID.of(f"x-{n}") for n in range(100)]
+    assert other_ids == (ids if interleaved else [])
 
 
 def test_object_id_derived():

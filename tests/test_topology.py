@@ -243,18 +243,8 @@ def test_intra_rack_traffic_never_reserves_spine_links(
         (measure_allgather, {}),
     ],
 )
-def test_flat_topology_reproduces_default_results_exactly(measure, kwargs, monkeypatch):
-    import itertools
-
-    from repro.store import objects as objects_module
-
-    # The scenarios allocate ObjectIDs through the process-global unique()
-    # counter and the directory's tie-break hashes the resulting keys, so
-    # two otherwise-identical runs in one process schedule differently.
-    # Pin the counter before each run to compare them bit for bit.
-    monkeypatch.setattr(objects_module, "_id_counter", itertools.count())
+def test_flat_topology_reproduces_default_results_exactly(measure, kwargs):
     default = measure("hoplite", 8, 4 * MB, **kwargs)
-    monkeypatch.setattr(objects_module, "_id_counter", itertools.count())
     flat = measure(
         "hoplite",
         8,
