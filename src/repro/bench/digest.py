@@ -203,18 +203,18 @@ def _fleet_cell(num_racks: int, nodes_per_rack: int, quick: bool) -> tuple[float
     return result.duration, result.cluster.sim.events_processed
 
 
-def golden_perf_basket_cell() -> str:
+def _perf_basket_runs() -> list[tuple[str, float, int]]:
     """The cells of the old simulator-throughput basket no other cell pins.
 
     Pipeline-bound 1 GB chains (broadcast and reduce at 64 nodes, their
     16-node variants), the 64-node gather and static baselines, the
     oversubscribed 4-rack sweep points, the MoE routing mix and the
-    24-job fleet.  Each cell contributes its latency (full ``repr``
-    precision) and its kernel event count.  The 64-node 1 GB allreduce is
-    left out for its cost; its 32 MB sibling is in ``matching_64``.
+    24-job fleet, each as ``(label, latency, kernel events)``.  The
+    64-node 1 GB allreduce is left out for its cost; its 32 MB sibling
+    is in ``matching_64``.
     """
     gb = 1024 * MB
-    parts: list = []
+    runs: list = []
     for label, run in (
         ("bcast-64-1GB", lambda: _measured("broadcast", "hoplite", 64, gb)),
         ("reduce-64-1GB", lambda: _measured("reduce", "hoplite", 64, gb)),
@@ -232,8 +232,22 @@ def golden_perf_basket_cell() -> str:
         ("fleet-2rack-quick", lambda: _fleet_cell(2, 4, quick=True)),
     ):
         latency, events = run()
-        parts.append((label, repr(latency), events))
-    return _digest(parts)
+        runs.append((label, latency, events))
+    return runs
+
+
+def golden_perf_basket_cell() -> str:
+    """The basket's latencies (full ``repr`` precision), and nothing else."""
+    return _digest([(label, repr(latency)) for label, latency, _ in _perf_basket_runs()])
+
+
+def golden_perf_basket_events_cell() -> str:
+    """The basket's kernel event counts: what a fast path is allowed to move.
+
+    Kept apart from :func:`golden_perf_basket_cell` so a change that only
+    saves events re-records this cell and never the latency pin.
+    """
+    return _digest([(label, events) for label, _, events in _perf_basket_runs()])
 
 
 def golden_fuzz_band_cell() -> str:
@@ -283,6 +297,7 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "matching_16": partial(golden_matching_cell, 16),
     "matching_64": partial(golden_matching_cell, 64),
     "perf_basket": golden_perf_basket_cell,
+    "perf_basket_events": golden_perf_basket_events_cell,
     "fuzz_band": golden_fuzz_band_cell,
     "grant_order": golden_grant_order_cell,
 }
@@ -297,8 +312,13 @@ RECORDED_DIGESTS = {
     "matching_16": "28b3b9f5840b87111f29484b0c1b15687536f16136d8fae6e431ff71492d6a8c",
     "matching_64": "5bbd7752dcaab28b09c8e2dfae11f97164e9b3342f0e2c8bc9a7153066e9e287",
     # The old throughput basket's latency pins: recorded on the kernel it
-    # last ran on, every latency equal to its pinned value to 1 ns.
-    "perf_basket": "ce0b6486dd953fa0c1cddfaaf61c67c54cc130ea900fd096259336758871a542",
+    # last ran on, every latency equal to its pinned value to 1 ns.  Since
+    # the event counts moved to their own cell it hashes latencies only;
+    # that digest was taken on the last tree that hashed both.
+    "perf_basket": "303edc2e8a67f4cc3d2e70feb9be999f46de51abb16dc3317c7ddea602558446",
+    # The basket's kernel event counts, re-recorded when the pipelined Put
+    # copy-in started to coalesce after its first block.
+    "perf_basket_events": "3f389bd2052c5bb0e3641705db78aeef84ece037929ea546bb02802b735a2664",
     # The fuzz band's own digests, recorded before the scenario drivers
     # moved onto one Scenario/run() model.
     "fuzz_band": "4a0d15e8e652e0c7dcb4e99b7c27944ed9f818d5aa552bcd4ba47ed205453200",

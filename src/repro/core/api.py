@@ -25,7 +25,12 @@ from repro.core.gather import (
     ReduceScatterResult,
 )
 from repro.core.reduce import ReduceResult, adopt_or_create_reduction
-from repro.net.coalesce import register_stream, unregister_stream
+from repro.net.coalesce import (
+    build_copy_run,
+    coalesce_eligible,
+    register_stream,
+    unregister_stream,
+)
 from repro.net.flowsched import Flow
 from repro.net.node import Node
 from repro.net.transport import NodeFailedError, local_copy, local_copy_block
@@ -79,22 +84,37 @@ class HopliteClient:
             yield from directory.publish_partial(
                 self.node, object_id, value.size, upstream=None
             )
-            # The copy-in stays per-block deliberately.  A pipelined Put is
-            # published before it starts, so in synchronized scenarios many
-            # puts mark their first blocks in the same timestep and dozens
-            # of remote fetches key their admission order off those marks;
-            # coalescing the copy-in shifts that intra-timestep order (the
-            # digests catch it) while saving only ~2 events per memcpy
-            # block.  The stream registration still keeps unrelated
-            # coalesced local copies off this channel while the Put streams.
+            # The first block is copied per-block on purpose.  Puts that
+            # start in the same instant on one node (an alltoall's copy-ins)
+            # all contend for its memcpy channel at once; a run started at
+            # block 0 would be contested immediately, and its re-split would
+            # take fresh sequence numbers that flip same-instant ties (the
+            # digests catch it).  Once the first block is in and the channel
+            # is still this Put's own, the rest streams as one coalesced run
+            # whose arithmetic marks on ``entry`` serve pipelined receivers;
+            # a contest, a parked waiter or a node failure re-splits it back
+            # to per-block.  The loop resumes from ``entry.blocks_ready``
+            # because a re-Put can land in a partial entry.
             config = self.config
-            links = [(self.node.memcpy_channel, None)]
+            node = self.node
+            links = [(node.memcpy_channel, None)]
             register_stream(links)
             try:
                 while entry.blocks_ready < entry.num_blocks:
                     block_index = entry.blocks_ready
+                    if (
+                        block_index > 0
+                        and entry.num_blocks - block_index >= 2
+                        and not entry._no_coalesce
+                        and coalesce_eligible(links, node, node)
+                    ):
+                        run = build_copy_run(
+                            config, node, value.size, block_index, links, entry
+                        )
+                        yield from run.run()
+                        continue
                     nbytes = config.block_bytes(value.size, block_index)
-                    yield from local_copy_block(config, self.node, nbytes)
+                    yield from local_copy_block(config, node, nbytes)
                     entry.mark_block_ready(block_index)
             finally:
                 unregister_stream(links)

@@ -142,9 +142,10 @@ class InflightSchedule:
 class CoalescedRun:
     """Drive ``n`` consecutive blocks of one flow as a single timeline event.
 
-    Built by :func:`coalesced_transfer` / the pull fast path after
-    :func:`coalesce_eligible` held.  The run is its own virtual hold object
-    (``occupied`` / ``on_contest``) for every claimed link.
+    Built by ``transfer_bytes`` / ``local_copy``, the pull fast path and
+    the Put copy-in after :func:`coalesce_eligible` held.  The run is its
+    own virtual hold object (``occupied`` / ``on_contest``) for every
+    claimed link.
     """
 
     __slots__ = (
@@ -534,8 +535,9 @@ def register_stream(links: Sequence[tuple["Resource", object]]) -> None:
     """Announce a multi-block transfer stream on its claim set.
 
     Every multi-block loop (pulls, whole-object sends, reduce partial
-    streams, segmented static chains, local copies) brackets itself with
-    ``register_stream`` / ``unregister_stream``.  Two purposes:
+    streams, segmented static chains, local copies, the pipelined Put
+    copy-in) brackets itself with ``register_stream`` /
+    ``unregister_stream``.  Two purposes:
 
     * a coalesced run starts only on links it has to itself
       (:func:`coalesce_eligible` checks ``_streams == 1``) — per-block
@@ -862,6 +864,36 @@ def build_pull_run(
         base=block_index,
         ready_times=ready_times,
         src_schedule=src_schedule,
+    )
+
+
+def build_copy_run(
+    config,
+    node: "Node",
+    nbytes: int,
+    index: int,
+    links: Sequence[tuple["Resource", Optional["LinkScheduler"]]],
+    entry: Optional["StoredObject"] = None,
+) -> CoalescedRun:
+    """The coalesced run for blocks ``[index, end)`` of one local copy.
+
+    Shared by ``local_copy`` and the Put copy-in, which passes its store
+    ``entry`` so the block marks ride an :class:`InflightSchedule`.  The
+    caller has already checked :func:`coalesce_eligible` and that at least
+    two blocks remain.
+    """
+    sizes = [config.block_bytes(nbytes, j) for j in range(index, config.num_blocks(nbytes))]
+    return CoalescedRun(
+        node.sim,
+        node,
+        node,
+        None,
+        sizes,
+        [config.memcpy_time(nb) for nb in sizes],
+        0.0,
+        links,
+        entry=entry,
+        base=index,
     )
 
 

@@ -51,6 +51,7 @@ from typing import Generator, Optional
 
 from repro.net.coalesce import (
     CoalescedRun,
+    build_copy_run,
     coalesce_eligible,
     nic_path_links,
     register_stream,
@@ -232,19 +233,7 @@ def local_copy(config: NetworkConfig, node: Node, nbytes: int) -> Generator:
         index = 0
         while index < total_blocks:
             if total_blocks - index >= 2 and coalesce_eligible(links, node, node):
-                sizes = [
-                    config.block_bytes(nbytes, i) for i in range(index, total_blocks)
-                ]
-                run = CoalescedRun(
-                    sim,
-                    node,
-                    node,
-                    None,
-                    sizes,
-                    [config.memcpy_time(nb) for nb in sizes],
-                    0.0,
-                    links,
-                )
+                run = build_copy_run(config, node, nbytes, index, links)
                 index += yield from run.run()
                 continue
             yield from local_copy_block(config, node, config.block_bytes(nbytes, index))

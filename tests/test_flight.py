@@ -13,11 +13,13 @@ event instead of surfacing as a bare digest mismatch.
 import pytest
 
 from repro.bench.fuzz import (
+    FuzzCase,
     bisect_divergence,
     generate_spec,
     run_spec,
     run_spec_recorded,
 )
+from repro.bench.scenarios import Scenario
 from repro.net.cluster import Cluster
 from repro.net.coalesce import CoalescedRun
 from repro.net.config import NetworkConfig
@@ -28,6 +30,8 @@ from repro.obs.flight import (
     semantic_records,
 )
 from repro.sim import SimulationError
+
+MB = 1024 * 1024
 
 
 class _Clock:
@@ -172,8 +176,10 @@ def test_recording_is_observational_and_timelines_match(seed):
 def test_forced_fastpath_divergence_is_bisected(monkeypatch):
     """An injected coalescing bug is caught and localized.
 
-    Shifts every coalesced run's arrival boundaries by +100ns — the kind of
-    off-by-an-epsilon a refactor of the boundary recurrence could introduce.
+    Shifts every coalesced transfer run's arrival boundaries by +100ns — the
+    kind of off-by-an-epsilon a refactor of the boundary recurrence could
+    introduce.  Local copies (``src is dst``) record nothing in the flight
+    recorder, so they stay unskewed here; the copy-in case is the next test.
     Only the fast-on run constructs :class:`CoalescedRun`, so the settings
     genuinely diverge; the digests must mismatch and the bisection must
     point at the transfer timeline around the perturbed arrivals.
@@ -184,7 +190,8 @@ def test_forced_fastpath_divergence_is_bisected(monkeypatch):
 
     def skewed_init(self, *args, **kwargs):
         orig_init(self, *args, **kwargs)
-        self.arr = [a + 1e-7 for a in self.arr]
+        if self.src is not self.dst:
+            self.arr = [a + 1e-7 for a in self.arr]
 
     monkeypatch.setattr(CoalescedRun, "__init__", skewed_init)
 
@@ -203,6 +210,45 @@ def test_forced_fastpath_divergence_is_bisected(monkeypatch):
     }
     assert "arrive" in kinds
     assert divergence.describe()  # renders without error
+
+
+def test_forced_copy_in_divergence_is_bisected(monkeypatch):
+    """A skew in the Put copy-in alone surfaces on the Put node's links.
+
+    The copy-in records nothing itself, but its arithmetic marks gate every
+    pull from the Put's node.  On a network faster than the memcpy channel
+    each pull waits on those marks, so a +100ns skew delays the pulls and
+    the first diverging event is on a link leaving the skewed node.
+    """
+    case = FuzzCase(
+        0, Scenario("broadcast", "hoplite", 4, 17 * MB, network=NetworkConfig(bandwidth=2e10))
+    )
+    skewed_nodes = set()
+
+    orig_init = CoalescedRun.__init__
+
+    def skewed_init(self, *args, **kwargs):
+        orig_init(self, *args, **kwargs)
+        if self.src is self.dst and self.entry is not None:
+            skewed_nodes.add(self.src.node_id)
+            self.arr = [a + 1e-7 for a in self.arr]
+
+    monkeypatch.setattr(CoalescedRun, "__init__", skewed_init)
+
+    assert run_spec(case, fast_paths=True) != run_spec(case, fast_paths=False)
+    assert skewed_nodes, "the Put copy-in must coalesce under fast-on"
+
+    divergence = bisect_divergence(case)
+    assert divergence is not None
+    leaving = tuple(f"n{node_id}>" for node_id in skewed_nodes)
+    resources = {
+        record[2]
+        for record in (divergence.record_on, divergence.record_off)
+        if record is not None
+    }
+    assert any(resource.startswith(leaving) for resource in resources), (
+        divergence.describe()
+    )
 
 
 def test_unperturbed_seed_has_no_divergence():

@@ -10,7 +10,10 @@ allocation state — see :mod:`repro.bench.digest` for exactly what is hashed.
 If one of these fails after an intentional *behaviour* change (a new
 scheduling policy, a model change), re-record the digest in the same commit
 and say so in the commit message; if it fails after a *performance* change,
-the performance change is wrong.  The fig7, fault-matrix and matching
+the performance change is wrong.  The one exception is the
+``perf_basket_events`` cell: it pins kernel event counts, which a fast path
+exists to lower, so a change that saves events re-records it and says
+which counts moved.  The fig7, fault-matrix and matching
 digests were re-recorded once, when ObjectIDs moved onto the cluster: each
 run there now reproduces its standalone schedule.
 """
@@ -25,6 +28,7 @@ from repro.bench.digest import (
     golden_grant_order_cell,
     golden_matching_cell,
     golden_perf_basket_cell,
+    golden_perf_basket_events_cell,
 )
 
 
@@ -49,6 +53,11 @@ def test_golden_matching_cell_64_matches_pre_convoy_kernel():
 def test_golden_perf_basket_cell_matches_recorded_latencies():
     """Pipeline chains, static baselines, rack sweep, MoE and the fleet."""
     assert golden_perf_basket_cell() == RECORDED["perf_basket"]
+
+
+def test_golden_perf_basket_events_match_recorded_counts():
+    """The same cells' kernel event counts, pinned apart from the latencies."""
+    assert golden_perf_basket_events_cell() == RECORDED["perf_basket_events"]
 
 
 def test_golden_fuzz_band_matches_recorded_digests():
