@@ -20,13 +20,15 @@ from __future__ import annotations
 from repro.bench.fleet import run_fleet
 from repro.obs import dump_chrome_trace, format_slo_table, to_prometheus
 from repro.obs.critpath import format_blame_table
+from repro.obs.flight import timeline
 
 MB = 1024 * 1024
 
 
 def main() -> None:
-    # trace_transfers has the plane record transfer spans and fill the
-    # cluster's flight recorder, both of which the Chrome trace draws on.
+    # trace_transfers has each op record an ``op:`` span and fills the
+    # cluster's flight recorder with every block's timeline: the blame
+    # table and the Chrome trace both read the two together.
     result = run_fleet(trace_transfers=True)
     obs = result.obs
     registry = obs.registry
@@ -89,14 +91,22 @@ def main() -> None:
                 f"p99={child.percentile(99) * 1e6:9.1f}us"
             )
 
-    print("\n== one transfer trace (block spans of the busiest trace) ==")
-    traces = obs.tracer.traces()
-    trace_id, spans = max(traces.items(), key=lambda kv: len(kv[1]))
-    print(f"  trace {trace_id}: {len(spans)} spans; first three:")
-    for span in spans[:3]:
+    print("\n== one job's transfers (the flight recorder's per-block timeline) ==")
+    cluster = result.cluster
+    transfers, _ = timeline(cluster.flight)
+    by_trace: dict[str, list] = {}
+    for block in transfers:
+        span = obs.tracer.span_for_flow(block.flow, block.submit)
+        if span is not None:
+            by_trace.setdefault(span.trace_id, []).append(block)
+    trace_id, blocks = max(sorted(by_trace.items()), key=lambda kv: len(kv[1]))
+    print(f"  trace {trace_id}: {len(blocks)} blocks; first three:")
+    for block in blocks[:3]:
+        arrive = f"{block.arrive * 1e3:.3f}ms" if block.arrive is not None else "lost"
         print(
-            f"    {span.name} [{span.start * 1e3:.3f}ms..{span.end * 1e3:.3f}ms]"
-            f" {span.status} {span.attrs.get('flow', '')}"
+            f"    n{block.src}>n{block.dst} submit {block.submit * 1e3:.3f}ms"
+            f" grant {block.grant * 1e3:.3f}ms release {block.release * 1e3:.3f}ms"
+            f" arrive {arrive} {block.flow}"
         )
 
     print("\n== Prometheus exposition excerpt ==")
@@ -111,9 +121,9 @@ def main() -> None:
     print(f"  ... ({len(text.splitlines())} lines total)")
 
     # -- inspect the run in a real trace viewer ---------------------------
-    # Spans (one track per rank), the flight recorder's grant/release/
-    # arrive timeline (one track per link direction), and queue-depth
-    # counter tracks, in Chrome Trace Event JSON.  Open the file at
+    # Spans and reduce combines (one track per rank), each block's
+    # grant->release hold and arrival (one track per link direction), and
+    # queue-depth counter tracks, in Chrome Trace Event JSON.  Open the file at
     # https://ui.perfetto.dev or chrome://tracing.
     trace_doc = dump_chrome_trace(
         "fleet_trace.json", obs=obs, flight=result.cluster.flight

@@ -258,10 +258,10 @@ def golden_fuzz_band_cell() -> str:
     The fuzz tests only compare fast paths on against off, so a change
     that moves both sides alike passes them; this cell does not.
     """
-    from repro.bench.fuzz import control_plane_differential, generate_spec, run_spec
+    from repro.bench.fuzz import control_plane_case, generate_spec, run_spec
 
     parts: list = [run_spec(generate_spec(seed), fast_paths=True) for seed in range(80)]
-    parts.extend(control_plane_differential(seed)[2] for seed in range(10))
+    parts.extend(run_spec(control_plane_case(seed)[0], fast_paths=True) for seed in range(10))
     return _digest(parts)
 
 

@@ -207,7 +207,7 @@ class _FleetRecorder:
 
     def __init__(self, obs):
         self.obs = obs
-        self.tracer = obs.tracer if obs is not None and obs.trace_transfers else None
+        self.tracer = obs.tracer if obs is not None and obs.cluster.flight is not None else None
         if obs is None:
             self.latency = None
             self.ops = None
@@ -239,7 +239,7 @@ class _FleetRecorder:
         )
 
     def bind(self, span, *object_ids) -> None:
-        """Attribute future transfers of these objects to ``span``."""
+        """Attribute these objects' transfers from now on to ``span``."""
         if span is None:
             return
         for object_id in object_ids:
@@ -480,9 +480,10 @@ def run_fleet(
     is identical except that no plane is installed; with it, the result
     carries SLO verdicts and the congestion/latency correlation.
     ``trace_transfers`` (with ``observe``) attaches the plane through
-    ``enable_observability(trace_transfers=True)``: it records per-transfer
-    spans and fills the cluster's flight recorder, the two inputs of the
-    Chrome-trace export.
+    ``enable_observability(trace_transfers=True)``: each op records an
+    ``op:`` span and the cluster's flight recorder fills with the per-block
+    timeline.  Those are the two inputs of the per-op blame
+    (``result.op_blames``) and of the Chrome-trace export.
 
     Once the SLO rows and blame are computed, every runtime and then the
     cluster are closed (:meth:`~repro.net.cluster.Cluster.close`), so

@@ -17,11 +17,13 @@ runs a deep sweep.  Any mismatch prints the scenario needed to reproduce it —
 and, since the flight recorder landed, the harness re-runs a mismatching
 seed with recording enabled on both settings and bisects to the **first
 diverging semantic event** (time, kind, resource, detail) instead of
-leaving a bare pair of hashes.  ``--flight`` runs the whole band with the
-observability plane on (``enable_observability(trace_transfers=True)``,
-which also installs the flight recorder), checking both that digests still
-match (observing changes nothing) and that the on/off semantic records are
-identical.
+leaving a bare pair of hashes.  ``--flight`` is an observer flag: it runs
+every scenario of the band (plain, or with ``--control-plane`` shard kills)
+with the observability plane on (``enable_observability(
+trace_transfers=True)``, which also installs the flight recorder),
+checking that digests still match (observing changes nothing), that the
+on/off semantic records are identical, and that the critical-path blame
+read from them is too.
 """
 
 from __future__ import annotations
@@ -183,17 +185,17 @@ def differential(seed: int) -> tuple[FuzzCase, str, str]:
     return case, run_spec(case, fast_paths=True), run_spec(case, fast_paths=False)
 
 
-def control_plane_differential(seed: int):
-    """One seeded scenario under directory-shard kills, fast paths on vs off.
+def control_plane_case(seed: int):
+    """One seeded scenario with directory-shard kills mid-collective.
 
     The ``control_plane`` fault class: a baseline run measures the scenario's
-    latency, a seeded Poisson schedule then kills directory shards
-    mid-collective, and the killed run must still digest-identical between
+    latency, and a seeded Poisson schedule then kills directory shards
+    within it.  The killed run must still digest-identical between
     fast-paths-on and fast-paths-off — shard death, RPC parking, and WAL
     replay are all deterministic machinery, so they must not reopen the
     equivalence the plain band pins.
 
-    Returns ``(case, events, on_digest, off_digest)``.
+    Returns ``(killed case, events)``.
     """
     case = generate_spec(seed)
     scenario = case.scenario
@@ -214,18 +216,26 @@ def control_plane_differential(seed: int):
         seed=0xC7A1 ^ seed,
         include_lineage=False,
     )
-    killed = case._replace(scenario=replace(case.scenario, shard_kills=events))
-    return case, events, run_spec(killed, fast_paths=True), run_spec(killed, fast_paths=False)
+    return case._replace(scenario=replace(case.scenario, shard_kills=events)), events
 
 
-def run_spec_recorded(case: FuzzCase, fast_paths: bool) -> tuple[str, list]:
+def run_spec_recorded(case: FuzzCase, fast_paths: bool):
     """Like :func:`run_spec`, with the whole observability plane on.
 
     ``enable_observability(trace_transfers=True)`` also installs the flight
-    recorder.  Returns ``(digest, flight records)``.
+    recorder.  Returns ``(digest, cluster)``: read the recording from
+    ``cluster.flight`` and the plane from ``cluster.obs``.
     """
     digest, _, cluster = _run(case, fast_paths, trace=True)
-    return digest, list(cluster.flight.records)
+    return digest, cluster
+
+
+def blame_of(cluster) -> tuple[dict, dict]:
+    """The ``(categories, link_blame)`` of an observed cluster's whole run."""
+    from repro.obs.critpath import cluster_blame
+
+    blame = cluster_blame(cluster.obs)
+    return blame.categories, blame.link_blame
 
 
 def bisect_divergence(case: FuzzCase):
@@ -237,9 +247,9 @@ def bisect_divergence(case: FuzzCase):
     """
     from repro.obs.flight import first_divergence
 
-    _, on_records = run_spec_recorded(case, fast_paths=True)
-    _, off_records = run_spec_recorded(case, fast_paths=False)
-    return first_divergence(on_records, off_records)
+    _, on = run_spec_recorded(case, fast_paths=True)
+    _, off = run_spec_recorded(case, fast_paths=False)
+    return first_divergence(on.flight, off.flight)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -249,8 +259,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--flight",
         action="store_true",
-        help="observe every run with transfer tracing and the flight recorder; "
-        "also compare the semantic transfer timelines",
+        help="observe every run with the plane and the flight recorder; also "
+        "compare the semantic transfer timelines and the critical-path blame",
     )
     parser.add_argument(
         "--control-plane",
@@ -267,17 +277,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     for seed in range(args.start, args.start + args.seeds):
         divergence, note = None, ""
         if args.control_plane:
-            case, events, on, off = control_plane_differential(seed)
+            case, events = control_plane_case(seed)
             killed += len(events)
-            ok, note = on == off, f" kills={len(events)}"
-        elif args.flight:
-            case = generate_spec(seed)
-            on, on_records = run_spec_recorded(case, fast_paths=True)
-            off, off_records = run_spec_recorded(case, fast_paths=False)
-            divergence = first_divergence(on_records, off_records)
-            ok = on == off and divergence is None
+            note = f" kills={len(events)}"
         else:
-            case, on, off = differential(seed)
+            case = generate_spec(seed)
+        if args.flight:
+            on, on_cluster = run_spec_recorded(case, fast_paths=True)
+            off, off_cluster = run_spec_recorded(case, fast_paths=False)
+            divergence = first_divergence(on_cluster.flight, off_cluster.flight)
+            same_blame = blame_of(on_cluster) == blame_of(off_cluster)
+            ok = on == off and divergence is None and same_blame
+            if not same_blame:
+                note += " blame differs"
+        else:
+            on, off = run_spec(case, fast_paths=True), run_spec(case, fast_paths=False)
             ok = on == off
             if not ok:
                 divergence = bisect_divergence(case)

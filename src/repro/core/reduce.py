@@ -732,7 +732,13 @@ class ReduceExecution:
                     nbytes = config.block_bytes(output.size, block_index)
                     compute_time = config.reduce_compute_time(nbytes) * weight
                     if compute_time > 0:
+                        start = self.sim._now
                         yield self.sim.timeout(compute_time)
+                        flight = runtime.cluster.flight
+                        if flight is not None and self.sim._now > start:
+                            flight.compute(
+                                node.node_id, output.object_id, block_index, start, self.sim._now
+                            )
                     output.mark_block_ready(block_index)
                     block_index += 1
 

@@ -83,12 +83,14 @@ class Cluster:
     def enable_observability(self, window: float = 0.1, trace_transfers: bool = False):
         """Install (and return) the observability plane: the one attach point.
 
-        ``trace_transfers`` also records a span per block and coalesced run,
-        and installs the flight recorder as :attr:`flight`, with its pop hook
-        in ``sim.on_pop``.  That slot has one owner: if it is already set,
-        this raises :class:`~repro.sim.SimulationError` and installs nothing.
-        A second call returns the installed plane, and raises ``ValueError``
-        if its ``window`` or ``trace_transfers`` differs from that plane's.
+        ``trace_transfers`` also installs the flight recorder as
+        :attr:`flight`, with its pop hook in ``sim.on_pop``: the per-block
+        transfer and reduce-compute timeline that critical-path blame and
+        the Chrome-trace export read.  That slot has one owner: if it is
+        already set, this raises :class:`~repro.sim.SimulationError` and
+        installs nothing.  A second call returns the installed plane, and
+        raises ``ValueError`` if its ``window`` or ``trace_transfers``
+        differs from the first call's.
 
         Purely observational: metrics and records are stamped with simulated
         time but never schedule events, so enabling the plane changes no
@@ -97,10 +99,11 @@ class Cluster:
         """
         obs = self.obs
         if obs is not None:
-            if (window, trace_transfers) != (obs.registry.window, obs.trace_transfers):
+            traced = self.flight is not None
+            if (window, trace_transfers) != (obs.registry.window, traced):
                 raise ValueError(
                     f"cluster already observed with window={obs.registry.window!r}, "
-                    f"trace_transfers={obs.trace_transfers!r}"
+                    f"trace_transfers={traced!r}"
                 )
             return obs
         from repro.obs import Observability
@@ -112,9 +115,9 @@ class Cluster:
                 )
             from repro.obs.flight import FlightRecorder
 
-            self.flight = FlightRecorder(self.sim)
+            self.flight = FlightRecorder(self.sim, self.fabric.latency)
             self.sim.on_pop = self.flight.record_pop
-        return Observability(self, window=window, trace_transfers=trace_transfers)
+        return Observability(self, window=window)
 
     # -- convenience --------------------------------------------------------
     def __len__(self) -> int:

@@ -173,7 +173,6 @@ class CoalescedRun:
         "_accounted",
         "_synthetic",
         "_listening",
-        "_obs_span",
         "_flight",
         "_flight_key",
         "_flight_flow",
@@ -236,7 +235,6 @@ class CoalescedRun:
         self._accounted = 0  # blocks fully link-accounted so far
         self._synthetic = False
         self._listening = False
-        self._obs_span = None
         self._flight = None
         self._flight_key = ""
         self._flight_flow = ""
@@ -321,21 +319,16 @@ class CoalescedRun:
     def _attach(self) -> None:
         stats_for(self.src).bump("coalesced_runs")
         cluster = self.src.cluster
-        if cluster is not None:
-            if cluster.obs is not None:
-                cluster.obs.record_run_start(self)
-            if cluster.flight is not None and self.src is not self.dst:
-                # Local copies (src is dst) move through the memcpy channel
-                # on the per-block path and record nothing there; mirroring
-                # that keeps on/off recordings semantically identical.
-                self._flight = cluster.flight
-                self._flight_key = f"n{self.src.node_id}>n{self.dst.node_id}"
-                self._flight_flow = (
-                    self.flow.flow_id if self.flow is not None else "untagged"
-                )
-                self._flight.phase(
-                    self._flight_key, f"coalesce_start/{type(self).__name__}/{self.n}"
-                )
+        if cluster is not None and cluster.flight is not None and self.src is not self.dst:
+            # Local copies (src is dst) move through the memcpy channel on
+            # the per-block path and record nothing there; mirroring that
+            # keeps on/off recordings semantically identical.
+            self._flight = cluster.flight
+            self._flight_key = f"n{self.src.node_id}>n{self.dst.node_id}"
+            self._flight_flow = self.flow.flow_id if self.flow is not None else "untagged"
+            self._flight.phase(
+                self._flight_key, f"coalesce_start/{type(self).__name__}/{self.n}"
+            )
         for resource, _sched in self.links:
             resource.add_virtual_hold(self)
         self.src.on_failure(self._on_peer_failure)
@@ -373,11 +366,6 @@ class CoalescedRun:
             self.schedule.close()
             self.schedule = None
         self._wake = None
-        if self._obs_span is not None:
-            self._obs_span.finish(
-                "resplit" if self.state == _MATERIALIZED else "ok"
-            )
-            self._obs_span = None
 
     def _release_synthetic(self) -> None:
         self._synthetic = False
@@ -389,16 +377,16 @@ class CoalescedRun:
     def _account_full(self, count: int) -> None:
         """Link-account blocks ``[_accounted, count)`` at their full hold."""
         flow = self.flow
-        flight = self._flight
         for j in range(self._accounted, count):
             nbytes, hold = self.sizes[j], self.tx[j]
             for _resource, sched in self.links:
                 if sched is not None:
                     sched.account(flow, nbytes, hold)
-            if flight is not None:
-                detail = f"{self._flight_flow}/{nbytes}"
-                flight.record(self.s[j], "grant", self._flight_key, detail)
-                flight.record(self.e[j], "release", self._flight_key, detail)
+            if self._flight is not None:
+                self._flight.transfer(
+                    self.src.node_id, self.dst.node_id, self._flight_flow, nbytes,
+                    submit=self.s[j], grant=self.s[j], release=self.e[j],
+                )
         self._accounted = max(self._accounted, count)
 
     def _account_partial(self, j: int, hold: float) -> None:
@@ -406,11 +394,11 @@ class CoalescedRun:
         for _resource, sched in self.links:
             if sched is not None:
                 sched.account(self.flow, self.sizes[j], hold)
-        flight = self._flight
-        if flight is not None:
-            detail = f"{self._flight_flow}/{self.sizes[j]}"
-            flight.record(self.s[j], "grant", self._flight_key, detail)
-            flight.record(self.s[j] + hold, "release", self._flight_key, detail)
+        if self._flight is not None:
+            self._flight.transfer(
+                self.src.node_id, self.dst.node_id, self._flight_flow, self.sizes[j],
+                submit=self.s[j], grant=self.s[j], release=self.s[j] + hold,
+            )
         self._accounted = max(self._accounted, j + 1)
 
     def _deliver(self, count: int) -> None:
@@ -428,11 +416,9 @@ class CoalescedRun:
             if entry is not None:
                 entry.mark_block_ready(base + j)
             if flight is not None:
-                flight.record(
-                    self.arr[j],
-                    "arrive",
-                    self._flight_key,
-                    f"{self._flight_flow}/{self.sizes[j]}",
+                flight.transfer(
+                    self.src.node_id, self.dst.node_id, self._flight_flow, self.sizes[j],
+                    arrive=self.arr[j],
                 )
 
     # -- the driver --------------------------------------------------------
@@ -722,15 +708,19 @@ class ComputeRun:
             self.schedule.close()
             self.schedule = None
         entry, base = self.entry, self.base
-        if entry is not None:
+        for k in range(count):
+            entry.mark_block_ready(base + k)
+        cluster = self.node.cluster
+        if cluster is not None and cluster.flight is not None:
+            # The per-block loop's records, for every delivered combine.
+            compute = cluster.flight.compute
+            node_id, s, t = self.node.node_id, self.s, self.t
             for k in range(count):
-                entry.mark_block_ready(base + k)
+                if t[k] > s[k]:
+                    compute(node_id, entry.object_id, base + k, s[k], t[k])
 
     def run(self) -> Generator:
         sim = self.sim
-        cluster = self.node.cluster
-        obs = cluster.obs if cluster is not None else None
-        span = obs.record_compute_run(self) if obs is not None else None
         self.schedule = InflightSchedule(self.entry, self.base, self.t, self)
         self.entry._begin_inflight(self.schedule)
         for input_schedule in self.input_schedules:
@@ -762,8 +752,6 @@ class ComputeRun:
             if self.schedule is not None:  # pragma: no cover - defensive
                 self.schedule.close()
                 self.schedule = None
-            if span is not None:
-                span.finish("ok" if self.mark_limit >= self.n else "resplit")
 
 
 def input_coverage(entry: "StoredObject", upto: int) -> int:

@@ -241,15 +241,14 @@ class Reservation(MultiRequest):
         if cluster is not None:
             if cluster.obs is not None:
                 cluster.obs.record_reservation(self)
-            flight = cluster.flight
-            if flight is not None:
+            if cluster.flight is not None:
                 # The semantic transfer timeline: the coalescing fast paths
                 # retrofit the same records from their boundary arrays, so
                 # on/off recordings compare equal.
-                key = f"n{self.src.node_id}>n{self.dst.node_id}"
-                detail = f"{flow.flow_id}/{nbytes}"
-                flight.record(self.granted_at, "grant", key, detail)
-                flight.record(self.sim._now, "release", key, detail)
+                cluster.flight.transfer(
+                    self.src.node_id, self.dst.node_id, flow.flow_id, nbytes,
+                    submit=self.created_at, grant=self.granted_at, release=self.sim._now,
+                )
 
 
 def transfer_block(
@@ -309,10 +308,7 @@ def transfer_block(
     if not dst.alive:
         _check_alive(dst)
     if cluster is not None and cluster.flight is not None:
-        cluster.flight.record(
-            sim._now,
-            "arrive",
-            f"n{src.node_id}>n{dst.node_id}",
-            f"{reservation.flow.flow_id}/{nbytes}",
+        cluster.flight.transfer(
+            src.node_id, dst.node_id, reservation.flow.flow_id, nbytes, arrive=sim._now
         )
     return sim._now

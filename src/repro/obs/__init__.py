@@ -6,9 +6,9 @@ observers) bundles:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` recording counters, gauges,
   and exact histograms against the cluster's **simulated** clock;
-* a :class:`~repro.obs.trace.Tracer` recording span trees for collectives
-  (driver-task spans linked through orchestrator lineage, optional
-  transfer/reservation child spans);
+* a :class:`~repro.obs.trace.Tracer` recording the logical structure of a
+  run as span trees: fleet ``op:`` spans, ``collective:`` roots and
+  ``task:`` attempts, linked through orchestrator lineage;
 * the instrumentation glue: it installs the per-link-scheduler
   byte/queue/control children, the fast-path counter mirror, the node
   membership listeners, and the grant-wait recorder the transport calls.
@@ -17,7 +17,11 @@ The plane itself installs no kernel hook: the event count is
 ``sim.events_processed``, which ``collect_flow_usage()`` reports as
 ``events_processed``.  ``enable_observability(trace_transfers=True)`` also
 installs the flight recorder (:mod:`repro.obs.flight`) as ``cluster.flight``,
-the sole owner of the kernel's ``sim.on_pop`` slot.
+the sole owner of the kernel's ``sim.on_pop`` slot.  That recorder is the
+only record of data movement on the simulated clock (per-block submit,
+grant, release, arrival and reduce compute); the critical-path profiler
+and the Chrome-trace export read it through :func:`repro.obs.flight.timeline`
+and find each block's operation through the tracer's object bindings.
 
 Everything is opt-in and zero-overhead when off: with no plane installed,
 every call site pays exactly one ``is not None`` branch (``cluster.obs``,
@@ -43,7 +47,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.fastpath import COUNTER_KEYS
-from repro.net.flowsched import FlowClass, path_latency
+from repro.net.flowsched import FlowClass
 from repro.obs.export import (
     SLORow,
     SLOTarget,
@@ -79,21 +83,13 @@ __all__ = [
 class Observability:
     """Metrics + tracing for one cluster, wired into every subsystem."""
 
-    def __init__(
-        self,
-        cluster: "Cluster",
-        window: float = 0.1,
-        trace_transfers: bool = False,
-    ):
+    def __init__(self, cluster: "Cluster", window: float = 0.1):
         if cluster.obs is not None:
             raise ValueError("cluster already has an observability plane")
         self.cluster = cluster
         sim = cluster.sim
         self.registry = MetricsRegistry(sim, window=window)
         self.tracer = Tracer(sim)
-        #: when True, every reservation and coalesced run records a
-        #: child span (linked to its collective through the moved object).
-        self.trace_transfers = trace_transfers
         #: ``(time, node_id, "down"|"up")`` membership transitions, in
         #: order — the critical-path profiler turns these into detection
         #: windows (``config.failure_detection_delay`` after each "down").
@@ -191,8 +187,9 @@ class Observability:
 
     def record_reservation(self, reservation) -> None:
         """Called by ``Reservation.release`` for every granted claim."""
-        grant_wait = reservation.granted_at - reservation.created_at
-        self._grant_wait[reservation.flow.flow_class].observe(grant_wait)
+        self._grant_wait[reservation.flow.flow_class].observe(
+            reservation.granted_at - reservation.created_at
+        )
         for sched in (
             reservation.src.uplink_sched,
             reservation.dst.downlink_sched,
@@ -200,76 +197,3 @@ class Observability:
             gauge = sched._obs_queue
             if gauge is not None:
                 gauge.set(sched.queue_length)
-        if self.trace_transfers:
-            flow = reservation.flow
-            src, dst = reservation.src, reservation.dst
-            span = self.tracer.start_span(
-                "block",
-                parent=self.tracer.span_for_flow(flow.flow_id),
-                flow=flow.flow_id,
-                cls=flow.flow_class.name.lower(),
-                src=src.node_id,
-                dst=dst.node_id,
-                bytes=reservation.nbytes,
-                grant_wait=grant_wait,
-                lat=path_latency(self.cluster.config, src, dst),
-                links=self._span_links(src, dst),
-            )
-            # The span covers the reservation's whole life, submission to
-            # release; recorded retroactively so the hot path stays one call.
-            span.start = reservation.created_at
-            span.finish("ok")
-
-    def _span_links(self, src, dst) -> tuple:
-        """The link names a src->dst block claims, for blame attribution."""
-        if src is dst:
-            return ()
-        return (
-            f"n{src.node_id}/up",
-            f"n{dst.node_id}/down",
-        ) + tuple(
-            link.name
-            for link in self.cluster.fabric.path_links(src.node_id, dst.node_id)
-        )
-
-    def record_run_start(self, run) -> None:
-        """Called when a coalesced run attaches to its links."""
-        if not self.trace_transfers:
-            return
-        flow_id = run.flow.flow_id if run.flow is not None else "untagged"
-        run._obs_span = self.tracer.start_span(
-            "coalesced_run",
-            parent=self.tracer.span_for_flow(flow_id),
-            kind=type(run).__name__,
-            flow=flow_id,
-            src=run.src.node_id,
-            dst=run.dst.node_id,
-            blocks=run.n,
-            s0=run.s[0],
-            arr_end=run.arr[-1],
-            tx_sum=sum(run.tx),
-            bytes=sum(run.sizes),
-            lat=run.latency,
-            links=self._span_links(run.src, run.dst),
-        )
-
-    def record_compute_run(self, run):
-        """Called when a streaming compute (reduce-slot) run starts.
-
-        Returns the span (the run finishes it) or None when transfer
-        tracing is off.
-        """
-        if not self.trace_transfers:
-            return None
-        entry = run.entry
-        oid = str(entry.object_id) if entry is not None else ""
-        return self.tracer.start_span(
-            "compute_run",
-            parent=self.tracer.span_for_object(oid) if oid else None,
-            object=oid,
-            node=run.node.node_id,
-            blocks=run.n,
-            s0=run.s[0],
-            end=run.end_at,
-            busy=tuple(zip(run.s, run.t)),
-        )

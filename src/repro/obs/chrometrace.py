@@ -1,17 +1,18 @@
 """Serialize spans + flight records to Perfetto / ``chrome://tracing`` JSON.
 
 The observability plane already records everything a trace viewer wants —
-span trees on the simulated clock (``obs.tracer``), the semantic transfer
-timeline (grant/release/arrive flight records), and the windowed
-``link_queue_depth`` gauge — but only as Python objects.  This module
-renders them in the Chrome Trace Event format (the JSON Perfetto and
-``chrome://tracing`` both load), with:
+span trees on the simulated clock (``obs.tracer``), the per-block transfer
+and compute timeline (the flight recorder, read through
+:func:`repro.obs.flight.timeline`), and the windowed ``link_queue_depth``
+gauge — but only as Python objects.  This module renders them in the
+Chrome Trace Event format (the JSON Perfetto and ``chrome://tracing`` both
+load), with:
 
-* one thread track per **rank** (spans carrying a ``src``/``rank``/``node``
-  attribute land on that node's track; other spans group by trace id under
-  an "ops" process);
-* one thread track per **link direction** (flight grant→release pairs
-  become duration events, arrivals become instants);
+* one thread track per **rank** (``task:`` spans, which carry a ``node``
+  attribute, and reduce combines land on that node's track; other spans
+  group by trace id under an "ops" process);
+* one thread track per **link direction** (each block's grant→release
+  hold is a duration event, its arrival an instant);
 * **counter tracks** for admission queue depth (one counter per link, fed
   from the ``link_queue_depth`` gauge series).
 
@@ -28,19 +29,29 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.obs.flight import SEMANTIC_KINDS, FlightRecorder
+from repro.obs.flight import FlightRecorder, timeline
 
 _US = 1e6  # simulated seconds -> trace microseconds
 
 
 def _span_track(span) -> tuple[str, str]:
     """(process, thread) names for one span."""
-    attrs = span.attrs
-    for key in ("src", "rank", "node"):
-        owner = attrs.get(key)
-        if owner is not None:
-            return ("ranks", f"rank {owner}")
+    node = span.attrs.get("node")
+    if node is not None:
+        return ("ranks", f"rank {node}")
     return ("ops", str(span.trace_id))
+
+
+def _complete(name: str, cat: str, start: float, end: float, args: dict) -> dict:
+    """A duration ("complete") event from ``start`` to ``end``."""
+    return {
+        "ph": "X",
+        "name": name,
+        "cat": cat,
+        "ts": start * _US,
+        "dur": (end - start) * _US,
+        "args": args,
+    }
 
 
 def to_chrome_trace(obs=None, flight: Optional[FlightRecorder] = None) -> dict:
@@ -48,7 +59,7 @@ def to_chrome_trace(obs=None, flight: Optional[FlightRecorder] = None) -> dict:
 
     ``obs`` is an :class:`repro.obs.Observability` (spans + queue-depth
     counters), ``flight`` a :class:`~repro.obs.flight.FlightRecorder`
-    (transfer timeline); either may be ``None``.
+    (transfer and compute timeline); either may be ``None``.
     """
     # (process_name, thread_name, event-dict-without-pid/tid); ids are
     # assigned over the sorted track-name set afterwards so the numbering
@@ -59,67 +70,34 @@ def to_chrome_trace(obs=None, flight: Optional[FlightRecorder] = None) -> dict:
         for span in obs.tracer.spans:
             if span.end is None:
                 continue
-            process, thread = _span_track(span)
             args = {str(k): v for k, v in span.attrs.items()}
             args["trace_id"] = str(span.trace_id)
             args["status"] = span.status
-            rows.append(
-                (
-                    process,
-                    thread,
-                    {
-                        "ph": "X",
-                        "name": span.name,
-                        "cat": span.name.partition(":")[0],
-                        "ts": span.start * _US,
-                        "dur": (span.end - span.start) * _US,
-                        "args": args,
-                    },
-                )
-            )
+            category = span.name.partition(":")[0]
+            event = _complete(span.name, category, span.start, span.end, args)
+            rows.append((*_span_track(span), event))
 
     if flight is not None:
-        # grant -> release pairing per (link, flow/bytes detail), FIFO: the
-        # semantic timeline is sorted by time, so the earliest unmatched
-        # grant is the one this release closes.
-        open_grants: dict[tuple[str, str], list[float]] = {}
-        for time, kind, resource, detail in sorted(
-            r for r in flight.records if r[1] in SEMANTIC_KINDS
-        ):
-            if kind == "grant":
-                open_grants.setdefault((resource, detail), []).append(time)
-            elif kind == "release":
-                starts = open_grants.get((resource, detail))
-                start = starts.pop(0) if starts else time
-                rows.append(
-                    (
-                        "links",
-                        resource,
-                        {
-                            "ph": "X",
-                            "name": f"hold {detail}",
-                            "cat": "link",
-                            "ts": start * _US,
-                            "dur": (time - start) * _US,
-                            "args": {"flow": detail},
-                        },
-                    )
-                )
-            else:  # arrive
-                rows.append(
-                    (
-                        "links",
-                        resource,
-                        {
-                            "ph": "i",
-                            "s": "t",
-                            "name": f"arrive {detail}",
-                            "cat": "link",
-                            "ts": time * _US,
-                            "args": {"flow": detail},
-                        },
-                    )
-                )
+        transfers, computes = timeline(flight)
+        for block in transfers:
+            link = f"n{block.src}>n{block.dst}"
+            args = {"flow": f"{block.flow}/{block.nbytes}"}
+            hold = _complete(f"hold {args['flow']}", "link", block.grant, block.release, args)
+            rows.append(("links", link, hold))
+            if block.arrive is not None:
+                arrive = {
+                    "ph": "i",
+                    "s": "t",
+                    "name": f"arrive {args['flow']}",
+                    "cat": "link",
+                    "ts": block.arrive * _US,
+                    "args": args,
+                }
+                rows.append(("links", link, arrive))
+        for compute in computes:
+            args = {"object": compute.object_id, "block": compute.block}
+            event = _complete("compute", "compute", compute.start, compute.end, args)
+            rows.append(("ranks", f"rank {compute.node}", event))
 
     counter_rows: list[dict] = []
     if obs is not None:

@@ -1,13 +1,13 @@
-"""Causal critical-path profiling of collectives from trace spans.
+"""Causal critical-path profiling of collectives from the flight recorder.
 
 The SLO table (``bench/fleet.py``) says *which* (tenant, op) cell missed
 its target; this module says *why*.  It rebuilds the causal dependency
-chain of an operation from the spans the tracing plane already records —
-block reservations (submit → grant → release → arrival), coalesced runs
-(boundary arrays), streaming reduce-slot compute runs (busy
-intervals), task attempts (failure/retry windows) — walks the chain
-backward from the op's completion, and attributes every second of the
-op's wall time to exactly one of :data:`CATEGORIES`:
+chain of an operation from the flight recorder's per-block timeline
+(:func:`repro.obs.flight.timeline`: submit → grant → release → arrival of
+every block, and every reduce-slot combine) and from the tracer's task
+attempts (failure/retry windows), walks the chain backward from the op's
+completion, and attributes every second of the op's wall time to exactly
+one of :data:`CATEGORIES`:
 
 ``grant_wait``
     the critical transfer sat in an admission queue;
@@ -16,8 +16,7 @@ op's wall time to exactly one of :data:`CATEGORIES`:
 ``propagation``
     one-way path latency of the critical transfer;
 ``compute``
-    a reduce slot was combining blocks (its streaming run's busy
-    intervals);
+    a reduce slot was combining blocks;
 ``detect``
     a node was down but the failure-detection delay had not elapsed
     (from the observability plane's membership transitions);
@@ -35,7 +34,10 @@ prefix and classifies the remaining gaps through one prioritized pass.
 Blame is also projected onto links: a unit on the critical path blames
 its claimed links with ``bytes x (blamed_time / (grant_wait + tx))``, so
 ``top_link`` names the link direction the op most waited on or occupied
-(the ISSUE's "71% grant_wait on rack0/up" rendering).
+(a "71% grant_wait on rack0/up" rendering).
+
+The fast paths retrofit the per-block records exactly, so blame is the same
+with them on or off.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.obs.flight import timeline
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
+    from repro.obs.flight import Compute
     from repro.obs.trace import Span
 
 #: blame categories, in rendering order.  The gap classifier applies the
@@ -176,37 +181,32 @@ def _classify_gap(
         categories["straggler"] = categories.get("straggler", 0.0) + leftover
 
 
-# -- span -> evidence --------------------------------------------------------
-def unit_from_span(span: "Span") -> Optional[TransferUnit]:
-    """The transfer unit a block/run span describes, or None."""
-    if span.end is None:
-        return None
-    attrs = span.attrs
-    if span.name == "block":
-        grant_wait = attrs.get("grant_wait", 0.0)
-        return TransferUnit(
-            submit=span.start,
-            grant=span.start + grant_wait,
-            tx_end=span.end,
-            arrive=span.end + attrs.get("lat", 0.0),
-            nbytes=attrs.get("bytes", 0),
-            links=tuple(attrs.get("links", ())),
-            flow=attrs.get("flow", ""),
+# -- flight records -> evidence ---------------------------------------------
+def _evidence(obs: "Observability") -> tuple[list[TransferUnit], list["Compute"]]:
+    """Transfer units and compute records of the cluster's flight recorder.
+
+    A block never delivered has no propagation.  A plane without transfer
+    tracing has no recorder, hence no evidence.
+    """
+    cluster = obs.cluster
+    if cluster.flight is None:
+        return [], []
+    fabric = cluster.fabric
+    transfers, computes = timeline(cluster.flight)
+    links: dict[tuple[int, int], tuple] = {}
+    units = []
+    for t in transfers:
+        key = (t.src, t.dst)
+        if key not in links:
+            # The link directions a src->dst block claims, for link blame.
+            links[key] = (f"n{t.src}/up", f"n{t.dst}/down") + tuple(
+                link.name for link in fabric.path_links(*key)
+            )
+        arrive = t.release if t.arrive is None else t.arrive
+        units.append(
+            TransferUnit(t.submit, t.grant, t.release, arrive, t.nbytes, links[key], t.flow)
         )
-    if span.name == "coalesced_run":
-        grant = attrs.get("s0", span.start)
-        arrive = span.end
-        tx_end = min(grant + attrs.get("tx_sum", 0.0), arrive)
-        return TransferUnit(
-            submit=span.start,
-            grant=min(grant, arrive),
-            tx_end=max(tx_end, min(grant, arrive)),
-            arrive=arrive,
-            nbytes=attrs.get("bytes", 0),
-            links=tuple(attrs.get("links", ())),
-            flow=attrs.get("flow", ""),
-        )
-    return None
+    return units, computes
 
 
 def detect_intervals(obs: "Observability") -> list[tuple[float, float]]:
@@ -225,14 +225,6 @@ def _recovery_interval(span: "Span") -> Optional[tuple[float, float]]:
     ):
         return (span.start, span.end)
     return None
-
-
-def _busy_intervals(span: "Span") -> tuple:
-    if span.name == "compute_run":
-        return tuple(
-            (s, t) for s, t in span.attrs.get("busy", ()) if span.end is None or s < span.end
-        )
-    return ()
 
 
 # -- the walk ----------------------------------------------------------------
@@ -315,47 +307,40 @@ def _overlap(a: float, b: float, lo: float, hi: float) -> float:
 def op_blames(obs: "Observability") -> list[OpBlame]:
     """One blame per finished ``op:*`` span recorded by the fleet harness.
 
-    Evidence spans (blocks, runs, compute runs, task attempts) attach to
-    the op whose span is their nearest ``op:*`` ancestor — collective
-    traces reach it through the cross-trace parent link
-    :meth:`~repro.obs.trace.Tracer.root_for_spec` records.
+    Evidence attaches to the op whose span is the nearest ``op:*``
+    ancestor: a task attempt through its own span, a block through the
+    span its flow's object is bound to (``Tracer.span_for_flow``), a reduce
+    combine through its output object's binding.  Collective traces reach
+    the op through the cross-trace parent link ``Tracer.root_for_spec``
+    records.
     """
-    spans = obs.tracer.spans
-    by_id = {span.span_id: span for span in spans}
-    cache: dict[int, Optional[int]] = {}
+    tracer = obs.tracer
+    # A parent span is always recorded before its children, so one pass in
+    # recording order finds every span's nearest op ancestor.
+    owner: dict[Optional[int], Optional[int]] = {}
+    for span in tracer.spans:
+        owner[span.span_id] = (
+            span.span_id if span.name.startswith("op:") else owner.get(span.parent_id)
+        )
 
-    def _op_ancestor(span: "Span") -> Optional[int]:
-        chain: list[int] = []
-        cur: Optional["Span"] = span
-        found: Optional[int] = None
-        while cur is not None:
-            if cur.span_id in cache:
-                found = cache[cur.span_id]
-                break
-            chain.append(cur.span_id)
-            if cur.name.startswith("op:"):
-                found = cur.span_id
-                break
-            cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
-        for span_id in chain:
-            cache[span_id] = found
-        return found
+    def _op(span: Optional["Span"]) -> Optional[int]:
+        return owner.get(span.span_id) if span is not None else None
 
-    ops = [s for s in spans if s.name.startswith("op:") and s.end is not None]
+    ops = [s for s in tracer.spans if s.name.startswith("op:") and s.end is not None]
     units: dict[int, list[TransferUnit]] = {s.span_id: [] for s in ops}
     busy: dict[int, list[tuple[float, float]]] = {s.span_id: [] for s in ops}
     recovery: dict[int, list[tuple[float, float]]] = {s.span_id: [] for s in ops}
-    for span in spans:
-        owner = _op_ancestor(span)
-        if owner is None or owner not in units:
-            continue
-        unit = unit_from_span(span)
-        if unit is not None:
-            units[owner].append(unit)
-        busy[owner].extend(_busy_intervals(span))
+    all_units, computes = _evidence(obs)
+    for unit in all_units:
+        units.get(_op(tracer.span_for_flow(unit.flow, unit.submit)), []).append(unit)
+    for compute in computes:
+        busy.get(_op(tracer.span_for_object(compute.object_id, compute.start)), []).append(
+            (compute.start, compute.end)
+        )
+    for span in tracer.spans:
         interval = _recovery_interval(span)
         if interval is not None:
-            recovery[owner].append(interval)
+            recovery.get(_op(span), []).append(interval)
     detect = detect_intervals(obs)
     return [
         blame_window(
@@ -374,24 +359,27 @@ def op_blames(obs: "Observability") -> list[OpBlame]:
 
 
 def cluster_blame(obs: "Observability", name: str = "scenario") -> OpBlame:
-    """Blame over the full traced window of one cluster (perf scenarios)."""
-    spans = obs.tracer.spans
-    finished = [s for s in spans if s.end is not None]
-    if not finished:
+    """Blame over the full observed window of one cluster (perf scenarios).
+
+    The window runs from the earliest finished span start or block
+    submission to the latest finished span end, block arrival (release for
+    a block never delivered) or combine end.
+    """
+    units, computes = _evidence(obs)
+    busy = [(compute.start, compute.end) for compute in computes]
+    finished = [s for s in obs.tracer.spans if s.end is not None]
+    starts = [s.start for s in finished] + [u.submit for u in units] + [a for a, _ in busy]
+    ends = [s.end for s in finished] + [u.arrive for u in units] + [b for _, b in busy]
+    if not starts:
         now = obs.cluster.sim._now
         return blame_window(name, "", now, now, [], [], [], [])
-    start = min(s.start for s in finished)
-    end = max(s.end for s in finished)
-    units = [u for u in (unit_from_span(s) for s in finished) if u is not None]
-    busy: list[tuple[float, float]] = []
-    recovery: list[tuple[float, float]] = []
-    for span in finished:
-        busy.extend(_busy_intervals(span))
-        interval = _recovery_interval(span)
-        if interval is not None:
-            recovery.append(interval)
+    recovery = [
+        interval
+        for interval in map(_recovery_interval, finished)
+        if interval is not None
+    ]
     return blame_window(
-        name, "", start, end, units, busy, detect_intervals(obs), recovery
+        name, "", min(starts), max(ends), units, busy, detect_intervals(obs), recovery
     )
 
 

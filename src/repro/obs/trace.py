@@ -1,13 +1,14 @@
 """Span-based tracing of collectives on the simulated clock.
 
-A :class:`Tracer` records :class:`Span` trees: one **root span** per
-collective invocation (its ``trace_id`` *is* the ``spec_id``, so lineage
-and traces share a key space), one **driver-task span** per task *attempt*
-(re-executions after a failure are additional spans in the same trace — a
-fault-and-recover shows up as one trace with a failed attempt and its
-replacement), and — when ``trace_transfers`` is enabled — **transfer
-spans** per coalesced run or per-block transfer, parented through the
-object an orchestrated share produced or consumed.
+A :class:`Tracer` records the logical structure of a run as :class:`Span`
+trees: ``op:`` spans (one per fleet operation), one ``collective:`` **root
+span** per collective invocation (its ``trace_id`` *is* the ``spec_id``, so
+lineage and traces share a key space), and one ``task:`` **driver-task
+span** per task *attempt* (re-executions after a failure are additional
+spans in the same trace — a fault-and-recover shows up as one trace with a
+failed attempt and its replacement).  Data movement is not a span: the
+flight recorder (:mod:`repro.obs.flight`) holds every block's timeline,
+and the tracer's object bindings say which span each block belongs to.
 
 The linking chain is the orchestrator's own lineage:
 
@@ -18,8 +19,9 @@ The linking chain is the orchestrator's own lineage:
   system recovers the spec_id by splitting on ``"#"`` and parents each
   attempt span on the registered root (:meth:`Tracer.lineage_parent`);
 * a transfer's flow id embeds the ObjectID it moves
-  (``"get:{object_id}->n{dst}"``), so transfer spans look the owning span
-  up through the object binding (:meth:`Tracer.span_for_flow`).
+  (``"get:{object_id}->n{dst}"``), so a block finds its owning span
+  through the object binding in effect when it was submitted
+  (:meth:`Tracer.span_for_flow`).
 
 Like the metrics registry, tracing is purely observational: spans are
 plain records stamped with simulated time, never simulation events.
@@ -27,6 +29,7 @@ plain records stamped with simulated time, never simulation events.
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from typing import TYPE_CHECKING, Optional
 
@@ -69,26 +72,10 @@ class Span:
         self.status = "open"
         self.attrs = attrs
 
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
-
     def finish(self, status: str = "ok") -> None:
         if self.end is None:
             self.end = self.tracer.sim._now
             self.status = status
-
-    def as_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "attrs": dict(self.attrs),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -106,8 +93,8 @@ class Tracer:
         self._next_id = count(1)
         #: spec_id -> its root span (the lineage anchor of the trace).
         self._roots: dict[str, Span] = {}
-        #: str(object_id) -> owning span, for transfer-span parenting.
-        self._objects: dict[str, Span] = {}
+        #: str(object_id) -> its ``(time, span)`` bindings, in binding order.
+        self._objects: dict[str, list[tuple[float, Span]]] = {}
 
     # -- recording ---------------------------------------------------------
     def start_span(
@@ -163,41 +150,47 @@ class Tracer:
         return self._roots.get(spec_id)
 
     def bind_object(self, object_id, span: Span) -> None:
-        """Attribute future transfers of ``object_id`` to ``span``'s trace."""
-        self._objects[str(object_id)] = span
+        """Attribute transfers of ``object_id`` from now on to ``span``'s trace;
+        blocks and combines that started earlier keep their earlier binding."""
+        self._objects.setdefault(str(object_id), []).append((self.sim._now, span))
 
-    def span_for_object(self, object_id) -> Optional[Span]:
-        """The span ``object_id`` was bound to, or None."""
-        return self._objects.get(str(object_id))
+    def span_for_object(self, object_id, at: float = math.inf) -> Optional[Span]:
+        """The span ``object_id`` was bound to at time ``at``, or None.
 
-    def span_for_flow(self, flow_id: str) -> Optional[Span]:
-        """The bound span a flow id's embedded object id points at.
+        ``at`` defaults to now (the latest binding).  An internal partial
+        derived from a bound object (``"{object_id}/{suffix}"``, see
+        ``ObjectID.derived``) resolves to that object's span.
+        """
+        key = str(object_id)
+        while True:
+            for bound_at, span in reversed(self._objects.get(key, ())):
+                if bound_at <= at:
+                    return span
+            key, sep, _ = key.rpartition("/")
+            if not sep:
+                return None
+
+    def span_for_flow(self, flow_id: str, at: float = math.inf) -> Optional[Span]:
+        """The span a flow id's embedded object id was bound to at ``at``.
 
         Flow ids follow ``"{verb}:{object_id}->n{node}"`` (with variants);
-        unbound or unparseable flows trace as their own roots.  Reduce
-        partials tag the *source* endpoint onto the object id
+        unbound or unparseable flows resolve to None.  Reduce partials tag
+        the *source* endpoint onto the object id
         (``"reduce:{target}:n2->n0"``), so a miss retries with a trailing
         ``:nX`` stripped.
         """
         _, sep, rest = flow_id.partition(":")
         if not sep:
-            return self._objects.get(flow_id)
+            return self.span_for_object(flow_id, at)
         oid, arrow, _ = rest.partition("->")
         key = oid if arrow else rest
-        span = self._objects.get(key)
+        span = self.span_for_object(key, at)
         if span is None:
             head, sep2, tail = key.rpartition(":")
             if sep2 and head and tail.startswith("n"):
-                span = self._objects.get(head)
+                span = self.span_for_object(head, at)
         return span
 
     # -- reading -----------------------------------------------------------
-    def traces(self) -> dict[str, list[Span]]:
-        """Spans grouped by trace id, each group in start order."""
-        grouped: dict[str, list[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
-
     def trace(self, trace_id: str) -> list[Span]:
         return [span for span in self.spans if span.trace_id == trace_id]

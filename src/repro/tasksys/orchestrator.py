@@ -384,7 +384,7 @@ class CollectiveOrchestrator:
         root_span = None
         if obs is not None:
             # The root span anchors the whole trace under the spec_id, and
-            # binds every object the spec mentions so transfer spans (and
+            # binds every object the spec mentions so its blocks (and
             # re-executed shares after a fault) land in the same trace.
             parent = None
             for oid in spec.all_source_ids():

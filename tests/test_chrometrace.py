@@ -51,9 +51,10 @@ def test_trace_structure():
     }
     assert any(">" in name for name in link_tracks)  # n{src}>n{dst}
 
-    # Complete events: spans on rank tracks, grant->release holds on links.
+    # Complete events: reduce combines on rank tracks, grant->release
+    # holds on links.
     complete = by_phase["X"]
-    assert any(e["pid"] == rank_pid for e in complete)
+    assert any(e["pid"] == rank_pid and e["cat"] == "compute" for e in complete)
     holds = [e for e in complete if e["pid"] == link_pid]
     assert holds and all(e["dur"] >= 0.0 for e in holds)
     assert all(e["ts"] >= 0.0 for e in complete)
@@ -87,7 +88,7 @@ def test_spans_without_owner_group_by_trace_id():
     assert _span_track(FakeSpan()) == ("ops", "t-42")
 
     class Owned:
-        attrs = {"src": 3}
+        attrs = {"node": 3}
         trace_id = "t-43"
 
     assert _span_track(Owned()) == ("ranks", "rank 3")

@@ -2,17 +2,21 @@
 
 The synthetic cases pin the backward walk's arithmetic — the exact
 partition of an op window into the seven blame categories, the priority
-order of the gap classifier, proportional link blame — and the span ->
-evidence conversion.  The end-to-end case runs a fault-and-recover
-allreduce under ``trace_transfers`` and checks the whole-cluster blame
-partitions exactly and surfaces the failure as detect/recovery time.
+order of the gap classifier, proportional link blame — and the flight
+record -> evidence pairing.  The end-to-end cases run real collectives
+under ``trace_transfers``: a fault-and-recover allreduce whose
+whole-cluster blame partitions exactly and surfaces the failure as
+detect/recovery time, and a band of cells whose blame is identical with
+the fast paths on and off.
 """
 
 import numpy as np
 import pytest
 
+from repro.bench.scenarios import Scenario, run
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.fastpath import fastpath
 from repro.obs.critpath import (
     CATEGORIES,
     BlameRow,
@@ -21,9 +25,10 @@ from repro.obs.critpath import (
     blame_window,
     cluster_blame,
     format_blame_table,
-    unit_from_span,
+    op_blames,
 )
-from repro.obs.trace import Span, Tracer
+from repro.obs.flight import FlightRecorder, Transfer, timeline
+from repro.obs.trace import Tracer
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 
 MB = 1024 * 1024
@@ -119,71 +124,92 @@ def test_empty_window_is_all_zero():
 
 
 # ---------------------------------------------------------------------------
-# Span -> evidence
+# Flight records -> evidence
 # ---------------------------------------------------------------------------
 
 
-def test_unit_from_block_span():
-    span = Span(
-        None,
-        "t",
-        1,
-        None,
-        "block",
-        1.0,
-        {
-            "grant_wait": 0.25,
-            "lat": 0.001,
-            "bytes": 4 * MB,
-            "links": ("n0/up", "n1/down"),
-            "flow": "get:x->n1",
-        },
-    )
-    span.end = 2.0
-    unit = unit_from_span(span)
-    assert unit == TransferUnit(
-        submit=1.0,
-        grant=1.25,
-        tx_end=2.0,
-        arrive=2.001,
-        nbytes=4 * MB,
-        links=("n0/up", "n1/down"),
-        flow="get:x->n1",
-    )
-    # Unfinished spans contribute nothing.
-    span.end = None
-    assert unit_from_span(span) is None
+class _Clock:
+    _now = 0.0
 
 
-def test_unit_from_coalesced_run_span():
-    span = Span(
-        None,
-        "t",
-        1,
-        None,
-        "coalesced_run",
-        0.0,
-        {"s0": 0.5, "tx_sum": 1.0, "bytes": 8 * MB, "links": ("n0/up",)},
-    )
-    span.end = 2.0
-    unit = unit_from_span(span)
-    assert unit.submit == 0.0 and unit.grant == 0.5
-    assert unit.tx_end == pytest.approx(1.5) and unit.arrive == 2.0
-    # tx_sum overshooting the arrival (clock skew) clamps, keeping the
-    # phases ordered submit <= grant <= tx_end <= arrive.
-    span.attrs["tx_sum"] = 10.0
-    clamped = unit_from_span(span)
-    assert clamped.tx_end == clamped.arrive == 2.0
-    # Other span names are not transfer evidence.
-    other = Span(None, "t", 2, None, "task:x", 0.0, {})
-    other.end = 1.0
-    assert unit_from_span(other) is None
+def _block(recorder, submit, grant, release, arrive=None, flow="get:x->n1"):
+    """Record one n0 -> n1 block the way the transport does."""
+    recorder.transfer(0, 1, flow, 4 * MB, submit=submit, grant=grant, release=release)
+    if arrive is not None:
+        recorder.transfer(0, 1, flow, 4 * MB, arrive=arrive)
+
+
+def test_timeline_pairs_same_size_blocks_fifo():
+    """Two same-size blocks of one flow on one link pair in order."""
+    recorder = FlightRecorder(_Clock(), lambda src, dst: 0.5)
+    # The second block queues behind the first and is recorded (at its
+    # release) after the first block's arrival.
+    _block(recorder, 1.0, 1.0, 2.0)
+    recorder.transfer(0, 1, "get:x->n1", 4 * MB, arrive=2.5)
+    _block(recorder, 1.5, 2.0, 3.0, arrive=3.5)
+    recorder.compute(1, "target", 0, 2.5, 2.75)
+    transfers, computes = timeline(recorder)
+    assert transfers == [
+        Transfer(0, 1, "get:x->n1", 4 * MB, 1.0, 1.0, 2.0, 2.5),
+        Transfer(0, 1, "get:x->n1", 4 * MB, 1.5, 2.0, 3.0, 3.5),
+    ]
+    assert [(c.node, c.object_id, c.block, c.start, c.end) for c in computes] == [
+        (1, "target", 0, 2.5, 2.75)
+    ]
+
+
+def test_lost_block_does_not_take_the_next_blocks_arrival():
+    """Paired through the link latency, an overdue release is a lost block."""
+    recorder = FlightRecorder(_Clock(), lambda src, dst: 0.5)
+    _block(recorder, 0.0, 0.0, 1.0)  # lost: would have arrived at 1.5
+    _block(recorder, 4.0, 4.0, 5.0, arrive=5.5)  # re-fetched after recovery
+    transfers, _ = timeline(recorder)
+    assert [t.arrive for t in transfers] == [None, 5.5]
+
+
+def _hand_recorded_cluster():
+    cluster = Cluster(num_nodes=2, network=NetworkConfig())
+    obs = cluster.enable_observability(trace_transfers=True)
+    return cluster, obs
+
+
+def test_undelivered_block_has_no_arrival_or_propagation():
+    """A block released whose destination died before arrival."""
+    cluster, obs = _hand_recorded_cluster()
+    _block(cluster.flight, 0.5, 1.0, 2.0)  # released, never arrived
+    (transfer,), _ = timeline(cluster.flight)
+    assert transfer.arrive is None
+    blame = cluster_blame(obs)
+    # The window closes at the release; nothing of it is propagation.
+    assert (blame.start, blame.end) == (0.5, 2.0)
+    assert blame.categories["propagation"] == 0.0
+    assert blame.categories["grant_wait"] == pytest.approx(0.5)
+    assert blame.categories["tx"] == pytest.approx(1.0)
+    assert blame.link_blame == {"n0/up": 4 * MB, "n1/down": 4 * MB}
+
+
+def test_truncated_recording_refuses_to_blame():
+    """Blame from a ring that dropped records would be silently wrong."""
+    cluster, obs = _hand_recorded_cluster()
+    cluster.flight = FlightRecorder(cluster.sim, cluster.fabric.latency, capacity=3)
+    cluster.sim.on_pop = cluster.flight.record_pop
+    from repro.core.runtime import HopliteRuntime
+
+    runtime = HopliteRuntime(cluster)
+    oid = ObjectID.unique(cluster, "truncated")
+
+    def driver():
+        yield from runtime.client(0).put(oid, ObjectValue.of_size(8 * MB))
+        yield from runtime.client(1).get(oid)
+
+    cluster.sim.process(driver())
+    cluster.run()
+    assert cluster.flight.dropped > 0
+    with pytest.raises(ValueError, match="dropped"):
+        cluster_blame(obs)
 
 
 def test_span_for_flow_strips_reduce_source_endpoint():
-    class _Clock:
-        _now = 0.0
-
     tracer = Tracer(_Clock())
     span = tracer.start_span("collective:reduce", trace_id="spec-1")
     tracer.bind_object("target:n2", span)
@@ -193,6 +219,55 @@ def test_span_for_flow_strips_reduce_source_endpoint():
     tracer.bind_object("plain", span)
     assert tracer.span_for_flow("get:plain->n3") is span
     assert tracer.span_for_flow("get:unknown->n3") is None
+    # An internal partial derived from a bound object resolves to its span.
+    assert tracer.span_for_flow("reduce:plain/hier0-rack1:n4->n0") is span
+    assert tracer.span_for_object("plain/stage-r1-c2-g0") is span
+
+
+def test_rebinding_an_object_keeps_earlier_blocks_on_the_earlier_span():
+    clock = _Clock()
+    tracer = Tracer(clock)
+    first = tracer.start_span("op:a")
+    tracer.bind_object("x", first)
+    clock._now = 2.0
+    second = tracer.start_span("op:b")
+    tracer.bind_object("x", second)
+    assert tracer.span_for_flow("get:x->n1", 1.0) is first
+    assert tracer.span_for_flow("get:x->n1", 2.0) is second
+    assert tracer.span_for_object("x") is second
+    assert tracer.span_for_object("x", -1.0) is None
+
+
+def test_one_source_of_two_ops_blames_each_op_for_its_own_blocks():
+    """A later op binding the same object does not take the earlier op's blocks."""
+    from repro.core.runtime import HopliteRuntime
+
+    cluster = Cluster(num_nodes=5, network=NetworkConfig())
+    obs = cluster.enable_observability(trace_transfers=True)
+    runtime = HopliteRuntime(cluster)
+    oid = ObjectID.unique(cluster, "shared")
+
+    def op(name, readers):
+        span = obs.tracer.start_span(f"op:{name}")
+        obs.tracer.bind_object(oid, span)
+        for node in readers:
+            yield from runtime.client(node).get(oid)
+        span.finish("ok")
+
+    def driver():
+        yield from runtime.client(0).put(oid, ObjectValue.of_size(8 * MB))
+        yield from op("first", (1, 2))
+        yield from op("second", (3, 4))
+
+    cluster.sim.process(driver())
+    cluster.run()
+    blames = {blame.name: blame for blame in op_blames(obs)}
+    downlinks = {
+        name: {link for link in blame.link_blame if link.endswith("/down")}
+        for name, blame in blames.items()
+    }
+    assert downlinks["op:first"] and downlinks["op:first"] <= {"n1/down", "n2/down"}
+    assert downlinks["op:second"] and downlinks["op:second"] <= {"n3/down", "n4/down"}
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +332,7 @@ def test_blame_row_as_dict_is_json_shaped():
 # ---------------------------------------------------------------------------
 
 
-def test_cluster_blame_on_fault_and_recover_run():
-    """The whole traced window partitions; the fault shows up as blame."""
+def _fault_allreduce(fast_paths):
     cluster = Cluster(num_nodes=5, network=NetworkConfig(bandwidth=1.25e8))
     obs = cluster.enable_observability(trace_transfers=True)
 
@@ -294,8 +368,15 @@ def test_cluster_blame_on_fault_and_recover_run():
         done["outcome"] = yield from orchestrator.invoke(spec)
 
     cluster.sim.process(driver())
-    cluster.run(until=240.0)
+    with fastpath(fast_paths):
+        cluster.run(until=240.0)
     assert "outcome" in done
+    return obs
+
+
+def test_cluster_blame_on_fault_and_recover_run():
+    """The whole traced window partitions; the fault shows up as blame."""
+    obs = _fault_allreduce(fast_paths=True)
 
     # The plane recorded the membership transitions the detect window needs.
     assert (0.2, 2, "down") in obs.node_events
@@ -309,3 +390,39 @@ def test_cluster_blame_on_fault_and_recover_run():
     assert blame.link_blame and blame.top_link() is not None
     # ...and the failure is visible as detection and/or recovery time.
     assert blame.categories["detect"] + blame.categories["recovery"] > 0
+
+    # The same blame with every fast path off.
+    off = cluster_blame(_fault_allreduce(fast_paths=False), "fault-allreduce")
+    assert (blame.categories, blame.link_blame) == (off.categories, off.link_blame)
+
+
+#: cells whose blame the fast paths changed while blame was read from spans.
+BLAME_CELLS = {
+    "broadcast": Scenario("broadcast", "hoplite", 16, 256 * MB),
+    "broadcast-staggered": Scenario("broadcast", "hoplite", 16, 256 * MB, arrivals=0.1),
+    "reduce": Scenario("reduce", "hoplite", 16, 256 * MB),
+    "allreduce-staggered": Scenario("allreduce", "hoplite", 16, 256 * MB, arrivals=0.1),
+    "gather": Scenario("gather", "hoplite", 8, 32 * MB),
+    "allgather": Scenario("allgather", "hoplite", 8, 32 * MB),
+}
+
+
+def _scenario_blame(scenario, fast_paths):
+    planes = []
+
+    def observe(cluster):
+        planes.append(cluster.enable_observability(trace_transfers=True))
+
+    with fastpath(fast_paths):
+        run(scenario, observe=observe)
+    return cluster_blame(planes[0])
+
+
+@pytest.mark.parametrize("cell", sorted(BLAME_CELLS))
+def test_blame_is_the_same_with_fast_paths_on_and_off(cell):
+    on = _scenario_blame(BLAME_CELLS[cell], fast_paths=True)
+    off = _scenario_blame(BLAME_CELLS[cell], fast_paths=False)
+    assert on.length > 0
+    assert (on.start, on.end) == (off.start, off.end)
+    assert on.categories == off.categories
+    assert on.link_blame == off.link_blame

@@ -15,6 +15,7 @@ import pytest
 from repro.bench.fuzz import (
     FuzzCase,
     bisect_divergence,
+    blame_of,
     generate_spec,
     run_spec,
     run_spec_recorded,
@@ -39,13 +40,17 @@ class _Clock:
         self._now = 0.0
 
 
+def _recorder(clock=None, capacity=16):
+    return FlightRecorder(clock or _Clock(), lambda src, dst: 0.0, capacity=capacity)
+
+
 # ---------------------------------------------------------------------------
 # Recorder contracts
 # ---------------------------------------------------------------------------
 
 
 def test_ring_is_bounded_and_counts_drops():
-    recorder = FlightRecorder(_Clock(), capacity=3)
+    recorder = _recorder(capacity=3)
     for i in range(5):
         recorder.record(float(i), "grant", "n0>n1", f"f/{i}")
     assert len(recorder) == 3
@@ -53,12 +58,12 @@ def test_ring_is_bounded_and_counts_drops():
     assert [r[0] for r in recorder.records] == [2.0, 3.0, 4.0]
     assert recorder.dump().startswith("# dropped=2 (ring capacity 3)")
     with pytest.raises(ValueError):
-        FlightRecorder(_Clock(), capacity=0)
+        _recorder(capacity=0)
 
 
 def test_dump_is_deterministic_and_roundtrips_floats():
     clock = _Clock()
-    recorder = FlightRecorder(clock, capacity=16)
+    recorder = _recorder(clock)
     recorder.record(0.1 + 0.2, "arrive", "n0>n1", "f/1024")
     clock._now = 1.5
     recorder.phase("n0>n1", "coalesce_start/CoalescedRun/4")
@@ -132,10 +137,11 @@ def test_transfer_tracing_installs_the_recorder_as_sole_pop_hook_owner():
 
 def test_recording_captures_pops_and_semantic_timeline():
     spec = generate_spec(6)  # broadcast over a 2-rack fabric, coalesces
-    _, records = run_spec_recorded(spec, fast_paths=False)
+    _, cluster = run_spec_recorded(spec, fast_paths=False)
+    records = cluster.flight.records
     kinds = {r[1] for r in records}
     assert "pop" in kinds
-    assert {"grant", "release", "arrive"} <= kinds
+    assert {"submit", "grant", "release", "arrive"} <= kinds
     sem = semantic_records(records)
     assert sem == sorted(sem)
     # Every semantic record names a directed node pair and a flow/bytes pair.
@@ -155,17 +161,19 @@ def test_recording_is_observational_and_timelines_match(seed):
 
     The band mixes a gather (seed 2), an alltoall with a mid-flight fault
     schedule (seed 4) and a rack-topology broadcast (seed 6), all of which
-    engage the coalescing fast paths.
+    engage the coalescing fast paths.  The critical-path blame read from
+    the two recordings is identical too.
     """
     spec = generate_spec(seed)
     bare_on = run_spec(spec, fast_paths=True)
     bare_off = run_spec(spec, fast_paths=False)
-    on, on_records = run_spec_recorded(spec, fast_paths=True)
-    off, off_records = run_spec_recorded(spec, fast_paths=False)
+    on, on_cluster = run_spec_recorded(spec, fast_paths=True)
+    off, off_cluster = run_spec_recorded(spec, fast_paths=False)
     assert on == bare_on and off == bare_off
     assert on == off
-    assert semantic_records(on_records) == semantic_records(off_records)
-    assert first_divergence(on_records, off_records) is None
+    assert semantic_records(on_cluster.flight) == semantic_records(off_cluster.flight)
+    assert first_divergence(on_cluster.flight, off_cluster.flight) is None
+    assert blame_of(on_cluster) == blame_of(off_cluster)
 
 
 # ---------------------------------------------------------------------------

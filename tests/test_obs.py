@@ -10,6 +10,8 @@ Covers the plane's contracts in isolation and wired into the simulator:
 * one-trace-per-collective linking through orchestrator lineage, including
   a fault-and-recover run whose failed and replacement attempts share the
   trace;
+* a traced broadcast's per-block transfers, read from the flight
+  recorder, which are the same with the fast paths on and off;
 * the per-cluster fast-path counter scoping (the old module-global STATS
   footgun: two back-to-back runs must report identical counters) and the
   ``repro.net.fastpath`` switch that gates coalescing.
@@ -366,12 +368,12 @@ def test_fault_and_recover_is_one_trace():
     assert system.metrics.failures >= 1
 
 
-def test_trace_transfers_records_coalesced_run_spans():
-    """A long broadcast coalesces; the runs appear as finished spans."""
+def _traced_broadcast(fast_paths):
     from repro.core.runtime import HopliteRuntime
+    from repro.obs.flight import timeline
 
     cluster = Cluster(num_nodes=6, network=NetworkConfig())
-    obs = cluster.enable_observability(trace_transfers=True)
+    cluster.enable_observability(trace_transfers=True)
     runtime = HopliteRuntime(cluster)
     oid = ObjectID.unique(cluster, "traced-bcast")
 
@@ -385,15 +387,21 @@ def test_trace_transfers_records_coalesced_run_spans():
             yield from runtime.client(node_id).get(oid)
 
         cluster.sim.process(receiver())
-    cluster.run()
+    with fastpath(fast_paths):
+        cluster.run()
+    return cluster, timeline(cluster.flight)[0]
 
+
+def test_traced_broadcast_transfers_match_with_fast_paths_off():
+    """A long broadcast coalesces; its per-block transfers are the reference's."""
+    cluster, on = _traced_broadcast(fast_paths=True)
     assert cluster.fastpath_stats["coalesced_runs"] > 0
-    runs = [s for s in obs.tracer.spans if s.name == "coalesced_run"]
-    assert len(runs) == cluster.fastpath_stats["coalesced_runs"]
-    for span in runs:
-        assert span.status in ("ok", "resplit") and span.end is not None
-        assert span.attrs["kind"] == "CoalescedRun"
-        assert span.attrs["blocks"] > 1
+    reference, off = _traced_broadcast(fast_paths=False)
+    assert reference.fastpath_stats["coalesced_runs"] == 0
+    assert on == off
+    # Every receiver got every block: 32 MB in 4 MB blocks, 5 receivers.
+    assert len(on) == 5 * 8
+    assert all(t.submit <= t.grant <= t.release < t.arrive for t in on)
 
 
 def _traced_system(num_nodes=3, workers_per_node=1):
