@@ -1,45 +1,35 @@
-"""Flow-scheduled transport: HOL-blocking ablation and link utilization.
+"""Flow-scheduled transport: alltoall against its bound, and link utilization.
 
 The reservation-based transport admits a block only when the source uplink
 slot and the destination downlink slot are simultaneously free, so a busy
-receiver no longer parks its senders' uplinks idle-but-held.  Expectations:
+receiver never parks its senders' uplinks idle-but-held.  Expectations:
 
-* the alltoall gap to the pipelined bound ``(n-1) * S / B`` closes from
-  ~1.5x (sequential acquisition) to <= 1.2x (flow scheduling);
-* mean uplink utilization over the exchange rises correspondingly;
-* the per-flow accounting splits traffic by class (bulk vs reduce-partial
-  vs control) for every NIC direction.
+* the alltoall stays within 1.2x of the pipelined bound ``(n-1) * S / B``
+  at 8 nodes and up;
+* mean uplink utilization over the exchange is reported alongside;
+* the per-class accounting sees the exchanged bulk bytes and the control
+  plane's messages.
 """
 
 from repro.bench.reporting import format_table
-from repro.bench.scenarios import Scenario, measure_alltoall, run
+from repro.bench.scenarios import Scenario, run
 from repro.net.config import NetworkConfig
 
 MB = 1024 * 1024
 
 
 def alltoall_flowsched_rows(node_counts, nbytes):
-    """Hoplite alltoall under flow scheduling vs the sequential ablation."""
+    """Hoplite alltoall latency against the pipelined bound."""
     rows = []
     for num_nodes in node_counts:
         bound = (num_nodes - 1) * nbytes / NetworkConfig().bandwidth
         flow_run = run(Scenario("alltoall", "hoplite", num_nodes, nbytes))
         flow, stats_flow = flow_run["latency"], flow_run["usage"]
-        # The sequential ablation bypasses reservations entirely, so only its
-        # latency is comparable (its links have no utilization accounting).
-        sequential = measure_alltoall(
-            "hoplite",
-            num_nodes,
-            nbytes,
-            network=NetworkConfig(flow_scheduling=False),
-        )
         rows.append(
             {
                 "nodes": num_nodes,
                 "flowsched": flow,
-                "sequential": sequential,
                 "x_bound_flow": flow / bound,
-                "x_bound_seq": sequential / bound,
                 "uplink_util": stats_flow["mean_uplink_utilization"],
                 "bulk_bytes": float(stats_flow["bytes_by_class"]["bulk"]),
                 "control_msgs": stats_flow["control_messages"],
@@ -55,14 +45,12 @@ def test_flowsched_closes_alltoall_gap(run_once, quick):
     print()
     print(
         format_table(
-            "Alltoall: flow-scheduled vs sequential transport",
+            "Alltoall: flow-scheduled transport vs the pipelined bound",
             rows,
             [
                 "nodes",
                 "flowsched",
-                "sequential",
                 "x_bound_flow",
-                "x_bound_seq",
                 "uplink_util",
                 "bulk_bytes",
                 "control_msgs",
@@ -70,14 +58,12 @@ def test_flowsched_closes_alltoall_gap(run_once, quick):
         )
     )
     for row in rows:
-        # Flow scheduling closes the gap to the pipelined bound at scale and
-        # never loses to sequential acquisition there.  (At 4 nodes the
-        # 3-flow matchings leave schedule-dependent tail slack, so the small
-        # cluster is report-only.)
+        # Flow scheduling keeps the alltoall near the pipelined bound at
+        # scale.  (At 4 nodes the 3-flow matchings leave schedule-dependent
+        # tail slack, so the small cluster is report-only.)
         if row["nodes"] >= 8:
-            assert row["flowsched"] <= row["sequential"] * 1.01, row
             assert row["x_bound_flow"] <= 1.2, row
-        # Per-flow accounting sees the exchanged bulk bytes: every pair moves
-        # nbytes across exactly one uplink.
+        # Per-class accounting sees the exchanged bulk bytes and the
+        # control plane's messages.
         assert row["bulk_bytes"] > 0, row
         assert row["control_msgs"] > 0, row

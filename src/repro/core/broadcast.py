@@ -204,29 +204,27 @@ def _pull_blocks(
             # Coalesced fast path: every block the source already holds, in
             # one timeline event — exact per-block semantics guaranteed by
             # the run's virtual holds and re-splitting (see net/coalesce).
-            if config.flow_scheduling:
-                # Horizon: blocks the source holds now, plus — the relay
-                # cascade — blocks its own coalesced run will deliver at
-                # known instants.
-                horizon = input_coverage(source_entry, entry.num_blocks)
-                if (
-                    horizon - block_index >= 2
-                    and not entry._no_coalesce
-                    and coalesce_eligible(links, source_node, dest_node)
-                ):
-                    run = build_pull_run(
-                        config,
-                        source_node,
-                        dest_node,
-                        flow,
-                        links,
-                        source_entry,
-                        entry,
-                        block_index,
-                        horizon,
-                    )
-                    yield from run.run()
-                    continue
+            # The horizon adds, for the relay cascade, the blocks the
+            # source's own coalesced run will deliver at known instants.
+            horizon = input_coverage(source_entry, entry.num_blocks)
+            if (
+                horizon - block_index >= 2
+                and not entry._no_coalesce
+                and coalesce_eligible(links, source_node, dest_node)
+            ):
+                run = build_pull_run(
+                    config,
+                    source_node,
+                    dest_node,
+                    flow,
+                    links,
+                    source_entry,
+                    entry,
+                    block_index,
+                    horizon,
+                )
+                yield from run.run()
+                continue
             if (
                 source_entry._inflight is not None
                 and source_entry.blocks_ready <= block_index

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,11 @@ class HopliteOptions:
             later receivers (Section 3.4.1).  When off, every receiver pulls
             from a complete copy only — i.e. the naive sender-bottlenecked
             behaviour of existing task systems.
-        reduce_degree: force a fixed reduce-tree degree.  ``None`` selects
-            the degree at runtime from the latency/bandwidth model, choosing
-            among ``candidate_reduce_degrees`` (Section 3.4.2 / Appendix B).
-        candidate_reduce_degrees: degrees considered by the runtime selector;
-            ``0`` stands for ``n`` (a flat tree), matching the paper's
-            implementation note that `d ∈ {1, 2, n}` suffices.
+        reduce_degree: force a fixed reduce-tree degree (``0`` stands for
+            ``n``, a flat tree).  ``None`` selects the degree at runtime from
+            the latency/bandwidth model, choosing among `d ∈ {1, 2, n}` —
+            the paper's implementation note says these suffice
+            (Section 3.4.2 / Appendix B; see ``choose_reduce_degree``).
         source_selection_seed: seed of the directory's deterministic
             tie-break among equally loaded transfer sources.  Any fixed seed
             makes a run byte-for-byte reproducible; varying it varies the
@@ -48,15 +47,9 @@ class HopliteOptions:
     enable_small_object_cache: bool = True
     enable_dynamic_broadcast: bool = True
     reduce_degree: Optional[int] = None
-    candidate_reduce_degrees: Sequence[int] = (1, 2, 0)
     source_selection_seed: int = 0
     topology_aware: bool = True
 
     def __post_init__(self) -> None:
         if self.reduce_degree is not None and self.reduce_degree < 0:
             raise ValueError("reduce_degree must be None, 0 (meaning n), or positive")
-        if not self.candidate_reduce_degrees:
-            raise ValueError("candidate_reduce_degrees must not be empty")
-        for degree in self.candidate_reduce_degrees:
-            if degree < 0:
-                raise ValueError("candidate degrees must be >= 0 (0 means n)")

@@ -496,7 +496,6 @@ class ReduceExecution:
             size,
             self.config.latency,
             self.config.bandwidth,
-            options.candidate_reduce_degrees,
         )
 
     def _root_slot(self) -> _SlotState:
@@ -875,28 +874,27 @@ class ReduceExecution:
                     # Coalesced fast path (see _pull_blocks): stream every
                     # block the child holds — or will produce on a known
                     # schedule (cascade) — as one timeline event.
-                    if config_.flow_scheduling or same_node:
-                        horizon = input_coverage(child_entry, staging.num_blocks)
-                        run_src = parent_node if same_node else child_node
-                        if (
-                            horizon - block_index >= 2
-                            and not staging._no_coalesce
-                            and coalesce_eligible(links, run_src, parent_node)
-                        ):
-                            run = build_pull_run(
-                                config_,
-                                run_src,
-                                parent_node,
-                                flow,
-                                links,
-                                child_entry,
-                                staging,
-                                block_index,
-                                horizon,
-                                local_copy=same_node,
-                            )
-                            yield from run.run()
-                            continue
+                    horizon = input_coverage(child_entry, staging.num_blocks)
+                    run_src = parent_node if same_node else child_node
+                    if (
+                        horizon - block_index >= 2
+                        and not staging._no_coalesce
+                        and coalesce_eligible(links, run_src, parent_node)
+                    ):
+                        run = build_pull_run(
+                            config_,
+                            run_src,
+                            parent_node,
+                            flow,
+                            links,
+                            child_entry,
+                            staging,
+                            block_index,
+                            horizon,
+                            local_copy=same_node,
+                        )
+                        yield from run.run()
+                        continue
                     if (
                         child_entry._inflight is not None
                         and child_entry.blocks_ready <= block_index

@@ -15,7 +15,9 @@ class NetworkConfig:
 
     The defaults approximate the paper's testbed: AWS m5.4xlarge instances
     with 10 Gbps networking, ~170 microsecond object-directory RPCs, and a
-    4 MB pipelining block size.
+    4 MB pipelining block size.  Every block crosses the network through
+    one flow-scheduled reservation (:mod:`repro.net.flowsched`), timed by
+    these parameters or by the topology's fabric.
 
     Attributes:
         bandwidth: per-direction NIC bandwidth in bytes per second.
@@ -33,13 +35,6 @@ class NetworkConfig:
             end of an open connection observing the failure, in seconds.
         num_directory_shards: number of object-directory shards spread over
             the cluster.
-        flow_scheduling: admit each block transfer only when the source
-            uplink slot and destination downlink slot are *simultaneously*
-            free (reservation-based matching, the default).  When off, the
-            transport falls back to sequential acquisition — hold the uplink,
-            then queue on the downlink — which reintroduces head-of-line
-            blocking at busy receivers (kept as an ablation and for the HOL
-            regression test).
         topology: hierarchical fabric shape
             (:class:`~repro.net.topology.Topology`); ``None`` means the flat
             single-rack fabric matching the paper's testbed.  The topology's
@@ -55,7 +50,6 @@ class NetworkConfig:
     reduce_block_compute_bandwidth: float = 2.0e10
     failure_detection_delay: float = 0.1
     num_directory_shards: int = 4
-    flow_scheduling: bool = True
     topology: Optional["Topology"] = None
 
     def __post_init__(self) -> None:

@@ -1,13 +1,13 @@
 """Reservation-based flow scheduling for NIC links.
 
 This is the admission layer between the collective protocols and the raw
-uplink/downlink resources.  The sequential-acquisition transport (hold the
-sender's uplink, then queue on the receiver's downlink) parks a sender's NIC
-idle-but-held whenever its receiver is busy — the head-of-line blocking that
-kept Hoplite's alltoall at ~1.5x of the pipelined bound while ring baselines
-reached ~1.0x.  Real transports avoid this with per-flow queueing and
-admission at the bottleneck (flow-queuing AQM, receiver-driven admission);
-this module reproduces that discipline for the simulated NICs:
+uplink/downlink resources, and the only way a block crosses a link.
+Acquiring the links one at a time (hold the sender's uplink, then queue on
+the receiver's downlink) would park a sender's NIC idle-but-held whenever
+its receiver is busy — head-of-line blocking.  Real transports avoid this
+with per-flow queueing and admission at the bottleneck (flow-queuing AQM,
+receiver-driven admission); this module reproduces that discipline for the
+simulated NICs:
 
 * every block transfer is a :class:`Reservation` — a cancellable claim on
   **both** the source uplink slot and the destination downlink slot, granted
@@ -16,13 +16,15 @@ this module reproduces that discipline for the simulated NICs:
   :class:`~repro.sim.resources.MultiRequest`);
 * a sender whose flow toward one busy receiver is waiting keeps serving its
   flows toward idle receivers — pending reservations never hold capacity;
-* flows carry metadata: a ``flow_id`` for per-flow bandwidth accounting and a
-  :class:`FlowClass` priority (control > reduce-partial > bulk) that orders
-  the admission queues, so reduce partials cut ahead of bulk broadcast
-  traffic when both contend for a link;
+* flows carry metadata: a ``flow_id`` the flight recorder tags each block
+  with, and a :class:`FlowClass` priority (control > reduce-partial > bulk)
+  that orders the admission queues, so reduce partials cut ahead of bulk
+  broadcast traffic when both contend for a link;
 * each NIC direction has a :class:`LinkScheduler` that owns the admission
-  queue of its link and accumulates per-flow / per-class byte counts and
-  busy time for the utilization reports in :mod:`repro.bench.scenarios`.
+  queue of its link and accumulates per-class byte counts and busy time for
+  the utilization reports in :mod:`repro.bench.scenarios`.  Per-flow bytes
+  are read from the flight recorder's timeline
+  (:func:`repro.obs.flight.timeline`), which records every block's flow.
 
 The first block of a ``src -> dst`` flow caches its *route* on the source
 node: ``(claims, path, rate, latency)`` — the validated claim set, the
@@ -30,13 +32,11 @@ shared tier links on the path, the path bottleneck rate and the one-way
 latency.  :func:`transfer_block` times each block from it, bit for bit what
 :func:`path_transmission_time` and :func:`path_latency` return.
 
-Failure semantics match the legacy transport: a dead endpoint raises
+Failure semantics: a dead endpoint raises
 :class:`~repro.net.transport.TransferError`, and a reservation still waiting
 for admission when its peer dies is cancelled (withdrawn from every queue)
 before the error propagates, so no ghost claim survives the failure.  The
-failure-detection delay stays where it always was — in the retry loops of the
-protocols above — and the fault-injection matrix runs unchanged through this
-path.
+failure-detection delay is paid in the retry loops of the protocols above.
 """
 
 from __future__ import annotations
@@ -113,8 +113,6 @@ class LinkScheduler:
         self.sim = sim
         self.link = link
         self.direction = direction
-        #: cumulative bytes granted per flow id.
-        self.bytes_by_flow: dict[str, int] = {}
         #: cumulative bytes granted per priority class.
         self.bytes_by_class: dict[FlowClass, int] = {cls: 0 for cls in FlowClass}
         #: total simulated time this link spent occupied by reservations.
@@ -132,7 +130,7 @@ class LinkScheduler:
 
     @property
     def queue_length(self) -> int:
-        """Reservations (and legacy requests) waiting for this link.
+        """Reservations waiting for this link.
 
         Only reservations blocked at submission are counted: one that fits
         when submitted is granted without entering the queue.
@@ -147,7 +145,6 @@ class LinkScheduler:
 
     def account(self, flow: Flow, nbytes: int, hold_time: float) -> None:
         """Record one released reservation's bytes and occupancy."""
-        self.bytes_by_flow[flow.flow_id] = self.bytes_by_flow.get(flow.flow_id, 0) + nbytes
         self.bytes_by_class[flow.flow_class] += nbytes
         self.busy_time += hold_time
         self.reservations_granted += 1

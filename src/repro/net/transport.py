@@ -24,12 +24,13 @@ direction interleave block by block, which approximates TCP fair sharing
 and — more importantly for this paper — reproduces the sender-side
 bottleneck of naive broadcast and the receiver-side bottleneck of flat
 (d = n) reduce.  Transfers carry :class:`~repro.net.flowsched.Flow` metadata
-(a flow id for per-flow bandwidth accounting and a priority class ordering
-control > reduce-partial > bulk in the admission queues).
+(a flow id the flight recorder tags each block with, and a priority class
+ordering control > reduce-partial > bulk in the admission queues).
 
-Setting ``NetworkConfig.flow_scheduling = False`` restores the legacy
-sequential acquisition (uplink first, then queue on the downlink while
-holding it) as an ablation.
+Reservations are the only way a block crosses a link:
+:func:`transfer_block` is :func:`repro.net.flowsched.transfer_block`,
+re-exported here so protocol code imports every data-movement primitive
+from one module.
 
 Zero-byte moves — remote or local — complete immediately at the current
 simulated time: no link slot, no serialization, no propagation latency, the
@@ -64,8 +65,8 @@ from repro.net.flowsched import (
     Flow,
     path_latency,
     path_transmission_time,
+    transfer_block,
 )
-from repro.net.flowsched import transfer_block as flow_transfer_block
 from repro.net.node import Node
 
 __all__ = [
@@ -75,76 +76,7 @@ __all__ = [
     "transfer_bytes",
     "local_copy",
     "local_copy_block",
-    "control_rpc",
 ]
-
-
-def transfer_block(
-    config: NetworkConfig,
-    src: Node,
-    dst: Node,
-    nbytes: int,
-    flow: Optional[Flow] = None,
-) -> Generator:
-    """Move a single block from ``src`` to ``dst``.
-
-    Returns the generator to drive (``yield from``); it returns (via
-    StopIteration) the simulated time at which the block is fully available
-    at the destination.  The flow-scheduled generator is handed back as is
-    rather than delegated to, which saves a generator frame per block.
-    """
-    if config.flow_scheduling:
-        return flow_transfer_block(config, src, dst, nbytes, flow)
-    return _transfer_block_sequential(config, src, dst, nbytes)
-
-
-def _transfer_block_sequential(
-    config: NetworkConfig,
-    src: Node,
-    dst: Node,
-    nbytes: int,
-) -> Generator:
-    """Legacy acquisition order: hold the uplink, then queue on the downlink.
-
-    Kept as the ablation behind ``NetworkConfig.flow_scheduling = False``:
-    this is the path that parks a sender's uplink idle-but-held behind a
-    busy receiver (head-of-line blocking).  On a hierarchical fabric the
-    shared tier links on the path are acquired the same sequential way
-    (after the NIC slots, in path order), so the ablation extends the
-    hold-and-wait discipline to the fabric graph; the acquisition order is
-    identical for every transfer, which keeps it deadlock-free.
-    """
-    sim = src.sim
-    _check_alive(src, dst)
-    fabric = src.cluster.fabric if src.cluster is not None else None
-    path = fabric.path_links(src.node_id, dst.node_id) if fabric is not None else ()
-    up_req = src.uplink.request()
-    try:
-        yield up_req
-        _check_alive(src, dst)
-        down_req = dst.downlink.request()
-        try:
-            yield down_req
-            _check_alive(src, dst)
-            tier_reqs = []
-            try:
-                for link in path:
-                    req = link.resource.request()
-                    tier_reqs.append((link, req))
-                    yield req
-                    _check_alive(src, dst)
-                yield sim.timeout(path_transmission_time(config, src, dst, nbytes))
-                _check_alive(src, dst)
-            finally:
-                for link, req in tier_reqs:
-                    link.resource.release(req)
-        finally:
-            dst.downlink.release(down_req)
-    finally:
-        src.uplink.release(up_req)
-    yield sim.timeout(path_latency(config, src, dst))
-    _check_alive(dst)
-    return sim.now
 
 
 def transfer_bytes(
@@ -175,23 +107,20 @@ def transfer_bytes(
             # event when this stream has the whole path to itself (see
             # net/coalesce for the exactness argument); any disturbance
             # re-splits back to per-block.
-            if config.flow_scheduling and total_blocks - index >= 2:
-                if coalesce_eligible(links, src, dst):
-                    sizes = [
-                        config.block_bytes(nbytes, i) for i in range(index, total_blocks)
-                    ]
-                    run = CoalescedRun(
-                        sim,
-                        src,
-                        dst,
-                        flow or DEFAULT_FLOW,
-                        sizes,
-                        [path_transmission_time(config, src, dst, nb) for nb in sizes],
-                        path_latency(config, src, dst),
-                        links,
-                    )
-                    index += yield from run.run()
-                    continue
+            if total_blocks - index >= 2 and coalesce_eligible(links, src, dst):
+                sizes = [config.block_bytes(nbytes, i) for i in range(index, total_blocks)]
+                run = CoalescedRun(
+                    sim,
+                    src,
+                    dst,
+                    flow or DEFAULT_FLOW,
+                    sizes,
+                    [path_transmission_time(config, src, dst, nb) for nb in sizes],
+                    path_latency(config, src, dst),
+                    links,
+                )
+                index += yield from run.run()
+                continue
             yield from transfer_block(
                 config, src, dst, config.block_bytes(nbytes, index), flow
             )
@@ -240,24 +169,4 @@ def local_copy(config: NetworkConfig, node: Node, nbytes: int) -> Generator:
             index += 1
     finally:
         unregister_stream(links)
-    return sim.now
-
-
-def control_rpc(config: NetworkConfig, src: Node, dst: Node) -> Generator:
-    """A small control-plane round trip (directory query, notification).
-
-    Control messages ride the latency path only (they never contend for the
-    bulk link slots), which is exactly the CONTROL > data ordering of the
-    flow classes; the round trip is recorded in the sender's flow accounting
-    so utilization reports see the control plane.
-    """
-    sim = src.sim
-    _check_alive(src, dst)
-    if src.node_id == dst.node_id:
-        # Local shard access still pays a (smaller) IPC cost.
-        yield sim.timeout(config.rpc_latency / 4.0)
-    else:
-        src.uplink_sched.record_control()
-        yield sim.timeout(config.rpc_latency)
-    _check_alive(src, dst)
     return sim.now

@@ -22,12 +22,11 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import Container, MultiRequest, PriorityResource, Resource, Store
+from repro.sim.resources import MultiRequest, PriorityResource, Resource
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "Interrupt",
     "MultiRequest",
@@ -37,6 +36,5 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
 ]

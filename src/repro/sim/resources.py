@@ -1,6 +1,6 @@
 """Shared resources for simulation processes.
 
-Four primitives cover everything the higher layers need:
+Three primitives cover everything the higher layers need:
 
 * :class:`Resource` — a counted resource (e.g. a worker pool slot, a NIC
   transmit slot).  Requests queue FIFO and are granted as capacity frees up.
@@ -14,19 +14,15 @@ Four primitives cover everything the higher layers need:
   (:mod:`repro.net.flowsched`) — it removes the hold-one-wait-for-the-other
   head-of-line blocking of sequential acquisition, and it cannot deadlock
   because it never holds a partial claim.
-* :class:`Container` — a continuous quantity (e.g. bytes of store memory)
-  with blocking ``get``/``put``.
-* :class:`Store` — a FIFO queue of Python objects with blocking ``get`` and
-  optional filtering, used for message channels between processes.
+* :class:`PriorityResource` — a :class:`Resource` whose queue is ordered by
+  a numeric priority (low first), FIFO within a priority.
 
 Admission is *incremental*: a release wakes only the queue of the released
 resource (never a global rescan), the priority queue is maintained by
 ``bisect.insort`` on a ``(priority, sequence)`` key instead of a linear
 scan, and the grant scan stops as soon as the resource is saturated — with
 capacity-1 NIC slots that turns the former O(waiters) rescan per release
-into O(grants).  :class:`Store` settles only newly eligible getter×item
-pairs: a new item is offered to the waiting getters once, a new getter scans
-the present items once, and the stable remainder is never rescanned.
+into O(grants).
 
 Resources also support *virtual holds* (:meth:`Resource.add_virtual_hold`):
 an occupancy schedule evaluated arithmetically instead of via scheduled
@@ -42,9 +38,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from collections import deque
 from operator import attrgetter
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.sim.core import URGENT, Event, SimulationError, Simulator
 
@@ -421,122 +416,3 @@ class PriorityResource(Resource):
         self._enqueue(req)
         self._grant()
         return req
-
-
-class Container:
-    """A continuous quantity with blocking ``get``/``put``."""
-
-    __slots__ = ("sim", "capacity", "level", "_getters", "_putters")
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"), init: float = 0.0):
-        if init < 0 or init > capacity:
-            raise SimulationError("initial level must be within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        event = Event(self.sim)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        event = Event(self.sim)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self.level += amount
-                    event.succeed()
-                    progress = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if self.level >= amount:
-                    self._getters.popleft()
-                    self.level -= amount
-                    event.succeed(amount)
-                    progress = True
-
-
-class Store:
-    """A FIFO store of items with blocking ``get``.
-
-    ``get`` optionally takes a filter predicate; the first matching item is
-    returned.  This is the message-channel primitive used throughout the
-    network and control-plane code.
-
-    Between calls the store is *stable*: no waiting getter matches any
-    present item.  Each mutation therefore only has to settle the pairs it
-    newly created — a fresh item against the waiting getters (FIFO), a fresh
-    getter against the present items (FIFO), and any putters admitted by
-    freed capacity — instead of rescanning every getter against every item.
-    """
-
-    __slots__ = ("sim", "capacity", "items", "_getters", "_putters")
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        self.sim = sim
-        self.capacity = capacity
-        self.items: deque[Any] = deque()
-        self._getters: deque[tuple[Event, Optional[Callable[[Any], bool]]]] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.sim)
-        self._putters.append((event, item))
-        self._drain_putters()
-        return event
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        event = Event(self.sim)
-        items = self.items
-        if predicate is None:
-            if items:
-                event.succeed(items.popleft())
-                self._drain_putters()
-            else:
-                self._getters.append((event, None))
-            return event
-        for index, item in enumerate(items):
-            if predicate(item):
-                del items[index]
-                event.succeed(item)
-                self._drain_putters()
-                return event
-        self._getters.append((event, predicate))
-        return event
-
-    def _drain_putters(self) -> None:
-        """Admit queued puts while capacity allows; offer each new item once."""
-        while self._putters and len(self.items) < self.capacity:
-            event, item = self._putters.popleft()
-            event.succeed()
-            if not self._offer(item):
-                self.items.append(item)
-
-    def _offer(self, item: Any) -> bool:
-        """Hand a newly admitted item to the first waiting getter it matches."""
-        for index, (event, predicate) in enumerate(self._getters):
-            if predicate is None or predicate(item):
-                del self._getters[index]
-                event.succeed(item)
-                return True
-        return False

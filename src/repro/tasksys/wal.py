@@ -12,11 +12,8 @@ with history.
 
 Recovery is ``checkpoint + tail``: the owner restores the snapshot with its
 own ``restore`` function, then re-applies the tail records in sequence
-order with its own ``apply`` function.  The log itself is storage-agnostic
-— records hold live Python references for speed (this is a simulator), and
-:func:`record_to_wire` / :func:`record_from_wire` provide the canonical
-JSON-safe wire form (the schema the ROADMAP documents) for the round-trip
-serialization tests and for anyone who wants to persist a log for real.
+order with its own ``apply`` function.  The log is never persisted:
+records hold live Python references (this is a simulator).
 
 Determinism discipline: appending and checkpointing are pure bookkeeping —
 they schedule no simulated events and read no wall clock — so a run with
@@ -28,11 +25,8 @@ records, same reconstructed state.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
-
-from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 
 #: default number of tail records that triggers an automatic checkpoint.
 DEFAULT_CHECKPOINT_INTERVAL = 512
@@ -46,7 +40,7 @@ class WalRecord:
     checkpoints), ``time`` the simulated clock at append, ``kind`` the
     operation tag the owner's ``apply`` function dispatches on, and ``data``
     the operation payload (a tuple of primitives / ObjectIDs / ObjectValues
-    / CollectiveSpecs — everything :func:`to_wire` can encode).
+    / CollectiveSpecs, held by reference).
     """
 
     seq: int
@@ -172,149 +166,3 @@ class WriteAheadLog:
             applied += 1
         self.replays += 1
         return applied
-
-
-# ---------------------------------------------------------------------------
-# Wire form
-# ---------------------------------------------------------------------------
-#
-# The canonical JSON-safe encoding of a WAL record — the schema recorded in
-# the ROADMAP.  Every value a control-plane op can carry round-trips:
-#
-#   None/bool/int/float/str    as themselves
-#   bytes                      {"__bytes__": hex}
-#   numpy ndarray              {"__ndarray__": {dtype, shape, data-hex}}
-#   tuple                      {"__tuple__": [items]}
-#   list                       [items]
-#   dict                       {"__map__": [[key, value], ...]}  (any keys)
-#   ObjectID                   {"__oid__": key}
-#   ReduceOp                   {"__op__": name}
-#   ObjectValue                {"__value__": {size, payload, metadata}}
-#   CollectiveSpec             {"__spec__": {all dataclass fields}}
-
-
-def to_wire(obj: Any) -> Any:
-    """Encode one WAL payload value into JSON-safe plain data."""
-    # Deferred import: lineage imports nothing from here, but keeping the
-    # module edge one-directional at import time avoids a cycle.
-    from repro.tasksys.lineage import CollectiveSpec
-
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, bytes):
-        return {"__bytes__": obj.hex()}
-    # No array exists before numpy is loaded, so a run without one never
-    # imports it here.
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.ndarray):
-        return {
-            "__ndarray__": {
-                "dtype": str(obj.dtype),
-                "shape": list(obj.shape),
-                "data": obj.tobytes().hex(),
-            }
-        }
-    if isinstance(obj, tuple):
-        return {"__tuple__": [to_wire(item) for item in obj]}
-    if isinstance(obj, list):
-        return [to_wire(item) for item in obj]
-    if isinstance(obj, dict):
-        return {"__map__": [[to_wire(k), to_wire(v)] for k, v in obj.items()]}
-    if isinstance(obj, ObjectID):
-        return {"__oid__": obj.key}
-    if isinstance(obj, ReduceOp):
-        return {"__op__": obj.name}
-    if isinstance(obj, ObjectValue):
-        return {
-            "__value__": {
-                "size": obj.size,
-                "payload": to_wire(obj.payload),
-                "metadata": to_wire(dict(obj.metadata)),
-            }
-        }
-    if isinstance(obj, CollectiveSpec):
-        return {
-            "__spec__": {
-                "spec_id": obj.spec_id,
-                "kind": obj.kind,
-                "participants": list(obj.participants),
-                "root": obj.root,
-                "op": to_wire(obj.op),
-                "sources": to_wire(obj.sources),
-                "targets": to_wire(obj.targets),
-                "recvs": to_wire(obj.recvs),
-                "payloads": to_wire(obj.payloads),
-                "incarnation": obj.incarnation,
-            }
-        }
-    raise TypeError(f"cannot encode {type(obj).__name__} for the WAL wire form")
-
-
-def from_wire(obj: Any) -> Any:
-    """Decode :func:`to_wire` output back into live values."""
-    from repro.tasksys.lineage import CollectiveSpec
-
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, list):
-        return [from_wire(item) for item in obj]
-    if isinstance(obj, dict):
-        if "__bytes__" in obj:
-            return bytes.fromhex(obj["__bytes__"])
-        if "__ndarray__" in obj:
-            import numpy as np
-
-            spec = obj["__ndarray__"]
-            flat = np.frombuffer(
-                bytes.fromhex(spec["data"]), dtype=np.dtype(spec["dtype"])
-            )
-            return flat.reshape(spec["shape"]).copy()
-        if "__tuple__" in obj:
-            return tuple(from_wire(item) for item in obj["__tuple__"])
-        if "__map__" in obj:
-            return {from_wire(k): from_wire(v) for k, v in obj["__map__"]}
-        if "__oid__" in obj:
-            return ObjectID(obj["__oid__"])
-        if "__op__" in obj:
-            return ReduceOp[obj["__op__"]]
-        if "__value__" in obj:
-            spec = obj["__value__"]
-            return ObjectValue(
-                size=spec["size"],
-                payload=from_wire(spec["payload"]),
-                metadata=from_wire(spec["metadata"]),
-            )
-        if "__spec__" in obj:
-            fields = obj["__spec__"]
-            return CollectiveSpec(
-                spec_id=fields["spec_id"],
-                kind=fields["kind"],
-                participants=tuple(fields["participants"]),
-                root=fields["root"],
-                op=from_wire(fields["op"]),
-                sources=from_wire(fields["sources"]),
-                targets=from_wire(fields["targets"]),
-                recvs=from_wire(fields["recvs"]),
-                payloads=from_wire(fields["payloads"]),
-                incarnation=fields["incarnation"],
-            )
-    raise TypeError(f"cannot decode wire object {obj!r}")
-
-
-def record_to_wire(record: WalRecord) -> dict:
-    """The canonical JSON-safe form of one WAL record."""
-    return {
-        "seq": record.seq,
-        "time": record.time,
-        "kind": record.kind,
-        "data": to_wire(record.data),
-    }
-
-
-def record_from_wire(wire: dict) -> WalRecord:
-    return WalRecord(
-        seq=wire["seq"],
-        time=wire["time"],
-        kind=wire["kind"],
-        data=from_wire(wire["data"]),
-    )

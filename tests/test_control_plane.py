@@ -2,10 +2,9 @@
 
 Covers the durability layer end to end:
 
-* the canonical JSON-safe wire form of WAL records (every payload type a
-  control-plane op can carry round-trips bit-exactly);
 * checkpoint mechanics: automatic folding at the interval, tail truncation,
   the frozen-while-down discipline, and ``upto_seq``-bounded replay;
+* records hold their payloads by reference (the log is never persisted);
 * directory-shard kills mid-collective: the collective completes without a
   job restart, replay reconstructs the wiped records (checkpoint + tail),
   and the shard's post-replay self-check finds the state digest-identical;
@@ -33,14 +32,7 @@ from repro.tasksys import (
     CollectiveSpec,
     TaskSystem,
 )
-from repro.tasksys.wal import (
-    WalRecord,
-    WriteAheadLog,
-    from_wire,
-    record_from_wire,
-    record_to_wire,
-    to_wire,
-)
+from repro.tasksys.wal import WriteAheadLog
 
 MB = 1024 * 1024
 NET = dict(bandwidth=1.25e8)  # 1 Gbps: collectives run long enough to kill into
@@ -49,79 +41,6 @@ NET = dict(bandwidth=1.25e8)  # 1 Gbps: collectives run long enough to kill into
 class _Clock:
     def __init__(self):
         self._now = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Wire form round-trips
-# ---------------------------------------------------------------------------
-
-
-def test_wal_record_wire_round_trip_all_payload_types():
-    import json
-
-    payload = (
-        None,
-        True,
-        7,
-        2.5,
-        "tag",
-        b"\x00\xff",
-        np.arange(6, dtype=np.float64).reshape(2, 3),
-        (1, ("nested", 2)),
-        [1, 2, [3]],
-        {("a", 1): ObjectID.of("k"), 2: "v"},
-        ReduceOp.MAX,
-        ObjectValue.from_array(np.full(3, 4.0), logical_size=8 * MB),
-    )
-    record = WalRecord(seq=11, time=0.125, kind="mixed", data=payload)
-    wire = record_to_wire(record)
-    # The wire form must be plain JSON-safe data.
-    json.dumps(wire)
-    back = record_from_wire(wire)
-    assert (back.seq, back.time, back.kind) == (11, 0.125, "mixed")
-    assert back.data[0] is None
-    assert back.data[1] is True and back.data[2] == 7 and back.data[3] == 2.5
-    assert back.data[4] == "tag" and back.data[5] == b"\x00\xff"
-    assert np.array_equal(back.data[6], payload[6])
-    assert back.data[7] == (1, ("nested", 2))
-    assert back.data[8] == [1, 2, [3]]
-    assert back.data[9] == payload[9]
-    assert back.data[10] is ReduceOp.MAX
-    assert back.data[11].size == payload[11].size
-    assert np.array_equal(back.data[11].payload, payload[11].payload)
-
-
-def test_collective_spec_wire_round_trip():
-    ranks = list(range(3))
-    sources = {i: ObjectID.of(f"w-src{i}") for i in ranks}
-    spec = CollectiveSpec.reduce(
-        "wire-spec",
-        0,
-        ranks,
-        sources,
-        ObjectID.of("w-target"),
-        {sources[i]: ObjectValue.from_array(np.full(2, float(i)), logical_size=MB)
-         for i in ranks},
-        ReduceOp.SUM,
-        allreduce=True,
-    )
-    back = from_wire(to_wire(spec))
-    assert back.spec_id == spec.spec_id
-    assert back.kind == spec.kind
-    assert back.participants == spec.participants
-    assert back.root == spec.root
-    assert back.op is spec.op
-    assert back.sources == spec.sources
-    assert back.targets == spec.targets
-    assert back.incarnation == spec.incarnation
-    assert set(back.payloads) == set(spec.payloads)
-
-
-def test_wire_form_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        to_wire(object())
-    with pytest.raises(TypeError):
-        from_wire({"__not_a_tag__": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +108,38 @@ def test_wal_frozen_suspends_checkpoints_and_replay_is_bounded():
     wal.frozen = False
     wal.checkpoint()
     assert wal.tail == [] and wal.checkpoint_seq == 7
+
+
+def test_wal_records_hold_payloads_by_reference_and_stamp_the_clock():
+    """The log is never persisted: replay hands back the very objects that
+    were appended, each record stamped with the simulated clock."""
+    clock = _Clock()
+    wal = WriteAheadLog(clock, "refs")
+    value = ObjectValue.from_array(np.full(3, 4.0), logical_size=8 * MB)
+    payloads = [(ObjectID.of("k"), value), ({"spec": [1, 2]}, ReduceOp.MAX)]
+    for step, payload in enumerate(payloads):
+        clock._now = 0.5 * (step + 1)
+        wal.append("op", payload)
+    seen = []
+    assert wal.replay(lambda snapshot: None, seen.append) == 2
+    assert [(r.seq, r.time, r.kind) for r in seen] == [(0, 0.5, "op"), (1, 1.0, "op")]
+    for record, payload in zip(seen, payloads):
+        assert record.data is payload
+    assert seen[0].data[1] is value
+    assert wal.replays == 1
+
+
+def test_wal_validation_and_snapshotless_logs():
+    with pytest.raises(ValueError):
+        WriteAheadLog(_Clock(), "bad", checkpoint_interval=0)
+    # Without a snapshot function the tail only grows: no automatic
+    # checkpoint fires, and an explicit one is refused.
+    wal = WriteAheadLog(_Clock(), "tail-only", checkpoint_interval=2)
+    for i in range(5):
+        wal.append("add", (i,))
+    assert len(wal) == 5 and wal.checkpoints == 0
+    with pytest.raises(ValueError):
+        wal.checkpoint()
 
 
 # ---------------------------------------------------------------------------

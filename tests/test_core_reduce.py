@@ -14,6 +14,8 @@ from repro.core.reduce import (
     tree_depth,
 )
 from repro.net import Cluster, NetworkConfig
+from repro.net.flowsched import FlowClass
+from repro.obs.flight import timeline
 
 MB = 1024 * 1024
 KB = 1024
@@ -219,6 +221,60 @@ def test_reduce_selects_chain_for_large_and_flat_for_small():
         6, 4 * KB, options=HopliteOptions(enable_small_object_cache=False)
     )
     assert small["result"].degree == 6
+
+
+def test_same_node_partials_stream_without_touching_the_network():
+    """A chain over two objects per node: the partial between the two objects
+    of one node streams through its memcpy channel, so the only partial on
+    the network is the one that crosses from node 1 to node 2."""
+    cluster = Cluster(num_nodes=3, network=NetworkConfig())
+    cluster.enable_observability(trace_transfers=True)
+    runtime = HopliteRuntime(cluster, options=HopliteOptions(reduce_degree=1))
+    sim = cluster.sim
+    source_ids = [ObjectID.of(f"src-{i}") for i in range(4)]
+    hosts = (1, 1, 2, 2)
+    outcome = {}
+
+    def producer(index):
+        yield sim.timeout(0.1 * index)
+        value = ObjectValue.from_array(np.full(4, float(index + 1)), logical_size=32 * MB)
+        yield from runtime.client(hosts[index]).put(source_ids[index], value)
+
+    def reducer():
+        client = runtime.client(0)
+        result = yield from client.reduce(ObjectID.of("target"), source_ids, ReduceOp.SUM)
+        value = yield from client.get(ObjectID.of("target"))
+        outcome["result"] = result
+        outcome["array"] = value.as_array()
+
+    for index in range(4):
+        sim.process(producer(index))
+    sim.process(reducer())
+    cluster.run(until=600.0)
+    assert np.allclose(outcome["array"], 1 + 2 + 3 + 4)
+    assert outcome["result"].degree == 1
+    transfers, _computes = timeline(cluster.flight)
+    partials = {(t.src, t.dst) for t in transfers if t.flow.startswith("reduce:")}
+    assert partials == {(1, 2)}
+    assert cluster.node(1).uplink_sched.bytes_by_class[FlowClass.REDUCE_PARTIAL] == 32 * MB
+    assert cluster.node(2).uplink_sched.bytes_by_class[FlowClass.REDUCE_PARTIAL] == 0
+
+
+def test_runtime_degree_follows_the_model_over_one_two_and_flat():
+    """Without an override the runtime picks the Equation 1 argmin over
+    d in {1, 2, n}: flat for tiny objects, a binary tree in between, and a
+    chain once bandwidth dominates."""
+    config = NetworkConfig()
+    options = HopliteOptions(enable_small_object_cache=False)
+    chosen = {}
+    for nbytes in (4 * KB, 96 * KB, 4 * MB):
+        outcome, _ = run_reduce(6, nbytes, options=options)
+        assert np.allclose(outcome["array"], sum(range(1, 7)))
+        chosen[nbytes] = outcome["result"].degree
+        assert chosen[nbytes] == choose_reduce_degree(
+            6, nbytes, config.latency, config.bandwidth
+        )
+    assert chosen == {4 * KB: 6, 96 * KB: 2, 4 * MB: 1}
 
 
 def test_reduce_single_source():

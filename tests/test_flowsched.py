@@ -1,8 +1,9 @@
 """Tests for the reservation-based flow-scheduled transport.
 
-Covers the head-of-line-blocking regression (the motivating scenario: a
-sender with an idle second receiver stuck behind a busy first receiver),
-reservation cancellation, priority classes, and per-flow accounting.
+Covers head-of-line freedom (the motivating scenario: a sender with an idle
+second receiver must not wait behind a busy first receiver), reservation
+cancellation, priority classes, and per-flow accounting (read from the
+flight recorder's timeline).
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from repro.net.flowsched import (
 )
 from repro.net.node import Node
 from repro.net.transport import transfer_bytes
+from repro.obs.flight import timeline
 from repro.sim import SimulationError, Simulator
 
 MB = 1024 * 1024
@@ -38,10 +40,10 @@ def make_cluster(num_nodes=4, **overrides):
 def _hol_scenario(config):
     """Sender A feeds a busy receiver B and an idle receiver C.
 
-    D occupies B's downlink with one long transmission; under sequential
-    acquisition A's uplink is held while A->B waits for B's downlink, so the
-    A->C flow is starved even though both of its links are idle.  Returns the
-    per-flow finish times.
+    D occupies B's downlink with one long 128 MB transmission; A->B (64 MB)
+    and A->C (32 MB) start just after it.  A transport that held A's uplink
+    while A->B waits for B's downlink would starve A->C although both of its
+    links are idle.  Returns the per-flow finish times.
     """
     from repro.net.transport import transfer_block
 
@@ -62,38 +64,69 @@ def _hol_scenario(config):
     # One long unbroken occupancy of B's downlink (a receiver busy for ~0.1s).
     sim.process(move(d, b, 128 * MB, "d->b", single_block=True))
     sim.process(move(a, b, 64 * MB, "a->b", delay=1e-6))
-    # Arrives just after a->b so the sequential model queues it behind the
-    # held uplink.
+    # Arrives just after a->b, so a->b is already queued on B when it starts.
     sim.process(move(a, c, 32 * MB, "a->c", delay=2e-6))
     cluster.run()
     return finish
 
 
-def test_hol_blocking_reproduced_by_sequential_model_and_fixed_by_scheduler():
-    """Regression for the ROADMAP head-of-line item.
+def test_idle_receiver_is_not_blocked_behind_a_busy_one():
+    """Head-of-line freedom, pinned by analytic bounds.
 
-    Under the old (sequential-acquisition) model the idle receiver C waits
-    behind the busy receiver B; the flow scheduler interleaves the flows so
-    C's transfer runs at full rate while A->B is still queued for B.
+    ``ideal(x)`` is an uncontended ``x``-byte transfer: its serialization
+    plus one propagation latency per block.  While B is busy, the queued
+    A->B reservation holds nothing, so A's uplink belongs to A->C.
     """
-    sequential = _hol_scenario(NetworkConfig(flow_scheduling=False))
-    scheduled = _hol_scenario(NetworkConfig(flow_scheduling=True))
-
     config = NetworkConfig()
-    ideal_c = config.transmission_time(32 * MB) + config.num_blocks(32 * MB) * config.latency
+    finish = _hol_scenario(config)
 
-    # The scheduler serves the idle receiver at (near) full line rate: while
-    # B is busy, the A->B reservation holds nothing and A's uplink belongs to
-    # the A->C flow.
-    assert scheduled["a->c"] <= 1.05 * ideal_c, scheduled
-    # The sequential model parks C behind the busy receiver B: its uplink is
-    # idle-but-held until D's transmission into B completes.
-    assert sequential["a->c"] >= 3.0 * scheduled["a->c"], (sequential, scheduled)
-    assert sequential["a->c"] >= sequential["d->b"]  # C waited out B's busy period
-    # The flows genuinely interleave: C finishes long before A->B.
-    assert scheduled["a->c"] < scheduled["a->b"]
-    # And un-starving C never hurts the contended flows.
-    assert scheduled["a->b"] <= sequential["a->b"] * 1.01
+    def ideal(nbytes):
+        return config.transmission_time(nbytes) + config.num_blocks(nbytes) * config.latency
+
+    # The idle receiver is served at (near) full line rate ...
+    assert finish["a->c"] <= 1.05 * ideal(32 * MB), finish
+    # ... so C never waits out B's busy period,
+    assert finish["a->c"] < finish["d->b"], finish
+    # and the flows interleave: C finishes long before A->B.
+    assert finish["a->c"] < finish["a->b"], finish
+    # Work conservation: A->B's first block is granted the instant D's
+    # transmission frees B's downlink (one latency of slack).
+    bound = config.transmission_time(128 * MB) + config.latency + ideal(64 * MB)
+    assert finish["a->b"] <= bound, finish
+
+
+def test_idle_sender_is_not_blocked_behind_a_busy_one():
+    """The mirror image at the receiver: B is fed by a busy sender A and an
+    idle sender C.  The A->B reservation queued on A's busy uplink claims
+    nothing, so B's downlink belongs to C->B."""
+    cluster, config = make_cluster()
+    sim = cluster.sim
+    a, b, c, d = (cluster.node(i) for i in range(4))
+    finish = {}
+
+    def move(src, dst, nbytes, key, delay=0.0, single_block=False):
+        if delay:
+            yield sim.timeout(delay)
+        if single_block:
+            yield from flowsched.transfer_block(config, src, dst, nbytes)
+        else:
+            yield from transfer_bytes(config, src, dst, nbytes)
+        finish[key] = sim.now
+
+    # One long unbroken occupancy of A's uplink (a sender busy for ~0.1s).
+    sim.process(move(a, d, 128 * MB, "a->d", single_block=True))
+    sim.process(move(a, b, 64 * MB, "a->b", delay=1e-6))
+    sim.process(move(c, b, 32 * MB, "c->b", delay=2e-6))
+    cluster.run()
+
+    def ideal(nbytes):
+        return config.transmission_time(nbytes) + config.num_blocks(nbytes) * config.latency
+
+    assert finish["c->b"] <= 2e-6 + ideal(32 * MB) * (1 + 1e-9), finish
+    assert finish["c->b"] < finish["a->d"] < finish["a->b"], finish
+    # A->B's first block is granted the instant A's uplink frees.
+    bound = config.transmission_time(128 * MB) + config.latency + ideal(64 * MB)
+    assert finish["a->b"] <= bound, finish
 
 
 def test_busy_receiver_still_shares_fairly_under_scheduler():
@@ -197,30 +230,66 @@ def test_failure_before_admission_raises_and_withdraws_reservation():
 # ---------------------------------------------------------------------------
 
 
+def _flow_bytes(cluster):
+    """Bytes each ``(src, dst, flow)`` moved, from the flight recorder."""
+    transfers, _computes = timeline(cluster.flight)
+    totals = {}
+    for t in transfers:
+        key = (t.src, t.dst, t.flow)
+        totals[key] = totals.get(key, 0) + t.nbytes
+    return totals
+
+
 def test_per_flow_accounting_on_both_link_ends():
     cluster, config = make_cluster()
+    cluster.enable_observability(trace_transfers=True)
     sim = cluster.sim
     src, dst = cluster.node(0), cluster.node(1)
     flow = Flow("bench:flow", FlowClass.BULK)
     process = sim.process(transfer_bytes(config, src, dst, 8 * MB, flow))
     cluster.run()
     assert process.ok
-    assert src.uplink_sched.bytes_by_flow["bench:flow"] == 8 * MB
-    assert dst.downlink_sched.bytes_by_flow["bench:flow"] == 8 * MB
-    assert src.uplink_sched.bytes_by_class[FlowClass.BULK] == 8 * MB
-    assert src.uplink_sched.reservations_granted == config.num_blocks(8 * MB)
+    # The flight recorder attributes every byte to the flow.
+    assert _flow_bytes(cluster) == {(0, 1, "bench:flow"): 8 * MB}
+    for sched in (src.uplink_sched, dst.downlink_sched):
+        assert sched.bytes_by_class[FlowClass.BULK] == 8 * MB
+        assert sched.reservations_granted == config.num_blocks(8 * MB)
     # The link was busy for exactly the serialization time.
     assert src.uplink_sched.busy_time == pytest.approx(config.transmission_time(8 * MB))
     assert 0 < src.uplink_sched.utilization(cluster.now) <= 1.0
 
 
+def test_concurrent_flows_are_attributed_per_flow_and_class():
+    """Two flows out of one uplink interleave block by block; the flight
+    recorder attributes each block to its own flow, and the uplink's
+    per-class totals add the flows of each class."""
+    cluster, config = make_cluster()
+    cluster.enable_observability(trace_transfers=True)
+    sim = cluster.sim
+    src = cluster.node(0)
+    bulk = Flow("bulk", FlowClass.BULK)
+    partial = Flow("partial", FlowClass.REDUCE_PARTIAL)
+    first = sim.process(transfer_bytes(config, src, cluster.node(1), 8 * MB, bulk))
+    second = sim.process(transfer_bytes(config, src, cluster.node(2), 12 * MB, partial))
+    cluster.run()
+    assert first.ok and second.ok
+    assert _flow_bytes(cluster) == {(0, 1, "bulk"): 8 * MB, (0, 2, "partial"): 12 * MB}
+    sched = src.uplink_sched
+    assert sched.bytes_by_class[FlowClass.BULK] == 8 * MB
+    assert sched.bytes_by_class[FlowClass.REDUCE_PARTIAL] == 12 * MB
+    assert sched.reservations_granted == config.num_blocks(8 * MB) + config.num_blocks(12 * MB)
+    # One uplink serialized both flows back to back.
+    assert sched.busy_time == pytest.approx(config.transmission_time(20 * MB))
+
+
 def test_untagged_transfers_fall_back_to_default_flow():
     cluster, config = make_cluster()
+    cluster.enable_observability(trace_transfers=True)
     sim = cluster.sim
     process = sim.process(transfer_bytes(config, cluster.node(0), cluster.node(1), MB))
     cluster.run()
     assert process.ok
-    assert cluster.node(0).uplink_sched.bytes_by_flow == {"untagged": MB}
+    assert _flow_bytes(cluster) == {(0, 1, "untagged"): MB}
 
 
 # ---------------------------------------------------------------------------

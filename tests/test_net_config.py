@@ -1,5 +1,7 @@
 """Tests for the network configuration and block arithmetic."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,13 @@ def test_default_config_matches_paper_testbed():
     assert config.bandwidth == pytest.approx(1.25e9)
     assert config.block_size == 4 * 1024 * 1024
     assert config.small_object_threshold == 64 * 1024
+
+
+def test_flow_scheduling_flag_is_gone():
+    """Reservations are the only transport, so there is no flag to pick one."""
+    assert "flow_scheduling" not in {f.name for f in dataclasses.fields(NetworkConfig)}
+    with pytest.raises(TypeError):
+        NetworkConfig(flow_scheduling=False)
 
 
 def test_validation_errors():

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.net import Cluster, NetworkConfig, NodeFailedError, TransferError, transfer_bytes
-from repro.net.transport import control_rpc, local_copy, transfer_block
+from repro.directory import ObjectDirectory
+from repro.net import (
+    Cluster,
+    NetworkConfig,
+    NodeFailedError,
+    TransferError,
+    flowsched,
+    transfer_bytes,
+)
+from repro.net.transport import local_copy, transfer_block
+from repro.store import ObjectID
 
 MB = 1024 * 1024
 
@@ -158,10 +167,34 @@ def test_local_copy_time():
     assert finish == pytest.approx(config.memcpy_time(64 * MB), rel=1e-6)
 
 
-def test_control_rpc_costs_rpc_latency():
+def test_transfer_block_is_the_reservation_transfer():
+    """Reservations are the only way a block crosses a link."""
+    assert transfer_block is flowsched.transfer_block
     cluster, config = make_cluster()
-    finish = run_transfer(cluster, control_rpc(config, cluster.node(0), cluster.node(1)))
-    assert finish == pytest.approx(config.rpc_latency)
+    src, dst = cluster.node(0), cluster.node(1)
+    run_transfer(cluster, transfer_block(config, src, dst, 4 * MB))
+    assert src.uplink_sched.reservations_granted == 1
+    assert dst.downlink_sched.reservations_granted == 1
+
+
+def test_control_rpc_costs_rpc_latency():
+    """The directory's control RPC rides the latency path only."""
+    cluster, config = make_cluster()
+    directory = ObjectDirectory(cluster)
+    object_id = ObjectID.of("rpc")
+    shard_node = directory._shard_node(object_id)
+    remote = cluster.node((shard_node.node_id + 1) % 3)
+
+    def rpc(requester):
+        start = cluster.sim.now
+        yield from directory._rpc(requester, object_id)
+        return cluster.sim.now - start
+
+    assert run_transfer(cluster, rpc(remote)) == pytest.approx(config.rpc_latency)
+    # A cross-node RPC is visible to the flow accounting but holds no slot.
+    assert remote.uplink_sched.control_messages == 1
+    assert remote.uplink.in_use == 0
     # Local shard access is cheaper than a cross-node RPC.
-    local = run_transfer(cluster, control_rpc(config, cluster.node(0), cluster.node(0)))
-    assert local - finish < config.rpc_latency
+    local = run_transfer(cluster, rpc(shard_node))
+    assert local < config.rpc_latency
+    assert shard_node.uplink_sched.control_messages == 0

@@ -1,4 +1,5 @@
-"""Unit and property tests for simulation resources (Resource, Container, Store)."""
+"""Unit and property tests for simulation resources (Resource, PriorityResource,
+MultiRequest)."""
 
 import gc
 
@@ -7,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
-    Container,
     MultiRequest,
     PriorityResource,
     Resource,
     SimulationError,
     Simulator,
-    Store,
 )
 
 
@@ -106,6 +105,45 @@ def test_priority_resource_orders_waiters():
     sim.process(user(sim, "high", 1, 0.2))
     sim.run()
     assert order == ["holder", "high", "low"]
+
+
+def test_priority_resource_is_fifo_within_a_priority():
+    sim = Simulator()
+    resource = PriorityResource(sim, capacity=1)
+    order = []
+
+    def user(sim, name, priority, delay):
+        yield sim.timeout(delay)
+        request = resource.request(priority=priority)
+        yield request
+        order.append((name, sim.now))
+        yield sim.timeout(1.0)
+        resource.release(request)
+
+    sim.process(user(sim, "holder", 0, 0.0))
+    for index, name in enumerate(("a", "b", "c")):
+        sim.process(user(sim, name, 3, 0.1 * (index + 1)))
+    sim.process(user(sim, "urgent", 0, 0.5))
+    sim.run()
+    assert order == [("holder", 0.0), ("urgent", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0)]
+
+
+def test_priority_resource_blocked_head_is_not_bypassed():
+    sim = Simulator()
+    resource = PriorityResource(sim, capacity=2)
+    holder = resource.request()
+    big = resource.request(amount=2, priority=0)
+    small = resource.request(priority=1)
+    # One unit is free, but the queue is strict: the smaller, lower-priority
+    # request does not overtake the blocked head.
+    assert holder.triggered and not big.triggered and not small.triggered
+    assert resource.available == 1
+    resource.release(big)  # cancel the head while it is still queued
+    assert resource.queue_length == 1
+    resource.release(holder)
+    assert small.triggered and resource.available == 1
+    resource.release(small)
+    assert resource.available == 2 and resource.queue_length == 0
 
 
 def test_multi_request_grants_atomically_and_holds_nothing_while_pending():
@@ -247,101 +285,6 @@ def test_released_requests_need_no_cycle_collection():
     assert leftover == []
 
 
-def test_container_blocks_until_level_available():
-    sim = Simulator()
-    container = Container(sim, capacity=10, init=0)
-    log = []
-
-    def producer(sim):
-        yield sim.timeout(1.0)
-        yield container.put(5)
-        log.append(("put", sim.now))
-
-    def consumer(sim):
-        yield container.get(3)
-        log.append(("got", sim.now))
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert log == [("put", 1.0), ("got", 1.0)]
-    assert container.level == pytest.approx(2)
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Container(sim, capacity=5, init=6)
-    container = Container(sim, capacity=5)
-    with pytest.raises(SimulationError):
-        container.put(-1)
-    with pytest.raises(SimulationError):
-        container.get(-1)
-
-
-def test_store_fifo_and_blocking_get():
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def consumer(sim):
-        for _ in range(3):
-            item = yield store.get()
-            received.append((item, sim.now))
-
-    def producer(sim):
-        for index in range(3):
-            yield sim.timeout(1.0)
-            yield store.put(index)
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert received == [(0, 1.0), (1, 2.0), (2, 3.0)]
-
-
-def test_store_filtered_get():
-    sim = Simulator()
-    store = Store(sim)
-    got = {}
-
-    def consumer(sim):
-        item = yield store.get(lambda value: value % 2 == 0)
-        got["even"] = item
-
-    def producer(sim):
-        yield store.put(1)
-        yield store.put(3)
-        yield store.put(4)
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert got["even"] == 4
-    assert list(store.items) == [1, 3]
-
-
-def test_store_capacity_blocks_putters():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer(sim):
-        for index in range(2):
-            yield store.put(index)
-            times.append(sim.now)
-
-    def consumer(sim):
-        yield sim.timeout(5.0)
-        yield store.get()
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert times[0] == pytest.approx(0.0)
-    assert times[1] == pytest.approx(5.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     capacity=st.integers(min_value=1, max_value=4),
@@ -369,26 +312,3 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     assert active["now"] == 0
     assert active["max"] <= capacity
     assert resource.in_use == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(items=st.lists(st.integers(), min_size=0, max_size=30))
-def test_store_preserves_fifo_order(items):
-    """Property: items come out of an unfiltered Store in insertion order."""
-    sim = Simulator()
-    store = Store(sim)
-    out = []
-
-    def producer(sim):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(sim):
-        for _ in items:
-            value = yield store.get()
-            out.append(value)
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert out == items

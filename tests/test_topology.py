@@ -168,7 +168,9 @@ def test_cross_rack_reservation_claims_tier_links():
     second.release()
     assert cluster.fabric.rack_up[0].resource.in_use == 0
     # Released holds were accounted on the tier link schedulers.
-    assert cluster.fabric.rack_up[0].sched.bytes_by_flow == {"x": MB, "y": MB}
+    rack_up = cluster.fabric.rack_up[0].sched
+    assert rack_up.bytes_by_class[FlowClass.BULK] == 2 * MB
+    assert rack_up.reservations_granted == 2
 
 
 def test_per_tier_stats_nonzero_only_for_cross_rack_traffic():
@@ -255,10 +257,10 @@ def test_flat_topology_reproduces_default_results_exactly(measure, kwargs):
     assert flat == default  # bit-for-bit, not approximately
 
 
-def test_sequential_ablation_claims_tier_links_on_fabric():
-    """``flow_scheduling=False`` still routes cross-rack traffic through the fabric."""
+def test_cross_rack_flows_share_the_tier_link_slot():
+    """Reservations route cross-rack traffic through the fabric's tier links."""
     topo = Topology.racks(2, 2, oversubscription=4.0)
-    config = NetworkConfig(flow_scheduling=False, topology=topo)
+    config = NetworkConfig(topology=topo)
     cluster = Cluster(4, network=config)
     finish = {}
 
@@ -274,6 +276,7 @@ def test_sequential_ablation_claims_tier_links_on_fabric():
     # before the combined serialization time of both transfers.
     combined = 2 * 8 * MB / (config.bandwidth / 2)
     assert min(finish.values()) >= combined - 2 * config.block_size / (config.bandwidth / 2)
+    assert max(finish.values()) <= combined + 2 * config.num_blocks(8 * MB) * config.latency
 
 
 # ---------------------------------------------------------------------------
