@@ -322,7 +322,8 @@ RECORDED_DIGESTS = {
     # The fuzz band's own digests, recorded before the scenario drivers
     # moved onto one Scenario/run() model.
     "fuzz_band": "4a0d15e8e652e0c7dcb4e99b7c27944ed9f818d5aa552bcd4ba47ed205453200",
-    # Kernel pop order, recorded before grants at submission stopped
-    # entering the admission queues.
-    "grant_order": "41b3ca5428ea2976397436a8cedc9302d2eb67b187697431402f44bb61b75334",
+    # Kernel pop order, re-recorded when plain requests became one-claim
+    # MultiRequests: the same (when, seq) pops, with the 512 plain-request
+    # grants now named MultiRequest.
+    "grant_order": "073a0dedab14090dc249ea71ca9f999d113b14e148c76b507e227474b73ed7f6",
 }

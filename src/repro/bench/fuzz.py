@@ -38,7 +38,6 @@ from repro.bench.scenarios import Scenario, run
 from repro.core.options import HopliteOptions
 from repro.net.config import NetworkConfig
 from repro.net.failure import poisson_control_plane_failures, poisson_failures
-from repro.net.fastpath import fastpath
 from repro.net.topology import Topology
 
 MB = 1024 * 1024
@@ -154,10 +153,12 @@ def generate_spec(seed: int) -> FuzzCase:
 
 
 def _run(case: FuzzCase, fast_paths: bool, trace: bool = False):
-    """Run one case with the fast paths forced on or off.
+    """Run one case with the fast paths on or off (``Scenario.fast_paths``).
 
     ``trace`` turns the whole observability plane on, flight recorder
-    included.  Returns ``(digest, latency, cluster)``.
+    included.  Returns ``(digest, latency, cluster)``.  Raises
+    ``RuntimeError`` if a run with the fast paths off coalesced anyway, so
+    the on/off comparison can never pass by comparing a run with itself.
     """
     clusters: list = []
 
@@ -166,8 +167,11 @@ def _run(case: FuzzCase, fast_paths: bool, trace: bool = False):
         if trace:
             cluster.enable_observability(trace_transfers=True)
 
-    with fastpath(fast_paths):
-        result = run(case.scenario, observe=observe)
+    result = run(replace(case.scenario, fast_paths=fast_paths), observe=observe)
+    if not fast_paths:
+        for cluster in clusters:
+            if cluster.fastpath_stats["coalesced_runs"]:
+                raise RuntimeError(f"seed {case.seed}: coalesced with the fast paths off")
     parts: list = [(case.describe(), repr(result["latency"]))]
     parts.extend(_flow_fingerprint(result["usage"]))
     parts.append(_object_id_state(clusters[0]))

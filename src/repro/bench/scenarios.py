@@ -317,6 +317,9 @@ class Scenario:
     #: directory-shard kills, installed when the object plane is built.
     shard_kills: Sequence[ControlPlaneFailureEvent] = ()
     kill: Optional[Kill] = None
+    #: whether transfers may coalesce (``Cluster(fast_paths=)``); off, every
+    #: block takes the per-block path, with identical simulated results.
+    fast_paths: bool = True
 
 
 def supported(system: str, collective: str, kill: Optional[Kill] = None) -> bool:
@@ -368,7 +371,7 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
         baseline = run(replace(s, kill=replace(kill, fraction=None)))["latency"]
         kill = replace(kill, at=kill.fraction * baseline, fraction=None)
 
-    cluster = Cluster(num_nodes=s.nodes, network=network)
+    cluster = Cluster(num_nodes=s.nodes, network=network, fast_paths=s.fast_paths)
     sim = cluster.sim
     if observe is not None:
         observe(cluster)

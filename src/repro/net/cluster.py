@@ -47,6 +47,7 @@ class Cluster:
         workers_per_node: int = 4,
         simulator: Optional[Simulator] = None,
         topology: Optional[Topology] = None,
+        fast_paths: bool = True,
     ):
         if num_nodes <= 0:
             raise ValueError("a cluster needs at least one node")
@@ -64,6 +65,9 @@ class Cluster:
         )
         self.sim = simulator or Simulator()
         self.fabric = Fabric(self.sim, self.topology, self.config)
+        #: whether transfers may coalesce (``False`` runs every block on the
+        #: per-block path: the reference the fast path must reproduce).
+        self.fast_paths = fast_paths
         #: fast-path counters, scoped to this cluster (see repro.net.fastpath).
         self.fastpath_stats = FastpathStats()
         #: ordinals for ``ObjectID.unique``, so a run's IDs are its own.

@@ -32,9 +32,10 @@ Exactness is the design constraint; three mechanisms preserve it:
 
 Eligibility (:func:`coalesce_eligible`) is deliberately conservative: every
 claimed link must be idle with an empty queue and no other virtual hold,
-both endpoints alive, and at least two blocks available to move.  Anything
-else falls back to the per-block path, whose behaviour is the definition of
-correct.
+both endpoints alive, at least two blocks available to move, and the
+cluster built with fast paths on (``Cluster(fast_paths=True)``, the
+default).  Anything else falls back to the per-block path, whose behaviour
+is the definition of correct.
 """
 
 from __future__ import annotations
@@ -512,11 +513,6 @@ class CoalescedRun:
             self._detach()
 
 
-#: module-level kill switch (tests use it to A/B the fast path against the
-#: per-block reference on identical scenarios).
-ENABLED = True
-
-
 def register_stream(links: Sequence[tuple["Resource", object]]) -> None:
     """Announce a multi-block transfer stream on its claim set.
 
@@ -783,8 +779,12 @@ def ready_time_of(entry: "StoredObject", block: int) -> float:
 def coalesce_eligible(
     links: Sequence[tuple["Resource", object]], src: "Node", dst: "Node"
 ) -> bool:
-    """Whether a run can start right now: exclusive, idle, live endpoints."""
-    if not ENABLED:
+    """Whether a run can start right now: exclusive, idle, live endpoints.
+
+    A cluster built with ``fast_paths=False`` never starts one.
+    """
+    cluster = src.cluster
+    if cluster is not None and not cluster.fast_paths:
         return False
     if not (src.alive and dst.alive):
         return False

@@ -1,27 +1,17 @@
-"""The fast-path switch and per-cluster fast-path statistics.
+"""Per-cluster fast-path statistics.
 
-The coalescing fast path (:mod:`repro.net.coalesce`) once had a module-global
-``STATS`` dict next to its ``ENABLED`` kill switch.  The counters leaked
-across scenarios sharing a process, so the second run of an identical
-scenario reported inflated numbers.
-
-This module is the single front door:
-
-* :func:`fastpath` — the one switch: a context manager that toggles
-  coalescing and restores the previous state on exit.  The flag it flips,
-  ``coalesce.ENABLED``, is process-wide on purpose (an A/B over whole runs
-  that changes no simulated result); with ``sim.resources._arrival_stamp``
-  it is the only module-level mutable state in ``repro``;
-* :class:`FastpathStats` — the counters, scoped per
-  :class:`~repro.net.cluster.Cluster` (``cluster.fastpath_stats``), so
-  back-to-back runs of the same scenario in one process report identical
-  values.  A node built without a cluster (micro unit tests) counts into a
-  throwaway set, so counting never crashes.
+The coalescing fast path (:mod:`repro.net.coalesce`) is switched per run:
+``Cluster(fast_paths=False)`` (or ``Scenario(fast_paths=False)``) runs every
+transfer block by block, the reference the fast path must reproduce
+bit for bit.  :class:`FastpathStats` holds the counters, scoped per
+:class:`~repro.net.cluster.Cluster` (``cluster.fastpath_stats``), so
+back-to-back runs of the same scenario in one process report identical
+values.  A node built without a cluster (micro unit tests) counts into a
+throwaway set, so counting never crashes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,23 +65,3 @@ def stats_for(node: "Node") -> FastpathStats:
     cluster = node.cluster
     return FastpathStats() if cluster is None else cluster.fastpath_stats
 
-
-@contextmanager
-def fastpath(enabled: bool = True):
-    """Run a block with coalescing forced on or off, then restore.
-
-    The supported way to A/B the fast path at identical simulated results::
-
-        with fastpath(False):
-            baseline = run_scenario(...)
-        with fastpath(True):
-            fast = run_scenario(...)
-    """
-    from repro.net import coalesce  # deferred: coalesce imports stats_for
-
-    saved = coalesce.ENABLED
-    coalesce.ENABLED = enabled
-    try:
-        yield
-    finally:
-        coalesce.ENABLED = saved

@@ -162,13 +162,12 @@ def _build_route(src: "Node", dst: "Node") -> tuple:
     """Build, validate and cache on ``src`` the route of ``src -> dst`` blocks.
 
     A route is ``(claims, path, rate, latency)``: the reservation claim set
-    (one slot on the source uplink, the destination downlink, then every
-    shared tier link of the path), those tier links, the path bottleneck
+    (the source uplink, the destination downlink, then every shared tier
+    link of the path, one slot on each), those tier links, the path bottleneck
     rate (``Fabric.rate``) and the one-way latency (``Fabric.latency``).
     Paths never change after a cluster is built, so the claim checks and
     the fabric queries run once per node pair instead of once per block.
-    The one-slot claims are the links' own, shared by every route through
-    them.  A node without a cluster has no fabric: ``rate`` and ``latency``
+    A node without a cluster has no fabric: ``rate`` and ``latency``
     are ``None`` and its blocks are timed by the transfer's config, which is
     what the path functions return without a fabric.
     """
@@ -180,7 +179,7 @@ def _build_route(src: "Node", dst: "Node") -> tuple:
         path = fabric.path_links(src_id, dst_id)
         rate = fabric.rate(src_id, dst_id)
         latency = fabric.latency(src_id, dst_id)
-    claims = (src.uplink_claim, dst.downlink_claim) + tuple(link.claim for link in path)
+    claims = (src.uplink, dst.downlink, *(link.resource for link in path))
     route = src.routes[dst.node_id] = (validate_claims(claims), path, rate, latency)
     return route
 

@@ -36,10 +36,6 @@ class Node:
         self.downlink = Resource(sim, capacity=1)
         self.uplink_sched = LinkScheduler(sim, self.uplink, "up")
         self.downlink_sched = LinkScheduler(sim, self.downlink, "down")
-        #: the one-slot claims a flow-scheduled block makes on each NIC
-        #: direction (shared by every route through this node).
-        self.uplink_claim = (self.uplink, 1)
-        self.downlink_claim = (self.downlink, 1)
         self.memcpy_channel = Resource(sim, capacity=1)
         self.alive = True
         #: Incremented every time the node recovers from a failure.  Stale

@@ -214,8 +214,6 @@ class FabricLink:
         self.slot_bandwidth = slot_bandwidth
         self.resource = Resource(sim, capacity=slots)
         self.sched = LinkScheduler(sim, self.resource, name)
-        #: the one-slot claim a flow-scheduled block makes on this link.
-        self.claim = (self.resource, 1)
 
     @property
     def capacity(self) -> int:

@@ -141,7 +141,7 @@ def local_copy_block(config: NetworkConfig, node: Node, nbytes: int) -> Generato
         yield sim.timeout(config.memcpy_time(nbytes))
         _check_alive(node)
     finally:
-        node.memcpy_channel.release(req)
+        req.release()
     return sim.now
 
 

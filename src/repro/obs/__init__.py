@@ -163,7 +163,7 @@ class Observability:
         for node in cluster.nodes:
             node.on_failure(self._on_node_down)
             node.on_recovery(self._on_node_up)
-        cluster.fastpath_stats.on_event = self._on_fastpath
+        cluster.fastpath_stats.on_event = self._on_fastpath_event
         cluster.obs = self
 
     @staticmethod
@@ -176,7 +176,7 @@ class Observability:
         sched._obs_control = control_family.labels(link=name, tier=tier)
 
     # -- hook bodies (called from the instrumented subsystems) -------------
-    def _on_fastpath(self, key: str, n: int) -> None:
+    def _on_fastpath_event(self, key: str, n: int) -> None:
         self._fastpath[key].inc(n)
 
     def _on_node_down(self, node) -> None:

@@ -22,7 +22,7 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import MultiRequest, PriorityResource, Resource
+from repro.sim.resources import MultiRequest, Resource
 
 __all__ = [
     "AllOf",
@@ -30,7 +30,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "MultiRequest",
-    "PriorityResource",
     "Process",
     "ProcessFailure",
     "Resource",

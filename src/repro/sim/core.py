@@ -57,6 +57,7 @@ Performance notes (the kernel is the hot loop of every benchmark):
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -415,6 +416,7 @@ class Simulator:
         "events_processed",
         "unhandled_failures",
         "on_pop",
+        "_arrivals",
     )
 
     def __init__(self, start_time: float = 0.0):
@@ -440,6 +442,9 @@ class Simulator:
         #: trace_transfers=True)`` installs the flight recorder here, and
         #: raises rather than overwrite a hook that is already set.
         self.on_pop: Optional[Callable[[float, int, Event], None]] = None
+        #: arrival stamps of admission requests (FIFO within a priority;
+        #: see :mod:`repro.sim.resources`), counted per simulator.
+        self._arrivals = itertools.count()
 
     # -- time -------------------------------------------------------------
     @property

@@ -382,7 +382,7 @@ class TaskSystem:
         except Exception as exc:  # noqa: BLE001 - any task failure goes to recovery
             self._handle_task_failure(record, exc)
         finally:
-            self.worker_slots[node.node_id].release(slot)
+            slot.release()
             if span is not None:
                 if record.status is TaskStatus.FINISHED:
                     span.finish("ok")

@@ -5,11 +5,15 @@ without entering any queue, and the grant scan commits a fitting queued
 request inline.  The reference below is the form both replaced: every
 multi-request enqueues on each claimed resource, the first grant attempt
 runs after enqueueing, and the scan commits through ``_try_grant``, which
-repeats the fit check and removes the request from every queue.
+repeats the fit check and removes the request from every queue.  Its plain
+requests are a second request type with a strict-FIFO grant rule (a blocked
+single stops the scan); the library's are one-claim multi-requests, so this
+also proves they grant in the same order.
 
-Random programs of submits, releases and cancels on 2–4 resources run on
-both; after every step the requests granted (in grant order) and each
-resource's queue length and occupancy must agree.
+Every claim is one unit.  Random programs of submits and releases (a
+release of a pending request withdraws it) on 2–4 resources run on both;
+after every step the requests granted (in grant order) and each resource's
+queue length and occupancy must agree.
 """
 
 import itertools
@@ -19,7 +23,7 @@ from operator import attrgetter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import MultiRequest, PriorityResource, Simulator
+from repro.sim import MultiRequest, Resource, Simulator
 from repro.sim.core import URGENT, Event
 
 _queue_key = attrgetter("sort_key")
@@ -33,15 +37,13 @@ _queue_key = attrgetter("sort_key")
 class _RefRequest(Event):
     is_multi = False
 
-    def __init__(self, resource, amount, priority, stamp):
+    def __init__(self, resource, stamp):
         Event.__init__(self, resource.sim)
         self.resource = resource
-        self.amount = amount
-        self.priority = priority
-        self.sort_key = (priority, stamp)
+        self.sort_key = (0, stamp)
 
-    def cancel(self):
-        self.resource._cancel(self)
+    def release(self):
+        self.resource.release(self)
 
 
 class _RefMultiRequest(Event):
@@ -55,9 +57,8 @@ class _RefMultiRequest(Event):
         self.granted_at = None
         self._released = False
         self._blocked_on = None
-        self._blocked_limit = 0
         self._silent = False
-        for resource, _amount in self.claims:
+        for resource in self.claims:
             resource._enqueue(self)
         self._try_grant(initial=True)
 
@@ -70,14 +71,13 @@ class _RefMultiRequest(Event):
     def _try_grant(self, initial=False):
         if self._ok is not None or self._released:
             return False
-        for resource, amount in self.claims:
-            if resource._in_use + amount > resource.capacity:
+        for resource in self.claims:
+            if resource._in_use >= resource.capacity:
                 self._blocked_on = resource
-                self._blocked_limit = resource.capacity - amount
                 return False
         self._blocked_on = None
-        for resource, amount in self.claims:
-            resource._in_use += amount
+        for resource in self.claims:
+            resource._in_use += 1
             resource._granted.add(id(self))
             resource._cancel(self)
         self.granted_at = self.sim.now
@@ -94,17 +94,14 @@ class _RefMultiRequest(Event):
             return
         self._released = True
         if self.granted_at is not None:
-            for resource, amount in self.claims:
+            for resource in self.claims:
                 resource._granted.discard(id(self))
-                resource._in_use -= amount
-            for resource, _amount in self.claims:
+                resource._in_use -= 1
+            for resource in self.claims:
                 resource._grant()
         else:
-            for resource, _amount in self.claims:
+            for resource in self.claims:
                 resource._cancel(self)
-
-    def cancel(self):
-        self.release()
 
 
 class _RefResource:
@@ -122,8 +119,8 @@ class _RefResource:
     def _enqueue(self, request):
         insort(self._waiting, request, key=_queue_key)
 
-    def request(self, amount, priority, stamp):
-        req = _RefRequest(self, amount, priority, stamp)
+    def request(self, stamp):
+        req = _RefRequest(self, stamp)
         self._enqueue(req)
         self._grant()
         return req
@@ -131,7 +128,7 @@ class _RefResource:
     def release(self, request):
         if id(request) in self._granted:
             self._granted.discard(id(request))
-            self._in_use -= request.amount
+            self._in_use -= 1
             self._grant()
         else:
             self._cancel(request)
@@ -156,24 +153,24 @@ class _RefResource:
                 continue
             if req.is_multi:
                 blocked_on = req._blocked_on
-                if blocked_on is not None and blocked_on._in_use > req._blocked_limit:
+                if blocked_on is not None and blocked_on._in_use >= blocked_on.capacity:
                     index += 1
                     continue
-                for resource, amount in req.claims:
-                    limit = resource.capacity - amount
-                    if resource._in_use > limit:
+                for resource in req.claims:
+                    if resource._in_use >= resource.capacity:
                         req._blocked_on = resource
-                        req._blocked_limit = limit
                         index += 1
                         break
                 else:
                     req._try_grant()
                     in_use = self._in_use
                 continue
-            if in_use + req.amount > capacity:
+            if in_use + 1 > capacity:
+                # Strict FIFO for single requests: nothing behind a blocked
+                # single is granted.
                 break
             del waiting[index]
-            in_use += req.amount
+            in_use += 1
             self._in_use = in_use
             self._granted.add(id(req))
             req.succeed(req)
@@ -185,25 +182,17 @@ class _RefResource:
 
 
 class _Real:
-    """The library's admission behind the driver's four operations."""
+    """The library's admission behind the driver's three operations."""
 
     def __init__(self, capacities):
         self.sim = Simulator()
-        self.resources = [PriorityResource(self.sim, cap) for cap in capacities]
+        self.resources = [Resource(self.sim, cap) for cap in capacities]
 
-    def single(self, index, amount, priority):
-        return self.resources[index].request(amount, priority)
+    def single(self, index):
+        return self.resources[index].request()
 
     def multi(self, claims, priority):
-        return MultiRequest(
-            self.sim, [(self.resources[i], amount) for i, amount in claims], priority
-        )
-
-    def release(self, req):
-        if req.is_multi:
-            req.release()
-        else:
-            req.resource.release(req)
+        return MultiRequest(self.sim, [self.resources[i] for i in claims], priority)
 
 
 class _Reference(_Real):
@@ -214,15 +203,12 @@ class _Reference(_Real):
         self.resources = [_RefResource(self.sim, cap) for cap in capacities]
         self._stamps = itertools.count()
 
-    def single(self, index, amount, priority):
-        return self.resources[index].request(amount, priority, next(self._stamps))
+    def single(self, index):
+        return self.resources[index].request(next(self._stamps))
 
     def multi(self, claims, priority):
         return _RefMultiRequest(
-            self.sim,
-            [(self.resources[i], amount) for i, amount in claims],
-            priority,
-            next(self._stamps),
+            self.sim, [self.resources[i] for i in claims], priority, next(self._stamps)
         )
 
 
@@ -238,11 +224,7 @@ def _execute(impl, program):
         elif kind == "multi":
             requests.append(impl.multi(*op[1:]))
         elif requests:
-            req = requests[op[1] % len(requests)]
-            if kind == "release":
-                impl.release(req)
-            else:
-                req.cancel()
+            requests[op[1] % len(requests)].release()
         # Grant order: scan grants trigger through the urgent queue in
         # grant order; a grant at submission triggers without queueing.
         order = [requests.index(event) for _seq, event in impl.sim._urgent]
@@ -266,21 +248,16 @@ def _execute(impl, program):
 def _programs(draw):
     capacities = draw(st.lists(st.integers(1, 2), min_size=2, max_size=4))
     count = len(capacities)
-    priorities = st.integers(0, 2)
-
-    def amount(index):
-        return st.integers(1, capacities[index])
-
-    single = st.integers(0, count - 1).flatmap(
-        lambda index: st.tuples(st.just("single"), st.just(index), amount(index), priorities)
+    single = st.tuples(st.just("single"), st.integers(0, count - 1))
+    multi = st.tuples(
+        st.just("multi"),
+        st.lists(st.integers(0, count - 1), min_size=1, max_size=min(3, count), unique=True).map(
+            tuple
+        ),
+        st.integers(0, 2),
     )
-    multi = (
-        st.lists(st.integers(0, count - 1), min_size=1, max_size=min(3, count), unique=True)
-        .flatmap(lambda indices: st.tuples(*(st.tuples(st.just(i), amount(i)) for i in indices)))
-        .flatmap(lambda claims: st.tuples(st.just("multi"), st.just(claims), priorities))
-    )
-    withdraw = st.tuples(st.sampled_from(["release", "cancel"]), st.integers(0, 30))
-    ops = draw(st.lists(st.one_of(single, multi, multi, withdraw), min_size=1, max_size=30))
+    release = st.tuples(st.just("release"), st.integers(0, 30))
+    ops = draw(st.lists(st.one_of(single, multi, multi, release), min_size=1, max_size=30))
     return capacities, ops
 
 
@@ -291,25 +268,21 @@ def _programs(draw):
 @example(
     case=(
         [1, 1],
-        [
-            ("multi", ((0, 1),), 0),
-            ("multi", ((0, 1), (1, 1)), 0),
-            ("multi", ((1, 1),), 0),
-            ("release", 0),
-        ],
+        [("multi", (0,), 0), ("multi", (0, 1), 0), ("multi", (1,), 0), ("release", 0)],
     )
 )
-# The same past a queued single request, which blocks only single requests:
-# two units wanted, one free, and a one-unit claim set fits beside it.
+# A queued single on a saturated resource, a multi-request of a later,
+# lower-priority class queued behind it, then releases: the single is
+# granted first, as the strict-FIFO reference grants it.
 @example(
     case=(
-        [2, 1],
+        [1, 1],
         [
-            ("single", 0, 1, 0),
-            ("single", 0, 2, 0),
-            ("multi", ((0, 1), (1, 1)), 0),
+            ("single", 0),
+            ("single", 0),
+            ("multi", (0, 1), 2),
             ("release", 0),
-            ("release", 2),
+            ("release", 1),
         ],
     )
 )

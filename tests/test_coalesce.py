@@ -14,15 +14,14 @@ Three properties pin the fast path (see ``net/coalesce``):
 
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.fastpath import fastpath
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.transport import local_copy, transfer_bytes
 
 MB = 1024 * 1024
 
 
-def _cluster(num_nodes=3):
-    return Cluster(num_nodes=num_nodes, network=NetworkConfig())
+def _cluster(num_nodes=3, fast_paths=True):
+    return Cluster(num_nodes=num_nodes, network=NetworkConfig(), fast_paths=fast_paths)
 
 
 def _drive_transfer(cluster, src, dst, nbytes, flow=None, start=0.0):
@@ -52,17 +51,15 @@ def test_uncontended_transfer_is_o1_events():
 
 
 def test_uncontended_transfer_time_matches_per_block_reference():
-    ref_cluster = _cluster()
+    ref_cluster = _cluster(fast_paths=False)
     ref = _drive_transfer(ref_cluster, ref_cluster.node(0), ref_cluster.node(1), 64 * MB)
-    with fastpath(False):
-        ref_cluster.run()
+    ref_cluster.run()
 
     fast_cluster = _cluster()
     fast = _drive_transfer(
         fast_cluster, fast_cluster.node(0), fast_cluster.node(1), 64 * MB
     )
-    with fastpath(True):
-        fast_cluster.run()
+    fast_cluster.run()
 
     assert fast["t"] == ref["t"]
     # Link accounting is replicated block by block: bytes AND busy time.
@@ -76,15 +73,14 @@ def test_uncontended_transfer_time_matches_per_block_reference():
 
 def _two_flow_times(enabled, stagger=0.01):
     """Two flows sharing node 0's uplink; the second arrives mid-run."""
-    cluster = _cluster(3)
+    cluster = _cluster(3, fast_paths=enabled)
     flow_a = Flow("a", FlowClass.BULK)
     flow_b = Flow("b", FlowClass.BULK)
     done_a = _drive_transfer(cluster, cluster.node(0), cluster.node(1), 64 * MB, flow_a)
     done_b = _drive_transfer(
         cluster, cluster.node(0), cluster.node(2), 64 * MB, flow_b, start=stagger
     )
-    with fastpath(enabled):
-        cluster.run()
+    cluster.run()
     scheds = {
         node.node_id: dict(node.uplink_sched.bytes_by_class)
         for node in cluster.nodes
@@ -116,7 +112,7 @@ def test_contested_run_with_simultaneous_start_matches_reference():
 def test_local_copy_coalesces_and_matches_reference():
     results = {}
     for enabled in (False, True):
-        cluster = _cluster(1)
+        cluster = _cluster(1, fast_paths=enabled)
         sim = cluster.sim
         done = {}
 
@@ -125,8 +121,7 @@ def test_local_copy_coalesces_and_matches_reference():
             done["t"] = sim.now
 
         sim.process(_proc(), name="copy")
-        with fastpath(enabled):
-            cluster.run()
+        cluster.run()
         results[enabled] = (done["t"], sim.events_processed)
     assert results[True][0] == results[False][0]
     # 16 blocks: per-block pays ~2 events each, coalesced is O(1).
@@ -141,7 +136,7 @@ def test_pull_cascade_is_o1_events_per_hop():
     from repro.store.objects import ObjectID, ObjectValue
 
     def _run(enabled):
-        cluster = _cluster(4)
+        cluster = _cluster(4, fast_paths=enabled)
         runtime = HopliteRuntime(cluster)
         sim = cluster.sim
         object_id = ObjectID.of("chain-obj")
@@ -159,8 +154,7 @@ def test_pull_cascade_is_o1_events_per_hop():
         sim.process(_put(), name="put")
         for node_id in (1, 2, 3):
             sim.process(_get(node_id), name=f"get-{node_id}")
-        with fastpath(enabled):
-            cluster.run()
+        cluster.run()
         return dict(finish), sim.events_processed
 
     ref_finish, ref_events = _run(False)
@@ -179,7 +173,7 @@ def test_inflight_progress_is_readable_at_exact_times():
     from repro.store.objects import ObjectID, ObjectValue
 
     def _probe(enabled, at):
-        cluster = _cluster(2)
+        cluster = _cluster(2, fast_paths=enabled)
         runtime = HopliteRuntime(cluster)
         sim = cluster.sim
         object_id = ObjectID.of("probe-obj")
@@ -201,8 +195,7 @@ def test_inflight_progress_is_readable_at_exact_times():
         sim.process(_put(), name="put")
         sim.process(_get(), name="get")
         sim.process(_prober(), name="probe")
-        with fastpath(enabled):
-            cluster.run()
+        cluster.run()
         return seen["ready"]
 
     for at in (0.05, 0.2, 0.31, 0.44):
@@ -216,13 +209,14 @@ def test_inflight_progress_is_readable_at_exact_times():
 
 def _scenario_on_off(scenario):
     """``(latency, flow fingerprint, events)`` with fast paths off, then on."""
+    from dataclasses import replace
+
     from repro.bench.digest import _flow_fingerprint
     from repro.bench.scenarios import run
 
     results = []
     for enabled in (False, True):
-        with fastpath(enabled):
-            result = run(scenario)
+        result = run(replace(scenario, fast_paths=enabled))
         results.append(
             (result["latency"], _flow_fingerprint(result["usage"]), result["events"])
         )
@@ -266,7 +260,7 @@ def _copy_in_case(enabled, second_put_at=None, reader_at=None, fail_at=None):
     from repro.core.runtime import HopliteRuntime
     from repro.store.objects import ObjectID, ObjectValue
 
-    cluster = _cluster(3)
+    cluster = _cluster(3, fast_paths=enabled)
     runtime = HopliteRuntime(cluster)
     sim = cluster.sim
     log = []
@@ -304,8 +298,7 @@ def _copy_in_case(enabled, second_put_at=None, reader_at=None, fail_at=None):
         sim.process(_get(2, second), name="get-second")
     if fail_at is not None:
         cluster.schedule_failure(0, at=fail_at)
-    with fastpath(enabled):
-        cluster.run()
+    cluster.run()
     usage = _flow_fingerprint(collect_flow_usage(cluster))
     return log, usage, dict(cluster.fastpath_stats.counts)
 

@@ -10,13 +10,14 @@ detect/recovery time, and a band of cells whose blame is identical with
 the fast paths on and off.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.bench.scenarios import Scenario, run
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.fastpath import fastpath
 from repro.obs.critpath import (
     CATEGORIES,
     BlameRow,
@@ -333,7 +334,9 @@ def test_blame_row_as_dict_is_json_shaped():
 
 
 def _fault_allreduce(fast_paths):
-    cluster = Cluster(num_nodes=5, network=NetworkConfig(bandwidth=1.25e8))
+    cluster = Cluster(
+        num_nodes=5, network=NetworkConfig(bandwidth=1.25e8), fast_paths=fast_paths
+    )
     obs = cluster.enable_observability(trace_transfers=True)
 
     from repro.collectives.plane import HoplitePlane
@@ -368,8 +371,7 @@ def _fault_allreduce(fast_paths):
         done["outcome"] = yield from orchestrator.invoke(spec)
 
     cluster.sim.process(driver())
-    with fastpath(fast_paths):
-        cluster.run(until=240.0)
+    cluster.run(until=240.0)
     assert "outcome" in done
     return obs
 
@@ -413,8 +415,7 @@ def _scenario_blame(scenario, fast_paths):
     def observe(cluster):
         planes.append(cluster.enable_observability(trace_transfers=True))
 
-    with fastpath(fast_paths):
-        run(scenario, observe=observe)
+    run(replace(scenario, fast_paths=fast_paths), observe=observe)
     return cluster_blame(planes[0])
 
 

@@ -322,7 +322,7 @@ def test_source_selection_prefers_load_over_tie_break():
     record = directory.peek_record(object_id)
     sources = directory._eligible_sources(record, requester_id=0, exclude=())
     assert sources[-1].node_id == 2
-    cluster.node(2).uplink.release(request)
+    request.release()
 
 
 def test_wake_fanout_counters_pin_the_rescan_cost(setup):

@@ -159,7 +159,7 @@ def _execute(sim, programs, stops):
                 elif kind == "claim":
                     first = resources[op[1]]
                     second = resources[(op[1] + 1) % RESOURCES]
-                    claim = MultiRequest(sim, [(first, 1), (second, 1)])
+                    claim = MultiRequest(sim, (first, second))
                     try:
                         yield claim  # a silent grant is woken by this yield
                         yield sim.timeout(op[2])

@@ -167,11 +167,11 @@ def test_pending_reservation_holds_nothing_and_cancels_cleanly():
     assert src.uplink.in_use == 0
     assert dst.downlink.in_use == 1
     assert src.uplink.queue_length == 1
-    pending.cancel()
+    pending.release()
     assert src.uplink.queue_length == 0
     assert dst.downlink.queue_length == 0
-    # Cancel/release are idempotent.
-    pending.cancel()
+    # Release is idempotent.
+    pending.release()
     blocker.release()
     assert dst.downlink.in_use == 0
 

@@ -2,8 +2,8 @@
 
 Directory shard placement hashes ObjectIDs, so IDs are minted from a
 counter each cluster owns.  What ran earlier in the process, or in what
-order, must change no result.  The admission queues' arrival stamp is the
-one counter still shared by every simulator; only its differences matter.
+order, must change no result.  The admission queues' arrival stamp is
+counted by each run's own simulator; only its differences matter.
 """
 
 import itertools
@@ -16,13 +16,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.digest import _hash_runs
+from repro.bench.digest import _digest, _flow_fingerprint, _hash_runs, _object_id_state
 from repro.bench.fuzz import generate_spec, run_spec
 from repro.bench.scenarios import Scenario, run
 from repro.net.config import NetworkConfig
 from repro.net.failure import poisson_failures
 from repro.net.topology import Topology
-from repro.sim import resources
 
 MB = 1024 * 1024
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,11 +78,20 @@ def test_run_order_changes_no_digest(seeds):
     assert forward == backward == [_alone(seed) for seed in seeds]
 
 
-def test_arrival_stamp_offset_changes_no_result(monkeypatch):
-    """Only differences of the shared arrival stamp order the admission
-    queues, so starting it far from where earlier runs left it changes no
-    latency, byte counter or ObjectID state of a contended alltoall."""
-    cells = [("a2a-hoplite-16", Scenario("alltoall", "hoplite", 16, 8 * MB))]
-    expected = _hash_runs(cells)
-    monkeypatch.setattr(resources, "_arrival_stamp", itertools.count(10**9))
-    assert _hash_runs(cells) == expected
+def test_arrival_stamp_offset_changes_no_result():
+    """Only differences of the simulator's arrival stamp order the admission
+    queues, so starting it far from zero changes no latency, byte counter
+    or ObjectID state of a contended alltoall."""
+    label, scenario = "a2a-hoplite-16", Scenario("alltoall", "hoplite", 16, 8 * MB)
+    expected = _hash_runs([(label, scenario)])
+    clusters: list = []
+
+    def observe(cluster) -> None:
+        clusters.append(cluster)
+        cluster.sim._arrivals = itertools.count(10**9)
+
+    result = run(scenario, observe=observe)
+    parts = [(label, repr(result["latency"])), *_flow_fingerprint(result["usage"])]
+    parts.append(_object_id_state(clusters[0]))
+    assert next(clusters[0].sim._arrivals) > 10**9
+    assert _digest(parts) == expected

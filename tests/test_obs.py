@@ -14,16 +14,16 @@ Covers the plane's contracts in isolation and wired into the simulator:
   recorder, which are the same with the fast paths on and off;
 * the per-cluster fast-path counter scoping (the old module-global STATS
   footgun: two back-to-back runs must report identical counters) and the
-  ``repro.net.fastpath`` switch that gates coalescing.
+  per-run switch that gates coalescing (``Cluster(fast_paths=)``, carried
+  by ``Scenario.fast_paths``).
 """
 
 import numpy as np
 import pytest
 
-from repro.net import coalesce
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.fastpath import COUNTER_KEYS, fastpath
+from repro.net.fastpath import COUNTER_KEYS
 from repro.obs.export import (
     SLOTarget,
     evaluate_slos,
@@ -372,7 +372,7 @@ def _traced_broadcast(fast_paths):
     from repro.core.runtime import HopliteRuntime
     from repro.obs.flight import timeline
 
-    cluster = Cluster(num_nodes=6, network=NetworkConfig())
+    cluster = Cluster(num_nodes=6, network=NetworkConfig(), fast_paths=fast_paths)
     cluster.enable_observability(trace_transfers=True)
     runtime = HopliteRuntime(cluster)
     oid = ObjectID.unique(cluster, "traced-bcast")
@@ -387,8 +387,7 @@ def _traced_broadcast(fast_paths):
             yield from runtime.client(node_id).get(oid)
 
         cluster.sim.process(receiver())
-    with fastpath(fast_paths):
-        cluster.run()
+    cluster.run()
     return cluster, timeline(cluster.flight)[0]
 
 
@@ -510,14 +509,25 @@ def test_adopted_reexecution_span_is_marked():
 # ---------------------------------------------------------------------------
 
 
-def test_fastpath_context_manager_gates_both_fast_paths():
-    assert coalesce.ENABLED
-    with fastpath(False):
-        assert not coalesce.ENABLED
-        with fastpath(True):
-            assert coalesce.ENABLED
-        assert not coalesce.ENABLED
-    assert coalesce.ENABLED
+def test_fast_paths_switch_is_per_run():
+    """``Scenario(fast_paths=False)`` turns coalescing off for that run only:
+    a 16-node 256 MB broadcast moves every block on the per-block path, at
+    the same latency, and the next run coalesces again."""
+    from dataclasses import replace
+
+    from repro.bench.scenarios import Scenario, run
+
+    scenario = Scenario("broadcast", "hoplite", 16, 256 * MB)
+    results = {}
+    for fast_paths in (False, True):
+        clusters = []
+        result = run(replace(scenario, fast_paths=fast_paths), observe=clusters.append)
+        assert clusters[0].fast_paths is fast_paths
+        results[fast_paths] = (result, clusters[0].fastpath_stats["coalesced_runs"])
+    (off, off_runs), (on, on_runs) = results[False], results[True]
+    assert (off_runs, off["events"]) == (0, 4094)
+    assert (on_runs, on["events"]) == (16, 160)
+    assert on["latency"] == off["latency"] == pytest.approx(0.2658795696, abs=1e-10)
 
 
 def _broadcast_fastpath_counts() -> dict:

@@ -1,5 +1,4 @@
-"""Unit and property tests for simulation resources (Resource, PriorityResource,
-MultiRequest)."""
+"""Unit and property tests for simulation resources (Resource, MultiRequest)."""
 
 import gc
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     MultiRequest,
-    PriorityResource,
     Resource,
     SimulationError,
     Simulator,
@@ -26,7 +24,7 @@ def test_resource_serializes_exclusive_access():
         yield request
         log.append((name, "start", sim.now))
         yield sim.timeout(hold)
-        resource.release(request)
+        request.release()
         log.append((name, "end", sim.now))
 
     sim.process(user(sim, "a", 2.0))
@@ -54,7 +52,7 @@ def test_resource_capacity_allows_concurrency():
         request = resource.request()
         yield request
         yield sim.timeout(1.0)
-        resource.release(request)
+        request.release()
         finish.append(sim.now)
 
     for _ in range(4):
@@ -66,11 +64,6 @@ def test_resource_capacity_allows_concurrency():
 
 def test_resource_invalid_requests():
     sim = Simulator()
-    resource = Resource(sim, capacity=2)
-    with pytest.raises(SimulationError):
-        resource.request(0)
-    with pytest.raises(SimulationError):
-        resource.request(3)
     with pytest.raises(SimulationError):
         Resource(sim, capacity=0)
 
@@ -81,69 +74,30 @@ def test_resource_release_of_ungranted_request_cancels_it():
     first = resource.request()
     second = resource.request()
     assert not second.triggered
-    resource.release(second)  # cancel while still queued
+    second.release()  # cancel while still queued
     assert resource.queue_length == 0
-    resource.release(first)
+    first.release()
     assert resource.available == 1
-
-
-def test_priority_resource_orders_waiters():
-    sim = Simulator()
-    resource = PriorityResource(sim, capacity=1)
-    order = []
-
-    def user(sim, name, priority, delay):
-        yield sim.timeout(delay)
-        request = resource.request(priority=priority)
-        yield request
-        order.append(name)
-        yield sim.timeout(1.0)
-        resource.release(request)
-
-    sim.process(user(sim, "holder", 0, 0.0))
-    sim.process(user(sim, "low", 5, 0.1))
-    sim.process(user(sim, "high", 1, 0.2))
-    sim.run()
-    assert order == ["holder", "high", "low"]
 
 
 def test_priority_resource_is_fifo_within_a_priority():
+    """Plain requests share priority 0, so waiters are granted in arrival order."""
     sim = Simulator()
-    resource = PriorityResource(sim, capacity=1)
+    resource = Resource(sim, capacity=1)
     order = []
 
-    def user(sim, name, priority, delay):
+    def user(sim, name, delay):
         yield sim.timeout(delay)
-        request = resource.request(priority=priority)
+        request = resource.request()
         yield request
         order.append((name, sim.now))
         yield sim.timeout(1.0)
-        resource.release(request)
+        request.release()
 
-    sim.process(user(sim, "holder", 0, 0.0))
-    for index, name in enumerate(("a", "b", "c")):
-        sim.process(user(sim, name, 3, 0.1 * (index + 1)))
-    sim.process(user(sim, "urgent", 0, 0.5))
+    for index, name in enumerate(("holder", "a", "b", "c")):
+        sim.process(user(sim, name, 0.1 * index))
     sim.run()
-    assert order == [("holder", 0.0), ("urgent", 1.0), ("a", 2.0), ("b", 3.0), ("c", 4.0)]
-
-
-def test_priority_resource_blocked_head_is_not_bypassed():
-    sim = Simulator()
-    resource = PriorityResource(sim, capacity=2)
-    holder = resource.request()
-    big = resource.request(amount=2, priority=0)
-    small = resource.request(priority=1)
-    # One unit is free, but the queue is strict: the smaller, lower-priority
-    # request does not overtake the blocked head.
-    assert holder.triggered and not big.triggered and not small.triggered
-    assert resource.available == 1
-    resource.release(big)  # cancel the head while it is still queued
-    assert resource.queue_length == 1
-    resource.release(holder)
-    assert small.triggered and resource.available == 1
-    resource.release(small)
-    assert resource.available == 2 and resource.queue_length == 0
+    assert order == [("holder", 0.0), ("a", 1.0), ("b", 2.0), ("c", 3.0)]
 
 
 def test_multi_request_grants_atomically_and_holds_nothing_while_pending():
@@ -151,12 +105,12 @@ def test_multi_request_grants_atomically_and_holds_nothing_while_pending():
     first, second = Resource(sim, capacity=1), Resource(sim, capacity=1)
     holder = second.request()
     assert holder.triggered
-    joint = MultiRequest(sim, [(first, 1), (second, 1)])
+    joint = MultiRequest(sim, (first, second))
     # Pending: neither resource is held, both queues see the claim.
     assert not joint.granted
     assert first.in_use == 0 and second.in_use == 1
     assert first.queue_length == 1 and second.queue_length == 1
-    second.release(holder)
+    holder.release()
     # The moment both fit, the whole claim set is debited at once.
     assert joint.granted
     assert first.in_use == 1 and second.in_use == 1
@@ -170,14 +124,14 @@ def test_multi_request_is_skipped_not_blocking_the_queue():
     sim = Simulator()
     first, second = Resource(sim, capacity=1), Resource(sim, capacity=1)
     holder = second.request()
-    joint = MultiRequest(sim, [(first, 1), (second, 1)])
+    joint = MultiRequest(sim, (first, second))
     assert not joint.granted
     # A single request on the free resource is granted straight past the
     # pending multi-request.
     bypass = first.request()
     assert bypass.triggered
-    first.release(bypass)
-    second.release(holder)
+    bypass.release()
+    holder.release()
     assert joint.granted
     joint.release()
 
@@ -186,11 +140,11 @@ def test_multi_request_cancel_withdraws_every_claim():
     sim = Simulator()
     first, second = Resource(sim, capacity=1), Resource(sim, capacity=1)
     holder = second.request()
-    joint = MultiRequest(sim, [(first, 1), (second, 1)])
-    joint.cancel()
+    joint = MultiRequest(sim, (first, second))
+    joint.release()  # withdraws the pending claim
     assert first.queue_length == 0 and second.queue_length == 0
-    joint.cancel()  # idempotent
-    second.release(holder)
+    joint.release()  # idempotent
+    holder.release()
     # A cancelled claim is never granted, even once capacity frees up.
     assert not joint.granted
     assert first.in_use == 0 and second.in_use == 0
@@ -200,9 +154,9 @@ def test_multi_request_priority_orders_admission():
     sim = Simulator()
     first, second = Resource(sim, capacity=1), Resource(sim, capacity=1)
     holder = second.request()
-    low = MultiRequest(sim, [(first, 1), (second, 1)], priority=2)
-    high = MultiRequest(sim, [(first, 1), (second, 1)], priority=1)
-    second.release(holder)
+    low = MultiRequest(sim, (first, second), priority=2)
+    high = MultiRequest(sim, (first, second), priority=1)
+    holder.release()
     assert high.granted and not low.granted
     high.release()
     assert low.granted
@@ -215,9 +169,7 @@ def test_multi_request_validation():
     with pytest.raises(SimulationError):
         MultiRequest(sim, [])
     with pytest.raises(SimulationError):
-        MultiRequest(sim, [(resource, 2)])
-    with pytest.raises(SimulationError):
-        MultiRequest(sim, [(resource, 1), (resource, 1)])
+        MultiRequest(sim, (resource, resource))
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,7 +192,7 @@ def test_multi_requests_never_exceed_capacity_or_leak(holds):
     def user(sim, src, dst, hold):
         if src == dst:
             dst = (dst + 1) % 3
-        joint = MultiRequest(sim, [(links[src], 1), (links[dst], 1)])
+        joint = MultiRequest(sim, (links[src], links[dst]))
         yield joint
         assert all(link.in_use <= link.capacity for link in links)
         yield sim.timeout(hold)
@@ -262,24 +214,20 @@ def test_released_requests_need_no_cycle_collection():
 
     def user(sim):
         for _ in range(5):
-            joint = MultiRequest(sim, [(first, 1), (second, 1)])
+            joint = MultiRequest(sim, (first, second))
             yield joint
             yield sim.timeout(1.0)
             joint.release()
             single = first.request()
             yield single
-            first.release(single)
+            single.release()
 
     gc.collect()
     gc.disable()
     try:
         sim.process(user(sim))
         sim.run()
-        leftover = [
-            obj
-            for obj in gc.get_objects()
-            if isinstance(obj, MultiRequest) or type(obj).__name__ == "_Request"
-        ]
+        leftover = [obj for obj in gc.get_objects() if isinstance(obj, MultiRequest)]
     finally:
         gc.enable()
     assert leftover == []
@@ -304,7 +252,7 @@ def test_resource_never_exceeds_capacity(capacity, holds):
         assert resource.in_use <= capacity
         yield sim.timeout(hold)
         active["now"] -= 1
-        resource.release(request)
+        request.release()
 
     for hold in holds:
         sim.process(user(sim, hold))
