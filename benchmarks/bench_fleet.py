@@ -39,7 +39,6 @@ EXPECTED_FAMILIES = {
     "fleet_op_latency_seconds": ["tenant", "op", "size"],
     "link_bytes": ["link", "tier", "cls"],
     "link_grant_wait_seconds": ["cls"],
-    "link_queue_depth": ["link", "tier"],
 }
 
 #: the ``kind`` label values of ``fastpath_events`` (repro.net.fastpath).
@@ -61,7 +60,7 @@ def _run_and_report(quick: bool) -> dict:
     from repro.obs.critpath import format_blame_table
     from repro.obs.export import format_slo_table, to_json
 
-    result = run_fleet(quick=quick, trace_transfers=True)
+    result = run_fleet(quick=quick)
     print()
     print(
         f"fleet: {len(result.specs)} jobs, {len(result.completions)} completed, "
@@ -153,10 +152,7 @@ def test_fleet_blame_table_is_deterministic(run_once):
     from repro.obs.critpath import format_blame_table
 
     def _table():
-        result = run_fleet(
-            num_jobs=24, num_racks=2, nodes_per_rack=4, quick=True,
-            trace_transfers=True,
-        )
+        result = run_fleet(num_jobs=24, num_racks=2, nodes_per_rack=4, quick=True)
         return format_blame_table(result.blame_rows), result
 
     def _both():

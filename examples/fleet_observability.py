@@ -26,10 +26,10 @@ MB = 1024 * 1024
 
 
 def main() -> None:
-    # trace_transfers has each op record an ``op:`` span and fills the
-    # cluster's flight recorder with every block's timeline: the blame
-    # table and the Chrome trace both read the two together.
-    result = run_fleet(trace_transfers=True)
+    # The plane has each op record an ``op:`` span and fills the cluster's
+    # flight recorder with every block's timeline: the link metrics, the
+    # blame table and the Chrome trace all read that one timeline.
+    result = run_fleet()
     obs = result.obs
     registry = obs.registry
 
@@ -123,7 +123,7 @@ def main() -> None:
     # -- inspect the run in a real trace viewer ---------------------------
     # Spans and reduce combines (one track per rank), each block's
     # grant->release hold and arrival (one track per link direction), and
-    # queue-depth counter tracks, in Chrome Trace Event JSON.  Open the file at
+    # per-NIC queue-depth counter tracks, in Chrome Trace Event JSON.  Open the file at
     # https://ui.perfetto.dev or chrome://tracing.
     trace_doc = dump_chrome_trace(
         "fleet_trace.json", obs=obs, flight=result.cluster.flight

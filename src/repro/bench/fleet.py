@@ -106,7 +106,7 @@ class FleetResult:
     #: Pearson r between windowed rack-uplink bytes and windowed mean op
     #: latency; ``None`` without a plane or with degenerate series.
     congestion_latency_r: Optional[float] = None
-    #: per-op critical-path attributions (with ``trace_transfers``).
+    #: per-op critical-path attributions (empty without a plane).
     op_blames: list = field(default_factory=list)
     #: the (tenant, op) blame cells rendered next to the SLO table.
     blame_rows: list = field(default_factory=list)
@@ -207,7 +207,7 @@ class _FleetRecorder:
 
     def __init__(self, obs):
         self.obs = obs
-        self.tracer = obs.tracer if obs is not None and obs.cluster.flight is not None else None
+        self.tracer = obs.tracer if obs is not None else None
         if obs is None:
             self.latency = None
             self.ops = None
@@ -222,7 +222,7 @@ class _FleetRecorder:
         )
 
     def begin_op(self, spec: FleetJobSpec, op: str):
-        """An ``op:*`` span opening one measured window (None when untraced).
+        """An ``op:*`` span opening one measured window (None when unobserved).
 
         The span carries the SLO cell identity (tenant, op) so the
         critical-path profiler can aggregate blames into the same cells the
@@ -467,7 +467,6 @@ def run_fleet(
     seed: int = 0,
     quick: bool = False,
     observe: bool = True,
-    trace_transfers: bool = False,
     window: Optional[float] = None,
     slos: Optional[list[SLOTarget]] = None,
 ) -> FleetResult:
@@ -478,12 +477,10 @@ def run_fleet(
     job gets its own Hoplite runtime (its own directory and stores — the
     tenants share nothing but the fabric).  With ``observe=False`` the run
     is identical except that no plane is installed; with it, the result
-    carries SLO verdicts and the congestion/latency correlation.
-    ``trace_transfers`` (with ``observe``) attaches the plane through
-    ``enable_observability(trace_transfers=True)``: each op records an
-    ``op:`` span and the cluster's flight recorder fills with the per-block
-    timeline.  Those are the two inputs of the per-op blame
-    (``result.op_blames``) and of the Chrome-trace export.
+    carries SLO verdicts, the congestion/latency correlation and the per-op
+    blame (``result.op_blames``): each op records an ``op:`` span and the
+    cluster's flight recorder fills with the per-block timeline, the two
+    inputs of the blame and of the Chrome-trace export.
 
     Once the SLO rows and blame are computed, every runtime and then the
     cluster are closed (:meth:`~repro.net.cluster.Cluster.close`), so
@@ -506,11 +503,7 @@ def run_fleet(
         zone_latency=1.0e-4,
     )
     cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig(topology=topology))
-    obs = (
-        cluster.enable_observability(window=window, trace_transfers=trace_transfers)
-        if observe
-        else None
-    )
+    obs = cluster.enable_observability(window=window) if observe else None
     recorder = _FleetRecorder(obs)
     specs = build_fleet(num_jobs, num_nodes, seed=seed, quick=quick)
 
@@ -543,9 +536,8 @@ def run_fleet(
         targets = slos if slos is not None else (QUICK_SLOS if quick else DEFAULT_SLOS)
         result.slo_rows = evaluate_slos(obs.registry, targets)
         result.congestion_latency_r = congestion_latency_correlation(obs.registry)
-        if trace_transfers:
-            result.op_blames = op_blames(obs)
-            result.blame_rows = aggregate_blames(result.op_blames)
+        result.op_blames = op_blames(obs)
+        result.blame_rows = aggregate_blames(result.op_blames)
     for runtime in runtimes:
         runtime.close()
     cluster.close()

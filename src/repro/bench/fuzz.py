@@ -19,11 +19,11 @@ seed with recording enabled on both settings and bisects to the **first
 diverging semantic event** (time, kind, resource, detail) instead of
 leaving a bare pair of hashes.  ``--flight`` is an observer flag: it runs
 every scenario of the band (plain, or with ``--control-plane`` shard kills)
-with the observability plane on (``enable_observability(
-trace_transfers=True)``, which also installs the flight recorder),
-checking that digests still match (observing changes nothing), that the
-on/off semantic records are identical, and that the critical-path blame
-read from them is too.
+with the observability plane on (``enable_observability()``, which
+includes the flight recorder), checking that digests still match
+(observing changes nothing), that the on/off semantic records are
+identical, and that the critical-path blame and the metrics registry
+(:func:`registry_difference`) read from them are too.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def _run(case: FuzzCase, fast_paths: bool, trace: bool = False):
     def observe(cluster) -> None:
         clusters.append(cluster)
         if trace:
-            cluster.enable_observability(trace_transfers=True)
+            cluster.enable_observability()
 
     result = run(replace(case.scenario, fast_paths=fast_paths), observe=observe)
     if not fast_paths:
@@ -226,8 +226,7 @@ def control_plane_case(seed: int):
 def run_spec_recorded(case: FuzzCase, fast_paths: bool):
     """Like :func:`run_spec`, with the whole observability plane on.
 
-    ``enable_observability(trace_transfers=True)`` also installs the flight
-    recorder.  Returns ``(digest, cluster)``: read the recording from
+    Returns ``(digest, cluster)``: read the recording from
     ``cluster.flight`` and the plane from ``cluster.obs``.
     """
     digest, _, cluster = _run(case, fast_paths, trace=True)
@@ -240,6 +239,20 @@ def blame_of(cluster) -> tuple[dict, dict]:
 
     blame = cluster_blame(cluster.obs)
     return blame.categories, blame.link_blame
+
+
+def registry_difference(on_cluster, off_cluster) -> Optional[str]:
+    """The first metric family (by name) whose export differs between two
+    observed runs, or None; ``fastpath_events`` counts the fast paths
+    themselves, so it is left out."""
+    from repro.obs.export import to_json
+
+    on, off = (
+        {f["name"]: f for f in to_json(cluster.obs.registry)["families"]}
+        for cluster in (on_cluster, off_cluster)
+    )
+    names = sorted((on.keys() | off.keys()) - {"fastpath_events"})
+    return next((name for name in names if on.get(name) != off.get(name)), None)
 
 
 def bisect_divergence(case: FuzzCase):
@@ -264,7 +277,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--flight",
         action="store_true",
         help="observe every run with the plane and the flight recorder; also "
-        "compare the semantic transfer timelines and the critical-path blame",
+        "compare the semantic transfer timelines, the critical-path blame and "
+        "the metrics registry",
     )
     parser.add_argument(
         "--control-plane",
@@ -291,9 +305,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             off, off_cluster = run_spec_recorded(case, fast_paths=False)
             divergence = first_divergence(on_cluster.flight, off_cluster.flight)
             same_blame = blame_of(on_cluster) == blame_of(off_cluster)
-            ok = on == off and divergence is None and same_blame
+            family = registry_difference(on_cluster, off_cluster)
+            ok = on == off and divergence is None and same_blame and family is None
             if not same_blame:
                 note += " blame differs"
+            if family is not None:
+                note += f" metrics differ from family {family}"
         else:
             on, off = run_spec(case, fast_paths=True), run_spec(case, fast_paths=False)
             ok = on == off

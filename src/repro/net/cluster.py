@@ -75,7 +75,7 @@ class Cluster:
         #: observability plane, or None when disabled (the default: every
         #: instrumentation site guards on ``cluster.obs is not None``).
         self.obs = None
-        #: flight recorder, or None unless the plane traces transfers (every
+        #: flight recorder, installed with the observability plane (every
         #: instrumentation site guards on ``cluster.flight is not None``).
         self.flight = None
         self.nodes: list[Node] = [
@@ -84,43 +84,35 @@ class Cluster:
         #: set by :meth:`close`; a closed cluster can no longer run.
         self.closed = False
 
-    def enable_observability(self, window: float = 0.1, trace_transfers: bool = False):
+    def enable_observability(self, window: float = 0.1, trace_transfers: bool = True):
         """Install (and return) the observability plane: the one attach point.
 
-        ``trace_transfers`` also installs the flight recorder as
-        :attr:`flight`, with its pop hook in ``sim.on_pop``: the per-block
-        transfer and reduce-compute timeline that critical-path blame and
-        the Chrome-trace export read.  That slot has one owner: if it is
+        The plane includes the flight recorder, installed as :attr:`flight`
+        with its pop hook in ``sim.on_pop``: the per-block transfer and
+        reduce-compute timeline that the link metrics, critical-path blame
+        and the Chrome-trace export read.  That slot has one owner: if it is
         already set, this raises :class:`~repro.sim.SimulationError` and
         installs nothing.  A second call returns the installed plane, and
-        raises ``ValueError`` if its ``window`` or ``trace_transfers``
-        differs from the first call's.
+        raises ``ValueError`` if its ``window`` differs from the first
+        call's.  ``trace_transfers`` is accepted only as ``True``, the
+        spelling ``perf/`` uses; the recorder is always installed.
 
         Purely observational: metrics and records are stamped with simulated
         time but never schedule events, so enabling the plane changes no
         simulated result (locked down by the differential test in
         ``tests/test_fleet.py`` and the ``--flight`` fuzz band).
         """
+        if trace_transfers is not True:
+            raise ValueError("the flight recorder is always installed; trace_transfers is True")
         obs = self.obs
         if obs is not None:
-            traced = self.flight is not None
-            if (window, trace_transfers) != (obs.registry.window, traced):
+            if window != obs.registry.window:
                 raise ValueError(
-                    f"cluster already observed with window={obs.registry.window!r}, "
-                    f"trace_transfers={traced!r}"
+                    f"cluster already observed with window={obs.registry.window!r}"
                 )
             return obs
         from repro.obs import Observability
 
-        if trace_transfers:
-            if self.sim.on_pop is not None:
-                raise SimulationError(
-                    "sim.on_pop already has an owner; the flight recorder needs it"
-                )
-            from repro.obs.flight import FlightRecorder
-
-            self.flight = FlightRecorder(self.sim, self.fabric.latency)
-            self.sim.on_pop = self.flight.record_pop
         return Observability(self, window=window)
 
     # -- convenience --------------------------------------------------------

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.errors import NodeFailedError
 from repro.net.fastpath import stats_for
+from repro.net.flowsched import DEFAULT_FLOW
 from repro.sim.core import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -238,7 +239,7 @@ class CoalescedRun:
         self._listening = False
         self._flight = None
         self._flight_key = ""
-        self._flight_flow = ""
+        self._flight_flow = None
 
     # -- virtual-hold protocol (shared by every claimed resource) ----------
     def occupied(self, at: float) -> int:
@@ -326,7 +327,7 @@ class CoalescedRun:
             # keeps on/off recordings semantically identical.
             self._flight = cluster.flight
             self._flight_key = f"n{self.src.node_id}>n{self.dst.node_id}"
-            self._flight_flow = self.flow.flow_id if self.flow is not None else "untagged"
+            self._flight_flow = self.flow or DEFAULT_FLOW
             self._flight.phase(
                 self._flight_key, f"coalesce_start/{type(self).__name__}/{self.n}"
             )
@@ -384,10 +385,7 @@ class CoalescedRun:
                 if sched is not None:
                     sched.account(flow, nbytes, hold)
             if self._flight is not None:
-                self._flight.transfer(
-                    self.src.node_id, self.dst.node_id, self._flight_flow, nbytes,
-                    submit=self.s[j], grant=self.s[j], release=self.e[j],
-                )
+                self._record(nbytes, submit=self.s[j], grant=self.s[j], release=self.e[j])
         self._accounted = max(self._accounted, count)
 
     def _account_partial(self, j: int, hold: float) -> None:
@@ -396,11 +394,18 @@ class CoalescedRun:
             if sched is not None:
                 sched.account(self.flow, self.sizes[j], hold)
         if self._flight is not None:
-            self._flight.transfer(
-                self.src.node_id, self.dst.node_id, self._flight_flow, self.sizes[j],
-                submit=self.s[j], grant=self.s[j], release=self.s[j] + hold,
+            self._record(
+                self.sizes[j], submit=self.s[j], grant=self.s[j], release=self.s[j] + hold
             )
         self._accounted = max(self._accounted, j + 1)
+
+    def _record(self, nbytes: int, **times) -> None:
+        """This run's flight records of one block (see ``FlightRecorder.transfer``)."""
+        flow = self._flight_flow
+        self._flight.transfer(
+            self.src.node_id, self.dst.node_id, flow.flow_id, nbytes, flow.flow_class.label,
+            **times,
+        )
 
     def _deliver(self, count: int) -> None:
         """Destination marks (and flight arrivals) for the first ``count`` blocks.
@@ -412,15 +417,12 @@ class CoalescedRun:
             self.schedule.close()
             self.schedule = None
         entry, base = self.entry, self.base
-        flight = self._flight
+        traced = self._flight is not None
         for j in range(count):
             if entry is not None:
                 entry.mark_block_ready(base + j)
-            if flight is not None:
-                flight.transfer(
-                    self.src.node_id, self.dst.node_id, self._flight_flow, self.sizes[j],
-                    arrive=self.arr[j],
-                )
+            if traced:
+                self._record(self.sizes[j], arrive=self.arr[j])
 
     # -- the driver --------------------------------------------------------
     def run(self) -> Generator:

@@ -23,8 +23,11 @@ simulated NICs:
 * each NIC direction has a :class:`LinkScheduler` that owns the admission
   queue of its link and accumulates per-class byte counts and busy time for
   the utilization reports in :mod:`repro.bench.scenarios`.  Per-flow bytes
-  are read from the flight recorder's timeline
-  (:func:`repro.obs.flight.timeline`), which records every block's flow.
+  and the metrics plane's link families (``link_bytes``,
+  ``link_grant_wait_seconds``) are read from the flight recorder's
+  timeline (:func:`repro.obs.flight.timeline`), which records every
+  block's flow and flow class; a scheduler feeds the metrics plane only
+  its control-message count.
 
 The first block of a ``src -> dst`` flow caches its *route* on the source
 node: ``(claims, path, rate, latency)`` — the validated claim set, the
@@ -60,6 +63,11 @@ class FlowClass(IntEnum):
     CONTROL = 0
     REDUCE_PARTIAL = 1
     BULK = 2
+
+    @property
+    def label(self) -> str:
+        """The ``cls`` label value of metrics and flight records (``"bulk"``)."""
+        return self.name.lower()
 
 
 @dataclass(frozen=True)
@@ -122,20 +130,9 @@ class LinkScheduler:
         #: control-plane messages (RPCs) sent from this direction; control
         #: traffic rides the latency path and never occupies a bulk slot.
         self.control_messages: int = 0
-        #: observability children, installed by repro.obs.Observability
-        #: (None = disabled: one branch per account/record_control call).
-        self._obs_bytes: Optional[dict] = None
-        self._obs_queue = None
+        #: the ``control_messages`` metric child, installed by
+        #: repro.obs.Observability (None = disabled: one branch per message).
         self._obs_control = None
-
-    @property
-    def queue_length(self) -> int:
-        """Reservations waiting for this link.
-
-        Only reservations blocked at submission are counted: one that fits
-        when submitted is granted without entering the queue.
-        """
-        return self.link.queue_length
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` this link spent transmitting."""
@@ -148,8 +145,6 @@ class LinkScheduler:
         self.bytes_by_class[flow.flow_class] += nbytes
         self.busy_time += hold_time
         self.reservations_granted += 1
-        if self._obs_bytes is not None:
-            self._obs_bytes[flow.flow_class].inc(nbytes)
 
     def record_control(self) -> None:
         """Count one control-plane message leaving through this direction."""
@@ -209,7 +204,7 @@ class Reservation(MultiRequest):
         self.dst = dst
         self.nbytes = int(nbytes)
         self.flow = flow
-        #: submission time, for grant-wait (admission latency) observability.
+        #: submission time (the block's flight ``submit`` record).
         self.created_at = sim._now
         route = src.routes.get(dst.node_id)
         if route is None:
@@ -234,17 +229,15 @@ class Reservation(MultiRequest):
         for link in self.path:
             link.sched.account(flow, nbytes, hold)
         cluster = self.src.cluster
-        if cluster is not None:
-            if cluster.obs is not None:
-                cluster.obs.record_reservation(self)
-            if cluster.flight is not None:
-                # The semantic transfer timeline: the coalescing fast paths
-                # retrofit the same records from their boundary arrays, so
-                # on/off recordings compare equal.
-                cluster.flight.transfer(
-                    self.src.node_id, self.dst.node_id, flow.flow_id, nbytes,
-                    submit=self.created_at, grant=self.granted_at, release=self.sim._now,
-                )
+        if cluster is not None and cluster.flight is not None:
+            # The semantic transfer timeline: the coalescing fast paths
+            # retrofit the same records from their boundary arrays, so
+            # on/off recordings compare equal.
+            cluster.flight.transfer(
+                self.src.node_id, self.dst.node_id, flow.flow_id, nbytes,
+                flow.flow_class.label,
+                submit=self.created_at, grant=self.granted_at, release=self.sim._now,
+            )
 
 
 def transfer_block(
@@ -304,7 +297,9 @@ def transfer_block(
     if not dst.alive:
         _check_alive(dst)
     if cluster is not None and cluster.flight is not None:
+        flow = reservation.flow
         cluster.flight.transfer(
-            src.node_id, dst.node_id, reservation.flow.flow_id, nbytes, arrive=sim._now
+            src.node_id, dst.node_id, flow.flow_id, nbytes, flow.flow_class.label,
+            arrive=sim._now,
         )
     return sim._now

@@ -4,29 +4,30 @@ One :class:`Observability` instance per :class:`~repro.net.cluster.Cluster`
 (installed via ``cluster.enable_observability()``, the one attach point for
 observers) bundles:
 
-* a :class:`~repro.obs.metrics.MetricsRegistry` recording counters, gauges,
-  and exact histograms against the cluster's **simulated** clock;
+* a :class:`~repro.obs.metrics.MetricsRegistry` recording counters and
+  exact histograms against the cluster's **simulated** clock;
 * a :class:`~repro.obs.trace.Tracer` recording the logical structure of a
   run as span trees: fleet ``op:`` spans, ``collective:`` roots and
   ``task:`` attempts, linked through orchestrator lineage;
-* the instrumentation glue: it installs the per-link-scheduler
-  byte/queue/control children, the fast-path counter mirror, the node
-  membership listeners, and the grant-wait recorder the transport calls.
+* the flight recorder (:mod:`repro.obs.flight`), installed as
+  ``cluster.flight`` and the sole owner of the kernel's ``sim.on_pop``
+  slot: the only record of data movement on the simulated clock
+  (per-block submit, grant, release, arrival and reduce compute);
+* the instrumentation glue: the per-link ``control_messages`` children,
+  the fast-path counter mirror and the node membership listeners.
 
-The plane itself installs no kernel hook: the event count is
-``sim.events_processed``, which ``collect_flow_usage()`` reports as
-``events_processed``.  ``enable_observability(trace_transfers=True)`` also
-installs the flight recorder (:mod:`repro.obs.flight`) as ``cluster.flight``,
-the sole owner of the kernel's ``sim.on_pop`` slot.  That recorder is the
-only record of data movement on the simulated clock (per-block submit,
-grant, release, arrival and reduce compute); the critical-path profiler
-and the Chrome-trace export read it through :func:`repro.obs.flight.timeline`
-and find each block's operation through the tracer's object bindings.
+The link families are not recorded a second time: ``link_bytes`` (per
+link direction, bucketed by release time) and ``link_grant_wait_seconds``
+(``grant - submit``, stamped at release) are derived from
+:func:`repro.obs.flight.timeline` whenever the registry is read, so they
+are the same with the fast paths on and off, and raise ``ValueError`` on a
+ring that dropped records.  Critical-path blame and the Chrome trace read
+the same timeline.  The event count is ``sim.events_processed``.
 
 Everything is opt-in and zero-overhead when off: with no plane installed,
 every call site pays exactly one ``is not None`` branch (``cluster.obs``,
-``sched._obs_bytes``), and the differential digests prove that enabling
-the plane changes no simulated result.
+``cluster.flight``, ``sched._obs_control``), and the differential digests
+prove that enabling the plane changes no simulated result.
 
 Label taxonomy (documented in ROADMAP perf notes):
 
@@ -44,10 +45,12 @@ Label taxonomy (documented in ROADMAP perf notes):
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.net.fastpath import COUNTER_KEYS
 from repro.net.flowsched import FlowClass
+from repro.obs.flight import FlightRecorder, timeline
 from repro.obs.export import (
     SLORow,
     SLOTarget,
@@ -59,6 +62,7 @@ from repro.obs.export import (
 from repro.obs.chrometrace import dump_chrome_trace, to_chrome_trace
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.obs.trace import Span, Tracer
+from repro.sim import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.cluster import Cluster
@@ -81,13 +85,19 @@ __all__ = [
 
 
 class Observability:
-    """Metrics + tracing for one cluster, wired into every subsystem."""
+    """Metrics, tracing and the flight recorder for one cluster."""
 
     def __init__(self, cluster: "Cluster", window: float = 0.1):
         if cluster.obs is not None:
             raise ValueError("cluster already has an observability plane")
-        self.cluster = cluster
         sim = cluster.sim
+        if sim.on_pop is not None:
+            raise SimulationError(
+                "sim.on_pop already has an owner; the flight recorder needs it"
+            )
+        self.cluster = cluster
+        cluster.flight = FlightRecorder(sim, cluster.fabric.latency)
+        sim.on_pop = cluster.flight.record_pop
         self.registry = MetricsRegistry(sim, window=window)
         self.tracer = Tracer(sim)
         #: ``(time, node_id, "down"|"up")`` membership transitions, in
@@ -95,33 +105,26 @@ class Observability:
         #: windows (``config.failure_detection_delay`` after each "down").
         self.node_events: list[tuple[float, int, str]] = []
 
-        # -- pre-built children for the hot instrumentation sites ----------
-        self._grant_wait = {
-            cls: self.registry.histogram(
-                "link_grant_wait_seconds",
-                "admission wait from reservation submission to grant",
-                ("cls",),
-            ).labels(cls=cls.name.lower())
-            for cls in FlowClass
-        }
+        # -- families ------------------------------------------------------
+        registry = self.registry
+        self._grant_waits = registry.histogram(
+            "link_grant_wait_seconds",
+            "admission wait from reservation submission to grant",
+            ("cls",),
+        )
         self._fastpath = {
-            key: self.registry.counter(
+            key: registry.counter(
                 "fastpath_events", "fast-path planner events", ("kind",)
             ).labels(kind=key)
             for key in COUNTER_KEYS
         }
-        bytes_family = self.registry.counter(
+        self._link_bytes = registry.counter(
             "link_bytes", "bytes granted on a link direction", ("link", "tier", "cls")
         )
-        queue_family = self.registry.gauge(
-            "link_queue_depth",
-            "admission queue length, sampled at reservation release",
-            ("link", "tier"),
-        )
-        control_family = self.registry.counter(
+        control_family = registry.counter(
             "control_messages", "control-plane RPCs sent", ("link", "tier")
         )
-        control_plane_family = self.registry.counter(
+        control_plane_family = registry.counter(
             "control_plane_ops",
             "durability-layer operations: WAL appends, checkpoints, "
             "replays, cross-shard directory RPCs",
@@ -134,46 +137,57 @@ class Observability:
         }
 
         # -- install ------------------------------------------------------
-        for node in cluster.nodes:
-            self._install_sched(
-                node.uplink_sched,
-                f"n{node.node_id}/up",
-                "nic",
-                bytes_family,
-                queue_family,
-                control_family,
-            )
-            self._install_sched(
-                node.downlink_sched,
-                f"n{node.node_id}/down",
-                "nic",
-                bytes_family,
-                queue_family,
-                control_family,
-            )
-        for link in cluster.fabric.iter_links():
-            self._install_sched(
-                link.sched,
-                link.name,
-                link.tier,
-                bytes_family,
-                queue_family,
-                control_family,
-            )
+        links = [
+            (sched, f"n{node.node_id}/{direction}", "nic")
+            for node in cluster.nodes
+            for direction, sched in (("up", node.uplink_sched), ("down", node.downlink_sched))
+        ]
+        links += [(link.sched, link.name, link.tier) for link in cluster.fabric.iter_links()]
+        for sched, name, tier in links:
+            sched._obs_control = control_family.labels(link=name, tier=tier)
+        #: every link direction's ``(name, tier)``, in ``link_bytes`` order.
+        self._links = [(name, tier) for _sched, name, tier in links]
+        #: flight records (kept plus dropped) the link families were built from.
+        self._collected = -1
+        registry.collect = self._collect_links
         for node in cluster.nodes:
             node.on_failure(self._on_node_down)
             node.on_recovery(self._on_node_up)
         cluster.fastpath_stats.on_event = self._on_fastpath_event
         cluster.obs = self
 
-    @staticmethod
-    def _install_sched(sched, name, tier, bytes_family, queue_family, control_family):
-        sched._obs_bytes = {
-            cls: bytes_family.labels(link=name, tier=tier, cls=cls.name.lower())
-            for cls in FlowClass
+    def _collect_links(self) -> None:
+        """Rebuild ``link_bytes`` and ``link_grant_wait_seconds`` from the
+        flight timeline, unless no record arrived since the last build.
+
+        Every block credits its bytes to its source uplink, its destination
+        downlink and each shared tier link on its path, and its admission
+        wait to its flow class, all at its release time.  Raises
+        ``ValueError`` (from :func:`~repro.obs.flight.timeline`) if the
+        recorder's ring dropped records.
+        """
+        flight = self.cluster.flight
+        recorded = len(flight.records) + flight.dropped
+        if recorded == self._collected:
+            return
+        transfers, _ = timeline(flight)
+        self._link_bytes.children.clear()
+        self._grant_waits.children.clear()
+        waits = {cls.label: self._grant_waits.labels(cls=cls.label) for cls in FlowClass}
+        link_bytes = {
+            name: {
+                cls.label: self._link_bytes.labels(link=name, tier=tier, cls=cls.label)
+                for cls in FlowClass
+            }
+            for name, tier in self._links
         }
-        sched._obs_queue = queue_family.labels(link=name, tier=tier)
-        sched._obs_control = control_family.labels(link=name, tier=tier)
+        path_links = self.cluster.fabric.path_links
+        for block in sorted(transfers, key=attrgetter("release")):
+            src, dst, at = block.src, block.dst, block.release
+            waits[block.cls].observe(block.grant - block.submit, at=at)
+            for name in (f"n{src}/up", f"n{dst}/down", *(x.name for x in path_links(src, dst))):
+                link_bytes[name][block.cls].inc(block.nbytes, at=at)
+        self._collected = recorded
 
     # -- hook bodies (called from the instrumented subsystems) -------------
     def _on_fastpath_event(self, key: str, n: int) -> None:
@@ -184,16 +198,3 @@ class Observability:
 
     def _on_node_up(self, node) -> None:
         self.node_events.append((self.cluster.sim._now, node.node_id, "up"))
-
-    def record_reservation(self, reservation) -> None:
-        """Called by ``Reservation.release`` for every granted claim."""
-        self._grant_wait[reservation.flow.flow_class].observe(
-            reservation.granted_at - reservation.created_at
-        )
-        for sched in (
-            reservation.src.uplink_sched,
-            reservation.dst.downlink_sched,
-        ):
-            gauge = sched._obs_queue
-            if gauge is not None:
-                gauge.set(sched.queue_length)

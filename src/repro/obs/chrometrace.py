@@ -1,10 +1,9 @@
 """Serialize spans + flight records to Perfetto / ``chrome://tracing`` JSON.
 
 The observability plane already records everything a trace viewer wants —
-span trees on the simulated clock (``obs.tracer``), the per-block transfer
-and compute timeline (the flight recorder, read through
-:func:`repro.obs.flight.timeline`), and the windowed ``link_queue_depth``
-gauge — but only as Python objects.  This module renders them in the
+span trees on the simulated clock (``obs.tracer``) and the per-block
+transfer and compute timeline (the flight recorder, read through
+:func:`repro.obs.flight.timeline`) — but only as Python objects.  This module renders them in the
 Chrome Trace Event format (the JSON Perfetto and ``chrome://tracing`` both
 load), with:
 
@@ -13,8 +12,9 @@ load), with:
   group by trace id under an "ops" process);
 * one thread track per **link direction** (each block's grant→release
   hold is a duration event, its arrival an instant);
-* **counter tracks** for admission queue depth (one counter per link, fed
-  from the ``link_queue_depth`` gauge series).
+* **counter tracks** for admission queue depth (one counter per NIC
+  direction: blocks submitted and not yet granted, stepping at each
+  submit and grant of a block that waited).
 
 Timestamps convert simulated seconds to trace microseconds.  The output is
 deterministic for a deterministic scenario: events are emitted in sorted
@@ -27,6 +27,7 @@ figures never appear here: ``perf/run.py`` writes its own host-time traces.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Optional
 
 from repro.obs.flight import FlightRecorder, timeline
@@ -54,12 +55,34 @@ def _complete(name: str, cat: str, start: float, end: float, args: dict) -> dict
     }
 
 
+def _queue_depths(transfers) -> list[dict]:
+    """Counter events: per NIC direction, blocks submitted but not granted.
+
+    A block that waited for admission counts on the NIC directions it
+    claims, its source uplink and destination downlink, from its submit to
+    its grant; the depth steps once per instant at which it changes.
+    """
+    deltas: Counter = Counter()
+    for block in transfers:
+        if block.grant > block.submit:
+            for link in (f"n{block.src}/up", f"n{block.dst}/down"):
+                deltas[link, block.submit] += 1
+                deltas[link, block.grant] -= 1
+    rows, depth = [], Counter()
+    for (link, t), delta in sorted(deltas.items()):
+        if delta:
+            depth[link] += delta
+            args = {"depth": depth[link]}
+            rows.append({"ph": "C", "name": f"queue {link}", "ts": t * _US, "args": args})
+    return rows
+
+
 def to_chrome_trace(obs=None, flight: Optional[FlightRecorder] = None) -> dict:
     """Build a Chrome Trace Event document from the recorded surfaces.
 
-    ``obs`` is an :class:`repro.obs.Observability` (spans + queue-depth
-    counters), ``flight`` a :class:`~repro.obs.flight.FlightRecorder`
-    (transfer and compute timeline); either may be ``None``.
+    ``obs`` is an :class:`repro.obs.Observability` (spans), ``flight`` a
+    :class:`~repro.obs.flight.FlightRecorder` (transfer and compute
+    timeline, and the queue-depth counters); either may be ``None``.
     """
     # (process_name, thread_name, event-dict-without-pid/tid); ids are
     # assigned over the sorted track-name set afterwards so the numbering
@@ -77,8 +100,10 @@ def to_chrome_trace(obs=None, flight: Optional[FlightRecorder] = None) -> dict:
             event = _complete(span.name, category, span.start, span.end, args)
             rows.append((*_span_track(span), event))
 
+    counter_rows: list[dict] = []
     if flight is not None:
         transfers, computes = timeline(flight)
+        counter_rows = _queue_depths(transfers)
         for block in transfers:
             link = f"n{block.src}>n{block.dst}"
             args = {"flow": f"{block.flow}/{block.nbytes}"}
@@ -98,22 +123,6 @@ def to_chrome_trace(obs=None, flight: Optional[FlightRecorder] = None) -> dict:
             args = {"object": compute.object_id, "block": compute.block}
             event = _complete("compute", "compute", compute.start, compute.end, args)
             rows.append(("ranks", f"rank {compute.node}", event))
-
-    counter_rows: list[dict] = []
-    if obs is not None:
-        family = obs.registry.families.get("link_queue_depth")
-        if family is not None:
-            for child in family.sorted_children():
-                link = str(child.label_values[0])
-                for t, value in child.series():
-                    counter_rows.append(
-                        {
-                            "ph": "C",
-                            "name": f"queue {link}",
-                            "ts": t * _US,
-                            "args": {"depth": value},
-                        }
-                    )
 
     # Deterministic integer pids/tids from the sorted track-name universe.
     processes = sorted({process for process, _thread, _event in rows})

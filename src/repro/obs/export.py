@@ -8,7 +8,7 @@ output is deterministic for a deterministic scenario — CI pins a golden
 export of the quick fleet run on that property.
 
 ``to_json`` serializes the same registry *with* its simulated-time series
-(per-window counter increments, gauge samples, histogram observations), as
+(per-window counter increments, histogram observations), as
 the machine-readable artifact the fleet benchmark uploads from CI.
 
 ``evaluate_slos`` checks recorded latency histograms against a target
@@ -22,13 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.metrics import (
-    COUNTER,
-    GAUGE,
-    HISTOGRAM,
-    MetricsRegistry,
-    nearest_rank,
-)
+from repro.obs.metrics import COUNTER, MetricsRegistry, nearest_rank
 
 #: the quantiles every histogram exports (exact, nearest-rank).
 EXPORT_QUANTILES = (0.5, 0.95, 0.99)
@@ -73,13 +67,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
             for child in family.sorted_children():
                 labels = _label_str(family.label_names, child.label_values)
                 lines.append(f"{name}_total{labels} {_fmt(child.value)}")
-        elif family.kind == GAUGE:
-            lines.append(f"# HELP {name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {name} gauge")
-            for child in family.sorted_children():
-                labels = _label_str(family.label_names, child.label_values)
-                lines.append(f"{name}{labels} {_fmt(child.value)}")
-        elif family.kind == HISTOGRAM:
+        else:
             # Exact quantiles: exported in the summary shape, because the
             # registry computes true nearest-rank values, not bucket bounds.
             lines.append(f"# HELP {name} {_escape_help(family.help)}")
@@ -117,9 +105,6 @@ def to_json(registry: MetricsRegistry, fastpath_stats=None) -> dict:
                 "labels": dict(zip(family.label_names, child.label_values)),
             }
             if family.kind == COUNTER:
-                entry["value"] = child.value
-                entry["series"] = [list(point) for point in child.series()]
-            elif family.kind == GAUGE:
                 entry["value"] = child.value
                 entry["series"] = [list(point) for point in child.series()]
             else:

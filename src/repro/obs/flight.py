@@ -11,12 +11,12 @@ detail)`` tuples stamped with the **simulated** clock:
 ``submit`` / ``grant`` / ``release`` / ``arrive``
     the *semantic* transfer timeline of every block that crosses a NIC:
     reservation submission, admission grant, link release, destination
-    arrival.  The coalescing fast paths retrofit these records from their
-    boundary arrays at exactly the timestamps the per-block chain would have
-    produced them, so a recording of a fast-path run and a recording of the
-    per-block reference are **semantically identical** — the property the
-    differential fuzz harness checks, and the property divergence bisection
-    exploits;
+    arrival, each tagged with the block's flow, flow class and size.  The
+    coalescing fast paths retrofit these records from their boundary arrays
+    at exactly the timestamps the per-block chain would have produced them,
+    so a recording of a fast-path run and a recording of the per-block
+    reference are **semantically identical** — the property the
+    differential fuzz harness checks, and divergence bisection exploits;
 ``compute_start`` / ``compute_end``
     one reduce-slot combine of one block, on the slot's node (resource
     ``n{node}``, detail ``{object_id}/{block}``), from the per-block loop or
@@ -28,9 +28,8 @@ detail)`` tuples stamped with the **simulated** clock:
     legitimately restructure the event timeline they summarize.
 
 Recording is zero-overhead when off: every instrumentation site pays one
-``is not None`` branch (``cluster.flight``, ``sim.on_pop``), the same
-discipline as the metrics plane, and the differential digests prove that
-recording changes no simulated result.
+``is not None`` branch (``cluster.flight``, ``sim.on_pop``), and the
+differential digests prove that recording changes no simulated result.
 
 :func:`first_divergence` turns two recordings (fast paths on / off) of the
 same scenario into the first diverging semantic event — time, kind,
@@ -38,7 +37,8 @@ resource, detail — which is what ``python -m repro.bench.fuzz`` now reports
 on a digest mismatch instead of a bare pair of hashes.  :func:`timeline`
 pairs the semantic records back into per-block transfers and per-block
 compute intervals: the one record of data movement on the simulated clock,
-read by both the critical-path profiler and the Chrome-trace export.
+read by the critical-path profiler, the Chrome-trace export and the
+metrics plane's link families.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ DEFAULT_CAPACITY = 1_000_000
 class FlightRecorder:
     """A bounded in-memory ring of simulated-time kernel/transfer records.
 
-    Installed per cluster by ``cluster.enable_observability(
-    trace_transfers=True)``; the instrumentation sites find it through
+    Installed per cluster by ``cluster.enable_observability()``; the
+    instrumentation sites find it through
     ``cluster.flight`` (one branch when absent).  Records are plain tuples,
     appended in call order; the *semantic* ordering (what
     :func:`semantic_records` compares) sorts by timestamp, because the fast
@@ -99,10 +99,14 @@ class FlightRecorder:
             self.dropped += 1
         records.append((time, kind, resource, detail))
 
-    def transfer(self, src_id: int, dst_id: int, flow_id: str, nbytes: int, **times) -> None:
+    def transfer(
+        self, src_id: int, dst_id: int, flow_id: str, nbytes: int, cls: str, **times
+    ) -> None:
         """One block's records on ``src -> dst``, one per ``kind=time`` given
-        (``submit``, ``grant``, ``release``, ``arrive``), in that order."""
-        resource, detail = f"n{src_id}>n{dst_id}", f"{flow_id}/{nbytes}"
+        (``submit``, ``grant``, ``release``, ``arrive``), in that order.
+
+        ``cls`` is the flow class's label value (``FlowClass.label``)."""
+        resource, detail = f"n{src_id}>n{dst_id}", f"{flow_id}/{cls}/{nbytes}"
         for kind, time in times.items():
             self.record(time, kind, resource, detail)
 
@@ -203,7 +207,8 @@ class Transfer(NamedTuple):
     """One block on the wire, paired from its semantic records.
 
     ``arrive`` is None for a block released but never delivered (its
-    destination died, or the block was cut mid-transmission).
+    destination died, or the block was cut mid-transmission).  ``cls`` is
+    the flow class's label value.
     """
 
     src: int
@@ -214,6 +219,7 @@ class Transfer(NamedTuple):
     grant: float
     release: float
     arrive: Optional[float]
+    cls: str
 
 
 class Compute(NamedTuple):
@@ -249,11 +255,12 @@ def timeline(recorder: FlightRecorder) -> tuple[list[Transfer], list[Compute]]:
     transfers: list[Transfer] = []
     computes: list[Compute] = []
     for (resource, detail), times in by_key.items():
-        head, _, tail = detail.rpartition("/")
         if ">" not in resource:
+            head, _, tail = detail.rpartition("/")
             for start, end in zip(times["compute_start"], times["compute_end"]):
                 computes.append(Compute(int(resource[1:]), head, int(tail), start, end))
             continue
+        flow, cls, nbytes = detail.rsplit("/", 2)
         src, dst = (int(name[1:]) for name in resource.split(">"))
         releases = times["release"]
         arrives: list[Optional[float]] = [None] * len(releases)
@@ -265,7 +272,7 @@ def timeline(recorder: FlightRecorder) -> tuple[list[Transfer], list[Compute]]:
             arrives[k] = arrive
             k += 1
         transfers.extend(
-            Transfer(src, dst, head, int(tail), *phases)
+            Transfer(src, dst, flow, int(nbytes), *phases, cls)
             for phases in zip(times["submit"], times["grant"], releases, arrives)
         )
     transfers.sort(key=lambda t: t[:7])  # ``arrive`` may be None

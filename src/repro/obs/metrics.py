@@ -1,4 +1,4 @@
-"""Simulated-time metrics: counters, gauges, and exact histograms.
+"""Simulated-time metrics: counters and exact histograms.
 
 A :class:`MetricsRegistry` is the in-simulator analogue of a Prometheus
 client registry, with two deliberate differences:
@@ -16,7 +16,10 @@ client registry, with two deliberate differences:
 Recording never schedules events, allocates ObjectIDs, or touches any
 simulation state: a registry can be attached to a live cluster without
 changing a single simulated result (the differential test in
-``tests/test_fleet.py`` pins this).
+``tests/test_fleet.py`` pins this).  A family can also be *derived*: the
+registry's ``collect`` hook runs before every read of
+:attr:`MetricsRegistry.families` and may rebuild families from another
+record, stamping each sample with its own simulated time (``at=``).
 
 Label discipline follows Prometheus: a family declares its label names at
 creation, every child supplies exactly those labels, and the exporter can
@@ -30,13 +33,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from math import ceil
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Simulator
 
 COUNTER = "counter"
-GAUGE = "gauge"
 HISTOGRAM = "histogram"
 
 
@@ -69,10 +71,11 @@ class Counter:
         #: only (simulated time is monotonic within one simulator).
         self._buckets: list[list] = []
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1.0, at: Optional[float] = None) -> None:
+        """Add ``amount`` at ``at`` (default: now); stamps must not go back."""
         self.value += amount
         registry = self.family.registry
-        bucket = int(registry.sim._now / registry.window)
+        bucket = int((registry.sim._now if at is None else at) / registry.window)
         buckets = self._buckets
         if buckets and buckets[-1][0] == bucket:
             buckets[-1][1] += amount
@@ -83,25 +86,6 @@ class Counter:
         """``(window_start_time, increments_in_window)`` pairs, in order."""
         window = self.family.registry.window
         return [(bucket * window, total) for bucket, total in self._buckets]
-
-
-class Gauge:
-    """A point-in-time value; every ``set`` records a timestamped sample."""
-
-    __slots__ = ("family", "label_values", "value", "samples")
-
-    def __init__(self, family: "MetricFamily", label_values: tuple):
-        self.family = family
-        self.label_values = label_values
-        self.value = 0.0
-        self.samples: list[tuple[float, float]] = []
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.samples.append((self.family.registry.sim._now, value))
-
-    def series(self) -> list[tuple[float, float]]:
-        return list(self.samples)
 
 
 class Histogram:
@@ -118,8 +102,9 @@ class Histogram:
         self._sorted: list[float] = []
         self._dirty = False
 
-    def observe(self, value: float) -> None:
-        self.samples.append((self.family.registry.sim._now, value))
+    def observe(self, value: float, at: Optional[float] = None) -> None:
+        """Record ``value`` at ``at`` (default: now); stamps must not go back."""
+        self.samples.append((self.family.registry.sim._now if at is None else at, value))
         self.total += value
         self._dirty = True
 
@@ -151,7 +136,7 @@ class Histogram:
         return list(self.samples)
 
 
-_CHILD_TYPES = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}
+_CHILD_TYPES = {COUNTER: Counter, HISTOGRAM: Histogram}
 
 
 class MetricFamily:
@@ -211,12 +196,22 @@ class MetricsRegistry:
             raise ValueError("window must be positive")
         self.sim = sim
         self.window = window
-        self.families: dict[str, MetricFamily] = {}
+        self._families: dict[str, MetricFamily] = {}
+        #: called before every read of :attr:`families`, to bring derived
+        #: families up to date (None: every family is recorded directly).
+        self.collect: Optional[Callable[[], None]] = None
+
+    @property
+    def families(self) -> dict[str, MetricFamily]:
+        """Every family by name, derived ones brought up to date first."""
+        if self.collect is not None:
+            self.collect()
+        return self._families
 
     def _family(
         self, kind: str, name: str, help_text: str, label_names: Iterable[str]
     ) -> MetricFamily:
-        family = self.families.get(name)
+        family = self._families.get(name)
         names = tuple(label_names)
         if family is not None:
             if family.kind != kind or family.label_names != names:
@@ -226,7 +221,7 @@ class MetricsRegistry:
                 )
             return family
         family = MetricFamily(self, kind, name, help_text, names)
-        self.families[name] = family
+        self._families[name] = family
         return family
 
     def counter(
@@ -234,15 +229,11 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._family(COUNTER, name, help_text, label_names)
 
-    def gauge(
-        self, name: str, help_text: str = "", label_names: Iterable[str] = ()
-    ) -> MetricFamily:
-        return self._family(GAUGE, name, help_text, label_names)
-
     def histogram(
         self, name: str, help_text: str = "", label_names: Iterable[str] = ()
     ) -> MetricFamily:
         return self._family(HISTOGRAM, name, help_text, label_names)
 
     def sorted_families(self) -> list[MetricFamily]:
-        return [self.families[name] for name in sorted(self.families)]
+        families = self.families
+        return [families[name] for name in sorted(families)]

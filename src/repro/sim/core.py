@@ -438,9 +438,9 @@ class Simulator:
         #: :meth:`step`): install or remove it between runs, not from inside
         #: a callback.  ``None`` costs one branch per event.  The hook must
         #: be purely observational — it runs inside the kernel's dispatch
-        #: frame.  The slot has one owner: ``Cluster.enable_observability(
-        #: trace_transfers=True)`` installs the flight recorder here, and
-        #: raises rather than overwrite a hook that is already set.
+        #: frame.  The slot has one owner: ``Cluster.enable_observability()``
+        #: installs the flight recorder here, and raises rather than
+        #: overwrite a hook that is already set.
         self.on_pop: Optional[Callable[[float, int, Event], None]] = None
         #: arrival stamps of admission requests (FIFO within a priority;
         #: see :mod:`repro.sim.resources`), counted per simulator.

@@ -8,9 +8,7 @@ from repro.obs.chrometrace import to_chrome_trace
 def _traced_fleet():
     from repro.bench.fleet import run_fleet
 
-    return run_fleet(
-        num_jobs=8, num_racks=2, nodes_per_rack=4, quick=True, trace_transfers=True
-    )
+    return run_fleet(num_jobs=8, num_racks=2, nodes_per_rack=4, quick=True)
 
 
 def _serialized() -> str:
@@ -63,10 +61,17 @@ def test_trace_structure():
     instants = by_phase["i"]
     assert any(e["name"].startswith("arrive ") for e in instants)
 
-    # Counter track: queue depth per link direction.
+    # Counter tracks: per NIC direction, the blocks submitted and not yet
+    # granted, read from the timeline.  Each track steps at submits and
+    # grants, never goes negative, and drains back to zero.
     counters = by_phase["C"]
     assert counters and all(e["pid"] == process_names["counters"] for e in counters)
-    assert all("depth" in e["args"] for e in counters)
+    tracks: dict = {}
+    for e in counters:
+        assert e["name"].startswith("queue n") and e["name"].endswith(("/up", "/down"))
+        tracks.setdefault(e["name"], []).append(e["args"]["depth"])
+    assert all(depth >= 0 for depths in tracks.values() for depth in depths)
+    assert all(depths[-1] == 0 and max(depths) > 0 for depths in tracks.values())
 
     # Ordering: body events are sorted by timestamp after the metadata.
     body = [e for e in events if e["ph"] != "M"]

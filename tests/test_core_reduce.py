@@ -228,7 +228,7 @@ def test_same_node_partials_stream_without_touching_the_network():
     of one node streams through its memcpy channel, so the only partial on
     the network is the one that crosses from node 1 to node 2."""
     cluster = Cluster(num_nodes=3, network=NetworkConfig())
-    cluster.enable_observability(trace_transfers=True)
+    cluster.enable_observability()
     runtime = HopliteRuntime(cluster, options=HopliteOptions(reduce_degree=1))
     sim = cluster.sim
     source_ids = [ObjectID.of(f"src-{i}") for i in range(4)]

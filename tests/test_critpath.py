@@ -4,7 +4,7 @@ The synthetic cases pin the backward walk's arithmetic — the exact
 partition of an op window into the seven blame categories, the priority
 order of the gap classifier, proportional link blame — and the flight
 record -> evidence pairing.  The end-to-end cases run real collectives
-under ``trace_transfers``: a fault-and-recover allreduce whose
+under the observability plane: a fault-and-recover allreduce whose
 whole-cluster blame partitions exactly and surfaces the failure as
 detect/recovery time, and a band of cells whose blame is identical with
 the fast paths on and off.
@@ -135,9 +135,9 @@ class _Clock:
 
 def _block(recorder, submit, grant, release, arrive=None, flow="get:x->n1"):
     """Record one n0 -> n1 block the way the transport does."""
-    recorder.transfer(0, 1, flow, 4 * MB, submit=submit, grant=grant, release=release)
+    recorder.transfer(0, 1, flow, 4 * MB, "bulk", submit=submit, grant=grant, release=release)
     if arrive is not None:
-        recorder.transfer(0, 1, flow, 4 * MB, arrive=arrive)
+        recorder.transfer(0, 1, flow, 4 * MB, "bulk", arrive=arrive)
 
 
 def test_timeline_pairs_same_size_blocks_fifo():
@@ -146,13 +146,13 @@ def test_timeline_pairs_same_size_blocks_fifo():
     # The second block queues behind the first and is recorded (at its
     # release) after the first block's arrival.
     _block(recorder, 1.0, 1.0, 2.0)
-    recorder.transfer(0, 1, "get:x->n1", 4 * MB, arrive=2.5)
+    recorder.transfer(0, 1, "get:x->n1", 4 * MB, "bulk", arrive=2.5)
     _block(recorder, 1.5, 2.0, 3.0, arrive=3.5)
     recorder.compute(1, "target", 0, 2.5, 2.75)
     transfers, computes = timeline(recorder)
     assert transfers == [
-        Transfer(0, 1, "get:x->n1", 4 * MB, 1.0, 1.0, 2.0, 2.5),
-        Transfer(0, 1, "get:x->n1", 4 * MB, 1.5, 2.0, 3.0, 3.5),
+        Transfer(0, 1, "get:x->n1", 4 * MB, 1.0, 1.0, 2.0, 2.5, "bulk"),
+        Transfer(0, 1, "get:x->n1", 4 * MB, 1.5, 2.0, 3.0, 3.5, "bulk"),
     ]
     assert [(c.node, c.object_id, c.block, c.start, c.end) for c in computes] == [
         (1, "target", 0, 2.5, 2.75)
@@ -170,7 +170,7 @@ def test_lost_block_does_not_take_the_next_blocks_arrival():
 
 def _hand_recorded_cluster():
     cluster = Cluster(num_nodes=2, network=NetworkConfig())
-    obs = cluster.enable_observability(trace_transfers=True)
+    obs = cluster.enable_observability()
     return cluster, obs
 
 
@@ -244,7 +244,7 @@ def test_one_source_of_two_ops_blames_each_op_for_its_own_blocks():
     from repro.core.runtime import HopliteRuntime
 
     cluster = Cluster(num_nodes=5, network=NetworkConfig())
-    obs = cluster.enable_observability(trace_transfers=True)
+    obs = cluster.enable_observability()
     runtime = HopliteRuntime(cluster)
     oid = ObjectID.unique(cluster, "shared")
 
@@ -337,7 +337,7 @@ def _fault_allreduce(fast_paths):
     cluster = Cluster(
         num_nodes=5, network=NetworkConfig(bandwidth=1.25e8), fast_paths=fast_paths
     )
-    obs = cluster.enable_observability(trace_transfers=True)
+    obs = cluster.enable_observability()
 
     from repro.collectives.plane import HoplitePlane
     from repro.core.runtime import HopliteRuntime
@@ -413,7 +413,7 @@ def _scenario_blame(scenario, fast_paths):
     planes = []
 
     def observe(cluster):
-        planes.append(cluster.enable_observability(trace_transfers=True))
+        planes.append(cluster.enable_observability())
 
     run(replace(scenario, fast_paths=fast_paths), observe=observe)
     return cluster_blame(planes[0])

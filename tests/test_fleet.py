@@ -51,7 +51,7 @@ def test_build_fleet_is_deterministic_and_covers_the_matrix():
 
 def test_observability_does_not_change_the_simulation():
     """The same fleet, observed and unobserved, behaves identically."""
-    observed = _small_fleet(observe=True, trace_transfers=True)
+    observed = _small_fleet(observe=True)
     unobserved = _small_fleet(observe=False)
     assert observed.digest() == unobserved.digest()
     # The unobserved run really had no plane (and hence no verdicts).
@@ -98,10 +98,10 @@ def test_fleet_records_every_slo_cell_and_correlation():
 def test_traced_fleet_links_transfers_to_jobs():
     from repro.obs.flight import timeline
 
-    result = _small_fleet(num_jobs=4, trace_transfers=True)
+    result = _small_fleet(num_jobs=4)
     tracer = result.obs.tracer
     transfers, _ = timeline(result.cluster.flight)
-    assert transfers, "trace_transfers recorded no transfers"
+    assert transfers, "the flight recorder recorded no transfers"
     by_id = {span.span_id: span for span in tracer.spans}
 
     def op_of(span):

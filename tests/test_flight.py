@@ -1,8 +1,8 @@
 """The deterministic flight recorder and divergence bisection.
 
 Pins the recorder's own contracts (bounded ring, deterministic dump, its
-installation by ``enable_observability(trace_transfers=True)`` as the one
-owner of the kernel's pop hook), the *observational* property — fuzz
+installation by ``enable_observability()`` as the one owner of the
+kernel's pop hook), the *observational* property — fuzz
 scenarios run with the plane on still digest-match their unobserved runs,
 and the fast-on / fast-off semantic timelines are identical — and the
 property the subsystem exists for: a fast-path divergence injected into
@@ -111,7 +111,7 @@ def test_first_divergence_cases():
 def test_transfer_tracing_installs_the_recorder_as_sole_pop_hook_owner():
     cluster = Cluster(4, NetworkConfig())
     assert cluster.flight is None and cluster.sim.on_pop is None
-    cluster.enable_observability(trace_transfers=True)
+    cluster.enable_observability()
     recorder = cluster.flight
     assert isinstance(recorder, FlightRecorder)
     assert cluster.sim.on_pop == recorder.record_pop
@@ -125,14 +125,9 @@ def test_transfer_tracing_installs_the_recorder_as_sole_pop_hook_owner():
 
     taken.sim.on_pop = hook
     with pytest.raises(SimulationError, match="on_pop"):
-        taken.enable_observability(trace_transfers=True)
+        taken.enable_observability()
     assert taken.sim.on_pop is hook
     assert taken.flight is None and taken.obs is None
-
-    # Without transfer tracing the plane installs no pop hook.
-    plain = Cluster(4, NetworkConfig())
-    plain.enable_observability()
-    assert plain.flight is None and plain.sim.on_pop is None
 
 
 def test_recording_captures_pops_and_semantic_timeline():

@@ -242,7 +242,7 @@ def _flow_bytes(cluster):
 
 def test_per_flow_accounting_on_both_link_ends():
     cluster, config = make_cluster()
-    cluster.enable_observability(trace_transfers=True)
+    cluster.enable_observability()
     sim = cluster.sim
     src, dst = cluster.node(0), cluster.node(1)
     flow = Flow("bench:flow", FlowClass.BULK)
@@ -264,7 +264,7 @@ def test_concurrent_flows_are_attributed_per_flow_and_class():
     recorder attributes each block to its own flow, and the uplink's
     per-class totals add the flows of each class."""
     cluster, config = make_cluster()
-    cluster.enable_observability(trace_transfers=True)
+    cluster.enable_observability()
     sim = cluster.sim
     src = cluster.node(0)
     bulk = Flow("bulk", FlowClass.BULK)
@@ -284,7 +284,7 @@ def test_concurrent_flows_are_attributed_per_flow_and_class():
 
 def test_untagged_transfers_fall_back_to_default_flow():
     cluster, config = make_cluster()
-    cluster.enable_observability(trace_transfers=True)
+    cluster.enable_observability()
     sim = cluster.sim
     process = sim.process(transfer_bytes(config, cluster.node(0), cluster.node(1), MB))
     cluster.run()

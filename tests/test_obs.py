@@ -11,19 +11,25 @@ Covers the plane's contracts in isolation and wired into the simulator:
   a fault-and-recover run whose failed and replacement attempts share the
   trace;
 * a traced broadcast's per-block transfers, read from the flight
-  recorder, which are the same with the fast paths on and off;
+  recorder, which are the same with the fast paths on and off, and so is
+  every exported metric but the fast-path counters (the link families are
+  read from that timeline, and refuse a ring that dropped records);
 * the per-cluster fast-path counter scoping (the old module-global STATS
   footgun: two back-to-back runs must report identical counters) and the
   per-run switch that gates coalescing (``Cluster(fast_paths=)``, carried
   by ``Scenario.fast_paths``).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.bench.scenarios import Scenario, run
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.net.fastpath import COUNTER_KEYS
+from repro.net.topology import Topology
 from repro.obs.export import (
     SLOTarget,
     evaluate_slos,
@@ -31,6 +37,7 @@ from repro.obs.export import (
     to_json,
     to_prometheus,
 )
+from repro.obs.flight import FlightRecorder, timeline
 from repro.obs.metrics import MetricsRegistry, nearest_rank
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 
@@ -98,7 +105,7 @@ def test_label_discipline():
     with pytest.raises(ValueError, match="unexpected label"):
         family.labels(link="n0/up", cls="bulk", extra="x")
     with pytest.raises(ValueError, match="re-declared"):
-        registry.gauge("bytes", "", ("link", "cls"))
+        registry.histogram("bytes", "", ("link", "cls"))
     with pytest.raises(ValueError, match="re-declared"):
         registry.counter("bytes", "", ("link",))
     with pytest.raises(ValueError):
@@ -126,12 +133,9 @@ def _latency_registry():
 def test_prometheus_export_shapes():
     registry = _latency_registry()
     registry.counter("ops", "total ops", ("cls",)).labels(cls="bulk").inc(3)
-    registry.gauge("depth", "queue depth").labels().set(2.0)
     text = to_prometheus(registry)
     assert "# TYPE ops_total counter" in text
     assert 'ops_total{cls="bulk"} 3' in text
-    assert "# TYPE depth gauge" in text
-    assert "depth 2" in text
     assert "# TYPE fleet_op_latency_seconds summary" in text
     assert (
         'fleet_op_latency_seconds{tenant="prod",op="broadcast",size="1MB",'
@@ -253,25 +257,32 @@ def test_enable_observability_counts_events():
 
     cluster.sim.process(driver())
     cluster.run()
-    # The plane installs no kernel hook: the event count is the kernel's own.
+    # The plane's one kernel hook is its flight recorder's; the event count
+    # is the kernel's own.
     assert cluster.sim.events_processed > 0
-    assert cluster.sim.on_pop is None
+    assert cluster.sim.on_pop == cluster.flight.record_pop
     bytes_family = obs.registry.families["link_bytes"]
     assert sum(child.value for child in bytes_family.children.values()) >= 4 * MB
 
 
 def test_second_enable_observability_must_repeat_the_settings():
-    """A second call returns the installed plane only for the same settings;
-    different ones raise instead of being silently ignored."""
+    """A second call returns the installed plane only for the same window;
+    a different one raises instead of being silently ignored.  The flight
+    recorder is always part of the plane: ``trace_transfers`` is accepted
+    only as ``True``."""
     cluster = Cluster(num_nodes=2, network=NetworkConfig())
     obs = cluster.enable_observability(window=0.5)
-    assert cluster.enable_observability(window=0.5) is obs
-    with pytest.raises(ValueError, match="trace_transfers=False"):
-        cluster.enable_observability(window=0.5, trace_transfers=True)
+    assert cluster.enable_observability(window=0.5, trace_transfers=True) is obs
     with pytest.raises(ValueError, match="window=0.5"):
         cluster.enable_observability()
-    assert cluster.obs is obs and cluster.flight is None
-    assert cluster.sim.on_pop is None
+    with pytest.raises(ValueError, match="trace_transfers"):
+        cluster.enable_observability(window=0.5, trace_transfers=False)
+    assert cluster.obs is obs and cluster.sim.on_pop == cluster.flight.record_pop
+
+    untraced = Cluster(num_nodes=2, network=NetworkConfig())
+    with pytest.raises(ValueError, match="trace_transfers"):
+        untraced.enable_observability(trace_transfers=False)
+    assert untraced.obs is None and untraced.flight is None
 
 
 def _put_get(observed: bool):
@@ -281,7 +292,7 @@ def _put_get(observed: bool):
 
     cluster = Cluster(num_nodes=2, network=NetworkConfig())
     if observed:
-        cluster.enable_observability(trace_transfers=True)
+        cluster.enable_observability()
     runtime = HopliteRuntime(cluster)
     done = {}
 
@@ -370,10 +381,9 @@ def test_fault_and_recover_is_one_trace():
 
 def _traced_broadcast(fast_paths):
     from repro.core.runtime import HopliteRuntime
-    from repro.obs.flight import timeline
 
     cluster = Cluster(num_nodes=6, network=NetworkConfig(), fast_paths=fast_paths)
-    cluster.enable_observability(trace_transfers=True)
+    cluster.enable_observability()
     runtime = HopliteRuntime(cluster)
     oid = ObjectID.unique(cluster, "traced-bcast")
 
@@ -401,6 +411,74 @@ def test_traced_broadcast_transfers_match_with_fast_paths_off():
     # Every receiver got every block: 32 MB in 4 MB blocks, 5 receivers.
     assert len(on) == 5 * 8
     assert all(t.submit <= t.grant <= t.release < t.arrive for t in on)
+
+
+_RACKS = NetworkConfig(topology=Topology.racks(2, 4, oversubscription=4.0))
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        Scenario("broadcast", "hoplite", 16, 256 * MB),
+        Scenario("reduce", "hoplite", 8, 64 * MB),
+        Scenario("allgather", "hoplite", 8, 32 * MB),
+        Scenario("allreduce", "hoplite", 8, 64 * MB, network=_RACKS),
+        Scenario("alltoall", "hoplite", 8, 16 * MB, network=_RACKS),
+    ],
+    ids=lambda s: f"{s.collective}-{s.nodes}x{s.nbytes // MB}MB",
+)
+def test_registry_is_the_same_with_fast_paths_on_and_off(scenario):
+    """Every exported metric but the fast-path counters is equal on and off.
+
+    The link families are read from the flight timeline, which the
+    coalesced runs retrofit block by block, so a coalesced block is
+    credited at its own release, with its own admission wait.
+    """
+    exports = []
+    for fast_paths in (True, False):
+        clusters = []
+
+        def observe(cluster):
+            clusters.append(cluster)
+            cluster.enable_observability(window=0.01)
+
+        run(replace(scenario, fast_paths=fast_paths), observe=observe)
+        (cluster,) = clusters
+        assert bool(cluster.fastpath_stats["coalesced_runs"]) == fast_paths
+        doc = to_json(cluster.obs.registry)
+        doc["families"] = [f for f in doc["families"] if f["name"] != "fastpath_events"]
+        exports.append(doc)
+    on, off = exports
+    assert on == off
+    waits = next(f for f in off["families"] if f["name"] == "link_grant_wait_seconds")
+    assert sum(child["count"] for child in waits["children"]) > 0
+
+
+def test_link_families_refuse_a_truncated_recording():
+    """A ring that dropped records raises on reading the link families,
+    with the timeline's own error, instead of exporting a short series."""
+    cluster = Cluster(num_nodes=2, network=NetworkConfig())
+    obs = cluster.enable_observability()
+    cluster.flight = FlightRecorder(cluster.sim, cluster.fabric.latency, capacity=3)
+    cluster.sim.on_pop = cluster.flight.record_pop
+    from repro.core.runtime import HopliteRuntime
+
+    runtime = HopliteRuntime(cluster)
+
+    def driver():
+        oid = ObjectID.unique(cluster, "truncated")
+        yield from runtime.client(0).put(oid, ObjectValue.of_size(8 * MB))
+        yield from runtime.client(1).get(oid)
+
+    cluster.sim.process(driver())
+    cluster.run()
+    assert cluster.flight.dropped > 0
+    with pytest.raises(ValueError) as expected:
+        timeline(cluster.flight)
+    for read in (lambda: obs.registry.families, lambda: to_json(obs.registry)):
+        with pytest.raises(ValueError) as raised:
+            read()
+        assert str(raised.value) == str(expected.value)
 
 
 def _traced_system(num_nodes=3, workers_per_node=1):
