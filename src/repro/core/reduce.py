@@ -678,10 +678,11 @@ class ReduceExecution:
                 # repair (receivers that kept those blocks never re-pull them).
                 block_index = output.blocks_ready
                 while block_index < output.num_blocks:
-                    # Coalesced fast path: every block whose inputs are
-                    # present or arriving on a known schedule combines by
-                    # arithmetic (see ComputeRun in net/coalesce); the
-                    # output's own schedule lets the parent stream cascade.
+                    # Coalesced fast path: once every input has at least
+                    # two blocks present or arriving on a known schedule,
+                    # those blocks combine by arithmetic (see ComputeRun in
+                    # net/coalesce); the output's own schedule lets the
+                    # parent stream cascade.
                     if not output._no_coalesce:
                         horizon = output.num_blocks
                         for entry in inputs:
@@ -717,17 +718,21 @@ class ReduceExecution:
                             if run.failure_stop:
                                 return
                             continue
-                    for entry in inputs:
-                        if entry.blocks_ready <= block_index:
-                            if entry._inflight is not None:
-                                # Parking outside a ComputeRun: per-block
-                                # mark ordering required (see _pull_blocks).
-                                entry.decoalesce()
-                            yield from race_failure(
-                                entry.wait_for_blocks(block_index + 1), (node,)
-                            )
-                            if not node.alive:
-                                return
+                    missing = next(
+                        (entry for entry in inputs if entry.blocks_ready <= block_index), None
+                    )
+                    if missing is not None:
+                        # Park on the first missing input, on its scheduled
+                        # firing if it has one: a slot holds no link, so its
+                        # resume order cannot change an admission, and the
+                        # input's writer stays coalesced.  Whatever woke the
+                        # slot, go back to the ComputeRun check above.
+                        yield from race_failure(
+                            missing.wait_for_blocks(block_index + 1), (node,)
+                        )
+                        if not node.alive:
+                            return
+                        continue
                     nbytes = config.block_bytes(output.size, block_index)
                     compute_time = config.reduce_compute_time(nbytes) * weight
                     if compute_time > 0:

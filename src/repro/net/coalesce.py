@@ -156,7 +156,6 @@ class CoalescedRun:
         "dst",
         "flow",
         "sizes",
-        "tx",
         "latency",
         "links",
         "entry",
@@ -200,7 +199,6 @@ class CoalescedRun:
         self.dst = dst
         self.flow = flow
         self.sizes = list(sizes)
-        self.tx = list(tx)
         self.latency = latency
         self.links = list(links)
         self.entry = entry
@@ -214,7 +212,7 @@ class CoalescedRun:
         e = []
         arr = []
         t = sim._now
-        for j, tx_j in enumerate(self.tx):
+        for j, tx_j in enumerate(tx):
             if ready_times is not None:
                 ready = ready_times[j]
                 if ready > t:
@@ -380,7 +378,9 @@ class CoalescedRun:
         """Link-account blocks ``[_accounted, count)`` at their full hold."""
         flow = self.flow
         for j in range(self._accounted, count):
-            nbytes, hold = self.sizes[j], self.tx[j]
+            # The per-block chain credits ``release - grant``, not ``tx``:
+            # ``(s + tx) - s`` may differ from ``tx`` in the last bits.
+            nbytes, hold = self.sizes[j], self.e[j] - self.s[j]
             for _resource, sched in self.links:
                 if sched is not None:
                     sched.account(flow, nbytes, hold)

@@ -78,8 +78,10 @@ class StoredObject:
         #: arithmetic arrival schedule while a coalesced transfer streams
         #: into this copy (see :class:`repro.net.coalesce.InflightSchedule`).
         self._inflight = None
-        #: set by :meth:`decoalesce`: a consumer on contended links needs
-        #: per-block mark ordering, so no coalesced run may write this copy.
+        #: set by :meth:`decoalesce`: a transfer consumer parked on this
+        #: copy needs per-block mark ordering, so for the rest of the object
+        #: no coalesced run may write it and no consumer may read its
+        #: schedule ahead of the marks.
         self._no_coalesce = False
 
     # -- progress -----------------------------------------------------------
@@ -175,11 +177,14 @@ class StoredObject:
     def decoalesce(self) -> None:
         """Consumer-side opt-out of arithmetic streaming into this copy.
 
-        A consumer whose own links are *contended* resumes in an order set
-        by the event queue, which only per-block marks reproduce — so it
-        re-splits any in-flight coalesced run and bars future ones.  (A
-        consumer on exclusive links keeps the arithmetic schedule: its
-        resume-order shift cannot change any admission outcome.)
+        Called by a *transfer* consumer (a pull or a reduce partial stream)
+        about to park on this copy outside a coalesced run of its own.  It
+        resumes into link admission, in an order set by the event queue
+        that only per-block marks reproduce — so it re-splits any in-flight
+        coalesced run and bars future ones for the rest of the object.  A
+        reduce slot never calls it: it holds no link, so its resume order
+        cannot change an admission, and it waits on the schedule's
+        exact-time firing instead.
         """
         self._no_coalesce = True
         inflight = self._inflight
@@ -227,9 +232,15 @@ class StoredObject:
 
         Used by the eviction policy: evicting a partial copy someone is
         streaming from would leave its ``_progress_waiters`` pending forever,
-        so such copies are not eviction candidates.
+        so such copies are not eviction candidates.  Waiters moved onto a
+        coalesced stream's exact-time firings count too.
         """
         if any(not event.triggered for _, event in self._progress_waiters):
+            return True
+        inflight = self._inflight
+        if inflight is not None and any(
+            firing[2] and not firing[1].triggered for firing in inflight.firings
+        ):
             return True
         return bool(self._sealed_event.callbacks) and not self._sealed_event.triggered
 

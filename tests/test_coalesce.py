@@ -328,3 +328,123 @@ def test_failed_copy_in_matches_reference():
         assert (log, usage) == _copy_in_case(False, fail_at=fail_at)[:2], fail_at
         assert log[0][2] == "NodeFailedError", log
         assert counts["resplits"] > 0
+
+
+def test_scheduled_waiter_keeps_a_partial_copy_busy():
+    """A waiter moved onto a copy-in's exact-time firing still counts.
+
+    The Put's copy-in coalesces after its first block, so a wait for the
+    whole object taken at 4 ms rides the run's schedule, not the entry's
+    progress waiters; eviction must still see the copy as waited on.
+    """
+    from repro.core.runtime import HopliteRuntime
+    from repro.store.objects import ObjectID, ObjectValue
+
+    def _probe(enabled):
+        cluster = _cluster(2, fast_paths=enabled)
+        runtime = HopliteRuntime(cluster)
+        sim = cluster.sim
+        object_id = ObjectID.of("waited-obj")
+        seen = {}
+
+        def _put():
+            yield from runtime.client(cluster.node(0)).put(
+                object_id, ObjectValue.of_size(64 * MB)
+            )
+
+        def _waiter():
+            yield sim.timeout(0.004)
+            entry = runtime.store(cluster.node(0)).try_get_entry(object_id)
+            event = entry.wait_for_blocks(entry.num_blocks)
+            seen["busy"] = entry.has_waiters
+            yield event
+            seen["done"] = entry.has_waiters
+
+        sim.process(_put(), name="put")
+        sim.process(_waiter(), name="waiter")
+        cluster.run()
+        return seen, dict(cluster.fastpath_stats.counts)
+
+    on, counts = _probe(True)
+    assert counts["coalesced_runs"] == 1
+    assert on == _probe(False)[0] == {"busy": True, "done": False}
+
+
+# ---------------------------------------------------------------------------
+# Link accounting and the staggered reduce
+# ---------------------------------------------------------------------------
+
+
+def _usage_without_fastpath_counters(usage):
+    """Everything ``collect_flow_usage`` reports but what fast paths may move."""
+    return {
+        key: value
+        for key, value in usage.items()
+        if key not in ("events_processed", "fastpath")
+    }
+
+
+def test_link_accounting_matches_per_block():
+    """Busy time and utilization equal the per-block chain's, bit for bit.
+
+    A coalesced block is credited ``release - grant`` like a per-block
+    one, not its transmission time: ``(s + tx) - s`` can differ from
+    ``tx`` in the last bits, which showed in the broadcast's utilization.
+    """
+    from dataclasses import replace
+
+    from repro.bench.scenarios import Scenario, run
+
+    for scenario in (
+        Scenario("broadcast", "hoplite", 16, 256 * MB),
+        Scenario("reduce", "hoplite", 16, 256 * MB),
+        Scenario("allreduce", "hoplite", 8, 64 * MB, arrivals=0.01),
+        Scenario("p2p", "hoplite", 2, 256 * MB),
+    ):
+        off = run(replace(scenario, fast_paths=False))
+        on = run(scenario)
+        assert on["usage"]["fastpath"]["coalesced_runs"] > 0, scenario
+        assert _usage_without_fastpath_counters(
+            on["usage"]
+        ) == _usage_without_fastpath_counters(off["usage"]), scenario
+
+
+def test_staggered_reduce_stays_coalesced():
+    """Staggered arrivals: each slot combines in a few ComputeRuns.
+
+    A slot that parks on an input goes back to the ComputeRun check when it
+    wakes, and parks on a scheduled input without barring its coalescing;
+    the chain of partial streams above it then cascades on its schedule.
+    Latency, link usage and the flight timeline equal the per-block
+    reference.
+    """
+    from dataclasses import replace
+
+    from repro.bench.scenarios import Scenario, run
+    from repro.obs.flight import timeline
+
+    def _observed(scenario):
+        clusters = []
+
+        def observe(cluster):
+            cluster.enable_observability()
+            clusters.append(cluster)
+
+        result = run(scenario, observe=observe)
+        return result, timeline(clusters[0].flight)
+
+    for scenario, max_events in (
+        (Scenario("reduce", "hoplite", 16, 256 * MB, arrivals=0.1), 600),
+        (Scenario("reduce", "hoplite", 16, 256 * MB, arrivals=0.02), 600),
+        (Scenario("reduce", "hoplite", 8, 64 * MB, arrivals=0.01), 600),
+        (Scenario("allreduce", "hoplite", 16, 256 * MB, arrivals=0.1), None),
+    ):
+        off, off_timeline = _observed(replace(scenario, fast_paths=False))
+        on, on_timeline = _observed(scenario)
+        if max_events is not None:
+            assert on["events"] <= max_events, (scenario, on["events"])
+        assert on["latency"] == off["latency"], scenario
+        assert _usage_without_fastpath_counters(
+            on["usage"]
+        ) == _usage_without_fastpath_counters(off["usage"]), scenario
+        assert on_timeline == off_timeline, scenario

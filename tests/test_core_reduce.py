@@ -144,9 +144,10 @@ def run_reduce(
     producer_delays=None,
     failure=None,
     op=ReduceOp.SUM,
+    fast_paths=True,
 ):
     """All nodes put one object (value = node_id + 1); node 0 reduces and gets."""
-    cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig())
+    cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig(), fast_paths=fast_paths)
     runtime = HopliteRuntime(cluster, options=options)
     sim = cluster.sim
     source_ids = [ObjectID.of(f"src-{i}") for i in range(num_nodes)]
@@ -313,6 +314,49 @@ def test_reduce_replaces_failed_participant():
     assert "src-2" not in reduced_keys
     expected = sum(int(key.split("-")[1]) + 1 for key in reduced_keys)
     assert np.allclose(outcome["array"], expected)
+
+
+def test_failure_during_a_compute_run_matches_per_block(monkeypatch):
+    """A slot's node dies while its ComputeRun is still combining.
+
+    Staggered arrivals 20 ms apart; each failure instant falls inside the
+    failed node's slot's ComputeRun after its last input arrived, so, as on
+    the per-block loop, no wait notices the failure before the last
+    combine.  The result, the reduced set and the finish time equal the
+    per-block reference, and the probe shows the run's failure hook ran
+    while the run was still virtual.
+    """
+    from repro.net import coalesce
+
+    entered = []
+    hook = coalesce.ComputeRun._on_node_failure
+
+    def probe(run, node):
+        entered.append((node.node_id, run.state == coalesce._VIRTUAL))
+        hook(run, node)
+
+    monkeypatch.setattr(coalesce.ComputeRun, "_on_node_failure", probe)
+    delays = {node_id: 0.02 * node_id for node_id in range(8)}
+    for node_id, fail_at in ((2, 0.0676), (3, 0.0876), (4, 0.1076)):
+        results = []
+        for fast_paths in (True, False):
+            entered.clear()
+            outcome, _ = run_reduce(
+                8,
+                32 * MB,
+                num_objects=5,
+                producer_delays=delays,
+                failure=(node_id, fail_at, None),
+                fast_paths=fast_paths,
+            )
+            reduced = sorted(o.key for o in outcome["result"].reduced_ids)
+            results.append((outcome["array"].tolist(), reduced, outcome["finish"]))
+            if fast_paths:
+                assert (node_id, True) in entered, (node_id, entered)
+            else:
+                assert entered == []
+        assert results[0] == results[1], node_id
+        assert f"src-{node_id}" not in results[0][1]
 
 
 def test_reduce_waits_for_reconstruction_when_nothing_can_replace():
