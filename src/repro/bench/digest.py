@@ -291,6 +291,43 @@ def golden_grant_order_cell() -> str:
     return digest.hexdigest()
 
 
+def golden_ablations_cell() -> str:
+    """The Hoplite ablation paths: no pipelining, no relay, and both.
+
+    ``HopliteOptions(enable_pipelining=False)`` (a pull waits for a sealed
+    source), ``(enable_dynamic_broadcast=False)`` (every receiver pulls
+    whole objects from a complete copy) and both together, each on p2p
+    1 GB, broadcast 8 x 64 MB, broadcast 16 x 256 MB at 0.01 s arrivals,
+    reduce 8 x 64 MB at 0.01 s and allreduce 8 x 64 MB.  Each run
+    contributes its latency (full ``repr`` precision) and its kernel event
+    count, so a change that keeps the latencies but moves where a pull
+    waits for its source's seal fails here.
+    """
+    from repro.core.options import HopliteOptions
+
+    parts: list = []
+    for name, options in (
+        ("no-pipelining", HopliteOptions(enable_pipelining=False)),
+        ("no-relay", HopliteOptions(enable_dynamic_broadcast=False)),
+        (
+            "neither",
+            HopliteOptions(enable_pipelining=False, enable_dynamic_broadcast=False),
+        ),
+    ):
+        for label, collective, nodes, nbytes, arrivals in (
+            ("p2p-1GB", "p2p", 2, 1024 * MB, 0.0),
+            ("bcast-8-64MB", "broadcast", 8, 64 * MB, 0.0),
+            ("bcast-16-256MB-0.01s", "broadcast", 16, 256 * MB, 0.01),
+            ("reduce-8-64MB-0.01s", "reduce", 8, 64 * MB, 0.01),
+            ("allred-8-64MB", "allreduce", 8, 64 * MB, 0.0),
+        ):
+            latency, events = _measured(
+                collective, "hoplite", nodes, nbytes, arrivals=arrivals, options=options
+            )
+            parts.append((name, label, repr(latency), events))
+    return _digest(parts)
+
+
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fig7_flat": golden_fig7_cell,
     "fault_matrix_2rack": golden_fault_matrix_cell,
@@ -300,6 +337,7 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "perf_basket_events": golden_perf_basket_events_cell,
     "fuzz_band": golden_fuzz_band_cell,
     "grant_order": golden_grant_order_cell,
+    "ablations": golden_ablations_cell,
 }
 
 #: digests asserted by tests/test_golden_determinism.py.
@@ -327,4 +365,8 @@ RECORDED_DIGESTS = {
     # MultiRequests: the same (when, seq) pops, with the 512 plain-request
     # grants now named MultiRequest.
     "grant_order": "073a0dedab14090dc249ea71ca9f999d113b14e148c76b507e227474b73ed7f6",
+    # The ablation paths' latencies and event counts, recorded before the
+    # five block loops (whole-object sends, local copies, the Put copy-in,
+    # the broadcast pull and the reduce partial stream) became one.
+    "ablations": "4d0e3228d48e0a7989ba647957f224d55a87a1b7fe0b56803a8f6e344d934df6",
 }

@@ -18,9 +18,10 @@ paper's comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.net.cluster import Cluster
+from repro.net.coalesce import nic_path_links, register_stream, unregister_stream
 from repro.net.config import NetworkConfig
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
@@ -97,6 +98,8 @@ class StaticOperation:
 
     #: whether the operation can start before every rank has arrived.
     requires_full_group = True
+    #: the rank virtual ranks count from (rooted operations set their own).
+    root = 0
 
     def __init__(self, group: CollectiveGroup, nbytes: int):
         if nbytes < 0:
@@ -138,6 +141,13 @@ class StaticOperation:
         raise NotImplementedError
 
     # -- helpers for subclasses --------------------------------------------------
+    def _vrank(self, rank: int) -> int:
+        """``rank``'s position counted from :attr:`root`."""
+        return (rank - self.root) % self.group.size
+
+    def _rank_of_vrank(self, vrank: int) -> int:
+        return (vrank + self.root) % self.group.size
+
     def mark_data_ready(self, rank: int) -> None:
         event = self._data_ready[rank]
         if not event.triggered:
@@ -158,27 +168,42 @@ class StaticOperation:
             self.flow(src_rank, dst_rank),
         )
 
-    def send_segmented(self, src_rank: int, dst_rank: int, ready_blocks=None) -> Generator:
-        """Send the payload block by block, optionally gated on per-block readiness.
+    def send_segmented(
+        self,
+        src_rank: int,
+        dst_rank: int,
+        ready_blocks: Optional[Callable[[int], Event]] = None,
+        arrived: Optional[Sequence[Event]] = None,
+        flow: Optional[Flow] = None,
+        nbytes: Optional[int] = None,
+    ) -> Generator:
+        """Send ``nbytes`` (the op's payload by default) block by block.
 
-        ``ready_blocks`` is an optional callable ``block_index -> Event`` used
-        to pipeline through intermediate ranks.
+        ``ready_blocks`` is an optional callable ``block_index -> Event``
+        that gates each block, to pipeline through intermediate ranks;
+        ``arrived`` holds one event per block, succeeded as the block lands.
+        ``flow`` defaults to :meth:`flow`.  The static schedules stay
+        per-block: through ``stream_blocks`` they would coalesce, and their
+        pinned kernel event counts would move.
         """
-        from repro.net.coalesce import nic_path_links, register_stream, unregister_stream
-
+        config = self.config
         src = self.group.node_of_rank(src_rank)
         dst = self.group.node_of_rank(dst_rank)
-        flow = self.flow(src_rank, dst_rank)
-        total = self.config.num_blocks(self.nbytes)
+        if flow is None:
+            flow = self.flow(src_rank, dst_rank)
+        if nbytes is None:
+            nbytes = self.nbytes
         links = nic_path_links(src, dst)
         register_stream(links)
         try:
-            for index in range(total):
+            for index in range(config.num_blocks(nbytes)):
                 if ready_blocks is not None:
                     yield ready_blocks(index)
                 yield from transfer_block(
-                    self.config, src, dst, self.config.block_bytes(self.nbytes, index), flow
+                    config, src, dst, config.block_bytes(nbytes, index), flow
                 )
+                if arrived is not None and not arrived[index].triggered:
+                    arrived[index].succeed(self.sim.now)
         finally:
             unregister_stream(links)
         return self.sim.now

@@ -66,33 +66,18 @@ class RingAllreduce(StaticOperation):
                 yield self._chunk_arrived[(rank, step - 1)]
                 if step <= reduce_steps:
                     yield self.sim.timeout(self.config.reduce_compute_time(chunk))
-            flow = self.flow(rank, next_rank)
-            if self.chunked:
-                yield from self._send_chunk_segmented(node, next_node, chunk, flow)
-            else:
-                yield from transfer_bytes(self.config, node, next_node, chunk, flow)
+            if not self.chunked:
+                yield from transfer_bytes(
+                    self.config, node, next_node, chunk, self.flow(rank, next_rank)
+                )
+            elif chunk > 0:
+                yield from self.send_segmented(rank, next_rank, nbytes=chunk)
             arrived = self._chunk_arrived[(next_rank, step)]
             if not arrived.triggered:
                 arrived.succeed(self.sim.now)
         # Wait for the last chunk addressed to us.
         yield self._chunk_arrived[(rank, total_steps - 1)]
         self.mark_data_ready(rank)
-
-    def _send_chunk_segmented(self, src: Node, dst: Node, chunk: int, flow) -> Generator:
-        from repro.net.coalesce import nic_path_links, register_stream, unregister_stream
-        from repro.net.transport import transfer_block
-
-        remaining = chunk
-        block = min(self.config.block_size, chunk)
-        links = nic_path_links(src, dst)
-        register_stream(links)
-        try:
-            while remaining > 0:
-                nbytes = min(block, remaining)
-                yield from transfer_block(self.config, src, dst, nbytes, flow)
-                remaining -= nbytes
-        finally:
-            unregister_stream(links)
 
 
 class FlatBroadcast(StaticOperation):

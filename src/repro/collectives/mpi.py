@@ -30,8 +30,7 @@ from repro.collectives.base import (
 )
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
-from repro.net.coalesce import nic_path_links, register_stream, unregister_stream
-from repro.net.transport import transfer_block, transfer_bytes
+from repro.net.transport import transfer_bytes
 from repro.sim import Event
 
 
@@ -56,63 +55,11 @@ def binomial_parent(vrank: int) -> Optional[int]:
     return vrank & (vrank - 1)
 
 
-class BinomialBroadcast(StaticOperation):
-    """Segment-pipelined binomial-tree broadcast."""
+class _PipelinedBroadcast(StaticOperation):
+    """Segment-pipelined broadcast down a static tree rooted at ``root``.
 
-    requires_full_group = False
-
-    def __init__(self, group: CollectiveGroup, nbytes: int, root: int = 0):
-        super().__init__(group, nbytes)
-        self.root = root
-        total_blocks = self.config.num_blocks(self.nbytes)
-        self._block_ready: list[list[Event]] = [
-            [Event(self.sim) for _ in range(total_blocks)] for _ in range(group.size)
-        ]
-
-    def _vrank(self, rank: int) -> int:
-        return (rank - self.root) % self.group.size
-
-    def _rank_of_vrank(self, vrank: int) -> int:
-        return (vrank + self.root) % self.group.size
-
-    def _participate(self, rank: int, node: Node) -> Generator:
-        vrank = self._vrank(rank)
-        total_blocks = self.config.num_blocks(self.nbytes)
-        if vrank == 0:
-            for block in self._block_ready[rank]:
-                if not block.triggered:
-                    block.succeed(self.sim.now)
-            self.mark_data_ready(rank)
-            return
-        parent_rank = self._rank_of_vrank(binomial_parent(vrank))
-        parent_node = self.group.node_of_rank(parent_rank)
-        flow = self.flow(parent_rank, rank)
-        links = nic_path_links(parent_node, node)
-        register_stream(links)
-        try:
-            for index in range(total_blocks):
-                yield self._block_ready[parent_rank][index]
-                yield from transfer_block(
-                    self.config,
-                    parent_node,
-                    node,
-                    self.config.block_bytes(self.nbytes, index),
-                    flow,
-                )
-                if not self._block_ready[rank][index].triggered:
-                    self._block_ready[rank][index].succeed(self.sim.now)
-        finally:
-            unregister_stream(links)
-        self.mark_data_ready(rank)
-
-
-class PipelineChainBroadcast(StaticOperation):
-    """Segment-pipelined chain broadcast (OpenMPI's large-message algorithm).
-
-    Ranks form a chain in rank order starting at the root; each rank forwards
-    blocks to its successor as soon as it has received them.  For very large
-    payloads this approaches ``S/B`` regardless of the group size, which is
-    why OpenMPI's tuned decision rules pick it over the binomial tree.
+    Each rank receives every block from its upstream rank as soon as that
+    rank holds it; subclasses choose the tree through :meth:`_upstream`.
     """
 
     requires_full_group = False
@@ -125,41 +72,45 @@ class PipelineChainBroadcast(StaticOperation):
             [Event(self.sim) for _ in range(total_blocks)] for _ in range(group.size)
         ]
 
-    def _vrank(self, rank: int) -> int:
-        return (rank - self.root) % self.group.size
-
-    def _rank_of_vrank(self, vrank: int) -> int:
-        return (vrank + self.root) % self.group.size
+    def _upstream(self, vrank: int) -> int:  # pragma: no cover
+        raise NotImplementedError
 
     def _participate(self, rank: int, node: Node) -> Generator:
         vrank = self._vrank(rank)
-        total_blocks = self.config.num_blocks(self.nbytes)
         if vrank == 0:
             for block in self._block_ready[rank]:
                 if not block.triggered:
                     block.succeed(self.sim.now)
             self.mark_data_ready(rank)
             return
-        predecessor_rank = self._rank_of_vrank(vrank - 1)
-        predecessor_node = self.group.node_of_rank(predecessor_rank)
-        flow = self.flow(predecessor_rank, rank)
-        links = nic_path_links(predecessor_node, node)
-        register_stream(links)
-        try:
-            for index in range(total_blocks):
-                yield self._block_ready[predecessor_rank][index]
-                yield from transfer_block(
-                    self.config,
-                    predecessor_node,
-                    node,
-                    self.config.block_bytes(self.nbytes, index),
-                    flow,
-                )
-                if not self._block_ready[rank][index].triggered:
-                    self._block_ready[rank][index].succeed(self.sim.now)
-        finally:
-            unregister_stream(links)
+        upstream = self._rank_of_vrank(self._upstream(vrank))
+        yield from self.send_segmented(
+            upstream,
+            rank,
+            ready_blocks=self._block_ready[upstream].__getitem__,
+            arrived=self._block_ready[rank],
+        )
         self.mark_data_ready(rank)
+
+
+class BinomialBroadcast(_PipelinedBroadcast):
+    """Segment-pipelined binomial-tree broadcast."""
+
+    def _upstream(self, vrank: int) -> int:
+        return binomial_parent(vrank)
+
+
+class PipelineChainBroadcast(_PipelinedBroadcast):
+    """Segment-pipelined chain broadcast (OpenMPI's large-message algorithm).
+
+    Ranks form a chain in rank order starting at the root; each rank forwards
+    blocks to its successor as soon as it has received them.  For very large
+    payloads this approaches ``S/B`` regardless of the group size, which is
+    why OpenMPI's tuned decision rules pick it over the binomial tree.
+    """
+
+    def _upstream(self, vrank: int) -> int:
+        return vrank - 1
 
 
 class BinaryTreeReduce(StaticOperation):
@@ -178,12 +129,6 @@ class BinaryTreeReduce(StaticOperation):
         #: per (parent, child), per block: the child's block arrived at parent.
         self._arrived: dict[tuple[int, int], list[Event]] = {}
 
-    def _vrank(self, rank: int) -> int:
-        return (rank - self.root) % self.group.size
-
-    def _rank_of_vrank(self, vrank: int) -> int:
-        return (vrank + self.root) % self.group.size
-
     def _children(self, vrank: int) -> list[int]:
         children = []
         for child in (2 * vrank + 1, 2 * vrank + 2):
@@ -192,31 +137,17 @@ class BinaryTreeReduce(StaticOperation):
         return children
 
     def _pull_child(self, rank: int, child_rank: int) -> Generator:
-        node = self.group.node_of_rank(rank)
-        child_node = self.group.node_of_rank(child_rank)
-        total_blocks = self.config.num_blocks(self.nbytes)
-        arrived = self._arrived[(rank, child_rank)]
         # Partial results moving up the static tree are reduce-partial class,
         # like Hoplite's dynamic-tree streams.
-        flow = Flow(
-            f"{type(self).__name__}:{child_rank}->{rank}", FlowClass.REDUCE_PARTIAL
+        yield from self.send_segmented(
+            child_rank,
+            rank,
+            ready_blocks=self._partial_ready[child_rank].__getitem__,
+            arrived=self._arrived[(rank, child_rank)],
+            flow=Flow(
+                f"{type(self).__name__}:{child_rank}->{rank}", FlowClass.REDUCE_PARTIAL
+            ),
         )
-        links = nic_path_links(child_node, node)
-        register_stream(links)
-        try:
-            for index in range(total_blocks):
-                yield self._partial_ready[child_rank][index]
-                yield from transfer_block(
-                    self.config,
-                    child_node,
-                    node,
-                    self.config.block_bytes(self.nbytes, index),
-                    flow,
-                )
-                if not arrived[index].triggered:
-                    arrived[index].succeed(self.sim.now)
-        finally:
-            unregister_stream(links)
 
     def _participate(self, rank: int, node: Node) -> Generator:
         vrank = self._vrank(rank)

@@ -25,15 +25,10 @@ from repro.core.gather import (
     ReduceScatterResult,
 )
 from repro.core.reduce import ReduceResult, adopt_or_create_reduction
-from repro.net.coalesce import (
-    build_copy_run,
-    coalesce_eligible,
-    register_stream,
-    unregister_stream,
-)
+from repro.net.coalesce import register_stream, unregister_stream
 from repro.net.flowsched import Flow
 from repro.net.node import Node
-from repro.net.transport import NodeFailedError, local_copy, local_copy_block
+from repro.net.transport import NodeFailedError, local_copy, stream_blocks
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,7 +79,7 @@ class HopliteClient:
             yield from directory.publish_partial(
                 self.node, object_id, value.size, upstream=None
             )
-            # The first block is copied per-block on purpose.  Puts that
+            # The first block is copied per-block on purpose (``first_run=1``).  Puts that
             # start in the same instant on one node (an alltoall's copy-ins)
             # all contend for its memcpy channel at once; a run started at
             # block 0 would be contested immediately, and its re-split would
@@ -95,27 +90,13 @@ class HopliteClient:
             # a contest, a parked waiter or a node failure re-splits it back
             # to per-block.  The loop resumes from ``entry.blocks_ready``
             # because a re-Put can land in a partial entry.
-            config = self.config
             node = self.node
             links = [(node.memcpy_channel, None)]
             register_stream(links)
             try:
-                while entry.blocks_ready < entry.num_blocks:
-                    block_index = entry.blocks_ready
-                    if (
-                        block_index > 0
-                        and entry.num_blocks - block_index >= 2
-                        and not entry._no_coalesce
-                        and coalesce_eligible(links, node, node)
-                    ):
-                        run = build_copy_run(
-                            config, node, value.size, block_index, links, entry
-                        )
-                        yield from run.run()
-                        continue
-                    nbytes = config.block_bytes(value.size, block_index)
-                    yield from local_copy_block(config, node, nbytes)
-                    entry.mark_block_ready(block_index)
+                yield from stream_blocks(
+                    self.config, node, node, links, value.size, None, entry=entry, first_run=1
+                )
             finally:
                 unregister_stream(links)
             entry.seal(value.payload)

@@ -17,18 +17,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.net.coalesce import (
-    build_pull_run,
-    coalesce_eligible,
-    input_coverage,
-    nic_path_links,
-    register_stream,
-    unregister_stream,
-)
-from repro.net.errors import FailureRace, race_failure
+from repro.net.coalesce import nic_path_links, register_stream, unregister_stream
+from repro.net.errors import _check_alive, race_failure
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
-from repro.net.transport import TransferError, transfer_block, transfer_bytes
+from repro.net.transport import TransferError, stream_blocks, transfer_bytes
 from repro.store.object_store import StoredObject
 from repro.store.objects import ObjectID
 
@@ -179,10 +172,7 @@ def _pull_blocks(
     even if the source copy is still incomplete.  Without pipelining the
     source must be complete first.
     """
-    config = runtime.config
-    sim = runtime.sim
-    source_store = runtime.store(source_node)
-    source_entry = source_store.try_get_entry(object_id)
+    source_entry = runtime.store(source_node).try_get_entry(object_id)
     if source_entry is None:
         raise TransferError(
             f"source node {source_node.node_id} no longer holds {object_id}",
@@ -197,64 +187,18 @@ def _pull_blocks(
     try:
         if not runtime.options.enable_pipelining:
             yield from race_failure(source_entry.wait_sealed(), (source_node,))
-            _ensure_alive(source_node)
-
-        while entry.blocks_ready < entry.num_blocks:
-            block_index = entry.blocks_ready
-            # Coalesced fast path: every block the source already holds, in
-            # one timeline event — exact per-block semantics guaranteed by
-            # the run's virtual holds and re-splitting (see net/coalesce).
-            # The horizon adds, for the relay cascade, the blocks the
-            # source's own coalesced run will deliver at known instants.
-            horizon = input_coverage(source_entry, entry.num_blocks)
-            if (
-                horizon - block_index >= 2
-                and not entry._no_coalesce
-                and coalesce_eligible(links, source_node, dest_node)
-            ):
-                run = build_pull_run(
-                    config,
-                    source_node,
-                    dest_node,
-                    flow,
-                    links,
-                    source_entry,
-                    entry,
-                    block_index,
-                    horizon,
-                )
-                yield from run.run()
-                continue
-            if (
-                source_entry._inflight is not None
-                and source_entry.blocks_ready <= block_index
-            ):
-                # This pull is about to park on the source's arithmetic
-                # schedule outside a coalesced run of its own (contended
-                # links, or a schedule tail too short to coalesce).  Its
-                # resume order against competing flows matters — and links
-                # can become contended while parked — so the source's marks
-                # must be delivered per-block from here on.
-                source_entry.decoalesce()
-            race = FailureRace(
-                source_entry.wait_for_blocks(block_index + 1), (source_node,)
-            )
-            try:
-                yield race
-            finally:
-                race.cancel()
-            _ensure_alive(source_node)
-            nbytes = config.block_bytes(entry.size, block_index)
-            yield from transfer_block(config, source_node, dest_node, nbytes, flow)
-            entry.mark_block_ready(block_index)
+            _check_alive(source_node)
+        yield from stream_blocks(
+            runtime.config,
+            source_node,
+            dest_node,
+            links,
+            entry.size,
+            flow,
+            entry=entry,
+            source=source_entry,
+            watch=(source_node,),
+        )
     finally:
         unregister_stream(links)
         source_entry.ref_count -= 1
-    # Touch the sim clock so zero-block objects still take a well-defined path.
-    if entry.num_blocks == 0:  # pragma: no cover - num_blocks is always >= 1
-        yield sim.timeout(0)
-
-
-def _ensure_alive(peer: Node) -> None:
-    if not peer.alive:
-        raise TransferError(f"node {peer.node_id} failed during transfer", node=peer)

@@ -29,18 +29,16 @@ from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.coalesce import (
     ComputeRun,
-    build_pull_run,
-    coalesce_eligible,
     input_coverage,
     nic_path_links,
     ready_time_of,
     register_stream,
     unregister_stream,
 )
-from repro.net.errors import FailureRace, race_failure
+from repro.net.errors import race_failure
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
-from repro.net.transport import TransferError, local_copy_block, transfer_block
+from repro.net.transport import TransferError, stream_blocks, transfer_block
 from repro.sim import Event, Interrupt, Process
 from repro.store.object_store import StoredObject
 from repro.store.objects import ObjectID, ReduceOp
@@ -872,59 +870,18 @@ class ReduceExecution:
             else:
                 links = nic_path_links(child_node, parent_node)
             register_stream(links)
-            config_ = self.runtime.config
             try:
-                while staging.blocks_ready < staging.num_blocks:
-                    block_index = staging.blocks_ready
-                    # Coalesced fast path (see _pull_blocks): stream every
-                    # block the child holds — or will produce on a known
-                    # schedule (cascade) — as one timeline event.
-                    horizon = input_coverage(child_entry, staging.num_blocks)
-                    run_src = parent_node if same_node else child_node
-                    if (
-                        horizon - block_index >= 2
-                        and not staging._no_coalesce
-                        and coalesce_eligible(links, run_src, parent_node)
-                    ):
-                        run = build_pull_run(
-                            config_,
-                            run_src,
-                            parent_node,
-                            flow,
-                            links,
-                            child_entry,
-                            staging,
-                            block_index,
-                            horizon,
-                            local_copy=same_node,
-                        )
-                        yield from run.run()
-                        continue
-                    if (
-                        child_entry._inflight is not None
-                        and child_entry.blocks_ready <= block_index
-                    ):
-                        # About to park outside a coalesced run: per-block
-                        # mark ordering required (see _pull_blocks).
-                        child_entry.decoalesce()
-                    race = FailureRace(
-                        child_entry.wait_for_blocks(block_index + 1),
-                        (child_node, parent_node),
-                    )
-                    try:
-                        yield race
-                    finally:
-                        race.cancel()
-                    if not child_node.alive or not parent_node.alive:
-                        raise TransferError("peer failed during reduce stream", node=child_node)
-                    nbytes = config.block_bytes(staging.size, block_index)
-                    if same_node:
-                        yield from local_copy_block(config, parent_node, nbytes)
-                    else:
-                        yield from transfer_block(
-                            config, child_node, parent_node, nbytes, flow
-                        )
-                    staging.mark_block_ready(block_index)
+                yield from stream_blocks(
+                    config,
+                    parent_node if same_node else child_node,
+                    parent_node,
+                    links,
+                    staging.size,
+                    flow,
+                    entry=staging,
+                    source=child_entry,
+                    watch=(child_node, parent_node),
+                )
                 yield from race_failure(
                     child_entry.wait_sealed(), (child_node, parent_node)
                 )

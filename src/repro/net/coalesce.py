@@ -36,6 +36,10 @@ both endpoints alive, at least two blocks available to move, and the
 cluster built with fast paths on (``Cluster(fast_paths=True)``, the
 default).  Anything else falls back to the per-block path, whose behaviour
 is the definition of correct.
+
+One loop starts runs, :func:`repro.net.transport.stream_blocks`, and one
+builder makes them, :func:`build_run`.  A reduce slot's combine loop is the
+other coalesced timeline here (:class:`ComputeRun`): it holds no link.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.errors import NodeFailedError
 from repro.net.fastpath import stats_for
-from repro.net.flowsched import DEFAULT_FLOW
+from repro.net.flowsched import DEFAULT_FLOW, path_latency, path_transmission_time
 from repro.sim.core import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,10 +148,9 @@ class InflightSchedule:
 class CoalescedRun:
     """Drive ``n`` consecutive blocks of one flow as a single timeline event.
 
-    Built by ``transfer_bytes`` / ``local_copy``, the pull fast path and
-    the Put copy-in after :func:`coalesce_eligible` held.  The run is its
-    own virtual hold object (``occupied`` / ``on_contest``) for every
-    claimed link.
+    Built by :func:`build_run`, for ``stream_blocks`` after
+    :func:`coalesce_eligible` held.  The run is its own virtual hold object
+    (``occupied`` / ``on_contest``) for every claimed link.
     """
 
     __slots__ = (
@@ -518,10 +521,11 @@ class CoalescedRun:
 def register_stream(links: Sequence[tuple["Resource", object]]) -> None:
     """Announce a multi-block transfer stream on its claim set.
 
-    Every multi-block loop (pulls, whole-object sends, reduce partial
-    streams, segmented static chains, local copies, the pipelined Put
-    copy-in) brackets itself with ``register_stream`` /
-    ``unregister_stream``.  Two purposes:
+    Every multi-block loop brackets itself with ``register_stream`` /
+    ``unregister_stream``: each caller of ``stream_blocks`` (whole-object
+    sends and local copies, the Put copy-in, the broadcast pull, the
+    reduce partial stream) and the static baselines' per-block
+    ``StaticOperation.send_segmented``.  Two purposes:
 
     * a coalesced run starts only on links it has to itself
       (:func:`coalesce_eligible` checks ``_streams == 1``) — per-block
@@ -801,89 +805,59 @@ def coalesce_eligible(
     return True
 
 
-def build_pull_run(
+def build_run(
     config,
     src: "Node",
     dst: "Node",
     flow: Optional["Flow"],
     links: Sequence[tuple["Resource", Optional["LinkScheduler"]]],
-    source_entry: "StoredObject",
-    entry: "StoredObject",
-    block_index: int,
-    horizon: int,
-    local_copy: bool = False,
+    nbytes: int,
+    index: int,
+    end: int,
+    entry: Optional["StoredObject"] = None,
+    source: Optional["StoredObject"] = None,
 ) -> CoalescedRun:
-    """The coalesced run for blocks ``[block_index, horizon)`` of one pull.
+    """The coalesced run for blocks ``[index, end)`` of one ``nbytes`` stream.
 
-    Shared by the broadcast pull loop and the reduce partial stream: derives
-    the relay cascade (``ready_times`` from the source's in-flight schedule
-    for blocks it has not produced yet), the per-block sizes/times (NIC path
-    or local memcpy), and wires the destination entry for arithmetic marks.
-    The caller has already checked :func:`coalesce_eligible`,
-    ``entry._no_coalesce``, and that ``horizon - block_index >= 2``.
+    The only place a :class:`CoalescedRun` is built.  A local copy
+    (``src is dst``) is timed by the memcpy channel, a move between nodes by
+    its NIC path.  With a ``source`` entry, blocks it has not produced yet
+    are gated on its in-flight schedule (the relay cascade); with an
+    ``entry``, the run's marks ride an :class:`InflightSchedule` on it.  The
+    caller has already checked :func:`coalesce_eligible`, the entry's
+    ``_no_coalesce`` and that ``end - index >= 2``.
     """
-    from repro.net.flowsched import path_latency, path_transmission_time
-
-    avail = min(source_entry.blocks_ready, horizon)
-    src_schedule = source_entry._inflight if horizon > avail else None
     ready_times = None
-    if src_schedule is not None:
-        arrivals = src_schedule.arrivals
-        src_base = src_schedule.base
-        ready_times = [
-            0.0 if idx < avail else arrivals[idx - src_base]
-            for idx in range(block_index, horizon)
-        ]
-    sizes = [config.block_bytes(entry.size, j) for j in range(block_index, horizon)]
-    if local_copy:
+    src_schedule = None
+    if source is not None:
+        avail = min(source.blocks_ready, end)
+        src_schedule = source._inflight if end > avail else None
+        if src_schedule is not None:
+            arrivals = src_schedule.arrivals
+            src_base = src_schedule.base
+            ready_times = [
+                0.0 if idx < avail else arrivals[idx - src_base] for idx in range(index, end)
+            ]
+    sizes = [config.block_bytes(nbytes, j) for j in range(index, end)]
+    if src is dst:
         tx = [config.memcpy_time(nb) for nb in sizes]
         latency = 0.0
     else:
         tx = [path_transmission_time(config, src, dst, nb) for nb in sizes]
         latency = path_latency(config, src, dst)
     return CoalescedRun(
-        dst.sim,
+        src.sim,
         src,
         dst,
-        flow,
+        flow or DEFAULT_FLOW,
         sizes,
         tx,
         latency,
         links,
         entry=entry,
-        base=block_index,
+        base=index,
         ready_times=ready_times,
         src_schedule=src_schedule,
-    )
-
-
-def build_copy_run(
-    config,
-    node: "Node",
-    nbytes: int,
-    index: int,
-    links: Sequence[tuple["Resource", Optional["LinkScheduler"]]],
-    entry: Optional["StoredObject"] = None,
-) -> CoalescedRun:
-    """The coalesced run for blocks ``[index, end)`` of one local copy.
-
-    Shared by ``local_copy`` and the Put copy-in, which passes its store
-    ``entry`` so the block marks ride an :class:`InflightSchedule`.  The
-    caller has already checked :func:`coalesce_eligible` and that at least
-    two blocks remain.
-    """
-    sizes = [config.block_bytes(nbytes, j) for j in range(index, config.num_blocks(nbytes))]
-    return CoalescedRun(
-        node.sim,
-        node,
-        node,
-        None,
-        sizes,
-        [config.memcpy_time(nb) for nb in sizes],
-        0.0,
-        links,
-        entry=entry,
-        base=index,
     )
 
 

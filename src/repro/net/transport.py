@@ -1,6 +1,6 @@
 """Block-granularity data movement between nodes and inside nodes.
 
-The transfer primitives are generator functions meant to be driven by the
+The transfer primitives return generators meant to be driven by the
 simulation kernel (``yield from transfer_bytes(...)`` inside a process).
 
 Model
@@ -32,9 +32,21 @@ Reservations are the only way a block crosses a link:
 re-exported here so protocol code imports every data-movement primitive
 from one module.
 
+One stream
+----------
+Every multi-block move runs one loop, :func:`stream_blocks`, which moves two
+or more eligible blocks as one coalesced run (:mod:`repro.net.coalesce`)
+and anything else block by block.  It has three shapes: a whole object
+(:func:`transfer_bytes`, :func:`local_copy`); a stream into a store entry
+that marks each block as it lands (the Put copy-in); and a stream from a
+source entry that also gates each block on the source holding it (the
+broadcast pull and the reduce partial stream).  Each caller registers the
+stream's links around it (:func:`~repro.net.coalesce.register_stream`).
+
 Zero-byte moves — remote or local — complete immediately at the current
 simulated time: no link slot, no serialization, no propagation latency, the
-same contract for :func:`transfer_bytes` and :func:`local_copy`.
+same contract for :func:`transfer_bytes` and :func:`local_copy`.  A stream
+into an entry always moves the entry's blocks, at least one.
 
 Failures
 --------
@@ -48,26 +60,23 @@ source — exactly like a broken TCP connection being noticed by its peer.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.coalesce import (
-    CoalescedRun,
-    build_copy_run,
+    build_run,
     coalesce_eligible,
+    input_coverage,
     nic_path_links,
     register_stream,
     unregister_stream,
 )
 from repro.net.config import NetworkConfig
-from repro.net.errors import NodeFailedError, TransferError, _check_alive
-from repro.net.flowsched import (
-    DEFAULT_FLOW,
-    Flow,
-    path_latency,
-    path_transmission_time,
-    transfer_block,
-)
+from repro.net.errors import FailureRace, NodeFailedError, TransferError, _check_alive
+from repro.net.flowsched import Flow, transfer_block
 from repro.net.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store.object_store import StoredObject
 
 __all__ = [
     "TransferError",
@@ -76,6 +85,7 @@ __all__ = [
     "transfer_bytes",
     "local_copy",
     "local_copy_block",
+    "stream_blocks",
 ]
 
 
@@ -90,44 +100,10 @@ def transfer_bytes(
 
     This is the non-pipelined building block: the caller observes completion
     only once every block has arrived.  Pipelined consumers drive
-    :func:`transfer_block` themselves so they can observe per-block progress.
-    Zero-byte moves complete immediately (see the module docstring).
+    :func:`stream_blocks` themselves, with the entry they fill.  Zero-byte
+    moves complete immediately (see the module docstring).
     """
-    sim = src.sim
-    if nbytes <= 0:
-        _check_alive(src, dst)
-        return sim.now
-    total_blocks = config.num_blocks(nbytes)
-    links = nic_path_links(src, dst)
-    register_stream(links)
-    try:
-        index = 0
-        while index < total_blocks:
-            # Coalesced fast path: the rest of the object in one timeline
-            # event when this stream has the whole path to itself (see
-            # net/coalesce for the exactness argument); any disturbance
-            # re-splits back to per-block.
-            if total_blocks - index >= 2 and coalesce_eligible(links, src, dst):
-                sizes = [config.block_bytes(nbytes, i) for i in range(index, total_blocks)]
-                run = CoalescedRun(
-                    sim,
-                    src,
-                    dst,
-                    flow or DEFAULT_FLOW,
-                    sizes,
-                    [path_transmission_time(config, src, dst, nb) for nb in sizes],
-                    path_latency(config, src, dst),
-                    links,
-                )
-                index += yield from run.run()
-                continue
-            yield from transfer_block(
-                config, src, dst, config.block_bytes(nbytes, index), flow
-            )
-            index += 1
-    finally:
-        unregister_stream(links)
-    return sim.now
+    return _stream_object(config, src, dst, nic_path_links(src, dst), nbytes, flow)
 
 
 def local_copy_block(config: NetworkConfig, node: Node, nbytes: int) -> Generator:
@@ -151,22 +127,98 @@ def local_copy(config: NetworkConfig, node: Node, nbytes: int) -> Generator:
     Zero-byte copies complete immediately — the same contract as
     :func:`transfer_bytes`.
     """
-    sim = node.sim
+    return _stream_object(config, node, node, [(node.memcpy_channel, None)], nbytes, None)
+
+
+def _stream_object(
+    config: NetworkConfig,
+    src: Node,
+    dst: Node,
+    links: list,
+    nbytes: int,
+    flow: Optional[Flow],
+) -> Generator:
+    """One whole-object stream with no entry: register, stream, unregister."""
     if nbytes <= 0:
-        _check_alive(node)
-        return sim.now
-    total_blocks = config.num_blocks(nbytes)
-    links = [(node.memcpy_channel, None)]
+        _check_alive(src, dst)
+        return src.sim.now
     register_stream(links)
     try:
-        index = 0
-        while index < total_blocks:
-            if total_blocks - index >= 2 and coalesce_eligible(links, node, node):
-                run = build_copy_run(config, node, nbytes, index, links)
-                index += yield from run.run()
-                continue
-            yield from local_copy_block(config, node, config.block_bytes(nbytes, index))
-            index += 1
+        yield from stream_blocks(config, src, dst, links, nbytes, flow)
     finally:
         unregister_stream(links)
-    return sim.now
+    return src.sim.now
+
+
+def stream_blocks(
+    config: NetworkConfig,
+    src: Node,
+    dst: Node,
+    links: list,
+    nbytes: int,
+    flow: Optional[Flow],
+    entry: Optional["StoredObject"] = None,
+    source: Optional["StoredObject"] = None,
+    watch: Sequence[Node] = (),
+    first_run: int = 0,
+) -> Generator:
+    """Move the blocks of one ``nbytes`` object from ``src`` to ``dst``.
+
+    The one block loop of the data path.  ``links`` is the stream's claim
+    set, which the caller has registered (:func:`register_stream`).  While
+    two or more blocks from ``first_run`` on are eligible the rest moves as
+    one :class:`~repro.net.coalesce.CoalescedRun`; otherwise one block
+    moves at a time, by :func:`local_copy_block` when ``src is dst`` and by
+    :func:`transfer_block` when they differ.
+
+    With an ``entry`` the stream resumes at its ``blocks_ready`` and marks
+    every block that lands; it always runs the entry's ``num_blocks`` (at
+    least one).  With a ``source`` entry block ``k`` moves only once the
+    source holds it: the stream waits on ``source.wait_for_blocks(k + 1)``,
+    raced against the failure of the ``watch`` nodes, and raises
+    :class:`NodeFailedError` if one of them died.
+    """
+    if entry is None:
+        total, index = config.num_blocks(nbytes), 0
+    else:
+        total, index = entry.num_blocks, entry.blocks_ready
+    while index < total:
+        # Coalesced fast path: the rest of the object — or, from a source,
+        # every block it holds or will produce on a known schedule (the
+        # relay cascade) — in one timeline event, when this stream has its
+        # links to itself (see net/coalesce for the exactness argument);
+        # any disturbance re-splits it back to per-block.
+        end = total if source is None else input_coverage(source, total)
+        if (
+            end - index >= 2
+            and index >= first_run
+            and (entry is None or not entry._no_coalesce)
+            and coalesce_eligible(links, src, dst)
+        ):
+            run = build_run(config, src, dst, flow, links, nbytes, index, end, entry, source)
+            moved = yield from run.run()
+        else:
+            if source is not None:
+                if source._inflight is not None and source.blocks_ready <= index:
+                    # About to park on the source's arithmetic schedule
+                    # outside a run of our own (contended links, or a tail
+                    # too short to coalesce).  Our resume order against
+                    # competing flows matters, and links can become
+                    # contended while parked, so the source's marks are
+                    # delivered per-block from here on.
+                    source.decoalesce()
+                race = FailureRace(source.wait_for_blocks(index + 1), watch)
+                try:
+                    yield race
+                finally:
+                    race.cancel()
+                _check_alive(*watch)
+            block = config.block_bytes(nbytes, index)
+            if src is dst:
+                yield from local_copy_block(config, src, block)
+            else:
+                yield from transfer_block(config, src, dst, block, flow)
+            if entry is not None:
+                entry.mark_block_ready(index)
+            moved = 1
+        index = index + moved if entry is None else entry.blocks_ready

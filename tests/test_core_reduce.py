@@ -13,6 +13,7 @@ from repro.core.reduce import (
     reduce_time_model,
     tree_depth,
 )
+from repro.bench.scenarios import collect_flow_usage
 from repro.net import Cluster, NetworkConfig
 from repro.net.flowsched import FlowClass
 from repro.obs.flight import timeline
@@ -224,11 +225,9 @@ def test_reduce_selects_chain_for_large_and_flat_for_small():
     assert small["result"].degree == 6
 
 
-def test_same_node_partials_stream_without_touching_the_network():
-    """A chain over two objects per node: the partial between the two objects
-    of one node streams through its memcpy channel, so the only partial on
-    the network is the one that crosses from node 1 to node 2."""
-    cluster = Cluster(num_nodes=3, network=NetworkConfig())
+def _same_node_chain(fast_paths):
+    """A degree-1 reduce over two objects on node 1 and two on node 2."""
+    cluster = Cluster(num_nodes=3, network=NetworkConfig(), fast_paths=fast_paths)
     cluster.enable_observability()
     runtime = HopliteRuntime(cluster, options=HopliteOptions(reduce_degree=1))
     sim = cluster.sim
@@ -247,18 +246,38 @@ def test_same_node_partials_stream_without_touching_the_network():
         value = yield from client.get(ObjectID.of("target"))
         outcome["result"] = result
         outcome["array"] = value.as_array()
+        outcome["time"] = sim.now
 
     for index in range(4):
         sim.process(producer(index))
     sim.process(reducer())
     cluster.run(until=600.0)
+    usage = collect_flow_usage(cluster)
+    del usage["events_processed"], usage["fastpath"]
+    return outcome, usage, timeline(cluster.flight), cluster
+
+
+@pytest.mark.parametrize("fast_paths", [True, False])
+def test_same_node_partials_stream_without_touching_the_network(fast_paths):
+    """A chain over two objects per node: the partial between the two objects
+    of one node streams through its memcpy channel, so the only partial on
+    the network is the one that crosses from node 1 to node 2.  The result
+    time, the flow usage and the flight timeline are the same with fast
+    paths on and off."""
+    outcome, usage, flight, cluster = _same_node_chain(fast_paths)
     assert np.allclose(outcome["array"], 1 + 2 + 3 + 4)
     assert outcome["result"].degree == 1
-    transfers, _computes = timeline(cluster.flight)
+    transfers, _computes = flight
     partials = {(t.src, t.dst) for t in transfers if t.flow.startswith("reduce:")}
     assert partials == {(1, 2)}
     assert cluster.node(1).uplink_sched.bytes_by_class[FlowClass.REDUCE_PARTIAL] == 32 * MB
     assert cluster.node(2).uplink_sched.bytes_by_class[FlowClass.REDUCE_PARTIAL] == 0
+    assert (cluster.fastpath_stats.counts["coalesced_runs"] > 0) == fast_paths
+
+    other, other_usage, other_flight, _ = _same_node_chain(not fast_paths)
+    assert outcome["time"] == other["time"]
+    assert usage == other_usage
+    assert flight == other_flight
 
 
 def test_runtime_degree_follows_the_model_over_one_two_and_flat():

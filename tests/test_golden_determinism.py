@@ -22,6 +22,7 @@ import pytest
 
 from repro.bench.digest import (
     RECORDED_DIGESTS as RECORDED,
+    golden_ablations_cell,
     golden_fault_matrix_cell,
     golden_fig7_cell,
     golden_fuzz_band_cell,
@@ -69,6 +70,12 @@ def test_golden_grant_order_matches_recorded_pops():
     """Every kernel pop ``(when, seq, event type)`` of a 16-node alltoall
     and allgather, so admission changes keep the dispatch order."""
     assert golden_grant_order_cell() == RECORDED["grant_order"]
+
+
+def test_golden_ablations_match_recorded_runs():
+    """The no-pipelining and no-relay paths, alone and together: latencies
+    and kernel event counts of p2p, broadcast, reduce and allreduce."""
+    assert golden_ablations_cell() == RECORDED["ablations"]
 
 
 @pytest.mark.parametrize("cell", ["fig7_flat", "fault_matrix_2rack"])
