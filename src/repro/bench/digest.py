@@ -328,6 +328,65 @@ def golden_ablations_cell() -> str:
     return _digest(parts)
 
 
+def _link_ledger(cluster) -> list:
+    """Every link scheduler's accumulators, busy time at full precision."""
+    scheds = [
+        (node.node_id, sched)
+        for node in cluster.nodes
+        for sched in (node.uplink_sched, node.downlink_sched)
+    ]
+    scheds.extend((-1, link.sched) for link in cluster.fabric.iter_links())
+    return [
+        (
+            node_id,
+            sched.direction,
+            repr(sched.busy_time),
+            sched.reservations_granted,
+            tuple(sorted((cls.name, count) for cls, count in sched.bytes_by_class.items())),
+        )
+        for node_id, sched in scheds
+    ]
+
+
+def golden_coalesced_accounting_cell() -> str:
+    """Per-link busy time, grants and bytes of the coalesced 1 GB pipelines.
+
+    The five cells of the ``pipeline`` benchmark workload (broadcast and
+    reduce at 64 nodes, broadcast, reduce and allreduce at 16 nodes with
+    arrivals 0.1 s apart) and a 256 MB broadcast on two racks of four at
+    2:1, whose claim sets include tier links.  Each run contributes its
+    latency, kernel events and every link's ledger.  The other cells hash
+    integer counters only; this one pins the float busy-time sums that a
+    coalesced run credits over hundreds of blocks.
+    """
+    from repro.bench.scenarios import Scenario, run
+
+    gb = 1024 * MB
+    parts: list = []
+    for label, scenario in (
+        ("bcast-64-1GB", Scenario("broadcast", "hoplite", 64, gb)),
+        ("reduce-64-1GB", Scenario("reduce", "hoplite", 64, gb)),
+        ("bcast-16-1GB-0.1s", Scenario("broadcast", "hoplite", 16, gb, arrivals=0.1)),
+        ("reduce-16-1GB-0.1s", Scenario("reduce", "hoplite", 16, gb, arrivals=0.1)),
+        ("allred-16-1GB-0.1s", Scenario("allreduce", "hoplite", 16, gb, arrivals=0.1)),
+        (
+            "bcast-2rack-256MB",
+            Scenario(
+                "broadcast",
+                "hoplite",
+                8,
+                256 * MB,
+                network=NetworkConfig(topology=Topology.racks(2, 4, oversubscription=2.0)),
+            ),
+        ),
+    ):
+        clusters: list = []
+        result = run(scenario, observe=clusters.append)
+        parts.append((label, repr(result["latency"]), result["events"]))
+        parts.extend(_link_ledger(clusters[0]))
+    return _digest(parts)
+
+
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fig7_flat": golden_fig7_cell,
     "fault_matrix_2rack": golden_fault_matrix_cell,
@@ -338,6 +397,7 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fuzz_band": golden_fuzz_band_cell,
     "grant_order": golden_grant_order_cell,
     "ablations": golden_ablations_cell,
+    "coalesced_accounting": golden_coalesced_accounting_cell,
 }
 
 #: digests asserted by tests/test_golden_determinism.py.
@@ -369,4 +429,7 @@ RECORDED_DIGESTS = {
     # five block loops (whole-object sends, local copies, the Put copy-in,
     # the broadcast pull and the reduce partial stream) became one.
     "ablations": "4d0e3228d48e0a7989ba647957f224d55a87a1b7fe0b56803a8f6e344d934df6",
+    # Per-link busy-time sums, grants and bytes of the coalesced pipelines,
+    # recorded before a run's link accounting was credited in bulk.
+    "coalesced_accounting": "d798a14dff1f491292813b8674166b58c9db62aa76f77215c25b8014fd20ded8",
 }

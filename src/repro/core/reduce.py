@@ -29,10 +29,11 @@ from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.coalesce import (
     ComputeRun,
+    arrival_times,
     input_coverage,
     nic_path_links,
-    ready_time_of,
     register_stream,
+    run_blocks,
     unregister_stream,
 )
 from repro.net.errors import race_failure
@@ -686,19 +687,18 @@ class ReduceExecution:
                         for entry in inputs:
                             horizon = input_coverage(entry, horizon)
                         if horizon - block_index >= 2:
-                            compute_times = []
-                            ready_times = []
-                            for k in range(block_index, horizon):
-                                nbytes = config.block_bytes(output.size, k)
-                                compute_times.append(
-                                    config.reduce_compute_time(nbytes) * weight
-                                )
-                                ready = 0.0
-                                for entry in inputs:
-                                    when = ready_time_of(entry, k)
-                                    if when > ready:
-                                        ready = when
-                                ready_times.append(ready)
+                            _, compute_times = run_blocks(
+                                config,
+                                output.size,
+                                block_index,
+                                horizon,
+                                lambda nbytes: config.reduce_compute_time(nbytes) * weight,
+                            )
+                            # A block is ready once every input holds it.
+                            columns = [
+                                arrival_times(entry, block_index, horizon) for entry in inputs
+                            ]
+                            ready_times = [max(times) for times in zip(*columns)]
                             run = ComputeRun(
                                 self.sim,
                                 node,

@@ -30,6 +30,15 @@ Exactness is the design constraint; three mechanisms preserve it:
   run are answered from the boundary arrays — the same values, at the same
   times, a per-block mark sequence would have produced.
 
+Cost model: a run costs O(1) kernel events and O(1) Python calls however
+many blocks it moves, besides one tight float recurrence over its
+boundaries (:func:`_boundaries`); its at most two block sizes are timed
+once each (:func:`run_blocks`).  It settles in bulk and stays exact: each
+link accumulator sees the per-block chain's float sequence (``busy_time``
+adds each ``e_j - s_j`` in block order), and the destination gets one mark
+for the whole range only when no progress waiter exists
+(``StoredObject.mark_blocks_ready``).  Flight records stay per block.
+
 Eligibility (:func:`coalesce_eligible`) is deliberately conservative: every
 claimed link must be idle with an empty queue and no other virtual hold,
 both endpoints alive, at least two blocks available to move, and the
@@ -45,7 +54,9 @@ other coalesced timeline here (:class:`ComputeRun`): it holds no link.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from functools import partial
+from operator import sub
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.net.errors import NodeFailedError
 from repro.net.fastpath import stats_for
@@ -60,6 +71,51 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: run states
 _VIRTUAL, _MATERIALIZED, _DONE = range(3)
+
+
+def _boundaries(
+    now: float, tx: Sequence[float], latency: float, ready_times: Optional[Sequence[float]]
+) -> tuple[list[float], list[float], list[float]]:
+    """Block boundaries ``(s, e, arr)`` with the per-block chain's floats:
+    ``e_j = s_j + tx_j``, ``arr_j = e_j + L``, ``s_{j+1} = max(arr_j, ready_j)``.
+
+    Without ``ready_times`` no block waits: ``s_{j+1} = arr_j``.
+    """
+    s, e, arr = [], [], []
+    t = now
+    for j, tx_j in enumerate(tx):
+        if ready_times is not None and ready_times[j] > t:
+            t = ready_times[j]
+        s.append(t)
+        t = t + tx_j
+        e.append(t)
+        t = t + latency
+        arr.append(t)
+    return s, e, arr
+
+
+class _Timeline:
+    """The driver's sleep shared by both run kinds: one exact-time wake-up
+    that a disturbance may cut short (:meth:`_wake_driver`)."""
+
+    __slots__ = ("sim", "_wake")
+
+    def _sleep(self, target: float) -> Event:
+        wake = Event(self.sim)
+        self._wake = wake
+        trigger = self.sim.wake_at(target)
+        trigger.callbacks = [lambda _ev, wake=wake: self._fire(wake)]
+        return wake
+
+    def _fire(self, wake: Event) -> None:
+        if wake is self._wake:
+            self._wake_driver()
+
+    def _wake_driver(self) -> None:
+        wake = self._wake
+        if wake is not None and wake._ok is None:
+            self._wake = None
+            wake.succeed()
 
 
 class InflightSchedule:
@@ -85,8 +141,9 @@ class InflightSchedule:
         #: the producing run (so a consumer can force a re-split).
         self.run = run
         #: downstream coalesced runs whose schedules were built from these
-        #: arrival times (relay cascade); truncation re-splits them too.
-        self.dependents: list["CoalescedRun"] = []
+        #: arrival times (relay cascade); truncation re-splits them too,
+        #: last attached first (an insertion-ordered set).
+        self.dependents: dict["CoalescedRun", None] = {}
         #: scheduled waiter firings: mutable ``[threshold, event, active]``.
         self.firings: list[list] = []
 
@@ -131,7 +188,7 @@ class InflightSchedule:
         if limit < self.limit:
             self.limit = limit
         while self.dependents:
-            self.dependents.pop()._materialize()
+            self.dependents.popitem()[0]._materialize()
 
     def close(self) -> None:
         """Detach; pending scheduled waiters go back to ordinary marks."""
@@ -145,7 +202,7 @@ class InflightSchedule:
             self.entry._inflight = None
 
 
-class CoalescedRun:
+class CoalescedRun(_Timeline):
     """Drive ``n`` consecutive blocks of one flow as a single timeline event.
 
     Built by :func:`build_run`, for ``stream_blocks`` after
@@ -154,12 +211,10 @@ class CoalescedRun:
     """
 
     __slots__ = (
-        "sim",
         "src",
         "dst",
         "flow",
         "sizes",
-        "latency",
         "links",
         "entry",
         "base",
@@ -173,7 +228,6 @@ class CoalescedRun:
         "post_arrival",
         "schedule",
         "src_schedule",
-        "_wake",
         "_accounted",
         "_synthetic",
         "_listening",
@@ -202,32 +256,13 @@ class CoalescedRun:
         self.dst = dst
         self.flow = flow
         self.sizes = list(sizes)
-        self.latency = latency
         self.links = list(links)
         self.entry = entry
         self.base = base
         self.n = len(self.sizes)
-        # Boundary arrays built with the exact float recurrence of the
-        # per-block chain: s_{j+1} = max((s_j + tx_j) + L, source arrival),
-        # left-associated.  ``ready_times`` (absolute) gate blocks the
-        # source has not produced yet — the relay cascade.
-        s = []
-        e = []
-        arr = []
-        t = sim._now
-        for j, tx_j in enumerate(tx):
-            if ready_times is not None:
-                ready = ready_times[j]
-                if ready > t:
-                    t = ready
-            s.append(t)
-            t = t + tx_j
-            e.append(t)
-            t = t + latency
-            arr.append(t)
-        self.s = s
-        self.e = e
-        self.arr = arr
+        # ``ready_times`` (absolute) gate blocks the source has not
+        # produced yet: the relay cascade.
+        self.s, self.e, self.arr = _boundaries(sim._now, tx, latency, ready_times)
         self.state = _VIRTUAL
         self.cur = 0
         self.in_tx = False
@@ -279,9 +314,6 @@ class CoalescedRun:
             # Disturbed before the first block even started (a cascaded run
             # still waiting for its first source block): nothing happened
             # yet — hand everything back to the per-block loop.
-            i = 0
-            self.in_tx = False
-            self.post_arrival = False
             self.cur = -1
         else:
             if i >= self.n:  # pragma: no cover - defensive
@@ -303,22 +335,9 @@ class CoalescedRun:
             # driver delivers) are no longer scheduled; dependent cascaded
             # runs re-split with us.
             self.schedule.truncate(bisect_right(self.arr, now))
-        wake = self._wake
-        if wake is not None and wake._ok is None:
-            wake.succeed()
+        self._wake_driver()
 
     # -- plumbing ----------------------------------------------------------
-    def _sleep(self, target: float) -> Event:
-        wake = Event(self.sim)
-        self._wake = wake
-        trigger = self.sim.wake_at(target)
-        trigger.callbacks = [lambda _ev, wake=wake: self._fire(wake)]
-        return wake
-
-    def _fire(self, wake: Event) -> None:
-        if wake is self._wake and wake._ok is None:
-            wake.succeed()
-
     def _attach(self) -> None:
         stats_for(self.src).bump("coalesced_runs")
         cluster = self.src.cluster
@@ -342,14 +361,11 @@ class CoalescedRun:
             self.schedule = InflightSchedule(self.entry, self.base, self.arr, self)
             self.entry._begin_inflight(self.schedule)
         if self.src_schedule is not None:
-            self.src_schedule.dependents.append(self)
+            self.src_schedule.dependents[self] = None
 
     def _detach(self) -> None:
         if self.src_schedule is not None:
-            try:
-                self.src_schedule.dependents.remove(self)
-            except ValueError:
-                pass
+            self.src_schedule.dependents.pop(self, None)
             self.src_schedule = None
         # Unconditional: a materialized run already removed its holds (the
         # removal is idempotent), but an *undisturbed* run reaches here in
@@ -378,18 +394,26 @@ class CoalescedRun:
             resource._grant()
 
     def _account_full(self, count: int) -> None:
-        """Link-account blocks ``[_accounted, count)`` at their full hold."""
-        flow = self.flow
-        for j in range(self._accounted, count):
-            # The per-block chain credits ``release - grant``, not ``tx``:
-            # ``(s + tx) - s`` may differ from ``tx`` in the last bits.
-            nbytes, hold = self.sizes[j], self.e[j] - self.s[j]
-            for _resource, sched in self.links:
-                if sched is not None:
-                    sched.account(flow, nbytes, hold)
-            if self._flight is not None:
-                self._record(nbytes, submit=self.s[j], grant=self.s[j], release=self.e[j])
-        self._accounted = max(self._accounted, count)
+        """Link-account blocks ``[_accounted, count)`` at their full hold.
+
+        Each link is credited the whole range in one call, in block order.
+        The per-block chain credits ``release - grant``, not ``tx``:
+        ``(s + tx) - s`` may differ from ``tx`` in the last bits.
+        """
+        first = self._accounted
+        if count <= first:
+            return
+        s, e = self.s[first:count], self.e[first:count]
+        holds = list(map(sub, e, s))
+        sizes = self.sizes[first:count]
+        nbytes = sum(sizes)
+        for _resource, sched in self.links:
+            if sched is not None:
+                sched.account_run(self.flow, nbytes, holds)
+        if self._flight is not None:
+            for size, start, end in zip(sizes, s, e):
+                self._record(size, submit=start, grant=start, release=end)
+        self._accounted = count
 
     def _account_partial(self, j: int, hold: float) -> None:
         """One block released mid-transmission (interrupt semantics)."""
@@ -419,13 +443,11 @@ class CoalescedRun:
         if self.schedule is not None:
             self.schedule.close()
             self.schedule = None
-        entry, base = self.entry, self.base
-        traced = self._flight is not None
-        for j in range(count):
-            if entry is not None:
-                entry.mark_block_ready(base + j)
-            if traced:
-                self._record(self.sizes[j], arrive=self.arr[j])
+        if self.entry is not None:
+            self.entry.mark_blocks_ready(self.base, count)
+        if self._flight is not None:
+            for nbytes, arrive in zip(self.sizes[:count], self.arr):
+                self._record(nbytes, arrive=arrive)
 
     # -- the driver --------------------------------------------------------
     def run(self) -> Generator:
@@ -442,7 +464,6 @@ class CoalescedRun:
             end = self.arr[-1]
             while self.state == _VIRTUAL and sim._now < end:
                 yield self._sleep(end)
-                self._wake = None
             if self.state == _VIRTUAL:
                 # Undisturbed: everything happened as precomputed.
                 self.state = _DONE
@@ -463,7 +484,6 @@ class CoalescedRun:
             if self.in_tx:
                 while sim._now < self.e[i]:
                     yield self._sleep(self.e[i])
-                    self._wake = None
                 self._account_full(i + 1)
                 self._release_synthetic()
                 if not self.src.alive or not self.dst.alive:
@@ -473,7 +493,6 @@ class CoalescedRun:
                     raise NodeFailedError(f"node {dead.node_id} is down", node=dead)
             while sim._now < self.arr[i]:
                 yield self._sleep(self.arr[i])
-                self._wake = None
             self._account_full(i + 1)
             self.state = _DONE
             if not self.post_arrival and not self.dst.alive:
@@ -549,7 +568,7 @@ def unregister_stream(links: Sequence[tuple["Resource", object]]) -> None:
         resource._streams -= 1
 
 
-class ComputeRun:
+class ComputeRun(_Timeline):
     """A streaming compute loop (reduce slot) as one timeline event.
 
     The reduce slot's inner loop — wait for every input to reach block ``k``,
@@ -576,7 +595,6 @@ class ComputeRun:
     """
 
     __slots__ = (
-        "sim",
         "node",
         "entry",
         "base",
@@ -586,11 +604,9 @@ class ComputeRun:
         "schedule",
         "input_schedules",
         "state",
-        "cur",
         "end_at",
         "mark_limit",
         "failure_stop",
-        "_wake",
         "_listening",
     )
 
@@ -609,22 +625,12 @@ class ComputeRun:
         self.entry = entry
         self.base = base
         self.n = len(compute_times)
-        s: list[float] = []
-        t: list[float] = []
-        prev = sim._now
-        for k in range(self.n):
-            ready = ready_times[k]
-            start = ready if ready > prev else prev
-            s.append(start)
-            prev = start + compute_times[k]
-            t.append(prev)
-        self.s = s
-        self.t = t
+        # ``t + 0.0 == t``: the transfer recurrence with no propagation.
+        self.s, self.t, _ = _boundaries(sim._now, compute_times, 0.0, ready_times)
         self.schedule: Optional[InflightSchedule] = None
         self.input_schedules = list(input_schedules)
         self.state = _VIRTUAL
-        self.cur = 0
-        self.end_at = t[-1]
+        self.end_at = self.t[-1]
         self.mark_limit = self.n
         self.failure_stop = False
         self._wake: Optional[Event] = None
@@ -643,19 +649,16 @@ class ComputeRun:
         if now < self.s[done]:
             # Waiting for input ``done`` — its scheduled arrival is now
             # uncertain, so nothing more happens in this run.
-            self.cur = done
+            self.mark_limit = done
             self.end_at = now
         else:
             # Mid-compute: the inputs of block ``done`` arrived for real;
             # finish it at its boundary, then hand back.
-            self.cur = done + 1
+            self.mark_limit = done + 1
             self.end_at = self.t[done]
-        self.mark_limit = self.cur
         if self.schedule is not None:
             self.schedule.truncate(done)
-        wake = self._wake
-        if wake is not None and wake._ok is None:
-            wake.succeed()
+        self._wake_driver()
 
     def _on_node_failure(self, _node: "Node") -> None:
         """The slot's node died: run on until the first genuine wait."""
@@ -682,26 +685,11 @@ class ComputeRun:
                 return  # no further waits: the run completes as scheduled
         self.state = _MATERIALIZED
         self.failure_stop = True
-        self.cur = stop
         self.end_at = end
         self.mark_limit = stop
         if self.schedule is not None:
             self.schedule.truncate(stop)
-        wake = self._wake
-        if wake is not None and wake._ok is None:
-            wake.succeed()
-
-    # -- plumbing ----------------------------------------------------------
-    def _sleep(self, target: float) -> Event:
-        wake = Event(self.sim)
-        self._wake = wake
-        trigger = self.sim.wake_at(target)
-        trigger.callbacks = [lambda _ev, wake=wake: self._fire(wake)]
-        return wake
-
-    def _fire(self, wake: Event) -> None:
-        if wake is self._wake and wake._ok is None:
-            wake.succeed()
+        self._wake_driver()
 
     def _deliver(self, count: int) -> None:
         if self.schedule is not None:
@@ -710,8 +698,7 @@ class ComputeRun:
             self.schedule.close()
             self.schedule = None
         entry, base = self.entry, self.base
-        for k in range(count):
-            entry.mark_block_ready(base + k)
+        entry.mark_blocks_ready(base, count)
         cluster = self.node.cluster
         if cluster is not None and cluster.flight is not None:
             # The per-block loop's records, for every delivered combine.
@@ -726,14 +713,13 @@ class ComputeRun:
         self.schedule = InflightSchedule(self.entry, self.base, self.t, self)
         self.entry._begin_inflight(self.schedule)
         for input_schedule in self.input_schedules:
-            input_schedule.dependents.append(self)
+            input_schedule.dependents[self] = None
         self.node.on_failure(self._on_node_failure)
         self._listening = True
         delivered = None
         try:
             while sim._now < self.end_at:
                 yield self._sleep(self.end_at)
-                self._wake = None
             delivered = self.mark_limit if self.state != _VIRTUAL else self.n
             self.state = _DONE
             self._deliver(delivered)
@@ -747,10 +733,7 @@ class ComputeRun:
                 self._listening = False
                 self.node.remove_failure_listener(self._on_node_failure)
             for input_schedule in self.input_schedules:
-                try:
-                    input_schedule.dependents.remove(self)
-                except ValueError:
-                    pass
+                input_schedule.dependents.pop(self, None)
             if self.schedule is not None:  # pragma: no cover - defensive
                 self.schedule.close()
                 self.schedule = None
@@ -774,12 +757,33 @@ def input_coverage(entry: "StoredObject", upto: int) -> int:
     return ready if ready < upto else upto
 
 
-def ready_time_of(entry: "StoredObject", block: int) -> float:
-    """Absolute time block ``block`` of ``entry`` is (or will be) present."""
-    if entry.sealed or entry.blocks_ready > block:
-        return 0.0
-    inflight = entry._inflight
-    return inflight.arrivals[block - inflight.base]
+def arrival_times(entry: "StoredObject", index: int, end: int) -> list[float]:
+    """When blocks ``[index, end)`` of ``entry`` are (or will be) present.
+
+    ``0.0`` for present blocks, then a slice of the in-flight schedule's
+    arrivals; ``end`` is at most :func:`input_coverage`.
+    """
+    present = min(max(entry.blocks_ready, index), end)
+    times = [0.0] * (present - index)
+    if present < end:
+        inflight = entry._inflight
+        times += inflight.arrivals[present - inflight.base : end - inflight.base]
+    return times
+
+
+def run_blocks(
+    config, nbytes: int, index: int, end: int, time_of: Callable[[int], float]
+) -> tuple[list[int], list[float]]:
+    """Sizes and per-block times of blocks ``[index, end)`` of ``nbytes``.
+
+    Every block but an object's last is full, so a run has at most two
+    sizes, and ``time_of`` (a pure function of the size) runs once each.
+    """
+    full, head = config.block_size, end - 1 - index
+    last = config.block_bytes(nbytes, end - 1)
+    last_time = time_of(last)
+    full_time = last_time if last == full or not head else time_of(full)
+    return [full] * head + [last], [full_time] * head + [last_time]
 
 
 def coalesce_eligible(
@@ -829,21 +833,16 @@ def build_run(
     """
     ready_times = None
     src_schedule = None
-    if source is not None:
-        avail = min(source.blocks_ready, end)
-        src_schedule = source._inflight if end > avail else None
-        if src_schedule is not None:
-            arrivals = src_schedule.arrivals
-            src_base = src_schedule.base
-            ready_times = [
-                0.0 if idx < avail else arrivals[idx - src_base] for idx in range(index, end)
-            ]
-    sizes = [config.block_bytes(nbytes, j) for j in range(index, end)]
+    if source is not None and source.blocks_ready < end:
+        src_schedule = source._inflight
+        ready_times = arrival_times(source, index, end)
     if src is dst:
-        tx = [config.memcpy_time(nb) for nb in sizes]
+        sizes, tx = run_blocks(config, nbytes, index, end, config.memcpy_time)
         latency = 0.0
     else:
-        tx = [path_transmission_time(config, src, dst, nb) for nb in sizes]
+        sizes, tx = run_blocks(
+            config, nbytes, index, end, partial(path_transmission_time, config, src, dst)
+        )
         latency = path_latency(config, src, dst)
     return CoalescedRun(
         src.sim,

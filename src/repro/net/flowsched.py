@@ -46,7 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Generator, Optional
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.config import NetworkConfig
 from repro.net.errors import FailureRace, TransferError, _check_alive
@@ -145,6 +147,16 @@ class LinkScheduler:
         self.bytes_by_class[flow.flow_class] += nbytes
         self.busy_time += hold_time
         self.reservations_granted += 1
+
+    def account_run(self, flow: Flow, nbytes: int, holds: Sequence[float]) -> None:
+        """Record ``len(holds)`` released reservations of ``nbytes`` in all.
+
+        The same sums as one :meth:`account` per hold, in order: ``reduce``
+        adds left to right, where ``sum`` may compensate.
+        """
+        self.bytes_by_class[flow.flow_class] += nbytes
+        self.busy_time = reduce(add, holds, self.busy_time)
+        self.reservations_granted += len(holds)
 
     def record_control(self) -> None:
         """Count one control-plane message leaving through this direction."""

@@ -118,6 +118,26 @@ class StoredObject:
             self._blocks_ready = block_index + 1
         self._notify_progress()
 
+    def mark_blocks_ready(self, first: int, count: int) -> None:
+        """Record blocks ``[first, first + count)`` as present, in order.
+
+        A mark only raises the counter and wakes progress waiters, so
+        without waiters the last block's mark stands for all of them.  With
+        waiters each block is marked: the per-block sequence sets the order
+        in which they wake and the value each sees.  For a coalesced run's
+        delivery that branch is a guard: a waiter inside its window rides
+        the schedule's exact-time firing, and arrivals strictly increase, so
+        the only parked waiters it wakes wait for the last delivered block,
+        which one mark wakes alike.
+        """
+        if count <= 0:
+            return
+        if not self._progress_waiters:
+            self.mark_block_ready(first + count - 1)
+            return
+        for block_index in range(first, first + count):
+            self.mark_block_ready(block_index)
+
     def reset_progress(self) -> None:
         """Discard partial contents (used when a reduce subtree must restart)."""
         if self.sealed:

@@ -384,26 +384,48 @@ def _usage_without_fastpath_counters(usage):
     }
 
 
-def test_link_accounting_matches_per_block():
+def test_link_accounting_matches_per_block(monkeypatch):
     """Busy time and utilization equal the per-block chain's, bit for bit.
 
     A coalesced block is credited ``release - grant`` like a per-block
     one, not its transmission time: ``(s + tx) - s`` can differ from
     ``tx`` in the last bits, which showed in the broadcast's utilization.
+    The cells cover a partial last block (a run of two block sizes), tier
+    links in the claim set (two racks at 2:1) and a staggered reduce whose
+    slots combine in ComputeRuns.
     """
     from dataclasses import replace
 
     from repro.bench.scenarios import Scenario, run
+    from repro.net.coalesce import ComputeRun
+    from repro.net.topology import Topology
 
+    compute_runs = []
+    original_run = ComputeRun.run
+
+    def counting_run(self):
+        compute_runs.append(self)
+        return original_run(self)
+
+    monkeypatch.setattr(ComputeRun, "run", counting_run)
+    racks = NetworkConfig(topology=Topology.racks(2, 4, oversubscription=2.0))
     for scenario in (
         Scenario("broadcast", "hoplite", 16, 256 * MB),
         Scenario("reduce", "hoplite", 16, 256 * MB),
         Scenario("allreduce", "hoplite", 8, 64 * MB, arrivals=0.01),
         Scenario("p2p", "hoplite", 2, 256 * MB),
+        Scenario("broadcast", "hoplite", 8, 65 * MB + 12345),
+        Scenario("broadcast", "hoplite", 8, 256 * MB, network=racks),
+        Scenario("reduce", "hoplite", 16, 256 * MB, arrivals=0.1),
     ):
         off = run(replace(scenario, fast_paths=False))
+        del compute_runs[:]
         on = run(scenario)
         assert on["usage"]["fastpath"]["coalesced_runs"] > 0, scenario
+        if scenario.network is racks:
+            assert on["usage"]["tier_bytes"]["rack_uplink"] > 0
+        if scenario.arrivals:
+            assert compute_runs, scenario
         assert _usage_without_fastpath_counters(
             on["usage"]
         ) == _usage_without_fastpath_counters(off["usage"]), scenario
@@ -448,3 +470,145 @@ def test_staggered_reduce_stays_coalesced():
             on["usage"]
         ) == _usage_without_fastpath_counters(off["usage"]), scenario
         assert on_timeline == off_timeline, scenario
+
+
+def test_waiters_beyond_the_window_wake_as_per_block_after_a_resplit(monkeypatch):
+    """Two waiters parked past a run's schedule window stay on per-block marks.
+
+    The source holds half the object, so the run's window covers those
+    blocks only; waiters on blocks 10 and 12 (registered in reverse order)
+    stay on ordinary marks.  A competing stream re-splits the run mid-way,
+    and the run delivers its blocks with those waiters still parked (the
+    per-block branch of ``mark_blocks_ready`` runs; its wake order is
+    pinned by ``test_mark_blocks_ready_wakes_parked_waiters_as_per_block_marks``).
+    The source's remaining blocks land later.  Wake order, wake values and
+    the flight timeline equal the per-block reference.
+    """
+    from repro.net.coalesce import nic_path_links, register_stream, unregister_stream
+    from repro.net.transport import stream_blocks
+    from repro.obs.flight import timeline
+    from repro.store.object_store import StoredObject
+    from repro.store.objects import ObjectID
+
+    nbytes = 64 * MB
+    ranges_with_waiters = []
+    mark_blocks_ready = StoredObject.mark_blocks_ready
+
+    def recording_mark_blocks_ready(entry, first, count):
+        if entry._progress_waiters:
+            ranges_with_waiters.append(count)
+        mark_blocks_ready(entry, first, count)
+
+    monkeypatch.setattr(StoredObject, "mark_blocks_ready", recording_mark_blocks_ready)
+
+    def _run(enabled):
+        cluster = _cluster(3, fast_paths=enabled)
+        cluster.enable_observability()
+        sim, config = cluster.sim, cluster.config
+        src, dst = cluster.node(0), cluster.node(1)
+        blocks = config.num_blocks(nbytes)
+        source = StoredObject(sim, ObjectID.of("window-src"), nbytes, blocks)
+        for k in range(blocks // 2):
+            source.mark_block_ready(k)
+        entry = StoredObject(sim, ObjectID.of("window-dst"), nbytes, blocks)
+        wakes = []
+
+        def _pull():
+            links = nic_path_links(src, dst)
+            register_stream(links)
+            try:
+                yield from stream_blocks(
+                    config, src, dst, links, nbytes, None, entry=entry, source=source,
+                    watch=(src,),
+                )
+            finally:
+                unregister_stream(links)
+
+        def _waiter(threshold):
+            value = yield entry.wait_for_blocks(threshold)
+            wakes.append((threshold, sim.now, value))
+
+        def _produce():
+            for k in range(blocks // 2, blocks):
+                yield sim.timeout(0.005)
+                source.mark_block_ready(k)
+
+        sim.process(_pull(), name="pull")
+        sim.process(_waiter(12), name="waiter-12")
+        sim.process(_waiter(10), name="waiter-10")
+        sim.process(_produce(), name="produce")
+        _drive_transfer(cluster, src, cluster.node(2), 16 * MB, start=0.01)
+        cluster.run()
+        return wakes, entry.blocks_ready, timeline(cluster.flight), cluster.fastpath_stats.counts
+
+    off_wakes, off_ready, off_timeline, _ = _run(False)
+    on_wakes, on_ready, on_timeline, counts = _run(True)
+    assert counts["coalesced_runs"] >= 1 and counts["resplits"] >= 1, counts
+    assert any(count >= 2 for count in ranges_with_waiters), ranges_with_waiters
+    assert [threshold for threshold, _, _ in off_wakes] == [10, 12]
+    assert on_wakes == off_wakes
+    assert on_ready == off_ready == 16
+    assert on_timeline == off_timeline
+
+
+def test_account_run_repeats_the_per_block_floats():
+    """One-call link crediting is bit-exact.
+
+    ``LinkScheduler.account_run`` must leave the accumulators one
+    ``account`` per hold would, for arbitrary (non-representable) times.
+    """
+    import random
+
+    from repro.net.flowsched import DEFAULT_FLOW
+
+    rng = random.Random(7)
+    cluster = _cluster(2)
+    per_block, bulk = cluster.node(0).uplink_sched, cluster.node(1).uplink_sched
+    holds = [rng.uniform(1e-4, 1e-2) for _ in range(300)]
+    first = rng.uniform(1.0, 2.0)
+    for sched in (per_block, bulk):
+        sched.account(DEFAULT_FLOW, MB, first)
+    for hold in holds:
+        per_block.account(DEFAULT_FLOW, 4 * MB, hold)
+    bulk.account_run(DEFAULT_FLOW, 300 * 4 * MB, holds)
+    assert bulk.busy_time == per_block.busy_time
+    assert bulk.bytes_by_class == per_block.bytes_by_class
+    assert bulk.reservations_granted == per_block.reservations_granted == 301
+
+
+def test_mark_blocks_ready_wakes_parked_waiters_as_per_block_marks():
+    """With waiters parked, a range mark repeats the per-block mark sequence.
+
+    Waiters on 3, 2 and 7 blocks park in that order.  Marking blocks 0-3
+    must wake the one on 2 first with value 2, then the one on 3 with
+    value 3, and leave the one on 7 parked: what four ``mark_block_ready``
+    calls give.  A single mark of block 3 would wake both with value 4,
+    in parking order.
+    """
+    from repro.sim.core import Simulator
+    from repro.store.object_store import StoredObject
+    from repro.store.objects import ObjectID
+
+    def _wakes(mark):
+        sim = Simulator()
+        entry = StoredObject(sim, ObjectID.of("range-marks"), 8 * MB, 8)
+        wakes = []
+
+        def _waiter(threshold):
+            value = yield entry.wait_for_blocks(threshold)
+            wakes.append((threshold, value))
+
+        for threshold in (3, 2, 7):
+            sim.process(_waiter(threshold), name=f"waiter-{threshold}")
+        sim.run()
+        mark(entry)
+        sim.run()
+        return wakes, entry.blocks_ready
+
+    def _per_block(entry):
+        for block in range(4):
+            entry.mark_block_ready(block)
+
+    expected = ([(2, 2), (3, 3)], 4)
+    assert _wakes(_per_block) == expected
+    assert _wakes(lambda entry: entry.mark_blocks_ready(0, 4)) == expected

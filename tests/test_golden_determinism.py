@@ -23,6 +23,7 @@ import pytest
 from repro.bench.digest import (
     RECORDED_DIGESTS as RECORDED,
     golden_ablations_cell,
+    golden_coalesced_accounting_cell,
     golden_fault_matrix_cell,
     golden_fig7_cell,
     golden_fuzz_band_cell,
@@ -76,6 +77,12 @@ def test_golden_ablations_match_recorded_runs():
     """The no-pipelining and no-relay paths, alone and together: latencies
     and kernel event counts of p2p, broadcast, reduce and allreduce."""
     assert golden_ablations_cell() == RECORDED["ablations"]
+
+
+def test_golden_coalesced_accounting_matches_recorded_ledgers():
+    """Every link's busy time (full ``repr``), grants and bytes, with the
+    latency and kernel events, of the 1 GB pipelines and a 2-rack broadcast."""
+    assert golden_coalesced_accounting_cell() == RECORDED["coalesced_accounting"]
 
 
 @pytest.mark.parametrize("cell", ["fig7_flat", "fault_matrix_2rack"])
