@@ -291,21 +291,19 @@ def golden_grant_order_cell() -> str:
     return digest.hexdigest()
 
 
-def golden_ablations_cell() -> str:
+def _ablation_runs() -> list[tuple[str, str, float, int]]:
     """The Hoplite ablation paths: no pipelining, no relay, and both.
 
     ``HopliteOptions(enable_pipelining=False)`` (a pull waits for a sealed
     source), ``(enable_dynamic_broadcast=False)`` (every receiver pulls
     whole objects from a complete copy) and both together, each on p2p
     1 GB, broadcast 8 x 64 MB, broadcast 16 x 256 MB at 0.01 s arrivals,
-    reduce 8 x 64 MB at 0.01 s and allreduce 8 x 64 MB.  Each run
-    contributes its latency (full ``repr`` precision) and its kernel event
-    count, so a change that keeps the latencies but moves where a pull
-    waits for its source's seal fails here.
+    reduce 8 x 64 MB at 0.01 s and allreduce 8 x 64 MB, each as
+    ``(ablation, label, latency, kernel events)``.
     """
     from repro.core.options import HopliteOptions
 
-    parts: list = []
+    runs: list = []
     for name, options in (
         ("no-pipelining", HopliteOptions(enable_pipelining=False)),
         ("no-relay", HopliteOptions(enable_dynamic_broadcast=False)),
@@ -324,8 +322,23 @@ def golden_ablations_cell() -> str:
             latency, events = _measured(
                 collective, "hoplite", nodes, nbytes, arrivals=arrivals, options=options
             )
-            parts.append((name, label, repr(latency), events))
-    return _digest(parts)
+            runs.append((name, label, latency, events))
+    return runs
+
+
+def golden_ablations_cell() -> str:
+    """The ablation paths' latencies (full ``repr`` precision), and nothing else."""
+    return _digest([(name, label, repr(latency)) for name, label, latency, _ in _ablation_runs()])
+
+
+def golden_ablations_events_cell() -> str:
+    """The ablation paths' kernel event counts, pinned apart from the latencies.
+
+    A change that keeps the latencies but moves where a pull waits for its
+    source's seal shows here; one that only saves events re-records this
+    cell and never :func:`golden_ablations_cell`.
+    """
+    return _digest([(name, label, events) for name, label, _, events in _ablation_runs()])
 
 
 def _link_ledger(cluster) -> list:
@@ -348,21 +361,19 @@ def _link_ledger(cluster) -> list:
     ]
 
 
-def golden_coalesced_accounting_cell() -> str:
-    """Per-link busy time, grants and bytes of the coalesced 1 GB pipelines.
+def _coalesced_accounting_runs() -> list[tuple[str, float, int, list]]:
+    """The coalesced 1 GB pipelines and a 2-rack broadcast, with link ledgers.
 
     The five cells of the ``pipeline`` benchmark workload (broadcast and
     reduce at 64 nodes, broadcast, reduce and allreduce at 16 nodes with
     arrivals 0.1 s apart) and a 256 MB broadcast on two racks of four at
-    2:1, whose claim sets include tier links.  Each run contributes its
-    latency, kernel events and every link's ledger.  The other cells hash
-    integer counters only; this one pins the float busy-time sums that a
-    coalesced run credits over hundreds of blocks.
+    2:1, whose claim sets include tier links, each as ``(label, latency,
+    kernel events, link ledger)``.
     """
     from repro.bench.scenarios import Scenario, run
 
     gb = 1024 * MB
-    parts: list = []
+    runs: list = []
     for label, scenario in (
         ("bcast-64-1GB", Scenario("broadcast", "hoplite", 64, gb)),
         ("reduce-64-1GB", Scenario("reduce", "hoplite", 64, gb)),
@@ -382,9 +393,27 @@ def golden_coalesced_accounting_cell() -> str:
     ):
         clusters: list = []
         result = run(scenario, observe=clusters.append)
-        parts.append((label, repr(result["latency"]), result["events"]))
-        parts.extend(_link_ledger(clusters[0]))
+        runs.append((label, result["latency"], result["events"], _link_ledger(clusters[0])))
+    return runs
+
+
+def golden_coalesced_accounting_cell() -> str:
+    """Per-link busy time, grants and bytes of the coalesced 1 GB pipelines.
+
+    Each run contributes its latency and every link's ledger.  The other
+    result cells hash integer counters only; this one pins the float
+    busy-time sums that a coalesced run credits over hundreds of blocks.
+    """
+    parts: list = []
+    for label, latency, _, ledger in _coalesced_accounting_runs():
+        parts.append((label, repr(latency)))
+        parts.extend(ledger)
     return _digest(parts)
+
+
+def golden_coalesced_accounting_events_cell() -> str:
+    """The same runs' kernel event counts, pinned apart from the ledgers."""
+    return _digest([(label, events) for label, _, events, _ in _coalesced_accounting_runs()])
 
 
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
@@ -397,7 +426,9 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fuzz_band": golden_fuzz_band_cell,
     "grant_order": golden_grant_order_cell,
     "ablations": golden_ablations_cell,
+    "ablations_events": golden_ablations_events_cell,
     "coalesced_accounting": golden_coalesced_accounting_cell,
+    "coalesced_accounting_events": golden_coalesced_accounting_events_cell,
 }
 
 #: digests asserted by tests/test_golden_determinism.py.
@@ -425,11 +456,16 @@ RECORDED_DIGESTS = {
     # MultiRequests: the same (when, seq) pops, with the 512 plain-request
     # grants now named MultiRequest.
     "grant_order": "073a0dedab14090dc249ea71ca9f999d113b14e148c76b507e227474b73ed7f6",
-    # The ablation paths' latencies and event counts, recorded before the
-    # five block loops (whole-object sends, local copies, the Put copy-in,
-    # the broadcast pull and the reduce partial stream) became one.
-    "ablations": "4d0e3228d48e0a7989ba647957f224d55a87a1b7fe0b56803a8f6e344d934df6",
-    # Per-link busy-time sums, grants and bytes of the coalesced pipelines,
-    # recorded before a run's link accounting was credited in bulk.
-    "coalesced_accounting": "d798a14dff1f491292813b8674166b58c9db62aa76f77215c25b8014fd20ded8",
+    # The ablation paths' latencies, and apart from them their event counts.
+    # Both recorded when the cell was split, on the tree whose single cell
+    # (recorded before the five block loops became one) hashed both.
+    "ablations": "caea893d908720144e4d7dff57d2376cd0e4d7f127c74bffc4c487793f083d10",
+    "ablations_events": "c6cfb4444348ce79c9dc7c11d803f77f7eedacdfdb741358c7c96b45f13ada84",
+    # Per-link busy-time sums, grants and bytes of the coalesced pipelines
+    # with their latencies, and apart from them their event counts.  Both
+    # recorded when the cell was split, on the tree whose single cell
+    # (recorded before a run's link accounting was credited in bulk) hashed
+    # both.
+    "coalesced_accounting": "dbf54fb0550ea47520f6ece7b72a44be482bd1062cec36a909d4c71849b573bc",
+    "coalesced_accounting_events": "91eb7990fd0dfbbf3a2eefb75c0839bc7cc5ca1c7d923566ee0fc954ff46d54c",
 }

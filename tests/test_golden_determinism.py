@@ -10,12 +10,14 @@ allocation state — see :mod:`repro.bench.digest` for exactly what is hashed.
 If one of these fails after an intentional *behaviour* change (a new
 scheduling policy, a model change), re-record the digest in the same commit
 and say so in the commit message; if it fails after a *performance* change,
-the performance change is wrong.  The one exception is the
-``perf_basket_events`` cell: it pins kernel event counts, which a fast path
-exists to lower, so a change that saves events re-records it and says
-which counts moved.  The fig7, fault-matrix and matching
-digests were re-recorded once, when ObjectIDs moved onto the cluster: each
-run there now reproduces its standalone schedule.
+the performance change is wrong.  The exceptions are the ``*_events``
+cells (``perf_basket_events``, ``ablations_events``,
+``coalesced_accounting_events``) and the ``grant_order`` pop digest: they
+pin kernel event counts and pops, which a fast path exists to lower, so a
+change that saves events re-records them and says which counts moved.
+The fig7, fault-matrix and matching digests were re-recorded once, when
+ObjectIDs moved onto the cluster: each run there now reproduces its
+standalone schedule.
 """
 
 import pytest
@@ -23,7 +25,9 @@ import pytest
 from repro.bench.digest import (
     RECORDED_DIGESTS as RECORDED,
     golden_ablations_cell,
+    golden_ablations_events_cell,
     golden_coalesced_accounting_cell,
+    golden_coalesced_accounting_events_cell,
     golden_fault_matrix_cell,
     golden_fig7_cell,
     golden_fuzz_band_cell,
@@ -75,14 +79,24 @@ def test_golden_grant_order_matches_recorded_pops():
 
 def test_golden_ablations_match_recorded_runs():
     """The no-pipelining and no-relay paths, alone and together: latencies
-    and kernel event counts of p2p, broadcast, reduce and allreduce."""
+    of p2p, broadcast, reduce and allreduce."""
     assert golden_ablations_cell() == RECORDED["ablations"]
+
+
+def test_golden_ablations_events_match_recorded_counts():
+    """The same runs' kernel event counts, pinned apart from the latencies."""
+    assert golden_ablations_events_cell() == RECORDED["ablations_events"]
 
 
 def test_golden_coalesced_accounting_matches_recorded_ledgers():
     """Every link's busy time (full ``repr``), grants and bytes, with the
-    latency and kernel events, of the 1 GB pipelines and a 2-rack broadcast."""
+    latency, of the 1 GB pipelines and a 2-rack broadcast."""
     assert golden_coalesced_accounting_cell() == RECORDED["coalesced_accounting"]
+
+
+def test_golden_coalesced_accounting_events_match_recorded_counts():
+    """The same runs' kernel event counts, pinned apart from the ledgers."""
+    assert golden_coalesced_accounting_events_cell() == RECORDED["coalesced_accounting_events"]
 
 
 @pytest.mark.parametrize("cell", ["fig7_flat", "fault_matrix_2rack"])
