@@ -445,27 +445,35 @@ RECORDED_DIGESTS = {
     # the event counts moved to their own cell it hashes latencies only;
     # that digest was taken on the last tree that hashed both.
     "perf_basket": "303edc2e8a67f4cc3d2e70feb9be999f46de51abb16dc3317c7ddea602558446",
-    # The basket's kernel event counts, re-recorded when a parked reduce
-    # slot started to go back to its ComputeRun check without barring its
-    # inputs' coalescing (only rack-allred-32MB moved: 2116 -> 2073).
-    "perf_basket_events": "5f4179219587d944a991634863771bcc555419c30808f4ccbf0c8f71cfb83a2d",
+    # The basket's kernel event counts, re-recorded when queued admission
+    # stopped racing its peers' failures (one pop fewer per queued block:
+    # gather-64-32MB 4099 -> 3596, moe-16n-2it 23806 -> 22886, fleet-4rack
+    # 12685 -> 12200, and five more cells by 2 to 253).
+    "perf_basket_events": "a06cb72966980d5fd0205428b8ff526a2615a54ce9634222eb4d1d0c9c6dd680",
     # The fuzz band's own digests, recorded before the scenario drivers
     # moved onto one Scenario/run() model.
     "fuzz_band": "4a0d15e8e652e0c7dcb4e99b7c27944ed9f818d5aa552bcd4ba47ed205453200",
-    # Kernel pop order, re-recorded when plain requests became one-claim
-    # MultiRequests: the same (when, seq) pops, with the 512 plain-request
-    # grants now named MultiRequest.
-    "grant_order": "073a0dedab14090dc249ea71ca9f999d113b14e148c76b507e227474b73ed7f6",
-    # The ablation paths' latencies, and apart from them their event counts.
-    # Both recorded when the cell was split, on the tree whose single cell
-    # (recorded before the five block loops became one) hashed both.
+    # Kernel pop order, re-recorded when queued admission stopped racing
+    # its peers' failures: the same pops in the same order, minus the one
+    # FailureRace pop each queued block took after its grant (the sequence
+    # numbers shift accordingly), and held source gates pop a relay Event
+    # where they popped a FailureRace.
+    "grant_order": "a58d4e15ea741d462512e4b957c6d072a0ffe7ec1e8b5cff16888761f2fbe130",
+    # The ablation paths' latencies, recorded when the cell was split, on
+    # the tree whose single cell (recorded before the five block loops
+    # became one) hashed latencies and event counts.
     "ablations": "caea893d908720144e4d7dff57d2376cd0e4d7f127c74bffc4c487793f083d10",
-    "ablations_events": "c6cfb4444348ce79c9dc7c11d803f77f7eedacdfdb741358c7c96b45f13ada84",
+    # Their event counts, re-recorded when queued admission stopped racing
+    # its peers' failures (the no-relay broadcasts and allreduces moved,
+    # e.g. no-relay bcast-16-256MB-0.01s 3993 -> 3036).
+    "ablations_events": "632bf48e4055bb6208e37e953cc7f1e5854fe2bbf326bcbf8487e39cf12ba609",
     # Per-link busy-time sums, grants and bytes of the coalesced pipelines
-    # with their latencies, and apart from them their event counts.  Both
-    # recorded when the cell was split, on the tree whose single cell
-    # (recorded before a run's link accounting was credited in bulk) hashed
-    # both.
+    # with their latencies, recorded when the cell was split, on the tree
+    # whose single cell (recorded before a run's link accounting was
+    # credited in bulk) hashed them with the event counts.
     "coalesced_accounting": "dbf54fb0550ea47520f6ece7b72a44be482bd1062cec36a909d4c71849b573bc",
-    "coalesced_accounting_events": "91eb7990fd0dfbbf3a2eefb75c0839bc7cc5ca1c7d923566ee0fc954ff46d54c",
+    # Their event counts, re-recorded when queued admission stopped racing
+    # its peers' failures (allred-16-1GB-0.1s 23499 -> 21731,
+    # bcast-16-1GB-0.1s 504 -> 462).
+    "coalesced_accounting_events": "38dde2d480867cc4755b42d35105b01b9995cbad47fcb6660d4f4c845e6be47e",
 }

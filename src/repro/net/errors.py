@@ -39,11 +39,14 @@ def _check_alive(*nodes: "Node") -> None:
 class FailureRace(Event):
     """Wait for ``event``, but wake early if any of ``nodes`` fails.
 
-    Every blocking wait of a transfer (queued admission, a gate on the
-    source's next block, a seal) races the awaited event against its peers'
-    failures.  The race fires with the awaited event's value, or with the
-    failed node; callers tell the two apart by re-checking ``event`` or the
-    nodes' liveness.
+    A transfer wait that a peer's death must cut short (a gate on a block
+    the source does not hold yet, a seal) races the awaited event against
+    its peers' failures.  The race fires with the awaited event's value, or
+    with the failed node; callers tell the two apart by re-checking
+    ``event`` or the nodes' liveness.  Queued admission needs no race: a
+    dying node fails the reservations queued on its links
+    (:func:`repro.net.flowsched.fail_queued`), and a gate on a block the
+    source already holds wakes whatever fails.
 
     One bound method is registered as the failure listener of every node
     and removed as soon as the race is decided, so no listener outlives the

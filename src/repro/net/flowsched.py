@@ -36,10 +36,13 @@ latency.  :func:`transfer_block` times each block from it, bit for bit what
 :func:`path_transmission_time` and :func:`path_latency` return.
 
 Failure semantics: a dead endpoint raises
-:class:`~repro.net.transport.TransferError`, and a reservation still waiting
-for admission when its peer dies is cancelled (withdrawn from every queue)
-before the error propagates, so no ghost claim survives the failure.  The
-failure-detection delay is paid in the retry loops of the protocols above.
+:class:`~repro.net.transport.TransferError`.  A block queued for admission
+waits on its reservation alone, with no failure listener: when a node
+dies, :func:`fail_queued` withdraws every reservation queued on its NICs
+from every queue it is in and fails it with the ``TransferError`` its
+waiter raises, before any of the node's failure listeners run, so no ghost
+claim survives the failure.  The failure-detection delay is paid in the
+retry loops of the protocols above.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from operator import add
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.config import NetworkConfig
-from repro.net.errors import FailureRace, TransferError, _check_alive
+from repro.net.errors import TransferError, _check_alive
 from repro.sim import Event, MultiRequest, Resource, SimulationError, Simulator
 from repro.sim.resources import validate_claims
 
@@ -201,7 +204,10 @@ class Reservation(MultiRequest):
     matching on the fabric graph rather than the bipartite NIC graph.  The
     whole set is granted atomically when every slot is simultaneously free;
     until then the reservation holds nothing.  The reservation *is* the
-    grant event (a :class:`~repro.sim.resources.MultiRequest`).
+    grant event (a :class:`~repro.sim.resources.MultiRequest`), and a
+    queued one also carries its peers' failure: :func:`fail_queued` fails it
+    with a :class:`~repro.net.errors.TransferError` when either endpoint
+    dies first.
     ``release`` frees a granted claim (crediting every link scheduler's
     accounting) or withdraws a pending one; both are idempotent, so the
     transfer generators can release unconditionally in a ``finally``.
@@ -252,6 +258,31 @@ class Reservation(MultiRequest):
             )
 
 
+def fail_queued(node: "Node") -> None:
+    """Fail every reservation queued on ``node``'s NICs: ``node`` has died.
+
+    Each is withdrawn from every queue it waits in (both NICs and every
+    tier link of its path) and fails with the ``TransferError`` its waiter
+    raises, in submission order: the order in which the waiters started
+    to wait.  :meth:`~repro.net.node.Node.fail` calls this before the
+    node's failure listeners run, so no listener's grant scan can admit a
+    claim on a dead node.
+    """
+    queued = node.uplink._waiting + node.downlink._waiting
+    if not queued:
+        return
+    # A claim on both NICs of the node (a loopback block) is failed once.
+    for reservation in sorted(set(queued), key=_arrival):
+        reservation.release()
+        reservation.fail(
+            TransferError(f"node {node.node_id} failed before transfer admission", node=node)
+        )
+
+
+def _arrival(request: MultiRequest) -> int:
+    return request.sort_key[1]
+
+
 def transfer_block(
     config: NetworkConfig,
     src: "Node",
@@ -262,7 +293,10 @@ def transfer_block(
     """Move one block from ``src`` to ``dst`` under flow scheduling.
 
     Returns (via StopIteration) the simulated time at which the block is
-    fully available at the destination.  The block is timed from its route:
+    fully available at the destination.  A block that does not fit at once
+    waits on its queued :class:`Reservation` alone and registers no failure
+    listener: a peer that dies first fails the reservation
+    (:func:`fail_queued`), and the wait raises that ``TransferError``.  The block is timed from its route:
     the cluster fabric's rate and latency, or ``config``'s for a node built
     without a cluster.  A node's blocks are timed by its cluster's fabric,
     so a ``config`` other than the cluster's is rejected with
@@ -283,21 +317,9 @@ def transfer_block(
         tx = nbytes / rate
     try:
         if reservation._ok is None:
-            # Race the queued admission against either peer dying.
-            race = FailureRace(reservation, (src, dst))
-            try:
-                yield race
-            finally:
-                race.cancel()
-            if reservation._ok is None:
-                # A peer died while the reservation was still queued:
-                # withdraw the claim so no ghost request survives, then
-                # fail like a broken connection.
-                dead = src if not src.alive else dst
-                raise TransferError(
-                    f"node {dead.node_id} failed before transfer admission",
-                    node=dead,
-                )
+            # Queued: a peer that dies first fails the reservation itself
+            # (fail_queued), which raises here like a broken connection.
+            yield reservation
         if not (src.alive and dst.alive):
             _check_alive(src, dst)
         yield sim.timeout(tx)

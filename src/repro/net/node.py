@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.flowsched import LinkScheduler
+from repro.net.flowsched import LinkScheduler, fail_queued
 from repro.sim import Event, Resource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -43,8 +43,11 @@ class Node:
         #: that they belong to a previous life of the node.
         self.incarnation = 0
         #: Callbacks invoked with this node when it fails, in registration
-        #: order.  A dict (values unused) so removing one is O(1): transfer
-        #: waits register and drop a listener per block.
+        #: order.  A dict (values unused) so removing one is O(1): a wait
+        #: on a block the source does not hold yet registers and drops a
+        #: listener.  Per-block waits register none: a queued admission
+        #: learns of the death through its reservation (``fail``), and a
+        #: block the source already holds wakes regardless.
         self.failure_listeners: dict[Callable[["Node"], None], None] = {}
         #: Callbacks invoked with this node when it recovers.
         self.recovery_listeners: list[Callable[["Node"], None]] = []
@@ -66,12 +69,16 @@ class Node:
     def fail(self) -> None:
         """Mark the node as failed and notify listeners.
 
-        Listeners are responsible for tearing down transfers, dropping store
-        contents, and killing tasks that ran on the node.
+        Every block still queued for admission on this node's uplink or
+        downlink fails first (:func:`~repro.net.flowsched.fail_queued`);
+        then the listeners run.  They are responsible for tearing down
+        transfers, dropping store contents, and killing tasks that ran on
+        the node.
         """
         if not self.alive:
             return
         self.alive = False
+        fail_queued(self)
         for listener in list(self.failure_listeners):
             listener(self)
 
@@ -93,9 +100,9 @@ class Node:
     def remove_failure_listener(self, callback: Callable[["Node"], None]) -> None:
         """Deregister a failure listener (no-op if it is not registered).
 
-        Short-lived waiters (e.g. a transfer racing its admission against a
-        peer failure) must remove their listeners when the race resolves, or
-        the listener set grows with every block transferred.
+        Short-lived waiters (e.g. a stream racing its source's next block
+        against a peer failure) must remove their listeners when the race
+        resolves, or the listener set grows with every wait.
         """
         self.failure_listeners.pop(callback, None)
 
@@ -108,7 +115,9 @@ class Node:
         Its listener stays registered until the node fails.  To race a
         blocking wait against a peer's failure, use
         :class:`~repro.net.errors.FailureRace`, which drops its listeners
-        as soon as the race is decided.
+        as soon as the race is decided.  A block queued for admission needs
+        neither: the node fails its queued reservations itself
+        (:meth:`fail`).
         """
         event = Event(self.sim)
         if not self.alive:

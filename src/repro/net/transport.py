@@ -51,8 +51,14 @@ into an entry always moves the entry's blocks, at least one.
 Failures
 --------
 If either endpoint fails, in-flight and future blocks of the transfer raise
-:class:`TransferError`; a reservation still waiting for admission is
-cancelled (withdrawn from every queue) first.  The failure-*detection* delay
+:class:`TransferError`.  No per-block wait registers a failure listener: a
+block waiting for admission waits on its reservation, which the dying node
+withdraws from every queue and fails
+(:func:`~repro.net.flowsched.fail_queued`), and a stream gate on a block
+its source already holds wakes two queue hops later whatever dies, then
+re-checks its peers.  Only a gate on a block the source does not hold yet
+races the source against its peers' failures
+(:class:`~repro.net.errors.FailureRace`).  The failure-*detection* delay
 is modelled where the paper's protocols pay it: in the retry loops of the
 layers above, which sleep ``failure_detection_delay`` before re-resolving a
 source — exactly like a broken TCP connection being noticed by its peer.
@@ -74,6 +80,7 @@ from repro.net.config import NetworkConfig
 from repro.net.errors import FailureRace, NodeFailedError, TransferError, _check_alive
 from repro.net.flowsched import Flow, transfer_block
 from repro.net.node import Node
+from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.object_store import StoredObject
@@ -87,6 +94,19 @@ __all__ = [
     "local_copy_block",
     "stream_blocks",
 ]
+
+
+def _two_hops(sim) -> Event:
+    """An event that pops two urgent queue hops from now, with no listener."""
+    relay = Event(sim)
+    hop = Event(sim)
+    hop.callbacks = [_relay]
+    hop.succeed(relay)
+    return relay
+
+
+def _relay(hop: Event) -> None:
+    hop._value.succeed()
 
 
 def transfer_bytes(
@@ -176,7 +196,9 @@ def stream_blocks(
     least one).  With a ``source`` entry block ``k`` moves only once the
     source holds it: the stream waits on ``source.wait_for_blocks(k + 1)``,
     raced against the failure of the ``watch`` nodes, and raises
-    :class:`NodeFailedError` if one of them died.
+    :class:`NodeFailedError` if one of them died.  A block the source
+    already holds needs no race: the stream takes the race's two queue
+    hops with no listener, then checks the ``watch`` nodes.
     """
     if entry is None:
         total, index = config.num_blocks(nbytes), 0
@@ -207,11 +229,17 @@ def stream_blocks(
                     # contended while parked, so the source's marks are
                     # delivered per-block from here on.
                     source.decoalesce()
-                race = FailureRace(source.wait_for_blocks(index + 1), watch)
-                try:
-                    yield race
-                finally:
-                    race.cancel()
+                if source.blocks_ready > index:
+                    # Held already: no failure can change this wake, so
+                    # skip the race but keep its two queue hops (the gate,
+                    # then the race), which same-instant ties depend on.
+                    yield _two_hops(src.sim)
+                else:
+                    race = FailureRace(source.wait_for_blocks(index + 1), watch)
+                    try:
+                        yield race
+                    finally:
+                        race.cancel()
                 _check_alive(*watch)
             block = config.block_bytes(nbytes, index)
             if src is dst:

@@ -121,8 +121,15 @@ class MultiRequest(Event):
                 # so grant scans skip this request with one comparison
                 # (only queued requests are ever scanned).
                 self._blocked_on = resource
+                key = self.sort_key
                 for queued_on in claims:
-                    insort(queued_on._waiting, self, key=_queue_key)
+                    waiting = queued_on._waiting
+                    # Most arrivals sort last (same or lower priority than
+                    # the tail): append without the bisection.
+                    if not waiting or waiting[-1].sort_key < key:
+                        waiting.append(self)
+                    else:
+                        insort(waiting, self, key=_queue_key)
                 return
         for resource in claims:
             resource._in_use += 1
@@ -258,7 +265,11 @@ class Resource:
     # -- admission ----------------------------------------------------------
     def request(self) -> MultiRequest:
         """Claim one unit: a one-claim :class:`MultiRequest` at priority 0."""
-        return MultiRequest(self.sim, (self,))
+        # A one-resource claim set is valid by construction: skip the checks.
+        req = MultiRequest.__new__(MultiRequest)
+        Event.__init__(req, self.sim)
+        req._submit((self,), 0)
+        return req
 
     def _grant(self) -> None:
         waiting = self._waiting

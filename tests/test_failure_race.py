@@ -1,16 +1,21 @@
 """The wait-vs-peer-failure race (:class:`repro.net.errors.FailureRace`).
 
-Every blocking wait of a transfer races the awaited event against its
-peers' failures.  These tests pin three things:
+A transfer wait that a peer's death must cut short races the awaited
+event against its peers' failures.  The per-block waits do not: a block
+queued for admission waits on its reservation, which the dying node fails
+(:func:`repro.net.flowsched.fail_queued`), and a stream gate on a block the
+source already holds wakes whatever fails.  These tests pin four things:
 
 * the race leaves no failure listener behind, neither per wait nor after
   whole collectives (``any_of([event, node.failure_event()])`` leaked one
   listener per wait, thousands per node on a 32-node alltoall);
+* the per-block waits register no listener at all;
 * a peer dying while a block is queued for admission still fails the
-  transfer at the failure instant and withdraws the claim;
-* the kernel sees the same queue pops, at the same times and sequence
-  numbers, as with the ``any_of`` form it replaced, so same-timestamp ties
-  break as before.
+  transfer at the failure instant and withdraws the claim from every link
+  it was queued on, tier links included;
+* the kernel sees the same queue pops, at the same times, as with the
+  ``any_of`` form the race replaced, minus the relay pop that form takes
+  after the admission wake, so same-timestamp ties break as before.
 """
 
 import pytest
@@ -25,7 +30,8 @@ from repro.net.flowsched import (
     path_transmission_time,
     transfer_block,
 )
-from repro.sim import Event
+from repro.net.topology import Topology
+from repro.sim import AnyOf, Event
 
 MB = 1024 * 1024
 
@@ -130,8 +136,68 @@ def test_no_failure_listener_leak_after_32_node_collective(collective):
 
 
 # ---------------------------------------------------------------------------
+# Per-block waits register no listener
+# ---------------------------------------------------------------------------
+
+
+def test_queued_admission_registers_no_failure_listener():
+    """Node 1's block queues behind node 0's on node 2's downlink and waits
+    on its reservation alone."""
+    cluster = Cluster(num_nodes=3)
+    sim = cluster.sim
+    src, dst = cluster.node(1), cluster.node(2)
+    samples = []
+    sim.on_pop = lambda _when, _seq, _event: samples.append(
+        (src.uplink.queue_length, len(src.failure_listeners), len(dst.failure_listeners))
+    )
+    for sender in (cluster.node(0), src):
+        sim.process(transfer_block(cluster.config, sender, dst, 4 * MB))
+    cluster.run()
+    assert any(queued for queued, _, _ in samples)
+    assert all(up == down == 0 for _, up, down in samples)
+
+
+def test_stream_over_held_source_blocks_registers_no_failure_listener():
+    """A stream gate on a block the source already holds takes no race."""
+    from repro.net.coalesce import nic_path_links
+    from repro.net.transport import stream_blocks
+    from repro.store.object_store import StoredObject
+    from repro.store.objects import ObjectID
+
+    nbytes = 16 * MB
+    # Fast paths off: every block takes the per-block gate.
+    cluster = Cluster(num_nodes=2, fast_paths=False)
+    sim, config = cluster.sim, cluster.config
+    src, dst = cluster.nodes
+    blocks = config.num_blocks(nbytes)
+    source = StoredObject(sim, ObjectID.of("held-src"), nbytes, blocks)
+    for k in range(blocks):
+        source.mark_block_ready(k)
+    entry = StoredObject(sim, ObjectID.of("held-dst"), nbytes, blocks)
+    listeners = []
+    sim.on_pop = lambda _when, _seq, _event: listeners.append(
+        len(src.failure_listeners) + len(dst.failure_listeners)
+    )
+    sim.process(
+        stream_blocks(
+            config, src, dst, nic_path_links(src, dst), nbytes, None,
+            entry=entry, source=source, watch=(src, dst),
+        )
+    )
+    cluster.run()
+    assert entry.blocks_ready == blocks > 1
+    assert listeners and not any(listeners)
+
+
+# ---------------------------------------------------------------------------
 # Peer death during queued admission
 # ---------------------------------------------------------------------------
+
+
+class _PeerFailed(Event):
+    """The reference's failure wake, told apart from other events by type."""
+
+    __slots__ = ()
 
 
 def _any_of_transfer_block(config, src, dst, nbytes):
@@ -145,7 +211,7 @@ def _any_of_transfer_block(config, src, dst, nbytes):
     reservation = Reservation(src, dst, nbytes, DEFAULT_FLOW)
     try:
         if not reservation.triggered:
-            peer_failed = Event(sim)
+            peer_failed = _PeerFailed(sim)
 
             def _notify(node):
                 if not peer_failed.triggered:
@@ -174,14 +240,14 @@ def _any_of_transfer_block(config, src, dst, nbytes):
 def _two_flows(transfer, fail_node=None, fail_at=0.001):
     """Nodes 0 and 1 each send one block to node 2; 1's waits for admission.
 
-    Returns the kernel's ``(when, seq)`` pops, each flow's outcome, and the
-    cluster.
+    Returns the kernel's pops as ``(when, event)``, each flow's outcome,
+    and the cluster.
     """
     config = NetworkConfig()
     cluster = Cluster(num_nodes=3, network=config)
     sim = cluster.sim
     pops = []
-    sim.on_pop = lambda when, seq, _event: pops.append((when, seq))
+    sim.on_pop = lambda when, _seq, event: pops.append((when, event))
     outcome = {}
 
     def flow(src_id):
@@ -200,12 +266,32 @@ def _two_flows(transfer, fail_node=None, fail_at=0.001):
     return pops, outcome, cluster
 
 
+def _label(event):
+    """A pop's kind: the admission wake is the reservation (granted, or
+    failed by a dying peer) or, in the reference, the failure closure's
+    event; anything else by type."""
+    if isinstance(event, (Reservation, _PeerFailed)):
+        return "admission-wake"
+    return type(event).__name__
+
+
 @pytest.mark.parametrize("fail_node", [None, 1, 2], ids=["no-fault", "src-dies", "dst-dies"])
-def test_queued_admission_pops_match_any_of_form(fail_node):
+def test_queued_admission_pops_match_any_of_form(fail_node, monkeypatch):
+    """Outcomes and times equal the ``any_of`` reference, and the pops do
+    too once the reference's relay pop (the ``AnyOf`` firing after the
+    admission wake) is taken out: queued admission waits on its
+    reservation directly, one hop instead of two."""
     pops, outcome, _ = _two_flows(transfer_block, fail_node)
+    # The reference learns of the death through its own listener alone.
+    monkeypatch.setattr("repro.net.node.fail_queued", lambda node: None)
     ref_pops, ref_outcome, _ = _two_flows(_any_of_transfer_block, fail_node)
     assert outcome == ref_outcome
-    assert pops == ref_pops
+    relays = [when for when, event in ref_pops if isinstance(event, AnyOf)]
+    # Node 1's block is the one queued wait.
+    assert len(relays) == 1
+    assert [(when, _label(event)) for when, event in pops] == [
+        (when, _label(event)) for when, event in ref_pops if not isinstance(event, AnyOf)
+    ]
 
 
 @pytest.mark.parametrize("fail_node", [1, 2], ids=["src-dies", "dst-dies"])
@@ -215,7 +301,7 @@ def test_peer_death_during_queued_admission(fail_node):
     # The failure lands while node 1's block is still queued behind node 0's.
     assert fail_at < config.transmission_time(4 * MB)
     _, outcome, cluster = _two_flows(transfer_block, fail_node, fail_at)
-    # TransferError surfaces at the failure instant (two zero-delay hops).
+    # TransferError surfaces at the failure instant (one zero-delay hop).
     assert outcome[1] == ("failed", fail_at)
     src, dst = cluster.node(1), cluster.node(2)
     # The queued claim was withdrawn from both NIC queues: no ghost claim.
@@ -223,3 +309,45 @@ def test_peer_death_during_queued_admission(fail_node):
     assert dst.downlink.queue_length == 0 and dst.downlink.in_use == 0
     # And neither endpoint keeps a listener.
     assert not src.failure_listeners and not dst.failure_listeners
+
+
+@pytest.mark.parametrize("fail_node", [1, 4], ids=["src-dies", "dst-dies"])
+def test_peer_death_withdraws_a_queued_cross_rack_claim_from_tier_links(fail_node):
+    """Nodes 0 and 1 (rack 0) each send a block to node 4 (rack 1); node 1's
+    queues on node 4's downlink while its claim also covers the rack tier
+    links.  A peer's death fails it at that instant and leaves every
+    claimed queue empty, and no link ever accounts it as granted."""
+    fail_at = 0.001
+    cluster = Cluster(8, topology=Topology.racks(2, 4, oversubscription=2.0))
+    sim, config = cluster.sim, cluster.config
+    dst = cluster.node(4)
+    failures = []
+
+    def flow(src):
+        try:
+            yield from transfer_block(config, src, dst, 4 * MB)
+        except TransferError as error:
+            claims = src.routes[dst.node_id][0]
+            failures.append((src.node_id, sim.now, error.node.node_id, claims))
+            assert all(link.queue_length == 0 for link in claims)
+
+    for src_id in (0, 1):
+        sim.process(flow(cluster.node(src_id)))
+    cluster.schedule_failure(fail_node, at=fail_at)
+    cluster.run()
+
+    (claims_0, path_0), (claims_1, path_1) = (
+        cluster.node(src_id).routes[dst.node_id][:2] for src_id in (0, 1)
+    )
+    assert path_1 and path_1 == path_0  # both cross the rack tier links
+    assert (1, fail_at, fail_node, claims_1) in failures
+    assert all(link.queue_length == 0 and link.in_use == 0 for link in claims_1)
+    scheds = {
+        id(node.uplink): node.uplink_sched for node in cluster.nodes
+    } | {id(node.downlink): node.downlink_sched for node in cluster.nodes} | {
+        id(link.resource): link.sched for link in path_1
+    }
+    # Node 0's block is the only grant on any of node 1's claimed links.
+    assert [scheds[id(link)].reservations_granted for link in claims_1] == [
+        int(link in claims_0) for link in claims_1
+    ]
