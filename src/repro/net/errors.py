@@ -68,13 +68,14 @@ class FailureRace(Event):
                 self._relay(node)
                 break
         else:
-            # Written straight into each node's listener dict (this is the
-            # per-block hot path): a node listed twice, as a same-node
-            # stream lists it, holds the listener once, and the first call
-            # decides the race either way.
+            # Written straight into each node's listener dict, with one
+            # registration stamp (see Node.failure_listeners): a node listed
+            # twice, as a same-node stream lists it, holds the listener
+            # once, and the first call decides the race either way.
             listener = self._listener = self._on_failure
+            stamp = next(self.sim._arrivals)
             for node in nodes:
-                node.failure_listeners[listener] = None
+                node.failure_listeners[listener] = stamp
         event.add_callback(self._on_event)
 
     def cancel(self) -> None:

@@ -38,11 +38,11 @@ latency.  :func:`transfer_block` times each block from it, bit for bit what
 Failure semantics: a dead endpoint raises
 :class:`~repro.net.transport.TransferError`.  A block queued for admission
 waits on its reservation alone, with no failure listener: when a node
-dies, :func:`fail_queued` withdraws every reservation queued on its NICs
-from every queue it is in and fails it with the ``TransferError`` its
-waiter raises, before any of the node's failure listeners run, so no ghost
-claim survives the failure.  The failure-detection delay is paid in the
-retry loops of the protocols above.
+dies, every reservation queued on its NICs (:func:`queued_on`) is
+withdrawn from every queue it is in and failed with the ``TransferError``
+its waiter raises (:func:`fail_queued`), so no ghost claim survives the
+failure.  The failure-detection delay is paid in the retry loops of the
+protocols above.
 """
 
 from __future__ import annotations
@@ -258,29 +258,35 @@ class Reservation(MultiRequest):
             )
 
 
-def fail_queued(node: "Node") -> None:
-    """Fail every reservation queued on ``node``'s NICs: ``node`` has died.
+def queued_on(node: "Node") -> list:
+    """The reservations queued on ``node``'s NICs, in submission order."""
+    # A claim on both NICs of the node (a loopback block) is listed once.
+    waiting = {*node.uplink._waiting, *node.downlink._waiting}
+    return sorted(waiting, key=lambda request: request.sort_key[1])
 
-    Each is withdrawn from every queue it waits in (both NICs and every
-    tier link of its path) and fails with the ``TransferError`` its waiter
-    raises, in submission order: the order in which the waiters started
-    to wait.  :meth:`~repro.net.node.Node.fail` calls this before the
-    node's failure listeners run, so no listener's grant scan can admit a
-    claim on a dead node.
+
+def fail_queued(reservation: Reservation, node: "Node") -> None:
+    """Fail a reservation queued on a link of ``node``, which has died.
+
+    It is withdrawn from every queue it waits in now (both NICs and every
+    tier link of its path), and a relay event fails it with the
+    ``TransferError`` its waiter raises: two queue hops, as the failure
+    listener's relay and the race it decided took, so same-instant ties
+    break as they did under a listener.  A reservation a listener's grant
+    scan admitted first is left to its waiter, which finds the node dead.
     """
-    queued = node.uplink._waiting + node.downlink._waiting
-    if not queued:
+    if reservation._ok is not None or reservation._released:
         return
-    # A claim on both NICs of the node (a loopback block) is failed once.
-    for reservation in sorted(set(queued), key=_arrival):
-        reservation.release()
-        reservation.fail(
-            TransferError(f"node {node.node_id} failed before transfer admission", node=node)
-        )
+    reservation.release()
+    relay = Event(reservation.sim)
+    relay.callbacks = [_fail_reservation]
+    error = TransferError(f"node {node.node_id} failed before transfer admission", node=node)
+    relay.succeed((reservation, error))
 
 
-def _arrival(request: MultiRequest) -> int:
-    return request.sort_key[1]
+def _fail_reservation(relay: Event) -> None:
+    reservation, error = relay._value
+    reservation.fail(error)
 
 
 def transfer_block(
@@ -296,11 +302,12 @@ def transfer_block(
     fully available at the destination.  A block that does not fit at once
     waits on its queued :class:`Reservation` alone and registers no failure
     listener: a peer that dies first fails the reservation
-    (:func:`fail_queued`), and the wait raises that ``TransferError``.  The block is timed from its route:
-    the cluster fabric's rate and latency, or ``config``'s for a node built
-    without a cluster.  A node's blocks are timed by its cluster's fabric,
-    so a ``config`` other than the cluster's is rejected with
-    :class:`~repro.sim.SimulationError` rather than silently ignored.
+    (:func:`fail_queued`), and the wait raises that ``TransferError``.
+    The block is timed from its route: the cluster fabric's rate and
+    latency, or ``config``'s for a node built without a cluster.  A node's
+    blocks are timed by its cluster's fabric, so a ``config`` other than
+    the cluster's is rejected with :class:`~repro.sim.SimulationError`
+    rather than silently ignored.
     """
     sim = src.sim
     cluster = src.cluster

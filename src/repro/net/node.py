@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.flowsched import LinkScheduler, fail_queued
+from repro.net.flowsched import LinkScheduler, fail_queued, queued_on
 from repro.sim import Event, Resource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -43,12 +43,14 @@ class Node:
         #: that they belong to a previous life of the node.
         self.incarnation = 0
         #: Callbacks invoked with this node when it fails, in registration
-        #: order.  A dict (values unused) so removing one is O(1): a wait
-        #: on a block the source does not hold yet registers and drops a
-        #: listener.  Per-block waits register none: a queued admission
-        #: learns of the death through its reservation (``fail``), and a
-        #: block the source already holds wakes regardless.
-        self.failure_listeners: dict[Callable[["Node"], None], None] = {}
+        #: order, each mapped to its registration stamp.  A dict so removing
+        #: one is O(1): a wait on a block the source does not hold yet
+        #: registers and drops a listener.  Per-block waits register none:
+        #: a queued admission learns of the death through its reservation
+        #: (see :meth:`fail`), and a block the source already holds wakes
+        #: regardless.  Stamps come from the simulator's arrival counter,
+        #: which also stamps admission requests, so the two share one order.
+        self.failure_listeners: dict[Callable[["Node"], None], int] = {}
         #: Callbacks invoked with this node when it recovers.
         self.recovery_listeners: list[Callable[["Node"], None]] = []
         #: Flow-scheduler routes from this node, by destination node id
@@ -69,18 +71,26 @@ class Node:
     def fail(self) -> None:
         """Mark the node as failed and notify listeners.
 
-        Every block still queued for admission on this node's uplink or
-        downlink fails first (:func:`~repro.net.flowsched.fail_queued`);
-        then the listeners run.  They are responsible for tearing down
-        transfers, dropping store contents, and killing tasks that ran on
-        the node.
+        Listeners are responsible for tearing down transfers, dropping store
+        contents, and killing tasks that ran on the node.  Every block still
+        queued for admission on this node's uplink or downlink fails too
+        (:func:`~repro.net.flowsched.fail_queued`), at the place a listener
+        registered when it began to wait would have: by its arrival stamp
+        among the listeners' stamps, so waiters wake in the order they
+        began to wait, whichever way they wait.
         """
         if not self.alive:
             return
         self.alive = False
-        fail_queued(self)
-        for listener in list(self.failure_listeners):
+        queued = queued_on(self)
+        index = 0
+        for listener, stamp in list(self.failure_listeners.items()):
+            while index < len(queued) and queued[index].sort_key[1] < stamp:
+                fail_queued(queued[index], self)
+                index += 1
             listener(self)
+        for reservation in queued[index:]:
+            fail_queued(reservation, self)
 
     def recover(self) -> None:
         """Bring the node back with a fresh incarnation."""
@@ -95,7 +105,7 @@ class Node:
         """Register a failure listener; registering one twice raises."""
         if callback in self.failure_listeners:
             raise ValueError(f"{callback!r} is already a failure listener of {self!r}")
-        self.failure_listeners[callback] = None
+        self.failure_listeners[callback] = next(self.sim._arrivals)
 
     def remove_failure_listener(self, callback: Callable[["Node"], None]) -> None:
         """Deregister a failure listener (no-op if it is not registered).

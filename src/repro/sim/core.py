@@ -443,7 +443,10 @@ class Simulator:
         #: overwrite a hook that is already set.
         self.on_pop: Optional[Callable[[float, int, Event], None]] = None
         #: arrival stamps of admission requests (FIFO within a priority;
-        #: see :mod:`repro.sim.resources`), counted per simulator.
+        #: see :mod:`repro.sim.resources`), counted per simulator.  Node
+        #: failure listeners draw their registration stamps here too, so a
+        #: dying node fails its queued admissions in the order their waits
+        #: began among its listeners (see ``repro.net.node.Node.fail``).
         self._arrivals = itertools.count()
 
     # -- time -------------------------------------------------------------

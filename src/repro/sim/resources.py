@@ -21,8 +21,9 @@ Two primitives cover everything the higher layers need:
   behind it fits either), so plain requests grant in strict FIFO order.
 
 Admission is *incremental*: a release wakes only the queues of the released
-resources (never a global rescan), a queue is kept sorted by
-``bisect.insort`` on a ``(priority, arrival)`` key instead of a linear scan,
+resources (never a global rescan), a queue is kept sorted on a
+``(priority, arrival)`` key (an append when the new key sorts last, as most
+do, and ``bisect.insort`` otherwise) instead of a linear scan,
 and the grant scan stops as soon as the resource is saturated — with
 capacity-1 NIC slots that makes each release O(grants).  Arrivals are
 stamped by the request's own :class:`~repro.sim.Simulator`, so no state is

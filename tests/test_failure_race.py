@@ -266,31 +266,36 @@ def _two_flows(transfer, fail_node=None, fail_at=0.001):
     return pops, outcome, cluster
 
 
-def _label(event):
-    """A pop's kind: the admission wake is the reservation (granted, or
-    failed by a dying peer) or, in the reference, the failure closure's
-    event; anything else by type."""
-    if isinstance(event, (Reservation, _PeerFailed)):
-        return "admission-wake"
+def _as_reservation_form(event):
+    """What a pop of the ``any_of`` reference is when the wait is on the
+    reservation itself: ``None`` for the relay that form no longer takes."""
+    if isinstance(event, AnyOf):
+        # After a grant the AnyOf is a relay; after a peer's death it is the
+        # admission wake, which the failed reservation now is.
+        granted = isinstance(event.value[0], Reservation)
+        return None if granted else "Reservation"
+    if isinstance(event, _PeerFailed):
+        return "Event"  # the relay event that fails the reservation
     return type(event).__name__
 
 
 @pytest.mark.parametrize("fail_node", [None, 1, 2], ids=["no-fault", "src-dies", "dst-dies"])
 def test_queued_admission_pops_match_any_of_form(fail_node, monkeypatch):
-    """Outcomes and times equal the ``any_of`` reference, and the pops do
-    too once the reference's relay pop (the ``AnyOf`` firing after the
-    admission wake) is taken out: queued admission waits on its
-    reservation directly, one hop instead of two."""
+    """Outcomes and times equal the ``any_of`` reference, and so do the
+    pops, but for the relay pop that form takes after a grant: a queued
+    block waits on its reservation directly, one hop where the reference
+    took two.  A peer's death still takes two hops: a relay event, then
+    the failed reservation."""
     pops, outcome, _ = _two_flows(transfer_block, fail_node)
     # The reference learns of the death through its own listener alone.
-    monkeypatch.setattr("repro.net.node.fail_queued", lambda node: None)
+    monkeypatch.setattr("repro.net.node.queued_on", lambda node: [])
     ref_pops, ref_outcome, _ = _two_flows(_any_of_transfer_block, fail_node)
     assert outcome == ref_outcome
-    relays = [when for when, event in ref_pops if isinstance(event, AnyOf)]
-    # Node 1's block is the one queued wait.
-    assert len(relays) == 1
-    assert [(when, _label(event)) for when, event in pops] == [
-        (when, _label(event)) for when, event in ref_pops if not isinstance(event, AnyOf)
+    expected = [(when, _as_reservation_form(event)) for when, event in ref_pops]
+    # Node 1's block is the one queued wait; only a granted one drops a pop.
+    assert len(expected) - len(pops) == (1 if fail_node is None else 0)
+    assert [(when, type(event).__name__) for when, event in pops] == [
+        (when, kind) for when, kind in expected if kind is not None
     ]
 
 
@@ -301,7 +306,7 @@ def test_peer_death_during_queued_admission(fail_node):
     # The failure lands while node 1's block is still queued behind node 0's.
     assert fail_at < config.transmission_time(4 * MB)
     _, outcome, cluster = _two_flows(transfer_block, fail_node, fail_at)
-    # TransferError surfaces at the failure instant (one zero-delay hop).
+    # TransferError surfaces at the failure instant (two zero-delay hops).
     assert outcome[1] == ("failed", fail_at)
     src, dst = cluster.node(1), cluster.node(2)
     # The queued claim was withdrawn from both NIC queues: no ghost claim.
