@@ -316,6 +316,38 @@ def test_peer_death_during_queued_admission(fail_node):
     assert not src.failure_listeners and not dst.failure_listeners
 
 
+def test_queued_admission_wakes_in_its_waits_listener_order():
+    """A dying node wakes a queued admission where a listener registered
+    when it began to wait would have run: after the waits that began
+    before it, before the ones that began after, two queue hops out like
+    any listener-driven wake."""
+    cluster = Cluster(num_nodes=3)
+    sim, config = cluster.sim, cluster.config
+    dst = cluster.node(2)
+    order = []
+
+    def watcher(name, start):
+        if start:
+            yield sim.timeout(start)
+        yield sim.any_of([dst.failure_event()])
+        order.append(name)
+
+    def flow(src_id):
+        try:
+            yield from transfer_block(config, cluster.node(src_id), dst, 4 * MB)
+        except TransferError:
+            order.append(f"failed-{src_id}")
+
+    sim.process(watcher("before", 0.0))
+    sim.process(flow(0))
+    sim.process(flow(1))  # queued behind node 0's block
+    sim.process(watcher("after", 0.0005))
+    cluster.schedule_failure(2, at=0.001)
+    cluster.run()
+    # Node 0's block, already moving, fails when its transmission ends.
+    assert order == ["before", "failed-1", "after", "failed-0"]
+
+
 @pytest.mark.parametrize("fail_node", [1, 4], ids=["src-dies", "dst-dies"])
 def test_peer_death_withdraws_a_queued_cross_rack_claim_from_tier_links(fail_node):
     """Nodes 0 and 1 (rack 0) each send a block to node 4 (rack 1); node 1's
