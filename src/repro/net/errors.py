@@ -118,6 +118,27 @@ class FailureRace(Event):
             self.fail(event._exception)
 
 
+def relay(event: Event, exception: Optional[BaseException] = None) -> None:
+    """Trigger ``event`` one urgent queue hop from now, with no listener.
+
+    It succeeds, or fails with ``exception``, when a relay event scheduled
+    now pops: the hop a race takes from the event that decides it to
+    itself.  A waiter on ``event`` therefore wakes two hops from now, as a
+    waiter on a :class:`FailureRace` decided now would.
+    """
+    hop = Event(event.sim)
+    hop.callbacks = [_trigger]
+    hop.succeed((event, exception))
+
+
+def _trigger(hop: Event) -> None:
+    event, exception = hop._value
+    if exception is None:
+        event.succeed()
+    else:
+        event.fail(exception)
+
+
 def race_failure(event: Event, nodes: Sequence["Node"]) -> Generator:
     """``yield from`` form of :class:`FailureRace`: wait, then let go.
 

@@ -54,7 +54,7 @@ from operator import add
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.net.config import NetworkConfig
-from repro.net.errors import TransferError, _check_alive
+from repro.net.errors import TransferError, _check_alive, relay
 from repro.sim import Event, MultiRequest, Resource, SimulationError, Simulator
 from repro.sim.resources import validate_claims
 
@@ -278,15 +278,10 @@ def fail_queued(reservation: Reservation, node: "Node") -> None:
     if reservation._ok is not None or reservation._released:
         return
     reservation.release()
-    relay = Event(reservation.sim)
-    relay.callbacks = [_fail_reservation]
-    error = TransferError(f"node {node.node_id} failed before transfer admission", node=node)
-    relay.succeed((reservation, error))
-
-
-def _fail_reservation(relay: Event) -> None:
-    reservation, error = relay._value
-    reservation.fail(error)
+    relay(
+        reservation,
+        TransferError(f"node {node.node_id} failed before transfer admission", node=node),
+    )
 
 
 def transfer_block(

@@ -77,7 +77,7 @@ from repro.net.coalesce import (
     unregister_stream,
 )
 from repro.net.config import NetworkConfig
-from repro.net.errors import FailureRace, NodeFailedError, TransferError, _check_alive
+from repro.net.errors import FailureRace, NodeFailedError, TransferError, _check_alive, relay
 from repro.net.flowsched import Flow, transfer_block
 from repro.net.node import Node
 from repro.sim import Event
@@ -94,19 +94,6 @@ __all__ = [
     "local_copy_block",
     "stream_blocks",
 ]
-
-
-def _two_hops(sim) -> Event:
-    """An event that pops two urgent queue hops from now, with no listener."""
-    relay = Event(sim)
-    hop = Event(sim)
-    hop.callbacks = [_relay]
-    hop.succeed(relay)
-    return relay
-
-
-def _relay(hop: Event) -> None:
-    hop._value.succeed()
 
 
 def transfer_bytes(
@@ -233,7 +220,9 @@ def stream_blocks(
                     # Held already: no failure can change this wake, so
                     # skip the race but keep its two queue hops (the gate,
                     # then the race), which same-instant ties depend on.
-                    yield _two_hops(src.sim)
+                    held = Event(src.sim)
+                    relay(held)
+                    yield held
                 else:
                     race = FailureRace(source.wait_for_blocks(index + 1), watch)
                     try:
