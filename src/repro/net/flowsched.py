@@ -275,7 +275,7 @@ def fail_queued(reservation: Reservation, node: "Node") -> None:
     break as they did under a listener.  A reservation a listener's grant
     scan admitted first is left to its waiter, which finds the node dead.
     """
-    if reservation._ok is not None or reservation._released:
+    if reservation._ok is not None:
         return
     reservation.release()
     relay(
