@@ -416,6 +416,49 @@ def golden_coalesced_accounting_events_cell() -> str:
     return _digest([(label, events) for label, _, events, _ in _coalesced_accounting_runs()])
 
 
+def _control_plane_kill_runs() -> list[tuple[str, int, list]]:
+    """Directory, lineage and both-target kills of an 8-node 16 MB allreduce.
+
+    Three kills at half the fault-free run, and two lineage kills at 0.30 s
+    while node 3 is down (it fails at 0.01 s and rejoins at 0.4 s), the only
+    setup here whose re-executed tasks reach ``lookup_spec`` while the
+    lineage plane is down and park there.  Each run is ``(label, kernel
+    events, parts)``: its latency and recovery dict, flow fingerprint and
+    ObjectID state.
+    """
+    from repro.bench.scenarios import Kill, Scenario, run
+    from repro.net.faults import FailureEvent
+
+    node_down = (FailureEvent(3, 0.01, 0.4),)
+    cells = [
+        (f"allred-{target}-0.5", "allreduce", (), Kill(target, fraction=0.5))
+        for target in ("directory", "lineage", "both")
+    ] + [
+        (f"{collective}-lineage-parked", collective, node_down, Kill("lineage", at=0.30))
+        for collective in ("allreduce", "broadcast")
+    ]
+    runs: list = []
+    for label, collective, failures, kill in cells:
+        clusters: list = []
+        scenario = Scenario(collective, "hoplite", 8, 16 * MB, failures=failures, kill=kill)
+        result = run(scenario, observe=clusters.append)
+        parts = [(label, repr(result["latency"]), repr(result["recovery"]))]
+        parts.extend(_flow_fingerprint(result["usage"]))
+        parts.append(_object_id_state(clusters[0]))
+        runs.append((label, result["events"], parts))
+    return runs
+
+
+def golden_control_plane_kills_cell() -> str:
+    """Latency, recovery dict, flow counters and ObjectID state of each kill."""
+    return _digest([part for _, _, parts in _control_plane_kill_runs() for part in parts])
+
+
+def golden_control_plane_kills_events_cell() -> str:
+    """The same runs' kernel event counts, pinned apart from the results."""
+    return _digest([(label, events) for label, events, _ in _control_plane_kill_runs()])
+
+
 GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "fig7_flat": golden_fig7_cell,
     "fault_matrix_2rack": golden_fault_matrix_cell,
@@ -429,6 +472,8 @@ GOLDEN_CELLS: dict[str, Callable[[], str]] = {
     "ablations_events": golden_ablations_events_cell,
     "coalesced_accounting": golden_coalesced_accounting_cell,
     "coalesced_accounting_events": golden_coalesced_accounting_events_cell,
+    "control_plane_kills": golden_control_plane_kills_cell,
+    "control_plane_kills_events": golden_control_plane_kills_events_cell,
 }
 
 #: digests asserted by tests/test_golden_determinism.py.
@@ -476,4 +521,9 @@ RECORDED_DIGESTS = {
     # its peers' failures (allred-16-1GB-0.1s 23499 -> 21731,
     # bcast-16-1GB-0.1s 504 -> 462).
     "coalesced_accounting_events": "38dde2d480867cc4755b42d35105b01b9995cbad47fcb6660d4f4c845e6be47e",
+    # Directory, lineage and both-target kills and the parked lineage
+    # lookups, recorded before the shards and the lineage plane shared one
+    # kill, park and replay lifecycle.
+    "control_plane_kills": "05a26b35d99057b8a552932af448b354fe1d58022b814ae1a3d0cb58a845261c",
+    "control_plane_kills_events": "bd115ef0442f06c51f9f4a5e3619a3fdf2b7fcee273e2aa865f710759586326c",
 }

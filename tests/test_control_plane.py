@@ -12,7 +12,9 @@ Covers the durability layer end to end:
   unkilled run's WAL append history and the collective must complete at
   every point;
 * lineage/ownership kills through the orchestrator: in-flight specs resume
-  from their last durable incarnation via ``replay_after_restart``;
+  from their last durable incarnation via ``replay_after_restart``, and
+  tasks that restart during the downtime park in ``lookup_spec`` until the
+  replayed plane answers them serially;
 * the streaming-allreduce recovery satellites (root progress preserved on a
   contributor loss, root prefix seeded back from a receiver on root loss);
 * the ``control_plane_ops`` metrics family through the exporters.
@@ -21,10 +23,12 @@ Covers the durability layer end to end:
 import numpy as np
 import pytest
 
+from repro.bench.scenarios import Kill, Scenario, run
 from repro.collectives.plane import HoplitePlane
 from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.faults import FailureEvent
 from repro.obs.export import to_json
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys import (
@@ -339,6 +343,63 @@ def test_control_plane_kill_mid_collective_resumes_spec():
     assert spec.spec_id in orchestrator.completed
     assert orchestrator.wal.replays == 1
     # One invocation end to end: recovery resumed, it did not restart.
+    assert orchestrator.metrics["invocations"] == 1
+
+
+@pytest.mark.parametrize("collective, parked", [("allreduce", 2), ("broadcast", 1)])
+def test_lineage_kill_parks_restarting_lookups_until_replay(monkeypatch, collective, parked):
+    """Tasks that restart while the lineage plane is down park in
+    ``lookup_spec``; the replayed plane answers them one ``rpc_latency /
+    64`` quantum apart, in parking order, after its ``replay_end``.
+
+    Node 3 is down from 0.01 s to 0.4 s, so its tasks re-execute on its
+    return, inside the plane's downtime; a kill at a fraction of the
+    fault-free run parks nothing, since every task is past its lookup.
+    """
+    orchestrators = []
+    lookups = []  # (entered, resumed), in entry order
+    lookup_spec = CollectiveOrchestrator.lookup_spec
+
+    def recording_lookup(self, spec_id):
+        if self not in orchestrators:
+            orchestrators.append(self)
+        index = len(lookups)
+        lookups.append((self.sim.now, None))
+        spec = yield from lookup_spec(self, spec_id)
+        lookups[index] = (lookups[index][0], self.sim.now)
+        return spec
+
+    monkeypatch.setattr(CollectiveOrchestrator, "lookup_spec", recording_lookup)
+    clusters = []
+
+    def observe(cluster):
+        cluster.enable_observability()
+        clusters.append(cluster)
+
+    scenario = Scenario(
+        collective,
+        "hoplite",
+        8,
+        16 * MB,
+        failures=(FailureEvent(3, 0.01, 0.4),),
+        kill=Kill("lineage", at=0.30),
+    )
+    result = run(scenario, observe=observe)
+    (orchestrator,) = orchestrators
+    (cluster,) = clusters
+    (replay_end,) = [
+        time
+        for time, kind, resource, detail in cluster.flight.records
+        if kind == "phase" and resource == "control-plane" and detail.startswith("replay_end/")
+    ]
+    waits = [(entered, resumed) for entered, resumed in lookups if resumed > entered]
+    assert len(waits) == parked
+    quantum = cluster.config.rpc_latency / 64
+    for position, (entered, resumed) in enumerate(waits):
+        assert 0.30 <= entered < replay_end
+        assert resumed == replay_end + (position + 1) * quantum
+    assert result["latency"] > waits[-1][1]
+    assert orchestrator.metrics["control_plane_kills"] == 1
     assert orchestrator.metrics["invocations"] == 1
 
 

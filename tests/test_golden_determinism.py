@@ -12,9 +12,10 @@ scheduling policy, a model change), re-record the digest in the same commit
 and say so in the commit message; if it fails after a *performance* change,
 the performance change is wrong.  The exceptions are the ``*_events``
 cells (``perf_basket_events``, ``ablations_events``,
-``coalesced_accounting_events``) and the ``grant_order`` pop digest: they
-pin kernel event counts and pops, which a fast path exists to lower, so a
-change that saves events re-records them and says which counts moved.
+``coalesced_accounting_events``, ``control_plane_kills_events``) and the
+``grant_order`` pop digest: they pin kernel event counts and pops, which a
+fast path exists to lower, so a change that saves events re-records them
+and says which counts moved.
 The fig7, fault-matrix and matching digests were re-recorded once, when
 ObjectIDs moved onto the cluster: each run there now reproduces its
 standalone schedule.
@@ -28,6 +29,8 @@ from repro.bench.digest import (
     golden_ablations_events_cell,
     golden_coalesced_accounting_cell,
     golden_coalesced_accounting_events_cell,
+    golden_control_plane_kills_cell,
+    golden_control_plane_kills_events_cell,
     golden_fault_matrix_cell,
     golden_fig7_cell,
     golden_fuzz_band_cell,
@@ -97,6 +100,17 @@ def test_golden_coalesced_accounting_matches_recorded_ledgers():
 def test_golden_coalesced_accounting_events_match_recorded_counts():
     """The same runs' kernel event counts, pinned apart from the ledgers."""
     assert golden_coalesced_accounting_events_cell() == RECORDED["coalesced_accounting_events"]
+
+
+def test_golden_control_plane_kills_match_recorded_runs():
+    """Directory, lineage and both-target kills of an allreduce, and the
+    lineage kills whose re-executed tasks park in ``lookup_spec``."""
+    assert golden_control_plane_kills_cell() == RECORDED["control_plane_kills"]
+
+
+def test_golden_control_plane_kills_events_match_recorded_counts():
+    """The same runs' kernel event counts, pinned apart from the results."""
+    assert golden_control_plane_kills_events_cell() == RECORDED["control_plane_kills_events"]
 
 
 @pytest.mark.parametrize("cell", ["fig7_flat", "fault_matrix_2rack"])
