@@ -47,7 +47,138 @@ class DirectoryRecord:
     shard: int = 0
 
 
-class DirectoryShard:
+class DurableService:
+    """A control-plane service that a kill wipes and WAL replay restores.
+
+    Two services are durable this way: each directory shard
+    (:class:`DirectoryShard`) and the orchestrator's lineage plane
+    (``CollectiveOrchestrator.control``).  The service owns its liveness,
+    its incarnation, the backlog of requests parked on it and its
+    :class:`~repro.tasksys.wal.WriteAheadLog`, and it writes the lifecycle's
+    counters and phase marks under its flight resource.  The owner says
+    what a kill wipes and drives recovery: after the failure-detection delay
+    it calls :meth:`replay` with its own restore and apply functions, then
+    ``yield from`` :meth:`revive`.
+    """
+
+    __slots__ = (
+        "cluster",
+        "sim",
+        "resource",
+        "quantum",
+        "alive",
+        "incarnation",
+        "backlog",
+        "recovery_event",
+        "wal",
+    )
+
+    def __init__(self, cluster: Cluster, resource: str, snapshot_fn):
+        # Deferred import, and the class lives here rather than under
+        # repro.tasksys: that package re-exports the orchestrator, whose
+        # import chain leads back here through repro.core.runtime.
+        from repro.tasksys.wal import WriteAheadLog
+
+        self.cluster = cluster
+        self.sim = cluster.sim
+        #: flight-recorder resource of the lifecycle's phase marks.
+        self.resource = resource
+        #: one slot of the post-recovery backlog drain (see :meth:`park`).
+        self.quantum = cluster.config.rpc_latency / 64.0
+        self.alive = True
+        self.incarnation = 0
+        #: requests parked during the current downtime.
+        self.backlog = 0
+        self.recovery_event = Event(self.sim)
+        self.wal = WriteAheadLog(
+            self.sim,
+            resource,
+            snapshot_fn=snapshot_fn,
+            on_append=self._on_wal_append,
+            on_checkpoint=self._on_wal_checkpoint,
+        )
+
+    def phase(self, detail: str) -> None:
+        """A lifecycle phase mark under the service's flight resource."""
+        flight = self.cluster.flight
+        if flight is not None:
+            flight.phase(self.resource, detail)
+
+    def _count(self, op: str) -> None:
+        obs = self.cluster.obs
+        if obs is not None:
+            obs.control_plane[op].inc()
+
+    def _on_wal_append(self, record) -> None:
+        self._count("wal_appends")
+        self.phase(f"wal_append/{record.kind}")
+
+    def _on_wal_checkpoint(self, seq: int) -> None:
+        self._count("checkpoints")
+        self.phase(f"checkpoint/seq={seq}")
+
+    def park(self, mark: Optional[str] = None) -> Generator:
+        """Wait out the downtime, then resume in the backlog's drain order.
+
+        Callers test ``alive`` first, so the alive path costs no generator.
+        A parked request takes a position in the backlog: the replayed
+        service answers parked requests *serially*, one :attr:`quantum`
+        apart, in parking order.  Without the stagger every parked
+        continuation resumes at the same instant, the resumed chains then
+        march in lockstep (identical hop latencies) and land same-instant
+        link releases whose within-timestep order the coalescing fast paths
+        do not preserve — admission of multi-link reservations would then
+        depend on it.  A serial drain is also what a real replayed service
+        does with its request queue.  ``mark``, if given, is written as a
+        phase mark each time the request parks.
+        """
+        while not self.alive:
+            position = self.backlog
+            self.backlog += 1
+            if mark is not None:
+                self.phase(mark)
+            while not self.alive:
+                yield self.recovery_event
+            yield self.sim.timeout((position + 1) * self.quantum)
+            # Re-killed while draining: loop and take a fresh position.
+
+    def kill(self) -> bool:
+        """Take the service down now; False if it already was.
+
+        Auto-checkpointing freezes for the downtime so no snapshot of wiped
+        state can be taken; the owner wipes its state and spawns recovery.
+        """
+        if not self.alive:
+            return False
+        self.alive = False
+        self.incarnation += 1
+        self.backlog = 0
+        self.recovery_event = Event(self.sim)
+        self.wal.frozen = True
+        self.phase(f"kill/incarnation={self.incarnation}")
+        return True
+
+    def replay(self, restore_fn, apply_fn) -> int:
+        """Rebuild the owner's state from checkpoint + tail; records applied."""
+        self.phase("replay_begin")
+        return self.wal.replay(restore_fn, apply_fn)
+
+    def revive(self, applied: int, detail: str) -> Generator:
+        """Pay the replay cost, come back up and wake the parked requests.
+
+        The cost is one RPC to load the checkpoint plus a quarter-latency
+        per tail record re-applied: deterministic, so recovered runs stay
+        byte-reproducible.  ``detail`` closes the end-of-replay phase mark.
+        """
+        yield self.sim.timeout(self.cluster.config.rpc_latency * (1.0 + 0.25 * applied))
+        self.alive = True
+        self.wal.frozen = False
+        self._count("replays")
+        self.phase(f"replay_end/{detail}")
+        self.recovery_event.succeed(self)
+
+
+class DirectoryShard(DurableService):
     """One hash-shard of the directory: a service task on a host node.
 
     The shard is the directory's unit of failure: :meth:`ObjectDirectory.
@@ -55,18 +186,14 @@ class DirectoryShard:
     recovery task that — after the failure-detection delay — fails the shard
     over to an alive host if needed and replays its write-ahead log
     (checkpoint + tail) to reconstruct exactly the state the kill destroyed.
-    Requests to a dead shard park on ``recovery_event`` inside the RPC path,
-    so clients see a stall, never an error or a job restart.
+    Requests to a dead shard park inside the RPC path (see
+    :meth:`DurableService.park`), so clients see a stall, never an error or
+    a job restart.
     """
 
     __slots__ = (
         "shard_id",
         "node",
-        "alive",
-        "incarnation",
-        "recovery_event",
-        "wal",
-        "backlog",
         "failovers",
         "last_replay_applied",
         "replay_self_check",
@@ -74,16 +201,10 @@ class DirectoryShard:
         "_pre_kill_digest",
     )
 
-    def __init__(self, shard_id: int, node: Node, sim):
+    def __init__(self, shard_id: int, node: Node, cluster: Cluster, snapshot_fn):
+        super().__init__(cluster, f"dirshard:{shard_id}", snapshot_fn)
         self.shard_id = shard_id
         self.node = node
-        self.alive = True
-        self.incarnation = 0
-        self.recovery_event = Event(sim)
-        self.wal: Optional[object] = None  # attached by the directory
-        #: requests parked during the current downtime; the replayed shard
-        #: answers them serially, one service quantum apart, in parking order.
-        self.backlog = 0
         self.failovers = 0
         self.last_replay_applied = 0
         #: outcome of the post-replay state self-check: True/False when the
@@ -125,31 +246,17 @@ class ObjectDirectory:
         self.shard_nodes: list[Node] = [
             cluster.nodes[shard % len(cluster.nodes)] for shard in range(num_shards)
         ]
-        # Deferred import: repro.tasksys re-exports the orchestrator, whose
-        # import chain leads back here through repro.core.runtime; by
-        # directory-construction time every module is fully initialized.
-        from repro.tasksys.wal import WriteAheadLog
-
         #: the shard service tasks; each owns a WAL so its death is
         #: recoverable by replay (see :class:`DirectoryShard`).
         self.shards: list[DirectoryShard] = [
-            DirectoryShard(shard_id, node, self.sim)
+            DirectoryShard(
+                shard_id,
+                node,
+                cluster,
+                lambda shard_id=shard_id: self._snapshot_shard(shard_id),
+            )
             for shard_id, node in enumerate(self.shard_nodes)
         ]
-        for shard in self.shards:
-            shard.wal = WriteAheadLog(
-                self.sim,
-                f"dirshard-{shard.shard_id}",
-                snapshot_fn=(
-                    lambda shard_id=shard.shard_id: self._snapshot_shard(shard_id)
-                ),
-                on_append=(
-                    lambda record, shard=shard: self._on_wal_append(shard, record)
-                ),
-                on_checkpoint=(
-                    lambda seq, shard=shard: self._on_wal_checkpoint(shard, seq)
-                ),
-            )
         self.shard_kills = 0
         self.records: dict[ObjectID, DirectoryRecord] = {}
         self.lookup_count = 0
@@ -206,30 +313,8 @@ class ObjectDirectory:
             if obs is not None:
                 obs.control_plane["shard_rpcs"].inc()
             yield self.sim.timeout(self.config.rpc_latency)
-        while not shard.alive:
-            # Take a position in the dead shard's backlog: the replayed shard
-            # answers parked requests *serially*, one service quantum apart,
-            # in parking order.  Without the stagger every parked continuation
-            # resumes at the same instant, the resumed chains then march in
-            # lockstep (identical hop latencies) and land same-instant link
-            # releases whose within-timestep order the coalescing fast paths
-            # do not preserve — admission of multi-link reservations would
-            # then depend on it.  A serial drain is also what a real replayed
-            # service does with its request queue.
-            position = shard.backlog
-            shard.backlog += 1
-            flight = self.cluster.flight
-            if flight is not None:
-                flight.phase(
-                    f"dirshard:{shard.shard_id}",
-                    f"rpc_parked/n{requester.node_id}/{object_id}",
-                )
-            while not shard.alive:
-                yield shard.recovery_event
-            yield self.sim.timeout(
-                (position + 1) * (self.config.rpc_latency / 64.0)
-            )
-            # Re-killed while draining: loop and take a fresh position.
+        if not shard.alive:
+            yield from shard.park(f"rpc_parked/n{requester.node_id}/{object_id}")
         if not requester.alive:
             raise NodeFailedError(f"node {requester.node_id} is down", node=requester)
 
@@ -243,22 +328,6 @@ class ObjectDirectory:
         return record
 
     # -- write-ahead logging ---------------------------------------------------
-    def _on_wal_append(self, shard: DirectoryShard, record) -> None:
-        obs = self.cluster.obs
-        if obs is not None:
-            obs.control_plane["wal_appends"].inc()
-        flight = self.cluster.flight
-        if flight is not None:
-            flight.phase(f"dirshard:{shard.shard_id}", f"wal_append/{record.kind}")
-
-    def _on_wal_checkpoint(self, shard: DirectoryShard, seq: int) -> None:
-        obs = self.cluster.obs
-        if obs is not None:
-            obs.control_plane["checkpoints"].inc()
-        flight = self.cluster.flight
-        if flight is not None:
-            flight.phase(f"dirshard:{shard.shard_id}", f"checkpoint/seq={seq}")
-
     def _commit(self, record: DirectoryRecord, kind: str, data: tuple):
         """Log one mutation to the owning shard's WAL, then apply it.
 
@@ -737,9 +806,10 @@ class ObjectDirectory:
     def close(self) -> None:
         """Drop the shard WALs' hooks of a finished run.
 
-        Each hook closes over this directory, which holds the WALs: a
-        reference cycle.  The logs and their counters stay readable, but a
-        closed directory can no longer checkpoint.
+        Each hook leads back to the WAL's holder: the snapshot function
+        closes over this directory, the other two are bound to the shard.
+        The logs and their counters stay readable, but a closed directory
+        can no longer checkpoint.
         """
         for shard in self.shards:
             wal = shard.wal
@@ -847,29 +917,14 @@ class ObjectDirectory:
         self._apply(record, wal_record.kind, wal_record.data[1:])
 
     def _shard_digest(self, shard_id: int) -> str:
-        """Deterministic digest of a shard's state (replay self-checks)."""
-        parts = []
-        for object_id, record in self.records.items():
-            if record.shard != shard_id:
-                continue
-            parts.append(
-                (
-                    object_id.key,
-                    record.size,
-                    record.deleted,
-                    None
-                    if record.inline_value is None
-                    else record.inline_value.size,
-                    tuple(
-                        (info.node_id, info.complete, info.upstream)
-                        for info in record.locations.values()
-                    ),
-                    tuple(
-                        (requester_id, info.node_id, info.complete, info.upstream)
-                        for requester_id, info in record.checked_out.items()
-                    ),
-                )
-            )
+        """Deterministic digest of a shard's snapshot (replay self-checks).
+
+        Inline values enter by size: a payload's ``repr`` is not a value.
+        """
+        parts = [
+            (object_id.key, size, deleted, None if inline is None else inline.size, *tables)
+            for object_id, size, inline, deleted, *tables in self._snapshot_shard(shard_id)
+        ]
         return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
     def fail_shard(self, shard_id: int) -> None:
@@ -878,26 +933,15 @@ class ObjectDirectory:
         Every record the shard owns is wiped in place (record identity and
         table order are preserved — clients hold references across yields);
         requests park in :meth:`_rpc` until the spawned recovery task brings
-        the shard back by WAL replay.  Auto-checkpointing freezes for the
-        downtime so no snapshot of wiped state can be taken.
+        the shard back by WAL replay (see :class:`DurableService`).
         """
         shard = self.shards[shard_id]
-        if not shard.alive:
+        if not shard.kill():
             return
-        shard.alive = False
-        shard.incarnation += 1
-        shard.backlog = 0
-        shard.recovery_event = Event(self.sim)
-        shard.wal.frozen = True
         shard._appends_at_kill = shard.wal.appends
         shard._pre_kill_digest = self._shard_digest(shard_id)
         shard.replay_self_check = None
         self.shard_kills += 1
-        flight = self.cluster.flight
-        if flight is not None:
-            flight.phase(
-                f"dirshard:{shard_id}", f"kill/incarnation={shard.incarnation}"
-            )
         for record in self.records.values():
             if record.shard == shard_id:
                 self._wipe_record(record)
@@ -908,7 +952,6 @@ class ObjectDirectory:
     def _recover_shard(self, shard: DirectoryShard) -> Generator:
         """Detect, fail over if the host died, replay the WAL, come back."""
         yield self.sim.timeout(self.config.failure_detection_delay)
-        flight = self.cluster.flight
         if not shard.node.alive:
             alive = self.cluster.alive_nodes()
             if alive:
@@ -922,45 +965,24 @@ class ObjectDirectory:
                 shard.node = new_host
                 self.shard_nodes[shard.shard_id] = new_host
                 shard.failovers += 1
-                if flight is not None:
-                    flight.phase(
-                        f"dirshard:{shard.shard_id}",
-                        f"shard_failover/{old_id}->{new_host.node_id}",
-                    )
-        if flight is not None:
-            flight.phase(f"dirshard:{shard.shard_id}", "replay_begin")
-        applied = shard.wal.replay(
+                shard.phase(f"shard_failover/{old_id}->{new_host.node_id}")
+        applied = shard.replay(
             lambda snapshot: self._restore_shard(shard.shard_id, snapshot),
             lambda wal_record: self._replay_record(shard, wal_record),
         )
         shard.last_replay_applied = applied
-        # Replay cost: one RPC to load the checkpoint plus a quarter-latency
-        # per tail record re-applied — deterministic, so recovered runs stay
-        # byte-reproducible.
-        yield self.sim.timeout(
-            self.config.rpc_latency * (1.0 + 0.25 * applied)
-        )
-        shard.alive = True
-        shard.wal.frozen = False
+        yield from shard.revive(applied, f"applied={applied}")
         if shard.wal.appends == shard._appends_at_kill:
             # Nothing happened during the downtime: replayed state must be
             # bit-identical to what the kill destroyed.
             shard.replay_self_check = (
                 self._shard_digest(shard.shard_id) == shard._pre_kill_digest
             )
-        obs = self.cluster.obs
-        if obs is not None:
-            obs.control_plane["replays"].inc()
-        if flight is not None:
-            flight.phase(
-                f"dirshard:{shard.shard_id}", f"replay_end/applied={applied}"
-            )
-        shard.recovery_event.succeed(shard)
         # Deferred waiter notifications drain serially *after* the parked RPC
         # backlog, continuing its slot sequence, so no two recovery-driven
-        # continuations resume at the same instant (see the stagger rationale
-        # in :meth:`_rpc`).  ``shard.backlog`` is final here: any request that
-        # arrives after ``alive`` flipped above never parks.
+        # continuations resume at the same instant (see
+        # :meth:`DurableService.park`).  ``shard.backlog`` is final here: any
+        # request that arrives after the shard came back never parks.
         pending = [
             record
             for record in self.records.values()
@@ -968,12 +990,11 @@ class ObjectDirectory:
             and (record.locations or record.inline_value is not None)
             and (record.waiters or record.availability_waiters)
         ]
-        quantum = self.config.rpc_latency / 64.0
         base = self.sim.now
         slot = shard.backlog + 1
         for record in pending:
             wake = Event(self.sim)
-            self.sim.schedule_at(wake, base + slot * quantum)
+            self.sim.schedule_at(wake, base + slot * shard.quantum)
             yield wake
             slot += 1
             if not shard.alive:

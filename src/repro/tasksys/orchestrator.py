@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.core.runtime import LocalOrchestration
+from repro.directory.service import DurableService
 from repro.net.transport import TransferError
-from repro.sim import Event
 from repro.store.objects import ObjectID, ObjectValue
 from repro.tasksys.lineage import (
     CollectiveSpec,
@@ -51,7 +51,6 @@ from repro.tasksys.lineage import (
 )
 from repro.tasksys.refs import ObjectRef
 from repro.tasksys.system import TaskSystem
-from repro.tasksys.wal import WriteAheadLog
 
 #: logical size of a driver task's output marker: small enough for the
 #: inline fast path, so outcome collection costs no bandwidth.
@@ -215,12 +214,12 @@ class _RecordingOrchestration(LocalOrchestration):
 
     def record_partial(self, parent_id, partial_id, node_id=None) -> None:
         orchestrator = self.orchestrator
-        orchestrator.wal.append("partial", (parent_id, partial_id, node_id))
+        orchestrator.control.wal.append("partial", (parent_id, partial_id, node_id))
         orchestrator.ownership.record_partial(parent_id, partial_id, node_id)
 
     def record_copy(self, object_id, node_id) -> None:
         orchestrator = self.orchestrator
-        orchestrator.wal.append("copy", (object_id, node_id))
+        orchestrator.control.wal.append("copy", (object_id, node_id))
         orchestrator.ownership.record_copy(object_id, node_id)
 
 
@@ -262,23 +261,12 @@ class CollectiveOrchestrator:
         self.driver_processes_by_spec: Dict[str, int] = {}
         #: specs whose invocation finished (recovery never re-submits these).
         self.completed: set = set()
-        #: the lineage/ownership services' liveness: the control plane is
-        #: itself a failure domain (see :meth:`kill_control_plane`).
-        self.control_alive = True
-        self.control_incarnation = 0
-        self.control_backlog = 0
-        self.control_recovery_event = Event(self.sim)
-        #: durable intent: every spec registration, submission, completion
-        #: and dynamic ownership record lands here before it matters, so
-        #: :meth:`replay_after_restart` can rebuild the whole orchestration
-        #: state from checkpoint + tail.
-        self.wal = WriteAheadLog(
-            self.sim,
-            "control-plane",
-            snapshot_fn=self._snapshot,
-            on_append=self._on_wal_append,
-            on_checkpoint=self._on_wal_checkpoint,
-        )
+        #: the lineage/ownership services, a failure domain of their own
+        #: (see :meth:`kill_control_plane`).  Every spec registration,
+        #: submission, completion and dynamic ownership record lands in its
+        #: WAL before it matters, so :meth:`replay_after_restart` can rebuild
+        #: the whole orchestration state from checkpoint + tail.
+        self.control = DurableService(self.cluster, "control-plane", self._snapshot)
         runtime = getattr(self.plane, "runtime", None)
         if runtime is not None:
             runtime.orchestration = _RecordingOrchestration(self)
@@ -303,7 +291,7 @@ class CollectiveOrchestrator:
             self.ownership.register_spec(spec)
         self.lineage.record(spec)
         if is_new or previous.incarnation != spec.incarnation:
-            self.wal.append("spec", (spec,))
+            self.control.wal.append("spec", (spec,))
 
     # -- submission -----------------------------------------------------------
     def submit(self, spec: CollectiveSpec) -> Dict[Tuple[str, int], ObjectRef]:
@@ -317,7 +305,7 @@ class CollectiveOrchestrator:
         """
         self.register(spec)
         self.lineage.note_submission(spec.spec_id)
-        self.wal.append("submit", (spec.spec_id,))
+        self.control.wal.append("submit", (spec.spec_id,))
         refs: Dict[Tuple[str, int], ObjectRef] = {}
 
         def _task(role, body, rank, node, placement, kwargs):
@@ -415,7 +403,7 @@ class CollectiveOrchestrator:
         if root_span is not None:
             root_span.finish("ok")
         self.completed.add(spec.spec_id)
-        self.wal.append("complete", (spec.spec_id,))
+        self.control.wal.append("complete", (spec.spec_id,))
         if flight is not None:
             flight.phase(f"spec:{spec.spec_id}", "complete")
         return CollectiveOutcome(
@@ -446,40 +434,12 @@ class CollectiveOrchestrator:
         On the (overwhelmingly common) alive path this yields nothing and
         schedules nothing — a plain dictionary read — so gating every driver
         task body through it costs zero simulated events.  While the plane
-        is down the task parks on the recovery event and re-reads the spec
-        from the *replayed* log once recovery completes.
-
-        Parked lookups resume *serially*, one service quantum apart in
-        parking order — the replayed service drains its request backlog one
-        at a time.  The stagger also keeps recovery from resynchronizing
-        independent driver chains onto one instant (same rationale as the
-        directory shard's backlog drain).
+        is down the task parks (see :meth:`DurableService.park`) and re-reads
+        the spec from the *replayed* log once recovery completes.
         """
-        while not self.control_alive:
-            position = self.control_backlog
-            self.control_backlog += 1
-            while not self.control_alive:
-                yield self.control_recovery_event
-            yield self.sim.timeout(
-                (position + 1) * (self.cluster.config.rpc_latency / 64.0)
-            )
+        if not self.control.alive:
+            yield from self.control.park()
         return self.lineage.spec(spec_id)
-
-    def _on_wal_append(self, record) -> None:
-        obs = self.cluster.obs
-        if obs is not None:
-            obs.control_plane["wal_appends"].inc()
-        flight = self.cluster.flight
-        if flight is not None:
-            flight.phase("control-plane", f"wal_append/{record.kind}")
-
-    def _on_wal_checkpoint(self, seq: int) -> None:
-        obs = self.cluster.obs
-        if obs is not None:
-            obs.control_plane["checkpoints"].inc()
-        flight = self.cluster.flight
-        if flight is not None:
-            flight.phase("control-plane", f"checkpoint/seq={seq}")
 
     def _snapshot(self):
         """Checkpoint state: lineage, submissions, completions, ownership."""
@@ -539,24 +499,15 @@ class CollectiveOrchestrator:
         """Kill the lineage/ownership services: their state is lost *now*.
 
         The in-memory tables are wiped to fresh instances; driver tasks
-        reaching :meth:`lookup_spec` park until the spawned recovery task
-        replays the WAL.  Tasks already past their lookup keep running on
-        the spec references they hold — exactly the semantics of a service
-        process dying while its clients' RPCs were already answered.
+        reaching :meth:`lookup_spec` park (see :meth:`DurableService.park`)
+        until the spawned recovery task replays the WAL.  Tasks already past
+        their lookup keep running on the spec references they hold — exactly
+        the semantics of a service process dying while its clients' RPCs
+        were already answered.
         """
-        if not self.control_alive:
+        if not self.control.kill():
             return
-        self.control_alive = False
-        self.control_incarnation += 1
-        self.control_backlog = 0
-        self.control_recovery_event = Event(self.sim)
-        self.wal.frozen = True
         self.metrics["control_plane_kills"] += 1
-        flight = self.cluster.flight
-        if flight is not None:
-            flight.phase(
-                "control-plane", f"kill/incarnation={self.control_incarnation}"
-            )
         self.lineage = LineageLog()
         self.ownership = OwnershipTable()
         self.completed = set()
@@ -574,7 +525,7 @@ class CollectiveOrchestrator:
         tasks rather than duplicate work, which is what "resume, don't
         restart" means operationally.
         """
-        applied = self.wal.replay(self._restore, self._replay_record)
+        applied = self.control.replay(self._restore, self._replay_record)
         resubmitted = 0
         for spec in list(self.lineage):
             if spec.spec_id in self.completed:
@@ -588,23 +539,7 @@ class CollectiveOrchestrator:
 
     def _recover_control_plane(self) -> Generator:
         yield self.sim.timeout(self.system.failure_detection_delay)
-        flight = self.cluster.flight
-        if flight is not None:
-            flight.phase("control-plane", "replay_begin")
         applied, resubmitted = self.replay_after_restart()
-        # Deterministic replay cost: one RPC to load the checkpoint plus a
-        # quarter-latency per tail record re-applied.
-        yield self.sim.timeout(
-            self.cluster.config.rpc_latency * (1.0 + 0.25 * applied)
+        yield from self.control.revive(
+            applied, f"applied={applied}/resubmitted={resubmitted}"
         )
-        self.control_alive = True
-        self.wal.frozen = False
-        obs = self.cluster.obs
-        if obs is not None:
-            obs.control_plane["replays"].inc()
-        if flight is not None:
-            flight.phase(
-                "control-plane",
-                f"replay_end/applied={applied}/resubmitted={resubmitted}",
-            )
-        self.control_recovery_event.succeed(self)

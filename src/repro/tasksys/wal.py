@@ -1,14 +1,12 @@
 """Write-ahead logging with periodic checkpoints for control-plane state.
 
-ROADMAP open item 1: the directory, the :class:`~repro.tasksys.lineage.
-LineageLog` and the :class:`~repro.tasksys.lineage.OwnershipTable` were
-immortal in-memory structures — a silent single point of failure.  This
-module is the durability layer both now share: every control-plane mutation
-is appended to a :class:`WriteAheadLog` as a simulated-clock-stamped
-:class:`WalRecord` *before* (in program order) its effect is considered
-durable, and the log periodically folds its tail into a checkpoint snapshot
-so replay cost stays bounded by ``checkpoint_interval`` instead of growing
-with history.
+Each :class:`~repro.directory.service.DurableService` — a directory shard,
+or the orchestrator's lineage plane — owns one :class:`WriteAheadLog`.
+Every mutation of the service's state is appended as a
+simulated-clock-stamped :class:`WalRecord` *before* (in program order) its
+effect is considered durable, and the log periodically folds its tail into
+a checkpoint snapshot so replay cost stays bounded by
+``checkpoint_interval`` instead of growing with history.
 
 Recovery is ``checkpoint + tail``: the owner restores the snapshot with its
 own ``restore`` function, then re-applies the tail records in sequence
@@ -148,21 +146,13 @@ class WriteAheadLog:
         self,
         restore_fn: Callable[[Any], None],
         apply_fn: Callable[[WalRecord], None],
-        upto_seq: Optional[int] = None,
     ) -> int:
         """Reconstruct owner state: restore the checkpoint, re-apply the tail.
 
-        ``upto_seq`` (exclusive) limits replay to records appended before a
-        given point — the crash-at-boundary tests use it to replay exactly
-        the history that was durable at the kill.  Returns the number of
-        tail records applied.
+        Returns the number of tail records applied.
         """
         restore_fn(self.checkpoint_state)
-        applied = 0
         for record in self.tail:
-            if upto_seq is not None and record.seq >= upto_seq:
-                break
             apply_fn(record)
-            applied += 1
         self.replays += 1
-        return applied
+        return len(self.tail)

@@ -3,7 +3,7 @@
 Covers the durability layer end to end:
 
 * checkpoint mechanics: automatic folding at the interval, tail truncation,
-  the frozen-while-down discipline, and ``upto_seq``-bounded replay;
+  and the frozen-while-down discipline;
 * records hold their payloads by reference (the log is never persisted);
 * directory-shard kills mid-collective: the collective completes without a
   job restart, replay reconstructs the wiped records (checkpoint + tail),
@@ -104,11 +104,6 @@ def test_wal_frozen_suspends_checkpoints_and_replay_is_bounded():
     assert wal.checkpoints == 0
     with pytest.raises(ValueError):
         wal.checkpoint()
-    # Bounded replay re-applies exactly the records durable before seq 5.
-    state["applied"] = {"junk": 99}
-    applied = wal.replay(restore, apply, upto_seq=5)
-    assert applied == 5
-    assert state["applied"] == {"k": 5}
     wal.frozen = False
     wal.checkpoint()
     assert wal.tail == [] and wal.checkpoint_seq == 7
@@ -335,13 +330,13 @@ def test_control_plane_kill_mid_collective_resumes_spec():
         kills=[(0.2, orchestrator.kill_control_plane)],
     )
     assert orchestrator.metrics["control_plane_kills"] == 1
-    assert orchestrator.control_alive
+    assert orchestrator.control.alive
     # The replayed lineage re-submitted the in-flight spec at its durable
     # incarnation; the (key, incarnation) dedup adopted the live tasks.
     assert orchestrator.metrics["control_plane_resubmissions"] >= 1
     assert spec.spec_id in orchestrator.lineage
     assert spec.spec_id in orchestrator.completed
-    assert orchestrator.wal.replays == 1
+    assert orchestrator.control.wal.replays == 1
     # One invocation end to end: recovery resumed, it did not restart.
     assert orchestrator.metrics["invocations"] == 1
 
@@ -410,7 +405,7 @@ def test_replay_after_restart_skips_completed_and_unsubmitted_specs():
     registered = _allgather_spec(cluster, "registered-only", 3, MB)
     orchestrator.register(registered)
     applied, resubmitted = orchestrator.replay_after_restart()
-    assert applied == orchestrator.wal.appends
+    assert applied == orchestrator.control.wal.appends
     # Completed specs and registered-but-never-submitted specs are not
     # re-submitted; there was nothing in flight.
     assert resubmitted == 0
@@ -450,7 +445,8 @@ def test_root_loss_seeds_prefix_from_receiver():
 # ---------------------------------------------------------------------------
 
 
-def test_control_plane_ops_metrics_exported():
+@pytest.mark.parametrize("target", ["directory", "lineage"])
+def test_control_plane_ops_metrics_exported(target):
     cluster = Cluster(num_nodes=5, network=NetworkConfig(**NET))
     obs = cluster.enable_observability()
     runtime = HopliteRuntime(cluster)
@@ -458,16 +454,19 @@ def test_control_plane_ops_metrics_exported():
     orchestrator = CollectiveOrchestrator(system)
     spec = _allgather_spec(cluster, "mx", 5, 16 * MB)
     directory = runtime.directory
-    _invoke(
-        cluster,
-        orchestrator,
-        spec,
-        kills=[(0.2, lambda: directory.fail_shard(0))],
-    )
+    if target == "directory":
+        killed, kill = directory.shards[0], lambda: directory.fail_shard(0)
+    else:
+        killed, kill = orchestrator.control, orchestrator.kill_control_plane
+    _invoke(cluster, orchestrator, spec, kills=[(0.2, kill)])
     family = obs.registry.families["control_plane_ops"]
     values = {key[0]: child.value for key, child in family.children.items()}
-    assert values["wal_appends"] > 0
-    assert values["replays"] == 1
+    # Shards and the lineage plane count their logs through the same hooks.
+    logs = [shard.wal for shard in directory.shards] + [orchestrator.control.wal]
+    assert values["wal_appends"] == sum(log.appends for log in logs) > 0
+    assert values["checkpoints"] == sum(log.checkpoints for log in logs)
+    assert values["replays"] == 1 == killed.wal.replays
+    # Only a shard's RPC path counts RPCs; the directory serves both runs.
     assert values["shard_rpcs"] > 0
     # The family exports through the frozen taxonomy like any other.
     payload = to_json(obs.registry)
