@@ -490,40 +490,46 @@ RECORDED_DIGESTS = {
     # the event counts moved to their own cell it hashes latencies only;
     # that digest was taken on the last tree that hashed both.
     "perf_basket": "303edc2e8a67f4cc3d2e70feb9be999f46de51abb16dc3317c7ddea602558446",
-    # The basket's kernel event counts, re-recorded when queued admission
-    # stopped racing its peers' failures (one pop fewer per queued block:
-    # gather-64-32MB 4099 -> 3596, moe-16n-2it 23806 -> 22886, fleet-4rack
-    # 12685 -> 12200, and five more cells by 2 to 253).
-    "perf_basket_events": "a06cb72966980d5fd0205428b8ff526a2615a54ce9634222eb4d1d0c9c6dd680",
+    # The basket's kernel event counts, re-recorded when a held stream gate
+    # and a memcpy slot granted at submission stopped taking their queue
+    # hops while the kernel is settled (gather-64-32MB 3596 -> 2529,
+    # fleet-4rack 12200 -> 11512, fleet-2rack-quick 7643 -> 7076, and eight
+    # more cells by 1 to 438; three are unchanged).
+    "perf_basket_events": "62b4fdfa19931528e1aa7f173a01c596579190e429bdfb5c21495d8ac6b80207",
     # The fuzz band's own digests, recorded before the scenario drivers
     # moved onto one Scenario/run() model.
     "fuzz_band": "4a0d15e8e652e0c7dcb4e99b7c27944ed9f818d5aa552bcd4ba47ed205453200",
-    # Kernel pop order, re-recorded when queued admission stopped racing
-    # its peers' failures: the same pops in the same order, minus the one
-    # FailureRace pop each queued block took after its grant (the sequence
-    # numbers shift accordingly), and held source gates pop a relay Event
-    # where they popped a FailureRace.
-    "grant_order": "a58d4e15ea741d462512e4b957c6d072a0ffe7ec1e8b5cff16888761f2fbe130",
+    # Kernel pop order, re-recorded when a held stream gate and a memcpy
+    # slot granted at submission stopped taking their queue hops while the
+    # kernel is settled: the same pops in the same order, minus those hops
+    # (alltoall 6839 -> 6465 pops, allgather 3971 -> 3095; the sequence
+    # numbers shift accordingly).
+    "grant_order": "55508d36362e1ac6dca756fcdebc185e81dda1da6cce2e277f5e9c373e71948d",
     # The ablation paths' latencies, recorded when the cell was split, on
     # the tree whose single cell (recorded before the five block loops
     # became one) hashed latencies and event counts.
     "ablations": "caea893d908720144e4d7dff57d2376cd0e4d7f127c74bffc4c487793f083d10",
-    # Their event counts, re-recorded when queued admission stopped racing
-    # its peers' failures (the no-relay broadcasts and allreduces moved,
-    # e.g. no-relay bcast-16-256MB-0.01s 3993 -> 3036).
-    "ablations_events": "632bf48e4055bb6208e37e953cc7f1e5854fe2bbf326bcbf8487e39cf12ba609",
+    # Their event counts, re-recorded when held stream gates stopped taking
+    # their queue hops while the kernel is settled (no-relay allred-8-64MB
+    # 4068 -> 4060, bcast-8-64MB 412 -> 411, bcast-16-256MB-0.01s
+    # 3036 -> 3035).
+    "ablations_events": "784161eff8a2fa1d37edccbaf3e20181a0dd18cbe5f900fa786d88e6bcb6f795",
     # Per-link busy-time sums, grants and bytes of the coalesced pipelines
     # with their latencies, recorded when the cell was split, on the tree
     # whose single cell (recorded before a run's link accounting was
     # credited in bulk) hashed them with the event counts.
     "coalesced_accounting": "dbf54fb0550ea47520f6ece7b72a44be482bd1062cec36a909d4c71849b573bc",
-    # Their event counts, re-recorded when queued admission stopped racing
-    # its peers' failures (allred-16-1GB-0.1s 23499 -> 21731,
-    # bcast-16-1GB-0.1s 504 -> 462).
-    "coalesced_accounting_events": "38dde2d480867cc4755b42d35105b01b9995cbad47fcb6660d4f4c845e6be47e",
+    # Their event counts, re-recorded when held stream gates stopped taking
+    # their queue hops while the kernel is settled (bcast-16-1GB-0.1s
+    # 462 -> 377, allred-16-1GB-0.1s 21731 -> 21651, reduce-64-1GB
+    # 1987 -> 1923, the two other broadcasts by 1).
+    "coalesced_accounting_events": "358911eba17734f8bdbb70b5602b1feb7714c9e89f939aa02eba0caa16b6308a",
     # Directory, lineage and both-target kills and the parked lineage
     # lookups, recorded before the shards and the lineage plane shared one
     # kill, park and replay lifecycle.
     "control_plane_kills": "05a26b35d99057b8a552932af448b354fe1d58022b814ae1a3d0cb58a845261c",
-    "control_plane_kills_events": "bd115ef0442f06c51f9f4a5e3619a3fdf2b7fcee273e2aa865f710759586326c",
+    # Their event counts, re-recorded when held stream gates stopped taking
+    # their queue hops while the kernel is settled (allreduce-lineage-parked
+    # 808 -> 796; the other four runs are unchanged).
+    "control_plane_kills_events": "5fa97beb397c2ba346c8b06d998f55c6395b497314764c80bb1bc00fb687b9d6",
 }

@@ -339,7 +339,11 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
 
     ``observe`` is called with the cluster as soon as it is built, before
     any fault or plane is installed: flight recorders and test probes go
-    there.  Returns a dict with ``latency`` (simulated seconds),
+    there.  Once the queue has drained the run closes the plane's runtime
+    and then the cluster (:meth:`~repro.net.cluster.Cluster.close`), so a
+    kept cluster has its counters but no listeners; a run that a kill
+    budget stops with events still queued stays open.  Returns a dict
+    with ``latency`` (simulated seconds),
     ``optimum`` (the collective's analytic optimum, ``None`` if it has
     none), ``usage`` (:func:`collect_flow_usage`; ``None`` for the
     ``"optimal"`` system, which simulates nothing), ``events`` (kernel
@@ -407,10 +411,18 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
             shards = plane.runtime.directory.shards
             recovery["replay_applied"] = [shard.last_replay_applied for shard in shards]
             recovery["replay_self_check"] = [shard.replay_self_check for shard in shards]
+    usage = collect_flow_usage(cluster)
+    if sim.peek() == float("inf"):
+        # Drained (a kill budget may stop the run with events queued): cut
+        # the run's back-references, as run_fleet does, so reference
+        # counting frees it instead of the cyclic collector.
+        if plane is not None:
+            plane.runtime.close()
+        cluster.close()
     return {
         "latency": done["latency"],
         "optimum": optimum,
-        "usage": collect_flow_usage(cluster),
+        "usage": usage,
         "events": sim.events_processed,
         "recovery": recovery,
     }

@@ -148,6 +148,9 @@ class HopliteClient:
                     fetch_object(runtime, self.node, object_id, flow=flow),
                     name=f"fetch-{object_id}-n{self.node.node_id}",
                 )
+                # Registered before any waiter, so the last waiter's wake
+                # stays the fetch's last callback.
+                fetch.add_callback(self._defuse_own_death)
                 manager.inflight_fetches[object_id] = fetch
             yield fetch
             if manager.inflight_fetches.get(object_id) is fetch:
@@ -175,6 +178,17 @@ class HopliteClient:
             value = entry.to_value()
             return value.copy()
         return entry.to_value()
+
+    def _defuse_own_death(self, fetch) -> None:
+        """A fetch that failed because its own node is down is handled.
+
+        The node's death already ended every wait on it there: a waiter
+        that is left gets the error anyway, and one that an interrupt took
+        away (a killed driver task) leaves the fetch with nobody to tell.
+        """
+        error = fetch._exception
+        if isinstance(error, NodeFailedError) and error.node is self.node:
+            fetch.defused = True
 
     # --------------------------------------------------------------- Delete --
     def delete(self, object_id: ObjectID) -> Generator:

@@ -54,11 +54,13 @@ If either endpoint fails, in-flight and future blocks of the transfer raise
 :class:`TransferError`.  No per-block wait registers a failure listener: a
 block waiting for admission waits on its reservation, which the dying node
 withdraws from every queue and fails
-(:func:`~repro.net.flowsched.fail_queued`), and a stream gate on a block
-its source already holds wakes two queue hops later whatever dies, then
-re-checks its peers.  Only a gate on a block the source does not hold yet
-races the source against its peers' failures
-(:class:`~repro.net.errors.FailureRace`).  The failure-*detection* delay
+(:func:`~repro.net.flowsched.fail_queued`).  A stream gate on a block its
+source already holds takes no race either: it continues at once when
+nothing can run before its wake (:meth:`~repro.sim.Simulator.settled`),
+and otherwise after the two queue hops a race would take, so same-instant
+ties break as they did; either way it then re-checks its peers.  Only a
+gate on a block the source does not hold yet races the source against its
+peers' failures (:class:`~repro.net.errors.FailureRace`).  The failure-*detection* delay
 is modelled where the paper's protocols pay it: in the retry loops of the
 layers above, which sleep ``failure_detection_delay`` before re-resolving a
 source — exactly like a broken TCP connection being noticed by its peer.
@@ -119,7 +121,10 @@ def local_copy_block(config: NetworkConfig, node: Node, nbytes: int) -> Generato
     _check_alive(node)
     req = node.memcpy_channel.request()
     try:
-        yield req
+        if req._ok is None or not sim.settled():
+            # Queued, or granted at submission with something that could
+            # run before the grant's wake (see Simulator.settled).
+            yield req
         _check_alive(node)
         yield sim.timeout(config.memcpy_time(nbytes))
         _check_alive(node)
@@ -184,8 +189,10 @@ def stream_blocks(
     source holds it: the stream waits on ``source.wait_for_blocks(k + 1)``,
     raced against the failure of the ``watch`` nodes, and raises
     :class:`NodeFailedError` if one of them died.  A block the source
-    already holds needs no race: the stream takes the race's two queue
-    hops with no listener, then checks the ``watch`` nodes.
+    already holds needs no race: the stream continues at once when nothing
+    can run before its wake (:meth:`~repro.sim.Simulator.settled`), and
+    otherwise takes the race's two queue hops with no listener; either
+    way it then checks the ``watch`` nodes.
     """
     if entry is None:
         total, index = config.num_blocks(nbytes), 0
@@ -218,11 +225,14 @@ def stream_blocks(
                     source.decoalesce()
                 if source.blocks_ready > index:
                     # Held already: no failure can change this wake, so
-                    # skip the race but keep its two queue hops (the gate,
-                    # then the race), which same-instant ties depend on.
-                    held = Event(src.sim)
-                    relay(held)
-                    yield held
+                    # skip the race.  Continue at once if nothing can run
+                    # before the wake; otherwise keep the race's two queue
+                    # hops (the gate, then the race), which same-instant
+                    # ties depend on.
+                    if not src.sim.settled():
+                        held = Event(src.sim)
+                        relay(held)
+                        yield held
                 else:
                     race = FailureRace(source.wait_for_blocks(index + 1), watch)
                     try:

@@ -52,7 +52,16 @@ Performance notes (the kernel is the hot loop of every benchmark):
   traceback starts in the generator rather than in the kernel frame that
   caught it.  Either self-reference would make every process a reference
   cycle, and a fleet of runs would spend a fifth of its host time in the
-  cyclic garbage collector instead of being freed by reference counting.
+  cyclic garbage collector instead of being freed by reference counting;
+* :meth:`Simulator.settled` tells a running process that a same-instant
+  wake it would schedule now is the very next pop: :meth:`run` is inside
+  the last callback of the event it dispatches and the urgent tier is
+  empty.  A wait that must take a queue hop only to keep that order (a
+  stream gate on a block its source already holds, a memcpy slot granted
+  at submission) continues at once instead.  The skipped pops could only
+  have run themselves, and the sequence counter merely advances less, so
+  every later event still sorts after every queued one: the relative pop
+  order, and with it every simulated result, is unchanged.
 """
 
 from __future__ import annotations
@@ -417,6 +426,7 @@ class Simulator:
         "unhandled_failures",
         "on_pop",
         "_arrivals",
+        "_settled",
     )
 
     def __init__(self, start_time: float = 0.0):
@@ -448,6 +458,9 @@ class Simulator:
         #: dying node fails its queued admissions in the order their waits
         #: began among its listeners (see ``repro.net.node.Node.fail``).
         self._arrivals = itertools.count()
+        #: set by :meth:`run` around the last callback of each dispatch
+        #: (see :meth:`settled`).
+        self._settled = False
 
     # -- time -------------------------------------------------------------
     @property
@@ -518,8 +531,22 @@ class Simulator:
             return float("inf")
         return self._queue[0][0]
 
+    def settled(self) -> bool:
+        """True if a same-instant wake scheduled now would be the next pop.
+
+        That holds while :meth:`run` (not :meth:`step`, and not
+        ``run(until=<event>)``, which may stop before the wake pops) is
+        inside the last callback of the event it dispatches, and the urgent
+        tier is empty: nothing can run between now and that wake, so the
+        waiter may continue at once instead.  The caller must be that
+        callback's tail, as a process resumed by it is: whatever it does
+        next would have run when the wake popped.
+        """
+        return self._settled and not self._urgent
+
     def step(self) -> None:
-        """Process a single event (:meth:`run` dispatches the same way)."""
+        """Process a single event (:meth:`run` dispatches the same way,
+        except that :meth:`settled` stays false here)."""
         if not self._urgent and not self._queue:
             raise SimulationError("step() called on an empty event queue")
         if self._urgent:
@@ -562,30 +589,41 @@ class Simulator:
         popleft = urgent.popleft
         unhandled = self.unhandled_failures
         on_pop = self.on_pop
-        while True:
-            if stop_event is not None and stop_event.callbacks is _PROCESSED:
-                break
-            if urgent:
-                seq, event = popleft()
-                when = self._now
-            elif heap:
-                if heap[0][0] > stop_time:
-                    self._now = stop_time
+        # A stop event may end the run before a wake scheduled now pops.
+        settle = stop_event is None
+        self._settled = False
+        try:
+            while True:
+                if stop_event is not None and stop_event.callbacks is _PROCESSED:
                     break
-                when, _priority, seq, event = heappop(heap)
-                self._now = when
-            else:
-                break
-            self.events_processed += 1
-            if on_pop is not None:
-                on_pop(when, seq, event)
-            callbacks = event.callbacks
-            event.callbacks = _PROCESSED
-            if callbacks is not None:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event.defused:
-                unhandled.append(event)
+                if urgent:
+                    seq, event = popleft()
+                    when = self._now
+                elif heap:
+                    if heap[0][0] > stop_time:
+                        self._now = stop_time
+                        break
+                    when, _priority, seq, event = heappop(heap)
+                    self._now = when
+                else:
+                    break
+                self.events_processed += 1
+                if on_pop is not None:
+                    on_pop(when, seq, event)
+                callbacks = event.callbacks
+                event.callbacks = _PROCESSED
+                if callbacks:
+                    # The list is ours now (the event holds _PROCESSED).
+                    last = callbacks.pop()
+                    for callback in callbacks:
+                        callback(event)
+                    self._settled = settle
+                    last(event)
+                    self._settled = False
+                if not event._ok and not event.defused:
+                    unhandled.append(event)
+        finally:
+            self._settled = False
 
         if stop_event is not None:
             if not stop_event.triggered:

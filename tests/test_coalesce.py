@@ -124,9 +124,11 @@ def test_local_copy_coalesces_and_matches_reference():
         cluster.run()
         results[enabled] = (done["t"], sim.events_processed)
     assert results[True][0] == results[False][0]
-    # 16 blocks: per-block pays ~2 events each, coalesced is O(1).
+    # 16 blocks: per-block pays one timeout each (the memcpy slot is
+    # granted at submission with nothing else to run, so its wake is
+    # skipped), plus the process's start and end; coalesced is O(1).
     assert results[True][1] <= 6, results[True][1]
-    assert results[False][1] >= 30, results[False][1]
+    assert results[False][1] == 18, results[False][1]
 
 
 def test_pull_cascade_is_o1_events_per_hop():

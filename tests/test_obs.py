@@ -603,8 +603,8 @@ def test_fast_paths_switch_is_per_run():
         assert clusters[0].fast_paths is fast_paths
         results[fast_paths] = (result, clusters[0].fastpath_stats["coalesced_runs"])
     (off, off_runs), (on, on_runs) = results[False], results[True]
-    assert (off_runs, off["events"]) == (0, 4094)
-    assert (on_runs, on["events"]) == (16, 160)
+    assert (off_runs, off["events"]) == (0, 4028)
+    assert (on_runs, on["events"]) == (16, 159)
     assert on["latency"] == off["latency"] == pytest.approx(0.2658795696, abs=1e-10)
 
 

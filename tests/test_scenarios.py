@@ -128,6 +128,18 @@ def test_driver_failure_object_plane_recovery_beats_job_restart():
         measure_driver_failure("optimal", 4, MB)
 
 
+def test_faulted_driver_allreduce_leaves_no_undefused_failure():
+    """Node 0's fetch fails in ``release_transfer_source`` after node 0 died
+    and its driver task's ``get`` left: a failure nobody is left to take,
+    which the fetch's own-death defuse now acknowledges."""
+    from repro.bench.scenarios import Kill, Scenario, run
+
+    clusters = []
+    scenario = Scenario("allreduce", "hoplite", 8, 16 * MB, kill=Kill("driver", fraction=0.5))
+    run(scenario, observe=clusters.append)
+    assert clusters[0].sim.unhandled_failures == []
+
+
 def test_format_value_and_table_and_series():
     assert format_value(0) == "0"
     assert format_value(1234.0) == "1,234"
