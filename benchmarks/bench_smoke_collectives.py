@@ -5,20 +5,21 @@ path in CI: it proves every scenario driver still builds a cluster, runs,
 and returns a positive latency, without the full Figure 7 grids.
 """
 
-from repro.bench.experiments import MB
+from repro.bench.claims import MB
 from repro.bench.reporting import format_table
 from repro.bench.scenarios import (
+    Scenario,
     measure_allgather,
     measure_allreduce,
     measure_alltoall,
     measure_broadcast,
     measure_gather,
-    measure_point_to_point_rtt,
     measure_reduce,
+    run,
 )
 
 _PRIMITIVES = {
-    "point_to_point": lambda system, n, size: measure_point_to_point_rtt(system, size),
+    "point_to_point": lambda system, n, size: run(Scenario("p2p", system, 2, size))["latency"],
     "broadcast": measure_broadcast,
     "gather": measure_gather,
     "reduce": measure_reduce,

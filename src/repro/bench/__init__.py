@@ -1,9 +1,10 @@
-"""Benchmark harness: scenario drivers, experiment registry, and table printing.
+"""Benchmark harness: the scenario model, the claims table, and table printing.
 
 ``repro.bench.scenarios`` contains the scenario model (a ``Scenario`` and
 ``run``: one simulated cluster per measurement) and the ``measure_*``
-drivers built on it, ``repro.bench.experiments``
-assembles them into the paper's tables and figures, and
+drivers built on it, ``repro.bench.claims`` builds the paper's figure
+tables on fixed grids and checks each of the paper's claims against them
+(import it directly: it loads the application workloads), and
 ``repro.bench.reporting`` prints the same rows/series the paper reports.
 """
 
@@ -15,7 +16,6 @@ from repro.bench.scenarios import (
     measure_alltoall,
     measure_broadcast,
     measure_gather,
-    measure_point_to_point_rtt,
     measure_reduce,
 )
 
@@ -28,6 +28,5 @@ __all__ = [
     "measure_alltoall",
     "measure_broadcast",
     "measure_gather",
-    "measure_point_to_point_rtt",
     "measure_reduce",
 ]

@@ -287,9 +287,9 @@ class Kill:
             raise ValueError("target must be 'driver', 'directory', 'lineage', or 'both'")
         if self.fraction is not None:
             if self.at is not None:
-                raise ValueError("pass either fail_at or fail_fraction, not both")
+                raise ValueError("pass either at or fraction, not both")
             if not 0.0 < self.fraction < 1.0:
-                raise ValueError("fail_fraction must be in (0, 1)")
+                raise ValueError("fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -823,16 +823,6 @@ _STATIC_RUNS = {
 
 def _latency(collective: str, system: str, num_nodes: int, nbytes: int, **fields) -> float:
     return run(Scenario(collective, system, num_nodes, nbytes, **fields))["latency"]
-
-
-def measure_point_to_point_rtt(
-    system: str,
-    nbytes: int,
-    network: Optional[NetworkConfig] = None,
-    options: Optional[HopliteOptions] = None,
-) -> float:
-    """Round-trip latency of one object between two nodes (Figure 6)."""
-    return _latency("p2p", system, 2, nbytes, network=network, options=options)
 
 
 def measure_broadcast(

@@ -124,8 +124,10 @@ class Event:
         self._ok: Optional[bool] = None
         #: Set once a failure has been delivered to at least one waiter (or
         #: explicitly acknowledged).  A failed event that leaves the queue
-        #: still undefused is appended to ``Simulator.unhandled_failures``;
-        #: nothing raises, so read that list to catch lost errors.
+        #: still undefused is appended to ``Simulator.unhandled_failures``,
+        #: and dropped from it when :meth:`Simulator.run` returns if a waiter
+        #: defused it meanwhile; nothing raises, so read that list to catch
+        #: lost errors.
         self.defused = False
 
     # -- state ------------------------------------------------------------
@@ -439,7 +441,8 @@ class Simulator:
         #: Events dispatched so far (``collect_flow_usage()`` reports it as
         #: ``events_processed``; ``perf/`` reports it as ``sim.events``).
         self.events_processed = 0
-        #: Failed events whose exception was never consumed by a waiter.
+        #: Failed events whose exception no waiter had consumed when the
+        #: last :meth:`run` returned.
         self.unhandled_failures: list[Event] = []
         #: Optional per-pop flight-recorder hook, called as
         #: ``on_pop(when, seq, event)`` with the popped entry's queue
@@ -624,6 +627,11 @@ class Simulator:
                     unhandled.append(event)
         finally:
             self._settled = False
+            # A failure recorded when it popped unheard may have reached a
+            # waiter since (a process that yields an already-failed event
+            # defuses it): only what nobody consumed stays reported.
+            if unhandled:
+                unhandled[:] = [event for event in unhandled if not event.defused]
 
         if stop_event is not None:
             if not stop_event.triggered:

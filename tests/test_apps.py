@@ -91,6 +91,26 @@ def test_model_serving_with_failure_keeps_serving():
     assert max(result.iteration_latencies) < 10 * min(result.iteration_latencies)
 
 
+@pytest.mark.parametrize("system", ["hoplite", "ray"])
+def test_fig12_serving_run_leaves_no_undefused_failure(system, monkeypatch):
+    """The Fig. 12 serving run: an inference task that fails while the
+    driver still waits on an earlier replica is consumed by the driver's
+    later ``wait``, so it is not reported as unhandled."""
+    from repro.apps import serving
+
+    clusters = []
+
+    class _Recorded(serving.Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clusters.append(self)
+
+    monkeypatch.setattr(serving, "Cluster", _Recorded)
+    failure = FailureSchedule(node_id=3, fail_at=2.0, recover_at=4.5)
+    run_model_serving(8, system, 40, failure=failure)
+    assert clusters[0].sim.unhandled_failures == []
+
+
 def test_sync_training_system_ordering():
     results = {
         system: run_sync_training(8, "resnet50", system, num_rounds=2)

@@ -132,6 +132,17 @@ def test_choose_reduce_degree_extremes_and_candidates():
     assert choose_reduce_degree(16, 1 << 30, latency, bandwidth, candidates=(2,)) == 2
 
 
+@pytest.mark.parametrize(
+    "num_objects, nbytes, degree",
+    [(16, 4 * KB, 16), (16, 32 * MB, 1), (64, 4 * KB, 64), (64, 256 * MB, 1)],
+)
+def test_choose_reduce_degree_on_the_default_network(num_objects, nbytes, degree):
+    """Equation 1 picks the flat tree for small objects and the chain for
+    large ones (the Fig. 15 crossover) on the default network."""
+    config = NetworkConfig()
+    assert choose_reduce_degree(num_objects, nbytes, config.latency, config.bandwidth) == degree
+
+
 # ---------------------------------------------------------------------------
 # End-to-end reduce
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ from repro.bench import (
     measure_allreduce,
     measure_broadcast,
     measure_gather,
-    measure_point_to_point_rtt,
     measure_reduce,
 )
 from repro.bench.reporting import format_value
-from repro.bench.scenarios import UnsupportedScenarioError
+from repro.bench.scenarios import Kill, Scenario, UnsupportedScenarioError, run
 from repro.net import NetworkConfig
 
 MB = 1024 * 1024
@@ -25,12 +24,12 @@ KB = 1024
 def test_supported_systems_listed():
     assert "hoplite" in SUPPORTED_SYSTEMS and "openmpi" in SUPPORTED_SYSTEMS
     with pytest.raises(UnsupportedScenarioError):
-        measure_point_to_point_rtt("nccl", KB)
+        run(Scenario("p2p", "nccl", 2, KB))
 
 
 def test_point_to_point_ordering_small_objects():
     latencies = {
-        system: measure_point_to_point_rtt(system, KB)
+        system: run(Scenario("p2p", system, 2, KB))["latency"]
         for system in ("optimal", "openmpi", "hoplite", "ray", "dask")
     }
     assert latencies["openmpi"] <= latencies["hoplite"] <= latencies["ray"] <= latencies["dask"]
@@ -38,8 +37,8 @@ def test_point_to_point_ordering_small_objects():
 
 
 def test_point_to_point_large_objects_near_optimal():
-    rtt = measure_point_to_point_rtt("hoplite", 256 * MB)
-    optimal = measure_point_to_point_rtt("optimal", 256 * MB)
+    rtt = run(Scenario("p2p", "hoplite", 2, 256 * MB))["latency"]
+    optimal = run(Scenario("p2p", "optimal", 2, 256 * MB))["latency"]
     assert rtt <= optimal * 1.15
 
 
@@ -128,12 +127,17 @@ def test_driver_failure_object_plane_recovery_beats_job_restart():
         measure_driver_failure("optimal", 4, MB)
 
 
+def test_kill_validation_names_its_fields():
+    with pytest.raises(ValueError, match="^pass either at or fraction, not both$"):
+        Kill(at=0.1, fraction=0.5)
+    with pytest.raises(ValueError, match=r"^fraction must be in \(0, 1\)$"):
+        Kill(fraction=1.0)
+
+
 def test_faulted_driver_allreduce_leaves_no_undefused_failure():
     """Node 0's fetch fails in ``release_transfer_source`` after node 0 died
     and its driver task's ``get`` left: a failure nobody is left to take,
     which the fetch's own-death defuse now acknowledges."""
-    from repro.bench.scenarios import Kill, Scenario, run
-
     clusters = []
     scenario = Scenario("allreduce", "hoplite", 8, 16 * MB, kill=Kill("driver", fraction=0.5))
     run(scenario, observe=clusters.append)
@@ -180,7 +184,7 @@ def test_support_matrix(collective):
         asked = lambda system: sc.supported(system, collective)  # noqa: E731
 
     run = {
-        "p2p": lambda system: sc.measure_point_to_point_rtt(system, MB),
+        "p2p": lambda system: sc.run(sc.Scenario("p2p", system, 2, MB))["latency"],
         "broadcast": lambda system: sc.measure_broadcast(system, 4, MB),
         "gather": lambda system: sc.measure_gather(system, 4, MB),
         "reduce": lambda system: sc.measure_reduce(system, 4, MB),

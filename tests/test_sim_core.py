@@ -102,6 +102,29 @@ def test_unhandled_process_failure_is_recorded():
     assert len(sim.unhandled_failures) == 1
 
 
+def test_failure_consumed_after_it_popped_is_not_reported():
+    """A failure that pops with no waiter and is consumed later in the run
+    (a process yields the already-failed event) is not reported; one that
+    nobody ever consumes stays reported."""
+    sim = Simulator()
+    consumed, ignored = sim.event(), sim.event()
+    caught = []
+
+    def late_waiter(sim):
+        yield sim.timeout(1.0)
+        try:
+            yield consumed
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    sim.process(late_waiter(sim))
+    consumed.fail(RuntimeError("consumed"))
+    ignored.fail(RuntimeError("never consumed"))
+    sim.run()
+    assert caught == ["consumed"]
+    assert sim.unhandled_failures == [ignored]
+
+
 def test_run_until_time_stops_mid_simulation():
     sim = Simulator()
     ticks = []
