@@ -59,6 +59,9 @@ def fetch_object(
 
     # Block until the object exists somewhere and its size is known.
     yield from directory.wait_for_object(node, object_id)
+    # The node may have died while the fetch was parked: fail here rather
+    # than create a partial entry nobody will ever write.
+    _check_alive(node)
     size = directory.known_size(object_id)
     if size is None:  # pragma: no cover - defensive; wait_for_object guarantees it
         raise TransferError(f"object {object_id} has no known size")

@@ -993,9 +993,7 @@ class ObjectDirectory:
         base = self.sim.now
         slot = shard.backlog + 1
         for record in pending:
-            wake = Event(self.sim)
-            self.sim.schedule_at(wake, base + slot * shard.quantum)
-            yield wake
+            yield self.sim.wake_at(base + slot * shard.quantum)
             slot += 1
             if not shard.alive:
                 # Re-killed mid-drain; the new recovery owns the rest.

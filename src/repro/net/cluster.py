@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.net.config import ClusterSpec, NetworkConfig
 from repro.net.fastpath import FastpathStats
@@ -187,8 +187,3 @@ class Cluster:
                 self.recover_node(node_id)
 
         self.sim.process(_failure_process(self.sim), name=f"failure-injector-{node_id}")
-
-    def schedule_failures(self, failures: Iterable[tuple[int, float, Optional[float]]]) -> None:
-        """Schedule several ``(node_id, fail_at, recover_at)`` failures."""
-        for node_id, at, recover_at in failures:
-            self.schedule_failure(node_id, at, recover_at)

@@ -383,9 +383,6 @@ class LocalObjectStore:
     def pin(self, object_id: ObjectID) -> None:
         self.get_entry(object_id).pinned = True
 
-    def unpin(self, object_id: ObjectID) -> None:
-        self.get_entry(object_id).pinned = False
-
     # -- eviction ---------------------------------------------------------------
     def _make_room(self, incoming_bytes: int) -> None:
         if self.capacity_bytes is None:

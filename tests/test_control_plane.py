@@ -315,6 +315,18 @@ def test_double_kill_same_shard_recovers_twice():
     assert shard.wal.replays == 2
 
 
+def test_shard_recovery_survives_its_deferred_wakes():
+    """Control-plane fuzz seed 19 (a 4-node reduce) kills a shard while
+    waiters are parked on its records.  Recovery wakes them one quantum
+    apart after the backlog; it used to die at the first of those wakes,
+    leaving its own error unhandled."""
+    from repro.bench.fuzz import control_plane_case
+
+    clusters: list = []
+    run(control_plane_case(19)[0].scenario, observe=clusters.append)
+    assert clusters[0].sim.unhandled_failures == []
+
+
 # ---------------------------------------------------------------------------
 # Lineage / ownership kills (the orchestrator's own WAL)
 # ---------------------------------------------------------------------------

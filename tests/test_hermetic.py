@@ -16,24 +16,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.digest import _digest, _flow_fingerprint, _hash_runs, _object_id_state
+from repro.bench.digest import _row, churn_scenario
 from repro.bench.fuzz import generate_spec, run_spec
 from repro.bench.scenarios import Scenario, run
-from repro.net.config import NetworkConfig
-from repro.net.failure import poisson_failures
-from repro.net.topology import Topology
 
 MB = 1024 * 1024
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _churn_allgather() -> Scenario:
-    """Unthinned churn on 2 racks at 2:1, failure seed 35."""
-    network = NetworkConfig(bandwidth=1.25e8, topology=Topology.racks(2, 4, oversubscription=2.0))
-    failures = poisson_failures(
-        node_ids=list(range(1, 8)), rate_per_second=4.0, horizon=0.8, downtime=0.2, seed=35
-    )
-    return Scenario("allgather", "hoplite", 8, 16 * MB, network=network, failures=failures)
 
 
 def _outcome(scenario: Scenario) -> str:
@@ -48,7 +36,7 @@ def test_identical_runs_in_one_process_agree():
     """With a process-global ID counter this cell wedged on its first call
     and completed on an identical second one.  Whether it completes is not
     asserted here, only that both calls end the same way."""
-    assert _outcome(_churn_allgather()) == _outcome(_churn_allgather())
+    assert _outcome(churn_scenario("allgather", 35)) == _outcome(churn_scenario("allgather", 35))
 
 
 @lru_cache(maxsize=None)
@@ -80,18 +68,14 @@ def test_run_order_changes_no_digest(seeds):
 
 def test_arrival_stamp_offset_changes_no_result():
     """Only differences of the simulator's arrival stamp order the admission
-    queues, so starting it far from zero changes no latency, byte counter
-    or ObjectID state of a contended alltoall."""
-    label, scenario = "a2a-hoplite-16", Scenario("alltoall", "hoplite", 16, 8 * MB)
-    expected = _hash_runs([(label, scenario)])
-    clusters: list = []
+    queues, so starting it far from zero changes no latency, event count,
+    byte counter or ObjectID state of a contended alltoall."""
+    scenario = Scenario("alltoall", "hoplite", 16, 8 * MB)
+    sims: list = []
 
-    def observe(cluster) -> None:
-        clusters.append(cluster)
+    def offset(cluster) -> None:
+        sims.append(cluster.sim)
         cluster.sim._arrivals = itertools.count(10**9)
 
-    result = run(scenario, observe=observe)
-    parts = [(label, repr(result["latency"])), *_flow_fingerprint(result["usage"])]
-    parts.append(_object_id_state(clusters[0]))
-    assert next(clusters[0].sim._arrivals) > 10**9
-    assert _digest(parts) == expected
+    assert _row(scenario, observe=offset) == _row(scenario)
+    assert next(sims[0]._arrivals) > 10**9

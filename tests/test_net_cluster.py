@@ -115,7 +115,7 @@ def test_schedule_failure_validation():
 
 def test_schedule_failures_batch():
     cluster = Cluster(num_nodes=3)
-    cluster.schedule_failures([(0, 1.0, 2.0), (1, 1.5, None)])
+    schedule(cluster, [FailureEvent(0, 1.0, 2.0), FailureEvent(1, 1.5)])
     cluster.run()
     assert cluster.node(0).alive
     assert not cluster.node(1).alive

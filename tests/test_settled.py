@@ -13,11 +13,9 @@ import sys
 
 import pytest
 
+from repro.bench.digest import churn_scenario
 from repro.bench.scenarios import Kill, Scenario, run
 from repro.net import transport
-from repro.net.config import NetworkConfig
-from repro.net.failure import poisson_failures
-from repro.net.topology import Topology
 from repro.sim import Simulator
 from repro.sim.resources import Resource
 
@@ -118,20 +116,11 @@ def test_run_until_a_time_settles():
 # ---------------------------------------------------------------------------
 
 
-def _churned_allgather(seed: int) -> Scenario:
-    """Unthinned churn on 2 racks at 2:1, 1 Gbps."""
-    network = NetworkConfig(bandwidth=1.25e8, topology=Topology.racks(2, 4, oversubscription=2.0))
-    failures = poisson_failures(
-        node_ids=list(range(1, 8)), rate_per_second=4.0, horizon=0.8, downtime=0.2, seed=seed
-    )
-    return Scenario("allgather", "hoplite", 8, 16 * MB, network=network, failures=failures)
-
-
 CELLS = {
     "alltoall-16": Scenario("alltoall", "hoplite", 16, 8 * MB),
     "allgather-16": Scenario("allgather", "hoplite", 16, 8 * MB),
     "allreduce-16": Scenario("allreduce", "hoplite", 16, 8 * MB),
-    "churn-allgather-seed3": _churned_allgather(3),
+    "churn-allgather-seed3": churn_scenario("allgather", 3),
     "directory-kill": Scenario(
         "allgather", "hoplite", 8, 16 * MB, kill=Kill("directory", fraction=0.5)
     ),

@@ -142,14 +142,12 @@ def test_eviction_failure_when_everything_pinned():
         local.create(ObjectID.of("huge"), 10 * MB)
 
 
-def test_pin_and_unpin_api(store):
+def test_pin_api(store):
     local, _ = store
     object_id = ObjectID.of("x")
     local.put_complete(object_id, ObjectValue.of_size(MB), pin=False)
     local.pin(object_id)
     assert local.get_entry(object_id).pinned
-    local.unpin(object_id)
-    assert not local.get_entry(object_id).pinned
 
 
 def test_eviction_prefers_sealed_over_idle_partial():
