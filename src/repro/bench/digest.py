@@ -25,12 +25,12 @@ cell -> row label -> column:
 
 The MoE and fleet rows of ``perf_basket`` have only ``latency`` and
 ``events``.  A ``fuzz_band`` row holds the fuzzer's own ``digest`` of one
-seed, and a ``grant_order`` row the sha256 of one run's kernel pops.
+seed, and a ``grant_order`` row also the sha256 of its run's kernel pops.
 
 ``tests/test_golden_determinism.py`` compares every cell with the record
 and prints the entries that moved as a table;
-``python -m repro.bench.digest --write [CELL ...]`` rewrites the record
-and prints the same table.
+``python -m repro.bench.digest`` prints the same table for every cell, and
+with ``--write`` also rewrites the record.
 """
 
 from __future__ import annotations
@@ -282,11 +282,10 @@ def grant_order_cell() -> dict:
     """Every kernel pop of a contended 16-node alltoall and allgather.
 
     Hoplite, flat fabric, 8 MB objects.  Each pop contributes its
-    ``(when, seq, event type)``, collected through ``run(observe=...)``
-    with ``sim.on_pop``.  The result rows pin latencies and byte
-    counters; this cell pins the order in which the kernel dispatched
-    every grant, timeout and wake-up, so an admission change that keeps
-    the latencies but reorders a same-instant tie fails here.
+    ``(when, seq, event type)`` to the row's ``digest``, collected with
+    ``sim.on_pop``: the order in which the kernel dispatched every grant,
+    timeout and wake-up, so an admission change that keeps the latencies
+    but reorders a same-instant tie fails here.
     """
     rows: dict = {}
     for collective in ("alltoall", "allgather"):
@@ -298,8 +297,8 @@ def grant_order_cell() -> dict:
 
             cluster.sim.on_pop = on_pop
 
-        result = run(Scenario(collective, "hoplite", 16, 8 * MB), observe=observe)
-        rows[collective] = {"events": result["events"], "digest": digest.hexdigest()}
+        row = _row(Scenario(collective, "hoplite", 16, 8 * MB), observe=observe)
+        rows[collective] = {**row, "digest": digest.hexdigest()}
     return rows
 
 
@@ -422,8 +421,8 @@ GOLDEN_CELLS: dict[str, Callable[[], dict]] = {
 }
 
 
-def load_record(path: Path = RECORD) -> dict:
-    return json.loads(path.read_text())
+def load_record() -> dict:
+    return json.loads(RECORD.read_text())
 
 
 def _show(value) -> str:
@@ -452,20 +451,15 @@ def table(moved: list[tuple]) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Check the golden record, or rewrite it.")
-    parser.add_argument("cells", nargs="*", metavar="CELL", help="default: every cell")
-    parser.add_argument("--write", action="store_true", help="rewrite these cells' rows")
+    parser = argparse.ArgumentParser(description="Check every golden cell against the record.")
+    parser.add_argument("--write", action="store_true", help="rewrite the record")
     args = parser.parse_args(argv)
-    cells = args.cells or list(GOLDEN_CELLS)
-    if set(cells) - set(GOLDEN_CELLS):
-        parser.error(f"unknown cells: {sorted(set(cells) - set(GOLDEN_CELLS))}")
     recorded = load_record() if RECORD.exists() else {}
-    now = {cell: GOLDEN_CELLS[cell]() for cell in cells}
-    moved = diff({cell: recorded.get(cell) for cell in cells}, now)
-    print(table(moved) if moved else f"{len(cells)} cells match the record")
+    now = {cell: build() for cell, build in GOLDEN_CELLS.items()}
+    moved = diff(recorded, now)
+    print(table(moved) if moved else f"{len(now)} cells match the record")
     if args.write:
-        merged = {cell: now.get(cell, recorded.get(cell)) for cell in GOLDEN_CELLS}
-        RECORD.write_text(json.dumps({k: v for k, v in merged.items() if v}, indent=1) + "\n")
+        RECORD.write_text(json.dumps(now, indent=1) + "\n")
     return 1 if moved and not args.write else 0
 
 

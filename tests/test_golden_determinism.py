@@ -12,17 +12,18 @@ column (see :mod:`repro.bench.digest` for how each value is taken):
 * ``ledger`` pins a hash of every link's busy time, grants and bytes
   (``coalesced_accounting``), and ``recovery`` the recovery dict of a
   control-plane kill (``control_plane_kills``);
-* ``digest`` pins the fuzzer's digest of one seed (``fuzz_band``) or the
-  hash of one run's kernel pops ``(when, seq, event type)``
-  (``grant_order``).
+* ``digest`` pins the fuzzer's digest of one seed (``fuzz_band``), or the
+  hash of one run's kernel pops ``(when, seq, event type)`` next to that
+  run's other columns (``grant_order``).
 
 A failing cell prints only what moved, as a ``| cell | row | column |
-recorded | now |`` table.  A *performance* change moves nothing but
-``events`` entries and ``grant_order`` rows: a fast path exists to save
-kernel events and pops.  Anything else that moves is a behaviour change,
-and a performance change that moves it is wrong.  After an intentional
-change, ``PYTHONPATH=src python -m repro.bench.digest --write [CELL ...]``
-rewrites the record and prints the same table; quote it in ``CHANGES.md``.
+recorded | now |`` table.  A *performance* change may move ``events``
+entries and ``grant_order`` digests and nothing else: a fast path exists
+to save kernel events and pops.  Anything else that moves is a behaviour
+change, and a performance change that moves it is wrong.  After an
+intentional change, ``PYTHONPATH=src python -m repro.bench.digest
+--write`` reruns every cell, rewrites the record and prints the same
+table; quote that table in ``CHANGES.md``.
 """
 
 import copy
