@@ -249,6 +249,7 @@ def run_moe_routing(
         for node_id in range(num_nodes)
     ]
     cluster.run()
+    sim.check_failures()
 
     incomplete = [proc for proc in workers if proc.is_alive]
     if incomplete:

@@ -109,6 +109,7 @@ def run_async_sgd(
 
     sim.process(driver(), name="async-sgd-driver")
     cluster.run()
+    sim.check_failures()
 
     duration = summary.get("duration", sim.now)
     samples = num_iterations * batch * model.samples_per_round

@@ -145,6 +145,7 @@ def run_rl_training(
 
     sim.process(driver(), name=f"rl-{algorithm}-driver")
     cluster.run()
+    sim.check_failures()
 
     duration = summary.get("duration", sim.now)
     samples = num_iterations * batch * SAMPLES_PER_ROLLOUT

@@ -129,6 +129,7 @@ def run_model_serving(
 
     sim.process(driver(), name="serving-driver")
     cluster.run()
+    sim.check_failures()
 
     duration = summary.get("duration", sim.now)
     throughput = num_queries / duration if duration > 0 else 0.0

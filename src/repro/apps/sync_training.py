@@ -75,6 +75,7 @@ def _run_static(
     for rank in range(num_nodes):
         sim.process(_worker(rank), name=f"sync-train-rank-{rank}")
     cluster.run()
+    sim.check_failures()
 
     round_latencies = []
     previous_end = 0.0
@@ -142,4 +143,5 @@ def _run_plane(
 
     sim.process(driver(), name="sync-train-driver")
     cluster.run()
+    sim.check_failures()
     return summary.get("duration", sim.now), round_latencies

@@ -213,6 +213,7 @@ def _directory(operation: str) -> dict:
 
     sim.process(_bench(), name="directory-bench")
     cluster.run()
+    sim.check_failures()
     return {
         "mean": statistics.fmean(samples[operation]),
         "std": statistics.pstdev(samples[operation]),

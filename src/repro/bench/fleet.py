@@ -524,6 +524,7 @@ def run_fleet(
     for spec, runtime in zip(specs, runtimes):
         sim.process(job(spec, runtime), name=f"fleet-{spec.name}")
     cluster.run()
+    sim.check_failures()
 
     result = FleetResult(
         duration=sim.now,

@@ -398,6 +398,7 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
         else:
             _STATIC_RUNS[s.collective](cluster, make_op(), s, done)
     sim.run(kill.budget if kill is not None else None)
+    sim.check_failures()
     if "latency" not in done:
         bound = f"within {kill.budget} simulated seconds" if kill else "(unrecovered failure?)"
         raise RuntimeError(f"{s.system} {s.collective} did not complete {bound}")

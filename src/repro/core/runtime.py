@@ -128,11 +128,11 @@ class HopliteRuntime:
 
     def client(self, node: Node | int) -> "HopliteClient":
         """The Hoplite client bound to ``node`` (created on first use)."""
-        from repro.core.api import HopliteClient
-
         node_id = node.node_id if isinstance(node, Node) else node
         client = self._clients.get(node_id)
         if client is None:
+            from repro.core.api import HopliteClient
+
             client = HopliteClient(self, self.cluster.nodes[node_id])
             self._clients[node_id] = client
         return client

@@ -110,8 +110,13 @@ class DurableService:
             obs.control_plane[op].inc()
 
     def _on_wal_append(self, record) -> None:
-        self._count("wal_appends")
-        self.phase(f"wal_append/{record.kind}")
+        """Count and mark the append: every mutation appends, so the hook
+        costs nothing when no metrics plane or flight recorder observes it."""
+        cluster = self.cluster
+        if cluster.obs is not None:
+            cluster.obs.control_plane["wal_appends"].inc()
+        if cluster.flight is not None:
+            cluster.flight.phase(self.resource, f"wal_append/{record.kind}")
 
     def _on_wal_checkpoint(self, seq: int) -> None:
         self._count("checkpoints")
@@ -276,20 +281,24 @@ class ObjectDirectory:
         #: int): the blake2b is a pure function of the key, and at fleet
         #: scale the per-candidate hashing dominated eligibility scans.
         self._tie_cache: dict[tuple[str, int], int] = {}
+        #: memoized shard placement (see :meth:`_shard_index`).
+        self._placement: dict[ObjectID, int] = {}
         for node in cluster.nodes:
             node.on_failure(self._on_node_failure)
 
     # -- plumbing -------------------------------------------------------------
     def _shard_index(self, object_id: ObjectID) -> int:
         # CRC32 rather than hash() so shard placement is stable across runs
-        # (Python's string hash is randomized per process).
-        return zlib.crc32(object_id.key.encode("utf-8")) % len(self.shards)
-
-    def _shard_of(self, object_id: ObjectID) -> DirectoryShard:
-        return self.shards[self._shard_index(object_id)]
+        # (Python's string hash is randomized per process).  Placement never
+        # changes, so each ID is hashed once per directory.
+        index = self._placement.get(object_id)
+        if index is None:
+            crc = zlib.crc32(object_id.key.encode("utf-8"))
+            index = self._placement[object_id] = crc % len(self.shards)
+        return index
 
     def _shard_node(self, object_id: ObjectID) -> Node:
-        return self._shard_of(object_id).node
+        return self.shards[self._shard_index(object_id)].node
 
     def _rpc(self, requester: Node, object_id: ObjectID) -> Generator:
         """One control RPC from the requester to the object's shard.
@@ -301,7 +310,8 @@ class ObjectDirectory:
         """
         if not requester.alive:
             raise NodeFailedError(f"node {requester.node_id} is down", node=requester)
-        shard = self._shard_of(object_id)
+        index = self._placement.get(object_id)
+        shard = self.shards[self._shard_index(object_id) if index is None else index]
         shard_node = shard.node
         if requester.node_id == shard_node.node_id:
             yield self.sim.timeout(self.config.rpc_latency / 4.0)
@@ -563,7 +573,7 @@ class ObjectDirectory:
     def _is_excluded(self, node_id: int, exclude) -> bool:
         """Whether ``node_id`` is ruled out by the requester's exclusion set.
 
-        ``exclude`` is either a plain iterable of node ids (excluded
+        ``exclude`` is either a frozenset of node ids (excluded
         unconditionally) or a mapping ``node_id -> incarnation`` recorded
         when that source failed the requester: the node stays excluded only
         while its incarnation has not advanced, so a source that recovers
@@ -575,7 +585,7 @@ class ObjectDirectory:
             if incarnation is None:
                 return False
             return self.cluster.nodes[node_id].incarnation <= incarnation
-        return node_id in set(exclude)
+        return node_id in exclude
 
     def _eligible_sources(
         self, record: DirectoryRecord, requester_id: int, exclude
@@ -597,6 +607,8 @@ class ObjectDirectory:
             if requester_id in self._dependency_chain(record, info.node_id, view):
                 continue
             sources.append(info)
+        if len(sources) < 2:
+            return sources
         # Prefer complete copies over partial ones, then — on a hierarchical
         # fabric — closer copies over farther ones (same rack before same
         # zone before cross-zone: a same-rack pull costs no shared tier
@@ -605,17 +617,6 @@ class ObjectDirectory:
         # busy ones: when many objects disseminate concurrently (allgather,
         # alltoall) this spreads the transfers across distinct senders
         # instead of convoying them through the lowest-numbered node.
-        topology = self.cluster.topology
-
-        def _distance(info: LocationInfo) -> int:
-            if not self.topology_aware:
-                return 0
-            return topology.distance(requester_id, info.node_id)
-
-        def _load(info: LocationInfo) -> int:
-            uplink = self.cluster.nodes[info.node_id].uplink
-            return uplink.in_use + uplink.queue_length
-
         # Under equal load the tie-break is a seeded hash of (seed, object,
         # candidate) rather than the raw node id: still fully deterministic —
         # a seeded run is byte-for-byte reproducible — but without the
@@ -624,28 +625,25 @@ class ObjectDirectory:
         # rather than crc32: crc is linear, so same-length object ids would
         # shift every candidate's hash by the same XOR constant and the
         # per-object variation would collapse to one global order.
+        distance = self.cluster.topology.distance if self.topology_aware else None
+        nodes = self.cluster.nodes
+        key = record.object_id.key
         tie_cache = self._tie_cache
-
-        def _tie_break(info: LocationInfo) -> int:
-            cache_key = (record.object_id.key, info.node_id)
-            cached = tie_cache.get(cache_key)
-            if cached is None:
-                token = f"{self.selection_seed}:{record.object_id.key}:{info.node_id}"
+        ranked = []
+        for info in sources:
+            node_id = info.node_id
+            tie = tie_cache.get((key, node_id))
+            if tie is None:
+                token = f"{self.selection_seed}:{key}:{node_id}"
                 digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-                cached = int.from_bytes(digest, "big")
-                tie_cache[cache_key] = cached
-            return cached
-
-        sources.sort(
-            key=lambda info: (
-                not info.complete,
-                _distance(info),
-                _load(info),
-                _tie_break(info),
-                info.node_id,
-            )
-        )
-        return sources
+                tie = tie_cache[(key, node_id)] = int.from_bytes(digest, "big")
+            near = 0 if distance is None else distance(requester_id, node_id)
+            uplink = nodes[node_id].uplink
+            load = uplink.in_use + uplink.queue_length
+            # node_id is unique among the candidates: ``info`` is never compared.
+            ranked.append((not info.complete, near, load, tie, node_id, info))
+        ranked.sort()
+        return [entry[-1] for entry in ranked]
 
     def _rack_local_copy_pending(
         self, record: DirectoryRecord, requester_id: int, exclude
@@ -709,6 +707,8 @@ class ObjectDirectory:
         degrades to cross-rack fetches instead of deadlocking on its own
         ghost partials.
         """
+        if not isinstance(exclude, dict):  # read per candidate: no iterators
+            exclude = frozenset(exclude)
         yield from self._rpc(requester, object_id)
         self.lookup_count += 1
         record = self._record(object_id)

@@ -47,11 +47,10 @@ protocols above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, NamedTuple, Optional, Sequence
 
 from repro.net.config import NetworkConfig
 from repro.net.errors import TransferError, _check_alive, relay
@@ -75,9 +74,11 @@ class FlowClass(IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Flow:
-    """Metadata attached to a transfer for scheduling and accounting."""
+class Flow(NamedTuple):
+    """Metadata attached to a transfer for scheduling and accounting.
+
+    A tuple: it equals ``(flow_id, flow_class)`` and hashes as it does.
+    """
 
     flow_id: str
     flow_class: FlowClass = FlowClass.BULK

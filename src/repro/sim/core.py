@@ -69,6 +69,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -314,8 +315,13 @@ class Process(Event):
     __slots__ = ("generator", "name", "_target", "_resume_bound")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        Event.__init__(self, sim)
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        # Event.__init__ inlined: a run starts tens of thousands of processes.
+        self.sim = sim
+        self.callbacks = self._value = self._exception = self._ok = None
+        self.defused = False
+        if type(generator) is not GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise SimulationError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
@@ -324,11 +330,14 @@ class Process(Event):
         self._target: Optional[Event] = None
         # One bound method reused for every resumption: creating a fresh
         # bound method per yield was measurable at millions of yields.
-        self._resume_bound = self._resume
-        # Kick-start the process at the current simulation time.
+        self._resume_bound = resume = self._resume
+        # Kick-start the process now: ``succeed()``'s urgent-tier append.
         bootstrap = Event(sim)
-        bootstrap.succeed()
-        bootstrap.callbacks = [self._resume_bound]
+        bootstrap._ok = True
+        bootstrap.callbacks = [resume]
+        seq = sim._sequence
+        sim._sequence = seq + 1
+        sim._urgent.append((seq, bootstrap))
 
     @property
     def is_alive(self) -> bool:
@@ -380,7 +389,13 @@ class Process(Event):
                 next_event = self.generator.throw(event._exception)
         except StopIteration as stop:
             self._resume_bound = None
-            self.succeed(stop.value)
+            # succeed(stop.value) inlined: only its generator ends a process.
+            self._ok = True
+            self._value = stop.value
+            sim = self.sim
+            seq = sim._sequence
+            sim._sequence = seq + 1
+            sim._urgent.append((seq, self))
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
             self._resume_bound = None
@@ -568,6 +583,20 @@ class Simulator:
                 callback(event)
         if not event._ok and not event.defused:
             self.unhandled_failures.append(event)
+
+    def check_failures(self) -> None:
+        """Raise :class:`ProcessFailure`, naming the first entry of
+        :attr:`unhandled_failures`, if there is one.  Drivers call it after
+        :meth:`run`, so a process that raised unheard cannot end a run
+        silently with its results missing."""
+        failures = self.unhandled_failures
+        if failures:
+            first = failures[0]
+            what = f"process {first.name!r}" if isinstance(first, Process) else repr(first)
+            raise ProcessFailure(
+                f"{what} failed and no waiter consumed it: {first._exception!r}"
+                f" ({len(failures)} unconsumed failure(s))"
+            ) from first._exception
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,12 +40,14 @@ def _to_array(payload: Payload) -> "np.ndarray":
     return np.asarray(payload)
 
 
-@dataclass(frozen=True, order=True)
-class ObjectID:
+class ObjectID(NamedTuple):
     """A globally unique name for an immutable object.
 
     The application (or the task framework) generates ObjectIDs and passes
     them between tasks by value, exactly as in Table 1 of the paper.
+
+    A tuple: it equals ``(key,)``, sorts by key and hashes as that tuple
+    does, which keeps the iteration order of the sets and dicts it keys.
     """
 
     key: str

@@ -23,22 +23,21 @@ records, same reconstructed state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional
 
 #: default number of tail records that triggers an automatic checkpoint.
 DEFAULT_CHECKPOINT_INTERVAL = 512
 
 
-@dataclass(frozen=True)
-class WalRecord:
+class WalRecord(NamedTuple):
     """One durable control-plane mutation.
 
     ``seq`` is the log-wide sequence number (monotonic, never reused across
     checkpoints), ``time`` the simulated clock at append, ``kind`` the
     operation tag the owner's ``apply`` function dispatches on, and ``data``
     the operation payload (a tuple of primitives / ObjectIDs / ObjectValues
-    / CollectiveSpecs, held by reference).
+    / CollectiveSpecs, held by reference).  A tuple: it equals
+    ``(seq, time, kind, data)`` and hashes as it does.
     """
 
     seq: int
@@ -114,7 +113,7 @@ class WriteAheadLog:
 
     def append(self, kind: str, data: Any) -> WalRecord:
         """Append one mutation record, stamped with the simulated clock."""
-        record = WalRecord(seq=self.next_seq, time=self.sim._now, kind=kind, data=data)
+        record = WalRecord(self.next_seq, self.sim._now, kind, data)
         self.next_seq += 1
         self.tail.append(record)
         self.appends += 1

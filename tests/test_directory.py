@@ -196,6 +196,28 @@ def test_acquire_blocks_until_source_released(setup):
     assert source_node == 0
 
 
+@pytest.mark.parametrize(
+    "as_iterable",
+    [list, iter, lambda ids: (node_id for node_id in ids)],
+    ids=["list", "iterator", "generator"],
+)
+def test_acquire_reads_an_iterator_exclude_for_every_candidate(setup, as_iterable):
+    """An exclude given as an iterator rules out every node it names, not
+    just the first candidate checked against it."""
+    cluster, directory = setup
+    object_id = ObjectID.of("x")
+
+    def scenario():
+        for node_id in (0, 1, 2):
+            yield from directory.publish_complete(cluster.node(node_id), object_id, MB)
+        source = yield from directory.acquire_transfer_source(
+            cluster.node(3), object_id, exclude=as_iterable([0, 1])
+        )
+        return source.node_id
+
+    assert drive(cluster, scenario()) == 2
+
+
 def test_cycle_avoidance_excludes_dependent_sources(setup):
     """A receiver never fetches from a node whose copy depends on the receiver itself."""
     cluster, directory = setup

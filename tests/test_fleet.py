@@ -7,6 +7,9 @@ never schedule events, so the plane is pure measurement — the same pledge
 the coalescing fuzz harness makes for the fast path.
 """
 
+import pytest
+
+from repro.bench import fleet
 from repro.bench.fleet import (
     TENANTS,
     build_fleet,
@@ -15,6 +18,7 @@ from repro.bench.fleet import (
     size_label,
 )
 from repro.net.flowsched import FlowClass
+from repro.sim import ProcessFailure
 
 #: a small fleet that still exercises every job kind and both tenants.
 SMALL = dict(num_jobs=8, num_racks=2, nodes_per_rack=4, quick=True)
@@ -115,3 +119,16 @@ def test_traced_fleet_links_transfers_to_jobs():
         assert op is not None, transfer
         # ...and its phases are ordered.
         assert transfer.submit <= transfer.grant <= transfer.release
+
+
+def test_a_job_that_raises_fails_the_fleet(monkeypatch):
+    """A job body that raises has no waiter; ``run_fleet`` names it instead
+    of returning a fleet with the job silently missing."""
+
+    def broken(sim, runtime, spec, recorder):
+        yield sim.timeout(0.0)
+        raise KeyError(spec.name)
+
+    monkeypatch.setitem(fleet._JOB_BODIES, "training", broken)
+    with pytest.raises(ProcessFailure, match=r"^process 'fleet-.*KeyError"):
+        _small_fleet()

@@ -6,6 +6,7 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Interrupt,
+    ProcessFailure,
     SimulationError,
     Simulator,
 )
@@ -102,6 +103,25 @@ def test_unhandled_process_failure_is_recorded():
     assert len(sim.unhandled_failures) == 1
 
 
+def test_check_failures_names_the_first_unconsumed_failure():
+    sim = Simulator()
+
+    def proc(sim, delay, error):
+        yield sim.timeout(delay)
+        raise error
+
+    sim.check_failures()  # nothing recorded: a no-op
+    sim.process(proc(sim, 1.0, RuntimeError("unobserved")), name="driver")
+    sim.process(proc(sim, 2.0, ValueError("second")), name="other")
+    sim.run()
+    with pytest.raises(ProcessFailure, match="^process 'driver' failed") as raised:
+        sim.check_failures()
+    assert "RuntimeError('unobserved')" in str(raised.value)
+    assert "(2 unconsumed failure(s))" in str(raised.value)
+    assert isinstance(raised.value.__cause__, RuntimeError)
+    assert len(sim.unhandled_failures) == 2  # the kernel keeps recording
+
+
 def test_failure_consumed_after_it_popped_is_not_reported():
     """A failure that pops with no waiter and is consumed later in the run
     (a process yields the already-failed event) is not reported; one that
@@ -194,6 +214,93 @@ def test_process_requires_generator():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.process(lambda: None)  # type: ignore[arg-type]
+
+
+def test_process_start_and_finish_keep_their_queue_positions():
+    """A process's bootstrap and its completion each take the urgent-tier
+    slot, and the sequence number, that ``succeed()`` gives a plain event
+    triggered at the same point, however they interleave at one instant."""
+    sim = Simulator()
+    labels = {}
+    pops = []
+    log = []
+    sim.on_pop = lambda when, seq, event: pops.append((seq, labels.get(event, "bootstrap")))
+
+    def plain(name):
+        event = sim.event()
+        labels[event] = name
+        event.add_callback(lambda _event: log.append(name))
+        return event
+
+    def returns_at_once(name):
+        log.append(f"{name} runs")
+        return name
+        yield  # pragma: no cover - makes this a generator
+
+    def yields_then_returns(name, gate):
+        log.append(f"{name} runs")
+        yield gate
+        log.append(f"{name} resumed")
+        return name
+
+    def spawn(generator, name):
+        process = sim.process(generator, name=name)
+        labels[process] = name
+        process.add_callback(lambda _event: log.append(f"{name} done"))
+        return process
+
+    gate = plain("gate")
+    plain("e1").succeed()  # seq 0
+    spawn(returns_at_once("p1"), "p1")  # bootstrap seq 1
+    late = plain("e2")
+    late.add_callback(lambda _event: spawn(returns_at_once("p3"), "p3"))
+    late.add_callback(lambda _event: gate.succeed())
+    late.succeed()  # seq 2
+    spawn(yields_then_returns("p2", gate), "p2")  # bootstrap seq 3
+    sim.run()
+
+    assert pops == [
+        (0, "e1"),
+        (1, "bootstrap"),  # p1 runs and returns: completion seq 4
+        (2, "e2"),  # spawns p3 (bootstrap seq 5) and succeeds gate (seq 6)
+        (3, "bootstrap"),  # p2 runs and waits on gate
+        (4, "p1"),
+        (5, "bootstrap"),  # p3 runs and returns: completion seq 7
+        (6, "gate"),  # p2 resumes and returns: completion seq 8
+        (7, "p3"),
+        (8, "p2"),
+    ]
+    assert log == [
+        "e1",
+        "p1 runs",
+        "e2",
+        "p2 runs",
+        "p1 done",
+        "p3 runs",
+        "gate",
+        "p2 resumed",
+        "p3 done",
+        "p2 done",
+    ]
+    assert sim.now == 0.0 and sim.unhandled_failures == []
+
+
+def test_process_accepts_any_generator_protocol_object():
+    class Coroutine:
+        """Not a ``GeneratorType``, but it has ``send`` and ``throw``."""
+
+        def send(self, _value):
+            raise StopIteration("done")
+
+        def throw(self, exc):  # pragma: no cover - never failed here
+            raise exc
+
+    sim = Simulator()
+    process = sim.process(Coroutine())
+    sim.run()
+    assert process.value == "done"
+    with pytest.raises(SimulationError, match="requires a generator, got list"):
+        sim.process([])  # type: ignore[arg-type]
 
 
 def test_all_of_waits_for_every_event():
