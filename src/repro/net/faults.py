@@ -4,9 +4,10 @@ A :class:`FailureEvent` plans one node failure and :func:`schedule` installs
 a list of them on a cluster; :class:`ControlPlaneFailureEvent` and
 :func:`schedule_control_plane` do the same for control-plane kills, and
 :func:`alternating_failures` builds a deterministic round-robin schedule.
-None of them draws a random number, so this module does not import numpy:
-the scenario drivers and the apps load it on every run.  The seeded Poisson
-generators, which do draw from numpy, are in :mod:`repro.net.failure`.
+None of them draws a random number; the scenario drivers and the apps load
+this module on every run.  The seeded Poisson generators are in
+:mod:`repro.net.failure`.  Neither module imports numpy, which loads only
+where a payload array is handled.
 """
 
 from __future__ import annotations

@@ -220,8 +220,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"negative or NaN timeout delay: {delay!r}")
         self.sim = sim
         self.callbacks = None
         self._value = value
@@ -515,8 +515,8 @@ class Simulator:
         ``at`` must not lie in the past, and an ``URGENT`` event can only be
         scheduled now (the urgent tier's order relies on it).
         """
-        if at < self._now:
-            raise SimulationError(f"schedule_at({at}) is in the past (now={self._now})")
+        if not at >= self._now:  # also rejects NaN
+            raise SimulationError(f"schedule_at({at}) is in the past or NaN (now={self._now})")
         seq = self._sequence
         self._sequence = seq + 1
         if priority == URGENT:
@@ -611,9 +611,9 @@ class Simulator:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:  # also rejects NaN
                 raise SimulationError(
-                    f"run(until={stop_time}) is in the past (now={self._now})"
+                    f"run(until={stop_time}) is in the past or NaN (now={self._now})"
                 )
 
         heap = self._queue

@@ -26,8 +26,9 @@ def reset_id_counter() -> None:
     """
 
 
-#: numpy is imported where an array is handled, never at module level, so a
-#: run whose objects carry no payload never loads it.
+#: numpy is imported only where a payload array is handled (here and in the
+#: orchestrator's result marker), never at module level, so a run whose
+#: objects carry no payload, faulted or not, never loads it.
 Payload = Union["np.ndarray", bytes, None]
 
 

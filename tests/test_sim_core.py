@@ -32,6 +32,22 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_nan_time_rejected():
+    # A NaN compares false both ways: in the heap it would be skipped as if
+    # the event were not there.
+    nan = float("nan")
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.timeout(nan)
+    with pytest.raises(SimulationError):
+        sim.wake_at(nan)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(sim.event(), nan)
+    with pytest.raises(SimulationError):
+        sim.run(until=nan)
+    assert sim.peek() == float("inf")
+
+
 def test_process_return_value_and_waiting():
     sim = Simulator()
 
