@@ -28,6 +28,19 @@ MB = 1024 * 1024
 NETWORK = dict(bandwidth=1.25e8)
 
 
+#: (target, collective, kill fraction) of the 8-node 16 MB grid.
+FULL_CELLS = [
+    ("directory", "allgather", 0.25),
+    ("directory", "allgather", 0.5),
+    ("directory", "allreduce", 0.5),
+    ("lineage", "allreduce", 0.5),
+    ("lineage", "broadcast", 0.5),
+    ("both", "allgather", 0.5),
+]
+#: the 4-node 4 MB grid of ``--quick``.
+QUICK_CELLS = [("directory", "allgather", 0.5), ("lineage", "allreduce", 0.5)]
+
+
 def _row(target, num_nodes, nbytes, collective, fail_fraction, network):
     result = run(
         Scenario(
@@ -59,18 +72,7 @@ def _grid(num_nodes, nbytes, cells):
 def test_control_plane_replay_beats_job_restart(run_once, quick):
     num_nodes = 4 if quick else 8
     nbytes = 4 * MB if quick else 16 * MB
-    cells = (
-        [("directory", "allgather", 0.5), ("lineage", "allreduce", 0.5)]
-        if quick
-        else [
-            ("directory", "allgather", 0.25),
-            ("directory", "allgather", 0.5),
-            ("directory", "allreduce", 0.5),
-            ("lineage", "allreduce", 0.5),
-            ("lineage", "broadcast", 0.5),
-            ("both", "allgather", 0.5),
-        ]
-    )
+    cells = QUICK_CELLS if quick else FULL_CELLS
     rows = run_once(_grid, num_nodes, nbytes, cells)
     print()
     print(

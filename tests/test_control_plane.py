@@ -266,9 +266,21 @@ def test_crash_at_every_boundary_sweep():
     """
     num_nodes, nbytes = 4, 4 * MB
     cluster, runtime, _, orchestrator = _build(num_nodes=num_nodes)
+    cluster.enable_observability()
     spec = _allgather_spec(cluster, "cb", num_nodes, nbytes)
     baseline = _invoke(cluster, orchestrator, spec)
+    assert not cluster.flight.dropped
     append_times = sorted(
+        {
+            time
+            for time, kind, resource, detail in cluster.flight.records
+            if kind == "phase"
+            and resource == "dirshard:0"
+            and detail.startswith("wal_append/")
+            and time > 0.0
+        }
+    )
+    assert append_times == sorted(
         {r.time for r in runtime.directory.shards[0].wal.tail if r.time > 0.0}
     )
     assert append_times, "shard 0 recorded no WAL appends in the baseline"
