@@ -262,7 +262,8 @@ class Kill:
     ``target`` names the victim: ``"driver"`` is node 0 (the root of the
     rooted collectives, rank 0 of the others), which rejoins ``downtime``
     seconds later; ``"directory"`` is directory shard ``shard_id``, which
-    loses its record table and replays its WAL (checkpoint + tail);
+    loses its record table and replays its WAL (kill snapshot plus the
+    records appended while it was down);
     ``"lineage"`` is the lineage/ownership services, which
     :meth:`~repro.tasksys.orchestrator.CollectiveOrchestrator.replay_after_restart`
     rebuilds; ``"both"`` is the last two at once.
@@ -353,7 +354,7 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
     plane without WAL replay would post: the launcher reruns the whole
     collective after one failure-detection delay, ``fail_at + detection +
     baseline``) and, on the object planes, each directory shard's
-    ``replay_applied`` and ``replay_self_check``.
+    ``replay_applied``.
     """
     s, kill = scenario, scenario.kill
     if s.system not in SUPPORTED_SYSTEMS:
@@ -411,7 +412,6 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
         if plane is not None:
             shards = plane.runtime.directory.shards
             recovery["replay_applied"] = [shard.last_replay_applied for shard in shards]
-            recovery["replay_self_check"] = [shard.replay_self_check for shard in shards]
     usage = collect_flow_usage(cluster)
     if sim.peek() == float("inf"):
         # Drained (a kill budget may stop the run with events queued): cut

@@ -10,7 +10,7 @@ from typing import Generator, Iterable, Optional
 from repro.net.cluster import Cluster
 from repro.net.node import Node
 from repro.net.transport import NodeFailedError
-from repro.sim import Event
+from repro.sim import Event, SimulationError
 from repro.store.objects import ObjectID, ObjectValue
 
 
@@ -90,13 +90,7 @@ class DurableService:
         #: requests parked during the current downtime.
         self.backlog = 0
         self.recovery_event = Event(self.sim)
-        self.wal = WriteAheadLog(
-            self.sim,
-            resource,
-            snapshot_fn=snapshot_fn,
-            on_append=self._on_wal_append,
-            on_checkpoint=self._on_wal_checkpoint,
-        )
+        self.wal = WriteAheadLog(snapshot_fn, self._on_wal_append, self._on_wal_checkpoint)
 
     def phase(self, detail: str) -> None:
         """A lifecycle phase mark under the service's flight resource."""
@@ -109,14 +103,14 @@ class DurableService:
         if obs is not None:
             obs.control_plane[op].inc()
 
-    def _on_wal_append(self, record) -> None:
+    def _on_wal_append(self, kind: str) -> None:
         """Count and mark the append: every mutation appends, so the hook
         costs nothing when no metrics plane or flight recorder observes it."""
         cluster = self.cluster
         if cluster.obs is not None:
             cluster.obs.control_plane["wal_appends"].inc()
         if cluster.flight is not None:
-            cluster.flight.phase(self.resource, f"wal_append/{record.kind}")
+            cluster.flight.phase(self.resource, f"wal_append/{kind}")
 
     def _on_wal_checkpoint(self, seq: int) -> None:
         self._count("checkpoints")
@@ -150,8 +144,9 @@ class DurableService:
     def kill(self) -> bool:
         """Take the service down now; False if it already was.
 
-        Auto-checkpointing freezes for the downtime so no snapshot of wiped
-        state can be taken; the owner wipes its state and spawns recovery.
+        The WAL snapshots the owner's state, which the owner then wipes, and
+        keeps the records appended during the downtime; the owner spawns
+        recovery.
         """
         if not self.alive:
             return False
@@ -159,12 +154,16 @@ class DurableService:
         self.incarnation += 1
         self.backlog = 0
         self.recovery_event = Event(self.sim)
-        self.wal.frozen = True
+        self.wal.freeze()
         self.phase(f"kill/incarnation={self.incarnation}")
         return True
 
     def replay(self, restore_fn, apply_fn) -> int:
-        """Rebuild the owner's state from checkpoint + tail; records applied."""
+        """Rebuild the owner's state from the kill snapshot plus the downtime
+        records; returns the WAL's count.  A live service has nothing to
+        replay, so this raises."""
+        if self.alive:
+            raise SimulationError(f"{self.resource} is up: only a killed service replays")
         self.phase("replay_begin")
         return self.wal.replay(restore_fn, apply_fn)
 
@@ -172,8 +171,9 @@ class DurableService:
         """Pay the replay cost, come back up and wake the parked requests.
 
         The cost is one RPC to load the checkpoint plus a quarter-latency
-        per tail record re-applied: deterministic, so recovered runs stay
-        byte-reproducible.  ``detail`` closes the end-of-replay phase mark.
+        per record appended since it (the WAL's count): deterministic, so
+        recovered runs stay byte-reproducible.  ``detail`` closes the
+        end-of-replay phase mark.
         """
         yield self.sim.timeout(self.cluster.config.rpc_latency * (1.0 + 0.25 * applied))
         self.alive = True
@@ -189,22 +189,15 @@ class DirectoryShard(DurableService):
     The shard is the directory's unit of failure: :meth:`ObjectDirectory.
     fail_shard` wipes its volatile state (the records it owns) and spawns a
     recovery task that — after the failure-detection delay — fails the shard
-    over to an alive host if needed and replays its write-ahead log
-    (checkpoint + tail) to reconstruct exactly the state the kill destroyed.
+    over to an alive host if needed and replays its write-ahead log (the
+    kill's snapshot plus the records appended while the shard was down) to
+    reconstruct the state the kill destroyed, brought up to date.
     Requests to a dead shard park inside the RPC path (see
     :meth:`DurableService.park`), so clients see a stall, never an error or
     a job restart.
     """
 
-    __slots__ = (
-        "shard_id",
-        "node",
-        "failovers",
-        "last_replay_applied",
-        "replay_self_check",
-        "_appends_at_kill",
-        "_pre_kill_digest",
-    )
+    __slots__ = ("shard_id", "node", "failovers", "last_replay_applied")
 
     def __init__(self, shard_id: int, node: Node, cluster: Cluster, snapshot_fn):
         super().__init__(cluster, f"dirshard:{shard_id}", snapshot_fn)
@@ -212,13 +205,6 @@ class DirectoryShard(DurableService):
         self.node = node
         self.failovers = 0
         self.last_replay_applied = 0
-        #: outcome of the post-replay state self-check: True/False when the
-        #: check ran (no WAL appends landed during the downtime, so replayed
-        #: state must equal pre-kill state bit for bit), None when appends
-        #: during downtime made the comparison meaningless.
-        self.replay_self_check: Optional[bool] = None
-        self._appends_at_kill = 0
-        self._pre_kill_digest: Optional[str] = None
 
 
 class ObjectDirectory:
@@ -451,13 +437,6 @@ class ObjectDirectory:
         if record.inline_value is not None:
             return record.inline_value.size
         return None
-
-    def is_created(self, object_id: ObjectID) -> bool:
-        """True once the object has any location or an inline value."""
-        record = self.records.get(object_id)
-        if record is None:
-            return False
-        return bool(record.locations) or record.inline_value is not None
 
     def creation_event(self, object_id: ObjectID) -> Event:
         """An event that fires as soon as the object exists anywhere."""
@@ -808,8 +787,8 @@ class ObjectDirectory:
 
         Each hook leads back to the WAL's holder: the snapshot function
         closes over this directory, the other two are bound to the shard.
-        The logs and their counters stay readable, but a closed directory
-        can no longer checkpoint.
+        The logs and their counters stay readable, but a closed directory's
+        shards can no longer be killed.
         """
         for shard in self.shards:
             wal = shard.wal
@@ -880,7 +859,7 @@ class ObjectDirectory:
         return tuple(snapshot)
 
     def _restore_shard(self, shard_id: int, snapshot) -> None:
-        """Load a checkpoint snapshot back into the live record table."""
+        """Load a kill snapshot back into the live record table."""
         for record in self.records.values():
             if record.shard == shard_id:
                 self._wipe_record(record)
@@ -904,28 +883,14 @@ class ObjectDirectory:
                 for requester_id, node_id, complete, upstream in checked_out
             }
 
-    def _replay_record(self, shard: DirectoryShard, wal_record) -> None:
+    def _replay_record(self, shard: DirectoryShard, kind: str, data: tuple) -> None:
         """Re-apply one WAL record during shard recovery."""
-        if wal_record.kind == "purge":
-            node_id, dead = wal_record.data
+        if kind == "purge":
             for record in self.records.values():
                 if record.shard == shard.shard_id:
-                    self._apply(record, "purge", (node_id, dead))
+                    self._apply(record, "purge", data)
             return
-        object_id = wal_record.data[0]
-        record = self._record(object_id)
-        self._apply(record, wal_record.kind, wal_record.data[1:])
-
-    def _shard_digest(self, shard_id: int) -> str:
-        """Deterministic digest of a shard's snapshot (replay self-checks).
-
-        Inline values enter by size: a payload's ``repr`` is not a value.
-        """
-        parts = [
-            (object_id.key, size, deleted, None if inline is None else inline.size, *tables)
-            for object_id, size, inline, deleted, *tables in self._snapshot_shard(shard_id)
-        ]
-        return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+        self._apply(self._record(data[0]), kind, data[1:])
 
     def fail_shard(self, shard_id: int) -> None:
         """Kill one directory shard: its volatile state is lost *now*.
@@ -938,9 +903,6 @@ class ObjectDirectory:
         shard = self.shards[shard_id]
         if not shard.kill():
             return
-        shard._appends_at_kill = shard.wal.appends
-        shard._pre_kill_digest = self._shard_digest(shard_id)
-        shard.replay_self_check = None
         self.shard_kills += 1
         for record in self.records.values():
             if record.shard == shard_id:
@@ -968,16 +930,10 @@ class ObjectDirectory:
                 shard.phase(f"shard_failover/{old_id}->{new_host.node_id}")
         applied = shard.replay(
             lambda snapshot: self._restore_shard(shard.shard_id, snapshot),
-            lambda wal_record: self._replay_record(shard, wal_record),
+            lambda kind, data: self._replay_record(shard, kind, data),
         )
         shard.last_replay_applied = applied
         yield from shard.revive(applied, f"applied={applied}")
-        if shard.wal.appends == shard._appends_at_kill:
-            # Nothing happened during the downtime: replayed state must be
-            # bit-identical to what the kill destroyed.
-            shard.replay_self_check = (
-                self._shard_digest(shard.shard_id) == shard._pre_kill_digest
-            )
         # Deferred waiter notifications drain serially *after* the parked RPC
         # backlog, continuing its slot sequence, so no two recovery-driven
         # continuations resume at the same instant (see

@@ -265,7 +265,8 @@ class CollectiveOrchestrator:
         #: (see :meth:`kill_control_plane`).  Every spec registration,
         #: submission, completion and dynamic ownership record lands in its
         #: WAL before it matters, so :meth:`replay_after_restart` can rebuild
-        #: the whole orchestration state from checkpoint + tail.
+        #: the whole orchestration state from the kill's snapshot plus the
+        #: records appended while the plane was down.
         self.control = DurableService(self.cluster, "control-plane", self._snapshot)
         runtime = getattr(self.plane, "runtime", None)
         if runtime is not None:
@@ -471,26 +472,25 @@ class CollectiveOrchestrator:
             object_id: set(ids) for object_id, ids in copies.items()
         }
 
-    def _replay_record(self, record) -> None:
-        kind = record.kind
+    def _replay_record(self, kind: str, data: tuple) -> None:
         if kind == "spec":
-            (spec,) = record.data
+            (spec,) = data
             if spec.spec_id not in self.lineage:
                 self.ownership.register_spec(spec)
             self.lineage.record(spec)
         elif kind == "submit":
-            (spec_id,) = record.data
+            (spec_id,) = data
             self.lineage.submissions[spec_id] = (
                 self.lineage.submissions.get(spec_id, 0) + 1
             )
         elif kind == "complete":
-            (spec_id,) = record.data
+            (spec_id,) = data
             self.completed.add(spec_id)
         elif kind == "partial":
-            parent_id, partial_id, node_id = record.data
+            parent_id, partial_id, node_id = data
             self.ownership.record_partial(parent_id, partial_id, node_id)
         elif kind == "copy":
-            object_id, node_id = record.data
+            object_id, node_id = data
             self.ownership.record_copy(object_id, node_id)
         else:  # pragma: no cover - programming error
             raise ValueError(f"unknown control-plane WAL op {kind!r}")
@@ -518,7 +518,9 @@ class CollectiveOrchestrator:
     def replay_after_restart(self) -> Tuple[int, int]:
         """Rebuild orchestration state from the WAL; resume in-flight specs.
 
-        Returns ``(tail_records_applied, specs_resubmitted)``.  Every spec
+        Returns ``(records_applied, specs_resubmitted)``, where the first is
+        the WAL's count (see :meth:`DurableService.replay`).  Only a killed
+        plane replays.  Every spec
         that had been submitted but not completed at the kill is re-submitted
         at its last durable incarnation — the task system's ``(key,
         incarnation)`` dedup turns that into adoption of surviving driver

@@ -2,15 +2,18 @@
 
 Covers the durability layer end to end:
 
-* checkpoint mechanics: automatic folding at the interval, tail truncation,
-  and the frozen-while-down discipline;
-* records hold their payloads by reference (the log is never persisted);
+* WAL mechanics: the count resets every ``CHECKPOINT_INTERVAL`` appends
+  while the owner is up and never while it is down, a kill snapshots the
+  owner's state, and replay applies the downtime records, held by
+  reference, in order and reports the count since the last reset;
 * directory-shard kills mid-collective: the collective completes without a
-  job restart, replay reconstructs the wiped records (checkpoint + tail),
-  and the shard's post-replay self-check finds the state digest-identical;
+  job restart, and replay rebuilds the wiped records (kill snapshot plus
+  downtime records) as the log's whole history would (the
+  ``replay_oracle`` fixture of ``conftest.py``);
 * a crash-at-every-boundary sweep: the kill lands after each stride of the
-  unkilled run's WAL append history and the collective must complete at
-  every point;
+  unkilled run's WAL append marks and the collective must complete at
+  every point, every replay checked by the oracle;
+* a live service refuses to replay;
 * lineage/ownership kills through the orchestrator: in-flight specs resume
   from their last durable incarnation via ``replay_after_restart``, and
   tasks that restart during the downtime park in ``lookup_spec`` until the
@@ -36,15 +39,12 @@ from repro.tasksys import (
     CollectiveSpec,
     TaskSystem,
 )
-from repro.tasksys.wal import WriteAheadLog
+from repro.sim import SimulationError
+from repro.tasksys import wal as wal_module
+from repro.tasksys.wal import CHECKPOINT_INTERVAL, WriteAheadLog
 
 MB = 1024 * 1024
 NET = dict(bandwidth=1.25e8)  # 1 Gbps: collectives run long enough to kill into
-
-
-class _Clock:
-    def __init__(self):
-        self._now = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -52,93 +52,92 @@ class _Clock:
 # ---------------------------------------------------------------------------
 
 
-def _counter_wal(interval=4):
+def _counter_wal():
     """A WAL owning a simple add-only counter dict, for mechanics tests."""
     state = {"applied": {}}
-    wal = WriteAheadLog(
-        _Clock(),
-        "test",
-        checkpoint_interval=interval,
-        snapshot_fn=lambda: dict(state["applied"]),
-    )
+    marks = []
+    wal = WriteAheadLog(lambda: dict(state["applied"]), on_checkpoint=marks.append)
 
     def restore(snapshot):
         state["applied"] = {} if snapshot is None else dict(snapshot)
 
-    def apply(record):
-        key, amount = record.data
+    def apply(kind, data):
+        key, amount = data
         state["applied"][key] = state["applied"].get(key, 0) + amount
 
-    return wal, state, restore, apply
+    return wal, state, restore, apply, marks
 
 
-def test_wal_auto_checkpoint_truncates_tail():
-    wal, state, restore, apply = _counter_wal(interval=4)
-    for i in range(10):
-        # Mutate-then-log: the snapshot a checkpoint takes inside append()
-        # must already cover the record being appended.
-        key = f"k{i % 3}"
-        state["applied"][key] = state["applied"].get(key, 0) + 1
-        wal.append("add", (key, 1))
-    # Two automatic checkpoints fired (at 4 and 8 appends); the tail holds
-    # only the records after the last fold.
+def test_wal_resets_its_count_every_interval_while_up():
+    wal, state, restore, apply, marks = _counter_wal()
+    for i in range(2 * CHECKPOINT_INTERVAL + 10):
+        wal.append("add", (f"k{i % 3}", 1))
+    # Two checkpoints fired, each marked with the appends it covers; a live
+    # log keeps no record.
     assert wal.checkpoints == 2
-    assert wal.checkpoint_seq == 8
-    assert [r.seq for r in wal.tail] == [8, 9]
-    live = dict(state["applied"])
-    state["applied"] = {}
-    applied = wal.replay(restore, apply)
-    assert applied == 2
-    assert state["applied"] == live
+    assert marks == [CHECKPOINT_INTERVAL, 2 * CHECKPOINT_INTERVAL]
+    assert wal.count == 10 and wal.appends == 2 * CHECKPOINT_INTERVAL + 10
+    assert wal.downtime == [] and wal.snapshot is None
 
 
-def test_wal_frozen_suspends_checkpoints_and_replay_is_bounded():
-    wal, state, restore, apply = _counter_wal(interval=4)
+def test_wal_never_resets_while_down_and_replays_the_kill_snapshot():
+    wal, state, restore, apply, marks = _counter_wal()
     for i in range(3):
-        apply(wal.append("add", ("k", 1)))
-    wal.frozen = True
-    # Appends still land while the owner is down (the world keeps mutating)
-    # but no snapshot of wiped state can ever be taken.
-    for i in range(4):
+        apply("add", ("k", 1))
         wal.append("add", ("k", 1))
-    assert wal.checkpoints == 0
-    with pytest.raises(ValueError):
-        wal.checkpoint()
+    wal.freeze()
+    assert wal.snapshot == {"k": 3}
+    state["applied"] = {}  # the owner wipes its state
+    # Appends still land while the owner is down (the world keeps mutating)
+    # and no checkpoint fires, however many there are.
+    for i in range(CHECKPOINT_INTERVAL + 1):
+        wal.append("add", ("k", 1))
+    assert wal.checkpoints == 0 and marks == []
+    assert wal.replay(restore, apply) == wal.count == CHECKPOINT_INTERVAL + 4
+    assert state["applied"] == {"k": CHECKPOINT_INTERVAL + 4}
+    # Back up, the next append resets the count it carried over the interval.
     wal.frozen = False
-    wal.checkpoint()
-    assert wal.tail == [] and wal.checkpoint_seq == 7
+    wal.append("add", ("k", 1))
+    assert wal.checkpoints == 1 and wal.count == 0
+    assert marks == [CHECKPOINT_INTERVAL + 5]
 
 
-def test_wal_records_hold_payloads_by_reference_and_stamp_the_clock():
+def test_wal_downtime_records_hold_payloads_by_reference_in_order():
     """The log is never persisted: replay hands back the very objects that
-    were appended, each record stamped with the simulated clock."""
-    clock = _Clock()
-    wal = WriteAheadLog(clock, "refs")
+    were appended while the owner was down, in append order."""
+    wal = WriteAheadLog(lambda: "snapshot")
     value = ObjectValue.from_array(np.full(3, 4.0), logical_size=8 * MB)
+    wal.append("op", ("before the kill",))
+    wal.freeze()
     payloads = [(ObjectID.of("k"), value), ({"spec": [1, 2]}, ReduceOp.MAX)]
-    for step, payload in enumerate(payloads):
-        clock._now = 0.5 * (step + 1)
-        wal.append("op", payload)
-    seen = []
-    assert wal.replay(lambda snapshot: None, seen.append) == 2
-    assert [(r.seq, r.time, r.kind) for r in seen] == [(0, 0.5, "op"), (1, 1.0, "op")]
-    for record, payload in zip(seen, payloads):
-        assert record.data is payload
-    assert seen[0].data[1] is value
+    for kind, payload in zip(("first", "second"), payloads):
+        wal.append(kind, payload)
+    restored, seen = [], []
+    assert wal.replay(restored.append, lambda kind, data: seen.append((kind, data))) == 3
+    assert restored == ["snapshot"]
+    assert [kind for kind, _ in seen] == ["first", "second"]
+    for (_, data), payload in zip(seen, payloads):
+        assert data is payload
+    assert seen[0][1][1] is value
     assert wal.replays == 1
 
 
-def test_wal_validation_and_snapshotless_logs():
-    with pytest.raises(ValueError):
-        WriteAheadLog(_Clock(), "bad", checkpoint_interval=0)
-    # Without a snapshot function the tail only grows: no automatic
-    # checkpoint fires, and an explicit one is refused.
-    wal = WriteAheadLog(_Clock(), "tail-only", checkpoint_interval=2)
-    for i in range(5):
-        wal.append("add", (i,))
-    assert len(wal) == 5 and wal.checkpoints == 0
-    with pytest.raises(ValueError):
-        wal.checkpoint()
+def test_wal_replay_reports_the_count_since_the_last_reset():
+    wal, state, restore, apply, marks = _counter_wal()
+    for i in range(CHECKPOINT_INTERVAL + 7):
+        wal.append("add", ("k", 1))
+    wal.freeze()
+    # The count spans the kill: seven records before it, two during the
+    # downtime, of which only the two are applied.
+    wal.append("add", ("k", 1))
+    wal.append("add", ("k", 1))
+    assert wal.replay(restore, apply) == 9
+    assert state["applied"] == {"k": 2}
+    # A second kill snapshots afresh and drops the old downtime records.
+    wal.frozen = False
+    wal.freeze()
+    assert wal.downtime == [] and wal.snapshot == {"k": 2}
+    assert wal.replay(restore, apply) == 9 and wal.replays == 2
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +198,7 @@ def _invoke(cluster, orchestrator, spec, budget=240.0, kills=()):
     for at, thunk in kills:
         sim.process(killer(at, thunk), name="killer")
     cluster.run(until=budget)
+    sim.check_failures()
     assert "outcome" in done, (
         f"collective {spec.spec_id} did not complete (t={sim.now})"
     )
@@ -210,11 +210,10 @@ def _invoke(cluster, orchestrator, spec, budget=240.0, kills=()):
 # ---------------------------------------------------------------------------
 
 
-def test_shard_kill_mid_collective_recovers_by_replay():
+def test_shard_kill_mid_collective_recovers_by_replay(replay_oracle):
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
     spec = _allgather_spec(cluster, "sk", 5, 16 * MB)
     directory = runtime.directory
-    baseline_appends = None
 
     outcome = _invoke(
         cluster,
@@ -228,41 +227,52 @@ def test_shard_kill_mid_collective_recovers_by_replay():
     # Replay actually re-applied durable history...
     assert shard.last_replay_applied > 0
     assert shard.wal.replays == 1
-    # ...and reconstructed the wiped records digest-identically (no WAL
-    # appends landed for this shard during the downtime, so the self-check
-    # compares replayed state against the exact pre-kill digest).
-    assert shard.replay_self_check is True
+    # ...and rebuilt the wiped records as the whole history would.  No
+    # record landed for this shard during the downtime, so the replay
+    # restored the kill's snapshot alone.
+    assert replay_oracle.replays == {"shard": 1, "lineage": 0}
+    assert shard.wal.downtime == [] and shard.wal.snapshot
     # Recovery stalls requests; it never restarts the job.
     assert orchestrator.metrics["invocations"] == 1
     assert outcome.completion_time > 0.2
 
 
-def test_shard_kill_replays_checkpoint_plus_tail():
+def test_shard_replay_charges_the_appends_since_the_last_checkpoint(
+    monkeypatch, replay_oracle
+):
+    """With a checkpoint every 4 appends, a kill's replay restores the kill
+    snapshot and is charged only for the appends after the last checkpoint
+    before it, as a replay of checkpoint plus tail would be."""
+    monkeypatch.setattr(wal_module, "CHECKPOINT_INTERVAL", 4)
     cluster, runtime, _, orchestrator = _build(num_nodes=5)
+    cluster.enable_observability()
     spec = _allgather_spec(cluster, "ck", 5, 16 * MB)
     directory = runtime.directory
     shard = directory.shards[0]
+    _invoke(cluster, orchestrator, spec, kills=[(0.2, lambda: directory.fail_shard(0))])
+    assert not cluster.flight.dropped
+    marks = [
+        detail
+        for _, kind, resource, detail in cluster.flight.records
+        if kind == "phase" and resource == shard.resource
+    ]
+    before = marks[: marks.index("replay_begin")]
+    last = max(i for i, mark in enumerate(before) if mark.startswith("checkpoint/"))
+    assert shard.wal.checkpoints >= 2
+    assert shard.last_replay_applied == sum(
+        mark.startswith("wal_append/") for mark in before[last + 1 :]
+    ) > 0
+    assert f"replay_end/applied={shard.last_replay_applied}" in marks
+    assert replay_oracle.replays["shard"] == shard.wal.replays == 1
 
-    def checkpoint_then_kill():
-        shard.wal.checkpoint()
-        assert shard.wal.tail == []
-        directory.fail_shard(0)
 
-    _invoke(cluster, orchestrator, spec, kills=[(0.2, checkpoint_then_kill)])
-    assert shard.wal.checkpoints == 1
-    assert shard.wal.replays == 1
-    # The checkpoint covered everything at the kill, so the tail replay
-    # applied nothing — recovery came from the snapshot.
-    assert shard.last_replay_applied == 0
-    assert shard.replay_self_check is True
-
-
-def test_crash_at_every_boundary_sweep():
+def test_crash_at_every_boundary_sweep(replay_oracle):
     """Kill shard 0 after each stride of the unkilled run's WAL history.
 
-    The unkilled run's WAL append times enumerate every point at which the
-    durable history grows; crashing just after each of them (strided to
-    keep the sweep cheap) must never wedge or restart the collective.
+    The unkilled run's ``wal_append`` marks on shard 0 enumerate every point
+    at which the durable history grows; crashing just after each of them
+    (strided to keep the sweep cheap) must never wedge or restart the
+    collective, and every replay must rebuild what the whole history does.
     """
     num_nodes, nbytes = 4, 4 * MB
     cluster, runtime, _, orchestrator = _build(num_nodes=num_nodes)
@@ -280,9 +290,6 @@ def test_crash_at_every_boundary_sweep():
             and time > 0.0
         }
     )
-    assert append_times == sorted(
-        {r.time for r in runtime.directory.shards[0].wal.tail if r.time > 0.0}
-    )
     assert append_times, "shard 0 recorded no WAL appends in the baseline"
     stride = max(1, len(append_times) // 6)
     boundaries = append_times[::stride]
@@ -292,20 +299,20 @@ def test_crash_at_every_boundary_sweep():
         cluster, runtime, _, orchestrator = _build(num_nodes=num_nodes)
         spec = _allgather_spec(cluster, "cb", num_nodes, nbytes)
         directory = runtime.directory
-        outcome = _invoke(
-            cluster,
-            orchestrator,
-            spec,
-            kills=[(boundary + epsilon, lambda d=directory: d.fail_shard(0))],
+        outcome = replay_oracle.run(
+            lambda: _invoke(
+                cluster,
+                orchestrator,
+                spec,
+                kills=[(boundary + epsilon, lambda d=directory: d.fail_shard(0))],
+            )
         )
         shard = directory.shards[0]
         assert shard.alive, f"shard not recovered for kill at {boundary}"
         assert shard.wal.replays == 1
-        assert shard.replay_self_check is not False, (
-            f"replay diverged from pre-kill state for kill at {boundary}"
-        )
         assert orchestrator.metrics["invocations"] == 1
         assert outcome.completion_time > 0.0
+    assert replay_oracle.replays == {"shard": len(boundaries), "lineage": 0}
 
 
 def test_double_kill_same_shard_recovers_twice():
@@ -428,6 +435,7 @@ def test_replay_after_restart_skips_completed_and_unsubmitted_specs():
     _invoke(cluster, orchestrator, done_spec)
     registered = _allgather_spec(cluster, "registered-only", 3, MB)
     orchestrator.register(registered)
+    orchestrator.kill_control_plane()
     applied, resubmitted = orchestrator.replay_after_restart()
     assert applied == orchestrator.control.wal.appends
     # Completed specs and registered-but-never-submitted specs are not
@@ -435,6 +443,25 @@ def test_replay_after_restart_skips_completed_and_unsubmitted_specs():
     assert resubmitted == 0
     assert done_spec.spec_id in orchestrator.completed
     assert registered.spec_id in orchestrator.lineage
+
+
+def test_replay_refuses_a_live_service():
+    """Only a killed service replays.  A replay on a live one used to wipe
+    its tables back to the last kill's snapshot."""
+    cluster, runtime, _, orchestrator = _build(num_nodes=3)
+    _invoke(cluster, orchestrator, _allgather_spec(cluster, "live", 3, MB))
+    completed = set(orchestrator.completed)
+
+    def untouched(*args):
+        raise AssertionError("a live service's state was touched")
+
+    for service in (orchestrator.control, runtime.directory.shards[0]):
+        with pytest.raises(SimulationError, match="only a killed service replays"):
+            service.replay(untouched, untouched)
+        assert service.wal.replays == 0
+    with pytest.raises(SimulationError):
+        orchestrator.replay_after_restart()
+    assert orchestrator.completed == completed == {"live"}
 
 
 # ---------------------------------------------------------------------------

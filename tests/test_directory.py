@@ -88,10 +88,15 @@ def test_wait_for_object_blocks_until_created(setup):
     assert times["seen"] >= 3.0
 
 
-def test_creation_event_and_is_created(setup):
+def _created(directory, object_id) -> bool:
+    record = directory.peek_record(object_id)
+    return record is not None and (bool(record.locations) or record.inline_value is not None)
+
+
+def test_creation_event_fires_once_the_object_exists(setup):
     cluster, directory = setup
     object_id = ObjectID.of("c")
-    assert not directory.is_created(object_id)
+    assert not _created(directory, object_id)
     event = directory.creation_event(object_id)
     assert not event.triggered
 
@@ -99,7 +104,7 @@ def test_creation_event_and_is_created(setup):
         yield from directory.publish_partial(cluster.node(0), object_id, MB)
 
     drive(cluster, writer())
-    assert directory.is_created(object_id)
+    assert _created(directory, object_id)
     assert event.triggered
     assert directory.creation_event(object_id).triggered
 

@@ -1,4 +1,4 @@
-"""The value types every layer hashes: ``ObjectID``, ``Flow`` and ``WalRecord``.
+"""The value types every layer hashes: ``ObjectID`` and ``Flow``.
 
 Each is a tuple of its fields.  Their hashes decide the iteration order of
 every set and dict they key, and with it the simulated schedule, so each
@@ -11,13 +11,11 @@ import pytest
 
 from repro.net.flowsched import DEFAULT_FLOW, Flow, FlowClass
 from repro.store import ObjectID
-from repro.tasksys.wal import WalRecord
 
 VALUES = [
     ObjectID("x"),
     Flow("get:x->n1", FlowClass.REDUCE_PARTIAL),
     DEFAULT_FLOW,
-    WalRecord(3, 0.25, "publish_complete", (ObjectID("x"), 1, 1024)),
 ]
 
 
@@ -39,9 +37,6 @@ def test_object_ids_sort_by_key_and_print_as_it():
 def test_repr_names_the_type_and_its_fields():
     assert repr(ObjectID("x")) == "ObjectID(key='x')"
     assert repr(DEFAULT_FLOW) == "Flow(flow_id='untagged', flow_class=<FlowClass.BULK: 2>)"
-    assert repr(WalRecord(0, 0.5, "purge", (2, (2,)))) == (
-        "WalRecord(seq=0, time=0.5, kind='purge', data=(2, (2,)))"
-    )
     assert Flow("f") == Flow("f", FlowClass.BULK)
 
 

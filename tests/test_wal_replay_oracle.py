@@ -1,16 +1,10 @@
 """Replay oracle: every WAL replay rebuilds what the whole history builds.
 
 Each durable control-plane service, a directory shard or the
-orchestrator's lineage plane, logs every mutation to its WAL.  This test
-records each log's whole history, ``(kind, data)`` in append order, keyed
-by the log object (not ``id()``: ids are reused across runs).  At every
-replay it compares the recovered state with what restore-from-nothing
-plus the whole history builds, then puts the recovered state back, so the
-run goes on exactly as it would unobserved.
-
-States are compared through the service's own snapshot function, with
-dict orders kept.  A shard's inline values enter by size: a payload's
-``repr`` is not a value.
+orchestrator's lineage plane, logs every mutation to its WAL.  The
+``replay_oracle`` fixture (``conftest.py``) records each log's whole
+history and, at every replay, compares the recovered state with what
+restore-from-nothing plus that history builds.
 
 It covers control-plane fuzz seeds 0-19, the golden ``control_plane_kills``
 cell and the full grid of ``benchmarks/bench_control_plane.py``.
@@ -24,8 +18,6 @@ import pytest
 from repro.bench.digest import control_plane_kills_cell
 from repro.bench.fuzz import control_plane_case
 from repro.bench.scenarios import run
-from repro.directory.service import DirectoryShard, DurableService
-from repro.tasksys.wal import WalRecord, WriteAheadLog
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_control_plane.py"
 
@@ -35,57 +27,6 @@ def _bench_control_plane():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _shard_digest(snapshot) -> list:
-    """A shard snapshot with each inline value replaced by its size."""
-    return [
-        (object_id.key, size, deleted, None if inline is None else inline.size, *tables)
-        for object_id, size, inline, deleted, *tables in snapshot
-    ]
-
-
-def _state(service, snapshot):
-    if isinstance(service, DirectoryShard):
-        return _shard_digest(snapshot)
-    return [list(part.items()) if isinstance(part, dict) else part for part in snapshot]
-
-
-class Oracle:
-    """Records every log's history and checks each replay against it."""
-
-    def __init__(self, monkeypatch):
-        self.history: dict = {}
-        self.replays = {"shard": 0, "lineage": 0}
-        append, replay = WriteAheadLog.append, DurableService.replay
-
-        def recording_append(log, kind, data):
-            self.history.setdefault(log, []).append((kind, data))
-            return append(log, kind, data)
-
-        def checked_replay(service, restore_fn, apply_fn):
-            applied = replay(service, restore_fn, apply_fn)
-            self._check(service, restore_fn, apply_fn)
-            return applied
-
-        monkeypatch.setattr(WriteAheadLog, "append", recording_append)
-        monkeypatch.setattr(DurableService, "replay", checked_replay)
-
-    def _check(self, service, restore_fn, apply_fn):
-        snapshot_fn = service.wal.snapshot_fn
-        recovered = snapshot_fn()
-        restore_fn(None)
-        for kind, data in self.history.get(service.wal, ()):
-            apply_fn(WalRecord(0, 0.0, kind, data))
-        rebuilt = snapshot_fn()
-        restore_fn(recovered)
-        assert _state(service, rebuilt) == _state(service, recovered), service.resource
-        self.replays["shard" if isinstance(service, DirectoryShard) else "lineage"] += 1
-
-    def run(self, thunk):
-        """Run one workload, then drop its logs."""
-        thunk()
-        self.history.clear()
 
 
 def _fuzz_seeds(oracle):
@@ -112,8 +53,7 @@ def _bench_grid(oracle):
     ],
     ids=["fuzz-seeds-0-19", "control-plane-kills", "bench-grid"],
 )
-def test_every_replay_equals_the_whole_history(monkeypatch, workload, planes):
-    oracle = Oracle(monkeypatch)
-    workload(oracle)
-    print(f"\nreplays checked: {oracle.replays}")
-    assert {plane for plane, count in oracle.replays.items() if count} == planes
+def test_every_replay_equals_the_whole_history(replay_oracle, workload, planes):
+    workload(replay_oracle)
+    print(f"\nreplays checked: {replay_oracle.replays}")
+    assert {plane for plane, count in replay_oracle.replays.items() if count} == planes
