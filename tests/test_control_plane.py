@@ -224,7 +224,7 @@ def test_shard_kill_mid_collective_recovers_by_replay(replay_oracle):
     shard = directory.shards[0]
     assert directory.shard_kills == 1
     assert shard.alive and shard.incarnation == 1
-    # Replay actually re-applied durable history...
+    # Replay was charged for the durable history since the last checkpoint...
     assert shard.last_replay_applied > 0
     assert shard.wal.replays == 1
     # ...and rebuilt the wiped records as the whole history would.  No
