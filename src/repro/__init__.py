@@ -17,6 +17,15 @@ Public API overview
 * :mod:`repro.apps` — the paper's application workloads (async SGD, RL,
   model serving, synchronous training).
 * :mod:`repro.bench` — the benchmark harness regenerating every figure.
+
+Importing ``repro`` loads the simulator, the network, the stores, the
+directory and Hoplite's runtime, which every run drives.  Three layers load
+on first use instead: the task system (only a collective run under a
+:class:`~repro.bench.scenarios.Kill`, or an application, imports it), the
+applications (``from repro.apps import run_model_serving`` imports that one
+app) and the observability plane (``cluster.enable_observability()`` and an
+observed fleet import it).  numpy likewise loads only where a payload array
+is handled.
 """
 
 from repro.core.api import HopliteClient

@@ -5,21 +5,30 @@ over a selectable communication plane (Hoplite, Ray-style, Dask-style) or
 static collective library (OpenMPI, Gloo, for synchronous training), and
 returns an :class:`~repro.apps.common.AppResult` with throughput and
 per-iteration latencies.
+
+Each application loads on first use: ``from repro.apps import
+run_model_serving`` imports :mod:`repro.apps.serving` alone, and importing
+:mod:`repro.apps.common` (which the scenario drivers use for their retry
+loop) loads no application, no model catalog and no task system.
 """
 
-from repro.apps.common import AppResult, FailureSchedule
-from repro.apps.moe import run_moe_routing
-from repro.apps.param_server import run_async_sgd
-from repro.apps.rl import run_rl_training
-from repro.apps.serving import run_model_serving
-from repro.apps.sync_training import run_sync_training
+import importlib
 
-__all__ = [
-    "AppResult",
-    "FailureSchedule",
-    "run_async_sgd",
-    "run_model_serving",
-    "run_moe_routing",
-    "run_rl_training",
-    "run_sync_training",
-]
+from repro.apps.common import AppResult, FailureSchedule
+
+#: public name -> the application module that defines it.
+_APPS = {
+    "run_async_sgd": "repro.apps.param_server",
+    "run_model_serving": "repro.apps.serving",
+    "run_moe_routing": "repro.apps.moe",
+    "run_rl_training": "repro.apps.rl",
+    "run_sync_training": "repro.apps.sync_training",
+}
+
+__all__ = ["AppResult", "FailureSchedule", *sorted(_APPS)]
+
+
+def __getattr__(name: str):
+    if name in _APPS:
+        return getattr(importlib.import_module(_APPS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,13 +23,18 @@ shared rack uplinks (per-window ``link_bytes``) correlates with the
 latency the fleet experiences in the same windows —
 :func:`congestion_latency_correlation` computes that Pearson coefficient
 from the recorded series alone.
+
+The observability plane (:mod:`repro.obs`) loads on first use: only an
+observed run imports it, so the SLO tables here are plain
+``(op, size, p50, p99)`` rows that become
+:class:`~repro.obs.export.SLOTarget` objects when a run scores them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.options import HopliteOptions
 from repro.core.runtime import HopliteRuntime
@@ -37,9 +42,10 @@ from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.topology import Topology
-from repro.obs.critpath import aggregate_blames, op_blames
-from repro.obs.export import SLOTarget, evaluate_slos
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.export import SLOTarget
 
 KB = 1024
 MB = 1024 * 1024
@@ -137,24 +143,25 @@ class FleetResult:
         )
 
 
-#: latency targets for the default (non-quick) fleet, in simulated seconds.
-#: Calibrated against the seed-0 run on the 4x8 fabric with ~1.5-2x headroom
-#: over the slower tenant, so the committed seed passes and a scheduling or
-#: admission regression that doubles tail latency turns rows to FAIL.
-DEFAULT_SLOS = [
-    SLOTarget("allreduce", "4MB", p50=0.060, p99=0.130),
-    SLOTarget("broadcast", "8MB", p50=0.055, p99=0.110),
-    SLOTarget("gather", "256KB", p50=0.025, p99=0.080),
-    SLOTarget("alltoall", "2MB", p50=0.055, p99=0.080),
-]
+#: latency targets for the default (non-quick) fleet, in simulated seconds,
+#: as ``(op, size, p50, p99)``.  Calibrated against the seed-0 run on the
+#: 4x8 fabric with ~1.5-2x headroom over the slower tenant, so the committed
+#: seed passes and a scheduling or admission regression that doubles tail
+#: latency turns rows to FAIL.
+DEFAULT_SLOS = (
+    ("allreduce", "4MB", 0.060, 0.130),
+    ("broadcast", "8MB", 0.055, 0.110),
+    ("gather", "256KB", 0.025, 0.080),
+    ("alltoall", "2MB", 0.055, 0.080),
+)
 
-#: targets for the shrunken --quick fleet (CI smoke).
-QUICK_SLOS = [
-    SLOTarget("allreduce", "512KB", p50=0.008, p99=0.013),
-    SLOTarget("broadcast", "1MB", p50=0.007, p99=0.010),
-    SLOTarget("gather", "32KB", p50=0.002, p99=0.003),
-    SLOTarget("alltoall", "256KB", p50=0.004, p99=0.007),
-]
+#: targets for the shrunken --quick fleet (CI smoke), as above.
+QUICK_SLOS = (
+    ("allreduce", "512KB", 0.008, 0.013),
+    ("broadcast", "1MB", 0.007, 0.010),
+    ("gather", "32KB", 0.002, 0.003),
+    ("alltoall", "256KB", 0.004, 0.007),
+)
 
 
 def build_fleet(
@@ -534,7 +541,13 @@ def run_fleet(
         cluster=cluster,
     )
     if obs is not None:
-        targets = slos if slos is not None else (QUICK_SLOS if quick else DEFAULT_SLOS)
+        from repro.obs.critpath import aggregate_blames, op_blames
+        from repro.obs.export import SLOTarget, evaluate_slos
+
+        if slos is not None:
+            targets = slos
+        else:
+            targets = [SLOTarget(*row) for row in (QUICK_SLOS if quick else DEFAULT_SLOS)]
         result.slo_rows = evaluate_slos(obs.registry, targets)
         result.congestion_latency_r = congestion_latency_correlation(obs.registry)
         result.op_blames = op_blames(obs)

@@ -25,18 +25,24 @@ Allgather and alltoall also take a node-failure schedule
 through failures with Hoplite's per-transfer recovery plus framework
 reconstruction (a recovered producer re-``Put``s its objects, Section 6);
 the static systems abort and restart the whole job once every node is back —
-the MPI failure model.  A :class:`Kill` instead runs the collective through
-the task system's orchestrator and kills its driver's node or its control
-plane mid-run.
+the MPI failure model.  The other collectives' direct drivers cannot recover
+a node failure, so :func:`run` refuses one before it simulates anything.  A
+:class:`Kill` instead runs the collective through the task system's
+orchestrator, which does recover them, and kills its driver's node or its
+control plane mid-run.
 
 The ``measure_*`` functions are the figure-facing entry points; each is a
 thin wrapper that builds one :class:`Scenario`.
+
+The task system (:mod:`repro.tasksys`) loads on first use: only a run with a
+:class:`Kill` imports it.  The rest of this module's imports are what every
+run needs; :mod:`repro.apps.common` brings no application with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Generator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence, Union
 
 from repro.apps.common import reconstruct_on_recovery, retry_across_failures
 from repro.collectives.systems import PLANES, STATIC_OPS
@@ -52,7 +58,9 @@ from repro.net.faults import (
 from repro.net.flowsched import FlowClass
 from repro.net.transport import TransferError
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
-from repro.tasksys import CollectiveOrchestrator, CollectiveSpec, TaskSystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.tasksys import CollectiveSpec
 
 SUPPORTED_SYSTEMS = (
     "hoplite",
@@ -254,6 +262,9 @@ _OPTIMA: dict[str, Callable[[int, int, float], float]] = {
 #: the collectives the orchestrator runs (see :func:`_collective_spec`).
 _ORCHESTRATED = ("broadcast", "reduce", "allreduce", "allgather", "reduce_scatter", "alltoall")
 
+#: the collectives whose direct drivers ride node failures (without a kill).
+_RIDE_FAILURES = ("allgather", "alltoall")
+
 
 @dataclass(frozen=True)
 class Kill:
@@ -300,7 +311,8 @@ class Scenario:
     ``collective`` is ``"p2p"``, ``"broadcast"``, ``"gather"``,
     ``"reduce"``, ``"allreduce"``, ``"allgather"`` or ``"alltoall"``; with
     a :attr:`kill`, also ``"reduce_scatter"`` (but not gather or p2p).  A
-    control-plane kill needs the ``"hoplite"`` system.
+    control-plane kill needs the ``"hoplite"`` system.  Without a kill, only
+    allgather and alltoall take :attr:`failures`.
     """
 
     collective: str
@@ -363,6 +375,11 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
         )
     if not supported(s.system, s.collective, kill):
         raise UnsupportedScenarioError(f"{s.system!r} does not implement {s.collective!r}")
+    if s.failures and kill is None and s.collective not in _RIDE_FAILURES:
+        raise UnsupportedScenarioError(
+            f"{s.system!r} {s.collective!r} cannot recover node failures without a kill; "
+            f"only {' and '.join(_RIDE_FAILURES)} ride them"
+        )
     network = s.network or NetworkConfig()
     optimum = None
     if s.collective in _OPTIMA:
@@ -651,6 +668,8 @@ def _collective_spec(
     cluster: Cluster, collective: str, num_nodes: int, nbytes: int, tag: str
 ) -> CollectiveSpec:
     """Build the durable spec for one orchestrated measurement."""
+    from repro.tasksys import CollectiveSpec
+
     participants = list(range(num_nodes))
     value = lambda: ObjectValue.of_size(nbytes)  # noqa: E731
     if collective == "broadcast":
@@ -704,6 +723,8 @@ def _orchestrated(cluster: Cluster, plane, s: Scenario, kill: Kill, done: dict) 
     share's work.  A control-plane kill parks requests to the dead
     component until it has replayed its write-ahead log.
     """
+    from repro.tasksys import CollectiveOrchestrator, TaskSystem
+
     sim = cluster.sim
     orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
     prefix = "drvfail" if kill.target == "driver" else "ctlfail"

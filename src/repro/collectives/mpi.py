@@ -34,20 +34,6 @@ from repro.net.transport import transfer_bytes
 from repro.sim import Event
 
 
-def binomial_children(vrank: int, size: int) -> list[int]:
-    """Children of ``vrank`` in a binomial broadcast tree of ``size`` ranks."""
-    children = []
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            break
-        child = vrank | mask
-        if child < size:
-            children.append(child)
-        mask <<= 1
-    return children
-
-
 def binomial_parent(vrank: int) -> Optional[int]:
     """Parent of ``vrank`` in the binomial tree (``None`` for the root)."""
     if vrank == 0:

@@ -169,42 +169,6 @@ def _build_subtree(
     return root
 
 
-def inorder_traversal(slots: Sequence[TreeSlot]) -> list[int]:
-    """Generalized in-order traversal of the tree (used by tests)."""
-    if not slots:
-        return []
-    roots = [slot.rank for slot in slots if slot.parent is None]
-    order: list[int] = []
-
-    def visit(rank: int) -> None:
-        slot = slots[rank]
-        children = slot.children
-        if children:
-            visit(children[0])
-        order.append(rank)
-        for child in children[1:]:
-            visit(child)
-
-    for root in roots:
-        visit(root)
-    return order
-
-
-def tree_depth(slots: Sequence[TreeSlot]) -> int:
-    """Height of the tree in edges."""
-    if not slots:
-        return 0
-
-    def depth(rank: int) -> int:
-        children = slots[rank].children
-        if not children:
-            return 0
-        return 1 + max(depth(child) for child in children)
-
-    roots = [slot.rank for slot in slots if slot.parent is None]
-    return max(depth(root) for root in roots)
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------

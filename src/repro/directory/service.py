@@ -7,6 +7,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional
 
+from repro.directory.wal import WriteAheadLog
 from repro.net.cluster import Cluster
 from repro.net.node import Node
 from repro.net.transport import NodeFailedError
@@ -54,7 +55,7 @@ class DurableService:
     (:class:`DirectoryShard`) and the orchestrator's lineage plane
     (``CollectiveOrchestrator.control``).  The service owns its liveness,
     its incarnation, the backlog of requests parked on it and its
-    :class:`~repro.tasksys.wal.WriteAheadLog`, and it writes the lifecycle's
+    :class:`~repro.directory.wal.WriteAheadLog`, and it writes the lifecycle's
     counters and phase marks under its flight resource.  The owner says
     what a kill wipes and drives recovery: after the failure-detection delay
     it calls :meth:`replay` with its own restore and apply functions, then
@@ -74,11 +75,6 @@ class DurableService:
     )
 
     def __init__(self, cluster: Cluster, resource: str, snapshot_fn):
-        # Deferred import, and the class lives here rather than under
-        # repro.tasksys: that package re-exports the orchestrator, whose
-        # import chain leads back here through repro.core.runtime.
-        from repro.tasksys.wal import WriteAheadLog
-
         self.cluster = cluster
         self.sim = cluster.sim
         #: flight-recorder resource of the lifecycle's phase marks.

@@ -102,12 +102,6 @@ class StoredObject:
     def complete(self) -> bool:
         return self.sealed
 
-    @property
-    def progress_fraction(self) -> float:
-        if self.num_blocks == 0:
-            return 1.0
-        return self.blocks_ready / self.num_blocks
-
     def mark_block_ready(self, block_index: int) -> None:
         """Record that blocks up to ``block_index`` (inclusive) are present."""
         if block_index >= self.num_blocks:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.directory.service import DirectoryShard, DurableService
-from repro.tasksys.wal import WriteAheadLog
+from repro.directory.wal import WriteAheadLog
 
 
 def _shard_digest(snapshot) -> list:

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.collectives import CollectiveGroup, GlooCollectives, MPICollectives, StaticCollectiveError
-from repro.collectives.mpi import (
-    BinomialBroadcast,
-    PipelineChainBroadcast,
-    binomial_children,
-    binomial_parent,
-)
+from repro.collectives.mpi import BinomialBroadcast, PipelineChainBroadcast, binomial_parent
 from repro.net import Cluster, NetworkConfig
 
 MB = 1024 * 1024
@@ -33,6 +28,17 @@ def run_collective(cluster, op, delays=None):
     return finishes
 
 
+def binomial_children(vrank: int, size: int) -> list[int]:
+    """Children of ``vrank`` in a binomial broadcast tree of ``size`` ranks."""
+    children = []
+    mask = 1
+    while mask < size and not vrank & mask:
+        if vrank | mask < size:
+            children.append(vrank | mask)
+        mask <<= 1
+    return children
+
+
 def test_binomial_tree_structure():
     assert binomial_parent(0) is None
     assert binomial_parent(1) == 0
@@ -46,6 +52,7 @@ def test_binomial_tree_structure():
         seen = []
         for vrank in range(size):
             seen.extend(binomial_children(vrank, size))
+            assert all(binomial_parent(child) == vrank for child in binomial_children(vrank, size))
         assert sorted(seen) == list(range(1, size))
 
 

@@ -40,8 +40,8 @@ from repro.tasksys import (
     TaskSystem,
 )
 from repro.sim import SimulationError
-from repro.tasksys import wal as wal_module
-from repro.tasksys.wal import CHECKPOINT_INTERVAL, WriteAheadLog
+from repro.directory import wal as wal_module
+from repro.directory.wal import CHECKPOINT_INTERVAL, WriteAheadLog
 
 MB = 1024 * 1024
 NET = dict(bandwidth=1.25e8)  # 1 Gbps: collectives run long enough to kill into

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HopliteOptions, HopliteRuntime, ObjectID, ObjectValue, ReduceOp
-from repro.core.reduce import (
-    build_inorder_tree,
-    choose_reduce_degree,
-    inorder_traversal,
-    reduce_time_model,
-    tree_depth,
-)
+from repro.core.reduce import build_inorder_tree, choose_reduce_degree, reduce_time_model
 from repro.bench.scenarios import collect_flow_usage
 from repro.net import Cluster, NetworkConfig
 from repro.net.flowsched import FlowClass
@@ -25,6 +19,40 @@ KB = 1024
 # ---------------------------------------------------------------------------
 # Tree shape
 # ---------------------------------------------------------------------------
+
+
+def inorder_traversal(slots) -> list[int]:
+    """Generalized in-order traversal of the tree: first child, node, rest."""
+    if not slots:
+        return []
+    roots = [slot.rank for slot in slots if slot.parent is None]
+    order: list[int] = []
+
+    def visit(rank: int) -> None:
+        children = slots[rank].children
+        if children:
+            visit(children[0])
+        order.append(rank)
+        for child in children[1:]:
+            visit(child)
+
+    for root in roots:
+        visit(root)
+    return order
+
+
+def tree_depth(slots) -> int:
+    """Height of the tree in edges."""
+    if not slots:
+        return 0
+
+    def depth(rank: int) -> int:
+        children = slots[rank].children
+        if not children:
+            return 0
+        return 1 + max(depth(child) for child in children)
+
+    return max(depth(slot.rank) for slot in slots if slot.parent is None)
 
 
 def test_chain_tree_shape():

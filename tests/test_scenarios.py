@@ -16,6 +16,7 @@ from repro.bench import (
 from repro.bench.reporting import format_value
 from repro.bench.scenarios import Kill, Scenario, UnsupportedScenarioError, run
 from repro.net import NetworkConfig
+from repro.net.faults import FailureEvent
 
 MB = 1024 * 1024
 KB = 1024
@@ -142,6 +143,36 @@ def test_faulted_driver_allreduce_leaves_no_undefused_failure():
     scenario = Scenario("allreduce", "hoplite", 8, 16 * MB, kill=Kill("driver", fraction=0.5))
     run(scenario, observe=clusters.append)
     assert clusters[0].sim.unhandled_failures == []
+
+
+#: node 3 dies at 0.2 s and rejoins at 0.4 s, mid-transfer on a 1 Gbps fabric.
+_NODE_DOWN = dict(network=NetworkConfig(bandwidth=1.25e8), failures=(FailureEvent(3, 0.2, 0.4),))
+
+
+@pytest.mark.parametrize("system", ["hoplite", "openmpi"])
+@pytest.mark.parametrize("collective", ["broadcast", "reduce", "allreduce", "gather", "p2p"])
+def test_node_failure_without_kill_refused_before_simulating(collective, system):
+    """The direct drivers of the rooted collectives (and of p2p) cannot
+    recover a node failure, so the run is refused before a cluster is
+    built, not failed after it simulated."""
+    built = []
+    with pytest.raises(UnsupportedScenarioError, match="cannot recover node failures"):
+        run(Scenario(collective, system, 8, 64 * MB, **_NODE_DOWN), observe=built.append)
+    assert built == []
+
+
+def test_node_failure_still_runs_where_it_is_recovered():
+    """Allgather and alltoall ride the failure directly; every orchestrated
+    collective rides it under a kill."""
+    for collective in ("allgather", "alltoall"):
+        for system in ("hoplite", "openmpi"):
+            assert run(Scenario(collective, system, 8, 64 * MB, **_NODE_DOWN))["latency"] > 0.4
+    for collective in ("broadcast", "reduce", "allreduce", "reduce_scatter"):
+        for kill in (Kill("driver"), Kill("lineage", at=0.3)):
+            scenario = Scenario(collective, "hoplite", 8, 64 * MB, kill=kill, **_NODE_DOWN)
+            assert run(scenario)["latency"] > 0.4, (collective, kill)
+    scenario = Scenario("broadcast", "openmpi", 8, 64 * MB, kill=Kill("driver"), **_NODE_DOWN)
+    assert run(scenario)["latency"] > 0.4
 
 
 def test_format_value_and_table_and_series():

@@ -27,7 +27,7 @@ def test_create_and_progress_tracking(store):
     entry = local.create(object_id, 3 * MB)
     assert entry.num_blocks == 3
     assert not entry.complete
-    assert entry.progress_fraction == 0.0
+    assert entry.blocks_ready / entry.num_blocks == 0.0
 
     entry.mark_block_ready(0)
     assert entry.blocks_ready == 1
@@ -35,7 +35,7 @@ def test_create_and_progress_tracking(store):
     assert entry.blocks_ready == 3  # progress is monotone by highest block
     entry.seal(payload=np.ones(3))
     assert entry.complete
-    assert entry.progress_fraction == 1.0
+    assert entry.blocks_ready / entry.num_blocks == 1.0
     assert local.contains_complete(object_id)
     with pytest.raises(IndexError):
         entry.mark_block_ready(5)
