@@ -40,6 +40,22 @@ class AppResult:
         }
 
 
+def close_run(cluster: Cluster, plane: Optional[CommPlane] = None, task_system=None) -> None:
+    """Close a run once its queue has drained, so reference counting frees it.
+
+    In this order: the task system forgets its records
+    (:meth:`~repro.tasksys.system.TaskSystem.close`), the plane's runtime
+    drops its clients and WAL hooks, and the cluster its listeners
+    (:meth:`~repro.net.cluster.Cluster.close`).  Results, metrics and
+    counters stay readable.
+    """
+    if task_system is not None:
+        task_system.close()
+    if plane is not None:
+        plane.runtime.close()
+    cluster.close()
+
+
 def reconstruct_on_recovery(
     cluster: Cluster,
     plane: CommPlane,

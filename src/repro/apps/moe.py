@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.apps.common import AppResult, FailureSchedule, retry_across_failures
+from repro.apps.common import AppResult, FailureSchedule, close_run, retry_across_failures
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
@@ -136,6 +136,10 @@ def run_moe_routing(
     loads, non-uniform alltoall block sizes); ``capacity_factor`` drops
     overflow tokens at the senders.  The defaults reproduce the original
     uniform exchange bit for bit.
+
+    Once the queue has drained it closes the plane's runtime and the
+    cluster (:func:`~repro.apps.common.close_run`), so reference counting
+    frees the run; a run that raises stays open.
     """
     if num_nodes < 2:
         raise ValueError("MoE routing needs at least two nodes")
@@ -250,6 +254,7 @@ def run_moe_routing(
     ]
     cluster.run()
     sim.check_failures()
+    close_run(cluster, plane)
 
     incomplete = [proc for proc in workers if proc.is_alive]
     if incomplete:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule
+from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
@@ -43,7 +43,12 @@ def run_async_sgd(
     failure: Optional[FailureSchedule] = None,
     server_update_time: float = 0.01,
 ) -> AppResult:
-    """Run the asynchronous parameter-server workload and report throughput."""
+    """Run the asynchronous parameter-server workload and report throughput.
+
+    Once the queue has drained it closes its task system, the plane's
+    runtime and the cluster (:func:`~repro.apps.common.close_run`), so
+    reference counting frees the run; a run that raises stays open.
+    """
     if isinstance(model, str):
         model = model_profile(model)
     if num_nodes < 2:
@@ -110,6 +115,7 @@ def run_async_sgd(
     sim.process(driver(), name="async-sgd-driver")
     cluster.run()
     sim.check_failures()
+    close_run(cluster, plane, task_system)
 
     duration = summary.get("duration", sim.now)
     samples = num_iterations * batch * model.samples_per_round

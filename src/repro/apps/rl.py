@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule
+from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
@@ -59,7 +59,12 @@ def run_rl_training(
     network: Optional[NetworkConfig] = None,
     failure: Optional[FailureSchedule] = None,
 ) -> AppResult:
-    """Run IMPALA-style or A3C-style training and report samples/second."""
+    """Run IMPALA-style or A3C-style training and report samples/second.
+
+    Once the queue has drained it closes its task system, the plane's
+    runtime and the cluster (:func:`~repro.apps.common.close_run`), so
+    reference counting frees the run; a run that raises stays open.
+    """
     algorithm = algorithm.lower()
     if algorithm not in ("impala", "a3c"):
         raise ValueError(f"unknown RL algorithm {algorithm!r}; expected 'impala' or 'a3c'")
@@ -146,6 +151,7 @@ def run_rl_training(
     sim.process(driver(), name=f"rl-{algorithm}-driver")
     cluster.run()
     sim.check_failures()
+    close_run(cluster, plane, task_system)
 
     duration = summary.get("duration", sim.now)
     samples = num_iterations * batch * SAMPLES_PER_ROLLOUT

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence
 
-from repro.apps.common import AppResult, FailureSchedule
+from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
@@ -48,7 +48,12 @@ def run_model_serving(
     failure: Optional[FailureSchedule] = None,
     query_bytes: int = SERVING_QUERY_BYTES,
 ) -> AppResult:
-    """Serve ``num_queries`` ensemble queries and report queries/second."""
+    """Serve ``num_queries`` ensemble queries and report queries/second.
+
+    Once the queue has drained it closes its task system, the plane's
+    runtime and the cluster (:func:`~repro.apps.common.close_run`), so
+    reference counting frees the run; a run that raises stays open.
+    """
     if num_nodes < len(ensemble):
         raise ValueError(
             f"need at least {len(ensemble)} nodes to serve {len(ensemble)} models"
@@ -130,6 +135,7 @@ def run_model_serving(
     sim.process(driver(), name="serving-driver")
     cluster.run()
     sim.check_failures()
+    close_run(cluster, plane, task_system)
 
     duration = summary.get("duration", sim.now)
     throughput = num_queries / duration if duration > 0 else 0.0

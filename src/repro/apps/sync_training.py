@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult
+from repro.apps.common import AppResult, close_run
 from repro.collectives.systems import PLANES, STATIC_OPS, make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
@@ -26,7 +26,12 @@ def run_sync_training(
     num_rounds: int = 5,
     network: Optional[NetworkConfig] = None,
 ) -> AppResult:
-    """Run synchronous data-parallel training and report samples/second."""
+    """Run synchronous data-parallel training and report samples/second.
+
+    Once the queue has drained it closes the plane's runtime (on an object
+    plane) and the cluster (:func:`~repro.apps.common.close_run`), so
+    reference counting frees the run; a run that raises stays open.
+    """
     if isinstance(model, str):
         model = model_profile(model)
     if num_nodes < 2:
@@ -76,6 +81,7 @@ def _run_static(
         sim.process(_worker(rank), name=f"sync-train-rank-{rank}")
     cluster.run()
     sim.check_failures()
+    close_run(cluster)
 
     round_latencies = []
     previous_end = 0.0
@@ -144,4 +150,5 @@ def _run_plane(
     sim.process(driver(), name="sync-train-driver")
     cluster.run()
     sim.check_failures()
+    close_run(cluster, plane)
     return summary.get("duration", sim.now), round_latencies

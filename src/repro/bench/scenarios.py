@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence, Union
 
-from repro.apps.common import reconstruct_on_recovery, retry_across_failures
+from repro.apps.common import close_run, reconstruct_on_recovery, retry_across_failures
 from repro.collectives.systems import PLANES, STATIC_OPS
 from repro.core.options import HopliteOptions
 from repro.net.cluster import Cluster
@@ -352,10 +352,13 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
 
     ``observe`` is called with the cluster as soon as it is built, before
     any fault or plane is installed: flight recorders and test probes go
-    there.  Once the queue has drained the run closes the plane's runtime
-    and then the cluster (:meth:`~repro.net.cluster.Cluster.close`), so a
-    kept cluster has its counters but no listeners; a run that a kill
-    budget stops with events still queued stays open.  Returns a dict
+    there.  Once the queue has drained the run closes, in order, what its
+    runner left to close (the reconstructors parked on failures that never
+    came, or the orchestrator with its task system), the plane's runtime
+    and the cluster (:meth:`~repro.net.cluster.Cluster.close`), so
+    reference counting frees the run and a kept cluster has its counters
+    but no listeners; a run that a kill budget stops with events still
+    queued, or that raises, stays open.  Returns a dict
     with ``latency`` (simulated seconds),
     ``optimum`` (the collective's analytic optimum, ``None`` if it has
     none), ``usage`` (:func:`collect_flow_usage`; ``None`` for the
@@ -434,9 +437,9 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
         # Drained (a kill budget may stop the run with events queued): cut
         # the run's back-references, as run_fleet does, so reference
         # counting frees it instead of the cyclic collector.
-        if plane is not None:
-            plane.runtime.close()
-        cluster.close()
+        for close in done.get("close", ()):
+            close()
+        close_run(cluster, plane)
     return {
         "latency": done["latency"],
         "optimum": optimum,
@@ -457,7 +460,8 @@ def _delays(arrivals: Union[float, Sequence[float]], count: int) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # Object-plane runners: each installs its processes and, when the
-# measurement window closes, sets ``done["latency"]``.
+# measurement window closes, sets ``done["latency"]``.  What run() must
+# close after the drain, before the runtime, goes in ``done["close"]``.
 # ---------------------------------------------------------------------------
 
 
@@ -630,12 +634,15 @@ def _plane_exchange(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
     def _scenario() -> Generator:
         # Reconstructors go in before any Put so a producer that fails right
         # after its own Put (while others are still putting) is still re-Put.
+        # They wait for failures for good: run() closes them after the drain.
         if s.failures:
-            for node_id in range(n):
+            done["close"] = [
                 sim.process(
                     reconstruct_on_recovery(cluster, plane, node_id, sends(node_id)),
                     name=f"{name}-reconstruct-{node_id}",
-                )
+                ).close
+                for node_id in range(n)
+            ]
         if name == "allgather":
             producers = [
                 sim.process(_producer(node_id), name=f"allgather-put-{node_id}")
@@ -727,6 +734,7 @@ def _orchestrated(cluster: Cluster, plane, s: Scenario, kill: Kill, done: dict) 
 
     sim = cluster.sim
     orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
+    done["close"] = [orchestrator.close]
     prefix = "drvfail" if kill.target == "driver" else "ctlfail"
     spec = _collective_spec(cluster, s.collective, s.nodes, s.nbytes, f"{prefix}-{s.system}")
 

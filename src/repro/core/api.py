@@ -152,7 +152,13 @@ class HopliteClient:
                 # stays the fetch's last callback.
                 fetch.add_callback(self._defuse_own_death)
                 manager.inflight_fetches[object_id] = fetch
-            yield fetch
+            try:
+                yield fetch
+            except BaseException:
+                # A failed fetch holds its error, whose traceback holds this
+                # frame: drop the frame's reference so the two are not a cycle.
+                del fetch
+                raise
             if manager.inflight_fetches.get(object_id) is fetch:
                 manager.inflight_fetches.pop(object_id, None)
             entry = store.try_get_entry(object_id)

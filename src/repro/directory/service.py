@@ -176,7 +176,19 @@ class DurableService:
         self.wal.frozen = False
         self._count("replays")
         self.phase(f"replay_end/{detail}")
-        self.recovery_event.succeed(self)
+        # No value: the service itself would make the event a cycle with it.
+        self.recovery_event.succeed()
+
+    def close(self) -> None:
+        """Drop the WAL's hooks of a finished run.
+
+        Each hook leads back to the service or its owner: the snapshot
+        function is the owner's, the other two are bound to the service.
+        The log and its counters stay readable, but a closed service can no
+        longer be killed.
+        """
+        wal = self.wal
+        wal.snapshot_fn = wal.on_append = wal.on_checkpoint = None
 
 
 class DirectoryShard(DurableService):
@@ -779,16 +791,14 @@ class ObjectDirectory:
         self._notify_waiters(record)
 
     def close(self) -> None:
-        """Drop the shard WALs' hooks of a finished run.
+        """Close every shard (:meth:`DurableService.close`) of a finished run.
 
-        Each hook leads back to the WAL's holder: the snapshot function
-        closes over this directory, the other two are bound to the shard.
-        The logs and their counters stay readable, but a closed directory's
-        shards can no longer be killed.
+        The shards' snapshot function closes over this directory.  The logs
+        and their counters stay readable, but a closed directory's shards
+        can no longer be killed.
         """
         for shard in self.shards:
-            wal = shard.wal
-            wal.snapshot_fn = wal.on_append = wal.on_checkpoint = None
+            shard.close()
 
     # -- failure handling -----------------------------------------------------------
     def _on_node_failure(self, node: Node) -> None:

@@ -145,6 +145,14 @@ class Cluster:
     def close(self) -> None:
         """Drop the nodes' listeners and back-pointers of a finished run.
 
+        The cluster closes last: the driver that ran it first closes what
+        it built on it, once the queue has drained — parked processes
+        (:meth:`~repro.sim.Process.close`), the orchestrator and the task
+        system, then the plane's runtime.  :func:`repro.bench.scenarios.run`,
+        ``run_fleet`` and every app's ``run_*`` do so
+        (:func:`repro.apps.common.close_run`).  Closing also uninstalls the
+        flight recorder's pop hook.
+
         Raises :class:`~repro.sim.SimulationError` while events are still
         queued: a listener cut mid-run would change what a failure does.
         Closing twice is a no-op.
@@ -157,6 +165,9 @@ class Cluster:
             node.failure_listeners.clear()
             node.recovery_listeners.clear()
             node.cluster = None
+        # The pop hook is the flight recorder's, which holds this simulator:
+        # a cycle.  The closed cluster never runs again.
+        self.sim.on_pop = None
         self.closed = True
 
     def _check_open(self) -> None:

@@ -328,8 +328,13 @@ def transfer_block(
         yield sim.timeout(tx)
         if not (src.alive and dst.alive):
             _check_alive(src, dst)
-    finally:
+    except BaseException:
         reservation.release()
+        # A failed reservation holds its error, whose traceback holds this
+        # frame: drop the frame's reference so the two are not a cycle.
+        del reservation
+        raise
+    reservation.release()
     yield sim.timeout(latency)
     if not dst.alive:
         _check_alive(dst)

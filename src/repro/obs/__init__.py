@@ -85,7 +85,14 @@ __all__ = [
 
 
 class Observability:
-    """Metrics, tracing and the flight recorder for one cluster."""
+    """Metrics, tracing and the flight recorder for one cluster.
+
+    The plane holds the parts of the cluster it reads (``sim``, ``config``,
+    ``fabric`` and ``flight``), not the cluster, which holds the plane as
+    ``cluster.obs``: with :meth:`~repro.net.cluster.Cluster.close`, which
+    drops the node listeners and the pop hook, a finished observed run is
+    freed by reference counting.
+    """
 
     def __init__(self, cluster: "Cluster", window: float = 0.1):
         if cluster.obs is not None:
@@ -95,9 +102,11 @@ class Observability:
             raise SimulationError(
                 "sim.on_pop already has an owner; the flight recorder needs it"
             )
-        self.cluster = cluster
-        cluster.flight = FlightRecorder(sim, cluster.fabric.latency)
-        sim.on_pop = cluster.flight.record_pop
+        self.sim = sim
+        self.config = cluster.config
+        self.fabric = cluster.fabric
+        self.flight = cluster.flight = FlightRecorder(sim, cluster.fabric.latency)
+        sim.on_pop = self.flight.record_pop
         self.registry = MetricsRegistry(sim, window=window)
         self.tracer = Tracer(sim)
         #: ``(time, node_id, "down"|"up")`` membership transitions, in
@@ -107,7 +116,7 @@ class Observability:
 
         # -- families ------------------------------------------------------
         registry = self.registry
-        self._grant_waits = registry.histogram(
+        grant_waits = registry.histogram(
             "link_grant_wait_seconds",
             "admission wait from reservation submission to grant",
             ("cls",),
@@ -118,7 +127,7 @@ class Observability:
             ).labels(kind=key)
             for key in COUNTER_KEYS
         }
-        self._link_bytes = registry.counter(
+        link_bytes = registry.counter(
             "link_bytes", "bytes granted on a link direction", ("link", "tier", "cls")
         )
         control_family = registry.counter(
@@ -145,18 +154,50 @@ class Observability:
         links += [(link.sched, link.name, link.tier) for link in cluster.fabric.iter_links()]
         for sched, name, tier in links:
             sched._obs_control = control_family.labels(link=name, tier=tier)
-        #: every link direction's ``(name, tier)``, in ``link_bytes`` order.
-        self._links = [(name, tier) for _sched, name, tier in links]
-        #: flight records (kept plus dropped) the link families were built from.
-        self._collected = -1
-        registry.collect = self._collect_links
+        registry.collect = _LinkFamilies(
+            self.flight,
+            self.fabric,
+            [(name, tier) for _sched, name, tier in links],
+            link_bytes,
+            grant_waits,
+        ).collect
         for node in cluster.nodes:
             node.on_failure(self._on_node_down)
             node.on_recovery(self._on_node_up)
         cluster.fastpath_stats.on_event = self._on_fastpath_event
         cluster.obs = self
 
-    def _collect_links(self) -> None:
+    # -- hook bodies (called from the instrumented subsystems) -------------
+    def _on_fastpath_event(self, key: str, n: int) -> None:
+        self._fastpath[key].inc(n)
+
+    def _on_node_down(self, node) -> None:
+        self.node_events.append((self.sim._now, node.node_id, "down"))
+
+    def _on_node_up(self, node) -> None:
+        self.node_events.append((self.sim._now, node.node_id, "up"))
+
+
+class _LinkFamilies:
+    """The registry's ``collect`` hook: the link families, derived.
+
+    It holds the two families it rebuilds, not the registry or the plane,
+    so the hook makes no reference cycle with either.
+    """
+
+    __slots__ = ("flight", "fabric", "links", "link_bytes", "grant_waits", "collected")
+
+    def __init__(self, flight, fabric, links, link_bytes, grant_waits):
+        self.flight = flight
+        self.fabric = fabric
+        #: every link direction's ``(name, tier)``, in ``link_bytes`` order.
+        self.links = links
+        self.link_bytes = link_bytes
+        self.grant_waits = grant_waits
+        #: flight records (kept plus dropped) the families were built from.
+        self.collected = -1
+
+    def collect(self) -> None:
         """Rebuild ``link_bytes`` and ``link_grant_wait_seconds`` from the
         flight timeline, unless no record arrived since the last build.
 
@@ -166,35 +207,25 @@ class Observability:
         ``ValueError`` (from :func:`~repro.obs.flight.timeline`) if the
         recorder's ring dropped records.
         """
-        flight = self.cluster.flight
+        flight = self.flight
         recorded = len(flight.records) + flight.dropped
-        if recorded == self._collected:
+        if recorded == self.collected:
             return
         transfers, _ = timeline(flight)
-        self._link_bytes.children.clear()
-        self._grant_waits.children.clear()
-        waits = {cls.label: self._grant_waits.labels(cls=cls.label) for cls in FlowClass}
+        self.link_bytes.children.clear()
+        self.grant_waits.children.clear()
+        waits = {cls.label: self.grant_waits.labels(cls=cls.label) for cls in FlowClass}
         link_bytes = {
             name: {
-                cls.label: self._link_bytes.labels(link=name, tier=tier, cls=cls.label)
+                cls.label: self.link_bytes.labels(link=name, tier=tier, cls=cls.label)
                 for cls in FlowClass
             }
-            for name, tier in self._links
+            for name, tier in self.links
         }
-        path_links = self.cluster.fabric.path_links
+        path_links = self.fabric.path_links
         for block in sorted(transfers, key=attrgetter("release")):
             src, dst, at = block.src, block.dst, block.release
             waits[block.cls].observe(block.grant - block.submit, at=at)
             for name in (f"n{src}/up", f"n{dst}/down", *(x.name for x in path_links(src, dst))):
                 link_bytes[name][block.cls].inc(block.nbytes, at=at)
-        self._collected = recorded
-
-    # -- hook bodies (called from the instrumented subsystems) -------------
-    def _on_fastpath_event(self, key: str, n: int) -> None:
-        self._fastpath[key].inc(n)
-
-    def _on_node_down(self, node) -> None:
-        self.node_events.append((self.cluster.sim._now, node.node_id, "down"))
-
-    def _on_node_up(self, node) -> None:
-        self.node_events.append((self.cluster.sim._now, node.node_id, "up"))
+        self.collected = recorded

@@ -183,16 +183,12 @@ def _classify_gap(
 
 # -- flight records -> evidence ---------------------------------------------
 def _evidence(obs: "Observability") -> tuple[list[TransferUnit], list["Compute"]]:
-    """Transfer units and compute records of the cluster's flight recorder.
+    """Transfer units and compute records of the plane's flight recorder.
 
-    A block never delivered has no propagation.  A plane without transfer
-    tracing has no recorder, hence no evidence.
+    A block never delivered has no propagation.
     """
-    cluster = obs.cluster
-    if cluster.flight is None:
-        return [], []
-    fabric = cluster.fabric
-    transfers, computes = timeline(cluster.flight)
+    fabric = obs.fabric
+    transfers, computes = timeline(obs.flight)
     links: dict[tuple[int, int], tuple] = {}
     units = []
     for t in transfers:
@@ -211,7 +207,7 @@ def _evidence(obs: "Observability") -> tuple[list[TransferUnit], list["Compute"]
 
 def detect_intervals(obs: "Observability") -> list[tuple[float, float]]:
     """Failure-detection windows from the plane's membership transitions."""
-    delay = obs.cluster.config.failure_detection_delay
+    delay = obs.config.failure_detection_delay
     return _merge(
         (at, at + delay) for at, _node, kind in obs.node_events if kind == "down"
     )
@@ -371,7 +367,7 @@ def cluster_blame(obs: "Observability", name: str = "scenario") -> OpBlame:
     starts = [s.start for s in finished] + [u.submit for u in units] + [a for a, _ in busy]
     ends = [s.end for s in finished] + [u.arrive for u in units] + [b for _, b in busy]
     if not starts:
-        now = obs.cluster.sim._now
+        now = obs.sim._now
         return blame_window(name, "", now, now, [], [], [], [])
     recovery = [
         interval

@@ -61,10 +61,11 @@ def nearest_rank(sorted_values: Sequence[float], pct: float) -> float:
 class Counter:
     """A monotonically increasing count, windowed against simulated time."""
 
-    __slots__ = ("family", "label_values", "value", "_buckets")
+    __slots__ = ("sim", "window", "label_values", "value", "_buckets")
 
-    def __init__(self, family: "MetricFamily", label_values: tuple):
-        self.family = family
+    def __init__(self, sim: "Simulator", window: float, label_values: tuple):
+        self.sim = sim
+        self.window = window
         self.label_values = label_values
         self.value = 0.0
         #: per-window increments as ``[bucket_index, sum]`` pairs, append
@@ -74,8 +75,7 @@ class Counter:
     def inc(self, amount: float = 1.0, at: Optional[float] = None) -> None:
         """Add ``amount`` at ``at`` (default: now); stamps must not go back."""
         self.value += amount
-        registry = self.family.registry
-        bucket = int((registry.sim._now if at is None else at) / registry.window)
+        bucket = int((self.sim._now if at is None else at) / self.window)
         buckets = self._buckets
         if buckets and buckets[-1][0] == bucket:
             buckets[-1][1] += amount
@@ -84,17 +84,17 @@ class Counter:
 
     def series(self) -> list[tuple[float, float]]:
         """``(window_start_time, increments_in_window)`` pairs, in order."""
-        window = self.family.registry.window
+        window = self.window
         return [(bucket * window, total) for bucket, total in self._buckets]
 
 
 class Histogram:
     """Every observation kept, stamped with simulated time; exact quantiles."""
 
-    __slots__ = ("family", "label_values", "samples", "total", "_sorted", "_dirty")
+    __slots__ = ("sim", "label_values", "samples", "total", "_sorted", "_dirty")
 
-    def __init__(self, family: "MetricFamily", label_values: tuple):
-        self.family = family
+    def __init__(self, sim: "Simulator", label_values: tuple):
+        self.sim = sim
         self.label_values = label_values
         #: ``(simulated_time, value)`` in recording order (time-monotonic).
         self.samples: list[tuple[float, float]] = []
@@ -104,7 +104,7 @@ class Histogram:
 
     def observe(self, value: float, at: Optional[float] = None) -> None:
         """Record ``value`` at ``at`` (default: now); stamps must not go back."""
-        self.samples.append((self.family.registry.sim._now if at is None else at, value))
+        self.samples.append((self.sim._now if at is None else at, value))
         self.total += value
         self._dirty = True
 
@@ -136,23 +136,27 @@ class Histogram:
         return list(self.samples)
 
 
-_CHILD_TYPES = {COUNTER: Counter, HISTOGRAM: Histogram}
-
-
 class MetricFamily:
-    """One named metric with a declared label-name set and many children."""
+    """One named metric with a declared label-name set and many children.
 
-    __slots__ = ("registry", "kind", "name", "help", "label_names", "children")
+    A family and its children hold the registry's clock and window, not the
+    registry: the registry lists its families, and each family lists its
+    children, so a back-reference either way would be a reference cycle.
+    """
+
+    __slots__ = ("sim", "window", "kind", "name", "help", "label_names", "children")
 
     def __init__(
         self,
-        registry: "MetricsRegistry",
+        sim: "Simulator",
+        window: float,
         kind: str,
         name: str,
         help_text: str,
         label_names: tuple[str, ...],
     ):
-        self.registry = registry
+        self.sim = sim
+        self.window = window
         self.kind = kind
         self.name = name
         self.help = help_text
@@ -175,7 +179,10 @@ class MetricFamily:
             raise ValueError(f"{self.name}: unexpected label(s) {sorted(extra)}")
         child = self.children.get(key)
         if child is None:
-            child = _CHILD_TYPES[self.kind](self, key)
+            if self.kind == COUNTER:
+                child = Counter(self.sim, self.window, key)
+            else:
+                child = Histogram(self.sim, key)
             self.children[key] = child
         return child
 
@@ -220,7 +227,7 @@ class MetricsRegistry:
                     f"(was {family.kind}{list(family.label_names)})"
                 )
             return family
-        family = MetricFamily(self, kind, name, help_text, names)
+        family = MetricFamily(self.sim, self.window, kind, name, help_text, names)
         self._families[name] = family
         return family
 

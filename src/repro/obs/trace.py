@@ -41,7 +41,7 @@ class Span:
     """One timed operation in a trace, stamped with simulated time."""
 
     __slots__ = (
-        "tracer",
+        "sim",
         "trace_id",
         "span_id",
         "parent_id",
@@ -54,7 +54,7 @@ class Span:
 
     def __init__(
         self,
-        tracer: "Tracer",
+        sim: "Simulator",
         trace_id: str,
         span_id: int,
         parent_id: Optional[int],
@@ -62,7 +62,9 @@ class Span:
         start: float,
         attrs: dict,
     ):
-        self.tracer = tracer
+        #: the clock :meth:`finish` stamps (the tracer, which lists every
+        #: span, would make each span a reference cycle with it).
+        self.sim = sim
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -74,7 +76,7 @@ class Span:
 
     def finish(self, status: str = "ok") -> None:
         if self.end is None:
-            self.end = self.tracer.sim._now
+            self.end = self.sim._now
             self.status = status
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -107,7 +109,7 @@ class Tracer:
         if parent is not None and trace_id is None:
             trace_id = parent.trace_id
         span = Span(
-            self,
+            self.sim,
             trace_id if trace_id is not None else f"trace-{name}",
             next(self._next_id),
             parent.span_id if parent is not None else None,

@@ -242,18 +242,25 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Base class for AllOf / AnyOf composition events."""
+    """Base class for AllOf / AnyOf composition events.
 
-    __slots__ = ("events", "_matched")
+    A condition keeps the number of its members, not the members: each
+    pending member holds the condition through its callback, so a list of
+    members would make every condition with a member that never fires (a
+    wait on a node failure that does not come) a reference cycle.
+    """
+
+    __slots__ = ("_count", "_matched")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         Event.__init__(self, sim)
-        self.events = list(events)
+        events = list(events)
+        self._count = len(events)
         self._matched: list[Event] = []
-        if not self.events:
+        if not events:
             self.succeed([])
             return
-        for event in self.events:
+        for event in events:
             if event.sim is not sim:
                 raise SimulationError("cannot mix events from different simulators")
             event.add_callback(self._check)
@@ -281,7 +288,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _satisfied(self) -> bool:
-        return len(self._matched) == len(self.events)
+        return len(self._matched) == self._count
 
 
 class AnyOf(_Condition):
@@ -359,6 +366,26 @@ class Process(Event):
         interrupt_event.defused = True
         self.sim._schedule(interrupt_event, URGENT)
         interrupt_event.add_callback(self._deliver_interrupt)
+
+    def close(self) -> None:
+        """Abandon a process that waits on an event which can no longer fire.
+
+        Only on a drained simulator (raises :class:`SimulationError` while
+        events are queued).  A process parked for good, such as a
+        reconstructor waiting for a failure that never came, holds itself
+        through its cached ``_resume``, so it is a reference cycle.
+        Closing detaches it from its target, drops that method and closes
+        its generator where it waits.  The process is never triggered:
+        nothing is scheduled and no waiter runs.  Closing a finished
+        process does nothing.
+        """
+        if self._ok is not None:
+            return
+        if self.sim.peek() != float("inf"):
+            raise SimulationError("cannot close a process with events still queued")
+        self._detach()
+        self._target = self._resume_bound = None
+        self.generator.close()
 
     def _detach(self) -> None:
         """Stop the event the process waits on from resuming it."""

@@ -320,13 +320,6 @@ class OwnershipTable:
                 return OwnedObject(object_id, parent.spec_id, ROLE_PARTIAL)
         return None
 
-    def objects_of(self, spec_id: str, role: Optional[str] = None) -> list[OwnedObject]:
-        ids = self._by_spec.get(spec_id, set())
-        entries = [self._objects[object_id] for object_id in ids]
-        if role is not None:
-            entries = [entry for entry in entries if entry.role == role]
-        return sorted(entries, key=lambda entry: entry.object_id.key)
-
     # -- dynamic records from the executions ---------------------------------
     def record_partial(
         self, parent_id: ObjectID, partial_id: ObjectID, node_id: Optional[int] = None
@@ -343,24 +336,6 @@ class OwnershipTable:
     def record_copy(self, object_id: ObjectID, node_id: int) -> None:
         """Record that ``node_id`` holds a (possibly partial) relay copy."""
         self._copies.setdefault(object_id, set()).add(node_id)
-
-    def copies_of(self, object_id: ObjectID) -> set:
-        return set(self._copies.get(object_id, set()))
-
-    def drop_node(self, node_id: int) -> list[OwnedObject]:
-        """Forget ``node_id``'s copies; return the owned objects it held.
-
-        The returned list is what a lineage-driven recovery would walk to
-        decide which specs must re-execute.
-        """
-        lost: list[OwnedObject] = []
-        for object_id, holders in self._copies.items():
-            if node_id in holders:
-                holders.discard(node_id)
-                owned = self.owner_of(object_id)
-                if owned is not None:
-                    lost.append(owned)
-        return lost
 
 
 class LineageLog:

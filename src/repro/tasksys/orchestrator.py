@@ -272,6 +272,22 @@ class CollectiveOrchestrator:
         if runtime is not None:
             runtime.orchestration = _RecordingOrchestration(self)
 
+    def close(self) -> None:
+        """Cut the back-references a finished run leaves to the orchestrator.
+
+        Call it once the queue has drained, before the runtime and the
+        cluster close.  The runtime gets its default orchestration hook
+        back, the control plane's WAL drops its hooks
+        (:meth:`DurableService.close`) and the task system closes
+        (:meth:`TaskSystem.close`).  Lineage, ownership and metrics stay
+        readable.
+        """
+        runtime = getattr(self.plane, "runtime", None)
+        if runtime is not None:
+            runtime.orchestration = LocalOrchestration(self.sim)
+        self.control.close()
+        self.system.close()
+
     # -- directory-backed adoption checks ------------------------------------
     def object_available(self, object_id: ObjectID) -> bool:
         """True if a complete copy of ``object_id`` lives on an alive node."""

@@ -147,7 +147,13 @@ class TaskContext:
 
 
 class TaskSystem:
-    """The dynamic-task runtime (a deliberately small Ray)."""
+    """The dynamic-task runtime (a deliberately small Ray).
+
+    The driver that builds one closes it once the queue has drained
+    (:meth:`close`, then the plane's runtime and the cluster: see
+    :func:`repro.apps.common.close_run`); an orchestrator closes its own
+    (:meth:`~repro.tasksys.orchestrator.CollectiveOrchestrator.close`).
+    """
 
     def __init__(
         self,
@@ -182,6 +188,19 @@ class TaskSystem:
         self.metrics = TaskSystemMetrics()
         for node in cluster.nodes:
             node.on_failure(self._on_node_failure)
+
+    def close(self) -> None:
+        """Forget the task records of a finished run.
+
+        Call it once the queue has drained, before the cluster closes: a
+        record's spec holds the task's arguments, which may lead back here
+        (the orchestrator passes itself), so the records would keep the run
+        a reference cycle.  Nothing can re-execute after the drain; the
+        metrics stay readable.
+        """
+        self.tasks.clear()
+        self._by_key.clear()
+        self.lineage.clear()
 
     # -- submission ---------------------------------------------------------------
     def submit(
@@ -505,7 +524,14 @@ class TaskSystem:
         pending = {ref: self._finished_event_for(ref) for ref in refs}
         ready: list[ObjectRef] = []
         while len(ready) < num_returns:
-            yield self.sim.any_of(list(pending.values()))
+            try:
+                yield self.sim.any_of(list(pending.values()))
+            except BaseException:
+                # A failed task's event holds its error, whose traceback holds
+                # this frame: drop the frame's reference so the two are not a
+                # cycle.
+                del pending
+                raise
             newly_ready = [ref for ref, event in pending.items() if event.triggered]
             for ref in newly_ready:
                 ready.append(ref)

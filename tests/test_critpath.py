@@ -11,6 +11,7 @@ the fast paths on and off.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -189,11 +190,12 @@ def test_undelivered_block_has_no_arrival_or_propagation():
     assert blame.link_blame == {"n0/up": 4 * MB, "n1/down": 4 * MB}
 
 
-def test_truncated_recording_refuses_to_blame():
+def test_truncated_recording_refuses_to_blame(monkeypatch):
     """Blame from a ring that dropped records would be silently wrong."""
+    import repro.obs
+
+    monkeypatch.setattr(repro.obs, "FlightRecorder", partial(FlightRecorder, capacity=3))
     cluster, obs = _hand_recorded_cluster()
-    cluster.flight = FlightRecorder(cluster.sim, cluster.fabric.latency, capacity=3)
-    cluster.sim.on_pop = cluster.flight.record_pop
     from repro.core.runtime import HopliteRuntime
 
     runtime = HopliteRuntime(cluster)

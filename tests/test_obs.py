@@ -21,6 +21,7 @@ Covers the plane's contracts in isolation and wired into the simulator:
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -454,13 +455,14 @@ def test_registry_is_the_same_with_fast_paths_on_and_off(scenario):
     assert sum(child["count"] for child in waits["children"]) > 0
 
 
-def test_link_families_refuse_a_truncated_recording():
+def test_link_families_refuse_a_truncated_recording(monkeypatch):
     """A ring that dropped records raises on reading the link families,
     with the timeline's own error, instead of exporting a short series."""
+    import repro.obs
+
+    monkeypatch.setattr(repro.obs, "FlightRecorder", partial(FlightRecorder, capacity=3))
     cluster = Cluster(num_nodes=2, network=NetworkConfig())
     obs = cluster.enable_observability()
-    cluster.flight = FlightRecorder(cluster.sim, cluster.fabric.latency, capacity=3)
-    cluster.sim.on_pop = cluster.flight.record_pop
     from repro.core.runtime import HopliteRuntime
 
     runtime = HopliteRuntime(cluster)

@@ -83,6 +83,32 @@ def _invoke(cluster, orchestrator, spec, budget=240.0):
 # ---------------------------------------------------------------------------
 
 
+def objects_of(table, spec_id, role=None):
+    """The table's entries for ``spec_id`` (of ``role``), by object key."""
+    entries = [table._objects[object_id] for object_id in table._by_spec.get(spec_id, set())]
+    if role is not None:
+        entries = [entry for entry in entries if entry.role == role]
+    return sorted(entries, key=lambda entry: entry.object_id.key)
+
+
+def copies_of(table, object_id):
+    """The node ids known to hold a copy of ``object_id``."""
+    return set(table._copies.get(object_id, set()))
+
+
+def drop_node(table, node_id):
+    """Forget ``node_id``'s copies; return the owned objects it held (what a
+    lineage-driven recovery would walk to decide which specs re-execute)."""
+    lost = []
+    for object_id, holders in table._copies.items():
+        if node_id in holders:
+            holders.discard(node_id)
+            owned = table.owner_of(object_id)
+            if owned is not None:
+                lost.append(owned)
+    return lost
+
+
 def test_ownership_registers_spec_objects_and_resolves_partials():
     table = OwnershipTable()
     spec, _ = _reduce_spec(Cluster(num_nodes=4), "own", 4)
@@ -100,7 +126,7 @@ def test_ownership_registers_spec_objects_and_resolves_partials():
     assert owned.role == ROLE_PARTIAL
     # Explicit recording attributes the copy to a node.
     table.record_partial(target, derived, node_id=3)
-    assert 3 in table.copies_of(derived)
+    assert 3 in copies_of(table, derived)
     assert table.owner_of(ObjectID.of("unrelated")) is None
 
 
@@ -111,9 +137,9 @@ def test_ownership_conflicting_spec_rejected_and_drop_node_reports_losses():
     with pytest.raises(ValueError):
         table.register(OwnedObject(object_id, "spec-b", ROLE_SOURCE, rank=1))
     table.record_copy(object_id, 2)
-    lost = table.drop_node(2)
+    lost = drop_node(table, 2)
     assert [owned.spec_id for owned in lost] == ["spec-a"]
-    assert table.copies_of(object_id) == set()
+    assert copies_of(table, object_id) == set()
 
 
 def test_orchestrator_records_partials_and_relays_during_a_reduce():
@@ -121,10 +147,10 @@ def test_orchestrator_records_partials_and_relays_during_a_reduce():
     spec, expected = _reduce_spec(cluster, "rec", 4, allreduce=True)
     outcome = _invoke(cluster, orchestrator, spec)
     assert np.allclose(outcome.results[2].as_array(), expected)
-    partials = orchestrator.ownership.objects_of(spec.spec_id, role=ROLE_PARTIAL)
+    partials = objects_of(orchestrator.ownership, spec.spec_id, role=ROLE_PARTIAL)
     assert partials, "reduce partials should be attributed to the spec"
     target = spec.targets[0]
-    assert orchestrator.ownership.copies_of(target), "relay copies recorded"
+    assert copies_of(orchestrator.ownership, target), "relay copies recorded"
     assert orchestrator.driver_processes_by_spec.get(spec.spec_id, 0) > 0, (
         "collective-internal driver processes should be attributed to the spec"
     )

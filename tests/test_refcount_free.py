@@ -91,11 +91,8 @@ def test_sealed_object_leaves_no_cycle():
 
 
 def test_finished_fleet_leaves_no_cycle():
-    """Dropping an unobserved fleet's result frees all of it.
-
-    ``observe=False`` only: the observability plane still holds cycles of
-    its own (metric families and the flight recorder), left for later.
-    """
+    """Dropping an unobserved fleet's result frees all of it (the observed
+    fleet is a case of ``tests/test_no_cyclic_garbage.py``)."""
     with collector_off():
         result = run_fleet(quick=True, observe=False)
         assert len(result.completions) == len(result.specs)
