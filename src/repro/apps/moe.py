@@ -42,7 +42,7 @@ from repro.apps.common import AppResult, FailureSchedule, close_run, retry_acros
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.faults import schedule
+from repro.net.faults import install
 from repro.sim import Event
 from repro.store.objects import ObjectID, ObjectValue
 
@@ -147,7 +147,7 @@ def run_moe_routing(
         raise ValueError("expert_skew must be non-negative")
     cluster = Cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    schedule(cluster, [failure] if failure else ())
+    install(cluster, [failure] if failure else ())
     sim = cluster.sim
 
     # Per-iteration routing plans: worker -> expert byte matrix, with the

@@ -23,7 +23,7 @@ from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.faults import schedule
+from repro.net.faults import install
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys.system import TaskSystem
 from repro.workloads.models import ModelProfile, model_profile
@@ -75,7 +75,7 @@ def run_rl_training(
 
     cluster = Cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    schedule(cluster, [failure] if failure else ())
+    install(cluster, [failure] if failure else ())
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 

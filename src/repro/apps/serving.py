@@ -24,7 +24,7 @@ from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.faults import schedule
+from repro.net.faults import install
 from repro.store.objects import ObjectID, ObjectValue
 from repro.tasksys.system import TaskError, TaskSystem
 from repro.workloads.models import SERVING_ENSEMBLE, SERVING_QUERY_BYTES, model_profile
@@ -60,7 +60,7 @@ def run_model_serving(
         )
     cluster = Cluster(num_nodes, network)
     plane = make_plane(system, cluster)
-    schedule(cluster, [failure] if failure else ())
+    install(cluster, [failure] if failure else ())
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 

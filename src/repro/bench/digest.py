@@ -136,7 +136,7 @@ def churn_scenario(collective: str, seed: int) -> Scenario:
     failures = poisson_failures(
         node_ids=list(range(1, 8)), rate_per_second=4.0, horizon=0.8, downtime=0.2, seed=seed
     )
-    return Scenario(collective, "hoplite", 8, 16 * MB, network=network, failures=failures)
+    return Scenario(collective, "hoplite", 8, 16 * MB, network=network, faults=failures)
 
 
 def fig7_cell() -> dict:
@@ -375,7 +375,7 @@ def control_plane_kills_cell() -> dict:
         for collective in ("allreduce", "broadcast")
     ]
     return {
-        label: _row(Scenario(collective, "hoplite", 8, 16 * MB, failures=failures, kill=kill))
+        label: _row(Scenario(collective, "hoplite", 8, 16 * MB, faults=failures, kill=kill))
         for label, collective, failures, kill in cells
     }
 

@@ -145,7 +145,7 @@ def generate_spec(seed: int) -> FuzzCase:
             downtime=0.2,
             seed=failure_seed,
         )
-        scenario = replace(scenario, failures=failures)
+        scenario = replace(scenario, faults=failures)
         faults = f"faults(rate={rate}, horizon=0.6, fseed={failure_seed})"
 
     scenario = replace(scenario, network=NetworkConfig(bandwidth=bandwidth, topology=topology))
@@ -193,11 +193,12 @@ def control_plane_case(seed: int):
     """One seeded scenario with directory-shard kills mid-collective.
 
     The ``control_plane`` fault class: a baseline run measures the scenario's
-    latency, and a seeded Poisson schedule then kills directory shards
-    within it.  The killed run must still digest-identical between
-    fast-paths-on and fast-paths-off — shard death, RPC parking, and WAL
-    replay are all deterministic machinery, so they must not reopen the
-    equivalence the plain band pins.
+    latency, and a seeded Poisson schedule of directory-shard kills within
+    it goes on the scenario's fault schedule, after any node failures.  The
+    killed run must still digest-identical between fast-paths-on and
+    fast-paths-off — shard death, RPC parking, and WAL replay are all
+    deterministic machinery, so they must not reopen the equivalence the
+    plain band pins.
 
     Returns ``(killed case, events)``.
     """
@@ -220,7 +221,8 @@ def control_plane_case(seed: int):
         seed=0xC7A1 ^ seed,
         include_lineage=False,
     )
-    return case._replace(scenario=replace(case.scenario, shard_kills=events)), events
+    scenario = replace(case.scenario, faults=(*case.scenario.faults, *events))
+    return case._replace(scenario=scenario), events
 
 
 def run_spec_recorded(case: FuzzCase, fast_paths: bool):

@@ -20,16 +20,16 @@ measurement boundaries as the paper:
 * the asynchrony variants stagger participant arrivals by a fixed interval
   and measure from the arrival of the first participant (Figure 8).
 
-Allgather and alltoall also take a node-failure schedule
-(:class:`~repro.net.faults.FailureEvent` list).  The object planes ride
-through failures with Hoplite's per-transfer recovery plus framework
-reconstruction (a recovered producer re-``Put``s its objects, Section 6);
-the static systems abort and restart the whole job once every node is back —
-the MPI failure model.  The other collectives' direct drivers cannot recover
-a node failure, so :func:`run` refuses one before it simulates anything.  A
-:class:`Kill` instead runs the collective through the task system's
-orchestrator, which does recover them, and kills its driver's node or its
-control plane mid-run.
+Every fault is an entry of one schedule, :attr:`Scenario.faults`
+(:mod:`repro.net.faults`).  Without a :class:`Kill` the direct drivers run:
+allgather and alltoall ride node failures (the object planes by
+per-transfer recovery plus framework reconstruction, Section 6; the static
+systems by restarting the whole job once every node is back, the MPI
+failure model), and Hoplite rides a directory-shard kill in any
+collective.  A :class:`Kill` runs the collective through the task system's
+orchestrator, which rides node failures in every collective it runs and
+owns the lineage plane, and adds its victim to the schedule.  :func:`run`
+refuses any other combination before it builds a cluster (:func:`supported`).
 
 The ``measure_*`` functions are the figure-facing entry points; each is a
 thin wrapper that builds one :class:`Scenario`.
@@ -49,12 +49,7 @@ from repro.collectives.systems import PLANES, STATIC_OPS
 from repro.core.options import HopliteOptions
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
-from repro.net.faults import (
-    ControlPlaneFailureEvent,
-    FailureEvent,
-    schedule,
-    schedule_control_plane,
-)
+from repro.net.faults import ControlPlaneFailureEvent, FailureEvent, Fault, install
 from repro.net.flowsched import FlowClass
 from repro.net.transport import TransferError
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
@@ -265,17 +260,25 @@ _ORCHESTRATED = ("broadcast", "reduce", "allreduce", "allgather", "reduce_scatte
 #: the collectives whose direct drivers ride node failures (without a kill).
 _RIDE_FAILURES = ("allgather", "alltoall")
 
+#: each kill target's victims: node 0, directory shard 0, the lineage plane.
+_KILL_VICTIMS = {"driver": ("node",), "directory": ("directory_shard",), "lineage": ("lineage",)}
+_KILL_VICTIMS["both"] = _KILL_VICTIMS["directory"] + _KILL_VICTIMS["lineage"]
+
+#: simulated seconds an orchestrated run may take: a wedged collective keeps
+#: scheduling retry timeouts, so an unbounded run would never return.
+_KILL_BUDGET = 600.0
+
 
 @dataclass(frozen=True)
 class Kill:
-    """One mid-run kill of a collective that runs through the orchestrator.
+    """Run the collective through the orchestrator and kill a victim mid-run.
 
-    ``target`` names the victim: ``"driver"`` is node 0 (the root of the
-    rooted collectives, rank 0 of the others), which rejoins ``downtime``
-    seconds later; ``"directory"`` is directory shard ``shard_id``, which
-    loses its record table and replays its WAL (kill snapshot plus the
-    records appended while it was down);
-    ``"lineage"`` is the lineage/ownership services, which
+    ``target`` names the victim, which :meth:`faults` adds to the fault
+    schedule: ``"driver"`` is node 0 (the root of the rooted collectives,
+    rank 0 of the others), which rejoins ``downtime`` seconds later;
+    ``"directory"`` is directory shard 0, which loses its record table and
+    replays its WAL (kill snapshot plus the records appended while it was
+    down); ``"lineage"`` is the lineage/ownership services, which
     :meth:`~repro.tasksys.orchestrator.CollectiveOrchestrator.replay_after_restart`
     rebuilds; ``"both"`` is the last two at once.
 
@@ -289,19 +292,25 @@ class Kill:
     at: Optional[float] = None
     fraction: Optional[float] = None
     downtime: float = 0.5
-    shard_id: int = 0
-    #: simulated seconds the run may take: a wedged collective keeps
-    #: scheduling retry timeouts, so an unbounded run would never return.
-    budget: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.target not in ("driver", "directory", "lineage", "both"):
+        if self.target not in _KILL_VICTIMS:
             raise ValueError("target must be 'driver', 'directory', 'lineage', or 'both'")
         if self.fraction is not None:
             if self.at is not None:
                 raise ValueError("pass either at or fraction, not both")
             if not 0.0 < self.fraction < 1.0:
                 raise ValueError("fraction must be in (0, 1)")
+
+    def faults(self) -> tuple[Fault, ...]:
+        """The schedule entries that kill the victim (none without ``at``)."""
+        victims = _KILL_VICTIMS[self.target] if self.at is not None else ()
+        return tuple(
+            FailureEvent(0, self.at, self.at + self.downtime)
+            if victim == "node"
+            else ControlPlaneFailureEvent(victim, self.at)
+            for victim in victims
+        )
 
 
 @dataclass(frozen=True)
@@ -310,9 +319,9 @@ class Scenario:
 
     ``collective`` is ``"p2p"``, ``"broadcast"``, ``"gather"``,
     ``"reduce"``, ``"allreduce"``, ``"allgather"`` or ``"alltoall"``; with
-    a :attr:`kill`, also ``"reduce_scatter"`` (but not gather or p2p).  A
-    control-plane kill needs the ``"hoplite"`` system.  Without a kill, only
-    allgather and alltoall take :attr:`failures`.
+    a :attr:`kill`, also ``"reduce_scatter"`` (but not gather or p2p).
+    :func:`supported` says which :attr:`faults` each collective and system
+    take.
     """
 
     collective: str
@@ -325,26 +334,44 @@ class Scenario:
     arrivals: Union[float, Sequence[float]] = 0.0
     network: Optional[NetworkConfig] = None
     options: Optional[HopliteOptions] = None
-    #: node failures, installed when the cluster is built.
-    failures: Sequence[FailureEvent] = ()
-    #: directory-shard kills, installed when the object plane is built.
-    shard_kills: Sequence[ControlPlaneFailureEvent] = ()
+    #: the fault schedule: node failures and control-plane kills, installed
+    #: once the plane (and the orchestrator, under a kill) exists.
+    faults: Sequence[Fault] = ()
     kill: Optional[Kill] = None
     #: whether transfers may coalesce (``Cluster(fast_paths=)``); off, every
     #: block takes the per-block path, with identical simulated results.
     fast_paths: bool = True
 
 
-def supported(system: str, collective: str, kill: Optional[Kill] = None) -> bool:
-    """Whether ``system`` implements ``collective`` (run under ``kill``)."""
-    if kill is not None:
-        if collective not in _ORCHESTRATED or (kill.target != "driver" and system != "hoplite"):
-            return False
-    elif collective not in _OPTIMA:
-        return False
-    elif system == "optimal":
-        return True
-    return system in PLANES or (system, collective) in STATIC_OPS
+def supported(
+    system: str, collective: str, kill: Optional[Kill] = None, faults: Sequence[Fault] = ()
+) -> bool:
+    """Whether :func:`run` runs ``collective`` on ``system`` under ``kill`` and ``faults``."""
+    return _refusal(system, collective, kill, faults) is None
+
+
+def _refusal(system: str, collective: str, kill, faults) -> Optional[str]:
+    """Why :func:`run` refuses the combination, or ``None`` if it runs it.
+
+    A kill's victims count as faults whether or not the kill has a time.
+    """
+    victims = {"node" if isinstance(event, FailureEvent) else event.target for event in faults}
+    victims.update(_KILL_VICTIMS[kill.target] if kill else ())
+    if system not in SUPPORTED_SYSTEMS:
+        return f"unknown system {system!r}; expected one of {SUPPORTED_SYSTEMS}"
+    if collective not in (_ORCHESTRATED if kill else _OPTIMA):
+        return f"{collective!r} does not run {'under' if kill else 'without'} a kill"
+    if system == "optimal":
+        return "'optimal' simulates nothing, so it takes no fault" if victims else None
+    if system not in PLANES and (system, collective) not in STATIC_OPS:
+        return f"{system!r} does not implement {collective!r}"
+    if victims - {"node"} and system != "hoplite":
+        return f"only 'hoplite' has a control plane to kill, not {system!r}"
+    if kill is None and "lineage" in victims:
+        return "a lineage kill needs a Kill: only the orchestrator has a lineage plane"
+    if kill is None and "node" in victims and collective not in _RIDE_FAILURES:
+        return f"{system!r} {collective!r} cannot recover node failures without a kill"
+    return None
 
 
 def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None) -> dict:
@@ -372,17 +399,9 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
     ``replay_applied``.
     """
     s, kill = scenario, scenario.kill
-    if s.system not in SUPPORTED_SYSTEMS:
-        raise UnsupportedScenarioError(
-            f"unknown system {s.system!r}; expected one of {SUPPORTED_SYSTEMS}"
-        )
-    if not supported(s.system, s.collective, kill):
-        raise UnsupportedScenarioError(f"{s.system!r} does not implement {s.collective!r}")
-    if s.failures and kill is None and s.collective not in _RIDE_FAILURES:
-        raise UnsupportedScenarioError(
-            f"{s.system!r} {s.collective!r} cannot recover node failures without a kill; "
-            f"only {' and '.join(_RIDE_FAILURES)} ride them"
-        )
+    refusal = _refusal(s.system, s.collective, kill, s.faults)
+    if refusal is not None:
+        raise UnsupportedScenarioError(refusal)
     network = s.network or NetworkConfig()
     optimum = None
     if s.collective in _OPTIMA:
@@ -400,28 +419,30 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
     sim = cluster.sim
     if observe is not None:
         observe(cluster)
-    schedule(cluster, s.failures)
-    if kill is not None and kill.target == "driver" and kill.at is not None:
-        cluster.schedule_failure(0, at=kill.at, recover_at=kill.at + kill.downtime)
     done: dict = {}
-    plane = None
+    plane = orchestrator = None
     if s.system in PLANES:
         plane = PLANES[s.system](cluster, s.options)
-        schedule_control_plane(sim, s.shard_kills, directory=plane.runtime.directory)
         if kill is not None:
-            _orchestrated(cluster, plane, s, kill, done)
-        else:
-            _PLANE_RUNS[s.collective](cluster, plane, s, done)
+            from repro.tasksys import CollectiveOrchestrator, TaskSystem
+
+            orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
+    directory = plane.runtime.directory if plane is not None else None
+    install(cluster, (*s.faults, *(kill.faults() if kill else ())), directory, orchestrator)
+    if orchestrator is not None:
+        _orchestrated(cluster, orchestrator, s, kill, done)
+    elif plane is not None:
+        _PLANE_RUNS[s.collective](cluster, plane, s, done)
     else:
         make_op = lambda: STATIC_OPS[(s.system, s.collective)](cluster, s.nbytes)  # noqa: E731
-        if kill is not None or s.collective in ("allgather", "alltoall"):
+        if kill is not None or s.collective in _RIDE_FAILURES:
             _static_restarts(cluster, make_op, s.nodes, done)
         else:
             _STATIC_RUNS[s.collective](cluster, make_op(), s, done)
-    sim.run(kill.budget if kill is not None else None)
+    sim.run(_KILL_BUDGET if kill is not None else None)
     sim.check_failures()
     if "latency" not in done:
-        bound = f"within {kill.budget} simulated seconds" if kill else "(unrecovered failure?)"
+        bound = f"within {_KILL_BUDGET} simulated seconds" if kill else "(unrecovered failure?)"
         raise RuntimeError(f"{s.system} {s.collective} did not complete {bound}")
 
     recovery = None
@@ -635,7 +656,7 @@ def _plane_exchange(cluster: Cluster, plane, s: Scenario, done: dict) -> None:
         # Reconstructors go in before any Put so a producer that fails right
         # after its own Put (while others are still putting) is still re-Put.
         # They wait for failures for good: run() closes them after the drain.
-        if s.failures:
+        if any(isinstance(event, FailureEvent) for event in s.faults):
             done["close"] = [
                 sim.process(
                     reconstruct_on_recovery(cluster, plane, node_id, sends(node_id)),
@@ -721,8 +742,8 @@ def _collective_spec(
     )
 
 
-def _orchestrated(cluster: Cluster, plane, s: Scenario, kill: Kill, done: dict) -> None:
-    """The collective as lineage-recorded driver tasks, with ``kill`` applied.
+def _orchestrated(cluster: Cluster, orchestrator, s: Scenario, kill: Kill, done: dict) -> None:
+    """The collective as lineage-recorded driver tasks of ``orchestrator``.
 
     Every share is a driver task: the root share migrates to an alive node,
     and re-executions adopt surviving partials through the directory, so a
@@ -730,30 +751,15 @@ def _orchestrated(cluster: Cluster, plane, s: Scenario, kill: Kill, done: dict) 
     share's work.  A control-plane kill parks requests to the dead
     component until it has replayed its write-ahead log.
     """
-    from repro.tasksys import CollectiveOrchestrator, TaskSystem
-
-    sim = cluster.sim
-    orchestrator = CollectiveOrchestrator(TaskSystem(cluster, plane))
     done["close"] = [orchestrator.close]
     prefix = "drvfail" if kill.target == "driver" else "ctlfail"
     spec = _collective_spec(cluster, s.collective, s.nodes, s.nbytes, f"{prefix}-{s.system}")
-
-    def _killer() -> Generator:
-        yield sim.timeout(kill.at)
-        if kill.target in ("directory", "both"):
-            directory = plane.runtime.directory
-            directory.fail_shard(kill.shard_id % len(directory.shards))
-        if kill.target in ("lineage", "both"):
-            orchestrator.kill_control_plane()
-
-    if kill.target != "driver" and kill.at is not None:
-        sim.process(_killer(), name="control-plane-killer")
 
     def _driver() -> Generator:
         outcome = yield from orchestrator.invoke(spec)
         done["latency"] = outcome.completion_time
 
-    sim.process(_driver(), name="orchestrated-scenario")
+    cluster.sim.process(_driver(), name="orchestrated-scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +934,7 @@ def measure_allgather(
     failures: Optional[Sequence[FailureEvent]] = None,
 ) -> float:
     """Latency for every node to hold one object (``nbytes``) from every node."""
-    fields = dict(network=network, options=options, failures=failures or ())
+    fields = dict(network=network, options=options, faults=failures or ())
     return _latency("allgather", system, num_nodes, nbytes, **fields)
 
 
@@ -941,7 +947,7 @@ def measure_alltoall(
     failures: Optional[Sequence[FailureEvent]] = None,
 ) -> float:
     """Latency of a personalized all-to-all exchange (``nbytes`` per pair)."""
-    fields = dict(network=network, options=options, failures=failures or ())
+    fields = dict(network=network, options=options, faults=failures or ())
     return _latency("alltoall", system, num_nodes, nbytes, **fields)
 
 
@@ -953,7 +959,6 @@ def measure_driver_failure(
     fail_at: Optional[float] = None,
     fail_fraction: Optional[float] = None,
     downtime: float = 0.5,
-    budget: float = 600.0,
     network: Optional[NetworkConfig] = None,
     options: Optional[HopliteOptions] = None,
 ) -> float:
@@ -967,7 +972,7 @@ def measure_driver_failure(
     whole collective once every node is back, so their recovery time is
     bounded below by the downtime plus a full re-run.
     """
-    kill = Kill("driver", fail_at, fail_fraction, downtime, budget=budget)
+    kill = Kill("driver", fail_at, fail_fraction, downtime)
     return _latency(
         collective, system, num_nodes, nbytes, network=network, options=options, kill=kill
     )
@@ -978,10 +983,8 @@ def measure_control_plane_failure(
     nbytes: int,
     collective: str = "allgather",
     target: str = "directory",
-    shard_id: int = 0,
     fail_at: Optional[float] = None,
     fail_fraction: Optional[float] = None,
-    budget: float = 600.0,
     network: Optional[NetworkConfig] = None,
     options: Optional[HopliteOptions] = None,
 ) -> float:
@@ -994,7 +997,7 @@ def measure_control_plane_failure(
     """
     if target not in ("directory", "lineage", "both"):
         raise ValueError("target must be 'directory', 'lineage', or 'both'")
-    kill = Kill(target, fail_at, fail_fraction, shard_id=shard_id, budget=budget)
+    kill = Kill(target, fail_at, fail_fraction)
     return _latency(
         collective, "hoplite", num_nodes, nbytes, network=network, options=options, kill=kill
     )

@@ -20,6 +20,7 @@ from repro.collectives.mpi import (
     PairwiseAlltoall,
     RingAllgather,
 )
+from repro.net.errors import TransferError
 from repro.net.node import Node
 from repro.net.transport import transfer_bytes
 from repro.sim import Event
@@ -107,13 +108,18 @@ class FlatBroadcast(StaticOperation):
         self.mark_data_ready(rank)
 
     def _send_to(self, root_node: Node, dst_rank: int) -> Generator:
-        yield from transfer_bytes(
-            self.config,
-            root_node,
-            self.group.node_of_rank(dst_rank),
-            self.nbytes,
-            self.flow(self.root, dst_rank),
-        )
+        try:
+            yield from transfer_bytes(
+                self.config,
+                root_node,
+                self.group.node_of_rank(dst_rank),
+                self.nbytes,
+                self.flow(self.root, dst_rank),
+            )
+        except TransferError:
+            # Nothing waits on a posted send: the node failure that broke it
+            # aborts the whole job, which the launcher restarts.
+            return
         event = self._received[dst_rank]
         if not event.triggered:
             event.succeed(self.sim.now)

@@ -149,16 +149,23 @@ class BinaryTreeReduce(StaticOperation):
                     name=f"mpi-reduce-pull-{rank}-{child_rank}",
                 )
             )
-        for index in range(total_blocks):
-            for child_rank in child_ranks:
-                yield self._arrived[(rank, child_rank)][index]
-            nbytes = self.config.block_bytes(self.nbytes, index)
-            compute = self.config.reduce_compute_time(nbytes) * max(1, len(child_ranks))
-            if compute > 0 and child_ranks:
-                yield self.sim.timeout(compute)
-            event = self._partial_ready[rank][index]
-            if not event.triggered:
-                event.succeed(self.sim.now)
+        try:
+            for index in range(total_blocks):
+                for child_rank in child_ranks:
+                    yield self._arrived[(rank, child_rank)][index]
+                nbytes = self.config.block_bytes(self.nbytes, index)
+                compute = self.config.reduce_compute_time(nbytes) * max(1, len(child_ranks))
+                if compute > 0 and child_ranks:
+                    yield self.sim.timeout(compute)
+                event = self._partial_ready[rank][index]
+                if not event.triggered:
+                    event.succeed(self.sim.now)
+        except BaseException:
+            # A job restart aborted this rank: it leaves its pullers to the old
+            # attempt, and the restart has consumed a failed puller's error.
+            for puller in pullers:
+                puller.defused = True
+            raise
         # Non-root ranks return once their partial is fully computed; the
         # parent's puller moves the data.  The root's completion is the
         # operation's completion.

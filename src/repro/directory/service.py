@@ -256,7 +256,7 @@ class ObjectDirectory:
             )
             for shard_id, node in enumerate(self.shard_nodes)
         ]
-        self.shard_kills = 0
+        self.kill_count = 0
         self.records: dict[ObjectID, DirectoryRecord] = {}
         self.lookup_count = 0
         self.publish_count = 0
@@ -290,9 +290,6 @@ class ObjectDirectory:
             crc = zlib.crc32(object_id.key.encode("utf-8"))
             index = self._placement[object_id] = crc % len(self.shards)
         return index
-
-    def _shard_node(self, object_id: ObjectID) -> Node:
-        return self.shards[self._shard_index(object_id)].node
 
     def _rpc(self, requester: Node, object_id: ObjectID) -> Generator:
         """One control RPC from the requester to the object's shard.
@@ -909,7 +906,7 @@ class ObjectDirectory:
         shard = self.shards[shard_id]
         if not shard.kill():
             return
-        self.shard_kills += 1
+        self.kill_count += 1
         for record in self.records.values():
             if record.shard == shard_id:
                 self._wipe_record(record)

@@ -1,9 +1,8 @@
 """Seeded random failure schedules, drawn from numpy's legacy random stream.
 
-The primitives (:class:`~repro.net.faults.FailureEvent`,
-:func:`~repro.net.faults.schedule` and their control-plane twins) live in
-:mod:`repro.net.faults`; this module adds only the generators that draw
-random numbers.  They draw exactly what ``numpy.random.RandomState(seed)``
+The primitives (:class:`~repro.net.faults.FailureEvent`, its control-plane
+twin and :func:`~repro.net.faults.install`) live in :mod:`repro.net.faults`;
+this module adds only the generators that draw random numbers.  They draw exactly what ``numpy.random.RandomState(seed)``
 would, since numpy froze that stream (NEP 19), but from the standard
 library's Mersenne Twister, so neither module imports numpy: it loads only
 where a payload array is handled.

@@ -1,19 +1,18 @@
-"""Failure schedules and their installation: the primitives without numpy.
+"""Fault schedules and their one installer: the primitives without numpy.
 
-A :class:`FailureEvent` plans one node failure and :func:`schedule` installs
-a list of them on a cluster; :class:`ControlPlaneFailureEvent` and
-:func:`schedule_control_plane` do the same for control-plane kills, and
-:func:`alternating_failures` builds a deterministic round-robin schedule.
-None of them draws a random number; the scenario drivers and the apps load
-this module on every run.  The seeded Poisson generators are in
-:mod:`repro.net.failure`.  Neither module imports numpy, which loads only
-where a payload array is handled.
+A run's faults are one schedule, a sequence of :class:`FailureEvent`
+(a node goes down, and maybe rejoins) and :class:`ControlPlaneFailureEvent`
+(a directory shard or the lineage service dies and replays its WAL).
+:func:`install` puts a whole schedule on a run once the services it kills
+exist.  Nothing here draws a random number: the seeded Poisson generators
+are in :mod:`repro.net.failure`.  Neither module imports numpy, which
+loads only where a payload array is handled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.net.cluster import Cluster
 
@@ -33,12 +32,6 @@ class FailureEvent:
             raise ValueError("recover_at must not precede fail_at")
 
 
-def schedule(cluster: Cluster, events: Sequence[FailureEvent]) -> None:
-    """Install a list of failure events on the cluster."""
-    for event in events:
-        cluster.schedule_failure(event.node_id, event.fail_at, event.recover_at)
-
-
 @dataclass(frozen=True)
 class ControlPlaneFailureEvent:
     """One planned control-plane kill: a directory shard or the lineage service.
@@ -55,49 +48,40 @@ class ControlPlaneFailureEvent:
     #: which shard dies (``directory_shard`` only; taken modulo the count).
     shard_id: int = 0
 
+    def __post_init__(self) -> None:
+        if self.target not in ("directory_shard", "lineage"):
+            raise ValueError("target must be 'directory_shard' or 'lineage'")
+        if self.fail_at < 0 or self.shard_id < 0:
+            raise ValueError("fail_at and shard_id must be non-negative")
 
-def schedule_control_plane(
-    sim,
-    events: Sequence[ControlPlaneFailureEvent],
-    directory=None,
-    orchestrator=None,
-) -> None:
-    """Install control-plane kill events against live service objects.
 
-    Targets without a matching service (no orchestrator attached, say) are
-    skipped, so one schedule works across scenario variants.
+Fault = Union[FailureEvent, ControlPlaneFailureEvent]
+
+
+def install(cluster: Cluster, faults: Sequence[Fault], directory=None, orchestrator=None) -> None:
+    """Install a fault schedule on a run, before the run's processes start.
+
+    Node failures go in first, in schedule order.  Then the control-plane
+    kills due at one instant run from one process, in schedule order,
+    against ``directory`` (shard kills) or ``orchestrator`` (lineage
+    kills); :func:`repro.bench.scenarios.supported` refuses a schedule that
+    names a service the run lacks before a cluster is built.
     """
+    sim = cluster.sim
+    due: dict[float, list[ControlPlaneFailureEvent]] = {}
+    for event in faults:
+        if isinstance(event, FailureEvent):
+            cluster.schedule_failure(event.node_id, event.fail_at, event.recover_at)
+        else:
+            due.setdefault(event.fail_at, []).append(event)
 
-    def _killer(event: ControlPlaneFailureEvent):
-        yield sim.timeout(event.fail_at)
-        if event.target == "directory_shard":
-            if directory is not None and directory.shards:
+    def _killer(at: float, events: list[ControlPlaneFailureEvent]):
+        yield sim.timeout(at)
+        for event in events:
+            if event.target == "directory_shard":
                 directory.fail_shard(event.shard_id % len(directory.shards))
-        elif event.target == "lineage":
-            if orchestrator is not None:
+            else:
                 orchestrator.kill_control_plane()
-        else:  # pragma: no cover - schedule construction error
-            raise ValueError(f"unknown control-plane target {event.target!r}")
 
-    for event in events:
-        sim.process(
-            _killer(event), name=f"ctlfail-{event.target}-{event.shard_id}"
-        )
-
-
-def alternating_failures(
-    node_ids: Sequence[int],
-    period: float,
-    downtime: float,
-    count: int,
-    start: float = 0.0,
-) -> Iterator[FailureEvent]:
-    """A deterministic round-robin failure schedule (one node down at a time)."""
-    if len(node_ids) == 0:
-        raise ValueError("node_ids must name at least one node")
-    if period <= 0 or downtime < 0:
-        raise ValueError("period must be positive and downtime non-negative")
-    for index in range(count):
-        node_id = node_ids[index % len(node_ids)]
-        fail_at = start + index * period
-        yield FailureEvent(node_id=node_id, fail_at=fail_at, recover_at=fail_at + downtime)
+    for at, events in due.items():
+        sim.process(_killer(at, events), name=f"control-plane-killer-{at}")

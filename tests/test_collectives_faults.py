@@ -34,7 +34,7 @@ from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
 from repro.net.failure import poisson_failures
-from repro.net.faults import FailureEvent, schedule
+from repro.net.faults import FailureEvent, install
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys import CollectiveOrchestrator, CollectiveSpec, TaskSystem
 
@@ -107,7 +107,7 @@ def _build(system, seed, failure_class="peer", topology=None):
         network=NetworkConfig(**TEST_NETWORK, topology=topology),
     )
     plane = _make_plane(system, cluster)
-    schedule(cluster, _failure_schedule(seed, failure_class))
+    install(cluster, _failure_schedule(seed, failure_class))
     return cluster, plane
 
 

@@ -222,7 +222,7 @@ def test_shard_kill_mid_collective_recovers_by_replay(replay_oracle):
         kills=[(0.2, lambda: directory.fail_shard(0))],
     )
     shard = directory.shards[0]
-    assert directory.shard_kills == 1
+    assert directory.kill_count == 1
     assert shard.alive and shard.incarnation == 1
     # Replay was charged for the durable history since the last checkpoint...
     assert shard.last_replay_applied > 0
@@ -329,7 +329,7 @@ def test_double_kill_same_shard_recovers_twice():
         ],
     )
     shard = directory.shards[1]
-    assert directory.shard_kills == 2
+    assert directory.kill_count == 2
     assert shard.alive and shard.incarnation == 2
     assert shard.wal.replays == 2
 
@@ -407,7 +407,7 @@ def test_lineage_kill_parks_restarting_lookups_until_replay(monkeypatch, collect
         "hoplite",
         8,
         16 * MB,
-        failures=(FailureEvent(3, 0.01, 0.4),),
+        faults=(FailureEvent(3, 0.01, 0.4),),
         kill=Kill("lineage", at=0.30),
     )
     result = run(scenario, observe=observe)

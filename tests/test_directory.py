@@ -296,10 +296,15 @@ def test_remove_location(setup):
     assert drive(cluster, scenario()) == {}
 
 
+def _shard_node(directory, object_id):
+    """The node that hosts ``object_id``'s directory shard."""
+    return directory.shards[directory._shard_index(object_id)].node
+
+
 def test_shard_placement_is_deterministic(setup):
     cluster, directory = setup
     object_id = ObjectID.of("stable-key")
-    assert directory._shard_node(object_id) is directory._shard_node(ObjectID.of("stable-key"))
+    assert _shard_node(directory, object_id) is _shard_node(directory, ObjectID.of("stable-key"))
 
 
 def _source_order(seed, key):

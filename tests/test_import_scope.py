@@ -5,10 +5,11 @@ compiled and executed in every worker process.  A collective or an
 unobserved fleet drives no task system, no application and no observability
 plane, so none of those may load for it.  This test imports what the
 benchmark loads for its matching, pipeline and fleet workloads in a fresh
-interpreter, runs a collective and an unobserved fleet, and checks that the
-deferred layers stayed out of ``sys.modules``.  Then, in the same
-interpreter, it checks that each deferred layer still loads where it is
-used: an orchestrated kill, an observed fleet and the apps package.
+interpreter, runs a collective, an unobserved fleet and a collective whose
+directory shard is killed, and checks that the deferred layers stayed out
+of ``sys.modules``.  Then, in the same interpreter, it checks that each
+deferred layer still loads where it is used: an orchestrated kill, an
+observed fleet and the apps package.
 """
 
 import os
@@ -47,6 +48,18 @@ scenarios.measure_alltoall("hoplite", 16, 16 * MB)
 result = fleet.run_fleet(quick=True, observe=False)
 assert len(result.completions) == len(result.specs), result.completions
 assert result.slo_rows == [] and result.obs is None
+assert loaded() == [], loaded()
+
+# The fault installer kills a directory shard on the direct path without
+# the orchestrator.
+from repro.net.faults import ControlPlaneFailureEvent
+
+clean = scenarios.run(scenarios.Scenario("allgather", "hoplite", 8, 16 * MB))
+shard_kill = (ControlPlaneFailureEvent("directory_shard", 0.01),)
+killed_shard = scenarios.run(
+    scenarios.Scenario("allgather", "hoplite", 8, 16 * MB, faults=shard_kill)
+)
+assert killed_shard["latency"] > clean["latency"], (killed_shard["latency"], clean["latency"])
 assert loaded() == [], loaded()
 
 # Each deferred layer loads where it is used.

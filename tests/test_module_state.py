@@ -82,7 +82,7 @@ def test_src_keeps_no_module_level_mutable_state():
             4,
             8 * MB,
             network=NetworkConfig(bandwidth=1.25e8),
-            failures=failures,
+            faults=failures,
         )
     )
     run(Scenario("allreduce", "hoplite", 4, 8 * MB, kill=Kill("both", fraction=0.5)))

@@ -1,10 +1,30 @@
 """Tests for the cluster, nodes, failure injection, and failure schedules."""
 
+from typing import Iterator, Sequence
+
 import pytest
 
 from repro.net import Cluster
 from repro.net.failure import poisson_failures
-from repro.net.faults import FailureEvent, alternating_failures, schedule
+from repro.net.faults import FailureEvent, install
+
+
+def alternating_failures(
+    node_ids: Sequence[int],
+    period: float,
+    downtime: float,
+    count: int,
+    start: float = 0.0,
+) -> Iterator[FailureEvent]:
+    """A deterministic round-robin failure schedule (one node down at a time)."""
+    if len(node_ids) == 0:
+        raise ValueError("node_ids must name at least one node")
+    if period <= 0 or downtime < 0:
+        raise ValueError("period must be positive and downtime non-negative")
+    for index in range(count):
+        node_id = node_ids[index % len(node_ids)]
+        fail_at = start + index * period
+        yield FailureEvent(node_id=node_id, fail_at=fail_at, recover_at=fail_at + downtime)
 
 
 def test_cluster_construction_and_accessors():
@@ -115,7 +135,7 @@ def test_schedule_failure_validation():
 
 def test_schedule_failures_batch():
     cluster = Cluster(num_nodes=3)
-    schedule(cluster, [FailureEvent(0, 1.0, 2.0), FailureEvent(1, 1.5)])
+    install(cluster, [FailureEvent(0, 1.0, 2.0), FailureEvent(1, 1.5)])
     cluster.run()
     assert cluster.node(0).alive
     assert not cluster.node(1).alive
@@ -161,6 +181,6 @@ def test_alternating_failures_rejects_empty_node_ids():
 
 def test_schedule_helper_applies_events():
     cluster = Cluster(num_nodes=2)
-    schedule(cluster, [FailureEvent(node_id=1, fail_at=1.0, recover_at=None)])
+    install(cluster, [FailureEvent(node_id=1, fail_at=1.0, recover_at=None)])
     cluster.run()
     assert not cluster.node(1).alive

@@ -182,7 +182,7 @@ def test_control_rpc_costs_rpc_latency():
     cluster, config = make_cluster()
     directory = ObjectDirectory(cluster)
     object_id = ObjectID.of("rpc")
-    shard_node = directory._shard_node(object_id)
+    shard_node = directory.shards[directory._shard_index(object_id)].node
     remote = cluster.node((shard_node.node_id + 1) % 3)
 
     def rpc(requester):

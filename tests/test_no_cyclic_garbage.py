@@ -54,7 +54,7 @@ def _churn(collective: str):
     failures = _thinned_churn()
     assert len(failures) == 2
     scenario = Scenario(
-        collective, "hoplite", 8, 16 * MB, network=CHURN_NETWORK, failures=failures
+        collective, "hoplite", 8, 16 * MB, network=CHURN_NETWORK, faults=failures
     )
     return lambda: run(scenario)
 

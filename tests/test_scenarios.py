@@ -14,9 +14,9 @@ from repro.bench import (
     measure_reduce,
 )
 from repro.bench.reporting import format_value
-from repro.bench.scenarios import Kill, Scenario, UnsupportedScenarioError, run
+from repro.bench.scenarios import Kill, Scenario, UnsupportedScenarioError, run, supported
 from repro.net import NetworkConfig
-from repro.net.faults import FailureEvent
+from repro.net.faults import ControlPlaneFailureEvent, FailureEvent
 
 MB = 1024 * 1024
 KB = 1024
@@ -146,7 +146,7 @@ def test_faulted_driver_allreduce_leaves_no_undefused_failure():
 
 
 #: node 3 dies at 0.2 s and rejoins at 0.4 s, mid-transfer on a 1 Gbps fabric.
-_NODE_DOWN = dict(network=NetworkConfig(bandwidth=1.25e8), failures=(FailureEvent(3, 0.2, 0.4),))
+_NODE_DOWN = dict(network=NetworkConfig(bandwidth=1.25e8), faults=(FailureEvent(3, 0.2, 0.4),))
 
 
 @pytest.mark.parametrize("system", ["hoplite", "openmpi"])
@@ -233,3 +233,84 @@ def test_support_matrix(collective):
             continue
         assert system not in _UNSUPPORTED[collective], system
         assert math.isfinite(latency) and latency > 0, (system, latency)
+
+
+def test_control_plane_failure_event_checks_its_fields():
+    with pytest.raises(ValueError, match="^target must be 'directory_shard' or 'lineage'$"):
+        ControlPlaneFailureEvent("directory", 0.1)
+    for fail_at, shard_id in ((-0.1, 0), (0.1, -1)):
+        with pytest.raises(ValueError, match="^fail_at and shard_id must be non-negative$"):
+            ControlPlaneFailureEvent("directory_shard", fail_at, shard_id)
+
+
+#: one fault of each kind, 0.5 ms into runs that take 1.5-10 ms at 4 nodes / 1 MB.
+_FAULTS = {
+    "node": FailureEvent(3, 5e-4, 5e-3),
+    "directory_shard": ControlPlaneFailureEvent("directory_shard", 5e-4),
+    "lineage": ControlPlaneFailureEvent("lineage", 5e-4),
+}
+_SYSTEMS = ("hoplite", "ray", "openmpi", "gloo", "optimal")
+_NOT_HOPLITE = ("ray", "openmpi", "gloo", "optimal")
+_DIRECT = ("p2p", "broadcast", "gather", "reduce", "allreduce", "allgather", "alltoall")
+_ORCHESTRATED = ("broadcast", "reduce", "allreduce", "allgather", "alltoall", "reduce_scatter")
+_COLLECTIVES = _DIRECT + ("reduce_scatter",)
+
+#: (fault, under Kill("driver")) -> collective -> the systems run() refuses;
+#: every other cell must complete.  Only allgather and alltoall ride a node
+#: failure on their direct drivers, only Hoplite has a control plane to
+#: kill, only the orchestrator has a lineage plane, and "optimal"
+#: simulates nothing, so it takes no fault.
+_REFUSED = {
+    ("node", False): {
+        **dict.fromkeys(_COLLECTIVES, _SYSTEMS),
+        "allgather": ("optimal",),
+        "alltoall": ("optimal",),
+    },
+    ("node", True): {
+        "p2p": _SYSTEMS,
+        "broadcast": ("optimal",),
+        "gather": _SYSTEMS,
+        "reduce": ("gloo", "optimal"),
+        "allreduce": ("optimal",),
+        "allgather": ("optimal",),
+        "alltoall": ("optimal",),
+        "reduce_scatter": ("openmpi", "gloo", "optimal"),
+    },
+    ("directory_shard", False): {
+        **dict.fromkeys(_DIRECT, _NOT_HOPLITE),
+        "reduce_scatter": _SYSTEMS,
+    },
+    ("directory_shard", True): {
+        **dict.fromkeys(_ORCHESTRATED, _NOT_HOPLITE),
+        "p2p": _SYSTEMS,
+        "gather": _SYSTEMS,
+    },
+    ("lineage", False): dict.fromkeys(_COLLECTIVES, _SYSTEMS),
+    ("lineage", True): {
+        **dict.fromkeys(_ORCHESTRATED, _NOT_HOPLITE),
+        "p2p": _SYSTEMS,
+        "gather": _SYSTEMS,
+    },
+}
+
+
+@pytest.mark.parametrize("collective", _COLLECTIVES)
+@pytest.mark.parametrize("killed", [False, True], ids=["direct", "kill"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_fault_refusal_matrix(fault, killed, collective):
+    """Every fault reaches its collective or is refused before a cluster
+    is built: :func:`supported` and :func:`run` agree with the table."""
+    kill = Kill("driver") if killed else None
+    refused = _REFUSED[(fault, killed)][collective]
+    faults = (_FAULTS[fault],)
+    for system in _SYSTEMS:
+        assert supported(system, collective, kill, faults) == (system not in refused), system
+        built = []
+        scenario = Scenario(collective, system, 4, MB, faults=faults, kill=kill)
+        if system in refused:
+            with pytest.raises(UnsupportedScenarioError):
+                run(scenario, observe=built.append)
+            assert built == [], system
+        else:
+            latency = run(scenario, observe=built.append)["latency"]
+            assert len(built) == 1 and math.isfinite(latency) and latency > 0, system
