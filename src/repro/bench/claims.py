@@ -1,9 +1,15 @@
 """The paper's evaluation as one gated table of claims.
 
 Each figure of the evaluation (§5, Figs. 6-15), the §5.1.1 directory
-microbenchmark, the allgather/alltoall and MoE extension and the
-§3.3/§3.4.1 mechanism ablation is one table in :data:`FIGURES`, built on
-a fixed grid: one full grid and one quick grid, and nothing else to pick.
+microbenchmark, the allgather/alltoall and MoE extension, the
+§3.3/§3.4.1 mechanism ablation and four more tables is one table in
+:data:`FIGURES`, built on a fixed grid: one full grid and one quick grid,
+and nothing else to pick.  The four are the §6 fault-tolerance story, a
+driver kill (``driver_kill``: recovery overhead against a static job
+restart) and a control-plane kill (``control_plane_kill``: WAL replay
+against a static restart), then the alltoall against its pipelined bound
+under flow scheduling (``alltoall_bound``) and topology-aware against
+oblivious collectives on oversubscribed rack uplinks (``topology``).
 Each entry of :data:`CLAIMS` is one claim about one table, checked as
 ``measured <= bound`` (``<`` where the claim is strict), where
 ``measured`` is a ratio of two cells or a cell against a constant.  A
@@ -12,9 +18,11 @@ claim reports its worst cell.  It fails if any of its cells reads NaN
 cells, so it never passes vacuously.
 
 Sanity invariants that are not paper claims raise from :func:`build`
-instead: a collective latency is positive, the Fig. 12 async SGD runs
-complete all 20 iterations, and Fig. 7's flat fabric carries no rack or
-zone traffic.
+instead: a collective latency (Hoplite, OpenMPI and Ray) is positive, the
+Fig. 12 async SGD runs complete all 20 iterations, Fig. 7's flat fabric
+carries no rack or zone traffic, the topology runs do, a directory kill
+replays WAL records, and the alltoall moves bulk bytes and control
+messages.
 
 ``benchmarks/bench_claims.py`` prints every table and its claims, and a
 tier-1 test checks the quick grid.  This module imports the application
@@ -36,11 +44,12 @@ from repro.apps.rl import run_rl_training
 from repro.apps.serving import run_model_serving
 from repro.apps.sync_training import run_sync_training
 from repro.bench.reporting import format_series, format_table
-from repro.bench.scenarios import Scenario, run, supported
+from repro.bench.scenarios import Kill, Scenario, rack_interleaved_delays, run, supported
 from repro.core.options import HopliteOptions
 from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.topology import Topology
 from repro.store.objects import ObjectID, ObjectValue
 
 KB = 1024
@@ -239,6 +248,92 @@ def _ablation(variant: str) -> dict:
     }
 
 
+#: a 1 Gbps NIC, so a collective lasts about as long as a kill's downtime and
+#: detection delay, and the kill lands mid-operation.
+_KILL_BANDWIDTH = 1.25e8
+
+
+def _kill(target: str, fail_at: str, **fields) -> Kill:
+    """``target`` killed at ``fail_at`` (``"50%"``) of the fault-free run."""
+    return Kill(target, fraction=int(fail_at[:-1]) / 100, **fields)
+
+
+def _driver_kill(primitive: str, fail_at: str, size: str, nodes: int) -> dict:
+    """Each system's recovery overhead (seconds over its own fault-free run)
+    when node 0, the root or rank 0, dies at ``fail_at`` of that run and
+    rejoins 0.2 s later.  The object planes re-execute the lost share from
+    lineage; the static systems restart the whole job once the node is back."""
+    kill = _kill("driver", fail_at, downtime=0.2)
+    network = NetworkConfig(bandwidth=_KILL_BANDWIDTH)
+    row: dict = {}
+    for system in ("hoplite", "ray", "openmpi"):
+        if not supported(system, primitive, kill):
+            row[system] = NAN
+            continue
+        result = run(Scenario(primitive, system, nodes, _nbytes(size), network=network, kill=kill))
+        row[system] = result["latency"] - result["recovery"]["baseline"]
+    return row
+
+
+def _control_plane_kill(target: str, primitive: str, fail_at: str, size: str,
+                        nodes: int) -> dict:
+    """Hoplite's completion time when ``target`` of the control plane dies
+    at ``fail_at`` of the fault-free run and replays its WAL, against a
+    static restart (``fail_at + detection + baseline``), and the WAL records
+    the directory shards applied."""
+    result = run(Scenario(primitive, "hoplite", nodes, _nbytes(size),
+                          network=NetworkConfig(bandwidth=_KILL_BANDWIDTH),
+                          kill=_kill(target, fail_at)))
+    recovery = result["recovery"]
+    return {
+        "baseline": recovery["baseline"],
+        "replay": result["latency"],
+        "static_restart": recovery["static_restart"],
+        "wal_applied": sum(recovery["replay_applied"]),
+    }
+
+
+def _alltoall_bound(size: str, nodes: int) -> dict:
+    """Hoplite alltoall against the pipelined bound ``(n-1) * S / B``, with
+    its mean uplink utilization and its bulk and control traffic."""
+    result = run(Scenario("alltoall", "hoplite", nodes, _nbytes(size)))
+    usage = result["usage"]
+    return {
+        "latency": result["latency"],
+        "bound": result["optimum"],
+        "x_bound": result["latency"] / result["optimum"],
+        "uplink_util": usage["mean_uplink_utilization"],
+        "bulk_bytes": float(usage["bytes_by_class"]["bulk"]),
+        "control_msgs": usage["control_messages"],
+    }
+
+
+def _topology(primitive: str, ratio: str, racks: str, size: str) -> dict:
+    """Hoplite ``primitive`` on ``racks`` (racks x nodes per rack) whose rack
+    uplinks are oversubscribed ``ratio`` (``"4:1"``), topology-aware and oblivious,
+    with the aware run's share of NIC bytes that crossed a rack uplink and
+    the uplinks' busy time.  Arrivals round-robin across racks, where
+    oblivious trees scatter their edges over the shared uplinks."""
+    num_racks, per_rack = map(int, racks.split("x"))
+    network = NetworkConfig(
+        topology=Topology.racks(num_racks, per_rack, oversubscription=float(ratio[:-2]))
+    )
+    delays = rack_interleaved_delays(num_racks, per_rack)
+    # The object-plane broadcast's arrivals count only its receivers.
+    arrivals = {"broadcast": delays[1:], "allreduce": delays, "allgather": 0.0}[primitive]
+    row: dict = {}
+    for mode, aware in (("aware", True), ("oblivious", False)):
+        result = run(Scenario(primitive, "hoplite", num_racks * per_rack, _nbytes(size),
+                              arrivals=arrivals, network=network,
+                              options=HopliteOptions(topology_aware=aware)))
+        row[mode] = result["latency"]
+        if aware:
+            row["rack_frac"] = result["usage"]["cross_rack_fraction"]
+            row["rack_busy"] = result["usage"]["tier_busy_time"]["rack_uplink"]
+    row["x_aware"] = row["oblivious"] / row["aware"]
+    return row
+
+
 @dataclass(frozen=True)
 class Figure:
     """One table: its printed title and columns, its two grids of row keys,
@@ -257,6 +352,7 @@ class Figure:
 _SYSTEM_COLUMNS = ("hoplite", "openmpi", "gloo", "gloo_ring_chunked", "gloo_halving_doubling",
                    "ray", "dask")
 _PRIMITIVES = ("broadcast", "gather", "reduce", "allreduce")
+_TOPOLOGY_PRIMITIVES = ("broadcast", "allreduce", "allgather")
 _MODELS = ("alexnet", "vgg16", "resnet50")
 
 FIGURES = {
@@ -378,6 +474,56 @@ FIGURES = {
         quick=_grid(variant=tuple(_VARIANTS)),
         measure=_ablation,
     ),
+    "driver_kill": Figure(
+        "Driver kill: recovery overhead over the own fault-free run (seconds)",
+        ("primitive", "fail_at", "size", "nodes", "hoplite", "ray", "openmpi"),
+        full=_grid(primitive=("broadcast", "reduce", "allreduce", "allgather", "alltoall"),
+                   fail_at=("50%",), size=("16MB",), nodes=(8,))
+        + _grid(primitive=("allreduce",), fail_at=("85%",), size=("16MB",), nodes=(8,)),
+        quick=_grid(primitive=("broadcast",), fail_at=("50%",), size=("4MB",), nodes=(4,))
+        + _grid(primitive=("allreduce",), fail_at=("85%",), size=("4MB",), nodes=(4,)),
+        measure=_driver_kill,
+    ),
+    "control_plane_kill": Figure(
+        "Control-plane kill: WAL replay vs a static job restart (seconds to completion)",
+        ("target", "primitive", "fail_at", "size", "nodes", "baseline", "replay",
+         "static_restart", "wal_applied"),
+        full=_grid(target=("directory",), primitive=("allgather",), fail_at=("25%", "50%"),
+                   size=("16MB",), nodes=(8,))
+        + _grid(target=("directory", "lineage"), primitive=("allreduce",), fail_at=("50%",),
+                size=("16MB",), nodes=(8,))
+        + _grid(target=("lineage",), primitive=("broadcast",), fail_at=("50%",),
+                size=("16MB",), nodes=(8,))
+        + _grid(target=("both",), primitive=("allgather",), fail_at=("50%",), size=("16MB",),
+                nodes=(8,)),
+        quick=_grid(target=("directory",), primitive=("allgather",), fail_at=("50%",),
+                    size=("4MB",), nodes=(4,))
+        + _grid(target=("lineage",), primitive=("allreduce",), fail_at=("50%",), size=("4MB",),
+                nodes=(4,)),
+        measure=_control_plane_kill,
+    ),
+    "alltoall_bound": Figure(
+        "Alltoall: flow-scheduled transport vs the pipelined bound (seconds)",
+        ("size", "nodes", "latency", "bound", "x_bound", "uplink_util", "bulk_bytes",
+         "control_msgs"),
+        full=_grid(size=("16MB",), nodes=(4, 8, 16)),
+        quick=_grid(size=("16MB",), nodes=(8,)),
+        measure=_alltoall_bound,
+    ),
+    "topology": Figure(
+        "Topology: oversubscribed rack uplinks, aware vs oblivious (seconds)",
+        ("primitive", "ratio", "racks", "size", "aware", "oblivious", "x_aware", "rack_frac",
+         "rack_busy"),
+        # 4x4 racks over four oversubscription ratios, then a 64- and a
+        # 256-node fabric at 4:1 (the latter broadcast only).
+        full=_grid(primitive=_TOPOLOGY_PRIMITIVES, ratio=("1:1", "2:1", "4:1", "8:1"),
+                   racks=("4x4",), size=("32MB",))
+        + _grid(primitive=_TOPOLOGY_PRIMITIVES, ratio=("4:1",), racks=("8x8",), size=("32MB",))
+        + _grid(primitive=("broadcast",), ratio=("4:1",), racks=("16x16",), size=("32MB",)),
+        quick=_grid(primitive=_TOPOLOGY_PRIMITIVES, ratio=("1:1", "4:1"), racks=("4x2",),
+                    size=("8MB",)),
+        measure=_topology,
+    ),
 }
 
 
@@ -393,15 +539,28 @@ def build(name: str, quick: bool = False) -> list:
     return rows
 
 
+#: the columns a sanity invariant requires to be positive, per table.
+_POSITIVE = {
+    "fig7": ("hoplite", "openmpi", "ray", "optimal", "x_optimal"),
+    "fig14": ("hoplite", "openmpi", "ray", "optimal", "x_optimal"),
+    "collectives": ("hoplite", "openmpi", "ray", "optimal", "x_optimal"),
+    # Cross-rack traffic really flows through the shared rack uplinks.
+    "topology": ("rack_frac", "rack_busy"),
+    # The per-class accounting sees the bulk bytes and the control plane.
+    "alltoall_bound": ("bulk_bytes", "control_msgs"),
+}
+
+
 def _check_invariants(name: str, rows: list) -> None:
     broken = []
     for row in rows:
-        if name in ("fig7", "fig14", "collectives"):
-            broken += [
-                f"{_label(row)}: {column} = {row[column]} is not positive"
-                for column in ("hoplite", "openmpi", "optimal", "x_optimal")
-                if not row[column] > 0
-            ]
+        broken += [
+            f"{_label(row)}: {column} = {_read(row, column)} is not positive"
+            for column in _POSITIVE.get(name, ())
+            if not _read(row, column) > 0
+        ]
+        if name == "control_plane_kill" and row["target"] != "lineage" and row["wal_applied"] == 0:
+            broken.append(f"{_label(row)}: the directory kill replayed no WAL record")
         if name == "fig7" and (row["rack_frac"], row["zone_frac"]) != (0.0, 0.0):
             broken.append(f"{_label(row)}: tier traffic on the flat fabric")
         if name == "fig12" and row["app"] == "async_sgd" and row["runs"] != 20:
@@ -434,8 +593,8 @@ def render(name: str, rows: list) -> str:
 _FULL = {"variant": "full hoplite"}
 
 #: key columns, in the order a cell label names them.
-_KEYS = ("app", "system", "variant", "operation", "primitive", "algorithm", "model", "size",
-         "nodes", "iterations", "interval")
+_KEYS = ("app", "system", "variant", "operation", "target", "primitive", "algorithm", "model",
+         "fail_at", "ratio", "racks", "size", "nodes", "iterations", "interval")
 
 
 def _label(row: dict) -> str:
@@ -678,6 +837,25 @@ CLAIMS = (
           strict=True),
     Claim("ablation", "Full Hoplite <= 1.001x every variant in every column",
           _full_is_fastest, 1.001),
+    # Section 6: a killed driver or control plane, against a static restart.
+    Claim("driver_kill", "Hoplite's driver-kill overhead > -10 ms, tree-shape noise "
+          "(-overhead < 0.01)",
+          lambda rows: [(_label(row), -_read(row, "hoplite")) for row in rows], 0.01,
+          strict=True),
+    Claim("driver_kill", "Hoplite broadcast overhead < OpenMPI's: lineage re-creates the root",
+          _ratio("hoplite", "openmpi", primitive="broadcast"), 1.0, strict=True),
+    Claim("driver_kill", "Hoplite overhead < OpenMPI's at an 85% kill: partials are adopted",
+          _ratio("hoplite", "openmpi", fail_at="85%"), 1.0, strict=True),
+    Claim("control_plane_kill", "WAL replay completes before a static job restart would",
+          _ratio("replay", "static_restart"), 1.0, strict=True),
+    # Flow scheduling and topology awareness.
+    Claim("alltoall_bound", "Hoplite alltoall <= 1.2x the pipelined bound on >= 8 nodes",
+          _ratio("x_bound", nodes=lambda nodes: nodes >= 8), 1.2),
+    Claim("topology", "Topology-aware broadcast/allreduce/allgather < oblivious at >= 4:1",
+          _ratio("aware", "oblivious", ratio=("4:1", "8:1")), 1.0, strict=True),
+    Claim("topology", "Oblivious broadcast >= 1.5x aware at >= 4:1 (aware/oblivious <= 1/1.5)",
+          _ratio("aware", "oblivious", primitive="broadcast", ratio=("4:1", "8:1")),
+          1 / 1.5),
 )
 
 

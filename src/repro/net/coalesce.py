@@ -591,12 +591,17 @@ class ComputeRun(_Timeline):
       the first genuine wait after the failure, then stops there with
       ``failure_stop`` set (the caller returns, as the per-block loop does);
     * an interrupt -> marks whose times have passed stand, the rest are
-      dropped.
+      dropped;
+    * the output's progress is reset or frozen (a reduce repair detaches
+      the run, ``entry`` is ``None``) -> no mark is delivered, as after the
+      per-block loop's reset, but the combines done so far are still
+      recorded.
     """
 
     __slots__ = (
         "node",
         "entry",
+        "object_id",
         "base",
         "n",
         "t",
@@ -623,6 +628,7 @@ class ComputeRun(_Timeline):
         self.sim = sim
         self.node = node
         self.entry = entry
+        self.object_id = entry.object_id
         self.base = base
         self.n = len(compute_times)
         # ``t + 0.0 == t``: the transfer recurrence with no propagation.
@@ -697,16 +703,17 @@ class ComputeRun(_Timeline):
                 self.schedule.truncate(count)
             self.schedule.close()
             self.schedule = None
-        entry, base = self.entry, self.base
-        entry.mark_blocks_ready(base, count)
+        base = self.base
+        if self.entry is not None:
+            self.entry.mark_blocks_ready(base, count)
         cluster = self.node.cluster
         if cluster is not None and cluster.flight is not None:
-            # The per-block loop's records, for every delivered combine.
+            # The per-block loop's records, for every finished combine.
             compute = cluster.flight.compute
-            node_id, s, t = self.node.node_id, self.s, self.t
+            node_id, object_id, s, t = self.node.node_id, self.object_id, self.s, self.t
             for k in range(count):
                 if t[k] > s[k]:
-                    compute(node_id, entry.object_id, base + k, s[k], t[k])
+                    compute(node_id, object_id, base + k, s[k], t[k])
 
     def run(self) -> Generator:
         sim = self.sim

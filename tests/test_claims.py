@@ -58,11 +58,34 @@ def test_a_crashing_cell_raises(monkeypatch):
         claims.build("fig7", quick=True)
 
 
-def test_broken_invariant_raises():
-    row = {"primitive": "broadcast", "size": "1MB", "nodes": 4, "hoplite": 1.0, "openmpi": 1.0,
-           "optimal": 1.0, "x_optimal": 1.0, "rack_frac": 0.25, "zone_frac": 0.0}
-    with pytest.raises(ValueError, match="tier traffic on the flat fabric"):
-        claims._check_invariants("fig7", [row])
+_TOPOLOGY = {"primitive": "broadcast", "ratio": "4:1", "racks": "4x2", "size": "8MB",
+             "aware": 1.0, "oblivious": 2.0, "x_aware": 2.0, "rack_frac": 0.25, "rack_busy": 0.1}
+_ALLTOALL = {"size": "16MB", "nodes": 8, "latency": 1.0, "bound": 1.0, "x_bound": 1.0,
+             "uplink_util": 0.9, "bulk_bytes": 1.0, "control_msgs": 1}
+_KILL = {"target": "both", "primitive": "allgather", "fail_at": "50%", "size": "16MB",
+         "nodes": 8, "baseline": 1.0, "replay": 1.0, "static_restart": 2.0, "wal_applied": 0}
+
+
+@pytest.mark.parametrize(
+    "name, row, match",
+    [
+        ("fig7", {"primitive": "broadcast", "size": "1MB", "nodes": 4, "hoplite": 1.0,
+                  "openmpi": 1.0, "optimal": 1.0, "x_optimal": 1.0, "rack_frac": 0.25,
+                  "zone_frac": 0.0}, "tier traffic on the flat fabric"),
+        ("collectives", {"primitive": "allgather", "size": "8MB", "nodes": 4, "hoplite": 1.0,
+                         "openmpi": 1.0, "ray": 0.0, "optimal": 1.0, "x_optimal": 1.0},
+         "ray = 0.0 is not positive"),
+        ("topology", {**_TOPOLOGY, "rack_frac": 0.0}, "rack_frac = 0.0 is not positive"),
+        ("topology", {**_TOPOLOGY, "rack_busy": 0.0}, "rack_busy = 0.0 is not positive"),
+        ("control_plane_kill", _KILL, "replayed no WAL record"),
+        ("alltoall_bound", {**_ALLTOALL, "bulk_bytes": 0.0}, "bulk_bytes = 0.0 is not positive"),
+        ("alltoall_bound", {**_ALLTOALL, "control_msgs": 0}, "control_msgs = 0 is not positive"),
+    ],
+    ids=["flat-fabric", "ray", "rack-frac", "rack-busy", "wal", "bulk-bytes", "control-msgs"],
+)
+def test_broken_invariant_raises(name, row, match):
+    with pytest.raises(ValueError, match=match):
+        claims._check_invariants(name, [row])
 
 
 def test_directory_microbenchmark_orders_of_magnitude():

@@ -474,6 +474,38 @@ def test_staggered_reduce_stays_coalesced():
         assert on_timeline == off_timeline, scenario
 
 
+def test_driver_kill_detaches_a_compute_run_as_per_block():
+    """A driver kill mid-reduce tears down a slot whose ComputeRun is in flight.
+
+    The repair resets or freezes the slot's output, which detaches the run
+    before the interrupt lands: the run then delivers no mark, as the
+    per-block loop does after a reset, and records the combines it
+    finished.  Latency and the flight timeline equal the per-block
+    reference.
+    """
+    from repro.bench.scenarios import Kill, Scenario, run
+    from repro.obs.flight import first_divergence
+
+    def _observed(fast_paths):
+        clusters = []
+
+        def observe(cluster):
+            cluster.enable_observability()
+            clusters.append(cluster)
+
+        scenario = Scenario(
+            "reduce", "hoplite", 8, 16 * MB, network=NetworkConfig(bandwidth=1.25e8),
+            kill=Kill("driver", fraction=0.5, downtime=0.2), fast_paths=fast_paths,
+        )
+        return run(scenario, observe=observe)["latency"], clusters[0].flight
+
+    off, off_flight = _observed(False)
+    on, on_flight = _observed(True)
+    assert repr(off) == "0.9103221227999995"
+    assert repr(on) == repr(off)
+    assert first_divergence(on_flight, off_flight) is None
+
+
 def test_waiters_beyond_the_window_wake_as_per_block_after_a_resplit(monkeypatch):
     """Two waiters parked past a run's schedule window stay on per-block marks.
 

@@ -7,26 +7,15 @@ history and, at every replay, compares the recovered state with what
 restore-from-nothing plus that history builds.
 
 It covers control-plane fuzz seeds 0-19, the golden ``control_plane_kills``
-cell and the full grid of ``benchmarks/bench_control_plane.py``.
+cell and the full grid of the claims table's ``control_plane_kill`` table.
 """
-
-import importlib.util
-import pathlib
 
 import pytest
 
+from repro.bench import claims
 from repro.bench.digest import control_plane_kills_cell
 from repro.bench.fuzz import control_plane_case
 from repro.bench.scenarios import run
-
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_control_plane.py"
-
-
-def _bench_control_plane():
-    spec = importlib.util.spec_from_file_location("bench_control_plane", BENCH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _fuzz_seeds(oracle):
@@ -39,9 +28,8 @@ def _kills_cell(oracle):
     oracle.run(control_plane_kills_cell)
 
 
-def _bench_grid(oracle):
-    bench = _bench_control_plane()
-    oracle.run(lambda: bench._grid(8, bench.MB * 16, bench.FULL_CELLS))
+def _claims_grid(oracle):
+    oracle.run(lambda: claims.build("control_plane_kill", quick=False))
 
 
 @pytest.mark.parametrize(
@@ -49,9 +37,9 @@ def _bench_grid(oracle):
     [
         (_fuzz_seeds, {"shard"}),
         (_kills_cell, {"shard", "lineage"}),
-        (_bench_grid, {"shard", "lineage"}),
+        (_claims_grid, {"shard", "lineage"}),
     ],
-    ids=["fuzz-seeds-0-19", "control-plane-kills", "bench-grid"],
+    ids=["fuzz-seeds-0-19", "control-plane-kills", "claims-grid"],
 )
 def test_every_replay_equals_the_whole_history(replay_oracle, workload, planes):
     workload(replay_oracle)
