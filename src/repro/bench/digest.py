@@ -27,8 +27,13 @@ The MoE and fleet rows of ``perf_basket`` have only ``latency`` and
 ``events``.  A ``fuzz_band`` row holds the fuzzer's own ``digest`` of one
 seed, and a ``grant_order`` row also the sha256 of its run's kernel pops.
 
-``tests/test_golden_determinism.py`` compares every cell with the record
-and prints the entries that moved as a table;
+``claims_quick`` and ``claims_full`` pin every column of every claims row
+(:mod:`repro.bench.claims`) on its grid by ``repr``, one row per claims
+row keyed ``"{table}: {label}"`` (:func:`claims_cell`).
+
+``tests/test_golden_determinism.py`` compares every cell but
+``claims_full`` (``benchmarks/bench_claims.py`` compares that one) with
+the record and prints the entries that moved as a table;
 ``python -m repro.bench.digest`` prints the same table for every cell, and
 with ``--write`` also rewrites the record.
 """
@@ -144,7 +149,8 @@ def fig7_cell() -> dict:
 
     8 nodes, 32 MB objects on the default flat fabric — every transfer rides
     the flow-scheduled transport, the broadcast trees pipeline through
-    partial sources, and the static baselines stream whole objects.
+    partial sources, and the static baselines stream whole objects.  The
+    claims cells hold the same latencies, but no events, flow or ids.
     """
     return {
         label: _row(Scenario(collective, system, 8, 32 * MB))
@@ -232,17 +238,15 @@ def _fleet_row(num_racks: int, nodes_per_rack: int, quick: bool) -> dict:
 def perf_basket_cell() -> dict:
     """The cells of the old simulator-throughput basket no other cell pins.
 
-    Pipeline-bound 1 GB chains (broadcast and reduce at 64 nodes, their
-    16-node variants), the 64-node gather and static baselines, the
-    oversubscribed 4-rack sweep points, the MoE routing mix and the
-    24-job fleet.  The 64-node 1 GB allreduce is left out for its cost;
-    its 32 MB sibling is in ``matching_64``.
+    Pipeline-bound 16-node chains (1 GB broadcast, 256 MB reduce), the
+    64-node gather and static baselines, the oversubscribed 4-rack sweep
+    points, the MoE routing mix and the 24-job fleet.  The 64-node 1 GB
+    allreduce is left out for its cost; its 32 MB sibling is in
+    ``matching_64``.
     """
     rows = {
         label: _row(scenario)
         for label, scenario in (
-            ("bcast-64-1GB", Scenario("broadcast", "hoplite", 64, GB)),
-            ("reduce-64-1GB", Scenario("reduce", "hoplite", 64, GB)),
             ("gather-64-32MB", Scenario("gather", "hoplite", 64, 32 * MB)),
             ("allred-gloo-64-256MB", Scenario("allreduce", "gloo", 64, 256 * MB)),
             ("allgat-openmpi-64-32MB", Scenario("allgather", "openmpi", 64, 32 * MB)),
@@ -421,6 +425,33 @@ GOLDEN_CELLS: dict[str, Callable[[], dict]] = {
 }
 
 
+#: the claims cell of each grid, by ``quick``.
+CLAIMS_CELLS = {True: "claims_quick", False: "claims_full"}
+
+
+def claims_cell(quick: bool, tables: Optional[dict] = None) -> dict:
+    """The claims tables of one grid (built, unless given as name -> rows)
+    as a record cell: ``"{table}: {label}"`` -> column -> ``repr``."""
+    from repro.bench import claims
+
+    if tables is None:
+        tables = {name: claims.build(name, quick) for name in claims.FIGURES}
+    return {
+        f"{name}: {claims._label(row)}": {column: repr(value) for column, value in row.items()}
+        for name, rows in tables.items()
+        for row in rows
+    }
+
+
+def claims_diff(quick: bool, tables: dict) -> list[tuple]:
+    """:func:`diff` of ``tables`` against their rows in the record."""
+    cell = CLAIMS_CELLS[quick]
+    recorded = {
+        key: row for key, row in load_record()[cell].items() if key.partition(": ")[0] in tables
+    }
+    return diff({cell: recorded}, {cell: claims_cell(quick, tables)})
+
+
 def load_record() -> dict:
     return json.loads(RECORD.read_text())
 
@@ -456,6 +487,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     recorded = load_record() if RECORD.exists() else {}
     now = {cell: build() for cell, build in GOLDEN_CELLS.items()}
+    now.update((cell, claims_cell(quick)) for quick, cell in CLAIMS_CELLS.items())
     moved = diff(recorded, now)
     print(table(moved) if moved else f"{len(now)} cells match the record")
     if args.write:

@@ -235,24 +235,6 @@ class HopliteClient:
         result: ReduceResult = yield from execution.run()
         return result
 
-    # ------------------------------------------------------------- AllReduce --
-    def allreduce(
-        self,
-        target_id: ObjectID,
-        source_ids: Sequence[ObjectID],
-        op: ReduceOp = ReduceOp.SUM,
-        num_objects: Optional[int] = None,
-    ) -> Generator:
-        """Reduce then fetch the result locally (reduce ∘ broadcast).
-
-        Hoplite has no dedicated allreduce: each participant simply calls
-        ``Get`` on the reduce target (Section 3.4.3).  This helper performs
-        the caller's share; other participants call :meth:`get` themselves.
-        """
-        result = yield from self.reduce(target_id, source_ids, op, num_objects)
-        value = yield from self.get(target_id)
-        return result, value
-
     # ------------------------------------------------------------- AllGather --
     def allgather(self, source_ids: Sequence[ObjectID]) -> Generator:
         """Fetch every source object locally; each is its own broadcast.

@@ -45,10 +45,6 @@ class FastpathStats:
         if self.on_event is not None:
             self.on_event(key, n)
 
-    def reset(self) -> None:
-        for key in self.counts:
-            self.counts[key] = 0
-
     def as_dict(self) -> dict:
         return dict(self.counts)
 

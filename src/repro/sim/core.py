@@ -183,13 +183,6 @@ class Event:
         sim._urgent.append((seq, self))
         return self
 
-    def trigger(self, other: "Event") -> None:
-        """Mirror the outcome of ``other`` onto this event."""
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            self.fail(other._exception)  # type: ignore[arg-type]
-
     # -- composition ------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         callbacks = self.callbacks

@@ -275,12 +275,6 @@ class OwnershipTable:
         #: object_id -> node ids known to hold (possibly partial) copies.
         self._copies: Dict[ObjectID, set] = {}
 
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def __contains__(self, object_id: ObjectID) -> bool:
-        return object_id in self._objects
-
     def register(self, owned: OwnedObject) -> None:
         existing = self._objects.get(owned.object_id)
         if existing is not None and existing.spec_id != owned.spec_id:

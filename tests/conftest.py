@@ -1,4 +1,4 @@
-"""Shared fixtures: the WAL replay oracle."""
+"""Shared fixtures: the quick claims grid and the WAL replay oracle."""
 
 import pytest
 
@@ -71,3 +71,12 @@ class ReplayOracle:
 @pytest.fixture
 def replay_oracle(monkeypatch):
     return ReplayOracle(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def quick_claims():
+    """Every claims table on its quick grid (table name -> rows), built once
+    per session: the claims test and the record's pin test both read it."""
+    from repro.bench import claims
+
+    return {name: claims.build(name, quick=True) for name in claims.FIGURES}

@@ -7,9 +7,8 @@ import pytest
 from repro.bench import claims
 
 
-def test_quick_table_passes():
-    tables = {name: claims.build(name, quick=True) for name in claims.FIGURES}
-    verdicts = claims.evaluate(tables)
+def test_quick_table_passes(quick_claims):
+    verdicts = claims.evaluate(quick_claims)
     assert [verdict.claim for verdict in verdicts] == list(claims.CLAIMS)
     failed = [verdict for verdict in verdicts if not verdict.passed]
     assert not failed, "\n" + claims.format_verdicts(failed)

@@ -16,6 +16,13 @@ column (see :mod:`repro.bench.digest` for how each value is taken):
   hash of one run's kernel pops ``(when, seq, event type)`` next to that
   run's other columns (``grant_order``).
 
+The two claims cells pin every column of every claims row by ``repr``,
+one row per claims row keyed ``"{table}: {label}"``: ``claims_quick`` on
+the quick grid, checked here against the session's one quick build (the
+build ``tests/test_claims.py`` checks against the claims' bounds), and
+``claims_full`` on the full grid, checked by ``benchmarks/bench_claims.py``
+in CI.
+
 A failing cell prints only what moved, as a ``| cell | row | column |
 recorded | now |`` table.  A *performance* change may move ``events``
 entries and ``grant_order`` digests and nothing else: a fast path exists
@@ -23,25 +30,31 @@ to save kernel events and pops.  Anything else that moves is a behaviour
 change, and a performance change that moves it is wrong.  After an
 intentional change, ``PYTHONPATH=src python -m repro.bench.digest
 --write`` reruns every cell, rewrites the record and prints the same
-table; quote that table in ``CHANGES.md``.
+table; quote that table in ``CHANGES.md``.  A claims row that moves is one
+line of that table, so a re-record pastes nothing else.
 """
 
 import copy
 
 import pytest
 
-from repro.bench.digest import GOLDEN_CELLS, diff, load_record, table
+from repro.bench.digest import CLAIMS_CELLS, GOLDEN_CELLS, claims_diff, diff, load_record, table
 
 RECORDED = load_record()
 
 
 def test_record_holds_exactly_the_golden_cells():
-    assert list(RECORDED) == list(GOLDEN_CELLS)
+    assert list(RECORDED) == [*GOLDEN_CELLS, *CLAIMS_CELLS.values()]
 
 
 @pytest.mark.parametrize("cell", GOLDEN_CELLS)
 def test_golden_cell_matches_record(cell):
     moved = diff({cell: RECORDED.get(cell)}, {cell: GOLDEN_CELLS[cell]()})
+    assert not moved, "\n" + table(moved)
+
+
+def test_quick_claims_match_record(quick_claims):
+    moved = claims_diff(True, quick_claims)
     assert not moved, "\n" + table(moved)
 
 

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.config import ClusterSpec, NetworkConfig
@@ -83,13 +83,19 @@ def test_num_blocks_and_block_bytes():
 @given(
     nbytes=st.integers(min_value=1, max_value=10_000_000),
     block_size=st.integers(min_value=1, max_value=1_000_000),
+    position=st.integers(min_value=0, max_value=9_999_999),
 )
-def test_blocks_partition_the_object(nbytes, block_size):
-    """Property: block sizes are positive, bounded by block_size, and sum to the object size."""
+@example(nbytes=10_000_000, block_size=1, position=4_999_999)
+def test_blocks_partition_the_object(nbytes, block_size, position):
+    """Property: block sizes are positive, bounded by block_size, and sum to
+    the object size; every block but the last is full.  Checked at the first
+    block, the last two and one drawn block, so an object of ten million
+    blocks costs four calls, not ten million."""
     config = NetworkConfig(block_size=block_size)
     total_blocks = config.num_blocks(nbytes)
-    sizes = [config.block_bytes(nbytes, index) for index in range(total_blocks)]
-    assert all(0 < size <= block_size for size in sizes)
-    assert sum(sizes) == nbytes
-    # All blocks except possibly the last are full.
-    assert all(size == block_size for size in sizes[:-1])
+    last = config.block_bytes(nbytes, total_blocks - 1)
+    assert 0 < last <= block_size
+    assert (total_blocks - 1) * block_size + last == nbytes
+    for index in {0, max(total_blocks - 2, 0), position % total_blocks}:
+        size = config.block_bytes(nbytes, index)
+        assert size == (block_size if index < total_blocks - 1 else last)
