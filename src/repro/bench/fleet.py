@@ -33,6 +33,7 @@ observed run imports it, so the SLO tables here are plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import TYPE_CHECKING, Generator, Optional
 
@@ -308,38 +309,43 @@ def _training_job(sim, runtime, spec, recorder) -> Generator:
         recorder.record(spec, "allreduce", spec.payload_bytes, sim.now - start, span)
 
 
-def _serving_job(sim, runtime, spec, recorder) -> Generator:
-    """Per round: broadcast a model version out, gather responses back."""
-    driver, replicas = spec.nodes[0], spec.nodes[1:]
-    response_bytes = max(KB, spec.payload_bytes // 32)
+def _broadcast_gather_job(
+    payload: str, reply: str, shrink: int, sim, runtime, spec, recorder
+) -> Generator:
+    """Per round: broadcast a ``payload`` version, gather ``reply`` objects back.
+
+    A reply is ``payload_bytes // shrink`` bytes, at least 1 KB.
+    """
+    driver, workers = spec.nodes[0], spec.nodes[1:]
+    reply_bytes = max(KB, spec.payload_bytes // shrink)
     for r in range(spec.rounds):
         start = sim.now
         span = recorder.begin_op(spec, "broadcast")
-        model = ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-model{r}")
-        recorder.bind(span, model)
-        yield from _put(runtime, driver, model, spec.payload_bytes)
+        version = ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-{payload}{r}")
+        recorder.bind(span, version)
+        yield from _put(runtime, driver, version, spec.payload_bytes)
         yield sim.all_of(
-            [sim.process(_tenant_get(runtime, spec, nid, model)) for nid in replicas]
+            [sim.process(_tenant_get(runtime, spec, nid, version)) for nid in workers]
         )
         recorder.record(spec, "broadcast", spec.payload_bytes, sim.now - start, span)
 
         start = sim.now
         span = recorder.begin_op(spec, "gather")
-        responses = [
-            ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-resp{r}-n{nid}")
-            for nid in replicas
+        replies = [
+            ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-{reply}{r}-n{nid}")
+            for nid in workers
         ]
-        recorder.bind(span, *responses)
+        recorder.bind(span, *replies)
         yield sim.all_of(
             [
-                sim.process(_put(runtime, nid, rid, response_bytes))
-                for nid, rid in zip(replicas, responses)
+                sim.process(_put(runtime, nid, rid, reply_bytes))
+                for nid, rid in zip(workers, replies)
             ]
         )
         yield sim.all_of(
-            [sim.process(_tenant_get(runtime, spec, driver, rid)) for rid in responses]
+            [sim.process(_tenant_get(runtime, spec, driver, rid)) for rid in replies]
         )
-        recorder.record(spec, "gather", response_bytes, sim.now - start, span)
+        recorder.record(spec, "gather", reply_bytes, sim.now - start, span)
 
 
 def _moe_job(sim, runtime, spec, recorder) -> Generator:
@@ -369,44 +375,11 @@ def _moe_job(sim, runtime, spec, recorder) -> Generator:
         recorder.record(spec, "alltoall", spec.payload_bytes, sim.now - start, span)
 
 
-def _rl_job(sim, runtime, spec, recorder) -> Generator:
-    """Per round: broadcast the policy, then gather rollouts at the driver."""
-    driver, workers = spec.nodes[0], spec.nodes[1:]
-    rollout_bytes = max(KB, spec.payload_bytes // 4)
-    for r in range(spec.rounds):
-        start = sim.now
-        span = recorder.begin_op(spec, "broadcast")
-        policy = ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-policy{r}")
-        recorder.bind(span, policy)
-        yield from _put(runtime, driver, policy, spec.payload_bytes)
-        yield sim.all_of(
-            [sim.process(_tenant_get(runtime, spec, nid, policy)) for nid in workers]
-        )
-        recorder.record(spec, "broadcast", spec.payload_bytes, sim.now - start, span)
-
-        start = sim.now
-        span = recorder.begin_op(spec, "gather")
-        rollouts = [
-            ObjectID.unique(runtime.cluster, f"fleet-{spec.name}-roll{r}-n{nid}") for nid in workers
-        ]
-        recorder.bind(span, *rollouts)
-        yield sim.all_of(
-            [
-                sim.process(_put(runtime, nid, rid, rollout_bytes))
-                for nid, rid in zip(workers, rollouts)
-            ]
-        )
-        yield sim.all_of(
-            [sim.process(_tenant_get(runtime, spec, driver, rid)) for rid in rollouts]
-        )
-        recorder.record(spec, "gather", rollout_bytes, sim.now - start, span)
-
-
 _JOB_BODIES = {
     "training": _training_job,
-    "serving": _serving_job,
+    "serving": partial(_broadcast_gather_job, "model", "resp", 32),
     "moe": _moe_job,
-    "rl": _rl_job,
+    "rl": partial(_broadcast_gather_job, "policy", "roll", 4),
 }
 
 

@@ -24,7 +24,6 @@ from repro.core.api import HopliteClient
 from repro.core.gather import (
     AllGatherExecution,
     AllGatherResult,
-    ReduceScatterExecution,
     ReduceScatterResult,
 )
 from repro.core.options import HopliteOptions
@@ -44,7 +43,6 @@ __all__ = [
     "ObjectValue",
     "ReduceOp",
     "ReducePlan",
-    "ReduceScatterExecution",
     "ReduceScatterResult",
     "choose_reduce_degree",
     "reduce_time_model",

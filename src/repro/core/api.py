@@ -21,12 +21,11 @@ from repro.core.broadcast import fetch_object
 from repro.core.gather import (
     AllGatherExecution,
     AllGatherResult,
-    ReduceScatterExecution,
     ReduceScatterResult,
 )
 from repro.core.reduce import ReduceResult, adopt_or_create_reduction
 from repro.net.coalesce import register_stream, unregister_stream
-from repro.net.flowsched import Flow
+from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
 from repro.net.transport import NodeFailedError, local_copy, stream_blocks
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
@@ -265,16 +264,26 @@ class HopliteClient:
         (Section 3.4.2) that repair independently on failure.  Returns a
         :class:`~repro.core.gather.ReduceScatterResult`.
         """
-        execution = ReduceScatterExecution(
-            self.runtime,
-            self.node,
-            target_id,
-            source_ids,
-            op,
-            num_objects=num_objects,
+        execution = adopt_or_create_reduction(
+            self.runtime, self.node, target_id, source_ids, op, num_objects=num_objects
         )
-        result: ReduceScatterResult = yield from execution.run()
-        return result
+        # The Get streams concurrently with the reduce, so the shard arrives
+        # block by block as the root produces it.  The reduce's driver is
+        # detached: if this caller dies mid-Get the shard reduction keeps
+        # going, and the caller's lineage re-execution adopts it.
+        reduce_proc = self.sim.process(execution.run(), name=f"reduce-scatter-{target_id}")
+        try:
+            value = yield from self.get(
+                target_id,
+                flow=Flow(f"reduce-scatter:{target_id}->n{self.node.node_id}", FlowClass.BULK),
+            )
+        except BaseException:
+            reduce_proc.defused = True  # nobody awaits the abandoned waiter
+            raise
+        result: ReduceResult = yield reduce_proc
+        return ReduceScatterResult(
+            target_id=target_id, reduce=result, value=value, completion_time=self.sim.now
+        )
 
     # -------------------------------------------------------------- AllToAll --
     def alltoall(

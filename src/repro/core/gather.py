@@ -13,9 +13,11 @@ This module grows the family two ways:
 * **Reduce-scatter** (Section 3.4.2 applied per shard): the input is
   logically an ``n x n`` matrix of objects where row ``i`` is produced by
   participant ``i`` and column ``j`` is destined to participant ``j``.  Each
-  participant runs one dynamic-tree :class:`~repro.core.reduce.ReduceExecution`
-  over its own column, so the ``n`` shard reductions proceed concurrently on
-  ``n`` disjoint trees and repair independently on failure (Section 3.5.2).
+  participant's :meth:`~repro.core.api.HopliteClient.reduce_scatter` runs one
+  reduce over its own column (``adopt_or_create_reduction``) while a
+  concurrent ``Get`` streams the shard in, so the ``n`` shard reductions
+  proceed concurrently on ``n`` disjoint trees and repair independently on
+  failure (Section 3.5.2).  This module keeps only its result type.
 
 Failure handling follows Section 3.5.1: a fetch that loses its source keeps
 its partial blocks and retries against the directory; a participant that
@@ -28,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
-from repro.core.reduce import ReduceResult, adopt_or_create_reduction
+from repro.core.reduce import ReduceResult
 from repro.net.flowsched import Flow, FlowClass
 from repro.net.node import Node
 from repro.net.transport import NodeFailedError, TransferError
-from repro.store.objects import ObjectID, ObjectValue, ReduceOp
+from repro.store.objects import ObjectID, ObjectValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import HopliteRuntime
@@ -171,67 +173,3 @@ class AllGatherExecution:
                     return
                 self.retries += 1
                 yield self.sim.timeout(self.runtime.config.failure_detection_delay)
-
-
-class ReduceScatterExecution:
-    """One participant's shard of a reduce-scatter.
-
-    ``source_ids`` is this participant's *column* of the input matrix; the
-    shard reduction is a full dynamic-tree reduce rooted wherever the first
-    source arrives, followed by a streaming ``Get`` that pulls the shard to
-    the caller while the tree is still producing it (Section 3.3).
-    """
-
-    def __init__(
-        self,
-        runtime: "HopliteRuntime",
-        node: Node,
-        target_id: ObjectID,
-        source_ids: Sequence[ObjectID],
-        op: ReduceOp,
-        num_objects: Optional[int] = None,
-    ):
-        self.runtime = runtime
-        self.node = node
-        self.sim = runtime.sim
-        self.target_id = target_id
-        self.source_ids = list(source_ids)
-        self.op = op
-        self.num_objects = num_objects
-
-    def run(self) -> Generator:
-        execution = adopt_or_create_reduction(
-            self.runtime,
-            self.node,
-            self.target_id,
-            self.source_ids,
-            self.op,
-            num_objects=self.num_objects,
-        )
-        # The Get streams concurrently with the reduce so the shard arrives
-        # block by block as the root produces it.  The execution's
-        # coordination loop is a detached driver process: if the caller dies
-        # mid-Get the shard reduction keeps going, and the caller's
-        # lineage-driven re-execution adopts it through the runtime's
-        # active-reduction registry instead of racing a duplicate tree.
-        reduce_proc = self.sim.process(
-            execution.run(), name=f"reduce-scatter-{self.target_id}"
-        )
-        try:
-            value = yield from self.runtime.client(self.node).get(
-                self.target_id,
-                flow=Flow(
-                    f"reduce-scatter:{self.target_id}->n{self.node.node_id}",
-                    FlowClass.BULK,
-                ),
-            )
-        except BaseException:
-            reduce_proc.defused = True  # nobody awaits the abandoned waiter
-            raise
-        result: ReduceResult = yield reduce_proc
-        return ReduceScatterResult(
-            target_id=self.target_id,
-            reduce=result,
-            value=value,
-            completion_time=self.sim.now,
-        )

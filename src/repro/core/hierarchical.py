@@ -21,171 +21,100 @@ replaced inside its rack's tree, a dead rack root re-publishes through the
 rack tree's own repair and the top tree re-resolves it through the
 directory.
 
-The composition is transparent to callers and to the lineage layer:
+The composition is a :class:`~repro.core.reduce.ReduceExecution` subclass,
+so it is transparent to callers and to the lineage layer:
 :func:`~repro.core.reduce.adopt_or_create_reduction` picks it automatically
 (``HopliteOptions(topology_aware=True)`` on a multi-rack topology), it
-registers in ``runtime.active_reductions`` under the original target like a
-flat execution, and a re-executed caller adopts the surviving composition
-instead of racing a duplicate.
+registers in ``runtime.active_reductions`` under the original target through
+the inherited shell, and a re-executed caller adopts the surviving
+composition instead of racing a duplicate.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from types import MappingProxyType
+from typing import Generator, Mapping, Optional
 
 from repro.core.reduce import ReduceExecution, ReduceResult
 from repro.net.node import Node
-from repro.net.transport import TransferError
-from repro.sim import Event, Interrupt, Process
-from repro.store.objects import ObjectID, ReduceOp
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.runtime import HopliteRuntime
+from repro.store.objects import ObjectID
 
 
-class HierarchicalReduceExecution:
+class HierarchicalReduceExecution(ReduceExecution):
     """Coordinator for one rack-aware Reduce call.
 
-    Duck-type compatible with :class:`~repro.core.reduce.ReduceExecution`
-    where the rest of the system touches executions: re-entrant :meth:`run`,
-    :meth:`abort`, and the ``source_ids`` / ``op`` / ``num_objects`` /
-    ``aborted`` attributes the adoption check compares.
+    A :class:`~repro.core.reduce.ReduceExecution` subclass: validation, the
+    registry entry, the detached driver and its guard, the re-entrant
+    :meth:`run` and :meth:`abort` are inherited.  It overrides only
+    :meth:`_coordinate` (rack trees, then the top tree or the flat
+    fallback), :meth:`_result` and :meth:`_teardown` (abort every phase).
     """
 
-    def __init__(
-        self,
-        runtime: "HopliteRuntime",
-        caller: Node,
-        target_id: ObjectID,
-        source_ids: Sequence[ObjectID],
-        op: ReduceOp,
-        num_objects: Optional[int] = None,
-    ):
-        if not source_ids:
-            raise ValueError("Reduce requires at least one source object")
-        self.runtime = runtime
-        self.sim = runtime.sim
-        self.config = runtime.config
-        self.caller = caller
-        self.target_id = target_id
-        self.source_ids = list(source_ids)
-        self.op = op
-        self.num_objects = num_objects if num_objects is not None else len(self.source_ids)
-        if self.num_objects <= 0 or self.num_objects > len(self.source_ids):
-            raise ValueError(
-                f"num_objects must be in [1, {len(self.source_ids)}], got {num_objects}"
-            )
-        self.degree: Optional[int] = None
-        #: rack index -> the intra-rack chain of fold executions (one entry in
-        #: the synchronized case; one extra stage per straggler batch).
-        self.rack_executions: dict[int, list[ReduceExecution]] = {}
-        #: the inter-rack tree (or the flat fallback when grouping degenerates).
-        self.top_execution: Optional[ReduceExecution] = None
-        self._finished = Event(self.sim)
-        self._driver: Optional[Process] = None
-        self._result: Optional[ReduceResult] = None
-        self.aborted = False
-        self.abort_reason = ""
+    driver_name = "hier-reduce-drive"
+    #: rack index -> the intra-rack chain of fold executions (one entry in
+    #: the synchronized case; one extra stage per straggler batch).  Bound
+    #: to a fresh dict when coordination starts.
+    rack_executions: Mapping[int, list[ReduceExecution]] = MappingProxyType({})
+    #: the inter-rack tree (or the flat fallback when grouping degenerates).
+    top_execution: Optional[ReduceExecution] = None
+    _outcome: Optional[ReduceResult] = None
 
-    # -- public entry point --------------------------------------------------
-    def run(self) -> Generator:
-        """Wait for the composed reduce; starts the driver if needed.
+    def _result(self) -> Optional[ReduceResult]:
+        return self._outcome
 
-        Re-entrant, like the flat execution: the original caller and any
-        lineage re-execution adopting this composition all get the same
-        result.
-        """
-        self._ensure_driver()
-        yield self._finished
-        if self.aborted:
-            raise TransferError(
-                f"reduce toward {self.target_id} was aborted: {self.abort_reason}"
-            )
-        return self._result
-
-    def _ensure_driver(self) -> None:
-        if self._driver is not None or self._finished.triggered:
-            return
-        registry = self.runtime.active_reductions
-        registry[self.target_id] = self
-
-        def _deregister(_event) -> None:
-            if registry.get(self.target_id) is self:
-                del registry[self.target_id]
-
-        self._finished.add_callback(_deregister)
-        self._driver = self.runtime.orchestration.spawn(
-            self._drive(),
-            name=f"hier-reduce-drive-{self.target_id}",
-            owner=self.target_id,
-        )
-
-    def abort(self, reason: str = "") -> None:
-        """Tear down both phases (called by the framework on permanent failure)."""
-        if self._finished.triggered:
-            return
-        self.aborted = True
-        self.abort_reason = reason or "aborted"
-        if self._driver is not None and self._driver.is_alive:
-            self._driver.interrupt("hierarchical reduce aborted")
+    def _teardown(self) -> None:
         for execution in self._all_rack_executions():
             execution.abort(self.abort_reason)
         if self.top_execution is not None:
             self.top_execution.abort(self.abort_reason)
-        self._finished.succeed(None)
 
     # -- coordination --------------------------------------------------------
-    def _drive(self) -> Generator:
-        try:
-            top_sources = yield from self._grow_rack_trees()
-            if top_sources is None:
-                # Degenerate hierarchy — every source in one rack, or one
-                # source per rack: a single dynamic tree is already optimal.
-                # The flat execution takes over the registry entry (it is
-                # adoptable under the exact same signature).
-                inner = ReduceExecution(
-                    self.runtime,
-                    self.caller,
-                    self.target_id,
-                    self.source_ids,
-                    self.op,
-                    num_objects=self.num_objects,
-                )
-                self.top_execution = inner
-                result = yield from inner.run()
-                self._complete(result, result.reduced_ids)
-                return
+    def _coordinate(self) -> Generator:
+        """Grow the rack trees, then run the top tree over their partials.
 
-            top = ReduceExecution(
-                self.runtime, self.caller, self.target_id, top_sources, self.op
+        A phase that aborts under the composition raises its
+        :class:`~repro.net.transport.TransferError` out of here, and the
+        inherited driver guard aborts the composition with it.
+        """
+        self.rack_executions = {}
+        top_sources = yield from self._grow_rack_trees()
+        if top_sources is None:
+            # Degenerate hierarchy — every source in one rack, or one
+            # source per rack: a single dynamic tree is already optimal.
+            # The flat execution takes over the registry entry (it is
+            # adoptable under the exact same signature).
+            inner = ReduceExecution(
+                self.runtime,
+                self.caller,
+                self.target_id,
+                self.source_ids,
+                self.op,
+                num_objects=self.num_objects,
             )
-            self.top_execution = top
-            top._ensure_driver()
-            # The top tree registered itself under the target; put the
-            # composition back so lineage re-executions (which re-issue the
-            # *original* source list) adopt it instead of mismatching.
-            self.runtime.active_reductions[self.target_id] = self
-            result = yield from top.run()
-
-            source_set = set(self.source_ids)
-            reduced: set[ObjectID] = set()
-            for rack_execution in self._all_rack_executions():
-                reduced.update(
-                    state.object_id
-                    for state in rack_execution.slots
-                    if state.object_id is not None and state.object_id in source_set
-                )
-            reduced.update(oid for oid in result.reduced_ids if oid in source_set)
-            self._complete(result, sorted(reduced, key=lambda oid: oid.key))
-        except Interrupt:
+            self.top_execution = inner
+            result = yield from inner.run()
+            self._complete(result, result.reduced_ids)
             return
-        except TransferError:
-            # A phase was aborted under us; propagate unless someone already
-            # finished or aborted the composition itself.
-            if not self._finished.triggered:
-                self.abort("reduce phase aborted")
-        except Exception as exc:  # noqa: BLE001 - nobody awaits this process
-            self.abort(f"driver error: {exc!r}")
+
+        top = ReduceExecution(self.runtime, self.caller, self.target_id, top_sources, self.op)
+        self.top_execution = top
+        top._ensure_driver()
+        # The top tree registered itself under the target; put the
+        # composition back so lineage re-executions (which re-issue the
+        # *original* source list) adopt it instead of mismatching.
+        self.runtime.active_reductions[self.target_id] = self
+        result = yield from top.run()
+
+        source_set = set(self.source_ids)
+        reduced: set[ObjectID] = set()
+        for rack_execution in self._all_rack_executions():
+            reduced.update(
+                state.object_id
+                for state in rack_execution.slots
+                if state.object_id is not None and state.object_id in source_set
+            )
+        reduced.update(oid for oid in result.reduced_ids if oid in source_set)
+        self._complete(result, sorted(reduced, key=lambda oid: oid.key))
 
     def _all_rack_executions(self) -> list[ReduceExecution]:
         return [ex for chain in self.rack_executions.values() for ex in chain]
@@ -194,7 +123,7 @@ class HierarchicalReduceExecution:
         reduced = list(reduced_ids)
         reduced_set = set(reduced)
         self.degree = result.degree
-        self._result = ReduceResult(
+        self._outcome = ReduceResult(
             target_id=self.target_id,
             reduced_ids=reduced,
             unreduced_ids=[oid for oid in self.source_ids if oid not in reduced_set],
@@ -203,7 +132,7 @@ class HierarchicalReduceExecution:
             completion_time=result.completion_time,
         )
         if not self._finished.triggered:
-            self._finished.succeed(self._result)
+            self._finished.succeed(self._outcome)
 
     # -- grouping ------------------------------------------------------------
     def _grow_rack_trees(self) -> Generator:
@@ -302,10 +231,9 @@ class HierarchicalReduceExecution:
     def _rack_of_object(self, object_id: ObjectID) -> Optional[int]:
         """The rack hosting the object's best alive copy (``None`` if lost)."""
         topology = self.runtime.cluster.topology
-        locations = self.runtime.directory.locations_of(object_id)
-        for info in sorted(locations.values(), key=lambda i: (not i.complete, i.node_id)):
-            if self.runtime.node(info.node_id).alive:
-                return topology.rack_of(info.node_id)
+        host = self._locate(object_id)
+        if host is not None:
+            return topology.rack_of(host.node_id)
         record = self.runtime.directory.peek_record(object_id)
         if record is not None and record.inline_value is not None:
             # Inline-cached small object: fetchable from anywhere; group it

@@ -191,11 +191,14 @@ def adopt_or_create_reduction(
     Only an execution with the same sources and operator is adoptable; an
     aborted or mismatched one is replaced.
 
-    On a multi-rack topology with ``HopliteOptions(topology_aware=True)``
-    fresh executions are the rack-aware hierarchical composition
-    (:class:`~repro.core.hierarchical.HierarchicalReduceExecution`: one
-    intra-rack tree per rack feeding one inter-rack tree); everywhere else —
-    notably the flat default — they are the plain dynamic tree.
+    A fresh execution of at least three sources on a multi-rack topology
+    with ``HopliteOptions(topology_aware=True)`` (the default) is the
+    rack-aware composition
+    (:class:`~repro.core.hierarchical.HierarchicalReduceExecution`, a
+    :class:`ReduceExecution` subclass: one intra-rack tree per rack feeding
+    one inter-rack tree); everywhere else, notably on a flat topology, it is
+    the plain dynamic tree.  Both register under ``target_id`` the same way,
+    so either is adopted by the same check.
     """
     num = num_objects if num_objects is not None else len(list(source_ids))
     existing = runtime.active_reductions.get(target_id)
@@ -298,7 +301,15 @@ class ReduceExecution:
     re-entrant: a re-executed caller that finds this execution still in
     ``runtime.active_reductions`` adopts it by calling :meth:`run` again
     instead of racing a duplicate tree over the same target.
+
+    This class is also the execution shell of the rack-aware composition
+    (:class:`~repro.core.hierarchical.HierarchicalReduceExecution`): a
+    subclass overrides only :meth:`_coordinate`, :meth:`_result` and
+    :meth:`_teardown`.
     """
+
+    #: prefix of the detached driver process's name.
+    driver_name = "reduce-drive"
 
     def __init__(
         self,
@@ -347,12 +358,15 @@ class ReduceExecution:
         caller adopting this execution — gets the same result.
         """
         self._ensure_driver()
-        # Wait for the root's output to be sealed and published.
         yield self._finished
         if self.aborted:
             raise TransferError(
                 f"reduce toward {self.target_id} was aborted: {self.abort_reason}"
             )
+        return self._result()
+
+    def _result(self) -> ReduceResult:
+        """The outcome of the tree whose root output was sealed and published."""
         root = self._root_slot()
         reduced = sorted(
             (state.object_id for state in self.slots if state.object_id is not None),
@@ -385,42 +399,14 @@ class ReduceExecution:
         self._finished.add_callback(_deregister)
         self._driver = self.runtime.orchestration.spawn(
             self._drive(),
-            name=f"reduce-drive-{self.target_id}",
+            name=f"{self.driver_name}-{self.target_id}",
             owner=self.target_id,
         )
 
     def _drive(self) -> Generator:
-        """The detached coordination loop (watch → shape → assign → repair)."""
+        """The detached driver: :meth:`_coordinate` under one guard."""
         try:
-            for object_id in self.source_ids:
-                self._watch_source(object_id)
-
-            # Learn the object size from the first ready source, then fix the
-            # degree and the tree shape.
-            first_id = yield from self._next_ready_object()
-            size = self.runtime.directory.known_size(first_id) or 0
-            self.degree = self._select_degree(size)
-            self.tree = build_inorder_tree(self.num_objects, self.degree)
-            self.slots = [_SlotState(slot) for slot in self.tree]
-            self.plan = ReducePlan(
-                target_id=self.target_id,
-                source_ids=list(self.source_ids),
-                op=self.op,
-                num_objects=self.num_objects,
-                degree=self.degree,
-                slots=self.tree,
-            )
-            self._hook_failures()
-
-            self._assign(self._next_unassigned_slot(), first_id)
-            # Keep assigning ready objects to the remaining slots as they arrive.
-            while self._next_unassigned_slot() is not None:
-                object_id = yield from self._next_ready_object()
-                slot = self._next_unassigned_slot()
-                if slot is None:
-                    self._ready_queue.insert(0, object_id)
-                    break
-                self._assign(slot, object_id)
+            yield from self._coordinate()
         except Interrupt:
             return
         except Exception as exc:  # noqa: BLE001 - nobody awaits this process
@@ -428,6 +414,38 @@ class ReduceExecution:
             # every waiter in run() forever.  Turn it into an abort so
             # waiters observe a TransferError and can retry.
             self.abort(f"driver error: {exc!r}")
+
+    def _coordinate(self) -> Generator:
+        """The coordination loop (watch → shape → assign → repair)."""
+        for object_id in self.source_ids:
+            self._watch_source(object_id)
+
+        # Learn the object size from the first ready source, then fix the
+        # degree and the tree shape.
+        first_id = yield from self._next_ready_object()
+        size = self.runtime.directory.known_size(first_id) or 0
+        self.degree = self._select_degree(size)
+        self.tree = build_inorder_tree(self.num_objects, self.degree)
+        self.slots = [_SlotState(slot) for slot in self.tree]
+        self.plan = ReducePlan(
+            target_id=self.target_id,
+            source_ids=list(self.source_ids),
+            op=self.op,
+            num_objects=self.num_objects,
+            degree=self.degree,
+            slots=self.tree,
+        )
+        self._hook_failures()
+
+        self._assign(self._next_unassigned_slot(), first_id)
+        # Keep assigning ready objects to the remaining slots as they arrive.
+        while self._next_unassigned_slot() is not None:
+            object_id = yield from self._next_ready_object()
+            slot = self._next_unassigned_slot()
+            if slot is None:
+                self._ready_queue.insert(0, object_id)
+                break
+            self._assign(slot, object_id)
 
     def abort(self, reason: str = "") -> None:
         """Tear the execution down and release everything it holds.
@@ -444,9 +462,13 @@ class ReduceExecution:
         self.abort_reason = reason or "aborted"
         if self._driver is not None and self._driver.is_alive:
             self._driver.interrupt("reduce aborted")
+        self._teardown()
+        self._finished.succeed(None)
+
+    def _teardown(self) -> None:
+        """Release what an aborted execution holds: every slot's processes."""
         for state in self.slots:
             self._teardown_slot(state)
-        self._finished.succeed(None)
 
     # -- degree / shape --------------------------------------------------------
     def _select_degree(self, size: int) -> int:

@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 from repro.collectives.plane import HoplitePlane
+from repro.core.hierarchical import HierarchicalReduceExecution
+from repro.core.reduce import ReduceExecution
 from repro.core.runtime import HopliteRuntime
 from repro.net.cluster import Cluster
 from repro.net.config import NetworkConfig
+from repro.net.topology import Topology
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys import (
     CollectiveOrchestrator,
@@ -34,8 +37,8 @@ MB = 1024 * 1024
 NET = dict(bandwidth=1.25e8)  # 1 Gbps: 16 MB transfers take ~0.13 s
 
 
-def _build(num_nodes=5):
-    cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig(**NET))
+def _build(num_nodes=5, topology=None):
+    cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig(**NET), topology=topology)
     runtime = HopliteRuntime(cluster)
     system = TaskSystem(cluster, HoplitePlane(runtime))
     orchestrator = CollectiveOrchestrator(system)
@@ -261,13 +264,26 @@ def test_root_reexecution_adopts_a_partial_that_finishes_during_the_delay():
 # ---------------------------------------------------------------------------
 
 
-def test_permanently_failed_reduce_task_releases_partials_and_refs():
-    cluster, runtime, system, _orch = _build(4)
+@pytest.mark.parametrize(
+    "topology, fail_at, kind",
+    [
+        (None, 0.3, ReduceExecution),
+        # Rack-aware: rack 0 (nodes 0, 1) folds its two sources at once.  At
+        # 0.02 s its tree is still streaming; at 0.3 s it has finished, and
+        # the composition is stuck waiting for the missing fourth source.
+        (Topology.racks(2, 2, oversubscription=4.0), 0.02, HierarchicalReduceExecution),
+        (Topology.racks(2, 2, oversubscription=4.0), 0.3, HierarchicalReduceExecution),
+    ],
+    ids=["flat", "racks-mid-rack-tree", "racks-after-rack-tree"],
+)
+def test_permanently_failed_reduce_task_releases_partials_and_refs(topology, fail_at, kind):
+    cluster, runtime, system, _orch = _build(4, topology)
     sim = cluster.sim
     plane = system.plane
     # Three of four sources exist; the reduce can never finish.
     source_ids = [ObjectID.unique(cluster, f"leak-src{i}") for i in range(4)]
     target_id = ObjectID.unique(cluster, "leak-target")
+    registered = []
 
     def setup():
         for i in range(3):
@@ -281,14 +297,21 @@ def test_permanently_failed_reduce_task_releases_partials_and_refs():
         yield from setup()
         system.submit(doomed, node=1, name="doomed-reduce", max_restarts=0)
         # Let the reduce tree assemble and start holding references.
-        yield sim.timeout(0.3)
+        yield sim.timeout(fail_at)
+        registered.append(runtime.active_reductions[target_id])
         cluster.node(1).fail()
 
     sim.process(driver(), name="leak-driver")
     cluster.run(until=30.0)
 
+    (execution,) = registered
+    assert type(execution) is kind
+    assert execution.aborted
     assert system.metrics.aborted_reductions == 1
-    assert target_id not in runtime.active_reductions
+    assert runtime.active_reductions == {}
+    if kind is HierarchicalReduceExecution:
+        (rack_execution,) = execution.rack_executions[0]
+        assert rack_execution.aborted == (fail_at < 0.3)
     for store in runtime.stores.values():
         for entry in store.objects.values():
             assert entry.ref_count == 0, entry

@@ -481,7 +481,7 @@ def test_hierarchical_reduce_adoption_and_flat_fallback():
         source_ids,
         ReduceOp.SUM,
     )
-    assert isinstance(flat, ReduceExecution)
+    assert type(flat) is ReduceExecution
 
 
 def test_hierarchical_reduce_starts_before_last_arrival():
