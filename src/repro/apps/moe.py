@@ -17,15 +17,8 @@ The alltoalls dominate: with the naive plane each exchange serializes puts
 and gets with per-operation overhead and no pipelining, while Hoplite
 overlaps every send and receive block-by-block (Section 3.3).
 
-Expert loads can be made **heterogeneous**: ``expert_skew`` routes each
-worker's token batch across experts with a Zipf-like weighting (rotated
-every iteration so the hot expert moves around), which makes the alltoall
-block sizes non-uniform — the regime where Hoplite's per-pair streaming
-beats schedules that assume equal blocks.  ``capacity_factor`` models the
-standard MoE capacity trick: an expert accepts at most
-``capacity_factor x`` the mean per-expert load and the overflow tokens are
-dropped at the sender (smaller shards, ``dropped_bytes`` accounted in the
-metrics).
+Every worker routes the same number of bytes to every other expert
+(:data:`SHARD_BYTES`), so each alltoall exchanges equal blocks.
 
 A :class:`~repro.apps.common.FailureSchedule` may be attached; a worker that
 loses its node retries its share of the current iteration after the node
@@ -36,12 +29,11 @@ recovery (Section 3.5.1).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Generator, Optional
 
 from repro.apps.common import AppResult, FailureSchedule, close_run, retry_across_failures
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
-from repro.net.config import NetworkConfig
 from repro.net.faults import install
 from repro.sim import Event
 from repro.store.objects import ObjectID, ObjectValue
@@ -50,92 +42,20 @@ KB = 1024
 MB = 1024 * 1024
 
 #: bytes of tokens each worker routes to each expert per iteration.
-DEFAULT_SHARD_BYTES = 4 * MB
+SHARD_BYTES = 4 * MB
 #: bytes of per-expert gate statistics (small-object fast path).
-DEFAULT_GATE_BYTES = 32 * KB
+GATE_BYTES = 32 * KB
 #: expert forward-pass throughput over the received token bytes.
-DEFAULT_EXPERT_BANDWIDTH = 5.0e9
-
-
-def routing_matrix(
-    num_nodes: int,
-    shard_bytes: int,
-    expert_skew: float,
-    iteration: int,
-) -> Dict[Tuple[int, int], int]:
-    """Bytes worker ``w`` routes to expert ``e`` in one iteration.
-
-    Each worker splits its batch (``shard_bytes * (num_nodes - 1)``, the
-    uniform total) across the other experts with Zipf-like weights
-    ``1 / (1 + rank)**expert_skew``; the expert ranking rotates by
-    ``iteration`` so the hot expert moves around the cluster.  ``skew == 0``
-    reproduces the uniform exchange exactly.
-    """
-    if num_nodes < 2:
-        raise ValueError("routing needs at least two nodes")
-    batch_bytes = shard_bytes * (num_nodes - 1)
-    route: Dict[Tuple[int, int], int] = {}
-    for worker in range(num_nodes):
-        experts = [e for e in range(num_nodes) if e != worker]
-        weights = [
-            1.0 / (1.0 + ((e + iteration) % num_nodes)) ** expert_skew for e in experts
-        ]
-        total = sum(weights)
-        for expert, weight in zip(experts, weights):
-            route[(worker, expert)] = int(batch_bytes * weight / total)
-    return route
-
-
-def apply_capacity_factor(
-    route: Dict[Tuple[int, int], int],
-    num_nodes: int,
-    capacity_factor: Optional[float],
-) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Drop overflow tokens at the sender; returns (clamped route, dropped bytes).
-
-    An expert accepts at most ``capacity_factor x`` the mean per-expert
-    load; every sender's shard toward an overloaded expert is scaled down
-    proportionally, which is how capacity-factor dropping behaves in real
-    MoE systems (token choice is random, so drops are proportional).
-    """
-    if capacity_factor is None:
-        return route, 0
-    if capacity_factor <= 0:
-        raise ValueError("capacity_factor must be positive")
-    loads = {e: 0 for e in range(num_nodes)}
-    for (_worker, expert), nbytes in route.items():
-        loads[expert] += nbytes
-    mean_load = sum(loads.values()) / num_nodes
-    capacity = capacity_factor * mean_load
-    clamped: Dict[Tuple[int, int], int] = {}
-    dropped = 0
-    for (worker, expert), nbytes in route.items():
-        if loads[expert] > capacity:
-            kept = int(nbytes * capacity / loads[expert])
-            dropped += nbytes - kept
-            nbytes = kept
-        clamped[(worker, expert)] = nbytes
-    return clamped, dropped
+EXPERT_BANDWIDTH = 5.0e9
 
 
 def run_moe_routing(
     num_nodes: int,
     system: str = "hoplite",
     num_iterations: int = 3,
-    shard_bytes: int = DEFAULT_SHARD_BYTES,
-    gate_bytes: int = DEFAULT_GATE_BYTES,
-    expert_bandwidth: float = DEFAULT_EXPERT_BANDWIDTH,
-    expert_skew: float = 0.0,
-    capacity_factor: Optional[float] = None,
-    network: Optional[NetworkConfig] = None,
     failure: Optional[FailureSchedule] = None,
 ) -> AppResult:
     """Run ``num_iterations`` of MoE routing and report iterations/second.
-
-    ``expert_skew > 0`` skews the routing matrices (heterogeneous expert
-    loads, non-uniform alltoall block sizes); ``capacity_factor`` drops
-    overflow tokens at the senders.  The defaults reproduce the original
-    uniform exchange bit for bit.
 
     Once the queue has drained it closes the plane's runtime and the
     cluster (:func:`~repro.apps.common.close_run`), so reference counting
@@ -143,30 +63,10 @@ def run_moe_routing(
     """
     if num_nodes < 2:
         raise ValueError("MoE routing needs at least two nodes")
-    if expert_skew < 0:
-        raise ValueError("expert_skew must be non-negative")
-    cluster = Cluster(num_nodes, network)
+    cluster = Cluster(num_nodes)
     plane = make_plane(system, cluster)
     install(cluster, [failure] if failure else ())
     sim = cluster.sim
-
-    # Per-iteration routing plans: worker -> expert byte matrix, with the
-    # capacity clamp applied.  Deterministic, so a worker re-running an
-    # iteration after a failure re-creates identical shard sizes.
-    plans: list[Dict[Tuple[int, int], int]] = []
-    dropped_bytes = 0
-    peak_load = 0
-    for iteration in range(num_iterations):
-        route = routing_matrix(num_nodes, shard_bytes, expert_skew, iteration)
-        loads = {e: 0 for e in range(num_nodes)}
-        for (_w, expert), nbytes in route.items():
-            loads[expert] += nbytes
-        peak_load = max(peak_load, max(loads.values()))
-        route, dropped = apply_capacity_factor(route, num_nodes, capacity_factor)
-        dropped_bytes += dropped
-        plans.append(route)
-    mean_load = shard_bytes * (num_nodes - 1)
-    load_imbalance = peak_load / mean_load if mean_load else 1.0
 
     iteration_latencies: list[float] = []
     total_retries = {"count": 0}
@@ -182,18 +82,11 @@ def run_moe_routing(
     def _gate_id(iteration: int, worker: int) -> ObjectID:
         return ObjectID.of(f"moe-gate-i{iteration}-{worker}")
 
-    def _shard_bytes(kind: str, iteration: int, src: int, dst: int) -> int:
-        # Dispatch moves route[(worker, expert)] bytes from worker to expert;
-        # combine returns the processed tokens, so its matrix is the
-        # transpose of dispatch's.
-        route = plans[iteration]
-        return route[(src, dst)] if kind == "disp" else route[(dst, src)]
-
     def _exchange(node_id: int, kind: str, iteration: int) -> Generator:
         sends = [
             (
                 _pair_id(kind, iteration, node_id, dst),
-                ObjectValue.of_size(_shard_bytes(kind, iteration, node_id, dst)),
+                ObjectValue.of_size(SHARD_BYTES),
             )
             for dst in range(num_nodes)
             if dst != node_id
@@ -211,17 +104,12 @@ def run_moe_routing(
         # 1. dispatch tokens to the experts.
         yield from _exchange(node_id, "disp", iteration)
         # 2. expert forward pass over the tokens this expert received.
-        received = sum(
-            plans[iteration][(src, node_id)]
-            for src in range(num_nodes)
-            if src != node_id
-        )
-        yield sim.timeout(received / expert_bandwidth)
+        yield sim.timeout(SHARD_BYTES * (num_nodes - 1) / EXPERT_BANDWIDTH)
         # 3. combine: processed tokens return to their sources.
         yield from _exchange(node_id, "comb", iteration)
         # 4. gate statistics allgather (small objects).
         yield from plane.put(
-            node, _gate_id(iteration, node_id), ObjectValue.of_size(gate_bytes)
+            node, _gate_id(iteration, node_id), ObjectValue.of_size(GATE_BYTES)
         )
         yield from plane.allgather(
             node, [_gate_id(iteration, w) for w in range(num_nodes)]
@@ -271,15 +159,10 @@ def run_moe_routing(
         throughput=throughput,
         iteration_latencies=iteration_latencies,
         metrics={
-            "shard_bytes": shard_bytes,
-            "gate_bytes": gate_bytes,
+            "shard_bytes": SHARD_BYTES,
+            "gate_bytes": GATE_BYTES,
             "events_processed": sim.events_processed,
             "retries": total_retries["count"],
-            "expert_skew": expert_skew,
-            "capacity_factor": capacity_factor,
-            "dropped_bytes": dropped_bytes,
-            #: peak per-expert load over the pre-drop mean (1.0 == uniform).
-            "load_imbalance": load_imbalance,
             "fastpath": cluster.fastpath_stats.as_dict(),
         },
     )

@@ -21,11 +21,13 @@ from typing import Generator, Optional
 from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
-from repro.net.config import NetworkConfig
 from repro.net.faults import install
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys.system import TaskSystem
 from repro.workloads.models import ModelProfile, model_profile
+
+#: simulated time the server spends applying one batch of gradients.
+SERVER_UPDATE_TIME = 0.01
 
 
 def _gradient_task(ctx, weights_value: ObjectValue, model: ModelProfile) -> Generator:
@@ -39,9 +41,7 @@ def run_async_sgd(
     model: "ModelProfile | str",
     system: str = "hoplite",
     num_iterations: int = 10,
-    network: Optional[NetworkConfig] = None,
     failure: Optional[FailureSchedule] = None,
-    server_update_time: float = 0.01,
 ) -> AppResult:
     """Run the asynchronous parameter-server workload and report throughput.
 
@@ -53,7 +53,7 @@ def run_async_sgd(
         model = model_profile(model)
     if num_nodes < 2:
         raise ValueError("async SGD needs a server node and at least one worker")
-    cluster = Cluster(num_nodes, network)
+    cluster = Cluster(num_nodes)
     plane = make_plane(system, cluster)
     install(cluster, [failure] if failure else ())
     task_system = TaskSystem(cluster, plane)
@@ -92,7 +92,7 @@ def run_async_sgd(
                 num_objects=min(batch, len(outstanding)),
             )
             yield from plane.get(server, target_id)
-            yield sim.timeout(server_update_time)
+            yield sim.timeout(SERVER_UPDATE_TIME)
             weights_ref = yield from task_system.put(
                 ObjectValue.of_size(model.param_bytes),
                 ObjectID.unique(cluster, f"weights-{iteration + 1}"),

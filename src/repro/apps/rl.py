@@ -22,11 +22,10 @@ from typing import Generator, Optional
 from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
-from repro.net.config import NetworkConfig
 from repro.net.faults import install
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.tasksys.system import TaskSystem
-from repro.workloads.models import ModelProfile, model_profile
+from repro.workloads.models import model_profile
 
 #: size of one rollout sample batch shipped by an IMPALA-style worker.
 ROLLOUT_BYTES = 8 * 1024 * 1024
@@ -55,8 +54,6 @@ def run_rl_training(
     algorithm: str = "impala",
     system: str = "hoplite",
     num_iterations: int = 10,
-    model: "ModelProfile | str" = "rl_policy",
-    network: Optional[NetworkConfig] = None,
     failure: Optional[FailureSchedule] = None,
 ) -> AppResult:
     """Run IMPALA-style or A3C-style training and report samples/second.
@@ -68,12 +65,11 @@ def run_rl_training(
     algorithm = algorithm.lower()
     if algorithm not in ("impala", "a3c"):
         raise ValueError(f"unknown RL algorithm {algorithm!r}; expected 'impala' or 'a3c'")
-    if isinstance(model, str):
-        model = model_profile(model)
+    model = model_profile("rl_policy")
     if num_nodes < 2:
         raise ValueError("RL training needs a trainer node and at least one worker")
 
-    cluster = Cluster(num_nodes, network)
+    cluster = Cluster(num_nodes)
     plane = make_plane(system, cluster)
     install(cluster, [failure] if failure else ())
     task_system = TaskSystem(cluster, plane)

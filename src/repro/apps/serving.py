@@ -18,12 +18,11 @@ weights it lost, producing the brief latency bump the paper shows.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, Optional
 
 from repro.apps.common import AppResult, FailureSchedule, close_run
 from repro.collectives.systems import make_plane
 from repro.net.cluster import Cluster
-from repro.net.config import NetworkConfig
 from repro.net.faults import install
 from repro.store.objects import ObjectID, ObjectValue
 from repro.tasksys.system import TaskError, TaskSystem
@@ -43,10 +42,7 @@ def run_model_serving(
     num_nodes: int,
     system: str = "hoplite",
     num_queries: int = 20,
-    ensemble: Sequence[str] = SERVING_ENSEMBLE,
-    network: Optional[NetworkConfig] = None,
     failure: Optional[FailureSchedule] = None,
-    query_bytes: int = SERVING_QUERY_BYTES,
 ) -> AppResult:
     """Serve ``num_queries`` ensemble queries and report queries/second.
 
@@ -54,17 +50,18 @@ def run_model_serving(
     runtime and the cluster (:func:`~repro.apps.common.close_run`), so
     reference counting frees the run; a run that raises stays open.
     """
-    if num_nodes < len(ensemble):
+    if num_nodes < len(SERVING_ENSEMBLE):
         raise ValueError(
-            f"need at least {len(ensemble)} nodes to serve {len(ensemble)} models"
+            f"need at least {len(SERVING_ENSEMBLE)} nodes to serve "
+            f"{len(SERVING_ENSEMBLE)} models"
         )
-    cluster = Cluster(num_nodes, network)
+    cluster = Cluster(num_nodes)
     plane = make_plane(system, cluster)
     install(cluster, [failure] if failure else ())
     task_system = TaskSystem(cluster, plane)
     sim = cluster.sim
 
-    profiles = [model_profile(name) for name in ensemble]
+    profiles = [model_profile(name) for name in SERVING_ENSEMBLE]
     # Replica placement: round-robin models over nodes, so the 8-node cluster
     # serves one replica per model and the 16-node cluster serves two.
     replicas: list[tuple[int, int]] = []  # (model_index, node_id)
@@ -96,7 +93,7 @@ def run_model_serving(
         for query_index in range(num_queries):
             query_start = sim.now
             query_id = ObjectID.unique(cluster, f"query-{query_index}")
-            yield from plane.put(frontend, query_id, ObjectValue.of_size(query_bytes))
+            yield from plane.put(frontend, query_id, ObjectValue.of_size(SERVING_QUERY_BYTES))
 
             prediction_refs = []
             for model_index, node_id in replicas:
@@ -149,7 +146,7 @@ def run_model_serving(
         metrics={
             "ensemble_size": len(profiles),
             "replicas": len(replicas),
-            "query_bytes": query_bytes,
+            "query_bytes": SERVING_QUERY_BYTES,
             **task_system.metrics.as_dict(),
         },
     )

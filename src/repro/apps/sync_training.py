@@ -9,12 +9,11 @@ allreduce by tens of percent, and beat the naive Ray plane by a wide margin.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.apps.common import AppResult, close_run
 from repro.collectives.systems import PLANES, STATIC_OPS, make_plane
 from repro.net.cluster import Cluster
-from repro.net.config import NetworkConfig
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.workloads.models import ModelProfile, model_profile
 
@@ -24,7 +23,6 @@ def run_sync_training(
     model: "ModelProfile | str",
     system: str = "hoplite",
     num_rounds: int = 5,
-    network: Optional[NetworkConfig] = None,
 ) -> AppResult:
     """Run synchronous data-parallel training and report samples/second.
 
@@ -37,9 +35,9 @@ def run_sync_training(
     if num_nodes < 2:
         raise ValueError("synchronous training needs at least two nodes")
     if system in PLANES:
-        duration, round_latencies = _run_plane(num_nodes, model, system, num_rounds, network)
+        duration, round_latencies = _run_plane(num_nodes, model, system, num_rounds)
     elif (system, "allreduce") in STATIC_OPS:
-        duration, round_latencies = _run_static(num_nodes, model, system, num_rounds, network)
+        duration, round_latencies = _run_static(num_nodes, model, system, num_rounds)
     else:
         raise ValueError(f"unknown system {system!r}")
 
@@ -61,10 +59,9 @@ def _run_static(
     model: ModelProfile,
     system: str,
     num_rounds: int,
-    network: Optional[NetworkConfig],
 ) -> tuple[float, list[float]]:
     """OpenMPI / Gloo: compute, then a static allreduce, once per round."""
-    cluster = Cluster(num_nodes, network)
+    cluster = Cluster(num_nodes)
     sim = cluster.sim
     make_op = STATIC_OPS[(system, "allreduce")]
     ops = [make_op(cluster, model.param_bytes) for _ in range(num_rounds)]
@@ -97,10 +94,9 @@ def _run_plane(
     model: ModelProfile,
     system: str,
     num_rounds: int,
-    network: Optional[NetworkConfig],
 ) -> tuple[float, list[float]]:
     """Hoplite / Ray plane: put gradients, reduce at node 0, everyone gets."""
-    cluster = Cluster(num_nodes, network)
+    cluster = Cluster(num_nodes)
     plane = make_plane(system, cluster)
     sim = cluster.sim
     round_latencies: list[float] = []

@@ -57,6 +57,19 @@ FLEET_OPS = ("allreduce", "broadcast", "gather", "alltoall")
 #: job kinds, cycled over the fleet in arrival order.
 JOB_KINDS = ("training", "serving", "moe", "rl")
 
+#: nodes each job spans, sampled across the whole fabric.
+NODES_PER_JOB = 4
+#: mean seconds between job arrivals (open-loop Poisson).
+ARRIVAL_MEAN = 0.001
+
+#: the histogram family of op latencies (``repro.obs.export.evaluate_slos``
+#: reads it too).
+OP_LATENCY = "fleet_op_latency_seconds"
+
+#: the shared tier links whose bytes :func:`congestion_latency_correlation`
+#: correlates with op latency.
+SHARED_TIERS = ("rack_up", "rack_down", "zone_up", "zone_down")
+
 
 def size_label(nbytes: int) -> str:
     """Human size bucket used as the ``size`` label (``256KB``, ``4MB``)."""
@@ -170,8 +183,6 @@ def build_fleet(
     num_nodes: int,
     seed: int = 0,
     quick: bool = False,
-    nodes_per_job: int = 4,
-    arrival_mean: float = 0.001,
 ) -> list[FleetJobSpec]:
     """Draw a deterministic fleet: placements, sizes, and Poisson arrivals.
 
@@ -191,7 +202,7 @@ def build_fleet(
     specs: list[FleetJobSpec] = []
     clock = 0.0
     for job_id in range(num_jobs):
-        clock += rng.expovariate(1.0 / arrival_mean)
+        clock += rng.expovariate(1.0 / ARRIVAL_MEAN)
         # Kinds advance every two jobs and tenants alternate, so every
         # (tenant, kind) pair occurs — a shared cycle length would pin each
         # kind to one tenant and leave half the SLO cells empty.
@@ -201,7 +212,7 @@ def build_fleet(
                 job_id=job_id,
                 tenant=TENANTS[job_id % len(TENANTS)],
                 kind=kind,
-                nodes=tuple(rng.sample(range(num_nodes), nodes_per_job)),
+                nodes=tuple(rng.sample(range(num_nodes), NODES_PER_JOB)),
                 payload_bytes=sizes[kind],
                 rounds=2 if quick else 3,
                 arrival=clock,
@@ -221,7 +232,7 @@ class _FleetRecorder:
             self.ops = None
             return
         self.latency = obs.registry.histogram(
-            "fleet_op_latency_seconds",
+            OP_LATENCY,
             "driver-observed collective latency",
             ("tenant", "op", "size"),
         )
@@ -383,11 +394,7 @@ _JOB_BODIES = {
 }
 
 
-def congestion_latency_correlation(
-    registry,
-    tiers: tuple[str, ...] = ("rack_up", "rack_down", "zone_up", "zone_down"),
-    metric: str = "fleet_op_latency_seconds",
-) -> Optional[float]:
+def congestion_latency_correlation(registry) -> Optional[float]:
     """Pearson r between windowed tier-link bytes and windowed op latency.
 
     Both series come straight out of the registry: per-window ``link_bytes``
@@ -397,7 +404,7 @@ def congestion_latency_correlation(
     when fewer than two windows overlap or a series is constant.
     """
     link_bytes = registry.families.get("link_bytes")
-    latency = registry.families.get(metric)
+    latency = registry.families.get(OP_LATENCY)
     if link_bytes is None or latency is None:
         return None
     window = registry.window
@@ -405,7 +412,7 @@ def congestion_latency_correlation(
 
     congestion: dict[int, float] = {}
     for child in link_bytes.children.values():
-        if child.label_values[tier_idx] not in tiers:
+        if child.label_values[tier_idx] not in SHARED_TIERS:
             continue
         for t, total in child.series():
             bucket = round(t / window)

@@ -215,18 +215,21 @@ def collect_flow_usage(cluster: Cluster) -> dict:
     ).as_dict()
 
 
-def rack_interleaved_delays(
-    num_racks: int, nodes_per_rack: int, eps: float = 2e-4
-) -> list[float]:
+#: seconds between consecutive arrivals of :func:`rack_interleaved_delays`.
+RACK_INTERLEAVE_GAP = 2e-4
+
+
+def rack_interleaved_delays(num_racks: int, nodes_per_rack: int) -> list[float]:
     """Per-node arrival delays whose order round-robins across racks.
 
     Synchronized id-ordered arrival happens to build rack-contiguous
     broadcast chains and reduce trees even without topology awareness; this
     arrival pattern models placement *uncorrelated* with node ids — node 0,
     then the first node of every other rack, then everyone's second node,
-    and so on, ``eps`` apart — which is where topology-oblivious trees
-    scatter their edges across the shared tier links.  Used by the topology
-    benchmarks, the regression tests, and the example.
+    and so on, :data:`RACK_INTERLEAVE_GAP` apart — which is where
+    topology-oblivious trees scatter their edges across the shared tier
+    links.  Used by the topology benchmarks, the regression tests, and the
+    example.
     """
     order = [
         rack * nodes_per_rack + index
@@ -235,7 +238,7 @@ def rack_interleaved_delays(
     ]
     delays = [0.0] * (num_racks * nodes_per_rack)
     for position, node_id in enumerate(order):
-        delays[node_id] = position * eps
+        delays[node_id] = position * RACK_INTERLEAVE_GAP
     return delays
 
 
@@ -296,6 +299,11 @@ class Kill:
     def __post_init__(self) -> None:
         if self.target not in _KILL_VICTIMS:
             raise ValueError("target must be 'driver', 'directory', 'lineage', or 'both'")
+        # Each bound is written so that NaN fails it.
+        if self.at is not None and not self.at >= 0:
+            raise ValueError("at must be non-negative")
+        if not self.downtime >= 0:
+            raise ValueError("downtime must be non-negative")
         if self.fraction is not None:
             if self.at is not None:
                 raise ValueError("pass either at or fraction, not both")
@@ -471,12 +479,19 @@ def run(scenario: Scenario, observe: Optional[Callable[[Cluster], None]] = None)
 
 
 def _delays(arrivals: Union[float, Sequence[float]], count: int) -> list[float]:
-    """Per-participant arrival delays (a fixed interval, or given per participant)."""
+    """Per-participant arrival delays (a fixed interval, or given per participant).
+
+    A negative or NaN delay is refused, not read as 0.
+    """
     if isinstance(arrivals, (int, float)):
-        return [index * arrivals for index in range(count)]
-    if len(arrivals) != count:
-        raise ValueError(f"expected {count} arrival delays, got {len(arrivals)}")
-    return [float(delay) for delay in arrivals]
+        delays = [index * arrivals for index in range(count)]
+    else:
+        if len(arrivals) != count:
+            raise ValueError(f"expected {count} arrival delays, got {len(arrivals)}")
+        delays = [float(delay) for delay in arrivals]
+    if not all(delay >= 0 for delay in delays):
+        raise ValueError(f"arrival delays must be non-negative, got {arrivals!r}")
+    return delays
 
 
 # ---------------------------------------------------------------------------

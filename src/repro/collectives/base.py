@@ -44,27 +44,22 @@ class RankResult:
 
 
 class CollectiveGroup:
-    """A fixed group of ranks mapped onto cluster nodes.
+    """Every node of a cluster as a group of ranks, rank ``i`` on node ``i``.
 
-    This is the moral equivalent of an MPI communicator: the mapping from
-    rank to node is fixed when the group is created and every collective
-    operation on the group uses it.
+    This is the moral equivalent of MPI's world communicator: the mapping
+    from rank to node is fixed when the group is created and every
+    collective operation on the group uses it.
     """
 
-    def __init__(self, cluster: Cluster, node_ids: Optional[Sequence[int]] = None):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.config: NetworkConfig = cluster.config
         self.sim: Simulator = cluster.sim
-        if node_ids is None:
-            node_ids = [node.node_id for node in cluster.nodes]
-        if not node_ids:
-            raise StaticCollectiveError("a collective group needs at least one rank")
-        self.node_ids = list(node_ids)
-        self.nodes: list[Node] = [cluster.nodes[node_id] for node_id in self.node_ids]
+        self.nodes: list[Node] = list(cluster.nodes)
 
     @property
     def size(self) -> int:
-        return len(self.node_ids)
+        return len(self.nodes)
 
     def node_of_rank(self, rank: int) -> Node:
         if rank < 0 or rank >= self.size:

@@ -128,8 +128,8 @@ class FlatBroadcast(StaticOperation):
 class GlooCollectives:
     """Factory for Gloo-style collective operations on a cluster."""
 
-    def __init__(self, cluster, node_ids=None):
-        self.group = CollectiveGroup(cluster, node_ids)
+    def __init__(self, cluster):
+        self.group = CollectiveGroup(cluster)
         self.cluster = cluster
         self.config = cluster.config
         self.sim = cluster.sim

@@ -449,8 +449,8 @@ class MPICollectives:
     #: messages at or above this size broadcast over the pipelined chain.
     CHAIN_BROADCAST_THRESHOLD = 512 * 1024
 
-    def __init__(self, cluster, node_ids=None):
-        self.group = CollectiveGroup(cluster, node_ids)
+    def __init__(self, cluster):
+        self.group = CollectiveGroup(cluster)
         self.cluster = cluster
         self.config = cluster.config
         self.sim = cluster.sim

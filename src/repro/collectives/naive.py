@@ -50,7 +50,7 @@ class TaskSystemProfile:
     def __post_init__(self) -> None:
         if not 0 < self.bandwidth_efficiency <= 1.0:
             raise ValueError("bandwidth_efficiency must be in (0, 1]")
-        if self.per_op_overhead < 0:
+        if not self.per_op_overhead >= 0:
             raise ValueError("per_op_overhead must be non-negative")
 
 

@@ -61,10 +61,8 @@ STATIC_OPS: dict[tuple[str, str], Callable[[Cluster, int], object]] = {
 }
 
 
-def make_plane(
-    system: str, cluster: Cluster, options: Optional[HopliteOptions] = None
-) -> CommPlane:
-    """Build the object plane ``system`` on ``cluster``."""
+def make_plane(system: str, cluster: Cluster) -> CommPlane:
+    """Build the object plane ``system`` on ``cluster``, with default options."""
     if system not in PLANES:
         raise ValueError(f"unknown plane system {system!r}; expected one of {tuple(PLANES)}")
-    return PLANES[system](cluster, options)
+    return PLANES[system](cluster, None)

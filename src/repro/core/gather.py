@@ -28,7 +28,7 @@ loses a source object altogether blocks until the framework reconstructs it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Sequence
 
 from repro.core.reduce import ReduceResult
 from repro.net.flowsched import Flow, FlowClass
@@ -77,22 +77,15 @@ class AllGatherExecution:
 
     #: concurrent fetches per participant; 2 overlaps the next fetch's
     #: directory round trip with the current transfer without re-herding.
-    DEFAULT_WINDOW = 2
+    WINDOW = 2
 
-    def __init__(
-        self,
-        runtime: "HopliteRuntime",
-        node: Node,
-        source_ids: Sequence[ObjectID],
-        window: Optional[int] = None,
-    ):
+    def __init__(self, runtime: "HopliteRuntime", node: Node, source_ids: Sequence[ObjectID]):
         if not source_ids:
             raise ValueError("allgather requires at least one source object")
         self.runtime = runtime
         self.node = node
         self.sim = runtime.sim
         self.source_ids = list(source_ids)
-        self.window = max(1, window if window is not None else self.DEFAULT_WINDOW)
         self._values: dict[ObjectID, ObjectValue] = {}
         self.retries = 0
 
@@ -131,7 +124,7 @@ class AllGatherExecution:
                 self._fetch_worker(queue),
                 name=f"allgather-w{index}-n{self.node.node_id}",
             )
-            for index in range(min(self.window, len(queue)))
+            for index in range(min(self.WINDOW, len(queue)))
         ]
         yield self.sim.all_of(workers)
         if len(self._values) != len(self.source_ids):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.net.config import ClusterSpec, NetworkConfig
+from repro.net.config import NetworkConfig
 from repro.net.fastpath import FastpathStats
 from repro.net.node import Node
 from repro.net.topology import Fabric, Topology
@@ -15,9 +15,12 @@ from repro.sim import SimulationError, Simulator
 class Cluster:
     """A cluster of simulated nodes on a (possibly hierarchical) fabric.
 
-    The cluster owns the :class:`~repro.sim.Simulator` so that every
+    The cluster builds and owns its :class:`~repro.sim.Simulator`, so every
     subsystem built on top (object stores, the directory, Hoplite, the
-    baselines, and the task system) shares a single virtual clock.  The
+    baselines, and the task system) shares a single virtual clock that
+    starts at 0.  A cluster is only nodes and links: the task system owns
+    the worker slots on each node (see
+    :data:`repro.tasksys.system.WORKERS_PER_NODE`).  The
     fabric defaults to :meth:`Topology.flat` (the paper's uniform testbed);
     a hierarchical :class:`~repro.net.topology.Topology` — passed directly
     or through ``NetworkConfig(topology=...)`` — instantiates shared rack
@@ -44,8 +47,6 @@ class Cluster:
         self,
         num_nodes: int = 4,
         network: Optional[NetworkConfig] = None,
-        workers_per_node: int = 4,
-        simulator: Optional[Simulator] = None,
         topology: Optional[Topology] = None,
         fast_paths: bool = True,
     ):
@@ -58,12 +59,7 @@ class Cluster:
                 f"topology spans {self.topology.num_nodes} nodes "
                 f"but the cluster has {num_nodes}"
             )
-        self.spec = ClusterSpec(
-            num_nodes=num_nodes,
-            workers_per_node=workers_per_node,
-            network=self.config,
-        )
-        self.sim = simulator or Simulator()
+        self.sim = Simulator()
         self.fabric = Fabric(self.sim, self.topology, self.config)
         #: whether transfers may coalesce (``False`` runs every block on the
         #: per-block path: the reference the fast path must reproduce).
@@ -184,10 +180,16 @@ class Cluster:
         self.nodes[node_id].recover()
 
     def schedule_failure(self, node_id: int, at: float, recover_at: Optional[float] = None) -> None:
-        """Schedule a failure (and optional recovery) at absolute simulated times."""
-        if at < self.sim.now:
+        """Schedule a failure (and optional recovery) at absolute simulated times.
+
+        Every bound is written so that NaN fails it, and an unknown node
+        is refused here rather than when the injector fires.
+        """
+        if not 0 <= node_id < len(self.nodes):
+            raise ValueError(f"node {node_id} is not in this {len(self.nodes)}-node cluster")
+        if not at >= self.sim.now:
             raise ValueError("cannot schedule a failure in the past")
-        if recover_at is not None and recover_at < at:
+        if recover_at is not None and not recover_at >= at:
             raise ValueError("recovery must not precede the failure")
 
         def _failure_process(sim):

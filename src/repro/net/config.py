@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -53,21 +53,22 @@ class NetworkConfig:
     topology: Optional["Topology"] = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        # Each bound is written so that NaN fails it.
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.memcpy_bandwidth <= 0:
+        if not self.memcpy_bandwidth > 0:
             raise ValueError("memcpy_bandwidth must be positive")
-        if self.block_size <= 0:
+        if not self.block_size > 0:
             raise ValueError("block_size must be positive")
-        if self.latency < 0 or self.rpc_latency < 0:
+        if not (self.latency >= 0 and self.rpc_latency >= 0):
             raise ValueError("latencies must be non-negative")
-        if self.num_directory_shards <= 0:
+        if not self.num_directory_shards > 0:
             raise ValueError("num_directory_shards must be positive")
-        if self.small_object_threshold < 0:
+        if not self.small_object_threshold >= 0:
             raise ValueError("small_object_threshold must be non-negative")
-        if self.reduce_block_compute_bandwidth <= 0:
+        if not self.reduce_block_compute_bandwidth > 0:
             raise ValueError("reduce_block_compute_bandwidth must be positive")
-        if self.failure_detection_delay < 0:
+        if not self.failure_detection_delay >= 0:
             raise ValueError("failure_detection_delay must be non-negative")
 
     def transmission_time(self, nbytes: float) -> float:
@@ -99,24 +100,3 @@ class NetworkConfig:
             return self.block_size
         remainder = nbytes - self.block_size * (total - 1)
         return remainder if remainder > 0 else min(nbytes, self.block_size)
-
-
-@dataclass
-class ClusterSpec:
-    """Shape of a simulated cluster.
-
-    Attributes:
-        num_nodes: number of physical nodes.
-        workers_per_node: simulated task workers available on each node.
-        network: the network configuration shared by all nodes.
-    """
-
-    num_nodes: int = 4
-    workers_per_node: int = 4
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-
-    def __post_init__(self) -> None:
-        if self.num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        if self.workers_per_node <= 0:
-            raise ValueError("workers_per_node must be positive")

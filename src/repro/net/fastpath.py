@@ -38,12 +38,12 @@ class FastpathStats:
 
     def __init__(self) -> None:
         self.counts = {key: 0 for key in COUNTER_KEYS}
-        self.on_event: Optional[Callable[[str, int], None]] = None
+        self.on_event: Optional[Callable[[str], None]] = None
 
-    def bump(self, key: str, n: int = 1) -> None:
-        self.counts[key] += n
+    def bump(self, key: str) -> None:
+        self.counts[key] += 1
         if self.on_event is not None:
-            self.on_event(key, n)
+            self.on_event(key)
 
     def as_dict(self) -> dict:
         return dict(self.counts)

@@ -26,9 +26,12 @@ class FailureEvent:
     recover_at: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.fail_at < 0:
+        # Each bound is written so that NaN fails it.
+        if self.node_id < 0:
+            raise ValueError("node_id must be non-negative")
+        if not self.fail_at >= 0:
             raise ValueError("fail_at must be non-negative")
-        if self.recover_at is not None and self.recover_at < self.fail_at:
+        if self.recover_at is not None and not self.recover_at >= self.fail_at:
             raise ValueError("recover_at must not precede fail_at")
 
 
@@ -51,7 +54,7 @@ class ControlPlaneFailureEvent:
     def __post_init__(self) -> None:
         if self.target not in ("directory_shard", "lineage"):
             raise ValueError("target must be 'directory_shard' or 'lineage'")
-        if self.fail_at < 0 or self.shard_id < 0:
+        if not (self.fail_at >= 0 and self.shard_id >= 0):
             raise ValueError("fail_at and shard_id must be non-negative")
 
 

@@ -88,15 +88,15 @@ class Topology:
         object.__setattr__(self, "rack_zones", tuple(zones))
         if len(self.rack_zones) != len(self.rack_sizes):
             raise ValueError("rack_zones must name one zone per rack")
-        if self.oversubscription < 1.0 or self.zone_oversubscription < 1.0:
+        if not (self.oversubscription >= 1.0 and self.zone_oversubscription >= 1.0):
             raise ValueError("oversubscription ratios must be >= 1 (R:1)")
-        if self.rack_latency < 0 or self.zone_latency < 0:
+        if not (self.rack_latency >= 0 and self.zone_latency >= 0):
             raise ValueError("tier latencies must be non-negative")
         if self.nic_bandwidths is not None:
             object.__setattr__(self, "nic_bandwidths", tuple(self.nic_bandwidths))
             if len(self.nic_bandwidths) != self.num_nodes:
                 raise ValueError("nic_bandwidths must cover every node")
-            if any(bw is not None and bw <= 0 for bw in self.nic_bandwidths):
+            if any(bw is not None and not bw > 0 for bw in self.nic_bandwidths):
                 raise ValueError("NIC bandwidth overrides must be positive")
         # node id -> rack index, precomputed once (the spec is immutable).
         node_racks: list[int] = []

@@ -168,8 +168,8 @@ class Observability:
         cluster.obs = self
 
     # -- hook bodies (called from the instrumented subsystems) -------------
-    def _on_fastpath_event(self, key: str, n: int) -> None:
-        self._fastpath[key].inc(n)
+    def _on_fastpath_event(self, key: str) -> None:
+        self._fastpath[key].inc(1)
 
     def _on_node_down(self, node) -> None:
         self.node_events.append((self.sim._now, node.node_id, "down"))

@@ -168,19 +168,15 @@ class SLORow:
         return "PASS" if self.ok else "FAIL"
 
 
-def evaluate_slos(
-    registry: MetricsRegistry,
-    targets: list[SLOTarget],
-    metric: str = "fleet_op_latency_seconds",
-) -> list[SLORow]:
+def evaluate_slos(registry: MetricsRegistry, targets: list[SLOTarget]) -> list[SLORow]:
     """Evaluate every recorded (tenant, op, size) cell against the targets.
 
-    The metric must be a histogram family labeled at least (``tenant``,
-    ``op``, ``size``); cells with no matching target are skipped (they are
+    It reads the ``fleet_op_latency_seconds`` histogram family, labeled
+    at least (``tenant``, ``op``, ``size``); cells with no matching target are skipped (they are
     traffic without an SLO, e.g. background bulk), and a target with no
     recorded samples produces no row — absence of traffic is not a pass.
     """
-    family = registry.families.get(metric)
+    family = registry.families.get("fleet_op_latency_seconds")
     if family is None:
         return []
     by_cell = {(t.op, t.size): t for t in targets}

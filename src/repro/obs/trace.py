@@ -125,8 +125,8 @@ class Tracer:
     ) -> Span:
         """The root span of ``spec_id``'s trace (one per spec, reused).
 
-        Re-invoking a spec (a deliberate new incarnation) extends the same
-        trace: recovery is part of the collective's story, not a new one.
+        Re-submitting a spec extends the same trace: recovery is part of
+        the collective's story, not a new one.
         ``parent`` (when the invoking caller bound one of the spec's source
         objects to its own span, e.g. a fleet op span) records a cross-trace
         causal link: the trace_id stays the spec_id, but ``parent_id`` points

@@ -466,8 +466,8 @@ class Simulator:
         "_settled",
     )
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         #: the timed tier: a heap of ``(time, NORMAL, seq, event)``.
         self._queue: list[tuple[float, int, int, Event]] = []
         #: the urgent tier: ``(seq, event)`` pairs due now, in FIFO order.
@@ -548,7 +548,7 @@ class Simulator:
         else:
             heappush(self._queue, (at, priority, seq, event))
 
-    def wake_at(self, at: float, value: Any = None) -> Event:
+    def wake_at(self, at: float) -> Event:
         """An already-succeeded event that pops at the absolute time ``at``.
 
         Behaves like a :class:`Timeout` aimed at an exact timestamp: yield
@@ -557,7 +557,6 @@ class Simulator:
         """
         event = Event(self)
         event._ok = True
-        event._value = value
         self.schedule_at(event, at)
         return event
 

@@ -8,9 +8,10 @@ a failed caller from lineage".  This module is that lineage layer:
 
 * a :class:`CollectiveSpec` is the durable description of one collective
   invocation — the collective kind, the participants, every ObjectID the
-  collective touches (sources, targets, receive sets), the reduce operator,
-  the payloads needed to re-``Put`` a lost source, and an *incarnation*
-  counter that distinguishes deliberate re-invocations from recoveries;
+  collective touches (sources, targets, receive sets), the reduce operator
+  and the payloads needed to re-``Put`` a lost source.  A spec id names one
+  invocation: every (re-)submission of a spec is a recovery of that
+  invocation, never a fresh execution;
 * an :class:`OwnershipTable` maps every object the collective creates —
   including the *intermediate* objects Hoplite materializes on its own
   (reduce partials, broadcast relay copies, reduce-scatter shard columns) —
@@ -79,9 +80,6 @@ class CollectiveSpec:
     recvs: Dict[int, Tuple[ObjectID, ...]] = field(default_factory=dict)
     #: durable payloads for re-``Put``-ing lost sources from lineage.
     payloads: Dict[ObjectID, ObjectValue] = field(default_factory=dict)
-    #: bumped by the application for a deliberate fresh execution; recovery
-    #: re-submissions reuse the same incarnation so they deduplicate.
-    incarnation: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in COLLECTIVE_KINDS:
@@ -119,7 +117,6 @@ class CollectiveSpec:
         participants: Sequence[int],
         object_id: ObjectID,
         value: ObjectValue,
-        incarnation: int = 0,
     ) -> "CollectiveSpec":
         participants = tuple(participants)
         return CollectiveSpec(
@@ -130,7 +127,6 @@ class CollectiveSpec:
             sources={root: (object_id,)},
             recvs={rank: (object_id,) for rank in participants if rank != root},
             payloads={object_id: value},
-            incarnation=incarnation,
         )
 
     @staticmethod
@@ -142,7 +138,6 @@ class CollectiveSpec:
         target_id: ObjectID,
         values: Dict[ObjectID, ObjectValue],
         op: ReduceOp = ReduceOp.SUM,
-        incarnation: int = 0,
         allreduce: bool = False,
     ) -> "CollectiveSpec":
         participants = tuple(participants)
@@ -160,7 +155,6 @@ class CollectiveSpec:
             targets={root: target_id},
             recvs=recvs,
             payloads=dict(values),
-            incarnation=incarnation,
         )
 
     @staticmethod
@@ -169,7 +163,6 @@ class CollectiveSpec:
         participants: Sequence[int],
         sources: Dict[int, ObjectID],
         values: Dict[ObjectID, ObjectValue],
-        incarnation: int = 0,
     ) -> "CollectiveSpec":
         participants = tuple(participants)
         everything = tuple(sources[rank] for rank in participants)
@@ -180,7 +173,6 @@ class CollectiveSpec:
             sources={rank: (sources[rank],) for rank in participants},
             recvs={rank: everything for rank in participants},
             payloads=dict(values),
-            incarnation=incarnation,
         )
 
     @staticmethod
@@ -190,16 +182,14 @@ class CollectiveSpec:
         matrix: Dict[Tuple[int, int], ObjectID],
         targets: Dict[int, ObjectID],
         values: Dict[ObjectID, ObjectValue],
-        op: ReduceOp = ReduceOp.SUM,
-        incarnation: int = 0,
     ) -> "CollectiveSpec":
-        """``matrix[(i, j)]`` is produced by ``i`` and reduced into ``targets[j]``."""
+        """``matrix[(i, j)]`` is produced by ``i`` and summed into ``targets[j]``."""
         participants = tuple(participants)
         return CollectiveSpec(
             spec_id=spec_id,
             kind="reduce_scatter",
             participants=participants,
-            op=op,
+            op=ReduceOp.SUM,
             sources={
                 i: tuple(matrix[(i, j)] for j in participants) for i in participants
             },
@@ -208,7 +198,6 @@ class CollectiveSpec:
                 j: tuple(matrix[(i, j)] for i in participants) for j in participants
             },
             payloads=dict(values),
-            incarnation=incarnation,
         )
 
     @staticmethod
@@ -217,7 +206,6 @@ class CollectiveSpec:
         participants: Sequence[int],
         matrix: Dict[Tuple[int, int], ObjectID],
         values: Dict[ObjectID, ObjectValue],
-        incarnation: int = 0,
     ) -> "CollectiveSpec":
         """``matrix[(src, dst)]`` travels from ``src`` to ``dst`` (no self pairs)."""
         participants = tuple(participants)
@@ -238,7 +226,6 @@ class CollectiveSpec:
                 for dst in participants
             },
             payloads=dict(values),
-            incarnation=incarnation,
         )
 
 
@@ -341,12 +328,6 @@ class LineageLog:
         self.submissions: Dict[str, int] = {}
 
     def record(self, spec: CollectiveSpec) -> None:
-        existing = self._specs.get(spec.spec_id)
-        if existing is not None and existing.incarnation > spec.incarnation:
-            raise ValueError(
-                f"spec {spec.spec_id} already recorded at incarnation "
-                f"{existing.incarnation} > {spec.incarnation}"
-            )
         self._specs[spec.spec_id] = spec
 
     def spec(self, spec_id: str) -> CollectiveSpec:

@@ -13,8 +13,9 @@ anonymous simulation process:
 * every participant's share — producing its source objects, driving the
   rooted reduce, gathering its column — is a *driver task* registered in the
   :class:`~repro.tasksys.system.TaskSystem` under an idempotency key derived
-  from ``(spec_id, role, rank, incarnation)``, so recovery re-submissions
-  adopt surviving tasks instead of duplicating them;
+  from ``(spec_id, role, rank)``, so recovery re-submissions adopt surviving
+  tasks instead of duplicating them; each task is retried up to
+  :data:`DEFAULT_MAX_RESTARTS` times;
 * per-rank shares use **strict placement** (their objects must materialize
   on their rank's node, so they wait out that node's downtime), while the
   root/caller share uses **soft placement** and migrates to any alive node —
@@ -240,12 +241,11 @@ class CollectiveOrchestrator:
         "alltoall": _alltoall_share,
     }
 
-    def __init__(self, system: TaskSystem, max_restarts: int = DEFAULT_MAX_RESTARTS):
+    def __init__(self, system: TaskSystem):
         self.system = system
         self.cluster = system.cluster
         self.plane = system.plane
         self.sim = system.sim
-        self.max_restarts = max_restarts
         self.lineage = LineageLog()
         self.ownership = OwnershipTable()
         self.metrics: Dict[str, int] = {
@@ -303,22 +303,21 @@ class CollectiveOrchestrator:
     def register(self, spec: CollectiveSpec) -> None:
         """Record the spec durably and declare its objects' ownership."""
         is_new = spec.spec_id not in self.lineage
-        previous = None if is_new else self.lineage.spec(spec.spec_id)
         if is_new:
             self.ownership.register_spec(spec)
         self.lineage.record(spec)
-        if is_new or previous.incarnation != spec.incarnation:
+        if is_new:
             self.control.wal.append("spec", (spec,))
 
     # -- submission -----------------------------------------------------------
     def submit(self, spec: CollectiveSpec) -> Dict[Tuple[str, int], ObjectRef]:
-        """(Re-)submit the spec's driver task set; idempotent by incarnation.
+        """(Re-)submit the spec's driver task set; idempotent per spec.
 
         Producer shares and per-rank shares are strict (pinned to their
         rank's node); the root/caller share is soft and migrates to any
         alive node on re-execution.  Re-submitting an already-running spec
-        returns the existing tasks — the task system deduplicates on the
-        ``(key, incarnation)`` pair.
+        returns the existing tasks — the task system deduplicates on each
+        task's key.
         """
         self.register(spec)
         self.lineage.note_submission(spec.spec_id)
@@ -332,9 +331,8 @@ class CollectiveOrchestrator:
                 node=node,
                 name=f"{spec.spec_id}:{role}:{rank}",
                 key=f"{spec.spec_id}#{role}/{rank}",
-                incarnation=spec.incarnation,
                 placement=placement,
-                max_restarts=self.max_restarts,
+                max_restarts=DEFAULT_MAX_RESTARTS,
             )
 
         common = dict(orch=self, spec_id=spec.spec_id)
@@ -401,7 +399,6 @@ class CollectiveOrchestrator:
                 spec.kind,
                 parent=parent,
                 participants=len(spec.participants),
-                incarnation=spec.incarnation,
             )
             for oid in spec.all_source_ids():
                 obs.tracer.bind_object(oid, root_span)
@@ -432,7 +429,7 @@ class CollectiveOrchestrator:
 
     def fetch(self, ref: ObjectRef) -> Generator:
         """Framework-side fetch: reads through any alive node, with retries."""
-        delay = self.system.failure_detection_delay
+        delay = self.cluster.config.failure_detection_delay
         while True:
             node = next((n for n in self.cluster.nodes if n.alive), None)
             if node is None:
@@ -538,10 +535,9 @@ class CollectiveOrchestrator:
         the WAL's count (see :meth:`DurableService.replay`).  Only a killed
         plane replays.  Every spec
         that had been submitted but not completed at the kill is re-submitted
-        at its last durable incarnation — the task system's ``(key,
-        incarnation)`` dedup turns that into adoption of surviving driver
-        tasks rather than duplicate work, which is what "resume, don't
-        restart" means operationally.
+        from its durable spec — the task system's dedup by key turns that
+        into adoption of surviving driver tasks rather than duplicate work,
+        which is what "resume, don't restart" means operationally.
         """
         applied = self.control.replay(self._restore, self._replay_record)
         resubmitted = 0
@@ -556,7 +552,7 @@ class CollectiveOrchestrator:
         return applied, resubmitted
 
     def _recover_control_plane(self) -> Generator:
-        yield self.sim.timeout(self.system.failure_detection_delay)
+        yield self.sim.timeout(self.cluster.config.failure_detection_delay)
         applied, resubmitted = self.replay_after_restart()
         yield from self.control.revive(
             applied, f"applied={applied}/resubmitted={resubmitted}"

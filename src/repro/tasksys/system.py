@@ -2,26 +2,27 @@
 
 The model follows Section 2.1 of the paper:
 
-* the driver (running on node 0 by convention) submits tasks dynamically and
-  receives :class:`~repro.tasksys.refs.ObjectRef` futures immediately;
-* the scheduler places each task on a worker slot of an alive node
-  (round-robin, with an optional placement hint);
+* the driver (running on node 0, :data:`DRIVER_NODE`) submits tasks
+  dynamically and receives :class:`~repro.tasksys.refs.ObjectRef` futures
+  immediately;
+* the scheduler places each task on one of the :data:`WORKERS_PER_NODE`
+  worker slots of an alive node (round-robin, with an optional placement
+  hint);
 * a worker fetches the task's ObjectRef arguments through the communication
   plane, runs the task body (a generator that can consume simulated compute
   time and use the plane directly), and ``Put``s the result;
 * when a node fails, tasks running on it fail and are resubmitted, and
   finished objects whose only copy lived there are reconstructed by
-  re-executing their producer task (lineage), after a failure-detection
-  delay — well-behaving tasks never roll back.
+  re-executing their producer task (lineage), after the network's
+  ``failure_detection_delay`` — well-behaving tasks never roll back.
 
 For the collective orchestration layer (Section 6) the system additionally
 supports:
 
-* **idempotent re-submission by key and incarnation** — submitting a task
-  with the same ``(key, incarnation)`` returns the existing record instead
-  of duplicating it, so a recovery path that re-submits a collective's task
-  set adopts the surviving tasks; a *higher* incarnation supersedes the old
-  record (a deliberate fresh execution);
+* **idempotent re-submission by key** — submitting a task with a key
+  already submitted returns the existing record instead of duplicating it
+  (reviving it if it had failed permanently), so a recovery path that
+  re-submits a collective's task set adopts the surviving tasks;
 * **strict placement** — a task pinned to a rank's node waits for that node
   to recover instead of migrating, because a participant's share of a
   collective must produce its objects *on* that participant's node;
@@ -52,6 +53,12 @@ from repro.store.objects import ObjectID, ObjectValue
 from repro.tasksys.refs import ObjectRef
 
 
+#: task worker slots on every node.
+WORKERS_PER_NODE = 4
+#: the node the driver runs on, and where driver-side gets and puts land.
+DRIVER_NODE = 0
+
+
 class TaskError(RuntimeError):
     """A task failed for a non-recoverable reason."""
 
@@ -75,10 +82,9 @@ class TaskSpec:
     name: str = ""
     node_hint: Optional[int] = None
     max_restarts: int = 10
-    #: idempotency key: re-submitting the same (key, incarnation) adopts the
-    #: existing record instead of duplicating the task.
+    #: idempotency key: re-submitting the same key adopts the existing
+    #: record instead of duplicating the task.
     key: Optional[str] = None
-    incarnation: int = 0
     #: "soft" tasks migrate to any alive node on re-execution; "strict" tasks
     #: are pinned to ``node_hint`` and wait for it to recover.
     placement: str = "soft"
@@ -155,25 +161,12 @@ class TaskSystem:
     (:meth:`~repro.tasksys.orchestrator.CollectiveOrchestrator.close`).
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        plane: CommPlane,
-        workers_per_node: Optional[int] = None,
-        driver_node: int = 0,
-        failure_detection_delay: Optional[float] = None,
-    ):
+    def __init__(self, cluster: Cluster, plane: CommPlane):
         self.cluster = cluster
         self.plane = plane
         self.sim = cluster.sim
         self.config = cluster.config
-        self.driver_node = cluster.nodes[driver_node]
-        self.workers_per_node = workers_per_node or cluster.spec.workers_per_node
-        self.failure_detection_delay = (
-            failure_detection_delay
-            if failure_detection_delay is not None
-            else cluster.config.failure_detection_delay
-        )
+        self.driver_node = cluster.nodes[DRIVER_NODE]
         self._task_counter = itertools.count()
         self._rr_counter = itertools.count()
         self.tasks: dict[int, TaskRecord] = {}
@@ -182,7 +175,7 @@ class TaskSystem:
         #: object id -> producing task id (lineage for reconstruction).
         self.lineage: dict[ObjectID, int] = {}
         self.worker_slots: dict[int, Resource] = {
-            node.node_id: Resource(self.sim, capacity=self.workers_per_node)
+            node.node_id: Resource(self.sim, capacity=WORKERS_PER_NODE)
             for node in cluster.nodes
         }
         self.metrics = TaskSystemMetrics()
@@ -213,7 +206,6 @@ class TaskSystem:
         output_id: Optional[ObjectID] = None,
         max_restarts: int = 10,
         key: Optional[str] = None,
-        incarnation: int = 0,
         placement: str = "soft",
     ) -> ObjectRef:
         """Submit a task; returns the future of its output immediately.
@@ -222,10 +214,9 @@ class TaskSystem:
         return value is an :class:`ObjectValue` (or ``None``); the system
         stores it under the returned ref's ObjectID.
 
-        When ``key`` is given, submission is idempotent per
-        ``(key, incarnation)``: a duplicate submission returns the existing
-        record's ref (reviving it if it had failed permanently), and a
-        submission with a higher incarnation supersedes the old record.
+        When ``key`` is given, submission is idempotent per key: a
+        duplicate submission returns the existing record's ref (reviving it
+        if it had failed permanently).
         """
         if placement not in ("soft", "strict"):
             raise ValueError(f"unknown placement {placement!r}")
@@ -235,17 +226,13 @@ class TaskSystem:
             existing_id = self._by_key.get(key)
             if existing_id is not None:
                 record = self.tasks[existing_id]
-                if record.spec.incarnation >= incarnation:
-                    if record.status is TaskStatus.FAILED:
-                        self._revive(record)
-                    self.metrics.deduplicated += 1
-                    return ObjectRef(
-                        object_id=record.spec.output_id,
-                        producer_task_id=record.spec.task_id,
-                    )
-                # A higher incarnation supersedes the old record: cancel it
-                # so the two incarnations never run concurrently.
-                self._supersede(record)
+                if record.status is TaskStatus.FAILED:
+                    self._revive(record)
+                self.metrics.deduplicated += 1
+                return ObjectRef(
+                    object_id=record.spec.output_id,
+                    producer_task_id=record.spec.task_id,
+                )
         task_id = next(self._task_counter)
         output = output_id or ObjectID.unique(self.cluster, f"task-{task_id}")
         spec = TaskSpec(
@@ -258,7 +245,6 @@ class TaskSystem:
             node_hint=node,
             max_restarts=max_restarts,
             key=key,
-            incarnation=incarnation,
             placement=placement,
         )
         record = TaskRecord(spec=spec, finished_event=Event(self.sim))
@@ -277,28 +263,6 @@ class TaskSystem:
         if record.finished_event is None or record.finished_event.triggered:
             record.finished_event = Event(self.sim)
         self._launch(record)
-
-    def _supersede(self, record: TaskRecord) -> None:
-        """Cancel a record that a higher incarnation replaces.
-
-        Marked FAILED *before* the interrupt so the dying process's failure
-        handler sees a finalized record and does not resubmit it.
-        """
-        was_running = record.status in (TaskStatus.PENDING, TaskStatus.RUNNING)
-        if record.status is not TaskStatus.FINISHED:
-            record.status = TaskStatus.FAILED
-            self._release_task_resources(record)
-            if not record.finished_event.triggered:
-                record.finished_event.fail(
-                    TaskError(
-                        f"task {record.spec.describe()} superseded by a newer incarnation"
-                    )
-                )
-                # An expected cancellation, not an error to surface if
-                # nobody happens to be waiting on the old incarnation.
-                record.finished_event.defused = True
-        if was_running and record.process is not None and record.process.is_alive:
-            record.process.interrupt("superseded by a newer incarnation")
 
     # -- scheduling ------------------------------------------------------------------
     def _pick_node(self, spec: TaskSpec) -> Node:
@@ -412,8 +376,8 @@ class TaskSystem:
 
     def _handle_task_failure(self, record: TaskRecord, exc: BaseException) -> None:
         if record.status is TaskStatus.FAILED:
-            # Already finalized (superseded or permanently failed); the
-            # interrupt that killed the process must not resubmit it.
+            # Already finalized (permanently failed); the interrupt that
+            # killed the process must not resubmit it.
             return
         record.failure = exc
         self.metrics.failures += 1
@@ -470,8 +434,7 @@ class TaskSystem:
             if entry is None:
                 continue
             if self._held_by_another_live_task(record, node_id, object_id):
-                # A sibling task (e.g. a newer incarnation of the same
-                # share) still depends on this copy's pin.
+                # Another live task still depends on this copy's pin.
                 continue
             entry.pinned = False
             if not entry.sealed and entry.ref_count == 0 and not entry.has_waiters:
@@ -492,7 +455,7 @@ class TaskSystem:
         )
 
     def _resubmit_after_delay(self, record: TaskRecord) -> Generator:
-        yield self.sim.timeout(self.failure_detection_delay)
+        yield self.sim.timeout(self.config.failure_detection_delay)
         self.metrics.reconstructions += 1
         self._launch(record)
 

@@ -60,10 +60,9 @@ def test_collective_group_validation():
     cluster = Cluster(num_nodes=4)
     group = CollectiveGroup(cluster)
     assert group.size == 4
+    assert group.nodes == cluster.nodes
     with pytest.raises(StaticCollectiveError):
         group.node_of_rank(9)
-    with pytest.raises(StaticCollectiveError):
-        CollectiveGroup(cluster, [])
 
 
 def test_mpi_broadcast_algorithm_selection_by_size():

@@ -15,7 +15,7 @@ Covers the durability layer end to end:
   every point, every replay checked by the oracle;
 * a live service refuses to replay;
 * lineage/ownership kills through the orchestrator: in-flight specs resume
-  from their last durable incarnation via ``replay_after_restart``, and
+  from their durable specs via ``replay_after_restart``, and
   tasks that restart during the downtime park in ``lookup_spec`` until the
   replayed plane answers them serially;
 * the streaming-allreduce recovery satellites (root progress preserved on a
@@ -362,8 +362,8 @@ def test_control_plane_kill_mid_collective_resumes_spec():
     )
     assert orchestrator.metrics["control_plane_kills"] == 1
     assert orchestrator.control.alive
-    # The replayed lineage re-submitted the in-flight spec at its durable
-    # incarnation; the (key, incarnation) dedup adopted the live tasks.
+    # The replayed lineage re-submitted the in-flight spec; the task
+    # system's dedup by key adopted the live tasks.
     assert orchestrator.metrics["control_plane_resubmissions"] >= 1
     assert spec.spec_id in orchestrator.lineage
     assert spec.spec_id in orchestrator.completed

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.net.config import ClusterSpec, NetworkConfig
+from repro.net.config import NetworkConfig
 
 
 def test_default_config_matches_paper_testbed():
@@ -35,10 +35,6 @@ def test_validation_errors():
         NetworkConfig(memcpy_bandwidth=0)
     with pytest.raises(ValueError):
         NetworkConfig(num_directory_shards=0)
-    with pytest.raises(ValueError):
-        ClusterSpec(num_nodes=0)
-    with pytest.raises(ValueError):
-        ClusterSpec(num_nodes=2, workers_per_node=0)
 
 
 def test_validation_rejects_negative_timing_parameters():

@@ -93,9 +93,7 @@ CASES = {
         "failures",
     ),
     "moe-failure": _faulted_app(
-        lambda: run_moe_routing(
-            4, "hoplite", 2, shard_bytes=1 * MB, failure=FailureSchedule(2, 0.005, 0.05)
-        ),
+        lambda: run_moe_routing(4, "hoplite", 2, failure=FailureSchedule(2, 0.005, 0.05)),
         "retries",
     ),
     "sync-training": lambda: run_sync_training(4, "alexnet", "hoplite", 2),

@@ -483,16 +483,14 @@ def test_link_families_refuse_a_truncated_recording(monkeypatch):
         assert str(raised.value) == str(expected.value)
 
 
-def _traced_system(num_nodes=3, workers_per_node=1):
+def _traced_system():
     from repro.collectives.plane import HoplitePlane
     from repro.core.runtime import HopliteRuntime
     from repro.tasksys import TaskSystem
 
-    cluster = Cluster(num_nodes=num_nodes, network=NetworkConfig())
+    cluster = Cluster(num_nodes=3, network=NetworkConfig())
     obs = cluster.enable_observability()
-    system = TaskSystem(
-        cluster, HoplitePlane(HopliteRuntime(cluster)), workers_per_node=workers_per_node
-    )
+    system = TaskSystem(cluster, HoplitePlane(HopliteRuntime(cluster)))
     return cluster, obs, system
 
 
@@ -500,6 +498,8 @@ def test_task_failing_before_start_spans_per_attempt():
     """An attempt killed while still queued is a 'retrying' span; the
     replacement attempt is a sibling in the same trace, and the task body
     never ran for the dead attempt."""
+    from repro.tasksys.system import WORKERS_PER_NODE
+
     cluster, obs, system = _traced_system()
     root = obs.tracer.root_for_spec("prestart-spec", "test")
     calls = []
@@ -515,9 +515,11 @@ def test_task_failing_before_start_spans_per_attempt():
     cluster.schedule_failure(1, at=0.3)
 
     def driver():
-        system.submit(blocker, node=1, name="blocker")
-        # One worker slot per node: the victim queues behind the blocker and
-        # is still waiting for the slot when node 1 dies at t=0.3.
+        # The blockers take every worker slot of node 1: the victim queues
+        # behind them and is still waiting for a slot when node 1 dies at
+        # t=0.3.
+        for index in range(WORKERS_PER_NODE):
+            system.submit(blocker, node=1, name=f"blocker-{index}")
         ref = system.submit(victim, node=1, name="victim", key="prestart-spec#w/0")
         yield from system.get(ref)
 

@@ -4,7 +4,7 @@ Covers the Section 6 subsystem end to end:
 
 * the ownership table (declared objects, derived partials, relay copies,
   node drops);
-* idempotent re-submission by (key, incarnation);
+* idempotent re-submission by key;
 * simultaneous root + producer failure;
 * a re-executed root adopting a reduce that finishes during the
   failure-detection delay (directory adoption) and one still in flight
@@ -164,19 +164,17 @@ def test_orchestrator_records_partials_and_relays_during_a_reduce():
 # ---------------------------------------------------------------------------
 
 
-def test_submission_is_idempotent_per_key_and_incarnation():
+def test_submission_is_idempotent_per_key():
     cluster, _runtime, system, _orch = _build(3)
 
     def body(ctx):
         yield ctx.compute(0.01)
         return ObjectValue.of_size(1024)
 
-    first = system.submit(body, key="k", incarnation=0)
-    duplicate = system.submit(body, key="k", incarnation=0)
+    first = system.submit(body, key="k")
+    duplicate = system.submit(body, key="k")
     assert duplicate.producer_task_id == first.producer_task_id
     assert system.metrics.deduplicated == 1
-    superseded = system.submit(body, key="k", incarnation=1)
-    assert superseded.producer_task_id != first.producer_task_id
     cluster.run()
 
 

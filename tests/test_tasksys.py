@@ -259,27 +259,6 @@ def test_strict_placement_waits_for_the_nodes_recovery():
         system.submit(task, node=1, placement="sideways")
 
 
-def test_higher_incarnation_supersedes_and_cancels_the_old_record():
-    cluster, system = make_system()
-
-    def slow(ctx):
-        yield ctx.compute(5.0)
-        return ObjectValue.of_size(MB)
-
-    def driver():
-        old = system.submit(slow, key="k", incarnation=0)
-        yield cluster.sim.timeout(0.1)
-        new = system.submit(slow, key="k", incarnation=1)
-        yield from system.wait([new], num_returns=1)
-        return old, new
-
-    old, new = run_driver(cluster, driver())
-    assert new.producer_task_id != old.producer_task_id
-    # The old incarnation must not keep running alongside the new one.
-    assert system.tasks[old.producer_task_id].status.value == "failed"
-    assert system.tasks[new.producer_task_id].status.value == "finished"
-
-
 def test_idempotent_key_revives_a_permanently_failed_task():
     cluster, system = make_system()
     state = {"raises": True}
