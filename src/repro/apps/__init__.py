@@ -1,10 +1,14 @@
 """Application-level workloads from the paper's evaluation (Sections 5.2-5.6).
 
-Each application builds its own simulated cluster, runs the same driver logic
-over a selectable communication plane (Hoplite, Ray-style, Dask-style) or
-static collective library (OpenMPI, Gloo, for synchronous training), and
-returns an :class:`~repro.apps.common.AppResult` with throughput and
-per-iteration latencies.
+Every application runs through one harness,
+:func:`~repro.apps.common.run_app`: it builds the cluster, the selected
+communication plane (Hoplite, Ray-style, Dask-style; none for the static
+OpenMPI and Gloo libraries of synchronous training), the failure and, where
+the app uses one, the task system; the app's ``start`` callback spawns its
+processes; and the harness runs, checks and closes the run and returns an
+:class:`~repro.apps.common.AppResult` with throughput, per-iteration
+latencies and metrics.  Async SGD and both RL algorithms share one server
+loop, :func:`repro.apps.param_server.serve`.
 
 Each application loads on first use: ``from repro.apps import
 run_model_serving`` imports :mod:`repro.apps.serving` alone, and importing

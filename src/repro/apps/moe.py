@@ -31,10 +31,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule, close_run, retry_across_failures
-from repro.collectives.systems import make_plane
-from repro.net.cluster import Cluster
-from repro.net.faults import install
+from repro.apps.common import AppResult, FailureSchedule, Run, retry_across_failures, run_app
 from repro.sim import Event
 from repro.store.objects import ObjectID, ObjectValue
 
@@ -55,26 +52,9 @@ def run_moe_routing(
     num_iterations: int = 3,
     failure: Optional[FailureSchedule] = None,
 ) -> AppResult:
-    """Run ``num_iterations`` of MoE routing and report iterations/second.
-
-    Once the queue has drained it closes the plane's runtime and the
-    cluster (:func:`~repro.apps.common.close_run`), so reference counting
-    frees the run; a run that raises stays open.
-    """
+    """Run ``num_iterations`` of MoE routing and report iterations/second."""
     if num_nodes < 2:
         raise ValueError("MoE routing needs at least two nodes")
-    cluster = Cluster(num_nodes)
-    plane = make_plane(system, cluster)
-    install(cluster, [failure] if failure else ())
-    sim = cluster.sim
-
-    iteration_latencies: list[float] = []
-    total_retries = {"count": 0}
-    #: per-iteration completion barrier: all workers check in, last one
-    #: records the iteration latency.
-    barriers: list[dict] = [
-        {"arrived": 0, "event": Event(sim), "start": None} for _ in range(num_iterations)
-    ]
 
     def _pair_id(kind: str, iteration: int, src: int, dst: int) -> ObjectID:
         return ObjectID.of(f"moe-{kind}-i{iteration}-{src}-{dst}")
@@ -82,87 +62,70 @@ def run_moe_routing(
     def _gate_id(iteration: int, worker: int) -> ObjectID:
         return ObjectID.of(f"moe-gate-i{iteration}-{worker}")
 
-    def _exchange(node_id: int, kind: str, iteration: int) -> Generator:
-        sends = [
-            (
-                _pair_id(kind, iteration, node_id, dst),
-                ObjectValue.of_size(SHARD_BYTES),
-            )
-            for dst in range(num_nodes)
-            if dst != node_id
+    def start(run: Run) -> None:
+        cluster, plane = run.cluster, run.plane
+        sim = cluster.sim
+        # ``fastpath`` is the cluster's live counter dict, final once the run drains.
+        run.metrics.update(
+            shard_bytes=SHARD_BYTES,
+            gate_bytes=GATE_BYTES,
+            retries=0,
+            fastpath=cluster.fastpath_stats.counts,
+        )
+        #: per-iteration completion barrier: all workers check in, last one
+        #: records the iteration latency.
+        barriers: list[dict] = [
+            {"arrived": 0, "event": Event(sim), "start": None} for _ in range(num_iterations)
         ]
-        recv_ids = [
-            _pair_id(kind, iteration, src, node_id)
-            for src in range(num_nodes)
-            if src != node_id
-        ]
-        result = yield from plane.alltoall(cluster.node(node_id), sends, recv_ids)
-        return result
 
-    def _iteration(node_id: int, iteration: int) -> Generator:
-        node = cluster.node(node_id)
-        # 1. dispatch tokens to the experts.
-        yield from _exchange(node_id, "disp", iteration)
-        # 2. expert forward pass over the tokens this expert received.
-        yield sim.timeout(SHARD_BYTES * (num_nodes - 1) / EXPERT_BANDWIDTH)
-        # 3. combine: processed tokens return to their sources.
-        yield from _exchange(node_id, "comb", iteration)
-        # 4. gate statistics allgather (small objects).
-        yield from plane.put(
-            node, _gate_id(iteration, node_id), ObjectValue.of_size(GATE_BYTES)
-        )
-        yield from plane.allgather(
-            node, [_gate_id(iteration, w) for w in range(num_nodes)]
-        )
+        def _exchange(node_id: int, kind: str, iteration: int) -> Generator:
+            others = [peer for peer in range(num_nodes) if peer != node_id]
+            sends = [
+                (_pair_id(kind, iteration, node_id, dst), ObjectValue.of_size(SHARD_BYTES))
+                for dst in others
+            ]
+            recv_ids = [_pair_id(kind, iteration, src, node_id) for src in others]
+            return (yield from plane.alltoall(cluster.node(node_id), sends, recv_ids))
 
-    def _count_retry() -> None:
-        total_retries["count"] += 1
-
-    def _worker(node_id: int) -> Generator:
-        for iteration in range(num_iterations):
-            barrier = barriers[iteration]
-            if barrier["start"] is None:
-                barrier["start"] = sim.now
-            yield from retry_across_failures(
-                cluster,
-                node_id,
-                lambda iteration=iteration: _iteration(node_id, iteration),
-                on_retry=_count_retry,
+        def _iteration(node_id: int, iteration: int) -> Generator:
+            node = cluster.node(node_id)
+            # 1. dispatch tokens to the experts.
+            yield from _exchange(node_id, "disp", iteration)
+            # 2. expert forward pass over the tokens this expert received.
+            yield sim.timeout(SHARD_BYTES * (num_nodes - 1) / EXPERT_BANDWIDTH)
+            # 3. combine: processed tokens return to their sources.
+            yield from _exchange(node_id, "comb", iteration)
+            # 4. gate statistics allgather (small objects).
+            yield from plane.put(
+                node, _gate_id(iteration, node_id), ObjectValue.of_size(GATE_BYTES)
             )
-            barrier["arrived"] += 1
-            if barrier["arrived"] >= num_nodes:
-                iteration_latencies.append(sim.now - barrier["start"])
-                if not barrier["event"].triggered:
-                    barrier["event"].succeed(sim.now)
-            yield barrier["event"]
+            yield from plane.allgather(node, [_gate_id(iteration, w) for w in range(num_nodes)])
 
-    workers = [
-        sim.process(_worker(node_id), name=f"moe-worker-{node_id}")
-        for node_id in range(num_nodes)
-    ]
-    cluster.run()
-    sim.check_failures()
-    close_run(cluster, plane)
+        def _count_retry() -> None:
+            run.metrics["retries"] += 1
 
-    incomplete = [proc for proc in workers if proc.is_alive]
-    if incomplete:
-        raise RuntimeError(
-            f"{len(incomplete)} MoE workers never finished (unrecovered failure?)"
-        )
-    duration = sim.now
-    throughput = num_iterations / duration if duration > 0 else 0.0
-    return AppResult(
-        app="moe_routing",
-        system=system,
-        num_nodes=num_nodes,
-        duration=duration,
-        throughput=throughput,
-        iteration_latencies=iteration_latencies,
-        metrics={
-            "shard_bytes": SHARD_BYTES,
-            "gate_bytes": GATE_BYTES,
-            "events_processed": sim.events_processed,
-            "retries": total_retries["count"],
-            "fastpath": cluster.fastpath_stats.as_dict(),
-        },
+        def _worker(node_id: int) -> Generator:
+            for iteration in range(num_iterations):
+                barrier = barriers[iteration]
+                if barrier["start"] is None:
+                    barrier["start"] = sim.now
+                yield from retry_across_failures(
+                    cluster,
+                    node_id,
+                    lambda iteration=iteration: _iteration(node_id, iteration),
+                    on_retry=_count_retry,
+                )
+                barrier["arrived"] += 1
+                if barrier["arrived"] >= num_nodes:
+                    run.latencies.append(sim.now - barrier["start"])
+                    if not barrier["event"].triggered:
+                        barrier["event"].succeed(sim.now)
+                yield barrier["event"]
+
+        for node_id in range(num_nodes):
+            sim.process(_worker(node_id), name=f"moe-worker-{node_id}")
+
+    return run_app(
+        "moe_routing", system, num_nodes, num_iterations, num_iterations, failure, start,
+        plane=True, tasks=False,
     )

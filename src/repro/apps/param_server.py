@@ -11,19 +11,17 @@ With Hoplite the reduce is a streaming tree reduce and the broadcast is
 receiver driven; with the Ray/Dask plane the parameter server fetches every
 gradient itself and every worker fetches the weights from the server, which
 saturates the server's NIC — the bottleneck the paper identifies.
+
+Both reinforcement-learning algorithms (:mod:`repro.apps.rl`) run the same
+server loop, :func:`serve`, with their own constants.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule, close_run
-from repro.collectives.systems import make_plane
-from repro.net.cluster import Cluster
-from repro.net.faults import install
+from repro.apps.common import AppResult, FailureSchedule, Run, run_app
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
-from repro.tasksys.system import TaskSystem
 from repro.workloads.models import ModelProfile, model_profile
 
 #: simulated time the server spends applying one batch of gradients.
@@ -36,6 +34,81 @@ def _gradient_task(ctx, weights_value: ObjectValue, model: ModelProfile) -> Gene
     return ObjectValue.of_size(model.param_bytes)
 
 
+def half_batch(num_nodes: int) -> int:
+    """The results one server iteration takes: half of the ``num_nodes - 1``
+    workers', rounded up."""
+    return num_nodes // 2
+
+
+def serve(
+    run: Run,
+    model: ModelProfile,
+    num_iterations: int,
+    task: Callable[..., Generator],
+    task_name: Callable[[int, int], str],
+    params: str,
+    update: Optional[str],
+    update_time: float,
+) -> Generator:
+    """The server of Figure 1's dynamic pattern, on the task system's driver.
+
+    It puts the parameters (``params``, ``model.param_bytes``) and submits
+    ``task(ctx, params_value, model)`` once per worker, named
+    ``task_name(worker, iteration)``.  Each iteration takes the first
+    :func:`half_batch` results: with an ``update`` name it reduces them at
+    the driver's node into ``{update}-{iteration}`` and gets the sum;
+    without one it waits for them and gets each.  It then sleeps
+    ``update_time``, puts ``{params}-{iteration + 1}`` and resubmits
+    exactly the workers it consumed.  The run's duration is the window of
+    the ``num_iterations`` iterations.
+    """
+    cluster, plane, tasks = run.cluster, run.plane, run.task_system
+    sim = cluster.sim
+    server = tasks.driver_node
+    batch = half_batch(len(cluster.nodes))
+    # output id -> (worker, ref) of each task in flight, in submission order.
+    outstanding: dict[ObjectID, tuple] = {}
+
+    def launch(workers: list[int], params_ref, iteration: int) -> None:
+        for worker in workers:
+            name = task_name(worker, iteration)
+            ref = tasks.submit(task, args=(params_ref, model), node=worker, name=name)
+            outstanding[ref.object_id] = (worker, ref)
+
+    params_ref = yield from tasks.put(
+        ObjectValue.of_size(model.param_bytes), ObjectID.unique(cluster, params)
+    )
+    launch([node.node_id for node in cluster.nodes if node is not server], params_ref, 0)
+    start = sim.now
+    for iteration in range(num_iterations):
+        iteration_start = sim.now
+        if update is not None:
+            target_id = ObjectID.unique(cluster, f"{update}-{iteration}")
+            result = yield from plane.reduce(
+                server, target_id, list(outstanding), ReduceOp.SUM, num_objects=batch
+            )
+            yield from plane.get(server, target_id)
+            consumed = result.reduced_ids
+        else:
+            refs = [ref for _worker, ref in outstanding.values()]
+            ready, _ = yield from tasks.wait(refs, num_returns=batch)
+            for ref in ready:
+                yield from plane.get(server, ref.object_id)
+            consumed = [ref.object_id for ref in ready]
+        yield sim.timeout(update_time)
+        params_ref = yield from tasks.put(
+            ObjectValue.of_size(model.param_bytes),
+            ObjectID.unique(cluster, f"{params}-{iteration + 1}"),
+        )
+        launch([outstanding.pop(object_id)[0] for object_id in consumed], params_ref, iteration + 1)
+        run.latencies.append(sim.now - iteration_start)
+    run.duration = sim.now - start
+
+
+def _grad_name(worker: int, iteration: int) -> str:
+    return f"grad-w{worker}-i{iteration}" if iteration else f"grad-w{worker}"
+
+
 def run_async_sgd(
     num_nodes: int,
     model: "ModelProfile | str",
@@ -43,94 +116,23 @@ def run_async_sgd(
     num_iterations: int = 10,
     failure: Optional[FailureSchedule] = None,
 ) -> AppResult:
-    """Run the asynchronous parameter-server workload and report throughput.
-
-    Once the queue has drained it closes its task system, the plane's
-    runtime and the cluster (:func:`~repro.apps.common.close_run`), so
-    reference counting frees the run; a run that raises stays open.
-    """
+    """Run the asynchronous parameter-server workload and report samples/second."""
     if isinstance(model, str):
         model = model_profile(model)
     if num_nodes < 2:
         raise ValueError("async SGD needs a server node and at least one worker")
-    cluster = Cluster(num_nodes)
-    plane = make_plane(system, cluster)
-    install(cluster, [failure] if failure else ())
-    task_system = TaskSystem(cluster, plane)
-    sim = cluster.sim
-
-    worker_nodes = list(range(1, num_nodes))
-    batch = max(1, math.ceil(len(worker_nodes) / 2))
-    iteration_latencies: list[float] = []
-    summary: dict = {}
-
-    def driver() -> Generator:
-        server = cluster.node(0)
-        weights_ref = yield from task_system.put(
-            ObjectValue.of_size(model.param_bytes), ObjectID.unique(cluster, "weights")
-        )
-        # Kick off one gradient task per worker against the initial weights.
-        outstanding: dict[ObjectID, int] = {}
-        for worker in worker_nodes:
-            ref = task_system.submit(
-                _gradient_task,
-                args=(weights_ref, model),
-                node=worker,
-                name=f"grad-w{worker}",
-            )
-            outstanding[ref.object_id] = worker
-
-        start = sim.now
-        for iteration in range(num_iterations):
-            iteration_start = sim.now
-            target_id = ObjectID.unique(cluster, f"update-{iteration}")
-            result = yield from plane.reduce(
-                server,
-                target_id,
-                list(outstanding.keys()),
-                ReduceOp.SUM,
-                num_objects=min(batch, len(outstanding)),
-            )
-            yield from plane.get(server, target_id)
-            yield sim.timeout(SERVER_UPDATE_TIME)
-            weights_ref = yield from task_system.put(
-                ObjectValue.of_size(model.param_bytes),
-                ObjectID.unique(cluster, f"weights-{iteration + 1}"),
-            )
-            # Restart exactly the workers whose gradients were consumed.
-            for object_id in result.reduced_ids:
-                worker = outstanding.pop(object_id, None)
-                if worker is None:
-                    continue
-                ref = task_system.submit(
-                    _gradient_task,
-                    args=(weights_ref, model),
-                    node=worker,
-                    name=f"grad-w{worker}-i{iteration + 1}",
-                )
-                outstanding[ref.object_id] = worker
-            iteration_latencies.append(sim.now - iteration_start)
-        summary["duration"] = sim.now - start
-
-    sim.process(driver(), name="async-sgd-driver")
-    cluster.run()
-    sim.check_failures()
-    close_run(cluster, plane, task_system)
-
-    duration = summary.get("duration", sim.now)
+    batch = half_batch(num_nodes)
     samples = num_iterations * batch * model.samples_per_round
-    throughput = samples / duration if duration > 0 else 0.0
-    return AppResult(
-        app="async_sgd",
-        system=system,
-        num_nodes=num_nodes,
-        duration=duration,
-        throughput=throughput,
-        iteration_latencies=iteration_latencies,
-        metrics={
-            "model": model.name,
-            "batch": batch,
-            "samples": samples,
-            **task_system.metrics.as_dict(),
-        },
+
+    def start(run: Run) -> None:
+        run.metrics.update(model=model.name, batch=batch, samples=samples)
+        driver = serve(
+            run, model, num_iterations, _gradient_task, _grad_name,
+            params="weights", update="update", update_time=SERVER_UPDATE_TIME,
+        )
+        run.cluster.sim.process(driver, name="async-sgd-driver")
+
+    return run_app(
+        "async_sgd", system, num_nodes, num_iterations, samples, failure, start,
+        plane=True, tasks=True,
     )

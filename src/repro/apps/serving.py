@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.apps.common import AppResult, FailureSchedule, close_run
-from repro.collectives.systems import make_plane
-from repro.net.cluster import Cluster
-from repro.net.faults import install
+from repro.apps.common import AppResult, FailureSchedule, Run, run_app
 from repro.store.objects import ObjectID, ObjectValue
-from repro.tasksys.system import TaskError, TaskSystem
+from repro.tasksys.refs import ObjectRef
+from repro.tasksys.system import TaskError
 from repro.workloads.models import SERVING_ENSEMBLE, SERVING_QUERY_BYTES, model_profile
 
 #: size of one model's classification output for a 64-image batch.
@@ -44,35 +42,21 @@ def run_model_serving(
     num_queries: int = 20,
     failure: Optional[FailureSchedule] = None,
 ) -> AppResult:
-    """Serve ``num_queries`` ensemble queries and report queries/second.
-
-    Once the queue has drained it closes its task system, the plane's
-    runtime and the cluster (:func:`~repro.apps.common.close_run`), so
-    reference counting frees the run; a run that raises stays open.
-    """
+    """Serve ``num_queries`` ensemble queries and report queries/second."""
     if num_nodes < len(SERVING_ENSEMBLE):
         raise ValueError(
             f"need at least {len(SERVING_ENSEMBLE)} nodes to serve "
             f"{len(SERVING_ENSEMBLE)} models"
         )
-    cluster = Cluster(num_nodes)
-    plane = make_plane(system, cluster)
-    install(cluster, [failure] if failure else ())
-    task_system = TaskSystem(cluster, plane)
-    sim = cluster.sim
-
     profiles = [model_profile(name) for name in SERVING_ENSEMBLE]
     # Replica placement: round-robin models over nodes, so the 8-node cluster
     # serves one replica per model and the 16-node cluster serves two.
-    replicas: list[tuple[int, int]] = []  # (model_index, node_id)
-    for node_id in range(num_nodes):
-        replicas.append((node_id % len(profiles), node_id))
+    replicas = [(node_id % len(profiles), node_id) for node_id in range(num_nodes)]
 
-    query_latencies: list[float] = []
-    summary: dict = {}
-
-    def driver() -> Generator:
-        frontend = cluster.node(0)
+    def driver(run: Run) -> Generator:
+        cluster, plane, task_system = run.cluster, run.plane, run.task_system
+        sim = cluster.sim
+        frontend = task_system.driver_node
         # Each replica loads (Puts) its model weights once at start-up.
         weight_ids: dict[int, ObjectID] = {}
         weight_incarnations: dict[int, int] = {}
@@ -107,8 +91,8 @@ def run_model_serving(
                 ref = task_system.submit(
                     _inference_task,
                     args=(
-                        task_system_ref(query_id),
-                        task_system_ref(weight_ids[node_id]),
+                        ObjectRef(query_id),
+                        ObjectRef(weight_ids[node_id]),
                         profile.inference_time,
                     ),
                     node=node_id,
@@ -126,34 +110,17 @@ def run_model_serving(
                 except TaskError:
                     continue
             yield sim.timeout(0.001)  # majority vote
-            query_latencies.append(sim.now - query_start)
-        summary["duration"] = sim.now - start
+            run.latencies.append(sim.now - query_start)
+        run.duration = sim.now - start
 
-    sim.process(driver(), name="serving-driver")
-    cluster.run()
-    sim.check_failures()
-    close_run(cluster, plane, task_system)
+    def start(run: Run) -> None:
+        run.metrics.update(
+            ensemble_size=len(profiles), replicas=len(replicas), query_bytes=SERVING_QUERY_BYTES
+        )
+        run.cluster.sim.process(driver(run), name="serving-driver")
 
-    duration = summary.get("duration", sim.now)
-    throughput = num_queries / duration if duration > 0 else 0.0
-    return AppResult(
-        app="model_serving",
-        system=system,
-        num_nodes=num_nodes,
-        duration=duration,
-        throughput=throughput,
-        iteration_latencies=query_latencies,
-        metrics={
-            "ensemble_size": len(profiles),
-            "replicas": len(replicas),
-            "query_bytes": SERVING_QUERY_BYTES,
-            **task_system.metrics.as_dict(),
-        },
+    return run_app(
+        "model_serving", system, num_nodes, num_queries, num_queries, failure, start,
+        plane=True, tasks=True,
     )
 
-
-def task_system_ref(object_id: ObjectID):
-    """Wrap a raw ObjectID as an argument reference for a task submission."""
-    from repro.tasksys.refs import ObjectRef
-
-    return ObjectRef(object_id=object_id, producer_task_id=None)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.apps.common import AppResult, close_run
-from repro.collectives.systems import PLANES, STATIC_OPS, make_plane
-from repro.net.cluster import Cluster
+from repro.apps.common import AppResult, Run, run_app
+from repro.collectives.systems import STATIC_OPS
 from repro.store.objects import ObjectID, ObjectValue, ReduceOp
 from repro.workloads.models import ModelProfile, model_profile
 
@@ -24,83 +23,56 @@ def run_sync_training(
     system: str = "hoplite",
     num_rounds: int = 5,
 ) -> AppResult:
-    """Run synchronous data-parallel training and report samples/second.
-
-    Once the queue has drained it closes the plane's runtime (on an object
-    plane) and the cluster (:func:`~repro.apps.common.close_run`), so
-    reference counting frees the run; a run that raises stays open.
-    """
+    """Run synchronous data-parallel training and report samples/second."""
     if isinstance(model, str):
         model = model_profile(model)
     if num_nodes < 2:
         raise ValueError("synchronous training needs at least two nodes")
-    if system in PLANES:
-        duration, round_latencies = _run_plane(num_nodes, model, system, num_rounds)
-    elif (system, "allreduce") in STATIC_OPS:
-        duration, round_latencies = _run_static(num_nodes, model, system, num_rounds)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-
+    static = (system, "allreduce") in STATIC_OPS
     samples = num_rounds * num_nodes * model.samples_per_round
-    throughput = samples / duration if duration > 0 else 0.0
-    return AppResult(
-        app="sync_training",
-        system=system,
-        num_nodes=num_nodes,
-        duration=duration,
-        throughput=throughput,
-        iteration_latencies=round_latencies,
-        metrics={"model": model.name, "samples": samples},
+
+    def start(run: Run) -> None:
+        run.metrics.update(model=model.name, samples=samples)
+        if static:
+            _start_static(run, model, system, num_rounds)
+        else:
+            _start_plane(run, model, num_rounds)
+
+    return run_app(
+        "sync_training", system, num_nodes, num_rounds, samples, None, start,
+        plane=not static, tasks=False,
     )
 
 
-def _run_static(
-    num_nodes: int,
-    model: ModelProfile,
-    system: str,
-    num_rounds: int,
-) -> tuple[float, list[float]]:
+def _start_static(run: Run, model: ModelProfile, system: str, num_rounds: int) -> None:
     """OpenMPI / Gloo: compute, then a static allreduce, once per round."""
-    cluster = Cluster(num_nodes)
+    cluster = run.cluster
     sim = cluster.sim
+    num_nodes = len(cluster.nodes)
     make_op = STATIC_OPS[(system, "allreduce")]
     ops = [make_op(cluster, model.param_bytes) for _ in range(num_rounds)]
-
-    round_ends: list[list[float]] = [[] for _ in range(num_rounds)]
+    arrived = [0] * num_rounds
 
     def _worker(rank: int) -> Generator:
         for round_index in range(num_rounds):
             yield sim.timeout(model.round_compute_time)
             yield from ops[round_index].participate(rank)
-            round_ends[round_index].append(sim.now)
+            arrived[round_index] += 1
+            if arrived[round_index] == num_nodes:
+                # The last rank to finish closes the round; the first
+                # round is timed from 0.
+                run.latencies.append(sim.now - (run.duration or 0.0))
+                run.duration = sim.now
 
     for rank in range(num_nodes):
         sim.process(_worker(rank), name=f"sync-train-rank-{rank}")
-    cluster.run()
-    sim.check_failures()
-    close_run(cluster)
-
-    round_latencies = []
-    previous_end = 0.0
-    for ends in round_ends:
-        end = max(ends)
-        round_latencies.append(end - previous_end)
-        previous_end = end
-    return previous_end, round_latencies
 
 
-def _run_plane(
-    num_nodes: int,
-    model: ModelProfile,
-    system: str,
-    num_rounds: int,
-) -> tuple[float, list[float]]:
+def _start_plane(run: Run, model: ModelProfile, num_rounds: int) -> None:
     """Hoplite / Ray plane: put gradients, reduce at node 0, everyone gets."""
-    cluster = Cluster(num_nodes)
-    plane = make_plane(system, cluster)
+    cluster, plane = run.cluster, run.plane
     sim = cluster.sim
-    round_latencies: list[float] = []
-    summary: dict = {}
+    num_nodes = len(cluster.nodes)
 
     def _compute_and_put(node_id: int, object_id: ObjectID) -> Generator:
         yield sim.timeout(model.round_compute_time)
@@ -140,11 +112,7 @@ def _run_plane(
             yield sim.all_of(producers)
             yield reduce_proc
             yield sim.all_of(fetchers)
-            round_latencies.append(sim.now - round_start)
-        summary["duration"] = sim.now - start
+            run.latencies.append(sim.now - round_start)
+        run.duration = sim.now - start
 
     sim.process(driver(), name="sync-train-driver")
-    cluster.run()
-    sim.check_failures()
-    close_run(cluster, plane)
-    return summary.get("duration", sim.now), round_latencies

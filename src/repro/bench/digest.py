@@ -21,10 +21,13 @@ cell -> row label -> column:
   to produce the same latencies;
 * ``ledger`` (``coalesced_accounting``): a short sha256 of
   :func:`_link_ledger`, every link's busy time, grants and bytes;
-* ``recovery`` (``control_plane_kills``): the run's recovery dict ``repr``.
+* ``recovery`` (``control_plane_kills``): the run's recovery dict ``repr``;
+* ``latencies`` (``apps``): a short sha256 of an application run's
+  iteration latencies' ``repr``.
 
 The MoE and fleet rows of ``perf_basket`` have only ``latency`` and
-``events``.  A ``fuzz_band`` row holds the fuzzer's own ``digest`` of one
+``events``; an ``apps`` row has ``latency`` (the run's duration),
+``events`` and ``latencies``.  A ``fuzz_band`` row holds the fuzzer's own ``digest`` of one
 seed, and a ``grant_order`` row also the sha256 of its run's kernel pops.
 
 ``claims_quick`` and ``claims_full`` pin every column of every claims row
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -410,6 +414,57 @@ def wedges_cell() -> dict:
     return rows
 
 
+def apps_cell() -> dict:
+    """One run per branch of the five applications, at the test sizes.
+
+    Async SGD, IMPALA and A3C on the Hoplite and Ray planes, each with and
+    without a failure; serving at 8 and 16 nodes and with the Fig. 12
+    failure; synchronous training on Hoplite, Ray, OpenMPI and Gloo; MoE
+    on Hoplite and Dask and with a failure.  ``latencies`` is a short
+    sha256 of the iteration latencies' ``repr``.
+    """
+    from repro.apps import (
+        run_async_sgd,
+        run_model_serving,
+        run_moe_routing,
+        run_rl_training,
+        run_sync_training,
+    )
+
+    runs: dict[str, Callable] = {}
+    for system in ("hoplite", "ray"):
+        runs[f"sgd-{system}"] = partial(run_async_sgd, 8, "alexnet", system, 3)
+        runs[f"sgd-{system}-failure"] = partial(
+            run_async_sgd, 6, "resnet50", system, 8, failure=FailureEvent(2, 1.0, 2.0)
+        )
+        for algorithm in ("impala", "a3c"):
+            runs[f"{algorithm}-{system}"] = partial(run_rl_training, 6, algorithm, system, 3)
+            runs[f"{algorithm}-{system}-failure"] = partial(
+                run_rl_training, 6, algorithm, system, 3, failure=FailureEvent(2, 0.1, 0.5)
+            )
+    runs["serving-8"] = partial(run_model_serving, 8, "hoplite", 4)
+    runs["serving-16"] = partial(run_model_serving, 16, "hoplite", 4)
+    runs["serving-fig12"] = partial(
+        run_model_serving, 8, "hoplite", 40, failure=FailureEvent(3, 2.0, 4.5)
+    )
+    for system in ("hoplite", "ray", "openmpi", "gloo"):
+        runs[f"sync-{system}"] = partial(run_sync_training, 8, "resnet50", system, 2)
+    for system in ("hoplite", "dask"):
+        runs[f"moe-{system}"] = partial(run_moe_routing, 4, system, 2)
+    runs["moe-hoplite-failure"] = partial(
+        run_moe_routing, 4, "hoplite", 2, failure=FailureEvent(2, 0.005, 0.05)
+    )
+    rows = {}
+    for label, app in runs.items():
+        result = app()
+        rows[label] = {
+            "latency": repr(result.duration),
+            "events": result.metrics["events_processed"],
+            "latencies": _digest([result.iteration_latencies])[:16],
+        }
+    return rows
+
+
 GOLDEN_CELLS: dict[str, Callable[[], dict]] = {
     "fig7_flat": fig7_cell,
     "fault_matrix_2rack": fault_matrix_cell,
@@ -422,6 +477,7 @@ GOLDEN_CELLS: dict[str, Callable[[], dict]] = {
     "coalesced_accounting": coalesced_accounting_cell,
     "control_plane_kills": control_plane_kills_cell,
     "wedges": wedges_cell,
+    "apps": apps_cell,
 }
 
 

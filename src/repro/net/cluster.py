@@ -145,7 +145,8 @@ class Cluster:
         it built on it, once the queue has drained — parked processes
         (:meth:`~repro.sim.Process.close`), the orchestrator and the task
         system, then the plane's runtime.  :func:`repro.bench.scenarios.run`,
-        ``run_fleet`` and every app's ``run_*`` do so
+        ``run_fleet`` and the apps' one harness,
+        :func:`repro.apps.common.run_app`, do so
         (:func:`repro.apps.common.close_run`).  Closing also uninstalls the
         flight recorder's pop hook.
 

@@ -7,9 +7,12 @@ from repro.apps import (
     FailureSchedule,
     run_async_sgd,
     run_model_serving,
+    run_moe_routing,
     run_rl_training,
     run_sync_training,
 )
+from repro.apps.common import run_app
+from repro.net.cluster import Cluster
 from repro.workloads import MODEL_CATALOG, SERVING_ENSEMBLE, model_profile
 
 
@@ -43,6 +46,57 @@ def test_async_sgd_validation():
         run_async_sgd(1, "alexnet")
     with pytest.raises(ValueError):
         run_async_sgd(4, "alexnet", "not-a-plane")
+
+
+COUNTED_APPS = {
+    "async_sgd": lambda count: run_async_sgd(4, "alexnet", "hoplite", count),
+    "rl_impala": lambda count: run_rl_training(4, "impala", "hoplite", count),
+    "model_serving": lambda count: run_model_serving(8, "hoplite", count),
+    "sync_training": lambda count: run_sync_training(4, "resnet50", "gloo", count),
+    "moe_routing": lambda count: run_moe_routing(4, "hoplite", count),
+}
+
+
+@pytest.mark.parametrize("app", COUNTED_APPS)
+def test_count_validation(app):
+    """A count below 1 is refused, not run into an empty result."""
+    for count in (0, -2):
+        with pytest.raises(ValueError, match=f"{app} needs a count of at least 1"):
+            COUNTED_APPS[app](count)
+
+
+def test_run_app_refuses_a_run_that_records_too_few_latencies():
+    with pytest.raises(RuntimeError, match="probe recorded 0 of 1 latencies"):
+        run_app("probe", "hoplite", 2, 1, 1.0, None, lambda run: None, plane=True, tasks=False)
+
+
+DRIVER_FAILURE = FailureSchedule(node_id=0, fail_at=0.5, recover_at=1.0)
+
+
+@pytest.mark.parametrize(
+    "app, run",
+    [
+        ("async_sgd", lambda: run_async_sgd(4, "alexnet", "hoplite", 3, failure=DRIVER_FAILURE)),
+        ("rl_impala", lambda: run_rl_training(4, "impala", "hoplite", 3, failure=DRIVER_FAILURE)),
+        ("rl_a3c", lambda: run_rl_training(4, "a3c", "hoplite", 3, failure=DRIVER_FAILURE)),
+        ("model_serving", lambda: run_model_serving(8, "hoplite", 4, failure=DRIVER_FAILURE)),
+    ],
+)
+def test_driver_node_failure_is_refused_before_the_run(app, run, monkeypatch):
+    """The driver lives on node 0; a schedule that kills it is refused
+    up front instead of crashing the driver mid-run."""
+    built = []
+    monkeypatch.setattr(Cluster, "__init__", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match=f"{app} cannot survive a failure of its driver node 0"):
+        run()
+    assert built == []
+
+
+def test_moe_survives_a_node_zero_failure():
+    """MoE has no central driver: node 0 is a worker that retries."""
+    result = run_moe_routing(4, "hoplite", 2, failure=FailureSchedule(0, 0.005, 0.05))
+    assert len(result.iteration_latencies) == 2
+    assert result.metrics["retries"] == 1
 
 
 def test_async_sgd_survives_worker_failure():
@@ -96,16 +150,14 @@ def test_fig12_serving_run_leaves_no_undefused_failure(system, monkeypatch):
     """The Fig. 12 serving run: an inference task that fails while the
     driver still waits on an earlier replica is consumed by the driver's
     later ``wait``, so it is not reported as unhandled."""
-    from repro.apps import serving
-
     clusters = []
+    init = Cluster.__init__
 
-    class _Recorded(serving.Cluster):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            clusters.append(self)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        clusters.append(self)
 
-    monkeypatch.setattr(serving, "Cluster", _Recorded)
+    monkeypatch.setattr(Cluster, "__init__", recorded)
     failure = FailureSchedule(node_id=3, fail_at=2.0, recover_at=4.5)
     run_model_serving(8, system, 40, failure=failure)
     assert clusters[0].sim.unhandled_failures == []
@@ -122,11 +174,3 @@ def test_sync_training_system_ordering():
         run_sync_training(1, "resnet50")
     with pytest.raises(ValueError):
         run_sync_training(4, "resnet50", "nccl")
-
-
-def test_app_result_summary():
-    result = run_sync_training(4, "resnet50", "hoplite", num_rounds=1)
-    summary = result.summary()
-    assert summary["app"] == "sync_training"
-    assert summary["system"] == "hoplite"
-    assert summary["iterations"] == 1

@@ -10,8 +10,9 @@ column (see :mod:`repro.bench.digest` for how each value is taken):
 * ``ids`` pins the run's ObjectID counter after the run (allocation order
   is schedule-sensitive);
 * ``ledger`` pins a hash of every link's busy time, grants and bytes
-  (``coalesced_accounting``), and ``recovery`` the recovery dict of a
-  control-plane kill (``control_plane_kills``);
+  (``coalesced_accounting``), ``recovery`` the recovery dict of a
+  control-plane kill (``control_plane_kills``), and ``latencies`` a hash of
+  an application run's iteration latencies (``apps``);
 * ``digest`` pins the fuzzer's digest of one seed (``fuzz_band``), or the
   hash of one run's kernel pops ``(when, seq, event type)`` next to that
   run's other columns (``grant_order``).

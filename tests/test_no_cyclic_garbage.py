@@ -92,11 +92,16 @@ CASES = {
         lambda: run_rl_training(4, "impala", "hoplite", 3, failure=FailureSchedule(2, 0.1, 0.5)),
         "failures",
     ),
+    "rl-a3c-failure": _faulted_app(
+        lambda: run_rl_training(4, "a3c", "hoplite", 3, failure=FailureSchedule(2, 0.1, 0.5)),
+        "failures",
+    ),
     "moe-failure": _faulted_app(
         lambda: run_moe_routing(4, "hoplite", 2, failure=FailureSchedule(2, 0.005, 0.05)),
         "retries",
     ),
     "sync-training": lambda: run_sync_training(4, "alexnet", "hoplite", 2),
+    "sync-training-gloo": lambda: run_sync_training(4, "alexnet", "gloo", 2),
     **{
         f"hoplite-{collective}": (
             lambda collective=collective: run(Scenario(collective, "hoplite", 8, 16 * MB))
